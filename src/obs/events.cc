@@ -1,24 +1,53 @@
 #include "obs/events.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
-
-#include "obs/json.h"
 
 namespace paai::obs {
 namespace {
 
-constexpr const char* kKindNames[kEventKindCount] = {
+constexpr std::string_view kKindNames[kEventKindCount] = {
     "run-start",    "run-end",      "data-send",     "sample-select",
     "probe-send",   "ack-recv",     "ack-timeout",   "onion-decode",
     "score-clean",  "score-blame",  "conviction",    "packet-send",
     "packet-recv",  "packet-fwd",   "node-crash",    "node-restart",
     "run-config",   "fl-count",
 };
+
+// Name -> kind in one probe, not a scan of the 18 names: the reader looks
+// up every line's kind. The slot function is collision-free over the
+// names (checked at compile time); a miss still compares the name.
+constexpr std::size_t kind_slot(std::string_view name) {
+  return (2u * static_cast<unsigned char>(name[1]) +
+          3u * static_cast<unsigned char>(name.back()) + name.size()) %
+         64;
+}
+
+struct KindSlots {
+  std::int8_t index[64];
+  bool collision_free;
+};
+
+constexpr KindSlots make_kind_slots() {
+  KindSlots t{};
+  t.collision_free = true;
+  for (std::int8_t& i : t.index) i = -1;
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    std::int8_t& slot = t.index[kind_slot(kKindNames[k])];
+    if (slot >= 0) t.collision_free = false;
+    slot = static_cast<std::int8_t>(k);
+  }
+  return t;
+}
+
+constexpr KindSlots kKindBySlot = make_kind_slots();
+static_assert(kKindBySlot.collision_free,
+              "kind_slot() collides on the event-kind names; retune it");
 
 // Exact total order for the merged export; seq breaks ties within a node
 // (two nodes never share a seq collision at the same ts because node is
@@ -29,28 +58,20 @@ bool event_before(const Event& x, const Event& y) {
   return x.seq < y.seq;
 }
 
-bool parse_u64_field(const JsonValue& v, std::uint64_t* out) {
-  if (!v.is_string()) return false;
-  if (v.string.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.string.c_str(), &end, 10);
-  if (errno != 0 || end != v.string.c_str() + v.string.size()) return false;
-  *out = parsed;
-  return true;
-}
-
 }  // namespace
 
 const char* event_kind_name(EventKind kind) {
-  return kKindNames[static_cast<std::size_t>(kind)];
+  // The names are string literals, so data() is NUL-terminated.
+  return kKindNames[static_cast<std::size_t>(kind)].data();
 }
 
 std::optional<EventKind> event_kind_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kEventKindCount; ++i) {
-    if (name == kKindNames[i]) return static_cast<EventKind>(i);
+  if (name.size() < 2) return std::nullopt;
+  const std::int8_t i = kKindBySlot.index[kind_slot(name)];
+  if (i < 0 || kKindNames[static_cast<std::size_t>(i)] != name) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return static_cast<EventKind>(i);
 }
 
 EventLog::EventLog(std::size_t per_node_capacity)
@@ -98,93 +119,260 @@ std::vector<Event> EventLog::merged() const {
   return out;
 }
 
-void EventLog::write_jsonl(std::ostream& os) const {
-  for (const Event& e : merged()) {
-    JsonWriter w(os);
-    w.begin_object();
-    w.key("ts_ns").value(e.ts_ns);
-    w.key("node").value(static_cast<std::int64_t>(e.node));
-    w.key("seq").value(e.seq);
-    w.key("kind").value(event_kind_name(e.kind));
-    if (e.link >= 0) w.key("link").value(static_cast<std::int64_t>(e.link));
-    w.key("a").value(std::to_string(e.a));
-    w.key("b").value(std::to_string(e.b));
-    w.key("v").value(e.value);
-    w.end_object();
-    os << '\n';
-  }
-}
+// ------------------------------------------------------- event-line codec
+//
+// Both halves are written against the one line grammar write_jsonl emits:
+//
+//   {"ts_ns":I,"node":I,"seq":U,"kind":"NAME"[,"link":I],"a":"U","b":"U","v":NUM|null}
+//
+// The writer formats straight into a stack buffer; the reader scans the
+// same grammar once, left to right, with fixed key order and no
+// whitespace. Integers convert exactly through from_chars; `v` is checked
+// against the RFC 8259 number grammar and converted with the correctly
+// rounded from_chars, so every accepted line is also valid strict JSON
+// carrying the same values (tests/stream_test.cc fuzzes this against
+// json_parse).
 
 namespace {
 
-/// Parses one JSONL line into an event. Returns false with a description
-/// (no line prefix) on any malformed input.
-bool parse_event_line(const std::string& line, Event* out,
-                      std::string* what) {
-  std::string parse_error;
-  const auto doc = json_parse(line, &parse_error);
-  if (!doc.has_value()) {
-    *what = parse_error;
-    return false;
-  }
-  if (!doc->is_object()) {
-    *what = "not a JSON object";
+char* put(char* p, std::string_view s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+// Every field's widest rendering fits in 24 bytes (-DBL_MIN in %.17g);
+// the bound only has to keep to_chars inside kEventLineMaxBytes.
+template <class T>
+char* put_int(char* p, T v) {
+  return std::to_chars(p, p + 24, v).ptr;
+}
+
+class LineScanner {
+ public:
+  LineScanner(std::string_view line, std::string* what)
+      : p_(line.data()), end_(line.data() + line.size()), what_(what) {}
+
+  bool fail(std::string_view field, std::string_view reason) {
+    if (what_ != nullptr) {
+      *what_ = std::string(field) + ": " + std::string(reason);
+    }
     return false;
   }
 
+  /// Consumes `lit` if the input continues with it.
+  bool accept(std::string_view lit) {
+    if (static_cast<std::size_t>(end_ - p_) < lit.size() ||
+        std::memcmp(p_, lit.data(), lit.size()) != 0) {
+      return false;
+    }
+    p_ += lit.size();
+    return true;
+  }
+
+  bool expect(std::string_view lit, std::string_view field) {
+    return accept(lit) ||
+           fail(field, "expected '" + std::string(lit) +
+                           "' (canonical key order, no whitespace)");
+  }
+
+  bool at_end() const { return p_ == end_; }
+
+  /// A JSON integer token, -?(0|[1-9][0-9]*) with no fraction or
+  /// exponent, converted exactly into T; anything T cannot hold is out of
+  /// range (from_chars rejects a '-' for unsigned T).
+  template <class T>
+  bool integer(std::string_view field, T* out) {
+    const char* q = p_ != end_ && *p_ == '-' ? p_ + 1 : p_;
+    if (!digit_at(q)) return fail(field, "expected an integer");
+    if (*q == '0' && digit_at(q + 1)) return fail(field, "leading zero");
+    const auto [stop, ec] = std::from_chars(p_, end_, *out);
+    if (ec != std::errc()) return fail(field, "out of range");
+    if (stop != end_ && (*stop == '.' || *stop == 'e' || *stop == 'E')) {
+      return fail(field, "not an integer");
+    }
+    p_ = stop;
+    return true;
+  }
+
+  /// The body and closing quote of a decimal-string u64 ("a" / "b").
+  bool quoted_u64(std::string_view field, std::uint64_t* out) {
+    if (!digit_at(p_)) return fail(field, "expected a decimal string");
+    if (*p_ == '0' && digit_at(p_ + 1)) return fail(field, "leading zero");
+    const auto [stop, ec] = std::from_chars(p_, end_, *out);
+    if (ec != std::errc()) return fail(field, "out of range");
+    if (stop == end_ || *stop != '"') {
+      return fail(field, "expected a decimal string");
+    }
+    p_ = stop + 1;
+    return true;
+  }
+
+  /// The body and closing quote of the kind name.
+  bool kind(EventKind* out) {
+    const auto* close = static_cast<const char*>(
+        std::memchr(p_, '"', static_cast<std::size_t>(end_ - p_)));
+    if (close == nullptr) return fail("kind", "unterminated string");
+    const std::string_view name(p_, static_cast<std::size_t>(close - p_));
+    const auto k = event_kind_from_name(name);
+    if (!k.has_value()) {
+      return fail("kind", "unknown kind \"" + std::string(name) + "\"");
+    }
+    *out = *k;
+    p_ = close + 1;
+    return true;
+  }
+
+  /// An RFC 8259 number -> the correctly rounded double, or null -> 0.0
+  /// (the writer's spelling of a non-finite value). A number no double
+  /// can hold is out of range: the writer never emits one.
+  bool number_or_null(std::string_view field, double* out) {
+    if (accept("null")) {
+      *out = 0.0;
+      return true;
+    }
+    const char* q = p_ != end_ && *p_ == '-' ? p_ + 1 : p_;
+    if (!digit_at(q)) return fail(field, "expected a number or null");
+    if (*q == '0' && digit_at(q + 1)) return fail(field, "leading zero");
+    const char* stop = digits(q);
+    if (stop != end_ && *stop == '.') {
+      const char* frac = digits(stop + 1);
+      if (frac == stop + 1) return fail(field, "truncated fraction");
+      stop = frac;
+    }
+    if (stop != end_ && (*stop == 'e' || *stop == 'E')) {
+      const char* exp = stop + 1;
+      if (exp != end_ && (*exp == '+' || *exp == '-')) ++exp;
+      const char* exp_end = digits(exp);
+      if (exp_end == exp) return fail(field, "truncated exponent");
+      stop = exp_end;
+    }
+    const auto [ptr, ec] =
+        std::from_chars(p_, stop, *out, std::chars_format::general);
+    if (ec != std::errc() || ptr != stop) return fail(field, "out of range");
+    p_ = stop;
+    return true;
+  }
+
+ private:
+  bool digit_at(const char* q) const {
+    return q != end_ && static_cast<unsigned char>(*q - '0') < 10;
+  }
+
+  const char* digits(const char* q) const {
+    while (q != end_ && static_cast<unsigned char>(*q - '0') < 10) ++q;
+    return q;
+  }
+
+  const char* p_;
+  const char* end_;
+  std::string* what_;
+};
+
+}  // namespace
+
+std::size_t encode_event_line(const Event& e, char* out) {
+  char* p = put(out, "{\"ts_ns\":");
+  p = put_int(p, e.ts_ns);
+  p = put(p, ",\"node\":");
+  p = put_int(p, e.node);
+  p = put(p, ",\"seq\":");
+  p = put_int(p, e.seq);
+  p = put(p, ",\"kind\":\"");
+  p = put(p, kKindNames[static_cast<std::size_t>(e.kind)]);
+  p = put(p, "\"");
+  if (e.link >= 0) {
+    p = put(p, ",\"link\":");
+    p = put_int(p, e.link);
+  }
+  p = put(p, ",\"a\":\"");
+  p = put_int(p, e.a);
+  p = put(p, "\",\"b\":\"");
+  p = put_int(p, e.b);
+  p = put(p, "\",\"v\":");
+  // Precision 17 in general format is exactly what %.17g prints.
+  p = std::isfinite(e.value)
+          ? std::to_chars(p, p + 24, e.value, std::chars_format::general, 17)
+                .ptr
+          : put(p, "null");
+  p = put(p, "}\n");
+  return static_cast<std::size_t>(p - out);
+}
+
+bool decode_event_line(std::string_view line, Event* out, std::string* what) {
+  LineScanner s(line, what);
   Event e;
-  const JsonValue* ts = doc->find("ts_ns");
-  const JsonValue* node = doc->find("node");
-  const JsonValue* seq = doc->find("seq");
-  const JsonValue* kind = doc->find("kind");
-  if (ts == nullptr || !ts->is_number() || node == nullptr ||
-      !node->is_number() || seq == nullptr || !seq->is_number() ||
-      kind == nullptr || !kind->is_string()) {
-    *what = "missing or mistyped ts_ns/node/seq/kind";
+  if (!s.expect("{\"ts_ns\":", "ts_ns") || !s.integer("ts_ns", &e.ts_ns) ||
+      !s.expect(",\"node\":", "node") || !s.integer("node", &e.node) ||
+      !s.expect(",\"seq\":", "seq") || !s.integer("seq", &e.seq) ||
+      !s.expect(",\"kind\":\"", "kind") || !s.kind(&e.kind)) {
     return false;
   }
-  e.ts_ns = static_cast<std::int64_t>(ts->number);
-  e.node = static_cast<std::uint16_t>(node->number);
-  e.seq = static_cast<std::uint64_t>(seq->number);
-  const auto k = event_kind_from_name(kind->string);
-  if (!k.has_value()) {
-    *what = "unknown kind \"" + kind->string + "\"";
+  if (s.accept(",\"link\":")) {
+    if (!s.integer("link", &e.link)) return false;
+    // -1 ("not link-scoped") is spelled by omitting the key.
+    if (e.link < 0) return s.fail("link", "out of range");
+  }
+  if (!s.expect(",\"a\":\"", "a") || !s.quoted_u64("a", &e.a) ||
+      !s.expect(",\"b\":\"", "b") || !s.quoted_u64("b", &e.b) ||
+      !s.expect(",\"v\":", "v") || !s.number_or_null("v", &e.value) ||
+      !s.expect("}", "v")) {
     return false;
   }
-  e.kind = *k;
-
-  if (const JsonValue* link = doc->find("link")) {
-    if (!link->is_number()) {
-      *what = "mistyped link";
-      return false;
-    }
-    e.link = static_cast<std::int32_t>(link->number);
-  }
-  if (const JsonValue* a = doc->find("a")) {
-    if (!parse_u64_field(*a, &e.a)) {
-      *what = "mistyped a";
-      return false;
-    }
-  }
-  if (const JsonValue* b = doc->find("b")) {
-    if (!parse_u64_field(*b, &e.b)) {
-      *what = "mistyped b";
-      return false;
-    }
-  }
-  if (const JsonValue* v = doc->find("v")) {
-    // Non-finite doubles are emitted as null; map them back to 0.
-    if (!v->is_number() && !v->is_null()) {
-      *what = "mistyped v";
-      return false;
-    }
-    e.value = v->is_number() ? v->number : 0.0;
-  }
+  if (!s.at_end()) return s.fail("line", "trailing bytes after the object");
   *out = e;
   return true;
 }
 
-}  // namespace
+void EventLog::write_jsonl(std::ostream& os) const {
+  char line[kEventLineMaxBytes];
+  for (const Event& e : merged()) {
+    os.write(line, static_cast<std::streamsize>(encode_event_line(e, line)));
+  }
+}
+
+EventReader::Frame EventReader::read_line() {
+  // istream::getline and ignore scan the stream buffer in bulk and stop
+  // right after the newline, so nothing past the current line is consumed
+  // (FIFO tailing and the caller's tellg() stay exact). The stream's state
+  // bits are restored afterwards: hitting EOF here must not poison a
+  // later tellg() or a later read from a growing file.
+  const std::ios::iostate saved = is_->rdstate();
+  is_->clear();
+  if (buf_.empty()) buf_.resize(kInitialLineBytes + 1);  // + getline's NUL
+  len_ = 0;
+  Frame frame = Frame::kLine;
+  for (;;) {
+    const std::size_t room = buf_.size() - 1 - len_;
+    is_->getline(buf_.data() + len_, static_cast<std::streamsize>(room + 1),
+                 '\n');
+    const auto got = static_cast<std::size_t>(is_->gcount());
+    bytes_ += got;
+    const std::ios::iostate state = is_->rdstate();
+    is_->clear();
+    if (state == std::ios::goodbit) {
+      len_ += got - 1;  // the newline was extracted, not stored
+      break;
+    }
+    len_ += got;
+    if ((state & (std::ios::eofbit | std::ios::badbit)) != 0) {
+      frame = len_ == 0 ? Frame::kEof : Frame::kUnterminated;
+      break;
+    }
+    // failbit alone: the buffer filled before a newline came.
+    if (len_ >= kMaxLineBytes) {
+      // Skip (unstored) to the end of the offending line so the reader
+      // stays usable for count-and-continue callers.
+      is_->ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      bytes_ += static_cast<std::uint64_t>(is_->gcount());
+      is_->clear();
+      frame = Frame::kOversized;
+      break;
+    }
+    buf_.resize(std::min(2 * (buf_.size() - 1), kMaxLineBytes) + 1);
+  }
+  is_->clear(saved);
+  return frame;
+}
 
 EventReader::Status EventReader::next(Event* out, std::string* error) {
   const auto report = [&](const std::string& what) {
@@ -196,47 +384,23 @@ EventReader::Status EventReader::next(Event* out, std::string* error) {
   };
 
   for (;;) {
-    // Bounded read: never store more than kMaxLineBytes of one line, so a
-    // newline-free garbage stream cannot balloon the buffer.
-    buf_.clear();
-    bool terminated = false;
-    bool oversized = false;
-    std::streambuf* const sb = is_->rdbuf();
-    std::streambuf::int_type ch;
-    while ((ch = sb->sbumpc()) != std::streambuf::traits_type::eof()) {
-      ++bytes_;
-      if (ch == '\n') {
-        terminated = true;
-        break;
-      }
-      if (buf_.size() >= kMaxLineBytes) {
-        oversized = true;
-        // Skip (unstored) to the end of the offending line so the reader
-        // stays usable for count-and-continue callers.
-        while ((ch = sb->sbumpc()) != std::streambuf::traits_type::eof()) {
-          ++bytes_;
-          if (ch == '\n') break;
-        }
-        break;
-      }
-      buf_.push_back(static_cast<char>(ch));
-    }
-    if (!terminated && !oversized && buf_.empty()) {
-      return Status::kEof;  // clean EOF: the last line had its newline
-    }
+    const Frame frame = read_line();
+    if (frame == Frame::kEof) return Status::kEof;  // last line had its '\n'
     ++line_no_;
-    if (oversized) {
+    if (frame == Frame::kOversized) {
       return report("exceeds maximum line length (" +
                     std::to_string(kMaxLineBytes) + " bytes)");
     }
-    if (!terminated) {
+    if (frame == Frame::kUnterminated) {
       // The stream died mid-line (pipe truncation, torn tail). The
       // fragment may even parse as JSON; fail instead of trusting it.
       return report("unterminated line (truncated stream?)");
     }
-    if (buf_.empty()) continue;
+    if (len_ == 0) continue;
     std::string what;
-    if (!parse_event_line(buf_, out, &what)) return report(what);
+    if (!decode_event_line(std::string_view(buf_.data(), len_), out, &what)) {
+      return report(what);
+    }
     ++events_;
     return Status::kEvent;
   }

@@ -100,6 +100,31 @@ inline std::uint64_t event_id64(const std::uint8_t* id_bytes) {
   return v;
 }
 
+// The event-line codec. Every line of the JSONL export has exactly this
+// shape — fixed key order, no whitespace, newline-terminated:
+//
+//   {"ts_ns":I,"node":I,"seq":U,"kind":"NAME"[,"link":I],"a":"U","b":"U","v":NUM|null}
+//
+// `ts_ns` is an i64 and `seq` a u64, both exact; `node` is in [0, 65535];
+// `link` is present only when >= 0 and is at most INT32_MAX; `a` and `b`
+// are u64 decimal strings, so full 64-bit ids survive double-typed JSON
+// parsers; `v` is the %.17g rendering of a finite double, or null for a
+// non-finite one (decoded as 0.0). Every line is strict JSON.
+
+/// Upper bound on one encoded line, newline included.
+inline constexpr std::size_t kEventLineMaxBytes = 256;
+
+/// Writes `e` as one canonical line, newline included, into `out` (at
+/// least kEventLineMaxBytes long); returns the line's length.
+std::size_t encode_event_line(const Event& e, char* out);
+
+/// Parses one canonical line (without its newline). Anything else —
+/// whitespace, reordered or unknown keys, a non-integer or out-of-range
+/// integer field, a malformed number — returns false with a description
+/// (no line prefix) in `*what` when `what` is non-null; `*out` is then
+/// untouched.
+bool decode_event_line(std::string_view line, Event* out, std::string* what);
+
 class EventLog {
  public:
   /// `per_node_capacity` bounds each node's ring (rounded up to 1).
@@ -129,9 +154,8 @@ class EventLog {
   /// seq) — a deterministic total order.
   std::vector<Event> merged() const;
 
-  /// Writes merged() as JSONL: one strict-JSON object per line. `a` and
-  /// `b` are emitted as decimal strings so full 64-bit ids survive
-  /// double-typed JSON parsers; `link` is omitted when -1.
+  /// Writes merged() as JSONL: one canonical event line per event (see
+  /// encode_event_line()), one os.write() per line.
   void write_jsonl(std::ostream& os) const;
 
   /// Parses a JSONL stream produced by write_jsonl(). On failure returns
@@ -158,21 +182,25 @@ class EventLog {
 /// pipe with it, `paai replay` walks multi-hundred-MB logs in O(1)
 /// memory, and tests drive it line by line.
 ///
-/// Strictness contract: a truncated, non-JSON, or mistyped line is a hard
-/// error carrying the 1-based line number — never a silent stop and never
-/// a partially-parsed event. Blank lines are skipped (they separate
-/// concatenated logs harmlessly). After kError the reader stays usable:
-/// next() moves past the offending line, so callers choose between
-/// fail-fast (serve's default) and count-and-continue.
+/// Strictness contract: a truncated, non-canonical (decode_event_line()),
+/// or mistyped line is a hard error carrying the 1-based line number —
+/// never a silent stop and never a partially-parsed event. Blank lines are
+/// skipped (they separate concatenated logs harmlessly). After kError the
+/// reader stays usable: next() moves past the offending line, so callers
+/// choose between fail-fast (serve's default) and count-and-continue.
 ///
-/// Bounded buffering: lines are read character-by-character into a buffer
-/// capped at kMaxLineBytes (a well-formed event line is < 300 bytes, so
+/// Bounded buffering: each line is framed by a bulk scan for its newline
+/// (istream::getline into a reused buffer that starts small and doubles)
+/// capped at kMaxLineBytes (a well-formed event line is < 256 bytes, so
 /// 1 MiB is three orders of magnitude of headroom). An oversized line is
 /// a kError ("line N: exceeds maximum line length") and the rest of the
-/// line is discarded unstored — a newline-free garbage stream can no
-/// longer balloon the buffer to the stream's size. A stream that ends
-/// mid-line (pipe truncation, torn tail) is also a kError ("unterminated
-/// line") instead of being silently parsed as if complete.
+/// line is discarded unstored — a newline-free garbage stream cannot
+/// balloon the buffer to the stream's size. A stream that ends mid-line
+/// (pipe truncation, torn tail) is also a kError ("unterminated line")
+/// instead of being silently parsed as if complete. Nothing past the
+/// current line's newline is consumed, and the stream's state bits are
+/// left as they were found, so tellg() and tailing a growing file or
+/// FIFO stay exact.
 class EventReader {
  public:
   /// Hard cap on one line's length; beyond it the line is malformed.
@@ -205,8 +233,15 @@ class EventReader {
   std::uint64_t bytes() const { return bytes_; }
 
  private:
+  enum class Frame : std::uint8_t { kLine, kEof, kUnterminated, kOversized };
+  static constexpr std::size_t kInitialLineBytes = 512;
+
+  /// Frames the next line into buf_[0, len_), its newline consumed.
+  Frame read_line();
+
   std::istream* is_;
-  std::string buf_;
+  std::string buf_;  // grows on demand up to kMaxLineBytes + 1
+  std::size_t len_ = 0;
   std::size_t line_no_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t errors_ = 0;

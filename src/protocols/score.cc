@@ -111,7 +111,14 @@ bool ScoreTable::margin_convicts(std::size_t link, double threshold) const {
 
 std::vector<std::size_t> ScoreTable::convicted(double threshold) const {
   std::vector<std::size_t> out;
-  if (n_ == 0) return out;
+  convicted(threshold, &out);
+  return out;
+}
+
+void ScoreTable::convicted(double threshold,
+                           std::vector<std::size_t>* out) const {
+  out->clear();
+  if (n_ == 0) return;
   for (std::size_t i = 0; i < s_.size(); ++i) {
     bool guilty = false;
     switch (blame_.mode) {
@@ -145,9 +152,8 @@ std::vector<std::size_t> ScoreTable::convicted(double threshold) const {
                   theta(i) > kWindowHighTheta);
         break;
     }
-    if (guilty) out.push_back(i);
+    if (guilty) out->push_back(i);
   }
-  return out;
 }
 
 void ScoreTable::restore(const std::vector<std::uint64_t>& s, std::uint64_t n,
@@ -268,36 +274,44 @@ double Paai2ScoreTable::observed_e2e_rate() const {
 }
 
 std::vector<double> Paai2ScoreTable::thetas() const {
-  const std::size_t d = s_.size();
-  std::vector<double> out(d, 0.0);
-  if (data_packets_ == 0) return out;
-  const double psi = observed_e2e_rate();
-
-  // Unconditional prefix-failure probabilities q_e; carry forward when a
-  // selection index has no observations yet.
-  std::vector<double> q(d + 1, 0.0);
-  for (std::size_t e = 1; e <= d; ++e) {
-    if (sel_n_[e] == 0) {
-      q[e] = q[e - 1];
-      continue;
-    }
-    const double cond_fail = static_cast<double>(sel_f_[e]) /
-                             static_cast<double>(sel_n_[e]);
-    q[e] = std::max(q[e - 1], psi * cond_fail);
-  }
-
-  // Per-link cycle rate from adjacent prefix differences, then down to a
-  // per-traversal rate. The data packet always crosses a prefix link, but
-  // the probe and the report only exist when a probe fired (probability
-  // psi), so one monitored cycle exposes a prefix link to ~(1 + 2 psi)
-  // traversals.
-  const double traversals = 1.0 + 2.0 * psi;
-  for (std::size_t j = 0; j < d; ++j) {
-    const double denom = 1.0 - q[j];
-    const double g = denom > 0.0 ? (q[j + 1] - q[j]) / denom : 0.0;
-    out[j] = 1.0 - std::pow(1.0 - std::clamp(g, 0.0, 1.0), 1.0 / traversals);
-  }
+  std::vector<double> out;
+  thetas(&out);
   return out;
+}
+
+void Paai2ScoreTable::thetas(std::vector<double>* out) const {
+  const std::size_t d = s_.size();
+  std::vector<double>& q = *out;
+  q.assign(d + 1, 0.0);
+  if (data_packets_ != 0) {
+    const double psi = observed_e2e_rate();
+
+    // Unconditional prefix-failure probabilities q_e; carry forward when
+    // a selection index has no observations yet.
+    for (std::size_t e = 1; e <= d; ++e) {
+      if (sel_n_[e] == 0) {
+        q[e] = q[e - 1];
+        continue;
+      }
+      const double cond_fail = static_cast<double>(sel_f_[e]) /
+                               static_cast<double>(sel_n_[e]);
+      q[e] = std::max(q[e - 1], psi * cond_fail);
+    }
+
+    // Per-link cycle rate from adjacent prefix differences, then down to
+    // a per-traversal rate. The data packet always crosses a prefix link,
+    // but the probe and the report only exist when a probe fired
+    // (probability psi), so one monitored cycle exposes a prefix link to
+    // ~(1 + 2 psi) traversals. theta_j overwrites q_j in place: q_j and
+    // q_{j+1} are both read before the write.
+    const double traversals = 1.0 + 2.0 * psi;
+    for (std::size_t j = 0; j < d; ++j) {
+      const double denom = 1.0 - q[j];
+      const double g = denom > 0.0 ? (q[j + 1] - q[j]) / denom : 0.0;
+      q[j] = 1.0 - std::pow(1.0 - std::clamp(g, 0.0, 1.0), 1.0 / traversals);
+    }
+  }
+  q.pop_back();
 }
 
 bool Paai2ScoreTable::margin_convicts(std::size_t link, double threshold,
@@ -321,8 +335,18 @@ bool Paai2ScoreTable::margin_convicts(std::size_t link, double threshold,
 }
 
 std::vector<std::size_t> Paai2ScoreTable::convicted(double threshold) const {
-  const std::vector<double> th = thetas();
   std::vector<std::size_t> out;
+  std::vector<double> th;
+  convicted(threshold, &out, &th);
+  return out;
+}
+
+void Paai2ScoreTable::convicted(double threshold,
+                                std::vector<std::size_t>* out,
+                                std::vector<double>* scratch) const {
+  thetas(scratch);
+  const std::vector<double>& th = *scratch;
+  out->clear();
   for (std::size_t j = 0; j < th.size(); ++j) {
     bool guilty = false;
     switch (blame_.mode) {
@@ -344,9 +368,8 @@ std::vector<std::size_t> Paai2ScoreTable::convicted(double threshold) const {
                   th[j] > kWindowHighTheta);
         break;
     }
-    if (guilty) out.push_back(j);
+    if (guilty) out->push_back(j);
   }
-  return out;
 }
 
 void Paai2ScoreTable::restore(const std::vector<std::uint64_t>& s,
@@ -444,13 +467,18 @@ void FlScoreTable::interval_reported() {
 }
 
 std::vector<double> FlScoreTable::thetas() const {
+  std::vector<double> out;
+  thetas(&out);
+  return out;
+}
+
+void FlScoreTable::thetas(std::vector<double>* out) const {
   const std::size_t d = num_links();
-  std::vector<double> out(d, 0.0);
+  out->assign(d, 0.0);
   for (std::size_t j = 0; j < d; ++j) {
     if (acc_[j] <= 0.0) continue;
-    out[j] = std::max(0.0, 1.0 - acc_[j + 1] / acc_[j]);
+    (*out)[j] = std::max(0.0, 1.0 - acc_[j + 1] / acc_[j]);
   }
-  return out;
 }
 
 bool FlScoreTable::margin_convicts(std::size_t link, double threshold,
@@ -466,8 +494,17 @@ bool FlScoreTable::margin_convicts(std::size_t link, double threshold,
 }
 
 std::vector<std::size_t> FlScoreTable::convicted(double threshold) const {
-  const std::vector<double> th = thetas();
   std::vector<std::size_t> out;
+  std::vector<double> th;
+  convicted(threshold, &out, &th);
+  return out;
+}
+
+void FlScoreTable::convicted(double threshold, std::vector<std::size_t>* out,
+                             std::vector<double>* scratch) const {
+  thetas(scratch);
+  const std::vector<double>& th = *scratch;
+  out->clear();
   for (std::size_t j = 0; j < th.size(); ++j) {
     bool guilty = false;
     switch (blame_.mode) {
@@ -491,9 +528,8 @@ std::vector<std::size_t> FlScoreTable::convicted(double threshold) const {
                   th[j] > kWindowHighTheta);
         break;
     }
-    if (guilty) out.push_back(j);
+    if (guilty) out->push_back(j);
   }
-  return out;
 }
 
 double FlScoreTable::observed_e2e_rate() const {

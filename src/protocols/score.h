@@ -95,8 +95,11 @@ class ScoreTable {
   double theta(std::size_t link) const;
   std::vector<double> thetas() const;
 
-  /// Links convicted under the configured blame rule.
+  /// Links convicted under the configured blame rule, ascending.
   std::vector<std::size_t> convicted(double threshold) const;
+  /// The same into caller-owned storage (overwritten): a caller that
+  /// reuses `out` across calls keeps them off the heap.
+  void convicted(double threshold, std::vector<std::size_t>* out) const;
 
   std::size_t num_links() const { return s_.size(); }
 
@@ -174,6 +177,10 @@ class Paai2ScoreTable {
   std::vector<double> thetas() const;
 
   std::vector<std::size_t> convicted(double threshold) const;
+  /// Allocation-free form for callers that poll every event: `out` is
+  /// overwritten, `scratch` holds the estimates.
+  void convicted(double threshold, std::vector<std::size_t>* out,
+                 std::vector<double>* scratch) const;
 
   /// End-to-end data-path drop rate psi observed by the source
   /// (probes / data packets — a probe fires exactly when the destination
@@ -213,6 +220,9 @@ class Paai2ScoreTable {
   void reset();
 
  private:
+  /// thetas() into `out` (overwritten); it holds num_links() + 1 values
+  /// while the estimator runs, so a reused buffer never reallocates.
+  void thetas(std::vector<double>* out) const;
   bool margin_convicts(std::size_t link, double threshold,
                        const std::vector<double>& th) const;
   void roll_window();
@@ -267,6 +277,9 @@ class FlScoreTable {
   /// convicted() in statfl.cc history: Var(theta_j) ~ 2 S_{j+1} / S_j^2,
   /// +1 so a total blackhole stays convictable).
   std::vector<std::size_t> convicted(double threshold) const;
+  /// Allocation-free form (see Paai2ScoreTable::convicted).
+  void convicted(double threshold, std::vector<std::size_t>* out,
+                 std::vector<double>* scratch) const;
 
   /// 1 - S_d/S_0: the end-to-end drop rate the counts imply.
   double observed_e2e_rate() const;
@@ -299,6 +312,7 @@ class FlScoreTable {
   void reset();
 
  private:
+  void thetas(std::vector<double>* out) const;
   bool margin_convicts(std::size_t link, double threshold,
                        const std::vector<double>& th) const;
   void roll_window();

@@ -1,5 +1,7 @@
 #include "stream/engine.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -57,7 +59,11 @@ void ScoreEngine::configure(const EngineConfig& config) {
   delivered_ = 0;
   run_ended_ = false;
   recorded_.clear();
-  convicted_before_.assign(config.num_links, false);
+  // Sized once here so take_new_convictions() never grows them.
+  convicted_before_.clear();
+  convicted_before_.reserve(config.num_links);
+  convicted_now_.reserve(config.num_links);
+  theta_scratch_.reserve(config.num_links + 1);
 
   auto& reg = obs::MetricsRegistry::global();
   obs_ingested_ = reg.counter("stream.events.ingested");
@@ -246,17 +252,28 @@ std::vector<double> ScoreEngine::thetas() const {
 }
 
 std::vector<std::size_t> ScoreEngine::convicted() const {
+  std::vector<std::size_t> out;
+  std::vector<double> scratch;
+  convicted(&out, &scratch);
+  return out;
+}
+
+void ScoreEngine::convicted(std::vector<std::size_t>* out,
+                            std::vector<double>* scratch) const {
   switch (table_) {
     case Table::kOnion:
-      return onion_->convicted(config_.threshold);
+      onion_->convicted(config_.threshold, out);
+      return;
     case Table::kPrefix:
-      return prefix_->convicted(config_.threshold);
+      prefix_->convicted(config_.threshold, out, scratch);
+      return;
     case Table::kFl:
-      return fl_->convicted(config_.threshold);
+      fl_->convicted(config_.threshold, out, scratch);
+      return;
     case Table::kNone:
-      return {};
+      out->clear();
+      return;
   }
-  return {};
 }
 
 double ScoreEngine::observed_e2e_rate() const {
@@ -287,12 +304,13 @@ double ScoreEngine::observed_e2e_rate() const {
 std::vector<std::size_t> ScoreEngine::take_new_convictions() {
   std::vector<std::size_t> fresh;
   if (table_ == Table::kNone) return fresh;
-  std::vector<bool> now(config_.num_links, false);
-  for (const std::size_t link : convicted()) {
-    now[link] = true;
-    if (!convicted_before_[link]) fresh.push_back(link);
-  }
-  convicted_before_ = std::move(now);
+  convicted(&convicted_now_, &theta_scratch_);
+  // Both sets ascend, so the entries are a sorted set difference; an
+  // empty `fresh` never allocates.
+  std::set_difference(convicted_now_.begin(), convicted_now_.end(),
+                      convicted_before_.begin(), convicted_before_.end(),
+                      std::back_inserter(fresh));
+  convicted_before_.swap(convicted_now_);
   if (!fresh.empty()) obs_convictions_.add(fresh.size());
   return fresh;
 }
@@ -311,8 +329,7 @@ void ScoreEngine::restore_counters(std::uint64_t events_seen,
 }
 
 void ScoreEngine::rebaseline_convictions() {
-  convicted_before_.assign(config_.num_links, false);
-  for (const std::size_t link : convicted()) convicted_before_[link] = true;
+  convicted(&convicted_before_, &theta_scratch_);
 }
 
 }  // namespace paai::stream

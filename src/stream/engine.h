@@ -117,6 +117,8 @@ class ScoreEngine {
   /// since configure/restore, which baseline the set). A link that leaves
   /// and re-enters is reported again — conviction is a monotone event for
   /// honest runs, but adversarial estimates can hover at the threshold.
+  /// The serve loop polls this after every applied event, so a call that
+  /// finds nothing new does not touch the heap.
   std::vector<std::size_t> take_new_convictions();
 
   /// Batch kConviction records seen in the stream, in order.
@@ -158,6 +160,10 @@ class ScoreEngine {
   void apply_score_clean(const obs::Event& event);
   void apply_score_blame(const obs::Event& event);
   void require_configured(const obs::Event& event) const;
+  /// convicted() into `out` (ascending), with `scratch` for the
+  /// estimates; both are overwritten.
+  void convicted(std::vector<std::size_t>* out,
+                 std::vector<double>* scratch) const;
 
   EngineConfig config_{};
   Table table_ = Table::kNone;
@@ -173,7 +179,11 @@ class ScoreEngine {
   std::uint64_t stream_line_ = 0;
 
   std::vector<ConvictionRecord> recorded_;
-  std::vector<bool> convicted_before_;  // transition baseline
+  // Conviction-transition tracking, reused across take_new_convictions()
+  // calls: the baseline set, the current set, and estimate scratch.
+  std::vector<std::size_t> convicted_before_;
+  std::vector<std::size_t> convicted_now_;
+  std::vector<double> theta_scratch_;
 
   obs::Counter obs_ingested_;
   obs::Counter obs_applied_;

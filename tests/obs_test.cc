@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -489,6 +490,176 @@ TEST(Events, ReadJsonlReportsMalformedInput) {
   const auto events = EventLog::read_jsonl(in, &error);
   EXPECT_TRUE(events.empty());
   EXPECT_FALSE(error.empty());
+}
+
+// ------------------------------------------------------- event-line codec
+
+Event codec_event(EventKind kind, std::int64_t ts, std::uint16_t node,
+                  std::uint64_t seq, std::int32_t link, std::uint64_t a,
+                  std::uint64_t b, double v) {
+  Event e;
+  e.kind = kind;
+  e.ts_ns = ts;
+  e.node = node;
+  e.seq = seq;
+  e.link = link;
+  e.a = a;
+  e.b = b;
+  e.value = v;
+  return e;
+}
+
+/// The pre-codec writer, field for field: the reference the direct
+/// writer's bytes are held to.
+std::string json_writer_line(const Event& e) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object();
+  w.key("ts_ns").value(e.ts_ns);
+  w.key("node").value(static_cast<std::int64_t>(e.node));
+  w.key("seq").value(e.seq);
+  w.key("kind").value(event_kind_name(e.kind));
+  if (e.link >= 0) w.key("link").value(static_cast<std::int64_t>(e.link));
+  w.key("a").value(std::to_string(e.a));
+  w.key("b").value(std::to_string(e.b));
+  w.key("v").value(e.value);
+  w.end_object();
+  os << '\n';
+  return os.str();
+}
+
+std::string encode(const Event& e) {
+  char buf[kEventLineMaxBytes];
+  return std::string(buf, encode_event_line(e, buf));
+}
+
+// Literal lines from the JsonWriter export, one per event kind, covering
+// link absent/present, the integer extremes, a/b in {0, UINT64_MAX}, and
+// v in {0, -0, 1e-05, 0.25, DBL_MAX, denormal min, NaN/-Inf -> null}.
+TEST(EventCodec, GoldenLinesMatchAndRoundTrip) {
+  constexpr std::uint64_t kMaxU = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::int64_t kMaxI = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMinI = std::numeric_limits<std::int64_t>::min();
+  constexpr double kMaxD = std::numeric_limits<double>::max();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const struct {
+    Event event;
+    const char* line;
+  } golden[] = {
+      {codec_event(EventKind::kRunStart, 0, 0, 0, -1, 20000, 1, 0.018),
+       R"({"ts_ns":0,"node":0,"seq":0,"kind":"run-start","a":"20000","b":"1","v":0.017999999999999999})"},
+      {codec_event(EventKind::kRunEnd, 600000000000, 0, 1, -1, 20000, 0, 0.0),
+       R"({"ts_ns":600000000000,"node":0,"seq":1,"kind":"run-end","a":"20000","b":"0","v":0})"},
+      {codec_event(EventKind::kDataSend, 10000000, 0, 2, -1, kMaxU, 0, -0.0),
+       R"({"ts_ns":10000000,"node":0,"seq":2,"kind":"data-send","a":"18446744073709551615","b":"0","v":-0})"},
+      {codec_event(EventKind::kSampleSelect, 10000001, 0, 3, -1, 0, kMaxU,
+                   1e-05),
+       R"({"ts_ns":10000001,"node":0,"seq":3,"kind":"sample-select","a":"0","b":"18446744073709551615","v":1.0000000000000001e-05})"},
+      {codec_event(EventKind::kProbeSend, 12, 1, 0, -1, 0xdeadbeefcafebabeULL,
+                   7, 0.25),
+       R"({"ts_ns":12,"node":1,"seq":0,"kind":"probe-send","a":"16045690984503098046","b":"7","v":0.25})"},
+      {codec_event(EventKind::kAckRecv, 13, 2, 9, -1, 1, 2, kMaxD),
+       R"({"ts_ns":13,"node":2,"seq":9,"kind":"ack-recv","a":"1","b":"2","v":1.7976931348623157e+308})"},
+      {codec_event(EventKind::kAckTimeout, 14, 3, 10, -1, 0, 0, denorm),
+       R"({"ts_ns":14,"node":3,"seq":10,"kind":"ack-timeout","a":"0","b":"0","v":4.9406564584124654e-324})"},
+      {codec_event(EventKind::kOnionDecode, 15, 4, 11, -1, 5, 6, nan),
+       R"({"ts_ns":15,"node":4,"seq":11,"kind":"onion-decode","a":"5","b":"6","v":null})"},
+      {codec_event(EventKind::kScoreClean, 16, 0, 12, -1, kMaxU, kMaxU, -inf),
+       R"({"ts_ns":16,"node":0,"seq":12,"kind":"score-clean","a":"18446744073709551615","b":"18446744073709551615","v":null})"},
+      {codec_event(EventKind::kScoreBlame, 17, 0, 13, 3, 0x3d, 42,
+                   0.234567891234567),
+       R"({"ts_ns":17,"node":0,"seq":13,"kind":"score-blame","link":3,"a":"61","b":"42","v":0.23456789123456701})"},
+      {codec_event(EventKind::kConviction, 18, 0, 14, 4, 60000, 1200, 0.021),
+       R"({"ts_ns":18,"node":0,"seq":14,"kind":"conviction","link":4,"a":"60000","b":"1200","v":0.021000000000000001})"},
+      {codec_event(EventKind::kPacketSend, 19, 5, 15, -1, 0x3d, 1019, 0.0),
+       R"({"ts_ns":19,"node":5,"seq":15,"kind":"packet-send","a":"61","b":"1019","v":0})"},
+      {codec_event(EventKind::kPacketRecv, 20, 6, 16, 0, 0, 0, 1.0 / 3.0),
+       R"({"ts_ns":20,"node":6,"seq":16,"kind":"packet-recv","link":0,"a":"0","b":"0","v":0.33333333333333331})"},
+      {codec_event(EventKind::kPacketForward, 21, 65535, 17, -1, 2, 88, 0.0),
+       R"({"ts_ns":21,"node":65535,"seq":17,"kind":"packet-fwd","a":"2","b":"88","v":0})"},
+      {codec_event(EventKind::kNodeCrash, kMaxI, 5, kMaxU, -1, 0, 0, 0.0),
+       R"({"ts_ns":9223372036854775807,"node":5,"seq":18446744073709551615,"kind":"node-crash","a":"0","b":"0","v":0})"},
+      {codec_event(EventKind::kNodeRestart, kMinI, 5, 0, -1, 0, 0, -kMaxD),
+       R"({"ts_ns":-9223372036854775808,"node":5,"seq":0,"kind":"node-restart","a":"0","b":"0","v":-1.7976931348623157e+308})"},
+      {codec_event(EventKind::kRunConfig, 0, 0, 1, 2147483647, 1, 6, 0.018),
+       R"({"ts_ns":0,"node":0,"seq":1,"kind":"run-config","link":2147483647,"a":"1","b":"6","v":0.017999999999999999})"},
+      {codec_event(EventKind::kFlCount, 3000000000, 0, 40, 0, 3, 100,
+                   -2.2250738585072014e-308),
+       R"({"ts_ns":3000000000,"node":0,"seq":40,"kind":"fl-count","link":0,"a":"3","b":"100","v":-2.2250738585072014e-308})"},
+  };
+  bool kind_seen[kEventKindCount] = {};
+  for (const auto& g : golden) {
+    SCOPED_TRACE(g.line);
+    kind_seen[static_cast<std::size_t>(g.event.kind)] = true;
+    const std::string line = encode(g.event);
+    EXPECT_EQ(line, std::string(g.line) + "\n");
+    EXPECT_EQ(line, json_writer_line(g.event));
+
+    Event back;
+    std::string what;
+    ASSERT_TRUE(decode_event_line(g.line, &back, &what)) << what;
+    Event expected = g.event;
+    if (!std::isfinite(expected.value)) expected.value = 0.0;  // null
+    EXPECT_EQ(back, expected);
+    EXPECT_EQ(std::signbit(back.value), std::signbit(expected.value));
+  }
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    EXPECT_TRUE(kind_seen[k]) << event_kind_name(static_cast<EventKind>(k));
+  }
+}
+
+// The direct writer against the JsonWriter reference over random events:
+// random bit patterns for every field (so doubles cover denormals,
+// infinities and NaNs), bytes must match exactly, and every finite value
+// must decode back bit-for-bit.
+TEST(EventCodec, WriterMatchesJsonWriterOnRandomEvents) {
+  std::uint64_t rng = 0x2545f4914f6cdd1dULL;
+  const auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = next();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (i % 3 == 0) v = static_cast<double>(next() % 100000) / 1e5;
+    const auto link = static_cast<std::int32_t>(next());
+    const Event e = codec_event(
+        static_cast<EventKind>(next() % kEventKindCount),
+        static_cast<std::int64_t>(next()), static_cast<std::uint16_t>(next()),
+        next() >> (next() % 64), i % 2 == 0 ? -1 : link,
+        next() >> (next() % 64), next() >> (next() % 64), v);
+    const std::string line = encode(e);
+    ASSERT_EQ(line, json_writer_line(e)) << "event " << i;
+    ASSERT_LE(line.size(), kEventLineMaxBytes);
+
+    Event back;
+    std::string what;
+    ASSERT_TRUE(
+        decode_event_line(std::string_view(line).substr(0, line.size() - 1),
+                          &back, &what))
+        << what << " in " << line;
+    Event expected = e;
+    if (expected.link < 0) expected.link = -1;
+    if (!std::isfinite(expected.value)) expected.value = 0.0;
+    ASSERT_EQ(back, expected) << line;
+  }
+}
+
+TEST(EventCodec, WriteJsonlIsTheConcatenatedLines) {
+  EventLog log;
+  log.append(0, EventKind::kRunStart, 0, -1, 20000, 1, 0.018);
+  log.append(2, EventKind::kPacketForward, 5, -1, 0x3d, 1019, 0.0);
+  log.append(0, EventKind::kScoreBlame, 7, 3, 9, 42, 0.25);
+  std::string expected;
+  for (const Event& e : log.merged()) expected += encode(e);
+  std::ostringstream os;
+  log.write_jsonl(os);
+  EXPECT_EQ(os.str(), expected);
 }
 
 TEST(Forensics, ConvictionAuditMatchesVerdict) {

@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,12 +24,35 @@
 #include "adversary/spec.h"
 #include "faults/plan.h"
 #include "obs/events.h"
+#include "obs/json.h"
 #include "protocols/score.h"
 #include "runner/experiment.h"
 #include "runner/producer.h"
 #include "stream/engine.h"
 #include "stream/service.h"
 #include "stream/state.h"
+
+// Heap allocations counted while g_count_allocs is set: the replaceable
+// global operator new is the only way to see every allocation a call
+// makes (Engine.TakeNewConvictionsIsHeapFreeWhenNothingIsNew).
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with a
+// library-side new and warn about a mismatch that cannot happen here.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace paai::stream {
 namespace {
@@ -399,6 +425,66 @@ TEST(Engine, ConvictionTransitionsFireOnce) {
   EXPECT_TRUE(engine.take_new_convictions().empty());
 }
 
+/// Allocations made by one take_new_convictions() poll, and its result.
+std::uint64_t counted_poll(ScoreEngine& engine,
+                           std::vector<std::size_t>* fresh) {
+  const std::uint64_t before = g_allocs.load();
+  g_count_allocs = true;
+  *fresh = engine.take_new_convictions();
+  g_count_allocs = false;
+  return g_allocs.load() - before;
+}
+
+// The serve loop polls take_new_convictions() after every applied event;
+// a poll that finds nothing new must not touch the heap — before any
+// conviction, while links stay convicted, for every table family.
+TEST(Engine, TakeNewConvictionsIsHeapFreeWhenNothingIsNew) {
+  std::vector<std::size_t> fresh;
+  ScoreEngine onion(EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.001});
+  for (int i = 0; i < 50; ++i) {
+    onion.apply(make_event(obs::EventKind::kScoreClean));
+    EXPECT_EQ(counted_poll(onion, &fresh), 0u);
+    EXPECT_TRUE(fresh.empty());
+  }
+  for (int i = 0; i < 50; ++i) {
+    onion.apply(make_event(obs::EventKind::kScoreBlame, /*link=*/3));
+    const std::uint64_t allocs = counted_poll(onion, &fresh);
+    if (fresh.empty()) {
+      EXPECT_EQ(allocs, 0u) << "blame " << i;
+    }
+  }
+  ASSERT_EQ(onion.convicted(), std::vector<std::size_t>{3});
+  EXPECT_EQ(counted_poll(onion, &fresh), 0u);  // still convicted
+  EXPECT_TRUE(fresh.empty());
+
+  for (const auto protocol : {protocols::ProtocolKind::kPaai2,
+                              protocols::ProtocolKind::kStatisticalFl}) {
+    SCOPED_TRACE(protocols::protocol_name(protocol));
+    const BatchRun batch =
+        run_with_log(runner::paper_config(protocol, 3000, 7));
+    ScoreEngine engine;
+    std::vector<std::size_t> announced;
+    std::uint64_t quiet_polls = 0;
+    for (const obs::Event& e : batch.events) {
+      const std::uint64_t applied = engine.events_applied();
+      engine.apply(e);
+      if (engine.events_applied() == applied) continue;
+      const std::uint64_t allocs = counted_poll(engine, &fresh);
+      if (fresh.empty()) {
+        ++quiet_polls;
+        ASSERT_EQ(allocs, 0u) << "event seq " << e.seq;
+      }
+      announced.insert(announced.end(), fresh.begin(), fresh.end());
+    }
+    EXPECT_GT(quiet_polls, 1000u);
+    for (const std::size_t link : batch.result.final_convicted) {
+      EXPECT_NE(std::find(announced.begin(), announced.end(), link),
+                announced.end())
+          << "l_" << link << " convicted but never announced";
+    }
+  }
+}
+
 // ------------------------------------------------------- persistence rule
 
 TEST(Persistence, RequiresKRepetitions) {
@@ -540,6 +626,40 @@ TEST(Reader, RejectsMistypedFields) {
       R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":"x"})",
       // not an object
       R"([1,2,3])",
+      // node beyond u16 (used to wrap silently to 4464)
+      R"({"ts_ns":0,"node":70000,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      // node with a fraction (used to truncate to 1)
+      R"({"ts_ns":0,"node":1.5,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      // negative node
+      R"({"ts_ns":0,"node":-1,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      // seq in exponent form (a double, not an exact integer)
+      R"({"ts_ns":0,"node":0,"seq":9e15,"kind":"data-send","a":"1","b":"0","v":0})",
+      // seq beyond u64
+      R"({"ts_ns":0,"node":0,"seq":18446744073709551616,"kind":"data-send","a":"1","b":"0","v":0})",
+      // link beyond int32 (used to be an undefined double->int cast)
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":3e9,"a":"1","b":"0","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":2147483648,"a":"1","b":"0","v":0})",
+      // link -1 is spelled by omitting the key
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":-1,"a":"1","b":"0","v":0})",
+      // ts_ns beyond i64, and with a fraction
+      R"({"ts_ns":9223372036854775808,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      R"({"ts_ns":1.5,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      // a beyond u64, signed, with a leading zero
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"18446744073709551616","b":"0","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"-1","b":"0","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"01","b":"0","v":0})",
+      // leading zero in an integer field
+      R"({"ts_ns":0,"node":0,"seq":01,"kind":"data-send","a":"1","b":"0","v":0})",
+      // v outside the RFC 8259 grammar, and beyond any double
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":.5})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":1.})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":NaN})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":1e400})",
+      // non-canonical layout: whitespace, reordered keys, trailing bytes
+      R"({"ts_ns":0, "node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      R"({"node":0,"ts_ns":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0} )",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0,"x":1})",
   };
   for (const char* line : bad_lines) {
     SCOPED_TRACE(line);
@@ -552,10 +672,36 @@ TEST(Reader, RejectsMistypedFields) {
   }
 }
 
+/// The scanner must never be more permissive than strict JSON: a line it
+/// accepts parses under json_parse to exactly the same field values.
+void expect_json_agrees(const std::string& line, const obs::Event& e) {
+  std::string error;
+  const auto doc = obs::json_parse(line, &error);
+  ASSERT_TRUE(doc.has_value()) << error << " in " << line;
+  ASSERT_TRUE(doc->is_object());
+  EXPECT_EQ(doc->object.size(), e.link >= 0 ? 8u : 7u) << line;
+  EXPECT_EQ(doc->find("ts_ns")->number, static_cast<double>(e.ts_ns));
+  EXPECT_EQ(doc->find("node")->number, static_cast<double>(e.node));
+  EXPECT_EQ(doc->find("seq")->number, static_cast<double>(e.seq));
+  EXPECT_EQ(doc->find("kind")->string, obs::event_kind_name(e.kind));
+  const obs::JsonValue* link = doc->find("link");
+  if (e.link >= 0) {
+    ASSERT_NE(link, nullptr) << line;
+    EXPECT_EQ(link->number, static_cast<double>(e.link));
+  } else {
+    EXPECT_EQ(link, nullptr) << line;
+  }
+  EXPECT_EQ(doc->find("a")->string, std::to_string(e.a));
+  EXPECT_EQ(doc->find("b")->string, std::to_string(e.b));
+  const obs::JsonValue* v = doc->find("v");
+  EXPECT_EQ(v->is_null() ? 0.0 : v->number, e.value) << line;
+}
+
 // Fuzz-style: every strict prefix of a valid line must be rejected (a
 // truncated tail from a killed producer), and deterministic byte
 // corruption must never crash the reader — it either still parses or
-// reports a line-numbered error.
+// reports a line-numbered error. Every mutated line the scanner accepts
+// must also be accepted by json_parse with the same field values.
 TEST(Reader, TruncationAndCorruptionFuzz) {
   const std::string line = to_jsonl(
       {make_event(obs::EventKind::kScoreBlame, 4, 0xdeadbeefULL, 9, 0.25)});
@@ -590,12 +736,30 @@ TEST(Reader, TruncationAndCorruptionFuzz) {
     rng ^= rng << 17;
     return rng;
   };
-  for (int trial = 0; trial < 500; ++trial) {
+  // Mutation alphabet: any byte, or one of the grammar's own characters
+  // (so many mutants stay well-formed enough to reach the value checks).
+  static constexpr char kGrammar[] = "0123456789-+.eE\"{}:,nul \\";
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
     std::string mutated = body;
-    const std::size_t flips = 1 + next_rand() % 4;
-    for (std::size_t f = 0; f < flips; ++f) {
-      mutated[next_rand() % mutated.size()] =
-          static_cast<char>(next_rand() % 256);
+    const std::size_t edits = 1 + next_rand() % 4;
+    for (std::size_t f = 0; f < edits; ++f) {
+      const std::size_t at = next_rand() % mutated.size();
+      const char c = trial % 2 == 0
+                         ? static_cast<char>(next_rand() % 256)
+                         : kGrammar[next_rand() % (sizeof kGrammar - 1)];
+      switch (next_rand() % 3) {
+        case 0:
+          mutated[at] = c;
+          break;
+        case 1:
+          mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        default:
+          if (mutated.size() > 1) {
+            mutated.erase(mutated.begin() + static_cast<std::ptrdiff_t>(at));
+          }
+      }
     }
     std::istringstream is(mutated + "\n");
     obs::EventReader reader(is);
@@ -605,7 +769,14 @@ TEST(Reader, TruncationAndCorruptionFuzz) {
     if (status == obs::EventReader::Status::kError) {
       EXPECT_NE(error.find("line"), std::string::npos);
     }
+    if (obs::decode_event_line(mutated, &e, &error)) {
+      ++accepted;
+      SCOPED_TRACE(mutated);
+      expect_json_agrees(mutated, e);
+    }
   }
+  // The differential must not be vacuous.
+  EXPECT_GT(accepted, 100u);
 }
 
 // A stream that ends mid-line (killed producer, torn pipe) must be a
@@ -660,6 +831,88 @@ TEST(Reader, OversizedUnterminatedTailIsError) {
   EXPECT_NE(error.find("line 1:"), std::string::npos) << error;
   EXPECT_NE(error.find("maximum line length"), std::string::npos) << error;
   EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEof);
+}
+
+// The length cap is exact: a line of kMaxLineBytes bytes (here a valid
+// event whose v carries trailing zeros) is read, one byte more is the
+// oversize error, and bytes() accounts for every byte either way.
+TEST(Reader, MaxLengthLineIsAcceptedOneMoreIsOversized) {
+  const std::string head =
+      R"({"ts_ns":1,"node":0,"seq":0,"kind":"data-send","a":"7","b":"0","v":0.25)";
+  const std::size_t pad = obs::EventReader::kMaxLineBytes - head.size() - 1;
+  const std::string exact = head + std::string(pad, '0') + "}";
+  ASSERT_EQ(exact.size(), obs::EventReader::kMaxLineBytes);
+  const std::string over = head + std::string(pad + 1, '0') + "}";
+  const std::string good =
+      to_jsonl({make_event(obs::EventKind::kDataSend, -1, 1, 0)});
+  const std::string text = exact + "\n" + over + "\n" + good;
+
+  std::istringstream is(text);
+  obs::EventReader reader(is);
+  obs::Event e;
+  std::string error;
+  ASSERT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEvent)
+      << error;
+  EXPECT_EQ(e.a, 7u);
+  EXPECT_EQ(e.value, 0.25);
+  EXPECT_EQ(reader.bytes(), exact.size() + 1);
+  ASSERT_EQ(reader.next(&e, &error), obs::EventReader::Status::kError);
+  EXPECT_NE(error.find("line 2:"), std::string::npos) << error;
+  EXPECT_NE(error.find("maximum line length"), std::string::npos) << error;
+  ASSERT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEvent);
+  EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEof);
+  EXPECT_EQ(reader.bytes(), text.size());
+  EXPECT_EQ(reader.line(), 3u);
+}
+
+// bytes() is the stream size after a full read, whatever the lines were:
+// blank, malformed, oversized (skipped unstored), or a torn tail.
+TEST(Reader, BytesCountTheWholeStream) {
+  const std::string good = to_jsonl(
+      {make_event(obs::EventKind::kDataSend, -1, 1, 0),
+       make_event(obs::EventKind::kScoreBlame, 2, 9, 1, 0.5)});
+  const std::string text = "\n" + good + "garbage\n" +
+                           std::string(obs::EventReader::kMaxLineBytes + 5,
+                                       'x') +
+                           "\n\n" + good + good.substr(0, 20);
+  std::istringstream is(text);
+  obs::EventReader reader(is);
+  obs::Event e;
+  std::uint64_t events = 0;
+  std::uint64_t errors = 0;
+  for (;;) {
+    const auto status = reader.next(&e);
+    if (status == obs::EventReader::Status::kEof) break;
+    (status == obs::EventReader::Status::kEvent ? events : errors) += 1;
+  }
+  EXPECT_EQ(events, 4u);
+  EXPECT_EQ(errors, 3u);  // garbage, oversized, unterminated tail
+  EXPECT_EQ(reader.bytes(), text.size());
+}
+
+// The reader consumes its line and nothing more, and leaves the stream's
+// state as it found it: tellg() is exact after each event and at EOF,
+// which the CLI's backlog probe and FIFO tailing rely on.
+TEST(Reader, LeavesTheRestOfTheStreamUnread) {
+  const std::string line =
+      to_jsonl({make_event(obs::EventKind::kDataSend, -1, 1, 0)});
+  const std::string rest = "not for the reader\n";
+  std::istringstream is(line + rest);
+  obs::EventReader reader(is);
+  obs::Event e;
+  ASSERT_EQ(reader.next(&e), obs::EventReader::Status::kEvent);
+  EXPECT_EQ(static_cast<std::size_t>(is.tellg()), line.size());
+  EXPECT_TRUE(is.good());
+  std::string tail;
+  ASSERT_TRUE(std::getline(is, tail));
+  EXPECT_EQ(tail + "\n", rest);
+
+  std::istringstream whole(line);
+  obs::EventReader to_end(whole);
+  ASSERT_EQ(to_end.next(&e), obs::EventReader::Status::kEvent);
+  ASSERT_EQ(to_end.next(&e), obs::EventReader::Status::kEof);
+  EXPECT_TRUE(whole.good());
+  EXPECT_EQ(static_cast<std::size_t>(whole.tellg()), line.size());
 }
 
 TEST(Reader, ReadJsonlWrapperFailsClosed) {

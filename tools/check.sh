@@ -16,9 +16,11 @@
 #
 #   2. AddressSanitizer + UBSan (hard-fail, -fno-sanitize-recover=all) —
 #      the memory-facing suites: obs (JSON parser on hostile input, ring
-#      indexing), util (wire codec fuzz loop), sim, exec, faults (plan
-#      parser on malformed specs, loss-process state machines, crash-time
-#      pending-table teardown).
+#      indexing, event-line codec), util (wire codec fuzz loop), sim,
+#      exec, faults (plan parser on malformed specs, loss-process state
+#      machines, crash-time pending-table teardown), stream (the
+#      hand-written event-line scanner and reader framing under the
+#      truncation/corruption fuzz, snapshot parsing).
 #
 #   The 60k-packet ChaosPaperScale sweep is excluded under sanitizers for
 #   runtime; ChaosSmoke is its in-sanitizer representative.
@@ -92,7 +94,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test bench_diff -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test stream_test bench_diff -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -101,6 +103,12 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ASAN_DIR/tests/sim_test"
 "$ASAN_DIR/tests/exec_test"
 "$ASAN_DIR/tests/faults_test" "$CHAOS_FILTER"
+# The all-protocol batch/stream equivalence sweeps (21+ full runs) are
+# excluded here for runtime, like Integration.* under TSan; they run in
+# the normal ctest config. The reader, codec fuzz, engine and snapshot
+# tests are what the sanitizers are for.
+"$ASAN_DIR/tests/stream_test" \
+    "--gtest_filter=-Equivalence.AllProtocols*:Equivalence.Windowed*"
 
 echo "== leg 3: bench_diff =="
 "$ASAN_DIR/tools/bench_diff" --self-test
@@ -351,4 +359,4 @@ grep -q 'phase crypto calls=[1-9]' "$SMOKE_DIR/sigack_tele.report" || {
   exit 1
 }
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/stream), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
