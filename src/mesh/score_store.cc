@@ -159,58 +159,60 @@ std::vector<std::size_t> GlobalScoreStore::convicted(
   return out;
 }
 
+namespace {
+
+/// protocols::blame_convicts()' view of one link over a round prefix.
+/// The rounds are the windows: flagrant() and max_streak() scan the
+/// prefix only when a windowed clause asks (after the margin failed).
+struct RoundEvidence {
+  const GlobalScoreStore& store;
+  std::size_t link;
+  std::size_t prefix;
+  std::uint64_t units;
+  std::uint64_t blames;
+
+  bool margin(double threshold) const {
+    return margin_convicts(units, blames, threshold);
+  }
+  double theta() const {
+    return static_cast<double>(blames) / static_cast<double>(units);
+  }
+  // The chain rule's per-link blame tally maps onto the aggregated blame
+  // count: K independent blame observations above the raw threshold
+  // convict without waiting out the sd margin.
+  double tally() const { return static_cast<double>(blames); }
+  std::uint64_t flagrant() const { return scan(false); }
+  std::uint64_t max_streak() const { return scan(true); }
+
+  /// Flagrant rounds, or the longest hot-round streak, over the prefix:
+  /// the chain ledger's bars (kWindowFlagrantTheta / kWindowHighTheta);
+  /// an empty round breaks a streak.
+  std::uint64_t scan(bool streaks) const {
+    std::uint64_t flagrant = 0, streak = 0, longest = 0;
+    for (std::size_t r = 0; r < prefix; ++r) {
+      const std::uint64_t ru = store.round_units(link, r);
+      const double theta_r =
+          ru == 0 ? 0.0
+                  : static_cast<double>(store.round_blames(link, r)) /
+                        static_cast<double>(ru);
+      if (theta_r > protocols::kWindowFlagrantTheta) ++flagrant;
+      streak = theta_r > protocols::kWindowHighTheta ? streak + 1 : 0;
+      longest = std::max(longest, streak);
+    }
+    return streaks ? longest : flagrant;
+  }
+};
+
+}  // namespace
+
 bool GlobalScoreStore::convicts(std::size_t link, double threshold,
                                 const protocols::BlameSpec& blame,
                                 std::size_t rounds_prefix) const {
-  using Mode = protocols::BlameSpec::Mode;
   const std::size_t prefix = std::min(rounds_prefix, rounds_);
-  const std::uint64_t cum_units = units_through(link, prefix);
-  const std::uint64_t cum_blames = blames_through(link, prefix);
-  if (cum_units == 0) return false;
-  const double cum_theta =
-      static_cast<double>(cum_blames) / static_cast<double>(cum_units);
-
-  switch (blame.mode) {
-    case Mode::kMargin:
-      return margin_convicts(cum_units, cum_blames, threshold);
-    case Mode::kPersistent:
-      // The chain rule's per-link blame tally maps onto the aggregated
-      // blame count: K independent blame observations above the raw
-      // threshold convict without waiting out the sd margin.
-      return cum_blames >= blame.k && cum_theta > threshold;
-    case Mode::kWindowed:
-    case Mode::kHybrid: {
-      if (margin_convicts(cum_units, cum_blames, threshold)) return true;
-      // Rounds are the windows: scan the prefix for flagrant rounds and
-      // the longest hot-round streak, same bars as the chain ledger.
-      bool flagrant = false;
-      std::size_t streak = 0;
-      std::size_t max_streak = 0;
-      for (std::size_t r = 0; r < prefix; ++r) {
-        const std::uint64_t ru = round_units(link, r);
-        if (ru == 0) {
-          streak = 0;
-          continue;
-        }
-        const double theta_r = static_cast<double>(round_blames(link, r)) /
-                               static_cast<double>(ru);
-        if (theta_r > protocols::kWindowFlagrantTheta) flagrant = true;
-        if (theta_r > protocols::kWindowHighTheta) {
-          ++streak;
-          max_streak = std::max(max_streak, streak);
-        } else {
-          streak = 0;
-        }
-      }
-      if (flagrant && cum_theta > threshold) return true;
-      if (blame.mode == Mode::kHybrid) {
-        return max_streak >= blame.k &&
-               cum_theta > protocols::kWindowHighTheta;
-      }
-      return false;
-    }
-  }
-  return false;
+  const RoundEvidence ev{*this, link, prefix, units_through(link, prefix),
+                         blames_through(link, prefix)};
+  if (ev.units == 0) return false;
+  return protocols::blame_convicts(blame, threshold, ev);
 }
 
 std::vector<std::size_t> GlobalScoreStore::convicted(

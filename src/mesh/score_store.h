@@ -145,13 +145,14 @@ class GlobalScoreStore {
 
   /// Multi-level conviction rule (protocols::BlameSpec) evaluated over
   /// the first `rounds_prefix` checkpoint rounds of window evidence
-  /// (default: all). Rounds are the mesh's windows; the spec's W is
-  /// ignored. Margin mode reproduces convicts() exactly when the window
-  /// cells cover the cumulative evidence; persistent:K requires >= K
-  /// cumulative blames above the raw threshold; windowed adds the
-  /// flagrant-round clause; hybrid adds the hot-round streak clause
-  /// (thresholds shared with the chain detectors: kWindowHighTheta /
-  /// kWindowFlagrantTheta).
+  /// (default: all) by the chain detectors' own protocols::
+  /// blame_convicts(). Rounds are the mesh's windows; the spec's W is
+  /// ignored. The store supplies the evidence: the raw blame proportion
+  /// as the estimate, the margin rule above, the aggregated blame count
+  /// as the persistence tally, and the flagrant-round count and longest
+  /// hot-round streak from a scan of the prefix. Margin mode reproduces
+  /// convicts() exactly when the window cells cover the cumulative
+  /// evidence.
   bool convicts(std::size_t link, double threshold,
                 const protocols::BlameSpec& blame,
                 std::size_t rounds_prefix = ~std::size_t{0}) const;

@@ -6,13 +6,39 @@
 
 namespace paai::protocols {
 
+namespace {
+
+/// The windowed half of a table's blame_convicts() evidence: one link's
+/// flagrant-window count and longest hot streak from the ledger. Each
+/// table's evidence view derives from it and adds its own margin,
+/// estimate and persistence tally.
+struct LedgerEvidence {
+  const WindowLedger& ledger;
+  std::size_t link;
+  std::uint64_t flagrant() const { return ledger.flagrant_windows(link); }
+  std::uint64_t max_streak() const { return ledger.max_streak(link); }
+};
+
+/// theta_j = max(0, 1 - S_{j+1}/S_j) over per-node counts (cumulative or
+/// one window's), 0 while S_j is empty.
+void count_ratio_thetas(const std::vector<double>& counts,
+                        std::vector<double>* out) {
+  out->assign(counts.size() - 1, 0.0);
+  for (std::size_t j = 0; j + 1 < counts.size(); ++j) {
+    if (counts[j] <= 0.0) continue;
+    (*out)[j] = std::max(0.0, 1.0 - counts[j + 1] / counts[j]);
+  }
+}
+
+}  // namespace
+
 ScoreTable::ScoreTable(std::size_t num_links, double traversals,
                        double probe_extra)
     : s_(num_links, 0),
       traversals_(traversals),
       probe_extra_(probe_extra),
       win_s_(num_links, 0),
-      ledger_(num_links, kDefaultWindowWidth) {
+      blame_(num_links) {
   if (num_links == 0 || traversals <= 0.0 || probe_extra < 0.0) {
     throw std::invalid_argument("ScoreTable: bad construction parameters");
   }
@@ -27,39 +53,19 @@ double ScoreTable::effective_traversals() const {
                            static_cast<double>(n_);
 }
 
-void ScoreTable::set_blame(const BlameSpec& spec) {
-  if (spec.w != ledger_.width()) {
-    if (n_ != 0) {
-      throw std::logic_error(
-          "ScoreTable::set_blame: window width change mid-run");
-    }
-    ledger_.set_width(spec.w);
-  }
-  blame_ = spec;
-}
-
-void ScoreTable::set_persistence(std::uint64_t k) {
-  BlameSpec spec;
-  if (k > 0) {
-    spec.mode = BlameSpec::Mode::kPersistent;
-    spec.k = k;
-  }
-  set_blame(spec);
-}
-
 void ScoreTable::roll_window() {
-  if (n_ % ledger_.width() != 0) return;
+  if (blame_.fill(n_) != 0) return;
   // Close the window: per-link sliding estimate from this window's blame
   // bins, inverted through the *current* effective exposure (replayed
   // identically by the stream engine, which sees the same counters).
-  const double w = static_cast<double>(ledger_.width());
+  const double w = static_cast<double>(windows().width());
   const double inv_t = 1.0 / effective_traversals();
   std::vector<double> tw(s_.size());
   for (std::size_t i = 0; i < s_.size(); ++i) {
     const double b = static_cast<double>(win_s_[i]) / w;
     tw[i] = 1.0 - std::pow(1.0 - std::min(b, 1.0), inv_t);
   }
-  ledger_.finalize(tw);
+  blame_.close_window(tw);
   std::fill(win_s_.begin(), win_s_.end(), 0ULL);
 }
 
@@ -70,10 +76,10 @@ void ScoreTable::add_clean() {
 }
 
 void ScoreTable::blame(std::size_t link) {
-  ++n_;
   if (link >= s_.size()) {
     throw std::out_of_range("ScoreTable::blame: link index out of range");
   }
+  ++n_;
   ++s_[link];
   ++win_s_[link];
   obs_updates_.add();
@@ -115,82 +121,25 @@ std::vector<std::size_t> ScoreTable::convicted(double threshold) const {
   return out;
 }
 
+struct ScoreTable::Evidence : LedgerEvidence {
+  const ScoreTable& t;
+  bool margin(double threshold) const {
+    return t.margin_convicts(link, threshold);
+  }
+  double theta() const { return t.theta(link); }
+  // First-failing-hop blames are the onion tables' persistence tally.
+  double tally() const { return static_cast<double>(t.s_[link]); }
+};
+
 void ScoreTable::convicted(double threshold,
                            std::vector<std::size_t>* out) const {
   out->clear();
   if (n_ == 0) return;
   for (std::size_t i = 0; i < s_.size(); ++i) {
-    bool guilty = false;
-    switch (blame_.mode) {
-      case BlameSpec::Mode::kMargin:
-        guilty = margin_convicts(i, threshold);
-        break;
-      case BlameSpec::Mode::kPersistent:
-        // Persistence mode: the K-repetition requirement replaces the
-        // standard-error margin as the anti-noise gate. An honest link
-        // needs BOTH K first-failing-hop blames AND an above-threshold
-        // estimate to be falsely convicted (bench_robustness section A
-        // checks it never is); an adversary riding just inside the
-        // margin no longer escapes.
-        guilty = s_[i] >= blame_.k && theta(i) > threshold;
-        break;
-      case BlameSpec::Mode::kWindowed:
-        // A single flagrant window plus an above-threshold cumulative
-        // estimate is burst evidence the margin rule would dilute away.
-        guilty = margin_convicts(i, threshold) ||
-                 (ledger_.flagrant_windows(i) >= 1 && theta(i) > threshold);
-        break;
-      case BlameSpec::Mode::kHybrid:
-        // Windowed clauses, plus the streak clause: >= K consecutive hot
-        // windows with the cumulative estimate above the hot bar. The
-        // cumulative floor is what separates a colluder (theta ~ 0.015+)
-        // from benign loss churn whose windows also run hot for a while
-        // but whose lifetime average stays below kWindowHighTheta.
-        guilty = margin_convicts(i, threshold) ||
-                 (ledger_.flagrant_windows(i) >= 1 && theta(i) > threshold) ||
-                 (ledger_.max_streak(i) >= blame_.k &&
-                  theta(i) > kWindowHighTheta);
-        break;
+    if (blame_.convicts(threshold, Evidence{{windows(), i}, *this})) {
+      out->push_back(i);
     }
-    if (guilty) out->push_back(i);
   }
-}
-
-void ScoreTable::restore(const std::vector<std::uint64_t>& s, std::uint64_t n,
-                         std::uint64_t probes) {
-  if (s.size() != s_.size()) {
-    throw std::invalid_argument("ScoreTable::restore: link count mismatch");
-  }
-  s_ = s;
-  n_ = n;
-  probes_ = probes;
-  // Legacy snapshots carry no window state; start from a clean ledger and
-  // let restore_window() (new snapshots) rebuild the real one.
-  std::fill(win_s_.begin(), win_s_.end(), 0ULL);
-  ledger_.reset();
-}
-
-void ScoreTable::restore_window(
-    const std::vector<std::uint64_t>& bins, std::uint64_t completed,
-    const std::vector<std::uint64_t>& cur_streak,
-    const std::vector<std::uint64_t>& max_streak,
-    const std::vector<std::uint64_t>& flagrant,
-    const std::vector<double>& max_theta_w,
-    const std::vector<std::vector<double>>& recent) {
-  if (bins.size() != win_s_.size()) {
-    throw std::invalid_argument("ScoreTable::restore_window: shape mismatch");
-  }
-  win_s_ = bins;
-  ledger_.restore(completed, cur_streak, max_streak, flagrant, max_theta_w,
-                  recent);
-}
-
-void ScoreTable::reset() {
-  std::fill(s_.begin(), s_.end(), 0ULL);
-  n_ = 0;
-  probes_ = 0;
-  std::fill(win_s_.begin(), win_s_.end(), 0ULL);
-  ledger_.reset();
 }
 
 Paai2ScoreTable::Paai2ScoreTable(std::size_t num_links)
@@ -199,7 +148,7 @@ Paai2ScoreTable::Paai2ScoreTable(std::size_t num_links)
       sel_f_(num_links + 1, 0),
       win_sel_n_(num_links + 1, 0),
       win_sel_f_(num_links + 1, 0),
-      ledger_(num_links, kDefaultWindowWidth) {
+      blame_(num_links) {
   if (num_links == 0) {
     throw std::invalid_argument("Paai2ScoreTable: need at least one link");
   }
@@ -208,42 +157,14 @@ Paai2ScoreTable::Paai2ScoreTable(std::size_t num_links)
   obs_blames_ = reg.counter("proto.score.blames");
 }
 
-void Paai2ScoreTable::set_blame(const BlameSpec& spec) {
-  if (spec.w != ledger_.width()) {
-    if (probes_ != 0) {
-      throw std::logic_error(
-          "Paai2ScoreTable::set_blame: window width change mid-run");
-    }
-    ledger_.set_width(spec.w);
-  }
-  blame_ = spec;
-}
-
 void Paai2ScoreTable::roll_window() {
-  if (probes_ % ledger_.width() != 0) return;
-  // Windowed prefix-difference estimator: same shape as thetas(), but the
-  // selection bins are this window's only. psi and the traversal exponent
-  // stay cumulative — they calibrate exposure, not the time-local rate.
-  const std::size_t d = s_.size();
-  const double psi = observed_e2e_rate();
-  std::vector<double> q(d + 1, 0.0);
-  for (std::size_t e = 1; e <= d; ++e) {
-    if (win_sel_n_[e] == 0) {
-      q[e] = q[e - 1];
-      continue;
-    }
-    const double cond_fail = static_cast<double>(win_sel_f_[e]) /
-                             static_cast<double>(win_sel_n_[e]);
-    q[e] = std::max(q[e - 1], psi * cond_fail);
-  }
-  const double traversals = 1.0 + 2.0 * psi;
-  std::vector<double> tw(d, 0.0);
-  for (std::size_t j = 0; j < d; ++j) {
-    const double denom = 1.0 - q[j];
-    const double g = denom > 0.0 ? (q[j + 1] - q[j]) / denom : 0.0;
-    tw[j] = 1.0 - std::pow(1.0 - std::clamp(g, 0.0, 1.0), 1.0 / traversals);
-  }
-  ledger_.finalize(tw);
+  if (blame_.fill(probes_) != 0) return;
+  // Windowed prefix-difference estimator: the selection bins are this
+  // window's only. psi and the traversal exponent stay cumulative — they
+  // calibrate exposure, not the time-local rate.
+  std::vector<double> tw;
+  estimate(win_sel_n_, win_sel_f_, &tw);
+  blame_.close_window(tw);
   std::fill(win_sel_n_.begin(), win_sel_n_.end(), 0ULL);
   std::fill(win_sel_f_.begin(), win_sel_f_.end(), 0ULL);
 }
@@ -280,36 +201,44 @@ std::vector<double> Paai2ScoreTable::thetas() const {
 }
 
 void Paai2ScoreTable::thetas(std::vector<double>* out) const {
+  if (data_packets_ == 0) {
+    out->assign(s_.size(), 0.0);
+    return;
+  }
+  estimate(sel_n_, sel_f_, out);
+}
+
+void Paai2ScoreTable::estimate(const std::vector<std::uint64_t>& sel_n,
+                               const std::vector<std::uint64_t>& sel_f,
+                               std::vector<double>* out) const {
   const std::size_t d = s_.size();
   std::vector<double>& q = *out;
   q.assign(d + 1, 0.0);
-  if (data_packets_ != 0) {
-    const double psi = observed_e2e_rate();
+  const double psi = observed_e2e_rate();
 
-    // Unconditional prefix-failure probabilities q_e; carry forward when
-    // a selection index has no observations yet.
-    for (std::size_t e = 1; e <= d; ++e) {
-      if (sel_n_[e] == 0) {
-        q[e] = q[e - 1];
-        continue;
-      }
-      const double cond_fail = static_cast<double>(sel_f_[e]) /
-                               static_cast<double>(sel_n_[e]);
-      q[e] = std::max(q[e - 1], psi * cond_fail);
+  // Unconditional prefix-failure probabilities q_e; carry forward when
+  // a selection index has no observations yet.
+  for (std::size_t e = 1; e <= d; ++e) {
+    if (sel_n[e] == 0) {
+      q[e] = q[e - 1];
+      continue;
     }
+    const double cond_fail =
+        static_cast<double>(sel_f[e]) / static_cast<double>(sel_n[e]);
+    q[e] = std::max(q[e - 1], psi * cond_fail);
+  }
 
-    // Per-link cycle rate from adjacent prefix differences, then down to
-    // a per-traversal rate. The data packet always crosses a prefix link,
-    // but the probe and the report only exist when a probe fired
-    // (probability psi), so one monitored cycle exposes a prefix link to
-    // ~(1 + 2 psi) traversals. theta_j overwrites q_j in place: q_j and
-    // q_{j+1} are both read before the write.
-    const double traversals = 1.0 + 2.0 * psi;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double denom = 1.0 - q[j];
-      const double g = denom > 0.0 ? (q[j + 1] - q[j]) / denom : 0.0;
-      q[j] = 1.0 - std::pow(1.0 - std::clamp(g, 0.0, 1.0), 1.0 / traversals);
-    }
+  // Per-link cycle rate from adjacent prefix differences, then down to
+  // a per-traversal rate. The data packet always crosses a prefix link,
+  // but the probe and the report only exist when a probe fired
+  // (probability psi), so one monitored cycle exposes a prefix link to
+  // ~(1 + 2 psi) traversals. theta_j overwrites q_j in place: q_j and
+  // q_{j+1} are both read before the write.
+  const double traversals = 1.0 + 2.0 * psi;
+  for (std::size_t j = 0; j < d; ++j) {
+    const double denom = 1.0 - q[j];
+    const double g = denom > 0.0 ? (q[j + 1] - q[j]) / denom : 0.0;
+    q[j] = 1.0 - std::pow(1.0 - std::clamp(g, 0.0, 1.0), 1.0 / traversals);
   }
   q.pop_back();
 }
@@ -341,115 +270,43 @@ std::vector<std::size_t> Paai2ScoreTable::convicted(double threshold) const {
   return out;
 }
 
+struct Paai2ScoreTable::Evidence : LedgerEvidence {
+  const Paai2ScoreTable& t;
+  const std::vector<double>& th;
+  bool margin(double threshold) const {
+    return t.margin_convicts(link, threshold, th);
+  }
+  double theta() const { return th[link]; }
+  // Interval scores are PAAI-2's per-link blame tallies.
+  double tally() const { return static_cast<double>(t.s_[link]); }
+};
+
 void Paai2ScoreTable::convicted(double threshold,
                                 std::vector<std::size_t>* out,
                                 std::vector<double>* scratch) const {
   thetas(scratch);
-  const std::vector<double>& th = *scratch;
   out->clear();
-  for (std::size_t j = 0; j < th.size(); ++j) {
-    bool guilty = false;
-    switch (blame_.mode) {
-      case BlameSpec::Mode::kMargin:
-        guilty = margin_convicts(j, threshold, th);
-        break;
-      case BlameSpec::Mode::kPersistent:
-        // Interval scores are PAAI-2's per-link blame tallies.
-        guilty = s_[j] >= blame_.k && th[j] > threshold;
-        break;
-      case BlameSpec::Mode::kWindowed:
-        guilty = margin_convicts(j, threshold, th) ||
-                 (ledger_.flagrant_windows(j) >= 1 && th[j] > threshold);
-        break;
-      case BlameSpec::Mode::kHybrid:
-        guilty = margin_convicts(j, threshold, th) ||
-                 (ledger_.flagrant_windows(j) >= 1 && th[j] > threshold) ||
-                 (ledger_.max_streak(j) >= blame_.k &&
-                  th[j] > kWindowHighTheta);
-        break;
+  for (std::size_t j = 0; j < scratch->size(); ++j) {
+    if (blame_.convicts(threshold, Evidence{{windows(), j}, *this, *scratch})) {
+      out->push_back(j);
     }
-    if (guilty) out->push_back(j);
   }
-}
-
-void Paai2ScoreTable::restore(const std::vector<std::uint64_t>& s,
-                              const std::vector<std::uint64_t>& sel_n,
-                              const std::vector<std::uint64_t>& sel_f,
-                              std::uint64_t data_packets,
-                              std::uint64_t probes) {
-  if (s.size() != s_.size() || sel_n.size() != sel_n_.size() ||
-      sel_f.size() != sel_f_.size()) {
-    throw std::invalid_argument("Paai2ScoreTable::restore: shape mismatch");
-  }
-  s_ = s;
-  sel_n_ = sel_n;
-  sel_f_ = sel_f;
-  data_packets_ = data_packets;
-  probes_ = probes;
-  std::fill(win_sel_n_.begin(), win_sel_n_.end(), 0ULL);
-  std::fill(win_sel_f_.begin(), win_sel_f_.end(), 0ULL);
-  ledger_.reset();
-}
-
-void Paai2ScoreTable::restore_window(
-    const std::vector<std::uint64_t>& sel_n_bins,
-    const std::vector<std::uint64_t>& sel_f_bins, std::uint64_t completed,
-    const std::vector<std::uint64_t>& cur_streak,
-    const std::vector<std::uint64_t>& max_streak,
-    const std::vector<std::uint64_t>& flagrant,
-    const std::vector<double>& max_theta_w,
-    const std::vector<std::vector<double>>& recent) {
-  if (sel_n_bins.size() != win_sel_n_.size() ||
-      sel_f_bins.size() != win_sel_f_.size()) {
-    throw std::invalid_argument(
-        "Paai2ScoreTable::restore_window: shape mismatch");
-  }
-  win_sel_n_ = sel_n_bins;
-  win_sel_f_ = sel_f_bins;
-  ledger_.restore(completed, cur_streak, max_streak, flagrant, max_theta_w,
-                  recent);
-}
-
-void Paai2ScoreTable::reset() {
-  std::fill(s_.begin(), s_.end(), 0ULL);
-  std::fill(sel_n_.begin(), sel_n_.end(), 0ULL);
-  std::fill(sel_f_.begin(), sel_f_.end(), 0ULL);
-  data_packets_ = 0;
-  probes_ = 0;
-  std::fill(win_sel_n_.begin(), win_sel_n_.end(), 0ULL);
-  std::fill(win_sel_f_.begin(), win_sel_f_.end(), 0ULL);
-  ledger_.reset();
 }
 
 FlScoreTable::FlScoreTable(std::size_t num_links)
     : acc_(num_links + 1, 0.0),
       win_acc_(num_links + 1, 0.0),
-      ledger_(num_links, kDefaultWindowWidth) {
+      blame_(num_links) {
   if (num_links == 0) {
     throw std::invalid_argument("FlScoreTable: need at least one link");
   }
 }
 
-void FlScoreTable::set_blame(const BlameSpec& spec) {
-  if (spec.w != ledger_.width()) {
-    if (intervals_reported_ != 0) {
-      throw std::logic_error(
-          "FlScoreTable::set_blame: window width change mid-run");
-    }
-    ledger_.set_width(spec.w);
-  }
-  blame_ = spec;
-}
-
 void FlScoreTable::roll_window() {
-  if (intervals_reported_ % ledger_.width() != 0) return;
-  const std::size_t d = num_links();
-  std::vector<double> tw(d, 0.0);
-  for (std::size_t j = 0; j < d; ++j) {
-    if (win_acc_[j] <= 0.0) continue;
-    tw[j] = std::max(0.0, 1.0 - win_acc_[j + 1] / win_acc_[j]);
-  }
-  ledger_.finalize(tw);
+  if (blame_.fill(intervals_reported_) != 0) return;
+  std::vector<double> tw;
+  count_ratio_thetas(win_acc_, &tw);
+  blame_.close_window(tw);
   std::fill(win_acc_.begin(), win_acc_.end(), 0.0);
 }
 
@@ -473,12 +330,7 @@ std::vector<double> FlScoreTable::thetas() const {
 }
 
 void FlScoreTable::thetas(std::vector<double>* out) const {
-  const std::size_t d = num_links();
-  out->assign(d, 0.0);
-  for (std::size_t j = 0; j < d; ++j) {
-    if (acc_[j] <= 0.0) continue;
-    (*out)[j] = std::max(0.0, 1.0 - acc_[j + 1] / acc_[j]);
-  }
+  count_ratio_thetas(acc_, out);
 }
 
 bool FlScoreTable::margin_convicts(std::size_t link, double threshold,
@@ -500,77 +352,32 @@ std::vector<std::size_t> FlScoreTable::convicted(double threshold) const {
   return out;
 }
 
+struct FlScoreTable::Evidence : LedgerEvidence {
+  const FlScoreTable& t;
+  const std::vector<double>& th;
+  bool margin(double threshold) const {
+    return t.margin_convicts(link, threshold, th);
+  }
+  double theta() const { return th[link]; }
+  // The sampled-count deficit at this hop plays the blame-tally role:
+  // at least K sampled packets must have vanished here.
+  double tally() const { return t.acc_[link] - t.acc_[link + 1]; }
+};
+
 void FlScoreTable::convicted(double threshold, std::vector<std::size_t>* out,
                              std::vector<double>* scratch) const {
   thetas(scratch);
-  const std::vector<double>& th = *scratch;
   out->clear();
-  for (std::size_t j = 0; j < th.size(); ++j) {
-    bool guilty = false;
-    switch (blame_.mode) {
-      case BlameSpec::Mode::kMargin:
-        guilty = margin_convicts(j, threshold, th);
-        break;
-      case BlameSpec::Mode::kPersistent:
-        // The sampled-count deficit at this hop plays the blame-tally
-        // role: at least K sampled packets must have vanished here.
-        guilty = acc_[j] - acc_[j + 1] >= static_cast<double>(blame_.k) &&
-                 th[j] > threshold;
-        break;
-      case BlameSpec::Mode::kWindowed:
-        guilty = margin_convicts(j, threshold, th) ||
-                 (ledger_.flagrant_windows(j) >= 1 && th[j] > threshold);
-        break;
-      case BlameSpec::Mode::kHybrid:
-        guilty = margin_convicts(j, threshold, th) ||
-                 (ledger_.flagrant_windows(j) >= 1 && th[j] > threshold) ||
-                 (ledger_.max_streak(j) >= blame_.k &&
-                  th[j] > kWindowHighTheta);
-        break;
+  for (std::size_t j = 0; j < scratch->size(); ++j) {
+    if (blame_.convicts(threshold, Evidence{{windows(), j}, *this, *scratch})) {
+      out->push_back(j);
     }
-    if (guilty) out->push_back(j);
   }
 }
 
 double FlScoreTable::observed_e2e_rate() const {
   if (acc_[0] <= 0.0) return 0.0;
   return std::max(0.0, 1.0 - acc_.back() / acc_[0]);
-}
-
-void FlScoreTable::restore(const std::vector<double>& acc,
-                           std::uint64_t intervals_reported,
-                           std::uint64_t intervals_lost) {
-  if (acc.size() != acc_.size()) {
-    throw std::invalid_argument("FlScoreTable::restore: shape mismatch");
-  }
-  acc_ = acc;
-  intervals_reported_ = intervals_reported;
-  intervals_lost_ = intervals_lost;
-  std::fill(win_acc_.begin(), win_acc_.end(), 0.0);
-  ledger_.reset();
-}
-
-void FlScoreTable::restore_window(
-    const std::vector<double>& counts, std::uint64_t completed,
-    const std::vector<std::uint64_t>& cur_streak,
-    const std::vector<std::uint64_t>& max_streak,
-    const std::vector<std::uint64_t>& flagrant,
-    const std::vector<double>& max_theta_w,
-    const std::vector<std::vector<double>>& recent) {
-  if (counts.size() != win_acc_.size()) {
-    throw std::invalid_argument("FlScoreTable::restore_window: shape mismatch");
-  }
-  win_acc_ = counts;
-  ledger_.restore(completed, cur_streak, max_streak, flagrant, max_theta_w,
-                  recent);
-}
-
-void FlScoreTable::reset() {
-  std::fill(acc_.begin(), acc_.end(), 0.0);
-  intervals_reported_ = 0;
-  intervals_lost_ = 0;
-  std::fill(win_acc_.begin(), win_acc_.end(), 0.0);
-  ledger_.reset();
 }
 
 }  // namespace paai::protocols

@@ -30,18 +30,24 @@
 // All three tables additionally keep a windowed view of the same axis
 // (protocols/window.h): every `W` monitored units they close a window,
 // compute that window's per-link sliding estimate theta_w, and feed it
-// into a WindowLedger. The ledger powers the windowed/hybrid conviction
-// rules behind --blame (BlameSpec) — burst-concentrated loss whose
-// cumulative trace rides inside the margin still shows up as hot or
-// flagrant windows. The ledger is maintained in every mode; margin-mode
-// verdicts never read it.
+// into the WindowLedger of their BlameCore. The ledger powers the
+// windowed/hybrid conviction rules behind --blame (BlameSpec) — burst-
+// concentrated loss whose cumulative trace rides inside the margin still
+// shows up as hot or flagrant windows. The ledger is maintained in every
+// mode; margin-mode verdicts never read it.
+//
+// Conviction is one rule for all three: convicted() hands
+// blame_convicts() (window.h) a per-link evidence view — the family's
+// estimate, its margin predicate, its persistence tally and the ledger's
+// flagrant count and max streak. Only those inputs differ by family.
 //
 // All three tables are *stream-consumable*: every mutation corresponds
-// 1:1 to a forensic event the protocols log (obs/events.h), the counters
-// are exposed for snapshotting, and restore() rebuilds a table from a
-// snapshot bit-identically — src/stream's online engine replays a
-// recorded event log through these exact classes, so batch and streaming
-// convictions agree to the last bit.
+// 1:1 to a forensic event the protocols log (obs/events.h), and visit()
+// lists every mutable field by name in snapshot order, so src/stream
+// writes and restores a table bit-identically with one walk — its online
+// engine replays a recorded event log through these exact classes, so
+// batch and streaming convictions agree to the last bit. reset() is the
+// same walk with a zeroing visitor.
 #pragma once
 
 #include <cstdint>
@@ -81,15 +87,8 @@ class ScoreTable {
   /// Selects the conviction rule (see BlameSpec in protocols/window.h).
   /// Must be called before the first monitored unit when it changes the
   /// window width; throws std::logic_error otherwise.
-  void set_blame(const BlameSpec& spec);
-  const BlameSpec& blame_spec() const { return blame_; }
-
-  /// Legacy shim for --blame=persistent:K (PR 7 call sites/tests):
-  /// K > 0 selects persistent mode, K == 0 margin mode.
-  void set_persistence(std::uint64_t k);
-  std::uint64_t persistence() const {
-    return blame_.mode == BlameSpec::Mode::kPersistent ? blame_.k : 0;
-  }
+  void set_blame(const BlameSpec& spec) { blame_.set(spec, n_); }
+  const BlameSpec& blame_spec() const { return blame_.spec(); }
 
   /// Per-traversal drop-rate estimate for a link (0 when n == 0).
   double theta(std::size_t link) const;
@@ -106,35 +105,41 @@ class ScoreTable {
   /// Windowed view: the ledger of closed windows, the current window's
   /// per-link blame bins, and the burstiness statistic (max window
   /// blame-share over cumulative share).
-  const WindowLedger& windows() const { return ledger_; }
+  const WindowLedger& windows() const { return blame_.ledger(); }
   const std::vector<std::uint64_t>& window_bins() const { return win_s_; }
-  std::uint64_t window_fill() const { return n_ % ledger_.width(); }
+  std::uint64_t window_fill() const { return blame_.fill(n_); }
   double burstiness(std::size_t link) const {
-    return ledger_.burstiness(link, theta(link));
+    return windows().burstiness(link, theta(link));
   }
 
-  /// Rebuilds the mutable counters from a snapshot (paai.state.v1).
-  /// `s.size()` must equal num_links(); throws std::invalid_argument
-  /// otherwise. Calibration (traversals/probe_extra/blame) is
-  /// construction-time state and is not touched. Window state is zeroed
-  /// (legacy snapshots carry none); restore_window() rebuilds it.
-  void restore(const std::vector<std::uint64_t>& s, std::uint64_t n,
-               std::uint64_t probes);
+  /// The state walk (protocols/window.h StateZeroer): every mutable
+  /// field in paai.state.v1 order. Calibration (traversals/probe_extra/
+  /// blame) is construction-time state and is not listed.
+  template <class V>
+  void visit(V& v) { walk(*this, v); }
+  template <class V>
+  void visit(V& v) const { walk(*this, v); }
 
-  /// Rebuilds the window layer from a snapshot's "window" object: the
-  /// current window's blame bins plus the ledger counters. Call after
-  /// restore(); `bins.size()` must equal num_links().
-  void restore_window(const std::vector<std::uint64_t>& bins,
-                      std::uint64_t completed,
-                      const std::vector<std::uint64_t>& cur_streak,
-                      const std::vector<std::uint64_t>& max_streak,
-                      const std::vector<std::uint64_t>& flagrant,
-                      const std::vector<double>& max_theta_w,
-                      const std::vector<std::vector<double>>& recent);
-
-  void reset();
+  void reset() {
+    StateZeroer zero;
+    visit(zero);
+  }
 
  private:
+  struct Evidence;  // blame_convicts()' view of one link (score.cc)
+
+  template <class Self, class V>
+  static void walk(Self& t, V& v) {
+    v.kind("onion");
+    v.field("s", t.s_);
+    v.field("n", t.n_);
+    v.field("probes", t.probes_);
+    v.open("window");
+    v.field("bins", t.win_s_);
+    t.blame_.visit(v);
+    v.close();
+  }
+
   double effective_traversals() const;
   bool margin_convicts(std::size_t link, double threshold) const;
   void roll_window();
@@ -142,11 +147,10 @@ class ScoreTable {
   std::vector<std::uint64_t> s_;
   std::uint64_t n_ = 0;
   std::uint64_t probes_ = 0;
-  BlameSpec blame_;
   double traversals_;
   double probe_extra_;
   std::vector<std::uint64_t> win_s_;  // current window's blame bins
-  WindowLedger ledger_;
+  BlameCore blame_;
   obs::Counter obs_updates_;
   obs::Counter obs_blames_;
 };
@@ -170,8 +174,8 @@ class Paai2ScoreTable {
   std::uint64_t selection_failures(std::size_t e) const { return sel_f_[e]; }
 
   /// Selects the conviction rule; the probe count is the window axis.
-  void set_blame(const BlameSpec& spec);
-  const BlameSpec& blame_spec() const { return blame_; }
+  void set_blame(const BlameSpec& spec) { blame_.set(spec, probes_); }
+  const BlameSpec& blame_spec() const { return blame_.spec(); }
 
   /// Per-traversal per-link estimates via the prefix-difference estimator.
   std::vector<double> thetas() const;
@@ -189,40 +193,52 @@ class Paai2ScoreTable {
 
   std::size_t num_links() const { return s_.size(); }
 
-  const WindowLedger& windows() const { return ledger_; }
+  const WindowLedger& windows() const { return blame_.ledger(); }
   const std::vector<std::uint64_t>& window_sel_n() const { return win_sel_n_; }
   const std::vector<std::uint64_t>& window_sel_f() const { return win_sel_f_; }
-  std::uint64_t window_fill() const { return probes_ % ledger_.width(); }
+  std::uint64_t window_fill() const { return blame_.fill(probes_); }
   double burstiness(std::size_t link) const {
-    return ledger_.burstiness(link, thetas()[link]);
+    return windows().burstiness(link, thetas()[link]);
   }
 
-  /// Rebuilds the mutable counters from a snapshot (paai.state.v1).
-  /// Vector sizes must match the construction shape; throws
-  /// std::invalid_argument otherwise. Window state is zeroed;
-  /// restore_window() rebuilds it.
-  void restore(const std::vector<std::uint64_t>& s,
-               const std::vector<std::uint64_t>& sel_n,
-               const std::vector<std::uint64_t>& sel_f,
-               std::uint64_t data_packets, std::uint64_t probes);
+  /// The state walk (see ScoreTable::visit); the selection vectors and
+  /// their window bins hold num_links() + 1 entries.
+  template <class V>
+  void visit(V& v) { walk(*this, v); }
+  template <class V>
+  void visit(V& v) const { walk(*this, v); }
 
-  /// Rebuilds the window layer: current-window selection bins (both
-  /// sized num_links() + 1) plus the ledger counters.
-  void restore_window(const std::vector<std::uint64_t>& sel_n_bins,
-                      const std::vector<std::uint64_t>& sel_f_bins,
-                      std::uint64_t completed,
-                      const std::vector<std::uint64_t>& cur_streak,
-                      const std::vector<std::uint64_t>& max_streak,
-                      const std::vector<std::uint64_t>& flagrant,
-                      const std::vector<double>& max_theta_w,
-                      const std::vector<std::vector<double>>& recent);
-
-  void reset();
+  void reset() {
+    StateZeroer zero;
+    visit(zero);
+  }
 
  private:
+  struct Evidence;
+
+  template <class Self, class V>
+  static void walk(Self& t, V& v) {
+    v.kind("prefix");
+    v.field("s", t.s_);
+    v.field("sel_n", t.sel_n_);
+    v.field("sel_f", t.sel_f_);
+    v.field("data_packets", t.data_packets_);
+    v.field("probes", t.probes_);
+    v.open("window");
+    v.field("sel_n_bins", t.win_sel_n_);
+    v.field("sel_f_bins", t.win_sel_f_);
+    t.blame_.visit(v);
+    v.close();
+  }
+
   /// thetas() into `out` (overwritten); it holds num_links() + 1 values
   /// while the estimator runs, so a reused buffer never reallocates.
   void thetas(std::vector<double>* out) const;
+  /// The prefix-difference estimator over selection bins `sel_n`/`sel_f`
+  /// (cumulative, or one window's) into `out`, like thetas().
+  void estimate(const std::vector<std::uint64_t>& sel_n,
+                const std::vector<std::uint64_t>& sel_f,
+                std::vector<double>* out) const;
   bool margin_convicts(std::size_t link, double threshold,
                        const std::vector<double>& th) const;
   void roll_window();
@@ -232,10 +248,9 @@ class Paai2ScoreTable {
   std::vector<std::uint64_t> sel_f_;   // ... of which prefix-failed [1..d]
   std::uint64_t data_packets_ = 0;
   std::uint64_t probes_ = 0;
-  BlameSpec blame_;
   std::vector<std::uint64_t> win_sel_n_;  // current window's bins [1..d]
   std::vector<std::uint64_t> win_sel_f_;
-  WindowLedger ledger_;
+  BlameCore blame_;
   obs::Counter obs_updates_;
   obs::Counter obs_blames_;
 };
@@ -267,8 +282,10 @@ class FlScoreTable {
   std::size_t num_links() const { return acc_.size() - 1; }
 
   /// Selects the conviction rule; reported intervals are the window axis.
-  void set_blame(const BlameSpec& spec);
-  const BlameSpec& blame_spec() const { return blame_; }
+  void set_blame(const BlameSpec& spec) {
+    blame_.set(spec, intervals_reported_);
+  }
+  const BlameSpec& blame_spec() const { return blame_.spec(); }
 
   /// theta_j = max(0, 1 - S_{j+1}/S_j); 0 while S_j is empty.
   std::vector<double> thetas() const;
@@ -284,34 +301,42 @@ class FlScoreTable {
   /// 1 - S_d/S_0: the end-to-end drop rate the counts imply.
   double observed_e2e_rate() const;
 
-  const WindowLedger& windows() const { return ledger_; }
+  const WindowLedger& windows() const { return blame_.ledger(); }
   const std::vector<double>& window_counts() const { return win_acc_; }
   std::uint64_t window_fill() const {
-    return intervals_reported_ % ledger_.width();
+    return blame_.fill(intervals_reported_);
   }
   double burstiness(std::size_t link) const {
-    return ledger_.burstiness(link, thetas()[link]);
+    return windows().burstiness(link, thetas()[link]);
   }
 
-  /// Rebuilds the accumulators from a snapshot. `acc.size()` must be
-  /// num_links() + 1; throws std::invalid_argument otherwise. Window
-  /// state is zeroed; restore_window() rebuilds it.
-  void restore(const std::vector<double>& acc,
-               std::uint64_t intervals_reported, std::uint64_t intervals_lost);
+  /// The state walk (see ScoreTable::visit); the accumulators and their
+  /// window sums hold num_links() + 1 doubles.
+  template <class V>
+  void visit(V& v) { walk(*this, v); }
+  template <class V>
+  void visit(V& v) const { walk(*this, v); }
 
-  /// Rebuilds the window layer: current-window per-node count sums
-  /// (sized num_links() + 1) plus the ledger counters.
-  void restore_window(const std::vector<double>& counts,
-                      std::uint64_t completed,
-                      const std::vector<std::uint64_t>& cur_streak,
-                      const std::vector<std::uint64_t>& max_streak,
-                      const std::vector<std::uint64_t>& flagrant,
-                      const std::vector<double>& max_theta_w,
-                      const std::vector<std::vector<double>>& recent);
-
-  void reset();
+  void reset() {
+    StateZeroer zero;
+    visit(zero);
+  }
 
  private:
+  struct Evidence;
+
+  template <class Self, class V>
+  static void walk(Self& t, V& v) {
+    v.kind("fl");
+    v.field("acc", t.acc_);
+    v.field("intervals_reported", t.intervals_reported_);
+    v.field("intervals_lost", t.intervals_lost_);
+    v.open("window");
+    v.field("counts", t.win_acc_);
+    t.blame_.visit(v);
+    v.close();
+  }
+
   void thetas(std::vector<double>* out) const;
   bool margin_convicts(std::size_t link, double threshold,
                        const std::vector<double>& th) const;
@@ -320,9 +345,8 @@ class FlScoreTable {
   std::vector<double> acc_;  // S_0..S_d, indexed by node
   std::uint64_t intervals_reported_ = 0;
   std::uint64_t intervals_lost_ = 0;
-  BlameSpec blame_;
   std::vector<double> win_acc_;  // current window's per-node count sums
-  WindowLedger ledger_;
+  BlameCore blame_;
 };
 
 }  // namespace paai::protocols

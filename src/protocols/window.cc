@@ -48,7 +48,7 @@ BlameSpec BlameSpec::parse(std::string_view text) {
                                     : util::spec_trim(spec.substr(colon + 1));
 
   BlameSpec out;
-  if (head == "margin" || head == "standard") {
+  if (head == "margin") {
     if (colon != std::string_view::npos) {
       util::spec_error(kPrefix, "margin mode takes no arguments");
     }
@@ -154,7 +154,12 @@ BlameSpec BlameSpec::decode32(std::int32_t code) {
 }
 
 WindowLedger::WindowLedger(std::size_t num_links, std::uint64_t width)
-    : links_(num_links), width_(width) {
+    : width_(width),
+      cur_streak_(num_links, 0),
+      max_streak_(num_links, 0),
+      flagrant_(num_links, 0),
+      max_theta_w_(num_links, 0.0),
+      recent_(num_links) {
   if (num_links == 0) {
     throw std::invalid_argument("WindowLedger: need at least one link");
   }
@@ -171,63 +176,40 @@ void WindowLedger::set_width(std::uint64_t width) {
 }
 
 void WindowLedger::finalize(const std::vector<double>& theta_w) {
-  if (theta_w.size() != links_.size()) {
+  if (theta_w.size() != num_links()) {
     throw std::invalid_argument("WindowLedger::finalize: shape mismatch");
   }
   ++completed_;
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    LinkState& st = links_[i];
+  for (std::size_t i = 0; i < theta_w.size(); ++i) {
     const double tw = theta_w[i];
     if (tw > kWindowHighTheta) {
-      ++st.cur_streak;
-      if (st.cur_streak > st.max_streak) st.max_streak = st.cur_streak;
+      ++cur_streak_[i];
+      if (cur_streak_[i] > max_streak_[i]) max_streak_[i] = cur_streak_[i];
     } else {
-      st.cur_streak = 0;
+      cur_streak_[i] = 0;
     }
-    if (tw > kWindowFlagrantTheta) ++st.flagrant;
-    if (tw > st.max_theta_w) st.max_theta_w = tw;
-    if (st.recent.size() == kWindowRingCap) {
-      st.recent.erase(st.recent.begin());
-    }
-    st.recent.push_back(tw);
+    if (tw > kWindowFlagrantTheta) ++flagrant_[i];
+    if (tw > max_theta_w_[i]) max_theta_w_[i] = tw;
+    std::vector<double>& ring = recent_[i];
+    if (ring.size() == kWindowRingCap) ring.erase(ring.begin());
+    ring.push_back(tw);
   }
 }
 
 double WindowLedger::burstiness(std::size_t link,
                                 double cumulative_theta) const {
   if (completed_ == 0 || cumulative_theta <= 0.0) return 0.0;
-  return links_[link].max_theta_w / cumulative_theta;
+  return max_theta_w_[link] / cumulative_theta;
 }
 
-void WindowLedger::restore(std::uint64_t completed,
-                           const std::vector<std::uint64_t>& cur_streak,
-                           const std::vector<std::uint64_t>& max_streak,
-                           const std::vector<std::uint64_t>& flagrant,
-                           const std::vector<double>& max_theta_w,
-                           const std::vector<std::vector<double>>& recent) {
-  const std::size_t d = links_.size();
-  if (cur_streak.size() != d || max_streak.size() != d ||
-      flagrant.size() != d || max_theta_w.size() != d || recent.size() != d) {
-    throw std::invalid_argument("WindowLedger::restore: shape mismatch");
-  }
-  for (const auto& ring : recent) {
-    if (ring.size() > kWindowRingCap) {
-      throw std::invalid_argument("WindowLedger::restore: ring overflow");
+void BlameCore::set(const BlameSpec& spec, std::uint64_t axis) {
+  if (spec.w != ledger_.width()) {
+    if (axis != 0) {
+      throw std::logic_error("set_blame: window width change mid-run");
     }
+    ledger_.set_width(spec.w);
   }
-  completed_ = completed;
-  for (std::size_t i = 0; i < d; ++i) {
-    links_[i].cur_streak = cur_streak[i];
-    links_[i].max_streak = max_streak[i];
-    links_[i].flagrant = flagrant[i];
-    links_[i].max_theta_w = max_theta_w[i];
-    links_[i].recent = recent[i];
-  }
-}
-
-void WindowLedger::reset() {
-  completed_ = 0;
-  for (auto& st : links_) st = LinkState{};
+  spec_ = spec;
 }
 
 }  // namespace paai::protocols

@@ -19,10 +19,18 @@
 // Multi-level conviction (BlameSpec, --blame=...): the cumulative margin
 // rule stays the baseline; windowed/hybrid modes add clauses that fire
 // on time-concentrated evidence whose cumulative trace rides inside the
-// margin. The ledger is maintained unconditionally — margin-mode
-// verdicts never read it, which is what makes
-// `--blame=margin` byte-identical to the pre-window code
-// (tests/stream_test.cc WindowedNeverAffectsMarginMode).
+// margin. All four modes are one function, blame_convicts(): the three
+// score tables and the mesh store (mesh/score_store.h) each hand it an
+// evidence view of one link and it applies the same clauses to all of
+// them. The ledger is maintained unconditionally — margin-mode verdicts
+// never read it, which is what makes `--blame=margin` byte-identical to
+// the pre-window code (tests/stream_test.cc WindowedNeverAffectsMarginMode).
+//
+// Each table owns its spec and ledger through one BlameCore. Table and
+// ledger state is listed once, by a visit() walk over named u64/f64
+// fields in snapshot order; the tables' reset() (StateZeroer) and the
+// paai.state.v1 writer and reader (stream/state.cc) are visitors of that
+// walk.
 //
 // Contracts: every ledger mutation is driven by the same table mutators
 // the forensic event stream replays (src/stream bit-identity); the
@@ -30,6 +38,7 @@
 // snapshots (paai.state.v1 "window" objects) restore them losslessly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -74,7 +83,7 @@ inline constexpr std::size_t kWindowRingCap = 8;
 ///          | 'windowed'   [':' W]        W in [8, 2^20)
 ///          | 'hybrid'     [':' K [',' W]]  K in [1, 8]
 ///
-/// ("standard" is accepted as a legacy alias for "margin".) The rules:
+/// The rules (blame_convicts() below):
 ///
 ///   margin       theta_i - sd > threshold            (paper Theorem 2)
 ///   persistent:K s_i >= K and theta_i > threshold    (PR 7)
@@ -98,10 +107,6 @@ struct BlameSpec {
   std::int32_t encode32() const;
   static BlameSpec decode32(std::int32_t code);
 
-  bool uses_windows() const {
-    return mode == Mode::kWindowed || mode == Mode::kHybrid;
-  }
-
   friend bool operator==(const BlameSpec& a, const BlameSpec& b) {
     return a.mode == b.mode && a.k == b.k && a.w == b.w;
   }
@@ -109,6 +114,53 @@ struct BlameSpec {
     return !(a == b);
   }
 };
+
+/// The one blame rule: decides whether `spec` convicts one link at
+/// `threshold`. Every score table and the mesh store call it; each
+/// supplies its own evidence view `ev`, queried lazily in clause order
+/// (a clause past the first true one is never evaluated):
+///
+///   ev.margin(threshold)  the family's one-standard-error margin clears
+///   ev.theta()            the cumulative per-traversal estimate
+///   ev.tally()            the persistence tally (blames, or the sampled
+///                         count deficit for statistical FL)
+///   ev.flagrant()         closed windows with theta_w above
+///                         kWindowFlagrantTheta
+///   ev.max_streak()       longest run of windows with theta_w above
+///                         kWindowHighTheta
+///
+/// A template so the per-link call inlines: no virtual or indirect call.
+template <class Evidence>
+bool blame_convicts(const BlameSpec& spec, double threshold,
+                    const Evidence& ev) {
+  switch (spec.mode) {
+    case BlameSpec::Mode::kMargin:
+      return ev.margin(threshold);
+    case BlameSpec::Mode::kPersistent:
+      // The K-repetition requirement replaces the standard-error margin
+      // as the anti-noise gate: an honest link needs BOTH K blames AND an
+      // above-threshold estimate to be falsely convicted, while an
+      // adversary riding just inside the margin no longer escapes.
+      return ev.tally() >= static_cast<double>(spec.k) &&
+             ev.theta() > threshold;
+    case BlameSpec::Mode::kWindowed:
+    case BlameSpec::Mode::kHybrid:
+      // A single flagrant window plus an above-threshold cumulative
+      // estimate is burst evidence the margin rule would dilute away.
+      if (ev.margin(threshold) ||
+          (ev.flagrant() >= 1 && ev.theta() > threshold)) {
+        return true;
+      }
+      // Hybrid adds the streak clause: >= K consecutive hot windows with
+      // the cumulative estimate above the hot bar. The cumulative floor
+      // separates a colluder (theta ~ 0.015+) from benign loss churn
+      // whose windows also run hot for a while but whose lifetime
+      // average stays below kWindowHighTheta.
+      return spec.mode == BlameSpec::Mode::kHybrid &&
+             ev.max_streak() >= spec.k && ev.theta() > kWindowHighTheta;
+  }
+  return false;
+}
 
 /// Per-link accumulator over *closed* windows. The owning table cuts its
 /// monitored-unit axis every `width` units, computes that window's
@@ -130,26 +182,24 @@ class WindowLedger {
   void finalize(const std::vector<double>& theta_w);
 
   std::uint64_t completed() const { return completed_; }
-  std::size_t num_links() const { return links_.size(); }
+  std::size_t num_links() const { return cur_streak_.size(); }
 
   std::uint64_t cur_streak(std::size_t link) const {
-    return links_[link].cur_streak;
+    return cur_streak_[link];
   }
   /// Monotone latch: longest run of consecutive hot windows ever seen.
   /// (A latch, not "last K windows", so a colluder whose bursts end
   /// before the final checkpoint still shows its streak.)
   std::uint64_t max_streak(std::size_t link) const {
-    return links_[link].max_streak;
+    return max_streak_[link];
   }
   std::uint64_t flagrant_windows(std::size_t link) const {
-    return links_[link].flagrant;
+    return flagrant_[link];
   }
-  double max_theta_w(std::size_t link) const {
-    return links_[link].max_theta_w;
-  }
+  double max_theta_w(std::size_t link) const { return max_theta_w_[link]; }
   /// Last kWindowRingCap completed-window estimates, oldest first.
   const std::vector<double>& recent(std::size_t link) const {
-    return links_[link].recent;
+    return recent_[link];
   }
 
   /// Burstiness statistic: max window blame-share over cumulative share.
@@ -157,30 +207,104 @@ class WindowLedger {
   /// window closed or while the cumulative estimate is 0.
   double burstiness(std::size_t link, double cumulative_theta) const;
 
-  /// Rebuilds the ledger from a snapshot (paai.state.v1 "window" object).
-  /// All vectors must have num_links() entries and each recent ring at
-  /// most kWindowRingCap values; throws std::invalid_argument otherwise.
-  void restore(std::uint64_t completed,
-               const std::vector<std::uint64_t>& cur_streak,
-               const std::vector<std::uint64_t>& max_streak,
-               const std::vector<std::uint64_t>& flagrant,
-               const std::vector<double>& max_theta_w,
-               const std::vector<std::vector<double>>& recent);
-
-  void reset();
+  /// The ledger's state walk, in snapshot order (the paai.state.v1
+  /// "window" object after the table's bins); see StateZeroer for the
+  /// visitor vocabulary. The width is construction-time state, listed
+  /// as fixed: a snapshot must agree with it.
+  template <class V>
+  void visit(V& v) { walk(*this, v); }
+  template <class V>
+  void visit(V& v) const { walk(*this, v); }
 
  private:
-  struct LinkState {
-    std::uint64_t cur_streak = 0;
-    std::uint64_t max_streak = 0;
-    std::uint64_t flagrant = 0;
-    double max_theta_w = 0.0;
-    std::vector<double> recent;
-  };
+  template <class Self, class V>
+  static void walk(Self& l, V& v) {
+    v.version("v", 1);
+    v.fixed("w", l.width_);
+    v.field("completed", l.completed_);
+    v.field("cur_streak", l.cur_streak_);
+    v.field("max_streak", l.max_streak_);
+    v.field("flagrant", l.flagrant_);
+    v.field("max_theta_w", l.max_theta_w_);
+    v.field("recent", l.recent_, kWindowRingCap);
+  }
 
-  std::vector<LinkState> links_;
   std::uint64_t width_;
   std::uint64_t completed_ = 0;
+  std::vector<std::uint64_t> cur_streak_;
+  std::vector<std::uint64_t> max_streak_;
+  std::vector<std::uint64_t> flagrant_;
+  std::vector<double> max_theta_w_;
+  std::vector<std::vector<double>> recent_;
+};
+
+/// The window/blame core every score table owns: the configured BlameSpec
+/// plus the WindowLedger its windowed clauses read. `axis` is the owning
+/// table's monitored-unit count (ScoreTable: units, Paai2ScoreTable:
+/// probes, FlScoreTable: reported intervals).
+class BlameCore {
+ public:
+  explicit BlameCore(std::size_t num_links)
+      : ledger_(num_links, kDefaultWindowWidth) {}
+
+  /// Selects the conviction rule. A width change is only legal before the
+  /// first monitored unit (axis == 0); throws std::logic_error otherwise.
+  void set(const BlameSpec& spec, std::uint64_t axis);
+  const BlameSpec& spec() const { return spec_; }
+  const WindowLedger& ledger() const { return ledger_; }
+
+  /// Units in the current, still open window.
+  std::uint64_t fill(std::uint64_t axis) const {
+    return axis % ledger_.width();
+  }
+  /// Closes a window with its per-link estimates; the owner calls it when
+  /// fill(axis) drops back to 0.
+  void close_window(const std::vector<double>& theta_w) {
+    ledger_.finalize(theta_w);
+  }
+
+  /// blame_convicts() under the configured spec.
+  template <class Evidence>
+  bool convicts(double threshold, const Evidence& ev) const {
+    return blame_convicts(spec_, threshold, ev);
+  }
+
+  template <class V>
+  void visit(V& v) { ledger_.visit(v); }
+  template <class V>
+  void visit(V& v) const { ledger_.visit(v); }
+
+ private:
+  BlameSpec spec_;
+  WindowLedger ledger_;
+};
+
+/// A state walk visitor that zeroes every listed field: the tables'
+/// reset(). It also documents the vocabulary every walk speaks, in
+/// snapshot order:
+///
+///   kind(name)             the table family ("onion" | "prefix" | "fl")
+///   open(name) / close()   a nested object (the "window" state)
+///   version(name, v)       a fixed format version number
+///   fixed(name, x)         construction-time u64 the snapshot must match
+///   field(name, x)         a u64 scalar, or a u64/f64 vector whose size
+///                          is fixed by construction
+///   field(name, rings, cap)  per-link rings of at most `cap` doubles
+struct StateZeroer {
+  void kind(const char*) {}
+  void open(const char*) {}
+  void close() {}
+  void version(const char*, int) {}
+  void fixed(const char*, std::uint64_t) {}
+  void field(const char*, std::uint64_t& x) { x = 0; }
+  template <class T>
+  void field(const char*, std::vector<T>& xs) {
+    std::fill(xs.begin(), xs.end(), T{});
+  }
+  void field(const char*, std::vector<std::vector<double>>& rings,
+             std::size_t) {
+    for (auto& ring : rings) ring.clear();
+  }
 };
 
 }  // namespace paai::protocols

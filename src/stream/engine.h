@@ -127,28 +127,19 @@ class ScoreEngine {
   }
 
   // --- snapshot plumbing (stream/state.h) ------------------------------
-  const protocols::ScoreTable* onion_table() const {
-    return onion_ ? &*onion_ : nullptr;
-  }
-  const protocols::Paai2ScoreTable* prefix_table() const {
-    return prefix_ ? &*prefix_ : nullptr;
-  }
-  const protocols::FlScoreTable* fl_table() const {
-    return fl_ ? &*fl_ : nullptr;
-  }
+  /// Walks the active table's state (protocols/window.h StateZeroer
+  /// vocabulary): its kind, then every mutable field in snapshot order.
+  /// An unconfigured engine lists only kind "none".
+  template <class V>
+  void visit_table(V& v) const { walk_table(*this, v); }
+  template <class V>
+  void visit_table(V& v) { walk_table(*this, v); }
 
   /// Overwrites the mutable counters from a snapshot (state.cc only; the
   /// engine must already be configured with the matching shape).
   void restore_counters(std::uint64_t events_seen, std::uint64_t events_applied,
                         std::uint64_t packets_sent, std::uint64_t delivered,
                         bool run_ended, std::vector<ConvictionRecord> recorded);
-  protocols::ScoreTable* mutable_onion_table() {
-    return onion_ ? &*onion_ : nullptr;
-  }
-  protocols::Paai2ScoreTable* mutable_prefix_table() {
-    return prefix_ ? &*prefix_ : nullptr;
-  }
-  protocols::FlScoreTable* mutable_fl_table() { return fl_ ? &*fl_ : nullptr; }
   /// Re-baselines conviction-transition tracking at the current state
   /// (called after a restore so already-convicted links are not
   /// re-announced).
@@ -156,6 +147,19 @@ class ScoreEngine {
 
  private:
   enum class Table : std::uint8_t { kNone, kOnion, kPrefix, kFl };
+
+  template <class Self, class V>
+  static void walk_table(Self& e, V& v) {
+    if (e.onion_) {
+      e.onion_->visit(v);
+    } else if (e.prefix_) {
+      e.prefix_->visit(v);
+    } else if (e.fl_) {
+      e.fl_->visit(v);
+    } else {
+      v.kind("none");
+    }
+  }
 
   void apply_score_clean(const obs::Event& event);
   void apply_score_blame(const obs::Event& event);

@@ -1,6 +1,7 @@
 #include "stream/state.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
@@ -12,9 +13,14 @@ namespace paai::stream {
 
 namespace {
 
-void write_u64(obs::JsonWriter& w, std::uint64_t v) {
-  w.value(std::to_string(v));
-}
+/// Bounds on the snapshot integers that select or size things: the
+/// protocol id, the link count (no path this engine scores comes near
+/// 2^16 links; the bound keeps a corrupted count from sizing the tables)
+/// and a conviction record's link (any exactly representable integer).
+constexpr double kMaxProtocol =
+    static_cast<double>(protocols::ProtocolKind::kSigAck);
+constexpr double kMaxLinks = 65536.0;
+constexpr double kMaxRecordLink = 9007199254740992.0;  // 2^53
 
 bool parse_u64(const obs::JsonValue* v, std::uint64_t* out) {
   if (v == nullptr || !v->is_string() || v->string.empty()) return false;
@@ -26,236 +32,219 @@ bool parse_u64(const obs::JsonValue* v, std::uint64_t* out) {
   return true;
 }
 
-bool parse_u64_array(const obs::JsonValue* v, std::vector<std::uint64_t>* out) {
-  if (v == nullptr || !v->is_array()) return false;
-  out->clear();
-  out->reserve(v->array.size());
-  for (const obs::JsonValue& item : v->array) {
-    std::uint64_t x = 0;
-    if (!parse_u64(&item, &x)) return false;
-    out->push_back(x);
+/// A JSON number holding an integer in [0, max]; the range check comes
+/// before the cast, so a hostile document never reaches undefined
+/// float-to-integer conversion.
+bool parse_index(const obs::JsonValue* v, double max, std::size_t* out) {
+  if (v == nullptr || !v->is_number() || !(v->number >= 0.0) ||
+      v->number > max || std::floor(v->number) != v->number) {
+    return false;
   }
+  *out = static_cast<std::size_t>(v->number);
   return true;
 }
 
-bool parse_double_array(const obs::JsonValue* v, std::vector<double>* out) {
-  if (v == nullptr || !v->is_array()) return false;
-  out->clear();
-  out->reserve(v->array.size());
-  for (const obs::JsonValue& item : v->array) {
-    if (!item.is_number()) return false;
-    out->push_back(item.number);
-  }
-  return true;
-}
-
-bool fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = std::string("paai.state.v1: ") + what;
+bool fail(std::string* error, const std::string& what) {
+  if (error != nullptr) *error = "paai.state.v1: " + what;
   return false;
 }
 
-/// Emits the WindowLedger counters into the already-open "window" object
-/// (the caller writes the table-specific current-window bins first).
-void write_ledger(obs::JsonWriter& w, const protocols::WindowLedger& led) {
-  w.key("v").value(std::int64_t{1});
-  w.key("w");
-  write_u64(w, led.width());
-  w.key("completed");
-  write_u64(w, led.completed());
-  w.key("cur_streak").begin_array();
-  for (std::size_t i = 0; i < led.num_links(); ++i) {
-    write_u64(w, led.cur_streak(i));
-  }
-  w.end_array();
-  w.key("max_streak").begin_array();
-  for (std::size_t i = 0; i < led.num_links(); ++i) {
-    write_u64(w, led.max_streak(i));
-  }
-  w.end_array();
-  w.key("flagrant").begin_array();
-  for (std::size_t i = 0; i < led.num_links(); ++i) {
-    write_u64(w, led.flagrant_windows(i));
-  }
-  w.end_array();
-  w.key("max_theta_w").begin_array();
-  for (std::size_t i = 0; i < led.num_links(); ++i) {
-    w.value(led.max_theta_w(i));
-  }
-  w.end_array();
-  w.key("recent").begin_array();
-  for (std::size_t i = 0; i < led.num_links(); ++i) {
-    w.begin_array();
-    for (const double tw : led.recent(i)) w.value(tw);
-    w.end_array();
-  }
-  w.end_array();
-}
+/// Writes each field of a state walk (protocols/window.h StateZeroer
+/// vocabulary) as one JSON member: u64s as decimal strings, doubles at
+/// %.17g.
+class FieldWriter {
+ public:
+  explicit FieldWriter(obs::JsonWriter& w) : w_(w) {}
 
-/// Parsed WindowLedger counters from a snapshot's "window" object.
-struct LedgerDoc {
-  std::uint64_t width = 0;
-  std::uint64_t completed = 0;
-  std::vector<std::uint64_t> cur_streak, max_streak, flagrant;
-  std::vector<double> max_theta_w;
-  std::vector<std::vector<double>> recent;
+  void kind(const char* kind) { w_.key("kind").value(kind); }
+  void open(const char* name) { w_.key(name).begin_object(); }
+  void close() { w_.end_object(); }
+  void version(const char* name, int v) {
+    w_.key(name).value(static_cast<std::int64_t>(v));
+  }
+  void fixed(const char* name, std::uint64_t x) { field(name, x); }
+  void field(const char* name, std::uint64_t x) {
+    w_.key(name).value(std::to_string(x));
+  }
+  void field(const char* name, double x) { w_.key(name).value(x); }
+  void field(const char* name, const std::vector<std::uint64_t>& xs) {
+    w_.key(name).begin_array();
+    for (const std::uint64_t x : xs) w_.value(std::to_string(x));
+    w_.end_array();
+  }
+  void field(const char* name, const std::vector<double>& xs) {
+    w_.key(name);
+    doubles(xs);
+  }
+  void field(const char* name, const std::vector<std::vector<double>>& rings,
+             std::size_t /*cap*/) {
+    w_.key(name).begin_array();
+    for (const std::vector<double>& ring : rings) doubles(ring);
+    w_.end_array();
+  }
+
+ private:
+  void doubles(const std::vector<double>& xs) {
+    w_.begin_array();
+    for (const double x : xs) w_.value(x);
+    w_.end_array();
+  }
+
+  obs::JsonWriter& w_;
 };
 
-/// Fail-closed parse of the ledger half of a "window" object: every
-/// field must be present, well-typed, and num_links-shaped.
-bool parse_ledger(const obs::JsonValue* win, std::size_t num_links,
-                  std::uint64_t expect_width, LedgerDoc* out,
-                  std::string* error) {
-  const obs::JsonValue* v = win->find("v");
-  if (v == nullptr || !v->is_number() ||
-      static_cast<std::int64_t>(v->number) != 1) {
-    return fail(error, "unsupported window state version");
+/// Reads each field of a state walk from a JSON object straight into its
+/// destination. Every field is required, and every vector must already
+/// have the size it must be read at (the configured table's constructed
+/// size); the first violation stops the walk and is reported by error()
+/// (empty while the walk is clean), naming the field by its path.
+class FieldReader {
+ public:
+  FieldReader(const obs::JsonValue& obj, std::string path)
+      : obj_(&obj), base_(std::move(path)), path_(base_) {}
+
+  const std::string& error() const { return error_; }
+
+  void kind(const char* kind) {
+    const obs::JsonValue* v = member("kind");
+    if (v == nullptr) return;
+    if (!v->is_string()) return mistyped("kind");
+    if (v->string != kind) fail(path_ + "kind does not match the protocol");
   }
-  if (!parse_u64(win->find("w"), &out->width) ||
-      !parse_u64(win->find("completed"), &out->completed)) {
-    return fail(error, "mistyped window counters");
+  void open(const char* name) {
+    const obs::JsonValue* v = member(name);
+    if (v == nullptr) return;
+    if (!v->is_object()) return mistyped(name);
+    outer_ = obj_;
+    obj_ = v;
+    path_ += std::string(name) + ".";
   }
-  if (out->width != expect_width) {
-    return fail(error, "window width contradicts the blame spec");
+  void close() {
+    if (!error_.empty()) return;
+    obj_ = outer_;
+    path_ = base_;
   }
-  if (!parse_u64_array(win->find("cur_streak"), &out->cur_streak) ||
-      !parse_u64_array(win->find("max_streak"), &out->max_streak) ||
-      !parse_u64_array(win->find("flagrant"), &out->flagrant) ||
-      !parse_double_array(win->find("max_theta_w"), &out->max_theta_w)) {
-    return fail(error, "mistyped window counters");
-  }
-  const obs::JsonValue* recent = win->find("recent");
-  if (recent == nullptr || !recent->is_array()) {
-    return fail(error, "mistyped window counters");
-  }
-  out->recent.clear();
-  out->recent.reserve(recent->array.size());
-  for (const obs::JsonValue& ring : recent->array) {
-    std::vector<double> values;
-    if (!parse_double_array(&ring, &values) ||
-        values.size() > protocols::kWindowRingCap) {
-      return fail(error, "mistyped window counters");
+  void version(const char* name, int v) {
+    const obs::JsonValue* x = member(name);
+    if (x != nullptr &&
+        (!x->is_number() || x->number != static_cast<double>(v))) {
+      fail("unsupported " + path_ + name);
     }
-    out->recent.push_back(std::move(values));
   }
-  if (out->cur_streak.size() != num_links ||
-      out->max_streak.size() != num_links ||
-      out->flagrant.size() != num_links ||
-      out->max_theta_w.size() != num_links ||
-      out->recent.size() != num_links) {
-    return fail(error, "window state shape");
+  void fixed(const char* name, std::uint64_t expect) {
+    std::uint64_t x = 0;
+    field(name, x);
+    if (error_.empty() && x != expect) {
+      fail(path_ + name + " contradicts the blame spec");
+    }
   }
-  return true;
-}
+  void field(const char* name, std::uint64_t& x) {
+    const obs::JsonValue* v = member(name);
+    if (v != nullptr && !parse_u64(v, &x)) mistyped(name);
+  }
+  void field(const char* name, double& x) {
+    const obs::JsonValue* v = member(name);
+    if (v == nullptr) return;
+    if (!v->is_number()) return mistyped(name);
+    x = v->number;
+  }
+  void field(const char* name, std::vector<std::uint64_t>& xs) {
+    const obs::JsonValue* v = array(name, xs.size());
+    for (std::size_t i = 0; v != nullptr && i < xs.size(); ++i) {
+      if (!parse_u64(&v->array[i], &xs[i])) return mistyped(name);
+    }
+  }
+  void field(const char* name, std::vector<double>& xs) {
+    const obs::JsonValue* v = array(name, xs.size());
+    for (std::size_t i = 0; v != nullptr && i < xs.size(); ++i) {
+      if (!v->array[i].is_number()) return mistyped(name);
+      xs[i] = v->array[i].number;
+    }
+  }
+  void field(const char* name, std::vector<std::vector<double>>& rings,
+             std::size_t cap) {
+    const obs::JsonValue* v = array(name, rings.size());
+    for (std::size_t i = 0; v != nullptr && i < rings.size(); ++i) {
+      const obs::JsonValue& ring = v->array[i];
+      if (!ring.is_array()) return mistyped(name);
+      if (ring.array.size() > cap) return shape(name);
+      rings[i].clear();
+      for (const obs::JsonValue& x : ring.array) {
+        if (!x.is_number()) return mistyped(name);
+        rings[i].push_back(x.number);
+      }
+    }
+  }
+
+ private:
+  /// The named member, or nullptr (and the walk fails) when it is absent
+  /// or an earlier field already failed.
+  const obs::JsonValue* member(const char* name) {
+    if (!error_.empty()) return nullptr;
+    const obs::JsonValue* v = obj_->find(name);
+    if (v == nullptr) fail("missing " + path_ + name);
+    return v;
+  }
+  /// The named member as an array of exactly `size` items, or nullptr.
+  const obs::JsonValue* array(const char* name, std::size_t size) {
+    const obs::JsonValue* v = member(name);
+    if (v == nullptr) return nullptr;
+    if (!v->is_array()) {
+      mistyped(name);
+      return nullptr;
+    }
+    if (v->array.size() != size) {
+      shape(name);
+      return nullptr;
+    }
+    return v;
+  }
+  void mistyped(const char* name) { fail("mistyped " + path_ + name); }
+  void shape(const char* name) { fail("wrong shape of " + path_ + name); }
+  void fail(const std::string& what) {
+    if (error_.empty()) error_ = what;
+  }
+
+  const obs::JsonValue* obj_;
+  const obs::JsonValue* outer_ = nullptr;
+  std::string base_;
+  std::string path_;
+  std::string error_;
+};
 
 }  // namespace
 
 void write_state(std::ostream& os, const ScoreEngine& engine) {
   const EngineConfig& cfg = engine.config();
   obs::JsonWriter w(os);
+  FieldWriter fields(w);
   w.begin_object();
   w.key("schema").value(kStateSchema);
   w.key("protocol").value(static_cast<std::int64_t>(cfg.protocol));
   w.key("protocol_name").value(protocols::protocol_name(cfg.protocol));
   w.key("links").value(static_cast<std::int64_t>(cfg.num_links));
   w.key("threshold").value(cfg.threshold);
-  // "persistence" is the legacy field (pre-window readers); "blame" is
-  // the full spec. They agree by construction for margin/persistent.
-  w.key("persistence");
-  write_u64(w, cfg.blame.mode == protocols::BlameSpec::Mode::kPersistent
-                   ? cfg.blame.k
-                   : 0);
   w.key("blame").value(cfg.blame.to_string());
-  w.key("events_seen");
-  write_u64(w, engine.events_seen());
-  w.key("events_applied");
-  write_u64(w, engine.events_applied());
-  w.key("packets_sent");
-  write_u64(w, engine.packets_sent());
-  w.key("delivered");
-  write_u64(w, engine.delivered());
+  fields.field("events_seen", engine.events_seen());
+  fields.field("events_applied", engine.events_applied());
+  fields.field("packets_sent", engine.packets_sent());
+  fields.field("delivered", engine.delivered());
   w.key("run_ended").value(engine.run_ended());
 
   w.key("recorded_convictions").begin_array();
   for (const ConvictionRecord& rec : engine.recorded_convictions()) {
     w.begin_object();
     w.key("link").value(static_cast<std::int64_t>(rec.link));
-    w.key("packets");
-    write_u64(w, rec.packets);
-    w.key("observations");
-    write_u64(w, rec.observations);
-    w.key("theta").value(rec.theta);
-    w.key("line");
-    write_u64(w, rec.line);
+    fields.field("packets", rec.packets);
+    fields.field("observations", rec.observations);
+    fields.field("theta", rec.theta);
+    fields.field("line", rec.line);
     w.end_object();
   }
   w.end_array();
 
   w.key("table").begin_object();
-  if (const protocols::ScoreTable* t = engine.onion_table()) {
-    w.key("kind").value("onion");
-    w.key("s").begin_array();
-    for (std::size_t i = 0; i < t->num_links(); ++i) write_u64(w, t->score(i));
-    w.end_array();
-    w.key("n");
-    write_u64(w, t->observations());
-    w.key("probes");
-    write_u64(w, t->probes());
-    w.key("window").begin_object();
-    w.key("bins").begin_array();
-    for (const std::uint64_t b : t->window_bins()) write_u64(w, b);
-    w.end_array();
-    write_ledger(w, t->windows());
-    w.end_object();
-  } else if (const protocols::Paai2ScoreTable* t2 = engine.prefix_table()) {
-    w.key("kind").value("prefix");
-    w.key("s").begin_array();
-    for (std::size_t i = 0; i < t2->num_links(); ++i) {
-      write_u64(w, t2->interval_score(i));
-    }
-    w.end_array();
-    w.key("sel_n").begin_array();
-    for (std::size_t e = 0; e <= t2->num_links(); ++e) {
-      write_u64(w, t2->selections(e));
-    }
-    w.end_array();
-    w.key("sel_f").begin_array();
-    for (std::size_t e = 0; e <= t2->num_links(); ++e) {
-      write_u64(w, t2->selection_failures(e));
-    }
-    w.end_array();
-    w.key("data_packets");
-    write_u64(w, t2->data_packets());
-    w.key("probes");
-    write_u64(w, t2->probes());
-    w.key("window").begin_object();
-    w.key("sel_n_bins").begin_array();
-    for (const std::uint64_t b : t2->window_sel_n()) write_u64(w, b);
-    w.end_array();
-    w.key("sel_f_bins").begin_array();
-    for (const std::uint64_t b : t2->window_sel_f()) write_u64(w, b);
-    w.end_array();
-    write_ledger(w, t2->windows());
-    w.end_object();
-  } else if (const protocols::FlScoreTable* tf = engine.fl_table()) {
-    w.key("kind").value("fl");
-    w.key("acc").begin_array();
-    for (std::size_t i = 0; i <= tf->num_links(); ++i) {
-      w.value(tf->accumulated(i));
-    }
-    w.end_array();
-    w.key("intervals_reported");
-    write_u64(w, tf->intervals_reported());
-    w.key("intervals_lost");
-    write_u64(w, tf->intervals_lost());
-    w.key("window").begin_object();
-    w.key("counts").begin_array();
-    for (const double c : tf->window_counts()) w.value(c);
-    w.end_array();
-    write_ledger(w, tf->windows());
-    w.end_object();
-  } else {
-    w.key("kind").value("none");
-  }
+  engine.visit_table(fields);
   w.end_object();
   w.end_object();
 }
@@ -270,7 +259,7 @@ bool load_state(std::string_view json, ScoreEngine* engine,
                 std::string* error) {
   std::string parse_error;
   const auto doc = obs::json_parse(json, &parse_error);
-  if (!doc.has_value()) return fail(error, parse_error.c_str());
+  if (!doc.has_value()) return fail(error, parse_error);
   if (!doc->is_object()) return fail(error, "not a JSON object");
 
   const obs::JsonValue* schema = doc->find("schema");
@@ -279,51 +268,36 @@ bool load_state(std::string_view json, ScoreEngine* engine,
     return fail(error, "missing or unsupported schema (want paai.state.v1)");
   }
 
-  const obs::JsonValue* protocol = doc->find("protocol");
-  const obs::JsonValue* links = doc->find("links");
+  EngineConfig cfg;
+  std::size_t protocol = 0;
   const obs::JsonValue* threshold = doc->find("threshold");
-  if (protocol == nullptr || !protocol->is_number() || links == nullptr ||
-      !links->is_number() || threshold == nullptr || !threshold->is_number()) {
+  if (!parse_index(doc->find("protocol"), kMaxProtocol, &protocol) ||
+      !parse_index(doc->find("links"), kMaxLinks, &cfg.num_links) ||
+      threshold == nullptr || !threshold->is_number()) {
     return fail(error, "missing or mistyped protocol/links/threshold");
   }
-  const auto kind_value = static_cast<std::int64_t>(protocol->number);
-  if (kind_value < 0 ||
-      kind_value > static_cast<std::int64_t>(protocols::ProtocolKind::kSigAck)) {
-    return fail(error, "unknown protocol id");
-  }
-
-  EngineConfig cfg;
-  cfg.protocol = static_cast<protocols::ProtocolKind>(kind_value);
-  cfg.num_links = static_cast<std::size_t>(links->number);
+  cfg.protocol = static_cast<protocols::ProtocolKind>(protocol);
   cfg.threshold = threshold->number;
-  std::uint64_t persistence = 0;
-  if (!parse_u64(doc->find("persistence"), &persistence)) {
-    return fail(error, "missing or mistyped persistence");
-  }
   const obs::JsonValue* blame = doc->find("blame");
-  if (blame != nullptr) {
-    if (!blame->is_string()) return fail(error, "mistyped blame spec");
-    try {
-      cfg.blame = protocols::BlameSpec::parse(blame->string);
-    } catch (const std::invalid_argument&) {
-      return fail(error, "malformed blame spec");
-    }
-  } else if (persistence > 0) {
-    // Legacy (pre-window) snapshot: the persistence field IS the spec.
-    cfg.blame.mode = protocols::BlameSpec::Mode::kPersistent;
-    cfg.blame.k = persistence;
+  if (blame == nullptr || !blame->is_string()) {
+    return fail(error, "missing or mistyped blame spec");
+  }
+  try {
+    cfg.blame = protocols::BlameSpec::parse(blame->string);
+  } catch (const std::invalid_argument&) {
+    return fail(error, "malformed blame spec");
   }
   if (cfg.num_links == 0) return fail(error, "links must be positive");
   engine->configure(cfg);
 
   std::uint64_t events_seen = 0, events_applied = 0;
   std::uint64_t packets_sent = 0, delivered = 0;
-  if (!parse_u64(doc->find("events_seen"), &events_seen) ||
-      !parse_u64(doc->find("events_applied"), &events_applied) ||
-      !parse_u64(doc->find("packets_sent"), &packets_sent) ||
-      !parse_u64(doc->find("delivered"), &delivered)) {
-    return fail(error, "missing or mistyped counters");
-  }
+  FieldReader top(*doc, "");
+  top.field("events_seen", events_seen);
+  top.field("events_applied", events_applied);
+  top.field("packets_sent", packets_sent);
+  top.field("delivered", delivered);
+  if (!top.error().empty()) return fail(error, top.error());
   const obs::JsonValue* run_ended = doc->find("run_ended");
   if (run_ended == nullptr || run_ended->kind != obs::JsonValue::Kind::kBool) {
     return fail(error, "missing or mistyped run_ended");
@@ -335,21 +309,16 @@ bool load_state(std::string_view json, ScoreEngine* engine,
     return fail(error, "missing recorded_convictions");
   }
   for (const obs::JsonValue& item : recs->array) {
-    const obs::JsonValue* link = item.find("link");
-    const obs::JsonValue* theta = item.find("theta");
     ConvictionRecord rec;
-    if (link == nullptr || !link->is_number() || theta == nullptr ||
-        !theta->is_number() || !parse_u64(item.find("packets"), &rec.packets) ||
-        !parse_u64(item.find("observations"), &rec.observations)) {
-      return fail(error, "mistyped conviction record");
+    if (!parse_index(item.find("link"), kMaxRecordLink, &rec.link)) {
+      return fail(error, "mistyped recorded_convictions[].link");
     }
-    rec.link = static_cast<std::size_t>(link->number);
-    rec.theta = theta->number;
-    // Optional in legacy documents; rejected when present-but-mistyped.
-    const obs::JsonValue* line = item.find("line");
-    if (line != nullptr && !parse_u64(line, &rec.line)) {
-      return fail(error, "mistyped conviction record");
-    }
+    FieldReader fields(item, "recorded_convictions[].");
+    fields.field("packets", rec.packets);
+    fields.field("observations", rec.observations);
+    fields.field("theta", rec.theta);
+    fields.field("line", rec.line);
+    if (!fields.error().empty()) return fail(error, fields.error());
     recorded.push_back(rec);
   }
 
@@ -357,118 +326,9 @@ bool load_state(std::string_view json, ScoreEngine* engine,
   if (table == nullptr || !table->is_object()) {
     return fail(error, "missing table");
   }
-  const obs::JsonValue* table_kind = table->find("kind");
-  if (table_kind == nullptr || !table_kind->is_string()) {
-    return fail(error, "missing table.kind");
-  }
-
-  if (protocols::ScoreTable* t = engine->mutable_onion_table()) {
-    if (table_kind->string != "onion") {
-      return fail(error, "table.kind does not match the protocol");
-    }
-    std::vector<std::uint64_t> s;
-    std::uint64_t n = 0, probes = 0;
-    if (!parse_u64_array(table->find("s"), &s) ||
-        !parse_u64(table->find("n"), &n) ||
-        !parse_u64(table->find("probes"), &probes)) {
-      return fail(error, "mistyped onion table");
-    }
-    if (s.size() != cfg.num_links) return fail(error, "onion table shape");
-    t->restore(s, n, probes);
-    if (const obs::JsonValue* win = table->find("window")) {
-      if (!win->is_object()) return fail(error, "mistyped window state");
-      std::vector<std::uint64_t> bins;
-      LedgerDoc led;
-      if (!parse_u64_array(win->find("bins"), &bins)) {
-        return fail(error, "mistyped window counters");
-      }
-      if (bins.size() != cfg.num_links) {
-        return fail(error, "window state shape");
-      }
-      if (!parse_ledger(win, cfg.num_links, cfg.blame.w, &led, error)) {
-        return false;
-      }
-      t->restore_window(bins, led.completed, led.cur_streak, led.max_streak,
-                        led.flagrant, led.max_theta_w, led.recent);
-    }
-  } else if (protocols::Paai2ScoreTable* t2 = engine->mutable_prefix_table()) {
-    if (table_kind->string != "prefix") {
-      return fail(error, "table.kind does not match the protocol");
-    }
-    std::vector<std::uint64_t> s, sel_n, sel_f;
-    std::uint64_t data_packets = 0, probes = 0;
-    if (!parse_u64_array(table->find("s"), &s) ||
-        !parse_u64_array(table->find("sel_n"), &sel_n) ||
-        !parse_u64_array(table->find("sel_f"), &sel_f) ||
-        !parse_u64(table->find("data_packets"), &data_packets) ||
-        !parse_u64(table->find("probes"), &probes)) {
-      return fail(error, "mistyped prefix table");
-    }
-    if (s.size() != cfg.num_links || sel_n.size() != cfg.num_links + 1 ||
-        sel_f.size() != cfg.num_links + 1) {
-      return fail(error, "prefix table shape");
-    }
-    t2->restore(s, sel_n, sel_f, data_packets, probes);
-    if (const obs::JsonValue* win = table->find("window")) {
-      if (!win->is_object()) return fail(error, "mistyped window state");
-      std::vector<std::uint64_t> sel_n_bins, sel_f_bins;
-      LedgerDoc led;
-      if (!parse_u64_array(win->find("sel_n_bins"), &sel_n_bins) ||
-          !parse_u64_array(win->find("sel_f_bins"), &sel_f_bins)) {
-        return fail(error, "mistyped window counters");
-      }
-      if (sel_n_bins.size() != cfg.num_links + 1 ||
-          sel_f_bins.size() != cfg.num_links + 1) {
-        return fail(error, "window state shape");
-      }
-      if (!parse_ledger(win, cfg.num_links, cfg.blame.w, &led, error)) {
-        return false;
-      }
-      t2->restore_window(sel_n_bins, sel_f_bins, led.completed,
-                         led.cur_streak, led.max_streak, led.flagrant,
-                         led.max_theta_w, led.recent);
-    }
-  } else if (protocols::FlScoreTable* tf = engine->mutable_fl_table()) {
-    if (table_kind->string != "fl") {
-      return fail(error, "table.kind does not match the protocol");
-    }
-    const obs::JsonValue* acc_value = table->find("acc");
-    if (acc_value == nullptr || !acc_value->is_array()) {
-      return fail(error, "mistyped fl table");
-    }
-    std::vector<double> acc;
-    acc.reserve(acc_value->array.size());
-    for (const obs::JsonValue& item : acc_value->array) {
-      if (!item.is_number()) return fail(error, "mistyped fl table");
-      acc.push_back(item.number);
-    }
-    std::uint64_t reported = 0, lost = 0;
-    if (!parse_u64(table->find("intervals_reported"), &reported) ||
-        !parse_u64(table->find("intervals_lost"), &lost)) {
-      return fail(error, "mistyped fl table");
-    }
-    if (acc.size() != cfg.num_links + 1) return fail(error, "fl table shape");
-    tf->restore(acc, reported, lost);
-    if (const obs::JsonValue* win = table->find("window")) {
-      if (!win->is_object()) return fail(error, "mistyped window state");
-      std::vector<double> counts;
-      LedgerDoc led;
-      if (!parse_double_array(win->find("counts"), &counts)) {
-        return fail(error, "mistyped window counters");
-      }
-      if (counts.size() != cfg.num_links + 1) {
-        return fail(error, "window state shape");
-      }
-      if (!parse_ledger(win, cfg.num_links, cfg.blame.w, &led, error)) {
-        return false;
-      }
-      tf->restore_window(counts, led.completed, led.cur_streak,
-                         led.max_streak, led.flagrant, led.max_theta_w,
-                         led.recent);
-    }
-  } else {
-    return fail(error, "engine has no table after configure");
-  }
+  FieldReader fields(*table, "table.");
+  engine->visit_table(fields);
+  if (!fields.error().empty()) return fail(error, fields.error());
 
   engine->restore_counters(events_seen, events_applied, packets_sent,
                            delivered, run_ended->boolean,

@@ -16,7 +16,7 @@
 //   {
 //     "schema": "paai.state.v1",
 //     "protocol": <ProtocolKind int>, "protocol_name": "<display>",
-//     "links": <int>, "threshold": <double>, "persistence": "<u64>",
+//     "links": <int>, "threshold": <double>,
 //     "blame": "<BlameSpec::to_string()>",
 //     "events_seen": "<u64>", "events_applied": "<u64>",
 //     "packets_sent": "<u64>", "delivered": "<u64>", "run_ended": <bool>,
@@ -25,25 +25,27 @@
 //        "theta": <double>, "line": "<u64>"}, ...],
 //     "table":
 //       {"kind": "onion", "s": ["<u64>", ...], "n": "<u64>",
-//        "probes": "<u64>", "window": {...}}
+//        "probes": "<u64>", "window": {"bins": [...], <ledger>}}
 //     | {"kind": "prefix", "s": [...], "sel_n": [...], "sel_f": [...],
-//        "data_packets": "<u64>", "probes": "<u64>", "window": {...}}
+//        "data_packets": "<u64>", "probes": "<u64>",
+//        "window": {"sel_n_bins": [...], "sel_f_bins": [...], <ledger>}}
 //     | {"kind": "fl", "acc": [<double>, ...],
 //        "intervals_reported": "<u64>", "intervals_lost": "<u64>",
-//        "window": {...}}
+//        "window": {"counts": [<double>, ...], <ledger>}}
 //   }
+//   <ledger> = "v": 1, "w": "<u64>", "completed": "<u64>",
+//              "cur_streak": [...], "max_streak": [...], "flagrant": [...],
+//              "max_theta_w": [<double>, ...], "recent": [[<double>...]...]
 //
-// The "window" object is the burst-aware layer's versioned state: the
-// current window's bins (table-specific: "bins" u64s for onion,
-// "sel_n_bins"/"sel_f_bins" for prefix, "counts" doubles for fl) plus the
-// WindowLedger counters ("v": 1, "w", "completed", "cur_streak",
-// "max_streak", "flagrant", "max_theta_w", "recent"). Back/forward
-// compatibility is fail-closed in one direction only: a snapshot WITHOUT
-// a window object is legacy (pre-window) and restores with a clean
-// ledger — safe, since such snapshots can only carry margin/persistent
-// modes; a snapshot WITH a malformed or shape-mismatched window object is
-// rejected outright. "blame" and record "line" are likewise optional for
-// legacy documents but rejected when present-but-mistyped.
+// The "table" object is not hand-written per family: it is the table's
+// own state walk (ScoreTable/Paai2ScoreTable/FlScoreTable::visit, via
+// ScoreEngine::visit_table), emitted by one writer visitor and read back
+// by one reader visitor. Loading is fail-closed on every field: every
+// member above is required ("protocol_name" is display-only and not
+// read), every vector must have the size the configured table was
+// constructed with (each "recent" ring at most kWindowRingCap values),
+// "w" must equal the blame spec's window width and "v" must be 1.
+// Anything else is rejected outright, never half-applied or defaulted.
 #pragma once
 
 #include <iosfwd>

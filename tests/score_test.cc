@@ -1,10 +1,17 @@
 // Scoring/identification unit tests: ScoreTable per-traversal inversion,
 // conviction thresholds, the PAAI-2 prefix-difference estimator on
-// synthetic drop processes, and the PendingStore expiry machinery.
+// synthetic drop processes, a verdict pin for every table family and the
+// mesh store under every blame mode, and the PendingStore expiry
+// machinery.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <sstream>
+#include <string>
 
+#include "mesh/score_store.h"
 #include "protocols/pending.h"
 #include "protocols/score.h"
 #include "sim/storage.h"
@@ -49,6 +56,8 @@ TEST(ScoreTable, RejectsBadConstructionAndIndices) {
   EXPECT_THROW(ScoreTable(3, 0.0), std::invalid_argument);
   ScoreTable t(3, 1.0);
   EXPECT_THROW(t.blame(3), std::out_of_range);
+  // A rejected blame counts no unit.
+  EXPECT_EQ(t.observations(), 0u);
 }
 
 // Synthetic PAAI-2 process: d = 6 links with given per-traversal rates;
@@ -155,6 +164,276 @@ TEST(Paai2ScoreTable, IntervalScoresShowDifferenceAcrossMaliciousLink) {
     if (diffs[j] > diffs[argmax]) argmax = j;
   }
   EXPECT_EQ(argmax, 4u);
+}
+
+// ------------------------------------------------------------ verdict pin
+//
+// Deterministic synthetic mutation sequences for the three table families
+// and the mesh store, each scored under margin, persistent:3, windowed:64
+// and hybrid:4,64. The expected strings pin the exact convicted sets, the
+// bit patterns of thetas() and the window ledger's counters. The stream
+// Equivalence.* tests replay batch and stream through the same classes, so
+// only a pin like this catches a slip in the shared conviction rule.
+
+constexpr const char* kPinSpecs[] = {"margin", "persistent:3", "windowed:64",
+                                     "hybrid:4,64"};
+constexpr double kPinThresholds[] = {0.006, 0.012, 0.018};
+
+/// Per-link drop rate for the synthetic sequences: link 4 drops steadily
+/// just above the threshold, link 1 is honest except inside two bursts of
+/// the unit axis, and the other links ride at the natural rate.
+double pin_rate(std::size_t link, std::uint64_t unit) {
+  if (link == 4) return 0.024;
+  if (link == 1 && ((unit >= 1200 && unit < 1700) ||
+                    (unit >= 3800 && unit < 4100))) {
+    return 0.09;
+  }
+  return 0.004;
+}
+
+/// The convicted sets at every pin threshold.
+template <class Table>
+std::string verdicts(const Table& table) {
+  std::ostringstream os;
+  for (const double threshold : kPinThresholds) {
+    os << "convicted=";
+    for (const std::size_t l : table.convicted(threshold)) os << l << ' ';
+    os << "| ";
+  }
+  return os.str();
+}
+
+/// Verdicts, theta bit patterns and ledger counters of a finished table.
+template <class Table>
+std::string describe(const Table& table) {
+  std::ostringstream os;
+  os << verdicts(table) << "thetas=";
+  for (const double th : table.thetas()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &th, sizeof bits);
+    os << std::hex << std::setw(16) << std::setfill('0') << bits << std::dec
+       << ' ';
+  }
+  const WindowLedger& led = table.windows();
+  os << "| completed=" << led.completed() << " max_streak=";
+  for (std::size_t l = 0; l < led.num_links(); ++l) {
+    os << led.max_streak(l) << ' ';
+  }
+  os << "flagrant=";
+  for (std::size_t l = 0; l < led.num_links(); ++l) {
+    os << led.flagrant_windows(l) << ' ';
+  }
+  return os.str();
+}
+
+std::string pin_onion(const BlameSpec& spec) {
+  ScoreTable table(6, 2.6);
+  table.set_blame(spec);
+  Rng rng(101);
+  std::string early;  // verdicts at small-sample checkpoints
+  for (std::uint64_t u = 0; u < 6000; ++u) {
+    if (u == 120 || u == 500 || u == 2000) early += verdicts(table);
+    std::size_t first = 6;
+    for (std::size_t l = 0; l < 6 && first == 6; ++l) {
+      if (rng.bernoulli(1.0 - std::pow(1.0 - pin_rate(l, u), 2.6))) {
+        first = l;
+      }
+    }
+    if (first == 6) {
+      table.add_clean();
+    } else {
+      table.blame(first);
+    }
+  }
+  return early + describe(table);
+}
+
+std::string pin_prefix(const BlameSpec& spec) {
+  const std::size_t d = 6;
+  Paai2ScoreTable table(d);
+  table.set_blame(spec);
+  Rng rng(202);
+  std::string early;
+  for (std::uint64_t c = 0; c < 60000; ++c) {
+    if (c == 2000 || c == 8000 || c == 20000) early += verdicts(table);
+    table.add_data_packet();
+    const std::uint64_t unit = table.probes();
+    std::size_t drop = d;
+    for (std::size_t j = 0; j < d && drop == d; ++j) {
+      if (rng.bernoulli(pin_rate(j, unit * 8))) drop = j;
+    }
+    if (drop == d && !rng.bernoulli(0.02)) continue;  // no probe
+    const std::size_t e = 1 + rng.next_below(d);
+    bool failed = drop < e;
+    for (std::size_t j = 0; j < e && !failed; ++j) {
+      if (rng.bernoulli(2.0 * pin_rate(j, unit * 8))) failed = true;
+    }
+    table.add_probe(e, failed);
+  }
+  return early + describe(table);
+}
+
+std::string pin_fl(const BlameSpec& spec) {
+  const std::size_t d = 6;
+  FlScoreTable table(d);
+  table.set_blame(spec);
+  Rng rng(303);
+  std::string early;
+  for (std::uint64_t i = 0; i < 2500; ++i) {
+    if (i == 60 || i == 250 || i == 800) early += verdicts(table);
+    if (rng.bernoulli(0.03)) {
+      table.interval_lost();
+      continue;
+    }
+    std::uint64_t count = 40 + rng.next_below(20);
+    for (std::size_t node = 0; node <= d; ++node) {
+      table.add_count(node, count);
+      if (node < d) count -= rng.binomial(count, pin_rate(node, i * 2));
+    }
+    table.interval_reported();
+  }
+  return early + describe(table);
+}
+
+std::string pin_mesh(const BlameSpec& spec) {
+  const std::size_t links = 6;
+  const std::size_t rounds = 24;
+  mesh::GlobalScoreStore store(links, rounds);
+  Rng rng(404);
+  for (std::uint32_t path = 0; path < 6; ++path) {
+    mesh::ScoreShard shard(links, rounds);
+    for (std::size_t l = 0; l < links; ++l) {
+      if ((path + l) % 3 == 0) continue;  // path does not cross the link
+      std::uint64_t units = 0, blames = 0;
+      for (std::size_t r = 0; r < rounds; ++r) {
+        const std::uint64_t ru = 8 + rng.next_below(8);
+        const std::uint64_t rb = rng.binomial(ru, pin_rate(l, r * 200));
+        shard.add_window(l, r, ru, rb);
+        units += ru;
+        blames += rb;
+      }
+      shard.add(l, units, blames, path, false);
+    }
+    store.absorb(shard);
+  }
+  std::ostringstream os;
+  for (const double threshold : kPinThresholds) {
+    os << "convicted=";
+    for (const std::size_t l : store.convicted(threshold, spec)) {
+      os << l << ' ';
+    }
+    for (const std::size_t prefix : {1, 3, 12}) {
+      os << "| rounds<" << prefix << "=";
+      for (std::size_t l = 0; l < links; ++l) {
+        if (store.convicts(l, threshold, spec, prefix)) os << l << ' ';
+      }
+    }
+    os << "| ";
+  }
+  return os.str();
+}
+
+TEST(VerdictPin, EveryFamilyUnderEveryBlameMode) {
+  const char* const onion[] = {
+      "convicted=4 | convicted=4 | convicted=| convicted=4 | "
+      "convicted=4 | convicted=| convicted=1 4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=1 4 | convicted=1 4 | convicted=4 | "
+      "thetas=3f722e7222f99f80 3f8c68a328440100 3f722e7222f99f80 "
+      "3f6c6f92bc27f200 3f98494b10f8c360 3f711fb73d8ac600 | "
+      "completed=31 max_streak=1 3 0 1 31 0 flagrant=0 4 0 0 0 0 ",
+      "convicted=1 4 | convicted=4 | convicted=4 | convicted=4 | "
+      "convicted=4 | convicted=4 | convicted=1 4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=1 4 | convicted=1 4 | convicted=4 | "
+      "thetas=3f722e7222f99f80 3f8c68a328440100 3f722e7222f99f80 "
+      "3f6c6f92bc27f200 3f98494b10f8c360 3f711fb73d8ac600 | "
+      "completed=31 max_streak=1 3 0 1 31 0 flagrant=0 4 0 0 0 0 ",
+      "convicted=4 | convicted=4 | convicted=| convicted=4 | "
+      "convicted=4 | convicted=| convicted=1 4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=1 4 | convicted=1 4 | convicted=4 | "
+      "thetas=3f722e7222f99f80 3f8c68a328440100 3f722e7222f99f80 "
+      "3f6c6f92bc27f200 3f98494b10f8c360 3f711fb73d8ac600 | "
+      "completed=93 max_streak=1 9 1 1 14 1 flagrant=0 13 0 0 1 0 ",
+      "convicted=4 | convicted=4 | convicted=| convicted=4 | "
+      "convicted=4 | convicted=4 | convicted=1 4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=1 4 | convicted=1 4 | convicted=4 | "
+      "thetas=3f722e7222f99f80 3f8c68a328440100 3f722e7222f99f80 "
+      "3f6c6f92bc27f200 3f98494b10f8c360 3f711fb73d8ac600 | "
+      "completed=93 max_streak=1 9 1 1 14 1 flagrant=0 13 0 0 1 0 ",
+  };
+  const char* const prefix[] = {
+      "convicted=4 | convicted=4 | convicted=4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=| convicted=4 | convicted=4 | "
+      "convicted=4 | convicted=4 | convicted=4 | convicted=4 | "
+      "thetas=3f705859bc34a500 3f72c5408ad84d80 3f713bebc4453800 "
+      "3f6e857559944d00 3f96d71118b4ab40 3f721f137ce17800 | "
+      "completed=19 max_streak=0 1 1 1 9 0 flagrant=0 0 0 0 0 0 ",
+      "convicted=2 4 | convicted=2 4 | convicted=4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=4 | convicted=1 4 5 | convicted=4 | "
+      "convicted=4 | convicted=4 | convicted=4 | convicted=4 | "
+      "thetas=3f705859bc34a500 3f72c5408ad84d80 3f713bebc4453800 "
+      "3f6e857559944d00 3f96d71118b4ab40 3f721f137ce17800 | "
+      "completed=19 max_streak=0 1 1 1 9 0 flagrant=0 0 0 0 0 0 ",
+      "convicted=4 | convicted=4 | convicted=4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=| convicted=1 4 | convicted=4 | "
+      "convicted=4 | convicted=4 | convicted=4 | convicted=4 | "
+      "thetas=3f705859bc34a500 3f72c5408ad84d80 3f713bebc4453800 "
+      "3f6e857559944d00 3f96d71118b4ab40 3f721f137ce17800 | "
+      "completed=59 max_streak=1 2 2 1 8 1 flagrant=0 1 0 0 0 0 ",
+      "convicted=4 | convicted=4 | convicted=4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=| convicted=1 4 | convicted=4 | "
+      "convicted=4 | convicted=4 | convicted=4 | convicted=4 | "
+      "thetas=3f705859bc34a500 3f72c5408ad84d80 3f713bebc4453800 "
+      "3f6e857559944d00 3f96d71118b4ab40 3f721f137ce17800 | "
+      "completed=59 max_streak=1 2 2 1 8 1 flagrant=0 1 0 0 0 0 ",
+  };
+  const char* const fl[] = {
+      "convicted=| convicted=| convicted=| convicted=4 | convicted=| "
+      "convicted=| convicted=1 4 | convicted=1 4 | convicted=| "
+      "convicted=1 4 | convicted=1 4 | convicted=4 | "
+      "thetas=3f703af8fcc1c680 3f91beb1f434be20 3f70ef00b2307600 "
+      "3f6e9f02a282f900 3f985830635354c0 3f71317364e86800 | "
+      "completed=12 max_streak=0 2 0 0 12 0 flagrant=0 2 0 0 0 0 ",
+      "convicted=4 | convicted=4 | convicted=4 | convicted=4 | "
+      "convicted=4 | convicted=4 | convicted=1 4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=1 4 | convicted=1 4 | convicted=4 | "
+      "thetas=3f703af8fcc1c680 3f91beb1f434be20 3f70ef00b2307600 "
+      "3f6e9f02a282f900 3f985830635354c0 3f71317364e86800 | "
+      "completed=12 max_streak=0 2 0 0 12 0 flagrant=0 2 0 0 0 0 ",
+      "convicted=| convicted=| convicted=| convicted=4 | convicted=| "
+      "convicted=| convicted=1 4 | convicted=1 4 | convicted=1 | "
+      "convicted=1 4 | convicted=1 4 | convicted=4 | "
+      "thetas=3f703af8fcc1c680 3f91beb1f434be20 3f70ef00b2307600 "
+      "3f6e9f02a282f900 3f985830635354c0 3f71317364e86800 | "
+      "completed=37 max_streak=0 4 0 0 37 0 flagrant=0 7 0 0 0 0 ",
+      "convicted=| convicted=| convicted=| convicted=4 | convicted=| "
+      "convicted=| convicted=1 4 | convicted=1 4 | convicted=1 4 | "
+      "convicted=1 4 | convicted=1 4 | convicted=1 4 | "
+      "thetas=3f703af8fcc1c680 3f91beb1f434be20 3f70ef00b2307600 "
+      "3f6e9f02a282f900 3f985830635354c0 3f71317364e86800 | "
+      "completed=37 max_streak=0 4 0 0 37 0 flagrant=0 7 0 0 0 0 ",
+  };
+  const char* const mesh[] = {
+      "convicted=1 4 5 | rounds<1=5 | rounds<3=4 5 | rounds<12=1 | "
+      "convicted=1 4 | rounds<1=5 | rounds<3=| rounds<12=1 | "
+      "convicted=4 | rounds<1=| rounds<3=| rounds<12=| ",
+      "convicted=1 3 4 5 | rounds<1=| rounds<3=4 5 | rounds<12=1 4 5 "
+      "| convicted=1 4 | rounds<1=| rounds<3=4 5 | rounds<12=1 | "
+      "convicted=1 4 | rounds<1=| rounds<3=4 5 | rounds<12=1 | ",
+      "convicted=1 4 5 | rounds<1=5 | rounds<3=4 5 | rounds<12=1 | "
+      "convicted=1 4 | rounds<1=5 | rounds<3=| rounds<12=1 | "
+      "convicted=1 4 | rounds<1=| rounds<3=| rounds<12=1 | ",
+      "convicted=1 4 5 | rounds<1=5 | rounds<3=4 5 | rounds<12=1 | "
+      "convicted=1 4 | rounds<1=5 | rounds<3=| rounds<12=1 | "
+      "convicted=1 4 | rounds<1=| rounds<3=| rounds<12=1 | ",
+  };
+  for (std::size_t m = 0; m < 4; ++m) {
+    SCOPED_TRACE(kPinSpecs[m]);
+    const BlameSpec spec = BlameSpec::parse(kPinSpecs[m]);
+    EXPECT_EQ(pin_onion(spec), onion[m]);
+    EXPECT_EQ(pin_prefix(spec), prefix[m]);
+    EXPECT_EQ(pin_fl(spec), fl[m]);
+    EXPECT_EQ(pin_mesh(spec), mesh[m]);
+  }
 }
 
 TEST(PendingStore, PutFindEraseWithMeter) {

@@ -31,6 +31,7 @@
 #include "stream/engine.h"
 #include "stream/service.h"
 #include "stream/state.h"
+#include "util/rng.h"
 
 // Heap allocations counted while g_count_allocs is set: the replaceable
 // global operator new is the only way to see every allocation a call
@@ -316,26 +317,50 @@ TEST(Snapshot, WindowedAndHybridMidStreamRestoreIsLossless) {
   }
 }
 
-// A legacy snapshot (no "window" objects, no "blame" field) must restore
-// fail-safe: accepted, margin mode, clean window ledger. A present but
-// malformed window object must be rejected, never half-applied.
-TEST(Snapshot, WindowStateFailsClosed) {
-  const BatchRun batch = run_with_log(
-      runner::paper_config(protocols::ProtocolKind::kPaai1, 500, 47));
-  ScoreEngine engine;
-  for (const obs::Event& e : batch.events) engine.apply(e);
-  std::string snapshot = state_to_string(engine);
+/// The snapshot with its table's "window" object cut out.
+std::string strip_window(const std::string& snapshot) {
+  const std::size_t at = snapshot.find(R"(,"window":{)");
+  if (at == std::string::npos) return snapshot;
+  // The window object holds arrays only, so its first '}' closes it.
+  return snapshot.substr(0, at) +
+         snapshot.substr(snapshot.find('}', at) + 1);
+}
 
-  // Tamper: unsupported window state version.
-  const std::string versioned = R"("v":1,"w")";
-  const std::size_t at = snapshot.find(versioned);
-  ASSERT_NE(at, std::string::npos) << snapshot;
-  std::string tampered = snapshot;
-  tampered.replace(at, versioned.size(), R"("v":9,"w")");
-  ScoreEngine rejected;
-  std::string error;
-  EXPECT_FALSE(load_state(tampered, &rejected, &error));
-  EXPECT_NE(error.find("window"), std::string::npos) << error;
+// Window state restores exactly or not at all. A snapshot whose "window"
+// object is missing is rejected for every table family (a clean ledger
+// would silently forget streak and flagrant history), and so is one with
+// an unsupported window state version.
+TEST(Snapshot, WindowStateFailsClosed) {
+  for (const auto protocol : {protocols::ProtocolKind::kPaai1,
+                              protocols::ProtocolKind::kPaai2,
+                              protocols::ProtocolKind::kStatisticalFl}) {
+    SCOPED_TRACE(protocols::protocol_name(protocol));
+    runner::ExperimentConfig cfg = runner::paper_config(protocol, 500, 47);
+    cfg.params.blame = protocols::BlameSpec::parse("hybrid:4,192");
+    const BatchRun batch = run_with_log(cfg);
+    ScoreEngine engine;
+    for (const obs::Event& e : batch.events) engine.apply(e);
+    const std::string snapshot = state_to_string(engine);
+    std::string error;
+    ScoreEngine intact;
+    ASSERT_TRUE(load_state(snapshot, &intact, &error)) << error;
+
+    const std::string stripped = strip_window(snapshot);
+    ASSERT_NE(stripped, snapshot);
+    ScoreEngine windowless;
+    EXPECT_FALSE(load_state(stripped, &windowless, &error)) << stripped;
+    EXPECT_NE(error.find("window"), std::string::npos) << error;
+
+    // Tamper: unsupported window state version.
+    const std::string versioned = R"("v":1,"w")";
+    const std::size_t at = snapshot.find(versioned);
+    ASSERT_NE(at, std::string::npos) << snapshot;
+    std::string tampered = snapshot;
+    tampered.replace(at, versioned.size(), R"("v":9,"w")");
+    ScoreEngine rejected;
+    EXPECT_FALSE(load_state(tampered, &rejected, &error));
+    EXPECT_NE(error.find("window"), std::string::npos) << error;
+  }
 }
 
 TEST(Snapshot, StateRoundTripsByteIdentically) {
@@ -359,12 +384,141 @@ TEST(Snapshot, LoadRejectsGarbage) {
   // Valid schema, wrong table shape.
   EXPECT_FALSE(load_state(
       R"({"schema":"paai.state.v1","protocol":1,"links":6,"threshold":0.018,)"
-      R"("persistence":"0","events_seen":"0","events_applied":"0",)"
+      R"("persistence":"0","blame":"margin","events_seen":"0",)"
+      R"("events_applied":"0",)"
       R"("packets_sent":"0","delivered":"0","run_ended":false,)"
       R"("recorded_convictions":[],)"
       R"("table":{"kind":"onion","s":["0","0"],"n":"0","probes":"0"}})",
       &engine, &error));
   EXPECT_NE(error.find("shape"), std::string::npos);
+}
+
+/// A snapshot of `protocol`'s table family under blame `spec`, from a
+/// synthetic event sequence long enough to close several 64-unit windows,
+/// with one conviction record.
+std::string synthetic_snapshot(protocols::ProtocolKind protocol,
+                               const char* spec) {
+  const std::size_t d = 6;
+  ScoreEngine engine(
+      EngineConfig{protocol, d, 0.018, protocols::BlameSpec::parse(spec)});
+  Rng rng(61);
+  for (std::uint64_t u = 0; u < 400; ++u) {
+    engine.apply(make_event(obs::EventKind::kDataSend));
+    if (protocol == protocols::ProtocolKind::kStatisticalFl) {
+      std::uint64_t count = 50;
+      for (std::size_t node = 0; node <= d; ++node) {
+        engine.apply(make_event(obs::EventKind::kFlCount,
+                                static_cast<std::int32_t>(node), 0, count));
+        count -= rng.next_below(node == 4 ? 6 : 2);
+      }
+      engine.apply(make_event(obs::EventKind::kScoreClean));
+    } else if (protocol == protocols::ProtocolKind::kPaai2) {
+      const std::uint64_t e = 1 + rng.next_below(d);
+      engine.apply(make_event(rng.bernoulli(e > 4 ? 0.3 : 0.02)
+                                  ? obs::EventKind::kScoreBlame
+                                  : obs::EventKind::kScoreClean,
+                              -1, 0, e));
+    } else if (rng.bernoulli(0.05)) {
+      engine.apply(make_event(obs::EventKind::kScoreBlame,
+                              rng.bernoulli(0.7) ? 4 : 1));
+    } else {
+      engine.apply(make_event(obs::EventKind::kScoreClean));
+    }
+  }
+  engine.apply(make_event(obs::EventKind::kConviction, 4, 400, 400, 0.03));
+  return state_to_string(engine);
+}
+
+/// Every way to delete one object member from a snapshot, as (member
+/// name, document without it). Relies on the writer's fixed format: no
+/// whitespace, and no quotes or brackets inside strings.
+std::vector<std::pair<std::string, std::string>> member_deletions(
+    const std::string& doc) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (std::size_t i = 1; i < doc.size(); ++i) {
+    if (doc[i] != '"' || (doc[i - 1] != '{' && doc[i - 1] != ',')) continue;
+    const std::size_t close = doc.find('"', i + 1);
+    if (close + 1 >= doc.size() || doc[close + 1] != ':') continue;
+    std::size_t end = close + 2;  // one past the member's value
+    int depth = 0;
+    bool in_string = false;
+    for (; end < doc.size(); ++end) {
+      const char c = doc[end];
+      if (in_string) {
+        in_string = c != '"';
+      } else if (c == '"') {
+        in_string = true;
+      } else if (c == '{' || c == '[') {
+        ++depth;
+      } else if ((c == '}' || c == ']' || c == ',') && depth == 0) {
+        break;
+      } else if (c == '}' || c == ']') {
+        --depth;
+      }
+    }
+    std::string cut = doc;
+    if (doc[i - 1] == ',') {
+      cut.erase(i - 1, end - i + 1);
+    } else {
+      cut.erase(i, end - i + (doc[end] == ',' ? 1 : 0));
+    }
+    out.emplace_back(doc.substr(i + 1, close - i - 1), std::move(cut));
+  }
+  return out;
+}
+
+// Seeded byte flips, truncations and member deletions over one snapshot
+// per table family and blame mode: load_state must answer true or false,
+// never throw, crash or trip a sanitizer (this suite runs under
+// ASan+UBSan in tools/check.sh). Truncated documents and documents
+// missing any member the loader reads are always rejected.
+TEST(Snapshot, MutationFuzzFailsClosed) {
+  const auto load = [](const std::string& doc) {
+    ScoreEngine engine;
+    std::string error;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = load_state(doc, &engine, &error));
+    if (ok) {
+      EXPECT_NO_THROW(engine.convicted());
+      EXPECT_NO_THROW(state_to_string(engine));
+    }
+    return ok;
+  };
+  std::uint64_t seed = 1;
+  for (const auto protocol : {protocols::ProtocolKind::kPaai1,
+                              protocols::ProtocolKind::kPaai2,
+                              protocols::ProtocolKind::kStatisticalFl}) {
+    for (const char* spec :
+         {"margin", "persistent:3", "windowed:64", "hybrid:4,64"}) {
+      SCOPED_TRACE(std::string(protocols::protocol_name(protocol)) + " / " +
+                   spec);
+      const std::string snapshot = synthetic_snapshot(protocol, spec);
+      ASSERT_TRUE(load(snapshot));
+      Rng rng(seed++);
+
+      for (int round = 0; round < 200; ++round) {
+        std::string flipped = snapshot;
+        const std::uint64_t flips = 1 + rng.next_below(3);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          const std::size_t at = rng.next_below(flipped.size());
+          flipped[at] = static_cast<char>(
+              flipped[at] ^ static_cast<char>(1u << rng.next_below(8)));
+        }
+        load(flipped);
+      }
+      for (int round = 0; round < 40; ++round) {
+        const std::string cut =
+            snapshot.substr(0, rng.next_below(snapshot.size()));
+        EXPECT_FALSE(load(cut)) << cut.size();
+      }
+      const auto deletions = member_deletions(snapshot);
+      EXPECT_GT(deletions.size(), 30u);
+      for (const auto& [member, doc] : deletions) {
+        if (member == "protocol_name") continue;  // display only
+        EXPECT_FALSE(load(doc)) << "without " << member;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- the engine
@@ -489,7 +643,7 @@ TEST(Engine, TakeNewConvictionsIsHeapFreeWhenNothingIsNew) {
 
 TEST(Persistence, RequiresKRepetitions) {
   protocols::ScoreTable table(6, /*traversals=*/1.0);
-  table.set_persistence(3);
+  table.set_blame(protocols::BlameSpec::parse("persistent:3"));
   for (int i = 0; i < 200; ++i) table.add_clean();
   table.blame(4);
   table.blame(4);
@@ -504,7 +658,7 @@ TEST(Persistence, RequiresKRepetitions) {
 
 TEST(Persistence, ReplacesMarginNotThreshold) {
   protocols::ScoreTable table(6, /*traversals=*/1.0);
-  table.set_persistence(2);
+  table.set_blame(protocols::BlameSpec::parse("persistent:2"));
   for (int i = 0; i < 100; ++i) table.add_clean();
   table.blame(1);
   table.blame(1);
@@ -534,9 +688,6 @@ TEST(BlameSpec, ParsesEveryModeAndRoundTrips) {
   const protocols::BlameSpec hybrid = protocols::BlameSpec::parse("hybrid");
   EXPECT_EQ(hybrid.k, protocols::kDefaultHybridStreak);
   EXPECT_EQ(hybrid.w, protocols::kDefaultWindowWidth);
-  // "standard" is the historical alias for margin.
-  EXPECT_EQ(protocols::BlameSpec::parse("standard").mode,
-            protocols::BlameSpec::Mode::kMargin);
   // Persistent keeps the PR 7 bare-K wire format.
   EXPECT_EQ(protocols::BlameSpec::parse("persistent:3").encode32(), 3);
   EXPECT_EQ(protocols::BlameSpec::parse("margin").encode32(), 0);

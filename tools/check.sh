@@ -18,9 +18,11 @@
 #      the memory-facing suites: obs (JSON parser on hostile input, ring
 #      indexing, event-line codec), util (wire codec fuzz loop), sim,
 #      exec, faults (plan parser on malformed specs, loss-process state
-#      machines, crash-time pending-table teardown), stream (the
+#      machines, crash-time pending-table teardown), score (the score
+#      tables, the shared blame rule and the verdict pin), stream (the
 #      hand-written event-line scanner and reader framing under the
-#      truncation/corruption fuzz, snapshot parsing).
+#      truncation/corruption fuzz, snapshot parsing and its mutation
+#      fuzz).
 #
 #   The 60k-packet ChaosPaperScale sweep is excluded under sanitizers for
 #   runtime; ChaosSmoke is its in-sanitizer representative.
@@ -94,7 +96,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test stream_test bench_diff -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test bench_diff -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -103,6 +105,7 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ASAN_DIR/tests/sim_test"
 "$ASAN_DIR/tests/exec_test"
 "$ASAN_DIR/tests/faults_test" "$CHAOS_FILTER"
+"$ASAN_DIR/tests/score_test"
 # The all-protocol batch/stream equivalence sweeps (21+ full runs) are
 # excluded here for runtime, like Integration.* under TSan; they run in
 # the normal ctest config. The reader, codec fuzz, engine and snapshot

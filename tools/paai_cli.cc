@@ -53,7 +53,6 @@
 //                                       W-unit window (W defaults to 192)
 //                       hybrid[:K[,W]]  windowed, plus convict after K
 //                                       consecutive hot windows (K=4)
-//                     "standard" is accepted as an alias for margin.
 //                     Also applies to `paai mesh`, where checkpoint
 //                     rounds are the windows (W is ignored there).
 //   --runs=N          (curve) Monte-Carlo runs              (default 50)
@@ -200,7 +199,7 @@ AdversarySpec parse_legacy_adversary(const std::string& spec) {
 }
 
 /// --blame=margin | persistent[:K] | windowed[:W] | hybrid[:K[,W]]
-/// (protocols/window.h grammar; "standard" = margin for back-compat).
+/// (protocols/window.h grammar).
 protocols::BlameSpec parse_blame_mode(const std::string& mode) {
   try {
     return protocols::BlameSpec::parse(mode);
