@@ -1,11 +1,14 @@
 // Shared helpers for the bench binaries that regenerate the paper's tables
-// and figures. Each binary accepts:
+// and figures. Every bench binary and every `paai` command reads these
+// shared flags through BenchArgs. Each value flag takes either form,
+// "--name=value" or "--name value":
 //   --csv               emit CSV instead of aligned columns
-//   --runs=N            Monte-Carlo runs (also env PAAI_RUNS); the paper
+//   --runs N            Monte-Carlo runs (also env PAAI_RUNS); the paper
 //                       used 10000 — defaults here are sized for a single
 //                       core, and the curves are already stable
-//   --scale=X           multiply default packet budgets (env PAAI_SCALE)
-//   --jobs=N            worker threads for the Monte-Carlo fan-out (also
+//   --scale PCT         integer percent of the default packet budgets
+//                       (also env PAAI_SCALE; default 100 = paper scale)
+//   --jobs N            worker threads for the Monte-Carlo fan-out (also
 //                       env PAAI_JOBS); default 0 = hardware concurrency.
 //                       Results are bit-identical for any value.
 //   --metrics-out FILE  write a machine-readable "paai.bench.v1" JSON
@@ -23,19 +26,23 @@
 //   --faults SPEC       scripted benign fault plan (compact grammar or
 //                       JSON; see docs/FAULTS.md) applied to every run
 //   --adversary SPEC    declarative adversary plan (compact grammar or
-//                       JSON; see docs/ADVERSARIES.md) applied to every
-//                       run — replaces the bench's built-in adversary
-// Malformed integer flag/env values are a hard error (exit 2), never a
-// silent default; a malformed --faults or --adversary spec throws from
-// parse() with a diagnostic naming the offending clause.
+//                       JSON; see docs/ADVERSARIES.md); repeatable, every
+//                       occurrence merges into one plan, and a node named
+//                       twice (within or across flags) is an error. A
+//                       bench replaces its built-in adversary with it.
+// Malformed values are a hard error (exit 2) with a diagnostic naming the
+// flag, never a silent default: integers through parse_ll (util/csv.h),
+// --faults/--adversary through their plan's parse().
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -48,11 +55,33 @@
 #include "obs/tracer.h"
 #include "runner/montecarlo.h"
 #include "util/csv.h"
-#include "util/specgrammar.h"
 
 namespace paai::bench {
 
 struct BenchArgs {
+  /// The shared flags, one row each: parse() reads exactly these,
+  /// bench_micro strips them before google-benchmark sees argv, and
+  /// `paai` accepts them besides its own.
+  struct Flag {
+    std::string_view name;
+    bool takes_value;
+  };
+  static constexpr Flag kFlags[] = {
+      {"--csv", false},           {"--runs", true},
+      {"--scale", true},          {"--jobs", true},
+      {"--metrics-out", true},    {"--trace-out", true},
+      {"--telemetry-out", true},  {"--telemetry-every", true},
+      {"--faults", true},         {"--adversary", true}};
+
+  /// The row an argv token ("--name" or "--name=value") names, else null.
+  static const Flag* shared_flag(std::string_view arg) {
+    const std::string_view name = arg.substr(0, arg.find('='));
+    for (const Flag& flag : kFlags) {
+      if (flag.name == name) return &flag;
+    }
+    return nullptr;
+  }
+
   bool csv = false;
   long long runs = 0;      // 0 = per-bench default
   double scale = 1.0;
@@ -78,20 +107,20 @@ struct BenchArgs {
     args.telemetry_out = flag_str(argc, argv, "--telemetry-out");
     args.telemetry_every =
         flag_or_env(argc, argv, "--telemetry-every", "PAAI_TELEMETRY_EVERY", 0);
-    if (const auto spec = flag_str(argc, argv, "--faults")) {
-      args.faults = faults::FaultPlan::parse(*spec);
-    }
-    if (const auto spec = flag_str(argc, argv, "--adversary")) {
-      // Parse only what is recognizably the plan grammar (compact clauses
-      // carry '@', JSON starts with '[' or '{'); anything else is left for
-      // the program — the paai CLI accepts a legacy NODE:KIND:RATE form
-      // through the same argv.
-      const std::string_view t = util::spec_trim(*spec);
-      if (!t.empty() &&
-          (t.find('@') != std::string_view::npos || t.front() == '[' ||
-           t.front() == '{')) {
-        args.adversaries = adversary::AdversaryPlan::parse(*spec);
+    const char* flag = "--faults";
+    try {
+      if (const auto spec = flag_str(argc, argv, flag)) {
+        args.faults = faults::FaultPlan::parse(*spec);
       }
+      flag = "--adversary";
+      for (const std::string& spec : flag_all(argc, argv, flag)) {
+        for (const auto& clause : adversary::AdversaryPlan::parse(spec).specs) {
+          args.adversaries.add(clause);
+        }
+      }
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s: %s\n", flag, e.what());
+      std::exit(2);
     }
     return args;
   }

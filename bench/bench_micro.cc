@@ -4,6 +4,7 @@
 // Monte-Carlo sweeps can be scaled on one core.
 #include <benchmark/benchmark.h>
 
+#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -219,15 +220,9 @@ int main(int argc, char** argv) {
   std::vector<char*> remaining;
   remaining.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--metrics-out", 0) == 0 ||
-        arg.rfind("--trace-out", 0) == 0 || arg.rfind("--runs", 0) == 0 ||
-        arg.rfind("--scale", 0) == 0 || arg.rfind("--jobs", 0) == 0 ||
-        arg == "--csv") {
-      // "--flag value" two-token form: swallow the value too.
-      if ((arg == "--metrics-out" || arg == "--trace-out") && i + 1 < argc) {
-        ++i;
-      }
+    const std::string_view arg = argv[i];
+    if (const auto* flag = paai::bench::BenchArgs::shared_flag(arg)) {
+      if (flag->takes_value && arg == flag->name) ++i;  // "--flag value"
       continue;
     }
     remaining.push_back(argv[i]);

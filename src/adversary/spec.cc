@@ -126,16 +126,6 @@ Spec spec_from_clause(const util::SpecClause& c) {
   return s;
 }
 
-void append_spec(AdversaryPlan& plan, Spec spec) {
-  for (const auto& existing : plan.specs) {
-    if (existing.node == spec.node) {
-      bad("duplicate clause for node " + std::to_string(spec.node) +
-          " (at most one strategy per compromised node)");
-    }
-  }
-  plan.specs.push_back(spec);
-}
-
 AdversaryPlan parse_json(std::string_view text) {
   std::string error;
   const auto doc = obs::json_parse(text, &error);
@@ -174,7 +164,7 @@ AdversaryPlan parse_json(std::string_view text) {
     }
     if (c.kind.empty()) bad("JSON clause is missing \"kind\"");
     if (!have_node) bad(c.kind + " JSON clause needs \"node\"");
-    append_spec(plan, spec_from_clause(c));
+    plan.add(spec_from_clause(c));
   }
   return plan;
 }
@@ -257,9 +247,19 @@ AdversaryPlan AdversaryPlan::parse(std::string_view text) {
   }
   AdversaryPlan plan;
   for (const auto& clause : util::parse_compact_clauses(trimmed, kPrefix)) {
-    append_spec(plan, spec_from_clause(clause));
+    plan.add(spec_from_clause(clause));
   }
   return plan;
+}
+
+void AdversaryPlan::add(const Spec& spec) {
+  for (const auto& existing : specs) {
+    if (existing.node == spec.node) {
+      bad("duplicate clause for node " + std::to_string(spec.node) +
+          " (at most one strategy per compromised node)");
+    }
+  }
+  specs.push_back(spec);
 }
 
 std::string AdversaryPlan::to_string() const {

@@ -89,6 +89,10 @@ struct AdversaryPlan {
 
   static AdversaryPlan parse(std::string_view text);
 
+  /// Appends one clause; a second clause for the same node throws (at
+  /// most one strategy per compromised node, across every clause source).
+  void add(const Spec& spec);
+
   /// Canonical compact rendering; parse(to_string()) reproduces the plan
   /// bit-for-bit (doubles render via shortest-round-trip to_chars).
   std::string to_string() const;

@@ -184,6 +184,59 @@ bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
   return true;
 }
 
+TelemetryLog read_telemetry(std::istream& in) {
+  TelemetryLog log;
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
+    if (line.empty()) continue;
+    const auto where = [line_no] {
+      return "line " + std::to_string(line_no) + ": ";
+    };
+    TelemetrySample sample;
+    std::string error;
+    if (!parse_telemetry_line(line, &sample, &error)) {
+      if (in.eof()) {  // no newline yet: the writer is mid-line
+        log.torn_tail = where() + error;
+        break;
+      }
+    } else if (!log.samples.empty() &&
+               sample.sample <= log.samples.back().sample) {
+      error = "sample index " + std::to_string(sample.sample) +
+              " not strictly increasing (previous " +
+              std::to_string(log.samples.back().sample) + ")";
+    } else {
+      log.samples.push_back(std::move(sample));
+      continue;
+    }
+    if (log.bad_lines++ == 0) log.first_error = where() + error;
+  }
+  return log;
+}
+
+TelemetryTotals aggregate_telemetry(
+    const std::vector<TelemetrySample>& samples) {
+  TelemetryTotals totals;
+  for (const TelemetrySample& s : samples) {
+    for (const auto& [name, delta] : s.phases) {
+      for (std::size_t p = 0; p < kPhaseCount; ++p) {
+        if (name == phase_name(static_cast<Phase>(p))) {
+          totals.phases[p].ns += delta.ns;
+          totals.phases[p].calls += delta.calls;
+          totals.phases[p].alloc_bytes += delta.alloc_bytes;
+        }
+      }
+    }
+    for (const auto& [name, delta] : s.counters) {
+      totals.counters[name] += delta;
+    }
+    for (const auto& [name, high] : s.queues) {
+      auto& slot = totals.queue_high[name];
+      if (high > slot) slot = high;
+    }
+  }
+  return totals;
+}
+
 TelemetrySink::TelemetrySink(const std::string& path,
                              std::uint64_t every_units)
     : file_(path, std::ios::trunc),

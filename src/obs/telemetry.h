@@ -47,6 +47,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <istream>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -91,6 +92,35 @@ void write_telemetry_line(std::ostream& os, const TelemetrySample& sample);
 /// On failure returns false and, when `error` is non-null, a description.
 bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
                           std::string* error = nullptr);
+
+/// A paai.telemetry.v1 file as its consumers (`paai top`,
+/// tools/telemetry_report) read it.
+struct TelemetryLog {
+  /// The well-formed lines, in file order, with strictly increasing
+  /// sample indices.
+  std::vector<TelemetrySample> samples;
+  /// Complete lines that fail the strict parse or do not advance the
+  /// sample index; they are left out of `samples`.
+  std::size_t bad_lines = 0;
+  std::string first_error;  // "line N: ..." of the first bad line
+  /// "line N: ..." when the last line has no newline and does not parse:
+  /// a writer caught mid-line, expected while the file is live.
+  std::string torn_tail;
+};
+
+/// Reads every line of `in`; never throws, never stops early.
+TelemetryLog read_telemetry(std::istream& in);
+
+/// Totals over a sample stream: phase and counter deltas summed, queue
+/// high-waters maxed.
+struct TelemetryTotals {
+  std::array<PhaseDelta, kPhaseCount> phases{};  // Phase enum order
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::uint64_t> queue_high;
+};
+
+TelemetryTotals aggregate_telemetry(
+    const std::vector<TelemetrySample>& samples);
 
 /// Periodic sampler over the global MetricsRegistry + PhaseProfiler.
 class TelemetrySink {

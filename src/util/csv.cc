@@ -132,15 +132,10 @@ namespace {
 
 long long flag_or_env(int argc, char** argv, const std::string& name,
                       const char* env, long long dflt) {
-  const std::string prefix = name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      const char* value = arg.c_str() + prefix.size();
-      const auto parsed = parse_ll(value);
-      if (!parsed) die_bad_value("flag", name, value);
-      return *parsed;
-    }
+  if (const auto value = flag_str(argc, argv, name)) {
+    const auto parsed = parse_ll(*value);
+    if (!parsed) die_bad_value("flag", name, value->c_str());
+    return *parsed;
   }
   if (env != nullptr) {
     if (const char* v = std::getenv(env); v != nullptr && *v != '\0') {
@@ -152,22 +147,31 @@ long long flag_or_env(int argc, char** argv, const std::string& name,
   return dflt;
 }
 
-std::optional<std::string> flag_str(int argc, char** argv,
-                                    const std::string& name) {
+std::vector<std::string> flag_all(int argc, char** argv,
+                                  const std::string& name) {
   const std::string prefix = name + "=";
+  std::vector<std::string> values;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    if (arg == name) {
+    if (arg.rfind(prefix, 0) == 0) {
+      values.push_back(arg.substr(prefix.size()));
+    } else if (arg == name) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: flag %s requires a value\n",
                      name.c_str());
         std::exit(2);
       }
-      return std::string(argv[i + 1]);
+      values.emplace_back(argv[++i]);
     }
   }
-  return std::nullopt;
+  return values;
+}
+
+std::optional<std::string> flag_str(int argc, char** argv,
+                                    const std::string& name) {
+  auto values = flag_all(argc, argv, name);
+  if (values.empty()) return std::nullopt;
+  return std::move(values.front());
 }
 
 }  // namespace paai

@@ -49,15 +49,19 @@ bool has_flag(int argc, char** argv, const std::string& flag);
 /// whitespace, no trailing garbage, rejects overflow and empty input.
 std::optional<long long> parse_ll(std::string_view text);
 
-/// Returns the integer value following "--name=" or env fallback, else
-/// dflt. A malformed value (e.g. PAAI_JOBS=all) is a hard error: prints a
-/// diagnostic naming the offending flag/variable to stderr and exits 2 —
-/// it must never silently become 0/dflt.
+/// Returns the integer value of --name (either value form, as flag_str)
+/// or env fallback, else dflt. A malformed value (e.g. PAAI_JOBS=all) is a
+/// hard error: prints a diagnostic naming the offending flag/variable to
+/// stderr and exits 2 — it must never silently become 0/dflt.
 long long flag_or_env(int argc, char** argv, const std::string& name,
                       const char* env, long long dflt);
 
-/// Returns the string value following "--name=" or "--name <value>", else
-/// nullopt. "--name" as the last token (missing value) exits 2.
+/// Every value of a repeatable flag, in argv order: "--name=value" or
+/// "--name value". "--name" as the last token (missing value) exits 2.
+std::vector<std::string> flag_all(int argc, char** argv,
+                                  const std::string& name);
+
+/// The first value of --name (either form, as flag_all), else nullopt.
 std::optional<std::string> flag_str(int argc, char** argv,
                                     const std::string& name);
 

@@ -109,6 +109,41 @@ TEST(TelemetrySchema, EmptyContainersStillRoundTrip) {
   EXPECT_EQ(to_line(parsed), line);
 }
 
+TEST(TelemetryLog, TornTailBadLineAndNonMonotoneIndex) {
+  TelemetrySample s = make_sample();
+  std::string text;
+  for (const std::uint64_t index : {3, 5, 4, 6}) {  // 4 does not advance
+    s.sample = index;
+    text += to_line(s);
+    if (index == 5) text += "{\"schema\":\"bogus\"}\n\n";
+  }
+  s.sample = 7;
+  const std::string complete = to_line(s);
+  std::istringstream in(text + complete.substr(0, complete.size() / 2));
+
+  const TelemetryLog log = read_telemetry(in);
+  ASSERT_EQ(log.samples.size(), 3u);
+  EXPECT_EQ(log.samples[0].sample, 3u);
+  EXPECT_EQ(log.samples[1].sample, 5u);
+  EXPECT_EQ(log.samples[2].sample, 6u);
+  EXPECT_EQ(log.bad_lines, 2u);
+  EXPECT_EQ(log.first_error.rfind("line 3: ", 0), 0u) << log.first_error;
+  EXPECT_EQ(log.torn_tail.rfind("line 7: ", 0), 0u) << log.torn_tail;
+
+  // Totals sum the phase/counter deltas of the kept samples only.
+  const TelemetryTotals totals = aggregate_telemetry(log.samples);
+  EXPECT_EQ(totals.phases[static_cast<std::size_t>(Phase::kCrypto)].calls,
+            3u * 3370u);
+  EXPECT_EQ(totals.counters.at("proto.score.updates"), 3u * 496u);
+  EXPECT_EQ(totals.queue_high.at("sim-queue"), 30u);
+
+  // A complete last line without its newline is a sample, not a tear.
+  std::istringstream whole(text + complete.substr(0, complete.size() - 1));
+  const TelemetryLog full = read_telemetry(whole);
+  EXPECT_EQ(full.samples.size(), 4u);
+  EXPECT_TRUE(full.torn_tail.empty());
+}
+
 TEST(TelemetrySchema, FailClosed) {
   const auto rejects = [](const std::string& line) {
     TelemetrySample out;

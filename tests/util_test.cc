@@ -198,6 +198,11 @@ TEST(Flags, ParsesFlagsAndEnv) {
   EXPECT_FALSE(has_flag(3, argv, "--json"));
   EXPECT_EQ(flag_or_env(3, argv, "--runs", nullptr, 7), 25);
   EXPECT_EQ(flag_or_env(3, argv, "--packets", nullptr, 7), 7);
+
+  const char* spaced_c[] = {"prog", "--csv", "--runs", "25"};
+  char** spaced = const_cast<char**>(spaced_c);
+  EXPECT_EQ(flag_or_env(4, spaced, "--runs", nullptr, 7), 25);
+  EXPECT_EQ(flag_or_env(4, spaced, "--packets", nullptr, 7), 7);
 }
 
 TEST(Flags, ParseLlAcceptsBase10Integers) {

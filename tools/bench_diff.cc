@@ -32,12 +32,14 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/json.h"
 #include "util/csv.h"
+#include "util/specgrammar.h"
 
 using paai::obs::JsonValue;
 
@@ -258,8 +260,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--threshold=", 0) == 0) {
       try {
-        threshold = std::stod(arg.substr(12)) / 100.0;
-      } catch (const std::exception&) {
+        threshold =
+            paai::util::spec_parse_double(arg.substr(12), "PCT", "") / 100.0;
+      } catch (const std::invalid_argument&) {
         std::fprintf(stderr, "error: bad --threshold value '%s'\n",
                      arg.c_str());
         return 2;

@@ -1,100 +1,13 @@
-// paai — command-line driver for the library.
+// paai — command-line driver for the library. Commands, options and
+// examples are documented once, in kUsage below (`paai` with no arguments
+// prints it).
 //
-//   paai run     [options]  run one experiment and print the verdict
-//   paai curve   [options]  Monte-Carlo FP/FN curve over packet counts
-//   paai bounds  [options]  evaluate the §7 closed forms
-//   paai mesh    [options]  many paths over one shared topology (--topo
-//                           grammar, docs/MESH.md); links are convicted
-//                           from the cross-path union of evidence and
-//                           printed with witness-path provenance
-//   paai explain FILE       replay a forensic event log (JSONL, written by
-//                           --events-out) into a conviction audit trail
-//   paai serve   [options]  online scoring service: consume a JSONL event
-//                           stream (stdin, file, or FIFO) through the
-//                           incremental engine; announce convictions as
-//                           they happen, snapshot state periodically,
-//                           drain gracefully on SIGINT
-//   paai replay  FILE       feed a recorded event log through the stream
-//                           engine; with --verify, assert the result is
-//                           bit-identical to the batch run's verdict
-//   paai top     FILE       live textual dashboard over a paai.telemetry.v1
-//                           JSONL file (written by --telemetry-out):
-//                           rates, serve lag, phase breakdown; --once
-//                           renders a single frame and exits
-//
-// Options (all commands):
-//   --protocol=NAME   full-ack | paai1 | paai2 | comb1 | comb2 | statfl |
-//                     sigack                                (default paai1)
-//   --d=N             path length in hops                   (default 6)
-//   --rho=X           natural per-link loss                 (default 0.01)
-//   --packets=N       data packets to send                  (default 60000)
-//   --rate=X          source rate, packets/second           (default 100)
-//   --p=X             probe/sampling probability            (default 1/36)
-//   --threshold=X     conviction threshold                  (default rho+0.008)
-//   --seed=N          RNG seed                              (default 1)
-//   --fault=LINK:RATE      link-level malicious extra loss (repeatable)
-//   --adversary=SPEC  node strategy (repeatable). Two forms:
-//                     * declarative plan grammar, compact or JSON — e.g.
-//                       'stealth@4:margin=0.9' or
-//                       'collude@4:rate=0.5;ack@2:rate=0.3' — see
-//                       docs/ADVERSARIES.md for the full catalog
-//                       (adaptive strategies included);
-//                     * legacy NODE:KIND:RATE with KIND in uniform | data |
-//                       ack | corrupt | withhold | withhold-drop
-//   --faults=SPEC     scripted benign faults (bursty loss, link churn,
-//                     node outages); compact grammar or JSON — see
-//                     docs/FAULTS.md
-//   --blame=MODE      conviction rule (docs/DETECTORS.md):
-//                       margin          one-standard-error margin (default)
-//                       persistent[:K]  K repeated first-failing-hop
-//                                       observations instead of the margin
-//                                       (K defaults to 3)
-//                       windowed[:W]    margin, plus convict on a flagrant
-//                                       W-unit window (W defaults to 192)
-//                       hybrid[:K[,W]]  windowed, plus convict after K
-//                                       consecutive hot windows (K=4)
-//                     Also applies to `paai mesh`, where checkpoint
-//                     rounds are the windows (W is ignored there).
-//   --runs=N          (curve) Monte-Carlo runs              (default 50)
-//   --jobs=N          (curve) worker threads; 0 = all cores (default 0)
-//                     results are bit-identical for any value
-//   --csv             machine-readable output
-//   --metrics-out=F   write a paai.bench.v1 JSON document (metrics +
-//                     src/obs counters) for the command
-//   --trace-out=F     write a Chrome trace_event JSON
-//   --telemetry-out=F stream live paai.telemetry.v1 JSONL samples (see
-//                     docs/OBSERVABILITY.md; consume with `paai top` or
-//                     tools/telemetry_report); enables the metrics
-//                     registry and phase self-profiler for the process
-//   --telemetry-every=N  sampling cadence in command work units — serve/
-//                     replay: applied events; run: packets sent; curve:
-//                     completed runs; mesh: committed units (default 10000)
-//   --events-out=F    write the forensic event log as JSONL (run: the
-//                     experiment; curve: Monte-Carlo run 0)
-//   --events-cap=N    per-node event-ring capacity            (default 32768)
-//
-// Examples:
-//   paai run --protocol=paai1 --fault=4:0.02
-//   paai run --protocol=fullack --adversary=3:corrupt:0.3 --packets=5000
-//   paai run --protocol=paai1 --adversary='stealth@4:margin=0.9'
-//   paai run --adversary='collude@4:rate=0.5'
-//            --faults='ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15'
-//   paai run --protocol=paai1 --faults='ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15'
-//   paai curve --protocol=paai2 --packets=400000 --runs=20
-//   paai run --packets=20000 --events-out=run.jsonl
-//   paai replay run.jsonl --verify
-//   mkfifo events.pipe
-//   paai serve --in=events.pipe --state-out=paai.state --snapshot-every=1000
-//
-// Serve/replay options:
-//   --in=PATH         JSONL event source; '-' = stdin     (serve default -)
-//   --state-in=F      restore engine state (paai.state.v1) before reading
-//   --state-out=F     snapshot target; written every --snapshot-every
-//                     applied events and once on every exit path
-//   --snapshot-every=N  periodic snapshot cadence (applied events; 0=off)
-//   --skip-malformed  (serve) count and skip bad lines instead of failing
-//   --verify          (replay) exit nonzero unless the engine's verdict
-//                     matches the log's recorded batch convictions exactly
+// Argv has one front end. The flags every bench also takes (--runs,
+// --jobs, --csv, --adversary, --faults, the observability outputs) are
+// read by BenchArgs (bench/bench_common.h); the commands' own flags are
+// listed in kCliFlags and read here through the same helpers (flag_str/
+// flag_all in util/csv.h, util::spec_parse_* for numbers). An unknown
+// flag or a malformed value exits 2 with a message naming the flag.
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -103,16 +16,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
-#include "adversary/spec.h"
 #include "analysis/bounds.h"
 #include "bench/bench_common.h"
-#include "faults/plan.h"
 #include "mesh/runner.h"
 #include "util/specgrammar.h"
 #include "obs/events.h"
@@ -131,29 +44,93 @@ using namespace paai::runner;
 
 namespace {
 
+constexpr const char kUsage[] =
+    R"(usage: paai COMMAND [options]   (value flags: --name=V or --name V)
+  run            one experiment, per-link verdict (exit 1: none convicted)
+  curve          Monte-Carlo FP/FN curve over packet counts
+  bounds         section-7 closed forms from --d --rho --p --alpha --sigma
+  mesh           many paths on one topology; links convicted from the
+                 cross-path evidence, printed with witness paths
+  explain FILE   conviction audit trail of an --events-out log
+  serve          online scoring of a JSONL event stream: convictions as
+                 they happen, periodic snapshots, graceful drain on SIGINT
+  replay FILE    a recorded event log through the stream engine
+  top FILE       live dashboard over a paai.telemetry.v1 file
+                 (replay, top: FILE or --in=FILE)
+detector (serve/replay: --protocol preconfigures the engine from these):
+  --protocol=NAME  full-ack|paai1|paai2|comb1|comb2|statfl|sigack (paai1)
+  --d=N (6)  --rho=X (0.01)  --threshold=X (rho+0.008; mesh 0.02)
+  --blame=MODE     margin|persistent[:K]|windowed[:W]|hybrid[:K[,W]]
+                   (docs/DETECTORS.md; mesh windows are its rounds)
+experiment (run, curve):
+  --packets=N (60000)  --rate=X pkt/s (100)  --p=X probe prob. (1/36)
+  --seed=N (1; mesh 9000)  --fault=LINK:RATE malicious loss, repeatable
+  --adversary=SPEC   plan grammar or JSON (docs/ADVERSARIES.md),
+                     repeatable, merged into one plan
+  --faults=SPEC      scripted benign faults (docs/FAULTS.md)
+  --events-out=F     forensic JSONL event log (curve: run 0)
+  --events-cap=N     per-node event-ring capacity (32768)
+  --alpha=X --sigma=X  (bounds) detection parameters (0.03)
+mesh (docs/MESH.md): --topo=SPEC (fattree@8) --paths=N (10000)
+  --units=N (2000) --rounds=N (8) --engine=stat|packet (packet: per-path
+  --protocol and --packets, 20000)
+serve/replay: --in=PATH ('-' = stdin, serve default)  --state-in=F
+  --state-out=F --snapshot-every=N (snapshots every N applied events and
+  on exit; 0 = exit only)  --skip-malformed (serve: skip bad lines)
+  --verify (replay: exit 1 unless bit-identical to the batch verdict)
+top: --once (one frame)  --interval-ms=N (1000)
+shared with every bench (bench/bench_common.h): --runs=N (curve 50)
+  --jobs=N (0 = all cores; results identical)  --csv
+  --metrics-out=F (paai.bench.v1)  --trace-out=F (Chrome trace)
+  --telemetry-out=F (paai.telemetry.v1, docs/OBSERVABILITY.md)
+  --telemetry-every=N (10000 work units: packets, runs, events)
+examples:
+  paai run --protocol=fullack --adversary='corrupt@3:rate=0.3' --packets=5000
+  paai run --adversary='collude@4:rate=0.5' \
+           --faults='ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15'
+  paai curve --protocol=paai2 --packets=400000 --runs=20 --fault=4:0.02
+  paai run --packets=20000 --events-out=run.jsonl   # then:
+  paai replay run.jsonl --verify
+  paai serve --in=events.pipe --state-out=paai.state --snapshot-every=1000
+)";
+
+/// Every flag a command reads besides the BenchArgs ones; check_flags()
+/// rejects any other.
+constexpr std::string_view kCliFlags[] = {
+    "--protocol", "--d", "--rho", "--threshold", "--blame", "--packets",
+    "--rate", "--p", "--seed", "--fault", "--events-out", "--events-cap",
+    "--alpha", "--sigma", "--topo", "--paths", "--units", "--rounds",
+    "--engine", "--in", "--state-in", "--state-out", "--snapshot-every",
+    "--skip-malformed", "--verify", "--once", "--interval-ms"};
+
 struct CliError {
   std::string message;
 };
 
-std::optional<std::string> get_opt(int argc, char** argv,
-                                   const std::string& name) {
-  const std::string prefix = "--" + name + "=";
+void check_flags(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
+    const std::string_view arg = argv[i];
+    if (arg.rfind("--", 0) != 0) continue;
+    const std::string_view name = arg.substr(0, arg.find('='));
+    if (bench::BenchArgs::shared_flag(arg) == nullptr &&
+        std::find(std::begin(kCliFlags), std::end(kCliFlags), name) ==
+            std::end(kCliFlags)) {
+      throw CliError{"unknown flag '" + std::string(name) + "'"};
+    }
   }
-  return std::nullopt;
 }
 
-std::vector<std::string> get_all(int argc, char** argv,
-                                 const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  std::vector<std::string> out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) out.push_back(arg.substr(prefix.size()));
-  }
-  return out;
+/// Strict numeric flags, else `dflt`; a malformed value throws a message
+/// naming the flag.
+std::uint64_t count_flag(int argc, char** argv, const char* name,
+                         std::uint64_t dflt) {
+  const auto value = flag_str(argc, argv, name);
+  return value ? util::spec_parse_index(*value, "value", name) : dflt;
+}
+
+double real_flag(int argc, char** argv, const char* name, double dflt) {
+  const auto value = flag_str(argc, argv, name);
+  return value ? util::spec_parse_double(*value, "value", name) : dflt;
 }
 
 protocols::ProtocolKind parse_protocol(const std::string& name) {
@@ -169,106 +146,123 @@ protocols::ProtocolKind parse_protocol(const std::string& name) {
   throw CliError{"unknown protocol '" + name + "'"};
 }
 
-AdversarySpec parse_legacy_adversary(const std::string& spec) {
-  const auto c1 = spec.find(':');
-  const auto c2 = spec.find(':', c1 + 1);
-  if (c1 == std::string::npos || c2 == std::string::npos) {
-    throw CliError{"--adversary wants NODE:KIND:RATE, got '" + spec + "'"};
+/// --protocol/--d/--rho/--threshold/--blame, read once for every command.
+/// An unset --protocol stays unset: each command has its own default.
+struct DetectorArgs {
+  std::optional<protocols::ProtocolKind> protocol;
+  std::size_t d = 6;
+  double rho = 0.01;
+  double threshold = 0.0;
+  protocols::BlameSpec blame;
+};
+
+/// An unset --threshold is `threshold_default`, else the single-path
+/// default: rho + 0.008 rounded to six decimals by std::to_string, the
+/// value every pinned single-path output was produced with.
+DetectorArgs read_detector(int argc, char** argv,
+                           std::optional<double> threshold_default = {}) {
+  DetectorArgs det;
+  if (const auto name = flag_str(argc, argv, "--protocol")) {
+    det.protocol = parse_protocol(*name);
   }
-  AdversarySpec out;
-  out.node = std::stoul(spec.substr(0, c1));
-  const std::string kind = spec.substr(c1 + 1, c2 - c1 - 1);
-  out.rate = std::stod(spec.substr(c2 + 1));
-  if (kind == "uniform") {
-    out.kind = AdversarySpec::Kind::kUniform;
-  } else if (kind == "data") {
-    out.kind = AdversarySpec::Kind::kTypeRates;
-    out.type_rates.data = out.rate;
-  } else if (kind == "ack") {
-    out.kind = AdversarySpec::Kind::kAckOnly;
-  } else if (kind == "corrupt") {
-    out.kind = AdversarySpec::Kind::kCorrupt;
-  } else if (kind == "withhold") {
-    out.kind = AdversarySpec::Kind::kWithholdRelease;
-  } else if (kind == "withhold-drop") {
-    out.kind = AdversarySpec::Kind::kWithholdDrop;
-  } else {
-    throw CliError{"unknown adversary kind '" + kind + "'"};
+  det.d = count_flag(argc, argv, "--d", det.d);
+  det.rho = real_flag(argc, argv, "--rho", det.rho);
+  det.threshold = real_flag(
+      argc, argv, "--threshold",
+      threshold_default.value_or(util::spec_parse_double(
+          std::to_string(det.rho + 0.008), "value", "--threshold")));
+  if (const auto mode = flag_str(argc, argv, "--blame")) {
+    try {
+      det.blame = protocols::BlameSpec::parse(*mode);
+    } catch (const std::invalid_argument& e) {
+      throw CliError{std::string("--blame: ") + e.what()};
+    }
   }
-  return out;
+  return det;
 }
 
-/// --blame=margin | persistent[:K] | windowed[:W] | hybrid[:K[,W]]
-/// (protocols/window.h grammar).
-protocols::BlameSpec parse_blame_mode(const std::string& mode) {
-  try {
-    return protocols::BlameSpec::parse(mode);
-  } catch (const std::invalid_argument& e) {
-    throw CliError{std::string("--blame: ") + e.what()};
-  }
-}
-
-ExperimentConfig config_from_args(int argc, char** argv) {
-  ExperimentConfig cfg;
-  cfg.protocol =
-      parse_protocol(get_opt(argc, argv, "protocol").value_or("paai1"));
-  cfg.path.length = std::stoul(get_opt(argc, argv, "d").value_or("6"));
-  cfg.path.natural_loss =
-      std::stod(get_opt(argc, argv, "rho").value_or("0.01"));
-  cfg.path.max_latency_ms = 5.0;
-  cfg.path.seed = std::stoull(get_opt(argc, argv, "seed").value_or("1"));
-  cfg.params.total_packets =
-      std::stoull(get_opt(argc, argv, "packets").value_or("60000"));
-  cfg.params.send_rate_pps =
-      std::stod(get_opt(argc, argv, "rate").value_or("100"));
-  cfg.params.probe_probability = std::stod(
-      get_opt(argc, argv, "p").value_or(std::to_string(1.0 / 36.0)));
-  cfg.decision_threshold = std::stod(get_opt(argc, argv, "threshold")
-                                         .value_or(std::to_string(
-                                             cfg.path.natural_loss + 0.008)));
-  for (const auto& f : get_all(argc, argv, "fault")) {
+/// --fault=LINK:RATE (repeatable), for run/curve path links and mesh
+/// topology links alike.
+std::vector<LinkFault> read_link_faults(int argc, char** argv) {
+  std::vector<LinkFault> faults;
+  for (const std::string& f : flag_all(argc, argv, "--fault")) {
     const auto colon = f.find(':');
     if (colon == std::string::npos) {
       throw CliError{"--fault wants LINK:RATE, got '" + f + "'"};
     }
-    cfg.link_faults.push_back(LinkFault{std::stoul(f.substr(0, colon)),
-                                        std::stod(f.substr(colon + 1))});
+    const std::string_view text = f;
+    faults.push_back(LinkFault{
+        util::spec_parse_index(text.substr(0, colon), "link", "--fault"),
+        util::spec_parse_double(text.substr(colon + 1), "rate", "--fault")});
   }
-  for (const auto& a : get_all(argc, argv, "adversary")) {
-    // The declarative grammar is recognizable on sight: compact clauses
-    // carry '@', JSON starts with '[' or '{'. Anything else is the legacy
-    // NODE:KIND:RATE form.
-    const std::string_view t = util::spec_trim(a);
-    if (!t.empty() &&
-        (t.find('@') != std::string_view::npos || t.front() == '[' ||
-         t.front() == '{')) {
-      const auto plan = adversary::AdversaryPlan::parse(a);
-      cfg.adversaries.insert(cfg.adversaries.end(), plan.specs.begin(),
-                             plan.specs.end());
-    } else {
-      cfg.adversaries.push_back(parse_legacy_adversary(a));
-    }
-  }
-  if (const auto spec = get_opt(argc, argv, "faults")) {
-    cfg.faults = faults::FaultPlan::parse(*spec);
-  }
-  if (const auto blame = get_opt(argc, argv, "blame")) {
-    cfg.params.blame = parse_blame_mode(*blame);
-  }
+  return faults;
+}
+
+/// The --p default: 1/36 rounded to six decimals, like the default
+/// threshold.
+constexpr double kDefaultProbeProbability = 0.027778;
+
+ExperimentConfig config_from_args(int argc, char** argv,
+                                  const bench::BenchArgs& args) {
+  const DetectorArgs det = read_detector(argc, argv);
+  ExperimentConfig cfg;
+  cfg.protocol = det.protocol.value_or(protocols::ProtocolKind::kPaai1);
+  cfg.path.length = det.d;
+  cfg.path.natural_loss = det.rho;
+  cfg.path.max_latency_ms = 5.0;
+  cfg.path.seed = count_flag(argc, argv, "--seed", 1);
+  cfg.params.total_packets = count_flag(argc, argv, "--packets", 60000);
+  cfg.params.send_rate_pps = real_flag(argc, argv, "--rate", 100.0);
+  cfg.params.probe_probability =
+      real_flag(argc, argv, "--p", kDefaultProbeProbability);
+  cfg.params.blame = det.blame;
+  cfg.decision_threshold = det.threshold;
+  cfg.link_faults = read_link_faults(argc, argv);
+  cfg.adversaries = args.adversaries.specs;
+  cfg.faults = args.faults;
   return cfg;
+}
+
+/// The per-link verdict table of run and replay; `true_loss` adds run's
+/// ground-truth column.
+void print_verdicts(const std::vector<double>& thetas,
+                    const std::vector<std::size_t>& convicted,
+                    const std::vector<double>* true_loss, bool csv) {
+  Table table(true_loss != nullptr
+                  ? std::vector<std::string>{"link", "estimated_theta",
+                                             "true_loss", "verdict"}
+                  : std::vector<std::string>{"link", "estimated_theta",
+                                             "verdict"});
+  for (std::size_t i = 0; i < thetas.size(); ++i) {
+    Table& row = table.row().cell("l_" + std::to_string(i)).num(thetas[i], 4);
+    if (true_loss != nullptr) {
+      row.num(i < true_loss->size() ? (*true_loss)[i] : 0.0, 4);
+    }
+    row.cell(std::find(convicted.begin(), convicted.end(), i) !=
+                     convicted.end()
+                 ? "CONVICTED"
+                 : "");
+  }
+  table.print(std::cout, csv);
+}
+
+/// The FILE operand of replay and top: argv[2], else --in.
+std::string file_operand(int argc, char** argv, const char* usage) {
+  if (argc >= 3 && argv[2][0] != '-') return argv[2];
+  if (const auto in = flag_str(argc, argv, "--in")) return *in;
+  throw CliError{usage};
 }
 
 /// --events-out / --events-cap handling shared by run and curve. Returns
 /// a live log only when the user asked for one.
 std::unique_ptr<obs::EventLog> make_event_log(int argc, char** argv) {
-  if (!get_opt(argc, argv, "events-out")) return nullptr;
-  const std::size_t cap = std::stoul(
-      get_opt(argc, argv, "events-cap").value_or("32768"));
-  return std::make_unique<obs::EventLog>(cap);
+  if (!flag_str(argc, argv, "--events-out")) return nullptr;
+  return std::make_unique<obs::EventLog>(
+      count_flag(argc, argv, "--events-cap", 32768));
 }
 
 void write_event_log(int argc, char** argv, const obs::EventLog& log) {
-  const auto path = get_opt(argc, argv, "events-out");
+  const auto path = flag_str(argc, argv, "--events-out");
   if (!path) return;
   std::ofstream out(*path);
   if (!out) throw CliError{"cannot open '" + *path + "' for writing"};
@@ -282,12 +276,11 @@ void write_event_log(int argc, char** argv, const obs::EventLog& log) {
 
 int cmd_run(int argc, char** argv) {
   bench::BenchSession session("paai.run", argc, argv);
-  ExperimentConfig cfg = config_from_args(argc, argv);
+  ExperimentConfig cfg = config_from_args(argc, argv, session.args);
   cfg.path.trace = session.trace();
   cfg.telemetry = session.telemetry();
   const auto events = make_event_log(argc, argv);
   cfg.path.events = events.get();
-  const bool csv = has_flag(argc, argv, "--csv");
   std::fprintf(stderr, "running %s on a %zu-hop path, %llu packets...\n",
                protocols::protocol_name(cfg.protocol), cfg.path.length,
                static_cast<unsigned long long>(cfg.params.total_packets));
@@ -304,18 +297,8 @@ int cmd_run(int argc, char** argv) {
   session.metric("events_processed",
                  static_cast<double>(r.events_processed));
 
-  Table table({"link", "estimated_theta", "true_loss", "verdict"});
-  for (std::size_t i = 0; i < r.final_thetas.size(); ++i) {
-    const bool convicted =
-        std::find(r.final_convicted.begin(), r.final_convicted.end(), i) !=
-        r.final_convicted.end();
-    table.row()
-        .cell("l_" + std::to_string(i))
-        .num(r.final_thetas[i], 4)
-        .num(i < r.true_link_loss.size() ? r.true_link_loss[i] : 0.0, 4)
-        .cell(convicted ? "CONVICTED" : "");
-  }
-  table.print(std::cout, csv);
+  print_verdicts(r.final_thetas, r.final_convicted, &r.true_link_loss,
+                 session.args.csv);
   std::printf("\nmonitored rounds: %llu   failure rate: %.4f   "
               "delivery (ground truth): %.4f\n",
               static_cast<unsigned long long>(r.observations),
@@ -329,13 +312,13 @@ int cmd_run(int argc, char** argv) {
 int cmd_curve(int argc, char** argv) {
   bench::BenchSession session("paai.curve", argc, argv);
   MonteCarloConfig mc;
-  mc.base = config_from_args(argc, argv);
+  mc.base = config_from_args(argc, argv, session.args);
   mc.trace = session.trace();
   mc.telemetry = session.telemetry();
   const auto events = make_event_log(argc, argv);
   mc.events = events.get();
-  mc.runs = std::stoul(get_opt(argc, argv, "runs").value_or("50"));
-  mc.jobs = std::stoul(get_opt(argc, argv, "jobs").value_or("0"));
+  mc.runs = session.args.runs_or(50);
+  mc.jobs = session.args.jobs;
   if (mc.base.link_faults.empty() && mc.base.adversaries.empty()) {
     mc.base.link_faults.push_back(LinkFault{mc.base.path.length - 2, 0.02});
   }
@@ -380,7 +363,7 @@ int cmd_curve(int argc, char** argv) {
         .num(pt.fp, 4)
         .num(pt.fn, 4);
   }
-  table.print(std::cout, has_flag(argc, argv, "--csv"));
+  table.print(std::cout, session.args.csv);
   if (r.detection_packets) {
     std::printf("\nconverged at %llu packets\n",
                 static_cast<unsigned long long>(*r.detection_packets));
@@ -422,7 +405,8 @@ void handle_sigint(int) { g_stop = 1; }
 /// left blank to self-configure from the log's run-config prologue.
 stream::ScoreEngine make_stream_engine(int argc, char** argv) {
   stream::ScoreEngine engine;
-  if (const auto path = get_opt(argc, argv, "state-in")) {
+  const DetectorArgs det = read_detector(argc, argv);
+  if (const auto path = flag_str(argc, argv, "--state-in")) {
     std::ifstream in(*path);
     if (!in) throw CliError{"cannot open state file '" + *path + "'"};
     std::ostringstream buf;
@@ -436,26 +420,23 @@ stream::ScoreEngine make_stream_engine(int argc, char** argv) {
                  protocols::protocol_name(engine.config().protocol),
                  static_cast<unsigned long long>(engine.events_seen()),
                  static_cast<unsigned long long>(engine.events_applied()));
-  } else if (const auto protocol = get_opt(argc, argv, "protocol")) {
+  } else if (det.protocol) {
     stream::EngineConfig cfg;
-    cfg.protocol = parse_protocol(*protocol);
-    cfg.num_links = std::stoul(get_opt(argc, argv, "d").value_or("6"));
-    const double rho = std::stod(get_opt(argc, argv, "rho").value_or("0.01"));
-    cfg.threshold = std::stod(
-        get_opt(argc, argv, "threshold").value_or(std::to_string(rho + 0.008)));
-    if (const auto blame = get_opt(argc, argv, "blame")) {
-      cfg.blame = parse_blame_mode(*blame);
-    }
+    cfg.protocol = *det.protocol;
+    cfg.num_links = det.d;
+    cfg.threshold = det.threshold;
+    cfg.blame = det.blame;
     engine.configure(cfg);
   }
   return engine;
 }
 
-stream::ServeConfig serve_config_from_args(int argc, char** argv) {
+stream::ServeConfig serve_config_from_args(int argc, char** argv,
+                                           bench::BenchSession& session) {
   stream::ServeConfig cfg;
-  cfg.snapshot_every =
-      std::stoull(get_opt(argc, argv, "snapshot-every").value_or("0"));
-  cfg.state_out = get_opt(argc, argv, "state-out").value_or("");
+  cfg.telemetry = session.telemetry();
+  cfg.snapshot_every = count_flag(argc, argv, "--snapshot-every", 0);
+  cfg.state_out = flag_str(argc, argv, "--state-out").value_or("");
   cfg.fail_fast = !has_flag(argc, argv, "--skip-malformed");
   return cfg;
 }
@@ -501,7 +482,7 @@ void print_serve_summary(const char* cmd, const stream::ServeReport& report,
 int cmd_serve(int argc, char** argv) {
   bench::BenchSession session("paai.serve", argc, argv);
   stream::ScoreEngine engine = make_stream_engine(argc, argv);
-  const std::string in_path = get_opt(argc, argv, "in").value_or("-");
+  const std::string in_path = flag_str(argc, argv, "--in").value_or("-");
   std::ifstream file;
   std::istream* in = &std::cin;
   if (in_path != "-") {
@@ -509,8 +490,7 @@ int cmd_serve(int argc, char** argv) {
     if (!file) throw CliError{"cannot open '" + in_path + "'"};
     in = &file;
   }
-  stream::ServeConfig cfg = serve_config_from_args(argc, argv);
-  cfg.telemetry = session.telemetry();
+  stream::ServeConfig cfg = serve_config_from_args(argc, argv, session);
   if (in_path != "-") {
     // Back-pressure probe for file inputs: bytes written to the file but
     // not yet consumed. Re-stat every call so a tail-style producer that
@@ -552,23 +532,16 @@ int cmd_serve(int argc, char** argv) {
 }
 
 int cmd_replay(int argc, char** argv) {
-  std::string path;
-  if (argc >= 3 && argv[2][0] != '-') {
-    path = argv[2];
-  } else if (const auto opt = get_opt(argc, argv, "in")) {
-    path = *opt;
-  } else {
-    throw CliError{"replay wants an event-log file: paai replay FILE"};
-  }
+  const std::string path = file_operand(
+      argc, argv, "replay wants an event-log file: paai replay FILE");
   std::ifstream in(path);
   if (!in) throw CliError{"cannot open '" + path + "'"};
 
   bench::BenchSession session("paai.replay", argc, argv);
   stream::ScoreEngine engine = make_stream_engine(argc, argv);
-  stream::ServeConfig cfg = serve_config_from_args(argc, argv);
+  stream::ServeConfig cfg = serve_config_from_args(argc, argv, session);
   cfg.fail_fast = true;   // a recorded log must parse completely
   cfg.announce = false;   // the verdict table below is the output
-  cfg.telemetry = session.telemetry();
   const stream::ServeReport report =
       stream::serve_stream(engine, in, std::cout, cfg, nullptr);
   print_serve_summary("replay", report, engine);
@@ -583,16 +556,7 @@ int cmd_replay(int argc, char** argv) {
 
   const std::vector<double> thetas = engine.thetas();
   const std::vector<std::size_t> convicted = engine.convicted();
-  Table table({"link", "estimated_theta", "verdict"});
-  for (std::size_t i = 0; i < thetas.size(); ++i) {
-    const bool is_convicted =
-        std::find(convicted.begin(), convicted.end(), i) != convicted.end();
-    table.row()
-        .cell("l_" + std::to_string(i))
-        .num(thetas[i], 4)
-        .cell(is_convicted ? "CONVICTED" : "");
-  }
-  table.print(std::cout, has_flag(argc, argv, "--csv"));
+  print_verdicts(thetas, convicted, nullptr, session.args.csv);
 
   if (has_flag(argc, argv, "--verify")) {
     if (!engine.run_ended()) {
@@ -606,6 +570,8 @@ int cmd_replay(int argc, char** argv) {
     // counts). Bit-identity means the same link set AND the same thetas.
     bool ok = true;
     const stream::ConvictionRecord* divergent = nullptr;
+    // First final-checkpoint record the stream's verdict lacks.
+    const stream::ConvictionRecord* unmatched = nullptr;
     const auto flag = [&](const stream::ConvictionRecord& rec) {
       if (divergent == nullptr) divergent = &rec;
       ok = false;
@@ -614,6 +580,10 @@ int cmd_replay(int argc, char** argv) {
     for (const stream::ConvictionRecord& rec : engine.recorded_convictions()) {
       if (rec.packets != engine.packets_sent()) continue;
       expected.push_back(rec.link);
+      if (unmatched == nullptr &&
+          !std::binary_search(convicted.begin(), convicted.end(), rec.link)) {
+        unmatched = &rec;
+      }
       if (rec.link >= thetas.size() || thetas[rec.link] != rec.theta) {
         std::fprintf(stderr,
                      "verify: theta mismatch on l_%zu (batch %.17g, "
@@ -637,17 +607,7 @@ int cmd_replay(int argc, char** argv) {
                    expected.size(), convicted.size());
       // Point at the first final-checkpoint record the stream's verdict
       // disagrees with (if the numeric checks above found none).
-      if (divergent == nullptr) {
-        for (const stream::ConvictionRecord& rec :
-             engine.recorded_convictions()) {
-          if (rec.packets != engine.packets_sent()) continue;
-          if (!std::binary_search(convicted.begin(), convicted.end(),
-                                  rec.link)) {
-            divergent = &rec;
-            break;
-          }
-        }
-      }
+      if (divergent == nullptr) divergent = unmatched;
       ok = false;
     }
     if (!ok) {
@@ -687,11 +647,12 @@ int cmd_replay(int argc, char** argv) {
 int cmd_mesh(int argc, char** argv) {
   bench::BenchSession session("paai.mesh", argc, argv);
   mesh::MeshConfig cfg;
+  const DetectorArgs det = read_detector(argc, argv, 0.02);
   cfg.topo = mesh::Topology::parse(
-      get_opt(argc, argv, "topo").value_or("fattree@8"));
-  const auto n_paths =
-      std::stoul(get_opt(argc, argv, "paths").value_or("10000"));
-  const std::string engine = get_opt(argc, argv, "engine").value_or("stat");
+      flag_str(argc, argv, "--topo").value_or("fattree@8"));
+  const auto n_paths = count_flag(argc, argv, "--paths", 10000);
+  const std::string engine =
+      flag_str(argc, argv, "--engine").value_or("stat");
   if (engine == "stat") {
     cfg.engine = mesh::MeshEngine::kStat;
   } else if (engine == "packet") {
@@ -700,48 +661,25 @@ int cmd_mesh(int argc, char** argv) {
     throw CliError{"--engine wants 'stat' or 'packet', got '" + engine +
                    "'"};
   }
-  cfg.units_per_path =
-      std::stoull(get_opt(argc, argv, "units").value_or("2000"));
-  cfg.rounds = std::stoul(get_opt(argc, argv, "rounds").value_or("8"));
-  cfg.natural_loss = std::stod(get_opt(argc, argv, "rho").value_or("0.01"));
-  cfg.decision_threshold =
-      std::stod(get_opt(argc, argv, "threshold").value_or("0.02"));
-  cfg.seed0 = std::stoull(get_opt(argc, argv, "seed").value_or("9000"));
-  cfg.jobs = std::stoul(get_opt(argc, argv, "jobs").value_or("0"));
-  if (const auto blame = get_opt(argc, argv, "blame")) {
-    cfg.blame = parse_blame_mode(*blame);
-  }
+  cfg.units_per_path = count_flag(argc, argv, "--units", 2000);
+  cfg.rounds = count_flag(argc, argv, "--rounds", 8);
+  cfg.natural_loss = det.rho;
+  cfg.decision_threshold = det.threshold;
+  cfg.seed0 = count_flag(argc, argv, "--seed", 9000);
+  cfg.jobs = session.args.jobs;
+  cfg.blame = det.blame;
   // Mesh-indexed plans: --fault takes MESH-LINK:RATE, --adversary /
   // --faults take the shared plan grammars with mesh node/link indices.
-  for (const auto& f : get_all(argc, argv, "fault")) {
-    const auto colon = f.find(':');
-    if (colon == std::string::npos) {
-      throw CliError{"--fault wants LINK:RATE, got '" + f + "'"};
-    }
-    cfg.link_faults.push_back(
-        mesh::MeshLinkFault{std::stoul(f.substr(0, colon)),
-                            std::stod(f.substr(colon + 1))});
+  for (const LinkFault& f : read_link_faults(argc, argv)) {
+    cfg.link_faults.push_back(mesh::MeshLinkFault{f.link, f.extra_loss});
   }
-  for (const auto& a : get_all(argc, argv, "adversary")) {
-    const std::string_view t = util::spec_trim(a);
-    if (!t.empty() &&
-        (t.find('@') != std::string_view::npos || t.front() == '[' ||
-         t.front() == '{')) {
-      const auto plan = adversary::AdversaryPlan::parse(a);
-      cfg.adversaries.specs.insert(cfg.adversaries.specs.end(),
-                                   plan.specs.begin(), plan.specs.end());
-    } else {
-      cfg.adversaries.specs.push_back(parse_legacy_adversary(a));
-    }
-  }
-  if (const auto spec = get_opt(argc, argv, "faults")) {
-    cfg.faults = faults::FaultPlan::parse(*spec);
-  }
+  cfg.adversaries = session.args.adversaries;
+  cfg.faults = session.args.faults;
   cfg.telemetry = session.telemetry();
   if (cfg.engine == mesh::MeshEngine::kPacket) {
     cfg.packet_base = paper_config(
-        parse_protocol(get_opt(argc, argv, "protocol").value_or("paai1")),
-        std::stoull(get_opt(argc, argv, "packets").value_or("20000")), 0);
+        det.protocol.value_or(protocols::ProtocolKind::kPaai1),
+        count_flag(argc, argv, "--packets", 20000), 0);
     cfg.packet_base.link_faults.clear();
     cfg.packet_base.path.natural_loss = cfg.natural_loss;
     cfg.packet_base.decision_threshold = cfg.decision_threshold;
@@ -773,7 +711,7 @@ int cmd_mesh(int argc, char** argv) {
                                                              "CONVICTED")
                             : (row.malicious ? "missed" : ""));
   }
-  table.print(std::cout, has_flag(argc, argv, "--csv"));
+  table.print(std::cout, session.args.csv);
 
   // Conviction lines with provenance (the smoke legs grep these).
   for (const std::size_t l : r.convicted) {
@@ -821,36 +759,13 @@ int cmd_mesh(int argc, char** argv) {
 
 // ------------------------------------------------------------ top
 
-/// One refresh worth of telemetry state: every complete, well-formed line
-/// of the file. A torn tail (writer mid-line) is expected and skipped; a
-/// malformed *complete* line is reported once per frame.
-struct TopData {
-  std::vector<obs::TelemetrySample> samples;
-  std::size_t bad_lines = 0;
-  std::string first_error;
-};
-
-TopData read_telemetry_file(const std::string& path) {
-  TopData data;
+/// One refresh worth of telemetry state; a missing file reads as empty.
+obs::TelemetryLog read_telemetry_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return data;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (in.eof() && !line.empty()) break;  // torn tail: no newline yet
-    if (line.empty()) continue;
-    obs::TelemetrySample sample;
-    std::string error;
-    if (obs::parse_telemetry_line(line, &sample, &error)) {
-      data.samples.push_back(std::move(sample));
-    } else {
-      ++data.bad_lines;
-      if (data.first_error.empty()) data.first_error = error;
-    }
-  }
-  return data;
+  return in ? obs::read_telemetry(in) : obs::TelemetryLog{};
 }
 
-void render_top_frame(const std::string& path, const TopData& data) {
+void render_top_frame(const std::string& path, const obs::TelemetryLog& data) {
   if (data.samples.empty()) {
     std::printf("paai top — %s: no samples yet\n", path.c_str());
     return;
@@ -897,18 +812,7 @@ void render_top_frame(const std::string& path, const TopData& data) {
   // Phase breakdown aggregated over ALL samples (each line carries
   // deltas); inclusive times — nested scopes (crypto inside sim-loop)
   // overlap, so no percent column.
-  std::array<obs::PhaseDelta, obs::kPhaseCount> totals{};
-  for (const obs::TelemetrySample& s : data.samples) {
-    for (const auto& [name, delta] : s.phases) {
-      for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
-        if (name == obs::phase_name(static_cast<obs::Phase>(p))) {
-          totals[p].ns += delta.ns;
-          totals[p].calls += delta.calls;
-          totals[p].alloc_bytes += delta.alloc_bytes;
-        }
-      }
-    }
-  }
+  const auto totals = obs::aggregate_telemetry(data.samples).phases;
   bool any_phase = false;
   for (const auto& t : totals) any_phase |= t.calls > 0 || t.ns > 0;
   if (any_phase) {
@@ -937,50 +841,38 @@ void render_top_frame(const std::string& path, const TopData& data) {
 }
 
 int cmd_top(int argc, char** argv) {
-  std::string path;
-  if (argc >= 3 && argv[2][0] != '-') {
-    path = argv[2];
-  } else if (const auto opt = get_opt(argc, argv, "in")) {
-    path = *opt;
-  } else {
-    throw CliError{"top wants a telemetry file: paai top FILE [--once]"};
-  }
+  const std::string path = file_operand(
+      argc, argv, "top wants a telemetry file: paai top FILE [--once]");
   const bool once = has_flag(argc, argv, "--once");
-  const long interval_ms =
-      std::stol(get_opt(argc, argv, "interval-ms").value_or("1000"));
-
-  if (once) {
-    const TopData data = read_telemetry_file(path);
-    render_top_frame(path, data);
-    return data.samples.empty() ? 1 : 0;
-  }
+  const std::uint64_t interval_ms =
+      count_flag(argc, argv, "--interval-ms", 1000);
 
   g_stop = 0;
   const auto previous = std::signal(SIGINT, handle_sigint);
-  std::uint64_t rendered = 0;
-  while (g_stop == 0) {
-    const TopData data = read_telemetry_file(path);
+  obs::TelemetryLog data;
+  for (;;) {
+    data = read_telemetry_file(path);
     // ANSI clear + home; falls back to plain scrolling on dumb terminals.
-    std::printf("\x1b[2J\x1b[H");
+    if (!once) std::printf("\x1b[2J\x1b[H");
     render_top_frame(path, data);
+    if (once || g_stop != 0) break;
     std::fflush(stdout);
-    rendered = data.samples.size();
     std::this_thread::sleep_for(std::chrono::milliseconds(
         interval_ms > 0 ? interval_ms : 1000));
   }
   std::signal(SIGINT, previous);
-  std::printf("\n");
-  return rendered > 0 ? 0 : 1;
+  if (!once) std::printf("\n");
+  return data.samples.empty() ? 1 : 0;
 }
 
 int cmd_bounds(int argc, char** argv) {
   analysis::Params p;
-  p.d = std::stoul(get_opt(argc, argv, "d").value_or("6"));
-  p.rho = std::stod(get_opt(argc, argv, "rho").value_or("0.01"));
-  p.alpha = std::stod(get_opt(argc, argv, "alpha").value_or("0.03"));
-  p.sigma = std::stod(get_opt(argc, argv, "sigma").value_or("0.03"));
-  p.p = std::stod(get_opt(argc, argv, "p").value_or(
-      std::to_string(1.0 / 36.0)));
+  const DetectorArgs det = read_detector(argc, argv);
+  p.d = det.d;
+  p.rho = det.rho;
+  p.alpha = real_flag(argc, argv, "--alpha", 0.03);
+  p.sigma = real_flag(argc, argv, "--sigma", 0.03);
+  p.p = real_flag(argc, argv, "--p", kDefaultProbeProbability);
 
   Table table({"protocol", "detection_pkts", "comm_ctrl/data",
                "storage_worst_r0nu"});
@@ -1000,45 +892,7 @@ int cmd_bounds(int argc, char** argv) {
   return 0;
 }
 
-void usage() {
-  std::printf(
-      "usage: paai <run|curve|bounds> [--protocol=paai1] [--d=6] "
-      "[--rho=0.01]\n"
-      "            [--packets=N] [--rate=100] [--p=X] [--threshold=X]\n"
-      "            [--fault=LINK:RATE]... [--adversary=SPEC]...\n"
-      "            [--faults=SPEC] [--runs=N] [--jobs=N] [--seed=N] "
-      "[--csv]\n"
-      "            [--metrics-out=FILE] [--trace-out=FILE]\n"
-      "            [--telemetry-out=FILE] [--telemetry-every=N]\n"
-      "            [--events-out=FILE] [--events-cap=N] [--blame=MODE]\n"
-      "       paai mesh   [--topo=SPEC] [--paths=N] [--engine=stat|packet]\n"
-      "                   [--units=N] [--rounds=N] [--rho=X] "
-      "[--threshold=X]\n"
-      "                   [--fault=MESHLINK:RATE]... [--adversary=SPEC]...\n"
-      "                   [--faults=SPEC] [--blame=MODE] [--seed=N]\n"
-      "                   [--jobs=N] [--csv]\n"
-      "                            many paths over one shared topology;\n"
-      "                            convicts from cross-path evidence\n"
-      "                            (topology grammar in docs/MESH.md)\n"
-      "       paai explain FILE    audit trail from an --events-out log\n"
-      "       paai serve  [--in=PATH|-] [--state-in=F] [--state-out=F]\n"
-      "                   [--snapshot-every=N] [--skip-malformed]\n"
-      "                            online scoring over a JSONL stream\n"
-      "       paai replay FILE [--verify] [--state-in/--state-out]\n"
-      "                            stream engine over a recorded log;\n"
-      "                            --verify asserts batch bit-identity\n"
-      "       paai top FILE [--once] [--interval-ms=N]\n"
-      "                            live dashboard over a paai.telemetry.v1\n"
-      "                            JSONL file (--telemetry-out of any\n"
-      "                            command); --once prints one frame\n"
-      "see tools/paai_cli.cc header for details and examples; the fault\n"
-      "plan grammar is documented in docs/FAULTS.md, the adversary plan\n"
-      "grammar (adaptive strategies included) in docs/ADVERSARIES.md, the\n"
-      "--blame conviction-rule grammar "
-      "(margin|persistent:K|windowed:W|hybrid:K,W)\n"
-      "in docs/DETECTORS.md, the forensic event log in "
-      "docs/OBSERVABILITY.md\n");
-}
+void usage() { std::fputs(kUsage, stdout); }
 
 }  // namespace
 
@@ -1049,6 +903,7 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   try {
+    check_flags(argc, argv);
     if (cmd == "run") return cmd_run(argc, argv);
     if (cmd == "curve") return cmd_curve(argc, argv);
     if (cmd == "bounds") return cmd_bounds(argc, argv);

@@ -4,12 +4,13 @@
 //
 //   telemetry_report FILE [--trace-out=F]
 //
-// Validates the stream with the strict parser (any malformed line or a
-// non-monotone sample index is exit 2 — telemetry files are a schema,
-// not best-effort logs), then prints a greppable summary: one `phase`
-// line per profiled phase (calls, inclusive ns, allocation bytes), one
-// `counter` line per counter (total over all deltas), one `gauge` line
-// per gauge (last value, peak), one `queue` line per queue high-water.
+// Validates the stream through obs::read_telemetry (any malformed line, a
+// non-monotone sample index or a torn last line is exit 2 — telemetry
+// files are a schema, not best-effort logs), then prints a greppable
+// summary from obs::aggregate_telemetry: one `phase` line per profiled
+// phase (calls, inclusive ns, allocation bytes), one `counter` line per
+// counter (total over all deltas), one `gauge` line per gauge (last
+// value, peak), one `queue` line per queue high-water.
 // Phase times are inclusive — nested scopes (crypto inside sim-loop)
 // overlap, so no percentage column is printed.
 //
@@ -20,11 +21,9 @@
 // https://ui.perfetto.dev.
 //
 // Exit codes: 0 ok, 1 empty stream (zero samples), 2 malformed input.
-#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -78,28 +77,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<TelemetrySample> samples;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    TelemetrySample sample;
-    std::string error;
-    if (!paai::obs::parse_telemetry_line(line, &sample, &error)) {
-      std::fprintf(stderr, "error: line %zu: %s\n", line_no, error.c_str());
-      return 2;
-    }
-    if (!samples.empty() && sample.sample <= samples.back().sample) {
-      std::fprintf(stderr,
-                   "error: line %zu: sample index %llu not strictly "
-                   "increasing (previous %llu)\n",
-                   line_no, static_cast<unsigned long long>(sample.sample),
-                   static_cast<unsigned long long>(samples.back().sample));
-      return 2;
-    }
-    samples.push_back(std::move(sample));
+  const paai::obs::TelemetryLog log = paai::obs::read_telemetry(in);
+  const std::string& error =
+      log.first_error.empty() ? log.torn_tail : log.first_error;
+  if (!error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
   }
+  const std::vector<TelemetrySample>& samples = log.samples;
   if (samples.empty()) {
     std::fprintf(stderr, "telemetry: 0 samples in '%s'\n", opt.file.c_str());
     return 1;
@@ -110,32 +95,10 @@ int main(int argc, char** argv) {
               samples.size(), static_cast<unsigned long long>(last.units),
               static_cast<double>(last.wall_ns) / 1e9);
 
-  // Aggregate the deltas. Phases keep enum order; counters sort by name.
-  std::array<PhaseDelta, paai::obs::kPhaseCount> phase_totals{};
-  std::map<std::string, std::uint64_t> counter_totals;
-  std::map<std::string, std::uint64_t> queue_high;
-  for (const TelemetrySample& s : samples) {
-    for (const auto& [name, delta] : s.phases) {
-      for (std::size_t p = 0; p < paai::obs::kPhaseCount; ++p) {
-        if (name ==
-            paai::obs::phase_name(static_cast<paai::obs::Phase>(p))) {
-          phase_totals[p].ns += delta.ns;
-          phase_totals[p].calls += delta.calls;
-          phase_totals[p].alloc_bytes += delta.alloc_bytes;
-        }
-      }
-    }
-    for (const auto& [name, delta] : s.counters) {
-      counter_totals[name] += delta;
-    }
-    for (const auto& [name, high] : s.queues) {
-      auto& slot = queue_high[name];
-      if (high > slot) slot = high;
-    }
-  }
-
+  const paai::obs::TelemetryTotals totals =
+      paai::obs::aggregate_telemetry(samples);
   for (std::size_t p = 0; p < paai::obs::kPhaseCount; ++p) {
-    const PhaseDelta& t = phase_totals[p];
+    const PhaseDelta& t = totals.phases[p];
     if (t.calls == 0 && t.ns == 0 && t.alloc_bytes == 0) continue;
     std::printf("phase %s calls=%llu ns=%llu alloc=%llu\n",
                 paai::obs::phase_name(static_cast<paai::obs::Phase>(p)),
@@ -143,7 +106,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(t.ns),
                 static_cast<unsigned long long>(t.alloc_bytes));
   }
-  for (const auto& [name, total] : counter_totals) {
+  for (const auto& [name, total] : totals.counters) {
     std::printf("counter %s total=%llu\n", name.c_str(),
                 static_cast<unsigned long long>(total));
   }
@@ -152,7 +115,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(g.value),
                 static_cast<long long>(g.high));
   }
-  for (const auto& [name, high] : queue_high) {
+  for (const auto& [name, high] : totals.queue_high) {
     std::printf("queue %s peak=%llu\n", name.c_str(),
                 static_cast<unsigned long long>(high));
   }
