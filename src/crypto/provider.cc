@@ -7,6 +7,7 @@
 #include "crypto/sha256.h"
 #include "crypto/siphash.h"
 #include "obs/profile.h"
+#include "util/wire.h"
 
 namespace paai::crypto {
 
@@ -64,6 +65,13 @@ class RealCrypto final : public CryptoProvider {
   }
 };
 
+// Lane keys of FastCrypto::hash: lane index in key byte 0, 0xa5 in byte
+// 15, i.e. these little-endian words.
+constexpr std::array<SipKey, 4> kHashLanes = {{{0, 0xa5ULL << 56},
+                                               {1, 0xa5ULL << 56},
+                                               {2, 0xa5ULL << 56},
+                                               {3, 0xa5ULL << 56}}};
+
 class FastCrypto final : public CryptoProvider {
  public:
   std::array<std::uint8_t, 32> hash(ByteView message) const override {
@@ -71,32 +79,24 @@ class FastCrypto final : public CryptoProvider {
     // Four SipHash lanes under fixed public keys. Wide enough that
     // accidental collisions never perturb a simulation; documented as
     // non-cryptographic in provider.h.
+    const std::array<std::uint64_t, 4> h = siphash24_x4(kHashLanes, message);
     std::array<std::uint8_t, 32> out;
-    for (std::uint8_t lane = 0; lane < 4; ++lane) {
-      Key128 k{};
-      k[0] = lane;
-      k[15] = 0xa5;
-      const std::uint64_t h = siphash24(k, message);
-      for (int i = 0; i < 8; ++i) {
-        out[lane * 8 + i] = static_cast<std::uint8_t>(h >> (56 - 8 * i));
-      }
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      store_be(out.data() + 8 * lane, h[lane]);
     }
     return out;
   }
 
   Mac mac(const Key& key, ByteView message) const override {
     const obs::ScopedPhase phase(obs::Phase::kCrypto);
-    const std::uint64_t t = sip(key, 0x01, message);
     Mac out;
-    for (int i = 0; i < 8; ++i) {
-      out[i] = static_cast<std::uint8_t>(t >> (56 - 8 * i));
-    }
+    store_be(out.data(), siphash24(domain_key(key, 0x01), message));
     return out;
   }
 
   std::uint64_t prf(const Key& key, ByteView message) const override {
     const obs::ScopedPhase phase(obs::Phase::kCrypto);
-    return sip(key, 0x02, message);
+    return siphash24(domain_key(key, 0x02), message);
   }
 
   Bytes encrypt(const Key& key, std::uint64_t nonce,
@@ -112,30 +112,28 @@ class FastCrypto final : public CryptoProvider {
   }
 
  private:
-  static std::uint64_t sip(const Key& key, std::uint8_t domain,
-                           ByteView message) {
+  /// The first 16 key bytes with `domain` folded into byte 0, so mac, prf
+  /// and the keystream are separate PRFs under one key.
+  static SipKey domain_key(const Key& key, std::uint8_t domain) {
     Key128 k;
     std::memcpy(k.data(), key.data(), k.size());
     k[0] ^= domain;
-    return siphash24(k, message);
+    return sip_key(k);
   }
 
   static Bytes stream_xor(const Key& key, std::uint64_t nonce,
                           ByteView data) {
     // SipHash-CTR keystream: block i = SipHash(key', nonce || i).
+    const SipKey k = domain_key(key, 0x03);
     Bytes out(data.begin(), data.end());
     std::uint8_t block_input[16];
-    for (int i = 0; i < 8; ++i) {
-      block_input[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
-    }
+    store_be(block_input, nonce);
     std::uint64_t counter = 0;
     std::size_t offset = 0;
     while (offset < out.size()) {
-      for (int i = 0; i < 8; ++i) {
-        block_input[8 + i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
-      }
+      store_be(block_input + 8, counter);
       const std::uint64_t ks =
-          sip(key, 0x03, ByteView(block_input, sizeof(block_input)));
+          siphash24(k, ByteView(block_input, sizeof(block_input)));
       const std::size_t n = std::min<std::size_t>(8, out.size() - offset);
       for (std::size_t i = 0; i < n; ++i) {
         out[offset + i] ^= static_cast<std::uint8_t>(ks >> (56 - 8 * i));

@@ -1,5 +1,8 @@
 #include "crypto/siphash.h"
 
+#include <bit>
+#include <cstring>
+
 namespace paai::crypto {
 
 namespace {
@@ -10,55 +13,87 @@ inline std::uint64_t rotl64(std::uint64_t x, int n) {
 
 inline std::uint64_t load_le64(const std::uint8_t* p) {
   std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
   return v;
 }
 
-inline void sip_round(std::uint64_t& v0, std::uint64_t& v1, std::uint64_t& v2,
-                      std::uint64_t& v3) {
-  v0 += v1; v1 = rotl64(v1, 13); v1 ^= v0; v0 = rotl64(v0, 32);
-  v2 += v3; v3 = rotl64(v3, 16); v3 ^= v2;
-  v0 += v3; v3 = rotl64(v3, 21); v3 ^= v0;
-  v2 += v1; v1 = rotl64(v1, 17); v1 ^= v2; v2 = rotl64(v2, 32);
-}
+/// N independent SipHash states advanced in lockstep; each step loops over
+/// the lanes, so the compiler interleaves their dependency chains.
+template <std::size_t N>
+struct SipLanes {
+  std::uint64_t v0[N], v1[N], v2[N], v3[N];
+
+  explicit SipLanes(const SipKey* keys) {
+    for (std::size_t i = 0; i < N; ++i) {
+      v0[i] = 0x736f6d6570736575ULL ^ keys[i].k0;
+      v1[i] = 0x646f72616e646f6dULL ^ keys[i].k1;
+      v2[i] = 0x6c7967656e657261ULL ^ keys[i].k0;
+      v3[i] = 0x7465646279746573ULL ^ keys[i].k1;
+    }
+  }
+
+  void round() {
+    for (std::size_t i = 0; i < N; ++i) {
+      v0[i] += v1[i]; v1[i] = rotl64(v1[i], 13); v1[i] ^= v0[i];
+      v0[i] = rotl64(v0[i], 32);
+      v2[i] += v3[i]; v3[i] = rotl64(v3[i], 16); v3[i] ^= v2[i];
+      v0[i] += v3[i]; v3[i] = rotl64(v3[i], 21); v3[i] ^= v0[i];
+      v2[i] += v1[i]; v1[i] = rotl64(v1[i], 17); v1[i] ^= v2[i];
+      v2[i] = rotl64(v2[i], 32);
+    }
+  }
+
+  void compress(std::uint64_t m) {
+    for (std::size_t i = 0; i < N; ++i) v3[i] ^= m;
+    round();
+    round();
+    for (std::size_t i = 0; i < N; ++i) v0[i] ^= m;
+  }
+
+  void run(ByteView data, std::uint64_t* out) {
+    const std::size_t len = data.size();
+    const std::size_t end = len - (len % 8);
+    for (std::size_t i = 0; i < end; i += 8) {
+      compress(load_le64(data.data() + i));
+    }
+    // Final word: the tail bytes, zero padded, with len mod 256 on top.
+    std::uint8_t tail[8] = {};
+    if (len % 8 != 0) std::memcpy(tail, data.data() + end, len % 8);
+    compress(load_le64(tail) | (static_cast<std::uint64_t>(len & 0xff) << 56));
+
+    for (std::size_t i = 0; i < N; ++i) v2[i] ^= 0xff;
+    round();
+    round();
+    round();
+    round();
+    for (std::size_t i = 0; i < N; ++i) out[i] = v0[i] ^ v1[i] ^ v2[i] ^ v3[i];
+  }
+};
 
 }  // namespace
 
+SipKey sip_key(const Key128& key) {
+  return SipKey{load_le64(key.data()), load_le64(key.data() + 8)};
+}
+
 std::uint64_t siphash24(const Key128& key, ByteView data) {
-  const std::uint64_t k0 = load_le64(key.data());
-  const std::uint64_t k1 = load_le64(key.data() + 8);
+  return siphash24(sip_key(key), data);
+}
 
-  std::uint64_t v0 = 0x736f6d6570736575ULL ^ k0;
-  std::uint64_t v1 = 0x646f72616e646f6dULL ^ k1;
-  std::uint64_t v2 = 0x6c7967656e657261ULL ^ k0;
-  std::uint64_t v3 = 0x7465646279746573ULL ^ k1;
+std::uint64_t siphash24(const SipKey& key, ByteView data) {
+  std::uint64_t out = 0;
+  SipLanes<1>(&key).run(data, &out);
+  return out;
+}
 
-  const std::size_t len = data.size();
-  const std::size_t end = len - (len % 8);
-  for (std::size_t i = 0; i < end; i += 8) {
-    const std::uint64_t m = load_le64(data.data() + i);
-    v3 ^= m;
-    sip_round(v0, v1, v2, v3);
-    sip_round(v0, v1, v2, v3);
-    v0 ^= m;
-  }
-
-  std::uint64_t last = static_cast<std::uint64_t>(len & 0xff) << 56;
-  for (std::size_t i = 0; i < (len % 8); ++i) {
-    last |= static_cast<std::uint64_t>(data[end + i]) << (8 * i);
-  }
-  v3 ^= last;
-  sip_round(v0, v1, v2, v3);
-  sip_round(v0, v1, v2, v3);
-  v0 ^= last;
-
-  v2 ^= 0xff;
-  sip_round(v0, v1, v2, v3);
-  sip_round(v0, v1, v2, v3);
-  sip_round(v0, v1, v2, v3);
-  sip_round(v0, v1, v2, v3);
-
-  return v0 ^ v1 ^ v2 ^ v3;
+std::array<std::uint64_t, 4> siphash24_x4(const std::array<SipKey, 4>& keys,
+                                          ByteView data) {
+  std::array<std::uint64_t, 4> out{};
+  SipLanes<4>(keys.data()).run(data, out.data());
+  return out;
 }
 
 }  // namespace paai::crypto

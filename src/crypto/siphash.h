@@ -5,6 +5,11 @@
 // through PAAI-2 use it so the statistical experiments stay laptop-scale;
 // the security-relevant tests always run against the real HMAC/ChaCha20
 // provider (see crypto/provider.h).
+//
+// The kernel reads the message a little-endian word at a time (memcpy
+// loads, so any alignment and either host byte order work) and can run
+// several keys over one message in lockstep: siphash24_x4 interleaves four
+// independent lanes so their rounds overlap in the pipeline.
 #pragma once
 
 #include <array>
@@ -16,7 +21,20 @@ namespace paai::crypto {
 
 using Key128 = std::array<std::uint8_t, 16>;
 
+/// A key as the two little-endian words the rounds consume.
+struct SipKey {
+  std::uint64_t k0 = 0;
+  std::uint64_t k1 = 0;
+};
+
+SipKey sip_key(const Key128& key);
+
 /// SipHash-2-4 64-bit tag.
 std::uint64_t siphash24(const Key128& key, ByteView data);
+std::uint64_t siphash24(const SipKey& key, ByteView data);
+
+/// Four SipHash-2-4 tags of one message, one per key, computed in lockstep.
+std::array<std::uint64_t, 4> siphash24_x4(const std::array<SipKey, 4>& keys,
+                                          ByteView data);
 
 }  // namespace paai::crypto

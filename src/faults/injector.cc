@@ -52,20 +52,23 @@ FaultInjector::FaultInjector(sim::Simulator& sim, sim::PathNetwork& net,
     check_link(r.link, d, "retune");
     sim::Link* link = &net.link(r.link);
     const auto retunes = obs_.retunes;
+    // The entry lives in plan_, which outlives every scheduled event; a
+    // pointer keeps the capture within the simulator's event slot.
+    const LinkRetune* retune = &r;
     sim_.at(sim::seconds(r.at_seconds),
-            [link, r, retunes, trace, track, this] {
-              if (r.loss) link->set_loss_rate(*r.loss);
-              if (r.latency_ms) {
-                link->set_latency(sim::milliseconds(*r.latency_ms));
+            [link, retune, retunes, trace, track, this] {
+              if (retune->loss) link->set_loss_rate(*retune->loss);
+              if (retune->latency_ms) {
+                link->set_latency(sim::milliseconds(*retune->latency_ms));
               }
-              if (r.jitter_ms) {
-                link->set_jitter(sim::milliseconds(*r.jitter_ms));
+              if (retune->jitter_ms) {
+                link->set_jitter(sim::milliseconds(*retune->jitter_ms));
               }
               retunes.add();
               if (trace != nullptr) {
                 trace->instant("fault retune", "faults",
                                sim_.now() / sim::kMicrosecond, track,
-                               static_cast<std::int64_t>(r.link));
+                               static_cast<std::int64_t>(retune->link));
               }
             });
   }

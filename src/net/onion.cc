@@ -11,7 +11,7 @@ namespace {
 crypto::Mac layer_mac(const crypto::CryptoProvider& crypto,
                       const crypto::Key& key, std::uint8_t node_index,
                       ByteView report, ByteView inner) {
-  WireWriter mi;
+  WireWriter mi(1 + 2 + report.size() + inner.size());
   mi.u8(node_index);
   mi.var_bytes(report);
   mi.raw(inner);
@@ -32,7 +32,7 @@ Bytes onion_wrap(const crypto::CryptoProvider& crypto, const crypto::Key& key,
                  ByteView inner) {
   const crypto::Mac mac =
       layer_mac(crypto, key, node_index, local_report, inner);
-  WireWriter w;
+  WireWriter w(onion_layer_overhead(local_report.size()) + inner.size());
   w.u8(node_index);
   w.var_bytes(local_report);
   w.raw(ByteView(mac.data(), mac.size()));
@@ -52,26 +52,22 @@ OnionVerifyResult onion_verify(
   while (offset < serialized.size()) {
     WireReader r(serialized.subspan(offset));
     std::uint8_t index = 0;
-    Bytes report;
-    Bytes mac_bytes;
-    if (!r.u8(index) || !r.var_bytes(report) ||
-        !r.raw(crypto::kMacSize, mac_bytes)) {
+    ByteView report;
+    ByteView mac;
+    if (!r.u8(index) || !r.var_view(report) ||
+        !r.view(crypto::kMacSize, mac)) {
       return result;  // truncated / malformed layer: stop at last valid
     }
     if (index != expected || index > path_length) return result;
 
-    const std::size_t header_len = 1 + 2 + report.size() + crypto::kMacSize;
+    const std::size_t header_len = onion_layer_overhead(report.size());
     const ByteView inner = serialized.subspan(offset + header_len);
     const crypto::Mac computed =
-        layer_mac(crypto, keys[index], index,
-                  ByteView(report.data(), report.size()), inner);
-    if (!ct_equal(ByteView(computed.data(), computed.size()),
-                  ByteView(mac_bytes.data(), mac_bytes.size()))) {
+        layer_mac(crypto, keys[index], index, report, inner);
+    if (!ct_equal(ByteView(computed.data(), computed.size()), mac)) {
       return result;
     }
-    if (report_ok && !report_ok(index, ByteView(report.data(), report.size()))) {
-      return result;
-    }
+    if (report_ok && !report_ok(index, report)) return result;
 
     ++result.valid_layers;
     result.origin = index;

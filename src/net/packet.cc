@@ -10,34 +10,27 @@ void put_id(WireWriter& w, const PacketId& id) {
   w.raw(ByteView(id.data(), id.size()));
 }
 
-bool get_id(WireReader& r, PacketId& id) {
-  Bytes tmp;
-  if (!r.raw(id.size(), tmp)) return false;
-  std::memcpy(id.data(), tmp.data(), id.size());
-  return true;
-}
-
-bool get_mac(WireReader& r, crypto::Mac& mac) {
-  Bytes tmp;
-  if (!r.raw(mac.size(), tmp)) return false;
-  std::memcpy(mac.data(), tmp.data(), mac.size());
-  return true;
-}
-
 bool check_type(WireReader& r, PacketType expected) {
   std::uint8_t t = 0;
   return r.u8(t) && t == static_cast<std::uint8_t>(expected);
 }
 
+using DataHeader = std::array<std::uint8_t, DataPacket::kHeaderSize>;
+
+DataHeader header_of(const DataPacket& p) {
+  DataHeader h;
+  h[0] = static_cast<std::uint8_t>(PacketType::kData);
+  store_be(h.data() + 1, p.seq);
+  store_be(h.data() + 9, p.timestamp_ns);
+  store_be(h.data() + 17, p.payload_size);
+  return h;
+}
+
 }  // namespace
 
 Bytes DataPacket::encode() const {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(PacketType::kData));
-  w.u64(seq);
-  w.u64(timestamp_ns);
-  w.u16(payload_size);
-  return std::move(w).take();
+  const DataHeader h = header_of(*this);
+  return Bytes(h.begin(), h.end());
 }
 
 std::optional<DataPacket> DataPacket::decode(ByteView wire) {
@@ -51,16 +44,12 @@ std::optional<DataPacket> DataPacket::decode(ByteView wire) {
 }
 
 PacketId DataPacket::id(const crypto::CryptoProvider& crypto) const {
-  const Bytes header = encode();
-  return packet_id_of(crypto, ByteView(header.data(), header.size()));
-}
-
-std::size_t DataPacket::wire_size() const {
-  return encode().size() + payload_size;
+  const DataHeader h = header_of(*this);
+  return packet_id_of(crypto, ByteView(h.data(), h.size()));
 }
 
 Bytes DestAck::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kDestAck));
   put_id(w, data_id);
   w.raw(ByteView(tag.data(), tag.size()));
@@ -71,12 +60,12 @@ std::optional<DestAck> DestAck::decode(ByteView wire) {
   WireReader r(wire);
   if (!check_type(r, PacketType::kDestAck)) return std::nullopt;
   DestAck a;
-  if (!get_id(r, a.data_id) || !get_mac(r, a.tag)) return std::nullopt;
+  if (!r.fixed(a.data_id) || !r.fixed(a.tag)) return std::nullopt;
   return a;
 }
 
 Bytes Probe::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kProbe));
   put_id(w, data_id);
   w.u64(challenge);
@@ -88,14 +77,14 @@ std::optional<Probe> Probe::decode(ByteView wire) {
   WireReader r(wire);
   if (!check_type(r, PacketType::kProbe)) return std::nullopt;
   Probe p;
-  if (!get_id(r, p.data_id) || !r.u64(p.challenge) || !r.var_bytes(p.auth)) {
+  if (!r.fixed(p.data_id) || !r.u64(p.challenge) || !r.var_bytes(p.auth)) {
     return std::nullopt;
   }
   return p;
 }
 
 Bytes ReportAck::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kReportAck));
   put_id(w, data_id);
   w.var_bytes(ByteView(report.data(), report.size()));
@@ -106,12 +95,12 @@ std::optional<ReportAck> ReportAck::decode(ByteView wire) {
   WireReader r(wire);
   if (!check_type(r, PacketType::kReportAck)) return std::nullopt;
   ReportAck a;
-  if (!get_id(r, a.data_id) || !r.var_bytes(a.report)) return std::nullopt;
+  if (!r.fixed(a.data_id) || !r.var_bytes(a.report)) return std::nullopt;
   return a;
 }
 
 Bytes FlRequest::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kFlRequest));
   w.u64(interval);
   return std::move(w).take();
@@ -126,7 +115,7 @@ std::optional<FlRequest> FlRequest::decode(ByteView wire) {
 }
 
 Bytes FlReport::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kFlReport));
   w.u64(interval);
   w.var_bytes(ByteView(report.data(), report.size()));

@@ -33,6 +33,9 @@ enum class PacketType : std::uint8_t {
 /// Header of a data packet m = <data || timestamp>. The identifier is the
 /// hash of this header; `payload_size` stands in for the actual data bytes.
 struct DataPacket {
+  /// Encoded header: type tag, seq, timestamp, payload size.
+  static constexpr std::size_t kHeaderSize = 1 + 8 + 8 + 2;
+
   std::uint64_t seq = 0;            // source-assigned sequence number
   std::uint64_t timestamp_ns = 0;   // send time (loose clock sync assumed)
   std::uint16_t payload_size = 0;   // simulated payload length in bytes
@@ -40,11 +43,11 @@ struct DataPacket {
   Bytes encode() const;
   static std::optional<DataPacket> decode(ByteView wire);
 
-  /// H(m): truncated hash of the encoded header.
+  /// H(m): truncated hash of the encoded header (built on the stack).
   PacketId id(const crypto::CryptoProvider& crypto) const;
 
   /// Total on-wire size including the simulated payload.
-  std::size_t wire_size() const;
+  std::size_t wire_size() const { return kHeaderSize + payload_size; }
 };
 
 /// Destination's per-packet ack in the full-ack scheme and PAAI-2 phase 1.

@@ -216,7 +216,7 @@ void Comb1Destination::on_packet(const sim::PacketEnv& env) {
   } else if (*type == net::PacketType::kProbe) {
     const auto probe = net::Probe::decode(env.view());
     if (!probe || pending_.find(probe->data_id) == nullptr) return;
-    WireWriter w;
+    WireWriter w(1 + probe->data_id.size() + crypto::kMacSize);
     w.u8(static_cast<std::uint8_t>(ctx_.d()));
     w.raw(ByteView(probe->data_id.data(), probe->data_id.size()));
     const crypto::Mac tag = dest_ack_tag(ctx_, probe->data_id);

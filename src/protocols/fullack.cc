@@ -214,7 +214,7 @@ double FullAckSource::observed_e2e_rate() const {
 void FullAckRelay::start() { pending_.attach(node(), ctx().r0() / 2); }
 
 Bytes FullAckRelay::local_report(const net::PacketId& id) const {
-  WireWriter w;
+  WireWriter w(1 + id.size());
   w.u8(static_cast<std::uint8_t>(node().index()));
   w.raw(ByteView(id.data(), id.size()));
   return std::move(w).take();
@@ -337,7 +337,7 @@ void FullAckDestination::on_packet(const sim::PacketEnv& env) {
     const auto probe = net::Probe::decode(env.view());
     if (!probe || pending_.find(probe->data_id) == nullptr) return;
     // R_d = <d || H(m) || a_d>.
-    WireWriter w;
+    WireWriter w(1 + probe->data_id.size() + crypto::kMacSize);
     w.u8(static_cast<std::uint8_t>(ctx_.d()));
     w.raw(ByteView(probe->data_id.data(), probe->data_id.size()));
     const crypto::Mac tag = dest_ack_tag(ctx_, probe->data_id);

@@ -15,7 +15,7 @@ std::shared_ptr<const Bytes> shared_wire(Bytes b) {
 }  // namespace
 
 Bytes paai1_local_report(std::size_t index, const net::PacketId& id) {
-  WireWriter w;
+  WireWriter w(1 + id.size());
   w.u8(static_cast<std::uint8_t>(index));
   w.raw(ByteView(id.data(), id.size()));
   return std::move(w).take();
@@ -34,7 +34,7 @@ Bytes paai1_independent_report(const crypto::CryptoProvider& crypto,
   const Bytes content = paai1_local_report(index, id);
   const crypto::Mac mac =
       crypto.mac(key, ByteView(content.data(), content.size()));
-  WireWriter w;
+  WireWriter w(1 + mac.size());
   w.u8(static_cast<std::uint8_t>(index));
   w.raw(ByteView(mac.data(), mac.size()));
   return std::move(w).take();
@@ -44,7 +44,7 @@ namespace {
 
 crypto::Mac probe_auth_tag(const ProtocolContext& ctx, std::size_t index,
                            const net::Probe& probe) {
-  WireWriter w;
+  WireWriter w(1 + probe.data_id.size() + 8);
   w.u8(static_cast<std::uint8_t>(index));
   w.raw(ByteView(probe.data_id.data(), probe.data_id.size()));
   w.u64(probe.challenge);

@@ -12,6 +12,12 @@ std::shared_ptr<const Bytes> shared_wire(Bytes b) {
   return std::make_shared<const Bytes>(std::move(b));
 }
 
+/// A recorded probe's wire bytes; empty when no probe was recorded (a
+/// replayed data packet resets its entry after the probe went by).
+ByteView probe_view(const std::shared_ptr<const Bytes>& wire) {
+  return wire ? ByteView(wire->data(), wire->size()) : ByteView{};
+}
+
 crypto::Mac dest_ack_tag(const ProtocolContext& ctx, const net::PacketId& id) {
   return ctx.crypto().mac(ctx.keys().node_key(ctx.d()),
                           ByteView(id.data(), id.size()));
@@ -33,7 +39,7 @@ sim::SimDuration state_horizon(const ProtocolContext& ctx,
 crypto::Mac paai2_report_tag(const crypto::CryptoProvider& crypto,
                              const crypto::Key& key, std::size_t index,
                              ByteView probe_bytes) {
-  WireWriter w;
+  WireWriter w(1 + 2 + probe_bytes.size());
   w.u8(static_cast<std::uint8_t>(index));
   w.var_bytes(probe_bytes);
   const Bytes& buf = w.data();
@@ -45,7 +51,7 @@ Bytes paai2_report_plaintext(const crypto::CryptoProvider& crypto,
                              ByteView probe_bytes,
                              const crypto::Mac* ad_tag) {
   const crypto::Mac tag = paai2_report_tag(crypto, key, index, probe_bytes);
-  WireWriter w;
+  WireWriter w(kPaai2ReportSize);
   w.raw(ByteView(tag.data(), tag.size()));
   if (ad_tag != nullptr) {
     w.u8(1);
@@ -131,7 +137,7 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
 
   // Fresh unpredictable challenge Z (PRF over id and a counter under the
   // source-private key).
-  WireWriter zi;
+  WireWriter zi(id.size() + 8);
   zi.raw(ByteView(id.data(), id.size()));
   zi.u64(challenge_counter_++);
   const std::uint64_t z = ctx_.crypto().prf(
@@ -141,16 +147,15 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
   net::Probe probe;
   probe.data_id = id;
   probe.challenge = z;
-  p->probe_bytes = probe.encode();
+  p->probe_wire = shared_wire(probe.encode());
 
   // The source can evaluate every node's predicate itself: it knows which
   // node is selected even though no node (or observer) does.
   p->selected = crypto::selected_node(
       ctx_.crypto(), ctx_.key_vector(),
-      ByteView(p->probe_bytes.data(), p->probe_bytes.size()), ctx_.d());
+      probe_view(p->probe_wire), ctx_.d());
 
-  node().originate(sim::Direction::kToDest,
-                   shared_wire(Bytes(p->probe_bytes)), probe.wire_size());
+  node().originate(sim::Direction::kToDest, p->probe_wire, probe.wire_size());
   ctx_.metrics().probes_sent.add();
   ctx_.log_event(node(), obs::EventKind::kProbeSend, -1,
                  obs::event_id64(id.data()), p->selected);
@@ -219,7 +224,7 @@ void Paai2Source::handle_report(const net::ReportAck& ack) {
   const crypto::Key& ke = ctx_.keys().node_key(p->selected);
   const crypto::Mac expected = paai2_report_tag(
       ctx_.crypto(), ke, p->selected,
-      ByteView(p->probe_bytes.data(), p->probe_bytes.size()));
+      probe_view(p->probe_wire));
   const bool match = ct_equal(ByteView(expected.data(), expected.size()),
                               ByteView(cur.data(), crypto::kMacSize));
 
@@ -288,10 +293,10 @@ void Paai2Relay::on_packet(const sim::PacketEnv& env) {
         return;
       }
       st->probe_seen = true;
-      st->probe_bytes.assign(env.wire->begin(), env.wire->end());
+      st->probe_wire = env.wire;
       st->sampled = crypto::selection_predicate(
           ctx().crypto(), ctx().keys().node_key(node().index()),
-          ByteView(st->probe_bytes.data(), st->probe_bytes.size()),
+          env.view(),
           node().index(), ctx().d());
       const auto wait = ctx().rtt(node().index()) + ctx().timer_slack();
       pending_.extend(probe->data_id,
@@ -334,7 +339,7 @@ void Paai2Relay::send_own_report(const net::PacketId& id, RState& st) {
   const crypto::Key& key = ctx().keys().node_key(node().index());
   const Bytes plaintext = paai2_report_plaintext(
       ctx().crypto(), key, node().index(),
-      ByteView(st.probe_bytes.data(), st.probe_bytes.size()),
+      probe_view(st.probe_wire),
       st.have_ad ? &st.ad_tag : nullptr);
   net::ReportAck ack;
   ack.data_id = id;

@@ -62,7 +62,7 @@ class Paai2Source : public sim::Agent, public SourceHandle {
   struct Pending {
     bool probed = false;
     std::size_t selected = 0;
-    Bytes probe_bytes;
+    std::shared_ptr<const Bytes> probe_wire;  // the probe as sent
   };
 
   void send_next();
@@ -107,7 +107,7 @@ class Paai2Relay : public RelayBase {
     bool sampled = false;
     bool responded = false;
     crypto::Mac ad_tag{};
-    Bytes probe_bytes;
+    std::shared_ptr<const Bytes> probe_wire;  // the probe as received
   };
 
   void on_wait_timeout(const net::PacketId& id);

@@ -22,7 +22,7 @@ sim::SimDuration state_horizon(const ProtocolContext& ctx,
 }
 
 Bytes signed_content(std::size_t index, const net::PacketId& id) {
-  WireWriter w;
+  WireWriter w(1 + id.size());
   w.u8(static_cast<std::uint8_t>(index));
   w.raw(ByteView(id.data(), id.size()));
   return std::move(w).take();
@@ -35,7 +35,7 @@ Bytes sigack_report(const crypto::Key& node_seed, std::size_t index,
   const Bytes content = signed_content(index, id);
   const Bytes sig = crypto::wots_sign(node_seed, seq,
                                       ByteView(content.data(), content.size()));
-  WireWriter w;
+  WireWriter w(1 + 8 + sig.size());
   w.u8(static_cast<std::uint8_t>(index));
   w.u64(seq);
   w.raw(ByteView(sig.data(), sig.size()));

@@ -29,7 +29,7 @@ bool statfl_counts(const ProtocolContext& ctx, std::size_t index,
 
 Bytes statfl_local_report(std::size_t index, std::uint64_t interval,
                           std::uint64_t count) {
-  WireWriter w;
+  WireWriter w(1 + 8 + 4);
   w.u8(static_cast<std::uint8_t>(index));
   w.u64(interval);
   w.u32(static_cast<std::uint32_t>(count));

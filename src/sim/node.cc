@@ -66,7 +66,7 @@ void Node::set_up(bool up) {
                          obs::kTraceNoArg, trace_.pid);
   }
   if (!up_) {
-    for (const auto& hook : crash_hooks_) hook();
+    for (const CrashHook& hook : crash_hooks_) hook.fn(hook.ctx);
     if (agent_) agent_->on_crash();
   }
 }

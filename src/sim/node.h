@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -105,9 +104,10 @@ class Node {
   bool up() const { return up_; }
   void set_up(bool up);
 
-  /// Registers a hook run on every crash (see PendingStore::attach).
-  void add_crash_hook(std::function<void()> hook) {
-    crash_hooks_.push_back(std::move(hook));
+  /// Registers `hook(ctx)` to run on every crash (see
+  /// PendingStore::attach). Non-owning: `ctx` must outlive the node.
+  void add_crash_hook(void (*hook)(void*), void* ctx) {
+    crash_hooks_.push_back(CrashHook{hook, ctx});
   }
 
   /// Ground truth for tests: packets blackholed while the node was down.
@@ -142,7 +142,11 @@ class Node {
   SimDuration clock_offset_ = 0;
   bool up_ = true;
   std::uint64_t crash_drops_ = 0;
-  std::vector<std::function<void()>> crash_hooks_;
+  struct CrashHook {
+    void (*fn)(void*);
+    void* ctx;
+  };
+  std::vector<CrashHook> crash_hooks_;
   Link* toward_source_ = nullptr;
   Link* toward_dest_ = nullptr;
   obs::EventLog* events_ = nullptr;

@@ -1,39 +1,72 @@
 #include "sim/simulator.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "obs/profile.h"
 
 namespace paai::sim {
 
-void Simulator::at(SimTime t, Handler fn) {
-  if (t < now_) t = now_;
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
-  // Profiler bookkeeping (one relaxed load + branch while disabled):
-  // pending-heap depth high-water and the allocation the push implies.
-  auto& prof = obs::PhaseProfiler::global();
-  prof.record_queue_depth(obs::QueueId::kSimQueue, queue_.size());
-  prof.add_alloc(obs::Phase::kSimLoop, sizeof(Event));
+namespace {
+
+/// Heap comparator: the later event sinks, so the front is the minimum.
+struct Later {
+  template <typename K>
+  bool operator()(const K& a, const K& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
+
+Simulator::~Simulator() {
+  for (const Key& key : heap_) release_slot(key.slot);
 }
 
-void Simulator::after(SimDuration delay, Handler fn) {
-  if (delay < 0) delay = 0;
-  at(now_ + delay, std::move(fn));
+std::uint32_t Simulator::acquire_slot() {
+  if (free_.empty()) {
+    // A new chunk; existing slots keep their addresses. Its ids go on the
+    // free list lowest-last, so they are handed out in ascending order.
+    const auto base = static_cast<std::uint32_t>(chunks_.size() * kChunkSlots);
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    for (std::uint32_t i = kChunkSlots; i > 0; --i) free_.push_back(base + i - 1);
+  }
+  const std::uint32_t id = free_.back();
+  free_.pop_back();
+  return id;
+}
+
+void Simulator::release_slot(std::uint32_t id) {
+  Slot& s = slot(id);
+  if (s.destroy != nullptr) s.destroy(s.storage);
+  free_.push_back(id);
+}
+
+void Simulator::push_key(SimTime t, std::uint32_t id) {
+  heap_.push_back(Key{t, next_seq_++, id});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  // Profiler bookkeeping (one relaxed load + branch while disabled).
+  obs::PhaseProfiler::global().record_queue_depth(obs::QueueId::kSimQueue,
+                                                  heap_.size());
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  // priority_queue::top() is const; the event is moved out via const_cast,
-  // which is safe because pop() follows immediately and the heap order
-  // does not depend on the handler.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  now_ = ev.time;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  now_ = key.time;
   ++processed_;
-  {
-    const obs::ScopedPhase phase(obs::Phase::kSimLoop);
-    ev.fn();
-  }
+  // The slot is released after the handler returns, also when it throws;
+  // events the handler schedules take other slots meanwhile.
+  struct Release {
+    Simulator& sim;
+    std::uint32_t id;
+    ~Release() { sim.release_slot(id); }
+  } release{*this, key.slot};
+  Slot& s = slot(key.slot);
+  const obs::ScopedPhase phase(obs::Phase::kSimLoop);
+  s.invoke(s.storage);
   return true;
 }
 
@@ -43,7 +76,7 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(SimTime t) {
-  while (!queue_.empty() && queue_.top().time < t) {
+  while (!heap_.empty() && heap_.front().time < t) {
     step();
   }
   if (now_ < t) now_ = t;

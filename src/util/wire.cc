@@ -7,22 +7,11 @@ namespace paai {
 
 void WireWriter::u8(std::uint8_t v) { buf_.push_back(v); }
 
-void WireWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
+void WireWriter::u16(std::uint16_t v) { put(v); }
 
-void WireWriter::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void WireWriter::u32(std::uint32_t v) { put(v); }
 
-void WireWriter::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void WireWriter::u64(std::uint64_t v) { put(v); }
 
 void WireWriter::raw(ByteView data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
@@ -75,9 +64,9 @@ bool WireReader::u64(std::uint64_t& out) {
 }
 
 bool WireReader::raw(std::size_t n, Bytes& out) {
-  const std::uint8_t* p = nullptr;
-  if (!take(n, p)) return false;
-  out.assign(p, p + n);
+  ByteView v;
+  if (!view(n, v)) return false;
+  out.assign(v.begin(), v.end());
   return true;
 }
 
@@ -85,6 +74,19 @@ bool WireReader::var_bytes(Bytes& out) {
   std::uint16_t len = 0;
   if (!u16(len)) return false;
   return raw(len, out);
+}
+
+bool WireReader::view(std::size_t n, ByteView& out) {
+  const std::uint8_t* p = nullptr;
+  if (!take(n, p)) return false;
+  out = ByteView(p, n);
+  return true;
+}
+
+bool WireReader::var_view(ByteView& out) {
+  std::uint16_t len = 0;
+  if (!u16(len)) return false;
+  return view(len, out);
 }
 
 bool WireReader::skip(std::size_t n) {

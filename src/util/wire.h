@@ -7,7 +7,9 @@
 // tests/wire_test.cc.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 
@@ -15,8 +17,20 @@
 
 namespace paai {
 
+/// Stores `v` big-endian at `out` (sizeof(T) bytes).
+template <typename T>
+inline void store_be(std::uint8_t* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+  }
+}
+
 class WireWriter {
  public:
+  WireWriter() = default;
+  /// Reserves the encoded size up front, so the buffer is allocated once.
+  explicit WireWriter(std::size_t size) { buf_.reserve(size); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -31,6 +45,13 @@ class WireWriter {
   std::size_t size() const { return buf_.size(); }
 
  private:
+  template <typename T>
+  void put(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    store_be(buf_.data() + at, v);
+  }
+
   Bytes buf_;
 };
 
@@ -47,6 +68,18 @@ class WireReader {
   /// Reads a u16 length prefix then that many bytes. Fails if the prefix
   /// exceeds the remaining buffer.
   bool var_bytes(Bytes& out);
+  /// Like raw / var_bytes, but views the bytes in place instead of copying
+  /// them; the view is valid as long as the input buffer is.
+  bool view(std::size_t n, ByteView& out);
+  bool var_view(ByteView& out);
+  /// Copies exactly N bytes into a fixed-size field.
+  template <std::size_t N>
+  bool fixed(std::array<std::uint8_t, N>& out) {
+    const std::uint8_t* p = nullptr;
+    if (!take(N, p)) return false;
+    std::memcpy(out.data(), p, N);
+    return true;
+  }
   /// Skips n bytes.
   bool skip(std::size_t n);
 

@@ -150,6 +150,89 @@ TEST(SipHash, ReferenceVectors) {
   }
 }
 
+// Word loads must not assume alignment: the same reference vectors (the
+// 8-, 15-, 16- and 63-byte entries of the SipHash paper's table) hashed
+// from a buffer that starts at an odd address.
+TEST(SipHash, ReferenceVectorsAtOddOffset) {
+  Key128 key;
+  for (int i = 0; i < 16; ++i) key[i] = static_cast<std::uint8_t>(i);
+  std::uint8_t buf[1 + 64];
+  for (int i = 0; i < 64; ++i) buf[1 + i] = static_cast<std::uint8_t>(i);
+  const struct {
+    std::size_t len;
+    std::uint64_t tag;
+  } cases[] = {{8, 0x93f5f5799a932462ULL},
+               {15, 0xa129ca6149be45e5ULL},
+               {16, 0x3f2acc7f57c29bdbULL},
+               {63, 0x958a324ceb064572ULL}};
+  for (const auto& c : cases) {
+    EXPECT_EQ(siphash24(key, ByteView(buf + 1, c.len)), c.tag)
+        << "length " << c.len;
+  }
+}
+
+// FastCrypto's outputs are part of every fast-crypto verdict digest, so
+// they are pinned bit for bit: key bytes 7i+3, message bytes 37i+11,
+// nonce 0x0123456789abcdef.
+TEST(Provider, FastCryptoGoldenVectors) {
+  const struct {
+    std::size_t len;
+    const char* hash;
+    const char* mac;
+    std::uint64_t prf;
+    const char* ciphertext;
+  } vectors[] = {
+      {0, "5b23f4db14ef1308c657c5cb05a411a2e1bb33e8d123c4bd5a5ccf687388450f",
+       "0b6f170f9e45bcf3", 0xecb5578d2b0812f9ULL, ""},
+      {7, "9d929caa4340a18189d4b89c89bbfc81f77a0b35a0b716806d31c6a4617395ce",
+       "65e68ce7e37d1aa4", 0xb63109a783091a14ULL, "f62b56fdfa203e"},
+      {8, "605321ebafe080c43b7cde167abdd76bcc30e7dd3500df8bcc9d6623f6456d10",
+       "943c535c6fbc8544", 0x6c7c5dcc1f6cf171ULL, "f62b56fdfa203eed"},
+      {16, "88ac321c389b3af0cf3541f58d4d78345c9a0249e0801ce42d3afa9f6f57d534",
+       "d2176ec52d397eaa", 0x3788eac717ab0722ULL,
+       "f62b56fdfa203eed1748a8919a8d8f13"},
+      {19, "030c53a48bf7da65694941f915276186f9ed8083ebfe3d9c9069025630d07bf5",
+       "42d27dd4415b683a", 0xe29f539c92e06552ULL,
+       "f62b56fdfa203eed1748a8919a8d8f1383eea4"},
+      {27, "72402840b858808137f79ec444845b25fdf7c81f506f08b615c6604768b191a0",
+       "55036fcf487023ed", 0x6af4ab649faab54eULL,
+       "f62b56fdfa203eed1748a8919a8d8f1383eea443ebd0eeef9fda94"},
+      {64, "92a86da6daddcb8a9417071febcd1ca6101c1c6b5d29d7329d64b294b77aaa83",
+       "0ca4c3d3a95e8646", 0x0f870d4c11530e0eULL,
+       "f62b56fdfa203eed1748a8919a8d8f1383eea443ebd0eeef9fda94eadd92df1e"
+       "56a6e7699a1a842eb1806efc9fb70a0deda0c6c4b2789a108e3f2eac33d42b01"},
+  };
+  const auto crypto = make_fast_crypto();
+  Key key;
+  for (int i = 0; i < 32; ++i) key[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  const std::uint64_t nonce = 0x0123456789abcdefULL;
+  for (const auto& v : vectors) {
+    Bytes msg(v.len);
+    for (std::size_t i = 0; i < v.len; ++i) {
+      msg[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    const ByteView m(msg.data(), msg.size());
+    const auto digest = crypto->hash(m);
+    const Mac tag = crypto->mac(key, m);
+    const Bytes ct = crypto->encrypt(key, nonce, m);
+    EXPECT_EQ(to_hex(ByteView(digest.data(), digest.size())), v.hash)
+        << "length " << v.len;
+    EXPECT_EQ(to_hex(ByteView(tag.data(), tag.size())), v.mac)
+        << "length " << v.len;
+    EXPECT_EQ(crypto->prf(key, m), v.prf) << "length " << v.len;
+    EXPECT_EQ(to_hex(ByteView(ct.data(), ct.size())), v.ciphertext)
+        << "length " << v.len;
+    // A keystream cipher: decrypting the message bytes yields the same
+    // bytes encrypting them does, and decrypting the ciphertext inverts.
+    const Bytes dt = crypto->decrypt(key, nonce, m);
+    EXPECT_EQ(to_hex(ByteView(dt.data(), dt.size())), v.ciphertext)
+        << "length " << v.len;
+    EXPECT_EQ(crypto->decrypt(key, nonce, ByteView(ct.data(), ct.size())),
+              msg)
+        << "length " << v.len;
+  }
+}
+
 TEST(Provider, MacVerifyRoundTrip) {
   for (const auto kind : {CryptoKind::kReal, CryptoKind::kFast}) {
     const auto crypto = make_crypto(kind);
@@ -256,7 +339,8 @@ TEST(SelectionPredicate, SelectedNodeIsUniform) {
   for (int t = 0; t < trials; ++t) {
     std::uint8_t challenge[8];
     for (int b = 0; b < 8; ++b) {
-      challenge[b] = static_cast<std::uint8_t>((t * 2654435761u) >> (8 * b));
+      challenge[b] = static_cast<std::uint8_t>(
+          (static_cast<std::uint64_t>(t) * 2654435761u) >> (8 * b));
     }
     const std::size_t e =
         selected_node(*crypto, keys, ByteView(challenge, 8), d);

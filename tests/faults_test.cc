@@ -364,7 +364,8 @@ TEST(NodeOutage, DownNodeBlackholesAndRunsCrashHooks) {
   CountingAgent* counting = agent.get();
   node.attach_agent(std::move(agent));
   int hook_runs = 0;
-  node.add_crash_hook([&hook_runs] { ++hook_runs; });
+  node.add_crash_hook([](void* runs) { ++*static_cast<int*>(runs); },
+                      &hook_runs);
 
   ASSERT_TRUE(node.up());
   node.deliver(test_packet());

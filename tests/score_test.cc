@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <iomanip>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -488,6 +490,216 @@ TEST(PendingStore, ReinsertAfterEraseWorks) {
   store.purge(150);  // stale FIFO entry for the erased generation
   ASSERT_NE(store.find(a), nullptr);
   EXPECT_EQ(*store.find(a), 2);
+}
+
+/// An id whose first 8 bytes (all PacketIdHash reads) are `bucket` and
+/// whose last 8 are `tag`: equal buckets collide in the table.
+net::PacketId colliding_id(std::uint64_t bucket, std::uint64_t tag) {
+  net::PacketId id{};
+  std::memcpy(id.data(), &bucket, sizeof(bucket));
+  std::memcpy(id.data() + 8, &tag, sizeof(tag));
+  return id;
+}
+
+TEST(PendingStore, CollidingIdsStayDistinct) {
+  sim::StorageMeter meter;
+  PendingStore<int> store(&meter);
+  for (int t = 0; t < 6; ++t) store.put(colliding_id(42, t), t, 100);
+  EXPECT_EQ(PacketIdHash{}(colliding_id(42, 0)),
+            PacketIdHash{}(colliding_id(42, 5)));
+  EXPECT_EQ(store.size(), 6u);
+  // Erasing from the middle of the probe run must keep the later ones
+  // reachable.
+  store.erase(colliding_id(42, 2));
+  store.erase(colliding_id(42, 0));
+  for (int t = 0; t < 6; ++t) {
+    int* v = store.find(colliding_id(42, t));
+    if (t == 0 || t == 2) {
+      EXPECT_EQ(v, nullptr) << t;
+    } else {
+      ASSERT_NE(v, nullptr) << t;
+      EXPECT_EQ(*v, t);
+    }
+  }
+  EXPECT_EQ(meter.current(), 4u);
+}
+
+TEST(PendingStore, GrowsPastInitialCapacity) {
+  sim::StorageMeter meter;
+  PendingStore<int> store(&meter);
+  constexpr int kEntries = 5000;
+  for (int i = 0; i < kEntries; ++i) {
+    store.put(colliding_id(static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL,
+                           i),
+              i, 1000 + i);
+  }
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(kEntries));
+  EXPECT_EQ(meter.current(), static_cast<std::size_t>(kEntries));
+  EXPECT_EQ(meter.peak(), static_cast<std::size_t>(kEntries));
+  for (int i = 0; i < kEntries; ++i) {
+    const int* v = store.find(colliding_id(
+        static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL, i));
+    ASSERT_NE(v, nullptr) << i;
+    EXPECT_EQ(*v, i);
+  }
+  store.purge(1000 + kEntries / 2);  // deadlines 1000 .. 1000+kEntries/2
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(kEntries / 2 - 1));
+  EXPECT_EQ(meter.current(), store.size());
+}
+
+TEST(PendingStore, ExtendThenPurgeRequeues) {
+  sim::StorageMeter meter;
+  PendingStore<int> store(&meter);
+  for (int i = 0; i < 40; ++i) store.put(colliding_id(i, 0), i, 100);
+  for (int i = 0; i < 40; i += 2) store.extend(colliding_id(i, 0), 300 + i);
+  store.purge(150);  // the odd ids expire; the even ones are re-queued
+  EXPECT_EQ(store.size(), 20u);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(store.find(colliding_id(i, 0)) != nullptr, i % 2 == 0) << i;
+  }
+  store.purge(319);  // deadlines 300..318 pass, 320..338 do not
+  EXPECT_EQ(store.size(), 10u);
+  store.purge(1000);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(meter.current(), 0u);
+}
+
+TEST(PendingStore, EraseThenPurgeCountsOnce) {
+  sim::StorageMeter meter;
+  PendingStore<int> store(&meter);
+  for (int i = 0; i < 10; ++i) store.put(colliding_id(7, i), i, 100);
+  for (int i = 0; i < 10; i += 3) store.erase(colliding_id(7, i));
+  EXPECT_EQ(meter.current(), 6u);
+  store.purge(100);  // the erased ids' deadlines are skipped, not counted
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(meter.current(), 0u);
+}
+
+TEST(PendingStore, ClearDropsEntriesAndDeadlines) {
+  sim::StorageMeter meter;
+  PendingStore<int> store(&meter);
+  const net::PacketId a = colliding_id(1, 1);
+  for (int i = 0; i < 30; ++i) store.put(colliding_id(i, 2), i, 100);
+  store.put(a, 1, 100);
+  store.clear();  // what a node crash runs
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(meter.current(), 0u);
+  EXPECT_EQ(store.find(a), nullptr);
+  // A re-put after the crash must not be expired by a deadline queued
+  // before it.
+  store.put(a, 2, 500);
+  store.purge(200);
+  ASSERT_NE(store.find(a), nullptr);
+  EXPECT_EQ(*store.find(a), 2);
+  EXPECT_EQ(meter.current(), 1u);
+}
+
+/// The node-based store the flat table replaced (std::map plus a deque of
+/// deadlines), kept as the oracle for its semantics — including purge()'s
+/// FIFO order, which lets an unexpired front deadline shield a later,
+/// already expired entry until the front passes.
+class MapStoreOracle {
+ public:
+  void put(const net::PacketId& id, int value, sim::SimTime expiry) {
+    map_[id] = Entry{value, expiry};
+    fifo_.emplace_back(expiry, id);
+  }
+  const int* find(const net::PacketId& id) const {
+    const auto it = map_.find(id);
+    return it == map_.end() ? nullptr : &it->second.value;
+  }
+  void extend(const net::PacketId& id, sim::SimTime expiry) {
+    const auto it = map_.find(id);
+    if (it != map_.end() && expiry > it->second.expiry) {
+      it->second.expiry = expiry;
+    }
+  }
+  void erase(const net::PacketId& id) { map_.erase(id); }
+  void purge(sim::SimTime now) {
+    while (!fifo_.empty() && fifo_.front().first <= now) {
+      const net::PacketId id = fifo_.front().second;
+      fifo_.pop_front();
+      const auto it = map_.find(id);
+      if (it == map_.end()) continue;
+      if (it->second.expiry <= now) {
+        map_.erase(it);
+      } else {
+        fifo_.emplace_back(it->second.expiry, id);
+      }
+    }
+  }
+  void clear() {
+    map_.clear();
+    fifo_.clear();
+  }
+  std::size_t size() const { return map_.size(); }
+
+ private:
+  struct Entry {
+    int value;
+    sim::SimTime expiry;
+  };
+  std::map<net::PacketId, Entry> map_;
+  std::deque<std::pair<sim::SimTime, net::PacketId>> fifo_;
+};
+
+// Random operations against the oracle, over few buckets so probe runs
+// are long and wrap around the table.
+TEST(PendingStore, MatchesMapStoreUnderRandomOps) {
+  sim::StorageMeter meter;
+  PendingStore<int> store(&meter);
+  MapStoreOracle oracle;
+  Rng rng(2024);
+  sim::SimTime now = 0;
+  const auto random_id = [&rng] {
+    return colliding_id(rng.next_below(5), rng.next_below(40));
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const net::PacketId id = random_id();
+    switch (rng.next_below(6)) {
+      case 0:
+      case 1: {
+        const int v = static_cast<int>(rng.next_below(1000));
+        const auto expiry =
+            now + 1 + static_cast<sim::SimTime>(rng.next_below(50));
+        store.put(id, v, expiry);
+        oracle.put(id, v, expiry);
+        break;
+      }
+      case 2: {
+        const auto expiry = now + static_cast<sim::SimTime>(rng.next_below(80));
+        store.extend(id, expiry);
+        oracle.extend(id, expiry);
+        break;
+      }
+      case 3:
+        store.erase(id);
+        oracle.erase(id);
+        break;
+      case 4:
+        now += static_cast<sim::SimTime>(rng.next_below(10));
+        store.purge(now);
+        oracle.purge(now);
+        break;
+      default:
+        if (rng.next_below(100) == 0) {
+          store.clear();
+          oracle.clear();
+        }
+        break;
+    }
+    ASSERT_EQ(store.size(), oracle.size()) << "step " << step;
+    ASSERT_EQ(meter.current(), oracle.size()) << "step " << step;
+    for (int probe = 0; probe < 4; ++probe) {
+      const net::PacketId q = probe == 0 ? id : random_id();
+      const int* got = store.find(q);
+      const int* want = oracle.find(q);
+      ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want) << "step " << step;
+      }
+    }
+  }
 }
 
 }  // namespace

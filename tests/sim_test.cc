@@ -1,9 +1,12 @@
-// Simulator-core tests: event ordering and determinism, link loss and
-// latency behaviour, path construction, RTT-bound nesting (the property
-// the protocol wait-timer cascade relies on), storage metering, and
-// traffic accounting.
+// Simulator-core tests: event ordering and determinism, the event slab's
+// capture lifetime and size bound, link loss and latency behaviour, path
+// construction, RTT-bound nesting (the property the protocol wait-timer
+// cascade relies on), storage metering, and traffic accounting.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/link.h"
@@ -70,6 +73,72 @@ TEST(Simulator, RunUntilStopsBeforeBoundary) {
   sim.run();
   EXPECT_EQ(fired, 2);
 }
+
+// A handler that schedules far more events than the slab holds must still
+// read its own capture afterwards: new chunks never move its slot (ASan
+// reports a use-after-free if they did).
+TEST(Simulator, HandlerCaptureSurvivesItsOwnScheduling) {
+  Simulator sim;
+  int fired = 0;
+  std::uint64_t seen = 0;
+  const std::array<std::uint64_t, 3> words = {11, 22, 33};
+  auto handler = [&sim, &fired, &seen, w0 = words[0], w1 = words[1],
+                  w2 = words[2]] {
+    for (int i = 0; i < 10000; ++i) {
+      sim.after(i % 97, [&fired] { ++fired; });
+    }
+    seen = w0 + w1 + w2;
+  };
+  static_assert(sizeof(handler) == 48);
+  sim.at(10, handler);
+  sim.run();
+  EXPECT_EQ(seen, 66u);
+  EXPECT_EQ(fired, 10000);
+  EXPECT_EQ(sim.events_processed(), 10001u);
+}
+
+TEST(Simulator, DestructionReleasesPendingCaptures) {
+  auto token = std::make_shared<int>(7);
+  {
+    Simulator sim;
+    for (int i = 0; i < 100; ++i) sim.at(i, [token] { (void)*token; });
+    sim.run_until(50);  // dispatches (and releases) times 0..49
+    EXPECT_EQ(token.use_count(), 51);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, ThrowingHandlerReleasesItsCapture) {
+  auto token = std::make_shared<int>(7);
+  Simulator sim;
+  sim.at(1, [token] { throw std::runtime_error("handler failed"); });
+  sim.at(2, [] {});
+  EXPECT_THROW(sim.step(), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(sim.step());  // the queue is intact
+  EXPECT_TRUE(sim.empty());
+}
+
+// The capture bound is a compile-time property: a callable larger than a
+// slot, or over-aligned for one, cannot be scheduled at all.
+struct FitsSlot {
+  std::array<std::uint8_t, kEventSlotBytes> bytes;
+  void operator()() const {}
+};
+struct OversizedCapture {
+  std::array<std::uint8_t, kEventSlotBytes + 1> bytes;
+  void operator()() const {}
+};
+struct alignas(2 * alignof(std::max_align_t)) OveralignedCapture {
+  void operator()() const {}
+};
+template <typename F>
+concept Schedulable = requires(Simulator& s, F f) { s.after(0, f); };
+static_assert(InlineEvent<FitsSlot> && Schedulable<FitsSlot>);
+static_assert(!InlineEvent<OversizedCapture> &&
+              !Schedulable<OversizedCapture>);
+static_assert(!InlineEvent<OveralignedCapture> &&
+              !Schedulable<OveralignedCapture>);
 
 TEST(StorageMeter, TracksCurrentAndPeak) {
   StorageMeter m;

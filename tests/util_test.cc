@@ -4,6 +4,7 @@
 // crash or over-read).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -323,6 +324,35 @@ TEST(Wire, VarBytesLengthPrefixBounds) {
   WireReader r(ByteView(evil.data(), evil.size()));
   Bytes out;
   EXPECT_FALSE(r.var_bytes(out));
+  WireReader rv(ByteView(evil.data(), evil.size()));
+  ByteView view;
+  EXPECT_FALSE(rv.var_view(view));
+}
+
+TEST(Wire, InPlaceReadsViewTheInput) {
+  WireWriter w(1 + 2 + 3 + 4);
+  w.u8(9);
+  const Bytes payload = bytes_of("abc");
+  w.var_bytes(ByteView(payload.data(), payload.size()));
+  w.u32(0x01020304);
+  EXPECT_EQ(w.size(), 10u);
+  const Bytes& buf = w.data();
+
+  WireReader r(ByteView(buf.data(), buf.size()));
+  std::array<std::uint8_t, 1> tag{};
+  ByteView var;
+  ByteView tail;
+  ASSERT_TRUE(r.fixed(tag));
+  ASSERT_TRUE(r.var_view(var));
+  EXPECT_FALSE(r.view(5, tail));  // one byte short: fails, consumes nothing
+  ASSERT_TRUE(r.view(4, tail));
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(tag[0], 9);
+  EXPECT_EQ(var.data(), buf.data() + 3);  // a view, not a copy
+  EXPECT_EQ(Bytes(var.begin(), var.end()), payload);
+  EXPECT_EQ(to_hex(tail), "01020304");
+  std::array<std::uint8_t, 2> past{};
+  EXPECT_FALSE(r.fixed(past));
 }
 
 TEST(Wire, DecodeFuzzNeverCrashes) {
@@ -335,12 +365,17 @@ TEST(Wire, DecodeFuzzNeverCrashes) {
     std::uint8_t a;
     Bytes v;
     std::uint64_t q;
+    ByteView view;
+    std::array<std::uint8_t, 5> fixed{};
     // Exercise all getters; only invariant: no crash, no over-read.
     (void)r.u8(a);
     (void)r.var_bytes(v);
     (void)r.u64(q);
     (void)r.skip(3);
+    (void)r.var_view(view);
+    (void)r.fixed(fixed);
     EXPECT_LE(v.size(), len);
+    EXPECT_LE(view.size(), len);
   }
 }
 

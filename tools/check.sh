@@ -16,13 +16,17 @@
 #
 #   2. AddressSanitizer + UBSan (hard-fail, -fno-sanitize-recover=all) —
 #      the memory-facing suites: obs (JSON parser on hostile input, ring
-#      indexing, event-line codec), util (wire codec fuzz loop), sim,
-#      exec, faults (plan parser on malformed specs, loss-process state
-#      machines, crash-time pending-table teardown), score (the score
-#      tables, the shared blame rule and the verdict pin), stream (the
-#      hand-written event-line scanner and reader framing under the
-#      truncation/corruption fuzz, snapshot parsing and its mutation
-#      fuzz).
+#      indexing, event-line codec), util (wire codec fuzz loop), sim
+#      (the event slab's slot reuse and capture lifetimes), exec, faults
+#      (plan parser on malformed specs, loss-process state machines,
+#      crash-time pending-table teardown), score (the score tables, the
+#      shared blame rule, the verdict pin and the flat pending table),
+#      stream (the hand-written event-line scanner and reader framing
+#      under the truncation/corruption fuzz, snapshot parsing and its
+#      mutation fuzz), alloc (the hot path's allocation budgets, run
+#      through the slab, codecs and pending tables of three protocols),
+#      crypto (SipHash's word loads on unaligned input, the FastCrypto
+#      golden vectors).
 #
 #   The 60k-packet ChaosPaperScale sweep is excluded under sanitizers for
 #   runtime; ChaosSmoke is its in-sanitizer representative.
@@ -96,7 +100,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test bench_diff -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test bench_diff -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -112,6 +116,8 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # tests are what the sanitizers are for.
 "$ASAN_DIR/tests/stream_test" \
     "--gtest_filter=-Equivalence.AllProtocols*:Equivalence.Windowed*"
+"$ASAN_DIR/tests/alloc_test"
+"$ASAN_DIR/tests/crypto_test"
 
 echo "== leg 3: bench_diff =="
 "$ASAN_DIR/tools/bench_diff" --self-test
@@ -362,4 +368,4 @@ grep -q 'phase crypto calls=[1-9]' "$SMOKE_DIR/sigack_tele.report" || {
   exit 1
 }
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/stream), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
