@@ -3,8 +3,13 @@
 // convict nothing on clean paths — across path lengths.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+#include <sstream>
+#include <string>
 #include <tuple>
 
+#include "obs/events.h"
 #include "runner/experiment.h"
 
 namespace paai::runner {
@@ -191,6 +196,146 @@ TEST(Protocol, RealAndFastCryptoAgreeOnOutcome) {
     EXPECT_EQ(fast.final_convicted.front(), 3u);
   }
 }
+
+// Cross-commit pin: a digest of every observable output of one small run
+// per protocol (and per protocol branch an adversary or ablation switch
+// reaches) — counters, checkpoints, verdict, thetas and overhead ratios
+// as exact hex floats, and the exported event-stream bytes. The expected
+// digests were recorded from the code as it stood before the protocol
+// agents were folded onto shared skeletons; a refactor that moves one
+// originate(), log_event() or timer by a single event fails here.
+struct GoldenCase {
+  const char* name;
+  ProtocolKind kind;
+  std::uint64_t packets;
+  std::function<void(ExperimentConfig&)> tweak;
+  const char* digest;
+};
+
+void PrintTo(const GoldenCase& gc, std::ostream* os) { *os << gc.name; }
+
+AdversarySpec adversary_of(AdversarySpec::Kind kind, double rate) {
+  AdversarySpec spec;
+  spec.node = 3;
+  spec.kind = kind;
+  spec.rate = rate;
+  return spec;
+}
+
+std::string hex_float(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+class GoldenRun : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenRun, OutputsMatchRecordedDigest) {
+  const GoldenCase& gc = GetParam();
+  ExperimentConfig cfg = paper_config(gc.kind, gc.packets, 4242);
+  cfg.checkpoints = {gc.packets / 4, gc.packets / 2, gc.packets};
+  if (gc.tweak) gc.tweak(cfg);
+  obs::EventLog log(static_cast<std::size_t>(gc.packets) * 16 + 4096);
+  cfg.path.events = &log;
+  const ExperimentResult r = run_experiment(cfg);
+  ASSERT_EQ(log.dropped(), 0u);
+
+  std::ostringstream summary;
+  summary << "sent=" << r.packets_sent << " obs=" << r.observations
+          << " events=" << r.events_processed
+          << " crossings=" << r.data_link_crossings << " checkpoints=";
+  for (const auto& cp : r.checkpoints) {
+    summary << cp.packets << ":";
+    for (const std::size_t l : cp.convicted) summary << l << ",";
+    summary << ";";
+  }
+  summary << " convicted=";
+  for (const std::size_t l : r.final_convicted) summary << l << ",";
+  summary << " thetas=";
+  for (const double t : r.final_thetas) summary << hex_float(t) << ",";
+  summary << " overhead=" << hex_float(r.overhead_bytes_ratio) << "/"
+          << hex_float(r.overhead_packets_ratio);
+  std::ostringstream jsonl;
+  log.write_jsonl(jsonl);
+
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(
+                    fnv1a(summary.str() + "\n" + jsonl.str())));
+  EXPECT_EQ(std::string(digest), gc.digest)
+      << summary.str() << " jsonl_bytes=" << jsonl.str().size();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocol, GoldenRun,
+    ::testing::Values(
+        GoldenCase{"full_ack", ProtocolKind::kFullAck, 600, nullptr,
+                   "d35c27c075dee663"},
+        GoldenCase{"PAAI_1", ProtocolKind::kPaai1, 2500, nullptr, "10b1fd4b5d185276"},
+        GoldenCase{"PAAI_2", ProtocolKind::kPaai2, 1500, nullptr, "21ba5d5adfc123ce"},
+        GoldenCase{"combination_1", ProtocolKind::kCombination1, 3000,
+                   nullptr, "55216aea2161741b"},
+        GoldenCase{"combination_2", ProtocolKind::kCombination2, 4000,
+                   nullptr, "c35bbf981d131c07"},
+        GoldenCase{"statistical_FL", ProtocolKind::kStatisticalFl, 2000,
+                   [](ExperimentConfig& c) {
+                     c.params.fl_sampling = 0.25;
+                   },
+                   "9e849e4c7d1bd63f"},
+        GoldenCase{"sig_ack", ProtocolKind::kSigAck, 300, nullptr,
+                   "2a444670d42a5ec2"},
+        GoldenCase{"PAAI_1_independent_acks", ProtocolKind::kPaai1, 2500,
+                   [](ExperimentConfig& c) {
+                     c.params.paai1_independent_acks = true;
+                   },
+                   "01652edde4c02e1f"},
+        GoldenCase{"PAAI_1_authenticated_probes", ProtocolKind::kPaai1, 2500,
+                   [](ExperimentConfig& c) {
+                     c.params.authenticated_probes = true;
+                   },
+                   "c88722cf3333e89b"},
+        GoldenCase{"PAAI_1_dropper", ProtocolKind::kPaai1, 2500,
+                   [](ExperimentConfig& c) {
+                     c.adversaries.push_back(
+                         adversary_of(AdversarySpec::Kind::kUniform, 0.3));
+                   },
+                   "4722b07b9e0c73cb"},
+        GoldenCase{"full_ack_withholder", ProtocolKind::kFullAck, 600,
+                   [](ExperimentConfig& c) {
+                     c.adversaries.push_back(adversary_of(
+                         AdversarySpec::Kind::kWithholdRelease, 0.3));
+                   },
+                   "e2aaf5d9ff9a6219"},
+        GoldenCase{"full_ack_corrupter", ProtocolKind::kFullAck, 600,
+                   [](ExperimentConfig& c) {
+                     c.adversaries.push_back(
+                         adversary_of(AdversarySpec::Kind::kCorrupt, 0.3));
+                   },
+                   "debd9994583ae951"},
+        GoldenCase{"PAAI_2_withholder", ProtocolKind::kPaai2, 1500,
+                   [](ExperimentConfig& c) {
+                     c.adversaries.push_back(adversary_of(
+                         AdversarySpec::Kind::kWithholdRelease, 0.3));
+                   },
+                   "2757f7614126d133"},
+        GoldenCase{"PAAI_2_corrupter", ProtocolKind::kPaai2, 1500,
+                   [](ExperimentConfig& c) {
+                     c.adversaries.push_back(
+                         adversary_of(AdversarySpec::Kind::kCorrupt, 0.3));
+                   },
+                   "5ea27ecc7c0f04bb"}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace paai::runner
