@@ -11,74 +11,29 @@
 // *every* packet across the destination-ack round trip (Table 1's
 // r_0(0.5 + 2p) nu bound).
 //
-// Relays behave exactly like full-ack relays (store all ids, release when
-// the destination ack passes, contribute onion layers on probes), so that
-// class is reused directly.
+// Implementation: the full-ack agents in their Combination-1 modes — the
+// source monitors (and the destination acks) only K_d-sampled packets;
+// relays are full-ack relays unchanged (store every id, contribute onion
+// layers on probes, and hold state for the full horizon even after the
+// destination ack passes — see OnionRelay).
 #pragma once
 
-#include "crypto/sampler.h"
-#include "net/onion.h"
-#include "net/packet.h"
-#include "protocols/context.h"
 #include "protocols/fullack.h"
-#include "protocols/paai1.h"
-#include "protocols/pending.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
-#include "sim/node.h"
 
 namespace paai::protocols {
 
-class Comb1Source final : public sim::Agent, public SourceHandle {
+class Comb1Source final : public FullAckSource {
  public:
-  explicit Comb1Source(const ProtocolContext& ctx);
-
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.observations(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override;
-
- private:
-  struct Pending {
-    bool probed = false;
-  };
-
-  void send_next();
-  void on_ack_timeout(const net::PacketId& id);
-  void on_probe_timeout(const net::PacketId& id);
-  void handle_dest_ack(const net::DestAck& ack);
-  void handle_report(const net::ReportAck& ack);
-
-  const ProtocolContext& ctx_;
-  crypto::SecureSampler sampler_;  // keyed with K_d
-  ScoreTable score_;
-  PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  sim::SimDuration send_period_;
+  explicit Comb1Source(const ProtocolContext& ctx)
+      : FullAckSource(ctx, /*sampled_mode=*/true) {}
 };
 
 using Comb1Relay = FullAckRelay;
 
-class Comb1Destination final : public sim::Agent {
+class Comb1Destination final : public FullAckDestination {
  public:
-  explicit Comb1Destination(const ProtocolContext& ctx);
-
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
- private:
-  struct DState {};
-
-  const ProtocolContext& ctx_;
-  crypto::SecureSampler sampler_;
-  PendingStore<DState> pending_;
+  explicit Comb1Destination(const ProtocolContext& ctx)
+      : FullAckDestination(ctx, /*ack_only_sampled=*/true) {}
 };
 
 }  // namespace paai::protocols

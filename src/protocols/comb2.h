@@ -3,15 +3,16 @@
 // a K_d-keyed sample of the traffic.
 //
 // The probe function is keyed with the key shared between S and D, so the
-// destination independently knows which packets to ack; an intermediate
-// node that sees a valid destination ack pass learns the packet was
-// sampled and that no probe will follow, and frees its state early.
-// Communication drops below both PAAI-1 and PAAI-2 (O(p) per packet), at
-// the price of a detection rate slower by the 1/p factor (Table 1).
+// destination independently knows which packets to ack. Communication
+// drops below both PAAI-1 and PAAI-2 (O(p) per packet), at the price of a
+// detection rate slower by the 1/p factor (Table 1).
 //
-// Implementation: thin subclasses of the PAAI-2 agents with the
-// Combination-2 mode flags — the protocol machinery (challenges,
-// predicates, layered re-encryption, prefix scoring) is identical.
+// Implementation: the PAAI-2 source and destination in their Combination-2
+// modes, and the PAAI-2 relay unchanged — the protocol machinery
+// (challenges, predicates, layered re-encryption, prefix scoring) is
+// identical. §10 lets a relay that sees a destination ack pass free its
+// state early; ours do not, because relays cannot authenticate a_d and a
+// corrupted ack would flush honest state (DESIGN.md §"findings").
 #pragma once
 
 #include "protocols/paai2.h"
@@ -24,11 +25,7 @@ class Comb2Source final : public Paai2Source {
       : Paai2Source(ctx, /*sampled_mode=*/true) {}
 };
 
-class Comb2Relay final : public Paai2Relay {
- public:
-  explicit Comb2Relay(const ProtocolContext& ctx)
-      : Paai2Relay(ctx, /*release_on_dest_ack=*/true) {}
-};
+using Comb2Relay = Paai2Relay;
 
 class Comb2Destination final : public Paai2Destination {
  public:

@@ -17,94 +17,64 @@
 // worst-case bound still applies.
 #pragma once
 
-#include "net/onion.h"
-#include "net/packet.h"
-#include "protocols/context.h"
-#include "protocols/pending.h"
+#include "crypto/sampler.h"
+#include "protocols/agent.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
-#include "sim/node.h"
 
 namespace paai::protocols {
 
-class FullAckSource final : public sim::Agent, public SourceHandle {
+class FullAckSource : public SourceAgent<FullAckSource> {
  public:
-  explicit FullAckSource(const ProtocolContext& ctx);
+  explicit FullAckSource(const ProtocolContext& ctx)
+      : FullAckSource(ctx, /*sampled_mode=*/false) {}
 
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.observations(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override;
+ protected:
+  /// sampled_mode = Combination 1 (§10): only a K_d-keyed sampled
+  /// fraction of the packets is monitored (the destination acks exactly
+  /// those), and a probe resolves after r_0 + 2 slack where full-ack
+  /// resolves after r_0 + slack.
+  FullAckSource(const ProtocolContext& ctx, bool sampled_mode);
 
  private:
-  struct Pending {
-    bool probed = false;
-  };
+  friend SourceAgent;
 
-  void send_next();
-  void on_ack_timeout(const net::PacketId& id);
+  bool before_send(const net::PacketId& id, std::uint64_t seq);
+  void after_send(const net::PacketId& id, std::uint64_t seq, bool monitored);
   void on_probe_timeout(const net::PacketId& id);
-  void handle_dest_ack(const net::DestAck& ack);
-  void handle_report(const net::ReportAck& ack);
-  bool report_ok(std::uint8_t index, ByteView report,
-                 const net::PacketId& id) const;
+  void on_dest_ack(const net::DestAck& ack) { credit_dest_ack(ack); }
+  void on_report(const net::ReportAck& ack);
 
-  const ProtocolContext& ctx_;
-  ScoreTable score_;
-  PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  sim::SimDuration send_period_;
+  bool sampled_mode_;
+  crypto::SecureSampler sampler_;  // keyed with K_d (sampled mode only)
+  sim::SimDuration probe_wait_;
 };
 
-class FullAckRelay final : public RelayBase {
+class FullAckRelay final : public OnionRelay {
  public:
-  explicit FullAckRelay(const ProtocolContext& ctx) : RelayBase(ctx), pending_(nullptr) {}
-
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
- private:
-  struct RState {
-    bool probe_seen = false;
-    bool responded = false;
-  };
-
-  void on_wait_timeout(const net::PacketId& id);
-  Bytes local_report(const net::PacketId& id) const;
-
-  PendingStore<RState> pending_;
+  explicit FullAckRelay(const ProtocolContext& ctx)
+      : OnionRelay(ctx, /*paai1=*/false) {}
 };
 
-class FullAckDestination final : public sim::Agent {
+class FullAckDestination : public sim::Agent {
  public:
   explicit FullAckDestination(const ProtocolContext& ctx)
-      : ctx_(ctx), pending_(nullptr) {}
+      : FullAckDestination(ctx, /*ack_only_sampled=*/false) {}
 
   void start() override;
   void on_packet(const sim::PacketEnv& env) override;
+
+ protected:
+  /// ack_only_sampled = Combination 1: D evaluates the K_d-keyed sampler
+  /// itself; unsampled packets get no ack and will never be probed.
+  FullAckDestination(const ProtocolContext& ctx, bool ack_only_sampled);
 
  private:
   struct DState {};
 
   const ProtocolContext& ctx_;
+  bool ack_only_sampled_;
+  crypto::SecureSampler sampler_;
   PendingStore<DState> pending_;
 };
-
-/// Freshness-checked decode helper shared by all destination/relay agents:
-/// returns the packet and its identifier iff the wire bytes parse.
-struct DecodedData {
-  net::DataPacket packet;
-  net::PacketId id;
-};
-std::optional<DecodedData> decode_data(const ProtocolContext& ctx,
-                                       ByteView wire);
 
 }  // namespace paai::protocols

@@ -21,73 +21,40 @@
 #pragma once
 
 #include "crypto/sampler.h"
-#include "net/onion.h"
-#include "net/packet.h"
-#include "protocols/context.h"
-#include "protocols/pending.h"
+#include "protocols/agent.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
-#include "sim/node.h"
 
 namespace paai::protocols {
 
-class Paai1Source final : public sim::Agent, public SourceHandle {
+// Every probed packet exposes a link to the data, probe, and onion legs —
+// nominally 3 traversals, but a drop suppresses the same round's
+// downstream legs (an onion that originated upstream of l_i never crosses
+// it), leaving an effective exposure of ~2.6. Calibrated so that honest
+// links estimate at their true natural rate.
+class Paai1Source final : public SourceAgent<Paai1Source> {
  public:
-  explicit Paai1Source(const ProtocolContext& ctx);
-
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.observations(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override;
+  explicit Paai1Source(const ProtocolContext& ctx)
+      : SourceAgent(ctx, ctx.d(), /*traversals=*/2.6),
+        sampler_(ctx.crypto(), ctx.keys().source_sampling_key(),
+                 ctx.params().probe_probability) {}
 
  private:
-  struct Pending {
-    // Independent-ack ablation mode only: bit i records a verified ack
-    // from node F_i.
-    std::uint32_t ack_bits = 0;
-  };
+  friend SourceAgent;
 
-  void send_next();
-  void send_probe(const net::PacketId& id);
-  void on_resolution_timeout(const net::PacketId& id);
-  void handle_report(const net::ReportAck& ack);
-  void handle_independent_report(const net::ReportAck& ack);
-  void resolve_independent(const net::PacketId& id, const Pending& pending);
+  bool before_send(const net::PacketId&, std::uint64_t) { return false; }
+  void after_send(const net::PacketId& id, std::uint64_t seq, bool);
+  void send_probe_for(const net::PacketId& id);
+  void on_probe_timeout(const net::PacketId& id);
+  void on_report(const net::ReportAck& ack);
+  void on_independent_report(const net::ReportAck& ack);
 
-  const ProtocolContext& ctx_;
   crypto::SecureSampler sampler_;
-  ScoreTable score_;
-  PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t probed_ = 0;
-  std::uint64_t delivered_ = 0;  // probes whose onion originated at D
-  sim::SimDuration send_period_;
 };
 
-class Paai1Relay final : public RelayBase {
+class Paai1Relay final : public OnionRelay {
  public:
   explicit Paai1Relay(const ProtocolContext& ctx)
-      : RelayBase(ctx), pending_(nullptr) {}
-
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
- private:
-  struct RState {
-    bool probe_seen = false;
-    bool responded = false;
-  };
-
-  void on_wait_timeout(const net::PacketId& id);
-
-  PendingStore<RState> pending_;
+      : OnionRelay(ctx, /*paai1=*/true) {}
 };
 
 class Paai1Destination final : public sim::Agent {

@@ -8,30 +8,10 @@ namespace paai::protocols {
 
 namespace {
 
-std::shared_ptr<const Bytes> shared_wire(Bytes b) {
-  return std::make_shared<const Bytes>(std::move(b));
-}
-
 /// A recorded probe's wire bytes; empty when no probe was recorded (a
 /// replayed data packet resets its entry after the probe went by).
 ByteView probe_view(const std::shared_ptr<const Bytes>& wire) {
   return wire ? ByteView(wire->data(), wire->size()) : ByteView{};
-}
-
-crypto::Mac dest_ack_tag(const ProtocolContext& ctx, const net::PacketId& id) {
-  return ctx.crypto().mac(ctx.keys().node_key(ctx.d()),
-                          ByteView(id.data(), id.size()));
-}
-
-/// How long a node must keep state: until a probe (sent after the
-/// source's ack timeout) can no longer arrive, plus response time.
-sim::SimDuration state_horizon(const ProtocolContext& ctx,
-                               std::size_t node_index) {
-  // A probe (sent after the source's ack timeout, <= r_0 + slack) reaches
-  // F_i a fixed interval after the data did; the node then needs r_i for
-  // the downstream response. Deeper nodes therefore hold state slightly
-  // shorter — the position slope of Figure 3(c).
-  return ctx.r0() + ctx.rtt(node_index) + 3 * ctx.timer_slack();
 }
 
 }  // namespace
@@ -73,67 +53,34 @@ std::uint64_t paai2_layer_nonce(const net::PacketId& id, std::size_t index) {
 // ---------------------------------------------------------------- source
 
 Paai2Source::Paai2Source(const ProtocolContext& ctx, bool sampled_mode)
-    : ctx_(ctx),
+    : SourceAgent(ctx, ctx.d()),
       sampled_mode_(sampled_mode),
       monitor_sampler_(ctx.crypto(), ctx.keys().destination_key(),
-                       ctx.params().probe_probability),
-      score_(ctx.d()),
-      pending_(nullptr),
-      send_period_(static_cast<sim::SimDuration>(
-          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-  score_.set_blame(ctx.params().blame);
-}
+                       ctx.params().probe_probability) {}
 
-void Paai2Source::start() {
-  pending_.attach(node(), ctx_.r0() / 2);
-  node().sim().after(send_period_, [this] { send_next(); });
-}
-
-void Paai2Source::send_next() {
-  if (sent_ >= ctx_.params().total_packets) return;
-
-  net::DataPacket pkt;
-  pkt.seq = sent_;
-  pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
-  pkt.payload_size = ctx_.params().payload_size;
-  const net::PacketId id = pkt.id(ctx_.crypto());
-
+bool Paai2Source::before_send(const net::PacketId& id, std::uint64_t) {
   // Combination 2: only a K_d-keyed sampled fraction is monitored; for the
   // rest the packet goes out and the protocol stays silent.
   const bool monitored =
       !sampled_mode_ || monitor_sampler_.sampled(ByteView(id.data(), id.size()));
+  if (monitored) track(id, {}, 3 * ctx_.r0() + 8 * ctx_.timer_slack());
+  return monitored;
+}
 
-  if (monitored) {
-    pending_.purge(node().sim().now());
-    pending_.put(id, Pending{},
-                 node().sim().now() + 3 * ctx_.r0() + 8 * ctx_.timer_slack());
-  }
-  node().originate(sim::Direction::kToDest, shared_wire(pkt.encode()),
-                   pkt.wire_size());
-  ctx_.log_event(node(), obs::EventKind::kDataSend, -1,
-                 obs::event_id64(id.data()), pkt.seq);
-  ++sent_;
-
-  if (monitored) {
-    if (sampled_mode_) {
-      ctx_.log_event(node(), obs::EventKind::kSampleSelect, -1,
-                     obs::event_id64(id.data()), pkt.seq);
-    }
-    score_.add_data_packet();
-    node().sim().after(ctx_.r0() + ctx_.timer_slack(),
-                       [this, id] { on_ack_timeout(id); });
-  }
-  if (sent_ < ctx_.params().total_packets) {
-    node().sim().after(send_period_, [this] { send_next(); });
-  }
+void Paai2Source::after_send(const net::PacketId& id, std::uint64_t seq,
+                             bool monitored) {
+  if (!monitored) return;
+  if (sampled_mode_) log(obs::EventKind::kSampleSelect, id, seq);
+  score_.add_data_packet();
+  node().sim().after(ctx_.r0() + ctx_.timer_slack(),
+                     [this, id] { on_ack_timeout(id); });
 }
 
 void Paai2Source::on_ack_timeout(const net::PacketId& id) {
-  Pending* p = pending_.find(id);
+  Paai2Round* p = pending_.find(id);
   if (p == nullptr || p->probed) return;
   p->probed = true;
-  ctx_.log_event(node(), obs::EventKind::kAckTimeout, -1,
-                 obs::event_id64(id.data()));
+  log(obs::EventKind::kAckTimeout, id);
 
   // Fresh unpredictable challenge Z (PRF over id and a counter under the
   // source-private key).
@@ -147,7 +94,7 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
   net::Probe probe;
   probe.data_id = id;
   probe.challenge = z;
-  p->probe_wire = shared_wire(probe.encode());
+  p->probe_wire = shared_wire(probe);
 
   // The source can evaluate every node's predicate itself: it knows which
   // node is selected even though no node (or observer) does.
@@ -155,60 +102,32 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
       ctx_.crypto(), ctx_.key_vector(),
       probe_view(p->probe_wire), ctx_.d());
 
-  node().originate(sim::Direction::kToDest, p->probe_wire, probe.wire_size());
-  ctx_.metrics().probes_sent.add();
-  ctx_.log_event(node(), obs::EventKind::kProbeSend, -1,
-                 obs::event_id64(id.data()), p->selected);
-  node().sim().after(ctx_.r0() + 2 * ctx_.timer_slack(),
-                     [this, id] { on_probe_timeout(id); });
+  send_probe(id, p->probe_wire, probe.wire_size(),
+             ctx_.r0() + 2 * ctx_.timer_slack(), p->selected);
 }
 
 void Paai2Source::on_probe_timeout(const net::PacketId& id) {
-  Pending* p = pending_.find(id);
+  Paai2Round* p = pending_.find(id);
   if (p == nullptr) return;
   score_.add_probe(p->selected, /*prefix_failed=*/true);
   // Prefix evidence: no report survived, so the failure lies somewhere in
   // [l_0, l_{e-1}] (e = selected node) — no single link is named.
-  ctx_.log_event(node(), obs::EventKind::kScoreBlame, -1,
-                 obs::event_id64(id.data()), p->selected);
+  log(obs::EventKind::kScoreBlame, id, p->selected);
   pending_.erase(id);
 }
 
-void Paai2Source::on_packet(const sim::PacketEnv& env) {
-  const auto type = net::peek_type(env.view());
-  if (!type) return;
-  if (*type == net::PacketType::kDestAck) {
-    if (const auto ack = net::DestAck::decode(env.view())) {
-      handle_dest_ack(*ack);
-    }
-  } else if (*type == net::PacketType::kReportAck) {
-    if (const auto ack = net::ReportAck::decode(env.view())) {
-      handle_report(*ack);
-    }
-  }
-}
-
-void Paai2Source::handle_dest_ack(const net::DestAck& ack) {
-  ctx_.metrics().dest_acks_received.add();
-  Pending* p = pending_.find(ack.data_id);
-  if (p == nullptr || p->probed) return;
-  const crypto::Mac expected = dest_ack_tag(ctx_, ack.data_id);
-  if (!ct_equal(ByteView(expected.data(), expected.size()),
-                ByteView(ack.tag.data(), ack.tag.size()))) {
-    return;
-  }
-  ctx_.log_event(node(), obs::EventKind::kAckRecv, -1,
-                 obs::event_id64(ack.data_id.data()), /*b=*/0);
+void Paai2Source::on_dest_ack(const net::DestAck& ack) {
+  Paai2Round* p = pending_.find(ack.data_id);
+  if (p == nullptr || p->probed || !dest_ack_ok(ack)) return;
+  log(obs::EventKind::kAckRecv, ack.data_id, /*b=*/0);
   pending_.erase(ack.data_id);  // clean round: no probe, no scoring
 }
 
-void Paai2Source::handle_report(const net::ReportAck& ack) {
-  ctx_.metrics().report_acks_received.add();
-  Pending* p = pending_.find(ack.data_id);
+void Paai2Source::on_report(const net::ReportAck& ack) {
+  Paai2Round* p = pending_.find(ack.data_id);
   if (p == nullptr || !p->probed) return;
   if (ack.report.size() != kPaai2ReportSize) return;  // malformed: wait
-  ctx_.log_event(node(), obs::EventKind::kAckRecv, -1,
-                 obs::event_id64(ack.data_id.data()), /*b=*/1);
+  log(obs::EventKind::kAckRecv, ack.data_id, /*b=*/1);
 
   // Peel E_{K_1} .. E_{K_e}.
   Bytes cur = ack.report;
@@ -220,7 +139,8 @@ void Paai2Source::handle_report(const net::ReportAck& ack) {
 
   // Scoring depends only on the authenticator part: a match proves the
   // selected node received the data packet and the probe, i.e. no drop in
-  // [l_0, l_{e-1}].
+  // [l_0, l_{e-1}]. (The a_d field rides alongside, unauthenticated; the
+  // prefix score never reads it.)
   const crypto::Key& ke = ctx_.keys().node_key(p->selected);
   const crypto::Mac expected = paai2_report_tag(
       ctx_.crypto(), ke, p->selected,
@@ -228,26 +148,11 @@ void Paai2Source::handle_report(const net::ReportAck& ack) {
   const bool match = ct_equal(ByteView(expected.data(), expected.size()),
                               ByteView(cur.data(), crypto::kMacSize));
 
-  // The a_d field is auxiliary delivery evidence, verified independently
-  // against [H(m)]_{K_d} (an unauthenticated copy a node stored could have
-  // been corrupted in flight — that must not poison the prefix score).
-  if (match && cur[crypto::kMacSize] == 1) {
-    const crypto::Mac ad = dest_ack_tag(ctx_, ack.data_id);
-    if (ct_equal(ByteView(ad.data(), ad.size()),
-                 ByteView(cur.data() + crypto::kMacSize + 1,
-                          crypto::kMacSize))) {
-      ++confirmed_deliveries_;
-    }
-  }
-
-  ctx_.log_event(node(), obs::EventKind::kOnionDecode, -1,
-                 obs::event_id64(ack.data_id.data()), p->selected,
-                 match ? 1.0 : 0.0);
+  log(obs::EventKind::kOnionDecode, ack.data_id, p->selected, -1,
+      match ? 1.0 : 0.0);
   score_.add_probe(p->selected, /*prefix_failed=*/!match);
-  ctx_.log_event(node(),
-                 match ? obs::EventKind::kScoreClean
-                       : obs::EventKind::kScoreBlame,
-                 -1, obs::event_id64(ack.data_id.data()), p->selected);
+  log(match ? obs::EventKind::kScoreClean : obs::EventKind::kScoreBlame,
+      ack.data_id, p->selected);
   pending_.erase(ack.data_id);
 }
 
@@ -262,9 +167,9 @@ void Paai2Relay::on_packet(const sim::PacketEnv& env) {
 
   switch (*type) {
     case net::PacketType::kData: {
-      const auto pkt = net::DataPacket::decode(env.view());
-      if (!pkt || !fresh(*pkt)) return;
-      pending_.put(pkt->id(ctx().crypto()), RState{},
+      const auto data = decode_fresh(ctx(), node(), env.view());
+      if (!data) return;
+      pending_.put(data->id, RState{},
                    node().sim().now() + state_horizon(ctx(), node().index()));
       relay(env);
       break;
@@ -323,8 +228,7 @@ void Paai2Relay::on_packet(const sim::PacketEnv& env) {
             ctx().keys().node_key(node().index()),
             paai2_layer_nonce(ack->data_id, node().index()),
             ByteView(ack->report.data(), ack->report.size()));
-        relay(sim::PacketEnv{shared_wire(out.encode()), out.wire_size(),
-                             sim::Direction::kToSource});
+        relay(envelope(out, sim::Direction::kToSource));
       }
       pending_.erase(ack->data_id);
       break;
@@ -346,8 +250,7 @@ void Paai2Relay::send_own_report(const net::PacketId& id, RState& st) {
   ack.report =
       ctx().crypto().encrypt(key, paai2_layer_nonce(id, node().index()),
                              ByteView(plaintext.data(), plaintext.size()));
-  relay(sim::PacketEnv{shared_wire(ack.encode()), ack.wire_size(),
-                       sim::Direction::kToSource});
+  relay(envelope(ack, sim::Direction::kToSource));
 }
 
 void Paai2Relay::on_wait_timeout(const net::PacketId& id) {
@@ -376,14 +279,9 @@ void Paai2Destination::on_packet(const sim::PacketEnv& env) {
   if (!type) return;
 
   if (*type == net::PacketType::kData) {
-    const auto pkt = net::DataPacket::decode(env.view());
-    if (!pkt) return;
-    const sim::SimTime now = node().local_now();
-    const auto age = now - static_cast<sim::SimTime>(pkt->timestamp_ns);
-    if (age > ctx_.freshness_window() || age < -ctx_.freshness_window()) {
-      return;
-    }
-    const net::PacketId id = pkt->id(ctx_.crypto());
+    const auto data = decode_fresh(ctx_, node(), env.view());
+    if (!data) return;
+    const net::PacketId id = data->id;
     if (ack_only_sampled_ &&
         !monitor_sampler_.sampled(ByteView(id.data(), id.size()))) {
       return;  // unmonitored packet: no ack, no state, no probe will come
@@ -392,8 +290,7 @@ void Paai2Destination::on_packet(const sim::PacketEnv& env) {
     net::DestAck ack;
     ack.data_id = id;
     ack.tag = dest_ack_tag(ctx_, id);
-    node().originate(sim::Direction::kToSource, shared_wire(ack.encode()),
-                     ack.wire_size());
+    originate(node(), sim::Direction::kToSource, ack);
   } else if (*type == net::PacketType::kProbe) {
     const auto probe = net::Probe::decode(env.view());
     if (!probe || pending_.find(probe->data_id) == nullptr) return;
@@ -408,8 +305,7 @@ void Paai2Destination::on_packet(const sim::PacketEnv& env) {
     ack.report = ctx_.crypto().encrypt(
         key, paai2_layer_nonce(probe->data_id, ctx_.d()),
         ByteView(plaintext.data(), plaintext.size()));
-    node().originate(sim::Direction::kToSource, shared_wire(ack.encode()),
-                     ack.wire_size());
+    originate(node(), sim::Direction::kToSource, ack);
     pending_.erase(probe->data_id);
   }
 }

@@ -23,35 +23,22 @@
 #pragma once
 
 #include "crypto/sampler.h"
-#include "net/packet.h"
-#include "protocols/context.h"
-#include "protocols/pending.h"
+#include "protocols/agent.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
-#include "sim/node.h"
 
 namespace paai::protocols {
 
-class Paai2Source : public sim::Agent, public SourceHandle {
+struct Paai2Round {
+  bool probed = false;
+  std::size_t selected = 0;
+  std::shared_ptr<const Bytes> probe_wire;  // the probe as sent
+};
+
+class Paai2Source
+    : public SourceAgent<Paai2Source, Paai2ScoreTable, Paai2Round> {
  public:
   explicit Paai2Source(const ProtocolContext& ctx)
       : Paai2Source(ctx, /*sampled_mode=*/false) {}
-
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.probes(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override {
-    return score_.observed_e2e_rate();
-  }
-
-  const Paai2ScoreTable& score_table() const { return score_; }
 
  protected:
   /// sampled_mode = Combination 2 (§10): only a K_d-keyed sampled fraction
@@ -59,46 +46,30 @@ class Paai2Source : public sim::Agent, public SourceHandle {
   Paai2Source(const ProtocolContext& ctx, bool sampled_mode);
 
  private:
-  struct Pending {
-    bool probed = false;
-    std::size_t selected = 0;
-    std::shared_ptr<const Bytes> probe_wire;  // the probe as sent
-  };
+  friend SourceAgent;
 
-  void send_next();
+  bool before_send(const net::PacketId& id, std::uint64_t seq);
+  void after_send(const net::PacketId& id, std::uint64_t seq, bool monitored);
   void on_ack_timeout(const net::PacketId& id);
   void on_probe_timeout(const net::PacketId& id);
-  void handle_dest_ack(const net::DestAck& ack);
-  void handle_report(const net::ReportAck& ack);
+  void on_dest_ack(const net::DestAck& ack);
+  void on_report(const net::ReportAck& ack);
 
-  const ProtocolContext& ctx_;
   bool sampled_mode_;
   crypto::SecureSampler monitor_sampler_;
-  Paai2ScoreTable score_;
-  PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
   std::uint64_t challenge_counter_ = 0;
-  std::uint64_t confirmed_deliveries_ = 0;  // via verified a_d copies
-  sim::SimDuration send_period_;
 };
 
-class Paai2Relay : public RelayBase {
+/// Combination 2 uses this relay unchanged: an early state release on
+/// ack sight, which §10 hints at, is unsound — relays cannot
+/// authenticate a_d (see the note in on_packet).
+class Paai2Relay final : public RelayBase {
  public:
   explicit Paai2Relay(const ProtocolContext& ctx)
-      : Paai2Relay(ctx, /*release_on_dest_ack=*/false) {}
+      : RelayBase(ctx), pending_(nullptr) {}
 
   void start() override;
   void on_packet(const sim::PacketEnv& env) override;
-
- protected:
-  /// Combination 2 relays behave identically (an early state release on
-  /// ack sight, which §10 hints at, is unsound — relays cannot
-  /// authenticate a_d; see the note in on_packet). The flag is retained
-  /// for interface stability and diagnostics only.
-  Paai2Relay(const ProtocolContext& ctx, bool release_on_dest_ack)
-      : RelayBase(ctx),
-        release_on_dest_ack_(release_on_dest_ack),
-        pending_(nullptr) {}
 
  private:
   struct RState {
@@ -113,7 +84,6 @@ class Paai2Relay : public RelayBase {
   void on_wait_timeout(const net::PacketId& id);
   void send_own_report(const net::PacketId& id, RState& st);
 
-  bool release_on_dest_ack_;
   PendingStore<RState> pending_;
 };
 

@@ -169,6 +169,8 @@ class Paai2ScoreTable {
 
   std::uint64_t data_packets() const { return data_packets_; }
   std::uint64_t probes() const { return probes_; }
+  /// Monitored units: the probes.
+  std::uint64_t observations() const { return probes_; }
   std::uint64_t interval_score(std::size_t link) const { return s_[link]; }
   std::uint64_t selections(std::size_t e) const { return sel_n_[e]; }
   std::uint64_t selection_failures(std::size_t e) const { return sel_f_[e]; }
@@ -278,6 +280,8 @@ class FlScoreTable {
 
   double accumulated(std::size_t node) const { return acc_[node]; }
   std::uint64_t intervals_reported() const { return intervals_reported_; }
+  /// Monitored units: the reported intervals.
+  std::uint64_t observations() const { return intervals_reported_; }
   std::uint64_t intervals_lost() const { return intervals_lost_; }
   std::size_t num_links() const { return acc_.size() - 1; }
 

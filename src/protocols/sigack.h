@@ -25,53 +25,27 @@
 #pragma once
 
 #include "crypto/wots.h"
-#include "net/packet.h"
-#include "protocols/context.h"
-#include "protocols/pending.h"
+#include "protocols/agent.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
-#include "sim/node.h"
 
 namespace paai::protocols {
 
-class SigAckSource final : public sim::Agent, public SourceHandle {
+class SigAckSource final : public SourceAgent<SigAckSource> {
  public:
   explicit SigAckSource(const ProtocolContext& ctx);
-
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.observations(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override;
 
   /// Number of signature verifications performed (cost accounting).
   std::uint64_t signature_verifications() const { return verifications_; }
 
  private:
-  struct Pending {
-    std::uint64_t seq = 0;
-    bool probed = false;
-    std::uint32_t ack_bits = 0;
-  };
+  friend SourceAgent;
 
-  void send_next();
-  void on_ack_timeout(const net::PacketId& id);
+  bool before_send(const net::PacketId& id, std::uint64_t seq);
+  void after_send(const net::PacketId& id, std::uint64_t seq, bool);
   void on_probe_timeout(const net::PacketId& id);
-  void handle_report(const net::ReportAck& ack);
+  void on_report(const net::ReportAck& ack);
 
-  const ProtocolContext& ctx_;
-  ScoreTable score_;
-  PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   std::uint64_t verifications_ = 0;
-  sim::SimDuration send_period_;
 };
 
 class SigAckRelay final : public RelayBase {

@@ -9,10 +9,6 @@ namespace paai::protocols {
 
 namespace {
 
-std::shared_ptr<const Bytes> shared_wire(Bytes b) {
-  return std::make_shared<const Bytes>(std::move(b));
-}
-
 constexpr int kMaxRequestAttempts = 4;
 
 }  // namespace
@@ -38,55 +34,26 @@ Bytes statfl_local_report(std::size_t index, std::uint64_t interval,
 
 // ---------------------------------------------------------------- source
 
-StatFlSource::StatFlSource(const ProtocolContext& ctx)
-    : ctx_(ctx),
-      score_(ctx.d()),
-      send_period_(static_cast<sim::SimDuration>(
-          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-  score_.set_blame(ctx.params().blame);
-}
-
-void StatFlSource::start() {
-  node().sim().after(send_period_, [this] { send_next(); });
-}
-
-void StatFlSource::send_next() {
-  if (sent_ >= ctx_.params().total_packets) return;
-
-  net::DataPacket pkt;
-  pkt.seq = sent_;
-  pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
-  pkt.payload_size = ctx_.params().payload_size;
-  const net::PacketId id = pkt.id(ctx_.crypto());
+bool StatFlSource::before_send(const net::PacketId& id, std::uint64_t) {
   const bool counted = statfl_counts(ctx_, 0, id);
   if (counted) ++own_count_;
+  return counted;
+}
 
-  node().originate(sim::Direction::kToDest, shared_wire(pkt.encode()),
-                   pkt.wire_size());
-  ctx_.log_event(node(), obs::EventKind::kDataSend, -1,
-                 obs::event_id64(id.data()), pkt.seq);
-  if (counted) {
-    ctx_.log_event(node(), obs::EventKind::kSampleSelect, -1,
-                   obs::event_id64(id.data()), pkt.seq);
-  }
-  ++sent_;
-
-  if (sent_ % ctx_.params().fl_interval_packets == 0) {
-    // Close the interval. The request trails the interval's last data
-    // packet by a timer slack so that even with per-hop jitter it cannot
-    // overtake it — node snapshots stay race-free.
-    const std::uint64_t closing = interval_++;
-    awaiting_ = closing;
-    awaiting_active_ = true;
-    awaiting_own_count_ = own_count_;
-    own_count_ = 0;
-    node().sim().after(ctx_.timer_slack(),
-                       [this, closing] { request_report(closing, 0); });
-  }
-
-  if (sent_ < ctx_.params().total_packets) {
-    node().sim().after(send_period_, [this] { send_next(); });
-  }
+void StatFlSource::after_send(const net::PacketId& id, std::uint64_t seq,
+                              bool counted) {
+  if (counted) log(obs::EventKind::kSampleSelect, id, seq);
+  if (sent_ % ctx_.params().fl_interval_packets != 0) return;
+  // Close the interval. The request trails the interval's last data
+  // packet by a timer slack so that even with per-hop jitter it cannot
+  // overtake it — node snapshots stay race-free.
+  const std::uint64_t closing = interval_++;
+  awaiting_ = closing;
+  awaiting_active_ = true;
+  awaiting_own_count_ = own_count_;
+  own_count_ = 0;
+  node().sim().after(ctx_.timer_slack(),
+                     [this, closing] { request_report(closing, 0); });
 }
 
 void StatFlSource::request_report(std::uint64_t interval, int attempt) {
@@ -101,8 +68,7 @@ void StatFlSource::request_report(std::uint64_t interval, int attempt) {
   }
   net::FlRequest req;
   req.interval = interval;
-  node().originate(sim::Direction::kToDest, shared_wire(req.encode()),
-                   req.wire_size());
+  originate(node(), sim::Direction::kToDest, req);
   // a = interval, b = attempt — the FL report request plays probe here.
   ctx_.log_event(node(), obs::EventKind::kProbeSend, -1, interval,
                  static_cast<std::uint64_t>(attempt));
@@ -112,15 +78,7 @@ void StatFlSource::request_report(std::uint64_t interval, int attempt) {
                      });
 }
 
-void StatFlSource::on_packet(const sim::PacketEnv& env) {
-  if (net::peek_type(env.view()) != net::PacketType::kFlReport) return;
-  if (const auto report = net::FlReport::decode(env.view())) {
-    handle_report(*report);
-  }
-}
-
-void StatFlSource::handle_report(const net::FlReport& report) {
-  ctx_.metrics().fl_reports_received.add();
+void StatFlSource::on_fl_report(const net::FlReport& report) {
   if (!awaiting_active_ || report.interval != awaiting_) return;
   ctx_.log_event(node(), obs::EventKind::kAckRecv, -1, report.interval,
                  /*b=*/2);
@@ -174,11 +132,9 @@ void StatFlRelay::on_packet(const sim::PacketEnv& env) {
 
   switch (*type) {
     case net::PacketType::kData: {
-      const auto pkt = net::DataPacket::decode(env.view());
-      if (!pkt || !fresh(*pkt)) return;
-      if (statfl_counts(ctx(), node().index(), pkt->id(ctx().crypto()))) {
-        ++count_;
-      }
+      const auto data = decode_fresh(ctx(), node(), env.view());
+      if (!data) return;
+      if (statfl_counts(ctx(), node().index(), data->id)) ++count_;
       relay(env);
       break;
     }
@@ -202,13 +158,10 @@ void StatFlRelay::on_packet(const sim::PacketEnv& env) {
           statfl_local_report(node().index(), snapshot_interval_, snapshot_);
       net::FlReport wrapped;
       wrapped.interval = report->interval;
-      wrapped.report = net::onion_wrap(
-          ctx().crypto(), ctx().keys().node_key(node().index()),
-          static_cast<std::uint8_t>(node().index()),
-          ByteView(local.data(), local.size()),
+      wrapped.report = onion_layer(
+          ctx(), node().index(), ByteView(local.data(), local.size()),
           ByteView(report->report.data(), report->report.size()));
-      relay(sim::PacketEnv{shared_wire(wrapped.encode()), wrapped.wire_size(),
-                           sim::Direction::kToSource});
+      relay(envelope(wrapped, sim::Direction::kToSource));
       break;
     }
     default:
@@ -224,14 +177,9 @@ void StatFlDestination::on_packet(const sim::PacketEnv& env) {
   if (!type) return;
 
   if (*type == net::PacketType::kData) {
-    const auto pkt = net::DataPacket::decode(env.view());
-    if (!pkt) return;
-    const sim::SimTime now = node().local_now();
-    const auto age = now - static_cast<sim::SimTime>(pkt->timestamp_ns);
-    if (age > ctx_.freshness_window() || age < -ctx_.freshness_window()) {
-      return;
-    }
-    if (statfl_counts(ctx_, ctx_.d(), pkt->id(ctx_.crypto()))) ++count_;
+    const auto data = decode_fresh(ctx_, node(), env.view());
+    if (!data) return;
+    if (statfl_counts(ctx_, ctx_.d(), data->id)) ++count_;
   } else if (*type == net::PacketType::kFlRequest) {
     const auto req = net::FlRequest::decode(env.view());
     if (!req) return;
@@ -246,12 +194,9 @@ void StatFlDestination::on_packet(const sim::PacketEnv& env) {
         statfl_local_report(ctx_.d(), req->interval, last_snapshot_);
     net::FlReport report;
     report.interval = req->interval;
-    report.report = net::onion_originate(
-        ctx_.crypto(), ctx_.keys().node_key(ctx_.d()),
-        static_cast<std::uint8_t>(ctx_.d()),
-        ByteView(local.data(), local.size()));
-    node().originate(sim::Direction::kToSource, shared_wire(report.encode()),
-                     report.wire_size());
+    report.report =
+        onion_layer(ctx_, ctx_.d(), ByteView(local.data(), local.size()));
+    originate(node(), sim::Direction::kToSource, report);
   }
 }
 

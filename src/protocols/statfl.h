@@ -17,49 +17,30 @@
 // paper's Tables 1-2 illustrate.
 #pragma once
 
-#include "net/onion.h"
-#include "net/packet.h"
-#include "protocols/context.h"
+#include "protocols/agent.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
-#include "sim/node.h"
 
 namespace paai::protocols {
 
-class StatFlSource final : public sim::Agent, public SourceHandle {
+class StatFlSource final
+    : public SourceAgent<StatFlSource, FlScoreTable, NoPending> {
  public:
-  explicit StatFlSource(const ProtocolContext& ctx);
-
-  void start() override;
-  void on_packet(const sim::PacketEnv& env) override;
-
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override {
-    return score_.intervals_reported();
-  }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override {
-    return score_.observed_e2e_rate();
-  }
+  explicit StatFlSource(const ProtocolContext& ctx)
+      : SourceAgent(ctx, ctx.d()) {}
 
  private:
-  void send_next();
-  void request_report(std::uint64_t interval, int attempt);
-  void handle_report(const net::FlReport& report);
+  friend SourceAgent;
 
-  const ProtocolContext& ctx_;
-  FlScoreTable score_;
-  std::uint64_t sent_ = 0;
+  bool before_send(const net::PacketId& id, std::uint64_t seq);
+  void after_send(const net::PacketId& id, std::uint64_t seq, bool counted);
+  void request_report(std::uint64_t interval, int attempt);
+  void on_fl_report(const net::FlReport& report);
+
   std::uint64_t own_count_ = 0;       // current interval, source's stream
   std::uint64_t interval_ = 0;        // current interval number
   std::uint64_t awaiting_ = 0;        // interval with an outstanding request
   bool awaiting_active_ = false;
   std::uint64_t awaiting_own_count_ = 0;
-  sim::SimDuration send_period_;
 };
 
 class StatFlRelay final : public RelayBase {
