@@ -104,8 +104,8 @@ struct NoPending {};
 /// the per-packet hooks as plain members (static dispatch — no virtual
 /// call on the per-packet path):
 ///   bool before_send(id, seq)             state recorded before m leaves;
-///                                         returns "monitored"
-///   void after_send(id, seq, monitored)   sampling/timer decisions
+///                                         the result goes to after_send
+///   void after_send(id, seq, flag)        sampling/timer decisions
 ///   void on_dest_ack / on_report / on_fl_report(msg)   (optional)
 ///   void on_probe_timeout(id)             (protocols that send_probe())
 /// Each hook runs at the same point of the schedule as the protocol's
@@ -309,11 +309,11 @@ class SourceAgent : public sim::Agent, public SourceHandle {
     pkt.payload_size = ctx_.params().payload_size;
     const net::PacketId id = pkt.id(ctx_.crypto());
 
-    const bool monitored = self().before_send(id, pkt.seq);
+    const bool flag = self().before_send(id, pkt.seq);
     originate(node(), sim::Direction::kToDest, pkt);
     log(obs::EventKind::kDataSend, id, pkt.seq);
     ++sent_;
-    self().after_send(id, pkt.seq, monitored);
+    self().after_send(id, pkt.seq, flag);
 
     if (sent_ < ctx_.params().total_packets) {
       node().sim().after(send_period_, [this] { send_next(); });

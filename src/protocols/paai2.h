@@ -118,7 +118,7 @@ crypto::Mac paai2_report_tag(const crypto::CryptoProvider& crypto,
 /// node stores a_d without being able to authenticate it, so folding its
 /// value into the MAC would let an adversary corrupt passing acks and
 /// thereby invalidate honest nodes' reports (incriminating the honest
-/// prefix). The source verifies the a_d field independently.
+/// prefix). The source scores on the authenticator alone.
 constexpr std::size_t kPaai2ReportSize = crypto::kMacSize + 1 + crypto::kMacSize;
 Bytes paai2_report_plaintext(const crypto::CryptoProvider& crypto,
                              const crypto::Key& key, std::size_t index,

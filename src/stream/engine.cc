@@ -27,8 +27,9 @@ void ScoreEngine::configure(const EngineConfig& config) {
   fl_.reset();
 
   // The same table classes with the same calibration literals as the
-  // batch sources construct (fullack.cc / paai1.cc / comb1.cc / sigack.cc
-  // / paai2.cc / statfl.cc) — bit-identity depends on this.
+  // batch source constructors (FullAckSource, which Comb1Source reuses,
+  // Paai1Source, SigAckSource, Paai2Source, StatFlSource) — bit-identity
+  // depends on this.
   switch (config.protocol) {
     case protocols::ProtocolKind::kFullAck:
     case protocols::ProtocolKind::kCombination1:

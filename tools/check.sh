@@ -26,7 +26,11 @@
 #      mutation fuzz), alloc (the hot path's allocation budgets, run
 #      through the slab, codecs and pending tables of three protocols),
 #      crypto (SipHash's word loads on unaligned input, the FastCrypto
-#      golden vectors).
+#      golden vectors), and the suites that drive every protocol agent
+#      end to end — fullack, paai2, statfl, comb, authprobe, ablation,
+#      protocol (the cross-commit GoldenRun digests among them) and
+#      security — so the shared source skeleton, onion relay and data
+#      intake run under both sanitizers for all seven protocols.
 #
 #   The 60k-packet ChaosPaperScale sweep is excluded under sanitizers for
 #   runtime; ChaosSmoke is its in-sanitizer representative.
@@ -100,7 +104,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test bench_diff -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test fullack_test paai2_test statfl_test comb_test authprobe_test ablation_test protocol_test security_test bench_diff -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -118,6 +122,14 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
     "--gtest_filter=-Equivalence.AllProtocols*:Equivalence.Windowed*"
 "$ASAN_DIR/tests/alloc_test"
 "$ASAN_DIR/tests/crypto_test"
+"$ASAN_DIR/tests/fullack_test"
+"$ASAN_DIR/tests/paai2_test"
+"$ASAN_DIR/tests/statfl_test"
+"$ASAN_DIR/tests/comb_test"
+"$ASAN_DIR/tests/authprobe_test"
+"$ASAN_DIR/tests/ablation_test"
+"$ASAN_DIR/tests/protocol_test"
+"$ASAN_DIR/tests/security_test"
 
 echo "== leg 3: bench_diff =="
 "$ASAN_DIR/tools/bench_diff" --self-test
@@ -368,4 +380,4 @@ grep -q 'phase crypto calls=[1-9]' "$SMOKE_DIR/sigack_tele.report" || {
   exit 1
 }
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
