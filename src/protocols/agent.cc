@@ -1,7 +1,6 @@
 #include "protocols/agent.h"
 
-#include <cstring>
-
+#include "protocols/paai1.h"
 #include "util/wire.h"
 
 namespace paai::protocols {
@@ -28,32 +27,27 @@ sim::SimDuration state_horizon(const ProtocolContext& ctx,
   return ctx.r0() + ctx.rtt(node_index) + 3 * ctx.timer_slack();
 }
 
-Bytes fullack_local_report(const ProtocolContext& ctx, std::size_t index,
-                           const net::PacketId& id) {
-  const bool dest = index == ctx.d();
-  WireWriter w(1 + id.size() + (dest ? crypto::kMacSize : 0));
-  w.u8(static_cast<std::uint8_t>(index));
+Bytes fullack_dest_report(const ProtocolContext& ctx,
+                          const net::PacketId& id) {
+  WireWriter w(1 + id.size() + crypto::kMacSize);
+  w.u8(static_cast<std::uint8_t>(ctx.d()));
   w.raw(ByteView(id.data(), id.size()));
-  if (dest) {
-    const crypto::Mac tag = dest_ack_tag(ctx, id);
-    w.raw(ByteView(tag.data(), tag.size()));
-  }
+  const crypto::Mac tag = dest_ack_tag(ctx, id);
+  w.raw(ByteView(tag.data(), tag.size()));
   return std::move(w).take();
 }
 
 bool fullack_report_ok(const ProtocolContext& ctx, std::uint8_t index,
                        ByteView report, const net::PacketId& id) {
+  if (index != ctx.d()) return paai1_report_ok(index, report, id);
   const std::size_t base = 1 + id.size();
-  if (report.size() < base) return false;
-  if (report[0] != index) return false;
-  if (std::memcmp(report.data() + 1, id.data(), id.size()) != 0) return false;
-  if (index == ctx.d()) {
-    if (report.size() != base + crypto::kMacSize) return false;
-    const crypto::Mac expected = dest_ack_tag(ctx, id);
-    return ct_equal(ByteView(expected.data(), expected.size()),
-                    report.subspan(base));
+  if (report.size() != base + crypto::kMacSize ||
+      !paai1_report_ok(index, report.first(base), id)) {
+    return false;
   }
-  return report.size() == base;
+  const crypto::Mac expected = dest_ack_tag(ctx, id);
+  return ct_equal(ByteView(expected.data(), expected.size()),
+                  report.subspan(base));
 }
 
 Bytes onion_layer(const ProtocolContext& ctx, std::size_t index,

@@ -74,10 +74,10 @@ crypto::Mac dest_ack_tag(const ProtocolContext& ctx, const net::PacketId& id);
 sim::SimDuration state_horizon(const ProtocolContext& ctx,
                                std::size_t node_index);
 
-/// Full-ack / Combination 1 local report: R_i = <i || H(m)> for a relay;
-/// the destination additionally embeds its ack tag, R_d = <d || H(m) || a_d>.
-Bytes fullack_local_report(const ProtocolContext& ctx, std::size_t index,
-                           const net::PacketId& id);
+/// Full-ack / Combination 1 onion reports: a relay's layer carries
+/// R_i = <i || H(m)> (paai1_local_report), the destination additionally
+/// embeds its ack tag: R_d = <d || H(m) || a_d>.
+Bytes fullack_dest_report(const ProtocolContext& ctx, const net::PacketId& id);
 bool fullack_report_ok(const ProtocolContext& ctx, std::uint8_t index,
                        ByteView report, const net::PacketId& id);
 
@@ -177,8 +177,6 @@ class SourceAgent : public sim::Agent, public SourceHandle {
   void on_report(const net::ReportAck&) {}
   void on_fl_report(const net::FlReport&) {}
 
-  sim::SimTime now() const { return node().sim().now(); }
-
   void log(obs::EventKind kind, const net::PacketId& id, std::uint64_t b = 0,
            std::int32_t link = -1, double value = 0.0) const {
     ctx_.log_event(node(), kind, link, obs::event_id64(id.data()), b, value);
@@ -187,8 +185,9 @@ class SourceAgent : public sim::Agent, public SourceHandle {
   /// Starts tracking `id` until now + `horizon`.
   void track(const net::PacketId& id, Pending state,
              sim::SimDuration horizon) {
-    pending_.purge(now());
-    pending_.put(id, std::move(state), now() + horizon);
+    const sim::SimTime now = node().sim().now();
+    pending_.purge(now);
+    pending_.put(id, std::move(state), now + horizon);
   }
 
   /// Originates a probe for `id` (already encoded in `wire`), logs it with

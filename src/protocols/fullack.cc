@@ -91,7 +91,7 @@ void FullAckDestination::on_packet(const sim::PacketEnv& env) {
   } else if (*type == net::PacketType::kProbe) {
     const auto probe = net::Probe::decode(env.view());
     if (!probe || pending_.find(probe->data_id) == nullptr) return;
-    const Bytes report = fullack_local_report(ctx_, ctx_.d(), probe->data_id);
+    const Bytes report = fullack_dest_report(ctx_, probe->data_id);
     net::ReportAck ack;
     ack.data_id = probe->data_id;
     ack.report =
