@@ -108,9 +108,9 @@ struct NoPending {};
 ///   void after_send(id, seq, flag)        sampling/timer decisions
 ///   void on_dest_ack / on_report / on_fl_report(msg)   (optional)
 ///   void on_probe_timeout(id)             (protocols that send_probe())
-/// Each hook runs at the same point of the schedule as the protocol's
-/// own code always did, so every originate/log_event/timer keeps its
-/// order.
+/// A hook's place relative to the originate is part of its protocol's
+/// event schedule: each protocol's originate / log_event / timer order
+/// is pinned by tests/protocol_test.cc's GoldenRun digests.
 template <class Derived, class Score = ScoreTable, class Pending = ProbeRound>
 class SourceAgent : public sim::Agent, public SourceHandle {
  public:
@@ -214,17 +214,6 @@ class SourceAgent : public sim::Agent, public SourceHandle {
     net::Probe probe;
     probe.data_id = id;
     send_probe(id, shared_wire(probe), probe.wire_size(), wait);
-  }
-
-  /// A verified destination ack for a tracked packet: delivery confirmed.
-  /// A probe may already be in flight (late ack); the outcome is clean
-  /// either way.
-  void credit_dest_ack(const net::DestAck& ack) {
-    if (pending_.find(ack.data_id) == nullptr) return;
-    if (!dest_ack_ok(ack)) return;  // forged/corrupted: the timeout probes
-    log(obs::EventKind::kAckRecv, ack.data_id, /*b=*/0);
-    credit_clean(ack.data_id);
-    pending_.erase(ack.data_id);
   }
 
   bool dest_ack_ok(const net::DestAck& ack) const {

@@ -47,6 +47,16 @@ void FullAckSource::on_probe_timeout(const net::PacketId& id) {
   pending_.erase(id);
 }
 
+void FullAckSource::on_dest_ack(const net::DestAck& ack) {
+  if (pending_.find(ack.data_id) == nullptr) return;
+  if (!dest_ack_ok(ack)) return;  // forged/corrupted: the timeout probes
+  // Delivery confirmed. A probe may already be in flight (late ack); the
+  // outcome is clean either way.
+  log(obs::EventKind::kAckRecv, ack.data_id, /*b=*/0);
+  credit_clean(ack.data_id);
+  pending_.erase(ack.data_id);
+}
+
 void FullAckSource::on_report(const net::ReportAck& ack) {
   const ProbeRound* p = pending_.find(ack.data_id);
   if (p == nullptr || !p->probed) return;

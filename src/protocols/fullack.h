@@ -41,7 +41,7 @@ class FullAckSource : public SourceAgent<FullAckSource> {
   bool before_send(const net::PacketId& id, std::uint64_t seq);
   void after_send(const net::PacketId& id, std::uint64_t seq, bool monitored);
   void on_probe_timeout(const net::PacketId& id);
-  void on_dest_ack(const net::DestAck& ack) { credit_dest_ack(ack); }
+  void on_dest_ack(const net::DestAck& ack);
   void on_report(const net::ReportAck& ack);
 
   bool sampled_mode_;
