@@ -16,8 +16,8 @@ FullAckSource::FullAckSource(const ProtocolContext& ctx, bool sampled_mode)
       sampler_(ctx.crypto(), ctx.keys().destination_key(),
                ctx.params().probe_probability),
       // Combination 1 waits one timer slack longer for the onion than
-      // full-ack does (see ROADMAP: the asymmetry is kept because it
-      // changes verdicts).
+      // full-ack does; unifying the two would change full-ack's verdicts
+      // (docs/PROTOCOLS.md, Combinations).
       probe_wait_(ctx.r0() + (sampled_mode ? 2 : 1) * ctx.timer_slack()) {
   every_packet_monitored_ = !sampled_mode;
 }
