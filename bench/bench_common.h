@@ -59,9 +59,8 @@
 namespace paai::bench {
 
 struct BenchArgs {
-  /// The shared flags, one row each: parse() reads exactly these,
-  /// bench_micro strips them before google-benchmark sees argv, and
-  /// `paai` accepts them besides its own.
+  /// The shared flags, one row each: parse() reads exactly these, and
+  /// `paai` accepts them besides its own (through shared_flag).
   struct Flag {
     std::string_view name;
     bool takes_value;

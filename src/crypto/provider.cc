@@ -30,7 +30,7 @@ Nonce96 make_nonce(std::uint64_t nonce) {
 
 // Every provider method opens a kCrypto profiler scope (two branches
 // while profiling is off): the crypto loops dominate PAAI-2 and sig-ack
-// per bench_micro, and the phase self-profiler measures them in situ.
+// (perfbench's crypto.* probes); the phase self-profiler measures them.
 class RealCrypto final : public CryptoProvider {
  public:
   std::array<std::uint8_t, 32> hash(ByteView message) const override {

@@ -4,30 +4,29 @@
 //   bench_diff --self-test
 //
 // Accepts either the suite document written by tools/bench_snapshot.sh
-// ("paai.bench.suite.v1") or a single bench document ("paai.bench.v1",
-// from any binary's --metrics-out). For every bench present in both
-// files, every metric under "results" is compared; a relative change
-// beyond the threshold is a drift. Wall time, exec telemetry, and the
-// observability section are deliberately ignored — they measure the
-// machine, not the protocols. The suite-level "meta" object
-// (host/compiler/timestamp stamped by bench_snapshot.sh) is ignored for
-// the same reason: only "schema" and "benches"/"results" are read, so
-// snapshots taken on different machines diff on the metrics alone.
+// ("paai.bench.suite.v1", e.g. the committed bench/baseline.json) or a
+// single bench document ("paai.bench.v1", from any binary's
+// --metrics-out). Every metric under the baseline's "results" is
+// compared; a relative change beyond the threshold is a drift. Wall time,
+// exec telemetry, and the observability section are deliberately ignored
+// — they measure the machine, not the protocols. The suite-level "meta"
+// object (host/compiler/timestamp stamped by bench_snapshot.sh) is
+// ignored for the same reason: only "schema" and "benches"/"results" are
+// read, so documents from different machines diff on the metrics alone.
 //
 // Options:
 //   --threshold=PCT   relative-change tolerance in percent (default 10)
-//   --ignore=BENCH    drop the named bench from both sides before
-//                     comparing (repeatable); for benches whose metrics
-//                     measure the machine rather than the protocols,
-//                     e.g. bench_micro wall-clock timings
 //   --csv             machine-readable drift listing
 //   --self-test       run the built-in pass/fail fixtures and exit
 //
 // Exit status: 0 = no drift, 1 = drift detected, 2 = usage / parse error.
-// Metrics or benches present on only one side are reported as notes but
-// are not drift by themselves — suites legitimately grow.
+// A baseline metric that is missing from the candidate, or null on one
+// side only (BenchReport writes non-finite values as null), is a drift: a
+// gate must not pass because a metric vanished or turned NaN. Metrics present only
+// in the candidate are notes — suites legitimately grow.
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -51,9 +50,10 @@ struct DiffStats {
   std::vector<std::string> notes;
 };
 
-/// Flattens a document into (bench, metric) -> value. A single
-/// paai.bench.v1 document becomes a one-bench suite keyed by its "bench"
-/// name, so a suite can be diffed against a lone --metrics-out file.
+/// Flattens a document into (bench, metric) -> value, null as NaN. A
+/// single paai.bench.v1 document becomes a one-bench suite keyed by its
+/// "bench" name, so a suite can be diffed against a lone --metrics-out
+/// file.
 using MetricMap = std::vector<std::pair<std::string, double>>;
 
 std::optional<MetricMap> flatten(const JsonValue& doc, std::string* error) {
@@ -68,8 +68,9 @@ std::optional<MetricMap> flatten(const JsonValue& doc, std::string* error) {
     const JsonValue* results = bench_doc.find("results");
     if (results == nullptr || !results->is_object()) return;
     for (const auto& [metric, value] : results->object) {
-      if (value.is_number()) {
-        out.emplace_back(bench + "/" + metric, value.number);
+      if (value.is_number() || value.is_null()) {
+        out.emplace_back(bench + "/" + metric,
+                         value.is_null() ? NAN : value.number);
       }
     }
   };
@@ -93,18 +94,6 @@ std::optional<MetricMap> flatten(const JsonValue& doc, std::string* error) {
   return out;
 }
 
-/// Drops every metric belonging to an ignored bench (flattened keys are
-/// "bench/metric", so an ignore matches the prefix up to the first '/').
-void drop_ignored(MetricMap& m, const std::vector<std::string>& ignores) {
-  std::erase_if(m, [&ignores](const std::pair<std::string, double>& kv) {
-    const std::string bench = kv.first.substr(0, kv.first.find('/'));
-    for (const auto& ignore : ignores) {
-      if (bench == ignore) return true;
-    }
-    return false;
-  });
-}
-
 const double* find_metric(const MetricMap& m, const std::string& key) {
   for (const auto& [k, v] : m) {
     if (k == key) return &v;
@@ -115,27 +104,35 @@ const double* find_metric(const MetricMap& m, const std::string& key) {
 DiffStats diff(const MetricMap& base, const MetricMap& cand,
                double threshold, paai::Table& table) {
   DiffStats stats;
+  const auto show = [](double v) {
+    return std::isnan(v) ? std::string("null") : paai::fmt_num(v, 6);
+  };
   for (const auto& [key, a] : base) {
     const double* b = find_metric(cand, key);
-    if (b == nullptr) {
-      stats.notes.push_back("only in baseline: " + key);
-      continue;
-    }
     ++stats.compared;
-    // Relative change against the baseline magnitude; a metric appearing
-    // from exactly zero is always a drift (no scale to compare against).
-    const double rel = a != 0.0 ? (*b - a) / std::fabs(a)
-                                : (*b != 0.0 ? INFINITY : 0.0);
-    if (std::fabs(rel) > threshold) {
-      ++stats.drifted;
-      table.row()
-          .cell(key)
-          .num(a, 6)
-          .num(*b, 6)
-          .cell(std::isfinite(rel)
-                    ? paai::fmt_num(rel * 100.0, 2) + "%"
-                    : "new-nonzero");
+    std::string change;
+    if (b == nullptr) {
+      change = "missing";
+    } else if (std::isnan(a) || std::isnan(*b)) {
+      if (std::isnan(a) != std::isnan(*b)) change = "null";
+    } else {
+      // Relative change against the baseline magnitude; a metric
+      // appearing from exactly zero is always a drift (no scale to
+      // compare against).
+      const double rel = a != 0.0 ? (*b - a) / std::fabs(a)
+                                  : (*b != 0.0 ? INFINITY : 0.0);
+      if (std::fabs(rel) > threshold) {
+        change = std::isfinite(rel) ? paai::fmt_num(rel * 100.0, 2) + "%"
+                                    : "new-nonzero";
+      }
     }
+    if (change.empty()) continue;
+    ++stats.drifted;
+    table.row()
+        .cell(key)
+        .cell(show(a))
+        .cell(b != nullptr ? show(*b) : "-")
+        .cell(change);
   }
   for (const auto& [key, b] : cand) {
     (void)b;
@@ -165,76 +162,63 @@ std::optional<MetricMap> load(const std::string& path, std::string* error) {
   return flat;
 }
 
-/// Built-in fixtures: the same document must diff clean against itself,
-/// and a moved metric must be flagged. Keeps check.sh honest without
-/// needing fixture files in the tree.
+/// Built-in fixtures: the same document must diff clean against itself;
+/// a moved, vanished or null metric must be flagged; a candidate-only
+/// metric and differing suite `meta` stamps must not be. Keeps check.sh
+/// honest without needing fixture files in the tree.
 int self_test() {
-  const char* base_doc = R"({"schema":"paai.bench.v1","bench":"t",
-    "results":{"detection_packets":1000,"overhead":0.25,"zero":0}})";
-  const char* drift_doc = R"({"schema":"paai.bench.v1","bench":"t",
-    "results":{"detection_packets":1500,"overhead":0.25,"zero":0}})";
-  std::string error;
-  const auto a = paai::obs::json_parse(base_doc, &error);
-  const auto b = paai::obs::json_parse(drift_doc, &error);
-  if (!a || !b) {
-    std::fprintf(stderr, "self-test: fixture parse failed: %s\n",
-                 error.c_str());
-    return 2;
-  }
-  const auto fa = flatten(*a, &error);
-  const auto fb = flatten(*b, &error);
-  if (!fa || !fb || fa->size() != 3) {
-    std::fprintf(stderr, "self-test: flatten failed: %s\n", error.c_str());
-    return 2;
-  }
-  paai::Table scratch({"metric", "baseline", "candidate", "change"});
-  if (diff(*fa, *fa, 0.10, scratch).drifted != 0) {
-    std::fprintf(stderr, "self-test: identical documents drifted\n");
-    return 2;
-  }
-  if (diff(*fa, *fb, 0.10, scratch).drifted != 1) {
-    std::fprintf(stderr, "self-test: 50%% move not flagged\n");
-    return 2;
-  }
-  MetricMap ignored = *fb;
-  drop_ignored(ignored, {"t"});
-  if (!ignored.empty() || diff(*fa, ignored, 0.10, scratch).compared != 0) {
-    std::fprintf(stderr, "self-test: --ignore did not drop the bench\n");
-    return 2;
-  }
+  const auto flat = [](const std::string& text) {
+    std::string error;
+    const auto doc = paai::obs::json_parse(text, &error);
+    auto out = doc ? flatten(*doc, &error) : std::nullopt;
+    if (!out) {
+      std::fprintf(stderr, "self-test: fixture rejected: %s\n",
+                   error.c_str());
+      std::exit(2);
+    }
+    return *out;
+  };
+  const auto bench = [&flat](const std::string& results) {
+    return flat(R"({"schema":"paai.bench.v1","bench":"t","results":)" +
+                results + "}");
+  };
+  const MetricMap base =
+      bench(R"({"detection_packets":1000,"overhead":0.25,"zero":0})");
   // Suite documents with differing host `meta` stamps (bench_snapshot.sh)
   // must diff clean: meta never reaches the metric map.
-  const char* suite_a = R"({"schema":"paai.bench.suite.v1","label":"a",
-    "created_unix":1,
-    "meta":{"cpu_model":"cpu-a","cores":8,"compiler":"g++ 13",
-            "created_utc":"2026-01-01T00:00:00Z"},
-    "benches":{"t":{"schema":"paai.bench.v1","bench":"t",
-                    "results":{"detection_packets":1000}}}})";
-  const char* suite_b = R"({"schema":"paai.bench.suite.v1","label":"b",
-    "created_unix":2,
-    "meta":{"cpu_model":"cpu-b","cores":128,"compiler":"clang 19",
-            "created_utc":"2026-02-02T00:00:00Z"},
-    "benches":{"t":{"schema":"paai.bench.v1","bench":"t",
-                    "results":{"detection_packets":1000}}}})";
-  const auto sa = paai::obs::json_parse(suite_a, &error);
-  const auto sb = paai::obs::json_parse(suite_b, &error);
-  if (!sa || !sb) {
-    std::fprintf(stderr, "self-test: suite fixture parse failed: %s\n",
-                 error.c_str());
-    return 2;
-  }
-  const auto fsa = flatten(*sa, &error);
-  const auto fsb = flatten(*sb, &error);
-  if (!fsa || !fsb || fsa->size() != 1) {
-    std::fprintf(stderr, "self-test: suite flatten failed: %s\n",
-                 error.c_str());
-    return 2;
-  }
-  const DiffStats meta_stats = diff(*fsa, *fsb, 0.10, scratch);
-  if (meta_stats.drifted != 0 || meta_stats.compared != 1 ||
-      !meta_stats.notes.empty()) {
-    std::fprintf(stderr, "self-test: differing meta objects caused drift\n");
-    return 2;
+  const auto suite = [&flat](const std::string& meta) {
+    return flat(R"({"schema":"paai.bench.suite.v1","meta":)" + meta +
+                R"(,"benches":{"t":{"schema":"paai.bench.v1","bench":"t",)"
+                R"("results":{"detection_packets":1000}}}})");
+  };
+  const struct {
+    const char* name;
+    MetricMap base, cand;
+    std::size_t drifted;
+  } cases[] = {
+      {"identical documents", base, base, 0},
+      {"50% move", base,
+       bench(R"({"detection_packets":1500,"overhead":0.25,"zero":0})"), 1},
+      {"null candidate metric", bench(R"({"fp":0,"caught":1})"),
+       bench(R"({"fp":0,"caught":null})"), 1},
+      {"missing candidate metric", bench(R"({"fp":0,"caught":1})"),
+       bench(R"({"fp":0})"), 1},
+      {"candidate-only metric", bench(R"({"fp":0})"),
+       bench(R"({"fp":0,"caught":1})"), 0},
+      {"differing suite meta",
+       suite(R"({"cpu_model":"cpu-a","cores":8,"compiler":"g++ 13"})"),
+       suite(R"({"cpu_model":"cpu-b","cores":128,"compiler":"clang"})"),
+       0},
+  };
+  paai::Table scratch({"metric", "baseline", "candidate", "change"});
+  for (const auto& c : cases) {
+    const DiffStats stats = diff(c.base, c.cand, 0.10, scratch);
+    if (stats.drifted != c.drifted || stats.compared != c.base.size()) {
+      std::fprintf(stderr,
+                   "self-test: %s: %zu of %zu compared drifted, want %zu\n",
+                   c.name, stats.drifted, stats.compared, c.drifted);
+      return 2;
+    }
   }
   std::printf("bench_diff self-test: ok\n");
   return 0;
@@ -242,8 +226,8 @@ int self_test() {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: bench_diff [--threshold=PCT] [--ignore=BENCH]... "
-               "[--csv] BASELINE.json CANDIDATE.json\n"
+               "usage: bench_diff [--threshold=PCT] [--csv] "
+               "BASELINE.json CANDIDATE.json\n"
                "       bench_diff --self-test\n");
 }
 
@@ -254,7 +238,6 @@ int main(int argc, char** argv) {
 
   double threshold = 0.10;
   std::vector<std::string> files;
-  std::vector<std::string> ignores;
   bool csv = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -271,12 +254,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --threshold must be >= 0\n");
         return 2;
       }
-    } else if (arg.rfind("--ignore=", 0) == 0) {
-      if (arg.size() == 9) {
-        std::fprintf(stderr, "error: --ignore needs a bench name\n");
-        return 2;
-      }
-      ignores.push_back(arg.substr(9));
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -303,8 +280,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  drop_ignored(*base, ignores);
-  drop_ignored(*cand, ignores);
 
   paai::Table table({"metric", "baseline", "candidate", "change"});
   const DiffStats stats = diff(*base, *cand, threshold, table);

@@ -1,44 +1,41 @@
 #!/usr/bin/env bash
-# Machine-readable benchmark snapshot.
+# Protocol-metric snapshot: the document bench/baseline.json holds and
+# tools/check.sh leg 3 regenerates at HEAD to diff against it.
 #
-# Runs a fast, fixed subset of the bench suite with --metrics-out and
+# Runs a fixed, fast subset of the bench suite with --metrics-out and
 # bundles the per-bench documents into one suite document:
 #
-#   BENCH_<label>.json = {
+#   OUT = {
 #     "schema": "paai.bench.suite.v1",
-#     "label": "<label>",
+#     "label": "<git short hash>",
 #     "created_unix": <seconds>,
 #     "meta": { "cpu_model": "...", "cores": N, "compiler": "...",
 #               "created_utc": "<ISO-8601 Z>" },
 #     "benches": { "<name>": <paai.bench.v1 document>, ... }
 #   }
 #
-# `meta` records where the numbers came from; tools/bench_diff ignores it
-# by default, so snapshots from different hosts still diff on the metrics
-# alone.
+# Every metric under the benches' "results" is deterministic (bit-identical
+# for any --jobs, and across the normal and ASan+UBSan builds): Table 1's
+# analytic bounds, a full-ack detection curve, the §7 ablations and the
+# mesh's cross-path verdicts. Timing lives in perfbench/, not here.
+# `meta` records where the numbers came from; tools/bench_diff ignores it.
 #
 # Pure bash + the bench binaries themselves — no jq/python. The per-bench
 # documents are emitted by src/obs (BenchReport) and are strict-JSON by
 # construction (tests/obs_test.cc round-trips them through the strict
 # parser), so embedding them verbatim keeps the suite document valid.
 #
-# Usage: tools/bench_snapshot.sh [--full] [label [build-dir]]
-#        (defaults: label=$(git rev-parse --short HEAD), build-dir=build)
-#
-# --full switches from the few-minute smoke subset to the paper-scale
-# suite: every bench binary at (or near) its default figure scale. Budget
-# hours, not minutes — this is the overnight/release snapshot.
+# Usage: tools/bench_snapshot.sh OUT.json [build-dir]   (default: build)
+# Refresh the baseline: tools/bench_snapshot.sh bench/baseline.json
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-FULL=0
-if [[ "${1:-}" == "--full" ]]; then
-  FULL=1
-  shift
+if [[ $# -lt 1 || $# -gt 2 ]]; then
+  echo "usage: $0 OUT.json [build-dir]" >&2
+  exit 2
 fi
-LABEL="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo local)}"
+OUT="$1"
 BUILD_DIR="${2:-build}"
-OUT="BENCH_${LABEL}.json"
+LABEL="$(git -C "$(dirname "$0")" rev-parse --short HEAD 2>/dev/null || echo local)"
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
 
@@ -47,53 +44,20 @@ if [[ ! -d "$BUILD_DIR/bench" ]]; then
   exit 1
 fi
 
-# name:binary:extra-args — the default subset finishes in a few minutes
-# and still covers analytic bounds, a detection curve, the
-# overhead/practicality numbers, and the obs hot-path micro costs.
+# binary extra-args — a few seconds in total, even under ASan.
 SPECS=(
-  "bench_table1:bench_table1:"
-  "bench_fig2_fullack:bench_fig2_fullack:--scale=5 --runs=8"
-  "bench_ablation:bench_ablation:--scale=10 --runs=6"
-  "bench_micro:bench_micro:--benchmark_filter=BM_CounterAdd|BM_HistogramObserve|BM_EventLogAppend|BM_Sha256|BM_EventQueue"
-  "bench_stream:bench_stream:--scale=25 --runs=3"
-  "bench_mesh:bench_mesh:--scale=2"
+  "bench_table1"
+  "bench_fig2_fullack --scale=5 --runs=8"
+  "bench_ablation --scale=10 --runs=6"
+  "bench_mesh --scale=2"
 )
 
-# --full: every bench binary at paper scale (figure defaults; run counts
-# trimmed only where the paper's 10000-run fleets would take days).
-if [[ $FULL -eq 1 ]]; then
-  SPECS=(
-    "bench_table1:bench_table1:"
-    "bench_table2:bench_table2:"
-    "bench_theorem1:bench_theorem1:"
-    "bench_corollary3:bench_corollary3:"
-    "bench_fig2_fullack:bench_fig2_fullack:--runs=100"
-    "bench_fig2_paai1:bench_fig2_paai1:--runs=100"
-    "bench_fig2_paai2:bench_fig2_paai2:--runs=100"
-    "bench_fig3_storage:bench_fig3_storage:"
-    "bench_fig3c_positions:bench_fig3c_positions:"
-    "bench_combinations:bench_combinations:"
-    "bench_ablation:bench_ablation:"
-    "bench_asymmetric:bench_asymmetric:"
-    "bench_robustness:bench_robustness:"
-    "bench_sec9_tradeoff:bench_sec9_tradeoff:"
-    "bench_micro:bench_micro:"
-    "bench_stream:bench_stream:"
-    "bench_mesh:bench_mesh:"
-  )
-fi
-
-names=()
 for spec in "${SPECS[@]}"; do
-  name="${spec%%:*}"
-  rest="${spec#*:}"
-  bin="${rest%%:*}"
-  extra="${rest#*:}"
+  name="${spec%% *}"
   echo "[snapshot] $name ..."
-  # shellcheck disable=SC2086  # $extra is intentionally word-split
-  "$BUILD_DIR/bench/$bin" $extra --metrics-out "$TMP_DIR/$name.json" \
+  # shellcheck disable=SC2086  # $spec is intentionally word-split
+  "$BUILD_DIR/bench/"$spec --metrics-out "$TMP_DIR/$name.json" \
       > "$TMP_DIR/$name.stdout" 2> "$TMP_DIR/$name.stderr"
-  names+=("$name")
 done
 
 # Host metadata for the `meta` object. Values land inside JSON string
@@ -116,7 +80,8 @@ CREATED_UTC="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
       "$(json_str "$CPU_MODEL")" "$CORES" "$(json_str "$COMPILER")" \
       "$CREATED_UTC"
   first=1
-  for name in "${names[@]}"; do
+  for spec in "${SPECS[@]}"; do
+    name="${spec%% *}"
     [[ $first -eq 1 ]] || printf ','
     first=0
     printf '"%s":' "$name"
@@ -125,4 +90,4 @@ CREATED_UTC="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
   printf '}}\n'
 } > "$OUT"
 
-echo "[snapshot] wrote $OUT ($(wc -c < "$OUT") bytes, ${#names[@]} benches)"
+echo "[snapshot] wrote $OUT ($(wc -c < "$OUT") bytes, ${#SPECS[@]} benches)"

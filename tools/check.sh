@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Sanitizer checks, two legs, plus the bench_diff self-check:
+# Sanitizer legs, the protocol-metric baseline, end-to-end smokes and the
+# perfbench verdicts:
 #
 #   1. ThreadSanitizer — exec + runner + fleet + mesh + obs + faults +
 #      telemetry test suites. Catches data races in the parallel execution
@@ -26,17 +27,23 @@
 #      mutation fuzz), alloc (the hot path's allocation budgets, run
 #      through the slab, codecs and pending tables of three protocols),
 #      crypto (SipHash's word loads on unaligned input, the FastCrypto
-#      golden vectors), and the suites that drive every protocol agent
-#      end to end — fullack, paai2, statfl, comb, authprobe, ablation,
-#      protocol (the cross-commit GoldenRun digests among them) and
-#      security — so the shared source skeleton, onion relay and data
+#      golden vectors), mesh (topology parser, sharded score store),
+#      runner and telemetry (sampler, serve lag, the Integration.*
+#      bit-identity sweeps), and the suites that drive every protocol
+#      agent end to end — fullack, paai2, statfl, comb, authprobe,
+#      ablation, protocol (the cross-commit GoldenRun digests among them)
+#      and security — so the shared source skeleton, onion relay and data
 #      intake run under both sanitizers for all seven protocols.
 #
 #   The 60k-packet ChaosPaperScale sweep is excluded under sanitizers for
 #   runtime; ChaosSmoke is its in-sanitizer representative.
 #
-#   3. bench_diff — self-test fixtures, then a same-file diff against the
-#      committed snapshot (must report zero drift against itself).
+#   3. protocol-metric baseline — bench_diff's self-test, then
+#      tools/bench_snapshot.sh regenerates bench/baseline.json's benches
+#      at HEAD (ASan build) and bench_diff --threshold=0 gates the fresh
+#      run against the committed baseline: every metric is deterministic,
+#      so any moved, missing or null one fails. After an intended change,
+#      refresh it with `tools/bench_snapshot.sh bench/baseline.json`.
 #
 #   4. forensics smoke — a small PAAI-1 run (adversary at l_3) with
 #      --events-out, replayed through `paai explain`; the audit trail must
@@ -75,6 +82,10 @@
 #      profiling enabled; and a sig-ack run's profile must attribute
 #      nonzero time to the crypto phase.
 #
+#  10. perfbench verdicts — each perfbench workload for 1 s at seed 1;
+#      its result line must say "correct": true (perfbench/golden.txt).
+#      The timing numbers themselves are the benchmark's, not a gate here.
+#
 # Usage: tools/check.sh [tsan-build-dir [asan-build-dir]]
 #        (defaults: build-tsan build-asan)
 set -euo pipefail
@@ -104,7 +115,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test fullack_test paai2_test statfl_test comb_test authprobe_test ablation_test protocol_test security_test bench_diff -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test mesh_test runner_test telemetry_test fullack_test paai2_test statfl_test comb_test authprobe_test ablation_test protocol_test security_test -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -122,6 +133,9 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
     "--gtest_filter=-Equivalence.AllProtocols*:Equivalence.Windowed*"
 "$ASAN_DIR/tests/alloc_test"
 "$ASAN_DIR/tests/crypto_test"
+"$ASAN_DIR/tests/mesh_test"
+"$ASAN_DIR/tests/runner_test"
+"$ASAN_DIR/tests/telemetry_test"
 "$ASAN_DIR/tests/fullack_test"
 "$ASAN_DIR/tests/paai2_test"
 "$ASAN_DIR/tests/statfl_test"
@@ -131,34 +145,17 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ASAN_DIR/tests/protocol_test"
 "$ASAN_DIR/tests/security_test"
 
-echo "== leg 3: bench_diff =="
-"$ASAN_DIR/tools/bench_diff" --self-test
-# A snapshot diffed against itself must be drift-free.
-"$ASAN_DIR/tools/bench_diff" BENCH_pr3.json BENCH_pr3.json
-# Cross-snapshot regression gate: the protocol metrics shared by the pr3
-# and pr6 snapshots must agree; bench_micro is ignored because its
-# wall-clock timings measure the machine the snapshot ran on.
-"$ASAN_DIR/tools/bench_diff" --ignore=bench_micro \
-    BENCH_pr3.json BENCH_pr6.json
-# pr6 -> pr7 adds the bench_stream section; its throughput/latency numbers
-# measure the machine (like bench_micro), so both are ignored.
-"$ASAN_DIR/tools/bench_diff" --ignore=bench_micro --ignore=bench_stream \
-    BENCH_pr6.json BENCH_pr7.json
-# pr7 -> pr8 adds the bench_mesh section (one-sided benches diff as
-# notes); bench_mesh's paths/s throughput measures the machine, so it
-# joins the ignore list alongside the other timing benches.
-"$ASAN_DIR/tools/bench_diff" --ignore=bench_micro --ignore=bench_stream \
-    --ignore=bench_mesh BENCH_pr7.json BENCH_pr8.json
-# pr8 -> pr9 adds the windowed/hybrid frontier rows to bench_robustness;
-# the shared protocol metrics must not drift.
-"$ASAN_DIR/tools/bench_diff" --ignore=bench_micro --ignore=bench_stream \
-    --ignore=bench_mesh BENCH_pr8.json BENCH_pr9.json
-"$ASAN_DIR/tools/bench_diff" BENCH_pr9.json BENCH_pr9.json
-
-echo "== leg 4: forensics smoke (paai run --events-out -> paai explain) =="
-cmake --build "$ASAN_DIR" --target paai -j "$(nproc)"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "== leg 3: protocol-metric baseline (fresh run vs bench/baseline.json) =="
+cmake --build "$ASAN_DIR" --target bench_diff bench_table1 bench_fig2_fullack bench_ablation bench_mesh paai -j "$(nproc)"
+"$ASAN_DIR/tools/bench_diff" --self-test
+tools/bench_snapshot.sh "$SMOKE_DIR/fresh.json" "$ASAN_DIR"
+"$ASAN_DIR/tools/bench_diff" --threshold=0 bench/baseline.json \
+    "$SMOKE_DIR/fresh.json"
+
+echo "== leg 4: forensics smoke (paai run --events-out -> paai explain) =="
 "$ASAN_DIR/tools/paai" run --protocol=paai1 --packets=20000 --seed=1 \
     --fault=3:0.02 --events-out="$SMOKE_DIR/events.jsonl" \
     --events-cap=65536 --metrics-out="$SMOKE_DIR/run.json" \
@@ -380,4 +377,15 @@ grep -q 'phase crypto calls=[1-9]' "$SMOKE_DIR/sigack_tele.report" || {
   exit 1
 }
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
+echo "== leg 10: perfbench verdicts (golden digests) =="
+for workload in mc_fast crypto_real serve_replay mesh_fattree; do
+  out="$SMOKE_DIR/perfbench_$workload.out"
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      > "$out" && tail -n 1 "$out" | grep -q '"correct": true' || {
+    echo "leg 10 FAILED: perfbench $workload did not report correct=true:" >&2
+    cat "$out" >&2
+    exit 1
+  }
+done
+
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security), protocol-metric baseline clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean, perfbench verdicts correct"
