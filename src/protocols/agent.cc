@@ -5,16 +5,23 @@
 
 namespace paai::protocols {
 
+net::PacketId data_id(const ProtocolContext& ctx, const sim::PacketEnv& env,
+                      const net::DataPacket& pkt) {
+  const net::PacketId* memo = env.memo_id();
+  return memo != nullptr ? *memo : pkt.id(ctx.crypto());
+}
+
 std::optional<DecodedData> decode_fresh(const ProtocolContext& ctx,
-                                        sim::Node& node, ByteView wire) {
-  const auto pkt = net::DataPacket::decode(wire);
+                                        sim::Node& node,
+                                        const sim::PacketEnv& env) {
+  const auto pkt = net::DataPacket::decode(env.view());
   if (!pkt) return std::nullopt;
   const sim::SimDuration age =
       node.local_now() - static_cast<sim::SimTime>(pkt->timestamp_ns);
   if (age > ctx.freshness_window() || age < -ctx.freshness_window()) {
     return std::nullopt;
   }
-  return DecodedData{*pkt, pkt->id(ctx.crypto())};
+  return DecodedData{*pkt, data_id(ctx, env, *pkt)};
 }
 
 crypto::Mac dest_ack_tag(const ProtocolContext& ctx, const net::PacketId& id) {

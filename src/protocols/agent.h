@@ -5,7 +5,8 @@
 //     encoded message into the shared buffer the simulator carries.
 //   * decode_fresh(): the one data-packet intake of every relay and
 //     destination — parse, enforce the §5/§6 phase-1 freshness window,
-//     compute H(m).
+//     and take H(m) from the envelope's per-wire memo (data_id()), which
+//     the source seeds, so honest traffic is hashed once per packet.
 //   * The destination ack a_d = [H(m)]_{K_d}, the ack-driven protocols'
 //     per-node state horizon, and full-ack's local reports (which
 //     Combination 1 shares).
@@ -54,13 +55,20 @@ struct DecodedData {
   net::PacketId id;
 };
 
+/// H(m) of `pkt`, the data packet decoded from `env`: the envelope's memo
+/// when it was computed over this very buffer, else a fresh hash (a
+/// tampered copy, or an envelope built without one).
+net::PacketId data_id(const ProtocolContext& ctx, const sim::PacketEnv& env,
+                      const net::DataPacket& pkt);
+
 /// Parses a data packet and checks its timestamp against `node`'s local
 /// clock: older than the freshness window is discarded (which is what
 /// defeats the withhold-until-probed attack), and slightly-future
 /// timestamps are tolerated up to the same bound (peer clock ahead of
-/// ours). H(m) is computed only for packets that pass.
+/// ours). H(m) (data_id()) is taken only for packets that pass.
 std::optional<DecodedData> decode_fresh(const ProtocolContext& ctx,
-                                        sim::Node& node, ByteView wire);
+                                        sim::Node& node,
+                                        const sim::PacketEnv& env);
 
 /// a_d = [H(m)]_{K_d}: the MAC input is the packet identifier.
 crypto::Mac dest_ack_tag(const ProtocolContext& ctx, const net::PacketId& id);
@@ -298,7 +306,9 @@ class SourceAgent : public sim::Agent, public SourceHandle {
     const net::PacketId id = pkt.id(ctx_.crypto());
 
     const bool flag = self().before_send(id, pkt.seq);
-    originate(node(), sim::Direction::kToDest, pkt);
+    sim::PacketEnv env = envelope(pkt, sim::Direction::kToDest);
+    env.set_id(id);
+    node().originate(env);
     log(obs::EventKind::kDataSend, id, pkt.seq);
     ++sent_;
     self().after_send(id, pkt.seq, flag);

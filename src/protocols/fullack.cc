@@ -84,7 +84,7 @@ void FullAckDestination::on_packet(const sim::PacketEnv& env) {
   if (!type) return;
 
   if (*type == net::PacketType::kData) {
-    const auto data = decode_fresh(ctx_, node(), env.view());
+    const auto data = decode_fresh(ctx_, node(), env);
     if (!data) return;
     if (ack_only_sampled_ &&
         !sampler_.sampled(ByteView(data->id.data(), data->id.size()))) {

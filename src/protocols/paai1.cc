@@ -143,7 +143,7 @@ void Paai1Destination::on_packet(const sim::PacketEnv& env) {
   if (!type) return;
 
   if (*type == net::PacketType::kData) {
-    const auto data = decode_fresh(ctx_, node(), env.view());
+    const auto data = decode_fresh(ctx_, node(), env);
     if (!data) return;
     pending_.put(data->id, DState{},
                  node().sim().now() + ctx_.unprobed_state_horizon());

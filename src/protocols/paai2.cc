@@ -167,7 +167,7 @@ void Paai2Relay::on_packet(const sim::PacketEnv& env) {
 
   switch (*type) {
     case net::PacketType::kData: {
-      const auto data = decode_fresh(ctx(), node(), env.view());
+      const auto data = decode_fresh(ctx(), node(), env);
       if (!data) return;
       pending_.put(data->id, RState{},
                    node().sim().now() + state_horizon(ctx(), node().index()));
@@ -279,7 +279,7 @@ void Paai2Destination::on_packet(const sim::PacketEnv& env) {
   if (!type) return;
 
   if (*type == net::PacketType::kData) {
-    const auto data = decode_fresh(ctx_, node(), env.view());
+    const auto data = decode_fresh(ctx_, node(), env);
     if (!data) return;
     const net::PacketId id = data->id;
     if (ack_only_sampled_ &&

@@ -19,14 +19,15 @@ bool RelayBase::relay(const sim::PacketEnv& env) {
   actx.wire = env.view();
   actx.now = node().local_now();
 
-  // Packet identifiers are computed only for strategies that ask (one
-  // hash per data packet is wasted work for an oblivious dropper).
-  net::PacketId data_id{};
+  // Packet identifiers go only to strategies that ask. They come from
+  // the envelope's H(m) memo, like decode_fresh()'s; only a tampered copy
+  // is hashed again.
+  net::PacketId packet_id{};
   const bool want_ids = strategy_->wants_packet_ids();
   if (want_ids && actx.type == net::PacketType::kData) {
     if (const auto data = net::DataPacket::decode(env.view())) {
-      data_id = data->id(ctx_.crypto());
-      actx.packet_id = &data_id;
+      packet_id = data_id(ctx_, env, *data);
+      actx.packet_id = &packet_id;
     }
   }
 
@@ -61,7 +62,7 @@ bool RelayBase::relay(const sim::PacketEnv& env) {
     }
     case adversary::Action::kWithhold: {
       if (const auto data = net::DataPacket::decode(env.view())) {
-        withheld_[data->id(ctx_.crypto())] = env;
+        withheld_[data_id(ctx_, env, *data)] = env;
       }
       break;
     }
@@ -109,7 +110,7 @@ void OnionRelay::on_packet(const sim::PacketEnv& env) {
 
   switch (*type) {
     case net::PacketType::kData: {
-      const auto data = decode_fresh(ctx(), node(), env.view());
+      const auto data = decode_fresh(ctx(), node(), env);
       if (!data) return;
       pending_.put(data->id, RState{}, node().sim().now() + horizon_);
       relay(env);

@@ -101,7 +101,7 @@ void SigAckRelay::on_packet(const sim::PacketEnv& env) {
 
   switch (*type) {
     case net::PacketType::kData: {
-      const auto data = decode_fresh(ctx(), node(), env.view());
+      const auto data = decode_fresh(ctx(), node(), env);
       if (!data) return;
       RState st;
       st.seq = data->packet.seq;
@@ -140,7 +140,7 @@ void SigAckDestination::on_packet(const sim::PacketEnv& env) {
   if (!type) return;
 
   if (*type == net::PacketType::kData) {
-    const auto data = decode_fresh(ctx_, node(), env.view());
+    const auto data = decode_fresh(ctx_, node(), env);
     if (!data) return;
     const net::PacketId id = data->id;
     DState st;

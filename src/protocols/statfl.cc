@@ -132,7 +132,7 @@ void StatFlRelay::on_packet(const sim::PacketEnv& env) {
 
   switch (*type) {
     case net::PacketType::kData: {
-      const auto data = decode_fresh(ctx(), node(), env.view());
+      const auto data = decode_fresh(ctx(), node(), env);
       if (!data) return;
       if (statfl_counts(ctx(), node().index(), data->id)) ++count_;
       relay(env);
@@ -177,7 +177,7 @@ void StatFlDestination::on_packet(const sim::PacketEnv& env) {
   if (!type) return;
 
   if (*type == net::PacketType::kData) {
-    const auto data = decode_fresh(ctx_, node(), env.view());
+    const auto data = decode_fresh(ctx_, node(), env);
     if (!data) return;
     if (statfl_counts(ctx_, ctx_.d(), data->id)) ++count_;
   } else if (*type == net::PacketType::kFlRequest) {

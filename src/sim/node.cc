@@ -34,12 +34,10 @@ void Node::deliver(const PacketEnv& env) {
   if (agent_) agent_->on_packet(env);
 }
 
-void Node::originate(Direction dir, std::shared_ptr<const Bytes> wire,
-                     std::size_t wire_size) {
+void Node::originate(const PacketEnv& env) {
   if (!up_) return;
-  Link* link = dir == Direction::kToDest ? toward_dest_ : toward_source_;
+  Link* link = env.dir == Direction::kToDest ? toward_dest_ : toward_source_;
   if (link == nullptr) return;
-  PacketEnv env{std::move(wire), wire_size, dir};
   log_wire(obs::EventKind::kPacketSend, "tx", env);
   link->transmit(env);
 }

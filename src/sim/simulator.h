@@ -36,8 +36,9 @@
 
 namespace paai::sim {
 
-/// Size of one event slot: a link delivery (PacketEnv plus the target
-/// node) takes 40 bytes, protocol timers 24.
+/// Size of one event slot: a link delivery (PacketEnv, its H(m) memo
+/// included, plus the target node) fills all 64 bytes, protocol timers
+/// take 24.
 inline constexpr std::size_t kEventSlotBytes = 64;
 
 /// A callable the simulator can store inline: invocable with no

@@ -61,7 +61,9 @@ TEST(AllocBudget, SteadyStateEventsAreHeapFree) {
   auto round = [&] {
     for (int i = 0; i < kEventsPerRound; ++i) {
       auto deliver = [&delivered, env] { delivered += env.wire_size; };
-      static_assert(sizeof(deliver) == 40);
+      static_assert(sizeof(deliver) ==
+                    sizeof(sim::PacketEnv) + sizeof(void*));
+      static_assert(sizeof(deliver) <= sim::kEventSlotBytes);
       simulator.after((i * 7919) % 1000, deliver);
     }
     simulator.run();

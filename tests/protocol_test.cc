@@ -9,8 +9,13 @@
 #include <string>
 #include <tuple>
 
+#include "adversary/spec.h"
+#include "crypto/keystore.h"
 #include "obs/events.h"
+#include "protocols/agent.h"
+#include "protocols/factory.h"
 #include "runner/experiment.h"
+#include "sim/simulator.h"
 
 namespace paai::runner {
 namespace {
@@ -336,6 +341,120 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });
+
+// Hash-once pin: the source computes H(m) and seeds the envelope's id
+// memo; honest relays and the destination read it. A counting decorator
+// over the provider sees every hash() that is actually computed.
+class CountingCrypto final : public crypto::CryptoProvider {
+ public:
+  explicit CountingCrypto(std::unique_ptr<crypto::CryptoProvider> inner)
+      : inner_(std::move(inner)) {}
+
+  std::array<std::uint8_t, 32> hash(ByteView message) const override {
+    ++hashes_;
+    return inner_->hash(message);
+  }
+  crypto::Mac mac(const crypto::Key& key, ByteView message) const override {
+    return inner_->mac(key, message);
+  }
+  std::uint64_t prf(const crypto::Key& key, ByteView message) const override {
+    return inner_->prf(key, message);
+  }
+  Bytes encrypt(const crypto::Key& key, std::uint64_t nonce,
+                ByteView plaintext) const override {
+    return inner_->encrypt(key, nonce, plaintext);
+  }
+  Bytes decrypt(const crypto::Key& key, std::uint64_t nonce,
+                ByteView ciphertext) const override {
+    return inner_->decrypt(key, nonce, ciphertext);
+  }
+
+  std::uint64_t hashes() const { return hashes_; }
+
+ private:
+  std::unique_ptr<crypto::CryptoProvider> inner_;
+  mutable std::uint64_t hashes_ = 0;
+};
+
+/// One run of `cfg` on a counting provider: {hash() calls, packets sent}.
+/// The config's link faults only move loss rates and are not applied.
+std::pair<std::uint64_t, std::uint64_t> count_hashes(
+    const ExperimentConfig& cfg) {
+  sim::Simulator simulator;
+  sim::PathNetwork net(simulator, cfg.path);
+  const CountingCrypto counting(crypto::make_crypto(cfg.crypto));
+  const crypto::KeyStore keys(crypto::test_master_key(cfg.path.seed),
+                              net.length());
+  const protocols::ProtocolContext ctx(counting, keys, net, cfg.params);
+  Rng rng(cfg.path.seed);
+  std::vector<std::unique_ptr<adversary::Strategy>> owned;
+  std::vector<adversary::Strategy*> by_node(net.length() + 1, nullptr);
+  for (const auto& spec : cfg.adversaries) {
+    owned.push_back(adversary::make_strategy(spec, adversary::Environment{},
+                                             rng.fork(owned.size() + 1)));
+    by_node.at(spec.node) = owned.back().get();
+  }
+  const protocols::SourceHandle* source =
+      protocols::install_protocol(cfg.protocol, ctx, net, by_node);
+  net.start_agents();
+  simulator.run();
+  return {counting.hashes(), source->packets_sent()};
+}
+
+TEST(HashOnce, CleanRunHashesOncePerPacketSent) {
+  for (const auto kind :
+       {ProtocolKind::kFullAck, ProtocolKind::kPaai1, ProtocolKind::kPaai2,
+        ProtocolKind::kCombination1, ProtocolKind::kCombination2,
+        ProtocolKind::kStatisticalFl, ProtocolKind::kSigAck}) {
+    const auto [hashes, sent] = count_hashes(paper_config(kind, 300, 7));
+    EXPECT_EQ(sent, 300u) << protocols::protocol_name(kind);
+    EXPECT_EQ(hashes, sent) << protocols::protocol_name(kind);
+  }
+}
+
+TEST(HashOnce, CorruptedCopiesAreRehashed) {
+  for (const auto kind : {ProtocolKind::kFullAck, ProtocolKind::kPaai2}) {
+    ExperimentConfig cfg = paper_config(kind, 300, 7);
+    cfg.adversaries.push_back(adversary_of(AdversarySpec::Kind::kCorrupt, 0.3));
+    const auto [hashes, sent] = count_hashes(cfg);
+    EXPECT_GT(hashes, sent) << protocols::protocol_name(kind);
+  }
+}
+
+TEST(HashOnce, RepointedEnvelopeIsHashedNotServedTheStaleId) {
+  const ExperimentConfig cfg = paper_config(ProtocolKind::kFullAck, 1, 7);
+  sim::Simulator simulator;
+  sim::PathNetwork net(simulator, cfg.path);
+  const CountingCrypto counting(crypto::make_crypto(cfg.crypto));
+  const crypto::KeyStore keys(crypto::test_master_key(cfg.path.seed),
+                              net.length());
+  const protocols::ProtocolContext ctx(counting, keys, net, cfg.params);
+
+  net::DataPacket first;
+  first.seq = 1;
+  net::DataPacket second;
+  second.seq = 2;
+  const net::PacketId first_id = first.id(counting);
+  const net::PacketId second_id = second.id(counting);
+  ASSERT_NE(first_id, second_id);
+
+  sim::PacketEnv env = protocols::envelope(first, sim::Direction::kToDest);
+  env.set_id(first_id);
+  sim::PacketEnv copy = env;
+  copy.wire = std::make_shared<const Bytes>(second.encode());
+  EXPECT_EQ(copy.memo_id(), nullptr);
+
+  const std::uint64_t before = counting.hashes();
+  const auto memo = protocols::decode_fresh(ctx, net.node(1), env);
+  ASSERT_TRUE(memo.has_value());
+  EXPECT_EQ(memo->id, first_id);
+  EXPECT_EQ(counting.hashes(), before);  // served from the memo
+
+  const auto fresh = protocols::decode_fresh(ctx, net.node(1), copy);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->id, second_id);
+  EXPECT_EQ(counting.hashes(), before + 1);  // hashed, not the stale id
+}
 
 }  // namespace
 }  // namespace paai::runner

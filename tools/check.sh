@@ -33,7 +33,10 @@
 #      agent end to end — fullack, paai2, statfl, comb, authprobe,
 #      ablation, protocol (the cross-commit GoldenRun digests among them)
 #      and security — so the shared source skeleton, onion relay and data
-#      intake run under both sanitizers for all seven protocols.
+#      intake run under both sanitizers for all seven protocols — plus
+#      the adversary-path suites adversary, adaptive and onion, which
+#      drive the relay's corrupt, withhold and packet-id branches (the
+#      tampered copies that miss the per-wire H(m) memo).
 #
 #   The 60k-packet ChaosPaperScale sweep is excluded under sanitizers for
 #   runtime; ChaosSmoke is its in-sanitizer representative.
@@ -115,7 +118,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test mesh_test runner_test telemetry_test fullack_test paai2_test statfl_test comb_test authprobe_test ablation_test protocol_test security_test -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test mesh_test runner_test telemetry_test fullack_test paai2_test statfl_test comb_test authprobe_test ablation_test protocol_test security_test adversary_test adaptive_test onion_test -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -144,6 +147,9 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ASAN_DIR/tests/ablation_test"
 "$ASAN_DIR/tests/protocol_test"
 "$ASAN_DIR/tests/security_test"
+"$ASAN_DIR/tests/adversary_test"
+"$ASAN_DIR/tests/adaptive_test"
+"$ASAN_DIR/tests/onion_test"
 
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -388,4 +394,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security), protocol-metric baseline clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean, perfbench verdicts correct"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean, perfbench verdicts correct"
