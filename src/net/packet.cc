@@ -1,6 +1,7 @@
 #include "net/packet.h"
 
 #include <cstring>
+#include <utility>
 
 namespace paai::net {
 
@@ -28,9 +29,10 @@ DataHeader header_of(const DataPacket& p) {
 
 }  // namespace
 
-Bytes DataPacket::encode() const {
+Bytes DataPacket::encode(Bytes reuse) const {
   const DataHeader h = header_of(*this);
-  return Bytes(h.begin(), h.end());
+  reuse.assign(h.begin(), h.end());
+  return reuse;
 }
 
 std::optional<DataPacket> DataPacket::decode(ByteView wire) {
@@ -48,8 +50,8 @@ PacketId DataPacket::id(const crypto::CryptoProvider& crypto) const {
   return packet_id_of(crypto, ByteView(h.data(), h.size()));
 }
 
-Bytes DestAck::encode() const {
-  WireWriter w(wire_size());
+Bytes DestAck::encode(Bytes reuse) const {
+  WireWriter w(wire_size(), std::move(reuse));
   w.u8(static_cast<std::uint8_t>(PacketType::kDestAck));
   put_id(w, data_id);
   w.raw(ByteView(tag.data(), tag.size()));
@@ -64,8 +66,8 @@ std::optional<DestAck> DestAck::decode(ByteView wire) {
   return a;
 }
 
-Bytes Probe::encode() const {
-  WireWriter w(wire_size());
+Bytes Probe::encode(Bytes reuse) const {
+  WireWriter w(wire_size(), std::move(reuse));
   w.u8(static_cast<std::uint8_t>(PacketType::kProbe));
   put_id(w, data_id);
   w.u64(challenge);
@@ -83,8 +85,8 @@ std::optional<Probe> Probe::decode(ByteView wire) {
   return p;
 }
 
-Bytes ReportAck::encode() const {
-  WireWriter w(wire_size());
+Bytes ReportAck::encode(Bytes reuse) const {
+  WireWriter w(wire_size(), std::move(reuse));
   w.u8(static_cast<std::uint8_t>(PacketType::kReportAck));
   put_id(w, data_id);
   w.var_bytes(ByteView(report.data(), report.size()));
@@ -99,8 +101,8 @@ std::optional<ReportAck> ReportAck::decode(ByteView wire) {
   return a;
 }
 
-Bytes FlRequest::encode() const {
-  WireWriter w(wire_size());
+Bytes FlRequest::encode(Bytes reuse) const {
+  WireWriter w(wire_size(), std::move(reuse));
   w.u8(static_cast<std::uint8_t>(PacketType::kFlRequest));
   w.u64(interval);
   return std::move(w).take();
@@ -114,8 +116,8 @@ std::optional<FlRequest> FlRequest::decode(ByteView wire) {
   return q;
 }
 
-Bytes FlReport::encode() const {
-  WireWriter w(wire_size());
+Bytes FlReport::encode(Bytes reuse) const {
+  WireWriter w(wire_size(), std::move(reuse));
   w.u8(static_cast<std::uint8_t>(PacketType::kFlReport));
   w.u64(interval);
   w.var_bytes(ByteView(report.data(), report.size()));

@@ -6,6 +6,9 @@
 // ever acts on bytes it could actually have parsed off a link. Data
 // payloads are represented by their *size* (the simulator does not need the
 // application bytes), but all protocol-relevant fields are real.
+//
+// Every encode() writes into `reuse` (cleared, capacity kept) and returns
+// it, so a caller handing in a recycled buffer allocates nothing.
 #pragma once
 
 #include <array>
@@ -40,7 +43,7 @@ struct DataPacket {
   std::uint64_t timestamp_ns = 0;   // send time (loose clock sync assumed)
   std::uint16_t payload_size = 0;   // simulated payload length in bytes
 
-  Bytes encode() const;
+  Bytes encode(Bytes reuse = {}) const;
   static std::optional<DataPacket> decode(ByteView wire);
 
   /// H(m): truncated hash of the encoded header (built on the stack).
@@ -55,7 +58,7 @@ struct DestAck {
   PacketId data_id{};
   crypto::Mac tag{};  // [H(m)]_{K_d}
 
-  Bytes encode() const;
+  Bytes encode(Bytes reuse = {}) const;
   static std::optional<DestAck> decode(ByteView wire);
   std::size_t wire_size() const { return 1 + data_id.size() + tag.size(); }
 };
@@ -69,7 +72,7 @@ struct Probe {
   std::uint64_t challenge = 0;  // Z; 0 (unused) in PAAI-1 / full-ack
   Bytes auth;                   // empty when probe authentication is off
 
-  Bytes encode() const;
+  Bytes encode(Bytes reuse = {}) const;
   static std::optional<Probe> decode(ByteView wire);
   std::size_t wire_size() const {
     return 1 + data_id.size() + 8 + 2 + auth.size();
@@ -83,7 +86,7 @@ struct ReportAck {
   PacketId data_id{};
   Bytes report;
 
-  Bytes encode() const;
+  Bytes encode(Bytes reuse = {}) const;
   static std::optional<ReportAck> decode(ByteView wire);
   std::size_t wire_size() const { return 1 + data_id.size() + 2 + report.size(); }
 };
@@ -92,7 +95,7 @@ struct ReportAck {
 struct FlRequest {
   std::uint64_t interval = 0;
 
-  Bytes encode() const;
+  Bytes encode(Bytes reuse = {}) const;
   static std::optional<FlRequest> decode(ByteView wire);
   std::size_t wire_size() const { return 1 + 8; }
 };
@@ -102,7 +105,7 @@ struct FlReport {
   std::uint64_t interval = 0;
   Bytes report;
 
-  Bytes encode() const;
+  Bytes encode(Bytes reuse = {}) const;
   static std::optional<FlReport> decode(ByteView wire);
   std::size_t wire_size() const { return 1 + 8 + 2 + report.size(); }
 };

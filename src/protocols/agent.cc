@@ -7,8 +7,8 @@ namespace paai::protocols {
 
 net::PacketId data_id(const ProtocolContext& ctx, const sim::PacketEnv& env,
                       const net::DataPacket& pkt) {
-  const net::PacketId* memo = env.memo_id();
-  return memo != nullptr ? *memo : pkt.id(ctx.crypto());
+  const net::PacketId* id = env.wire.id();
+  return id != nullptr ? *id : pkt.id(ctx.crypto());
 }
 
 std::optional<DecodedData> decode_fresh(const ProtocolContext& ctx,

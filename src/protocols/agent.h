@@ -1,12 +1,12 @@
 // Shared agent machinery: everything the seven protocols' agents do the
 // same way has one owner here.
 //
-//   * Wire helpers: shared_wire() / envelope() / originate() put an
-//     encoded message into the shared buffer the simulator carries.
+//   * Wire helpers: envelope() / originate() encode a message into the
+//     pooled wire buffer the simulator carries (sim::Wire::of).
 //   * decode_fresh(): the one data-packet intake of every relay and
 //     destination — parse, enforce the §5/§6 phase-1 freshness window,
-//     and take H(m) from the envelope's per-wire memo (data_id()), which
-//     the source seeds, so honest traffic is hashed once per packet.
+//     and take H(m) from the wire buffer (data_id()), where the source
+//     sets it, so honest traffic is hashed once per packet.
 //   * The destination ack a_d = [H(m)]_{K_d}, the ack-driven protocols'
 //     per-node state horizon, and full-ack's local reports (which
 //     Combination 1 shares).
@@ -33,20 +33,14 @@
 
 namespace paai::protocols {
 
-/// A message's encoded bytes as the shared buffer the simulator carries.
-template <class Msg>
-std::shared_ptr<const Bytes> shared_wire(const Msg& msg) {
-  return std::make_shared<const Bytes>(msg.encode());
-}
-
 template <class Msg>
 sim::PacketEnv envelope(const Msg& msg, sim::Direction dir) {
-  return sim::PacketEnv{shared_wire(msg), msg.wire_size(), dir};
+  return sim::PacketEnv{sim::Wire::of(msg), msg.wire_size(), dir};
 }
 
 template <class Msg>
 void originate(sim::Node& node, sim::Direction dir, const Msg& msg) {
-  node.originate(dir, shared_wire(msg), msg.wire_size());
+  node.originate(dir, sim::Wire::of(msg), msg.wire_size());
 }
 
 /// A data packet as a relay or destination accepts it.
@@ -55,9 +49,9 @@ struct DecodedData {
   net::PacketId id;
 };
 
-/// H(m) of `pkt`, the data packet decoded from `env`: the envelope's memo
-/// when it was computed over this very buffer, else a fresh hash (a
-/// tampered copy, or an envelope built without one).
+/// H(m) of `pkt`, the data packet decoded from `env`: the id on its wire
+/// buffer when the source set one, else a fresh hash (a tampered copy, or
+/// a wire built from bytes).
 net::PacketId data_id(const ProtocolContext& ctx, const sim::PacketEnv& env,
                       const net::DataPacket& pkt);
 
@@ -200,7 +194,7 @@ class SourceAgent : public sim::Agent, public SourceHandle {
 
   /// Originates a probe for `id` (already encoded in `wire`), logs it with
   /// `b`, and arms the protocol's probe timeout after `wait`.
-  void send_probe(const net::PacketId& id, std::shared_ptr<const Bytes> wire,
+  void send_probe(const net::PacketId& id, sim::Wire wire,
                   std::size_t wire_size, sim::SimDuration wait,
                   std::uint64_t b = 0) {
     node().originate(sim::Direction::kToDest, std::move(wire), wire_size);
@@ -221,7 +215,7 @@ class SourceAgent : public sim::Agent, public SourceHandle {
     log(obs::EventKind::kAckTimeout, id);
     net::Probe probe;
     probe.data_id = id;
-    send_probe(id, shared_wire(probe), probe.wire_size(), wait);
+    send_probe(id, sim::Wire::of(probe), probe.wire_size(), wait);
   }
 
   bool dest_ack_ok(const net::DestAck& ack) const {
@@ -306,9 +300,10 @@ class SourceAgent : public sim::Agent, public SourceHandle {
     const net::PacketId id = pkt.id(ctx_.crypto());
 
     const bool flag = self().before_send(id, pkt.seq);
-    sim::PacketEnv env = envelope(pkt, sim::Direction::kToDest);
-    env.set_id(id);
-    node().originate(env);
+    sim::Wire wire = sim::Wire::of(pkt);
+    wire.set_id(id);
+    node().originate(sim::Direction::kToDest, std::move(wire),
+                     pkt.wire_size());
     log(obs::EventKind::kDataSend, id, pkt.seq);
     ++sent_;
     self().after_send(id, pkt.seq, flag);

@@ -87,7 +87,7 @@ void Paai1Source::send_probe_for(const net::PacketId& id) {
   if (ctx_.params().authenticated_probes) {
     probe.auth = build_probe_auth(ctx_, probe);
   }
-  send_probe(id, shared_wire(probe), probe.wire_size(),
+  send_probe(id, sim::Wire::of(probe), probe.wire_size(),
              ctx_.r0() + 2 * ctx_.timer_slack());
 }
 

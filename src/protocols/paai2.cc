@@ -6,16 +6,6 @@
 
 namespace paai::protocols {
 
-namespace {
-
-/// A recorded probe's wire bytes; empty when no probe was recorded (a
-/// replayed data packet resets its entry after the probe went by).
-ByteView probe_view(const std::shared_ptr<const Bytes>& wire) {
-  return wire ? ByteView(wire->data(), wire->size()) : ByteView{};
-}
-
-}  // namespace
-
 crypto::Mac paai2_report_tag(const crypto::CryptoProvider& crypto,
                              const crypto::Key& key, std::size_t index,
                              ByteView probe_bytes) {
@@ -94,13 +84,13 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
   net::Probe probe;
   probe.data_id = id;
   probe.challenge = z;
-  p->probe_wire = shared_wire(probe);
+  p->probe_wire = sim::Wire::of(probe);
 
   // The source can evaluate every node's predicate itself: it knows which
   // node is selected even though no node (or observer) does.
   p->selected = crypto::selected_node(
       ctx_.crypto(), ctx_.key_vector(),
-      probe_view(p->probe_wire), ctx_.d());
+      p->probe_wire.view(), ctx_.d());
 
   send_probe(id, p->probe_wire, probe.wire_size(),
              ctx_.r0() + 2 * ctx_.timer_slack(), p->selected);
@@ -144,7 +134,7 @@ void Paai2Source::on_report(const net::ReportAck& ack) {
   const crypto::Key& ke = ctx_.keys().node_key(p->selected);
   const crypto::Mac expected = paai2_report_tag(
       ctx_.crypto(), ke, p->selected,
-      probe_view(p->probe_wire));
+      p->probe_wire.view());
   const bool match = ct_equal(ByteView(expected.data(), expected.size()),
                               ByteView(cur.data(), crypto::kMacSize));
 
@@ -243,7 +233,7 @@ void Paai2Relay::send_own_report(const net::PacketId& id, RState& st) {
   const crypto::Key& key = ctx().keys().node_key(node().index());
   const Bytes plaintext = paai2_report_plaintext(
       ctx().crypto(), key, node().index(),
-      probe_view(st.probe_wire),
+      st.probe_wire.view(),
       st.have_ad ? &st.ad_tag : nullptr);
   net::ReportAck ack;
   ack.data_id = id;

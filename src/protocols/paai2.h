@@ -31,7 +31,7 @@ namespace paai::protocols {
 struct Paai2Round {
   bool probed = false;
   std::size_t selected = 0;
-  std::shared_ptr<const Bytes> probe_wire;  // the probe as sent
+  sim::Wire probe_wire;  // the probe as sent
 };
 
 class Paai2Source
@@ -78,7 +78,9 @@ class Paai2Relay final : public RelayBase {
     bool sampled = false;
     bool responded = false;
     crypto::Mac ad_tag{};
-    std::shared_ptr<const Bytes> probe_wire;  // the probe as received
+    // The probe as received; empty (an empty view) when none was
+    // recorded, e.g. after a replayed data packet reset the entry.
+    sim::Wire probe_wire;
   };
 
   void on_wait_timeout(const net::PacketId& id);

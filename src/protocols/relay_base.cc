@@ -20,8 +20,8 @@ bool RelayBase::relay(const sim::PacketEnv& env) {
   actx.now = node().local_now();
 
   // Packet identifiers go only to strategies that ask. They come from
-  // the envelope's H(m) memo, like decode_fresh()'s; only a tampered copy
-  // is hashed again.
+  // the wire buffer's H(m), like decode_fresh()'s; only a tampered copy is
+  // hashed again.
   net::PacketId packet_id{};
   const bool want_ids = strategy_->wants_packet_ids();
   if (want_ids && actx.type == net::PacketType::kData) {
@@ -53,11 +53,13 @@ bool RelayBase::relay(const sim::PacketEnv& env) {
     case adversary::Action::kCorrupt: {
       // Forward an altered copy: flip a bit in the last header byte. For
       // data packets this changes H(m); for reports it breaks a MAC — in
-      // all cases the source ends up treating it as a drop (§5).
-      auto tampered = std::make_shared<Bytes>(*env.wire);
-      if (!tampered->empty()) tampered->back() ^= 0x01;
-      node().forward(sim::PacketEnv{std::move(tampered), env.wire_size,
-                                    env.dir});
+      // all cases the source ends up treating it as a drop (§5). The copy
+      // is a new buffer, so it carries no H(m).
+      const ByteView wire = env.view();
+      Bytes tampered(wire.begin(), wire.end());
+      if (!tampered.empty()) tampered.back() ^= 0x01;
+      node().forward(sim::PacketEnv{sim::Wire(std::move(tampered)),
+                                    env.wire_size, env.dir});
       return true;
     }
     case adversary::Action::kWithhold: {

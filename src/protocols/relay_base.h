@@ -10,8 +10,8 @@
 //     its downstream link; and
 //   * the withheld-packet buffer used when a Strategy plays that attack.
 // Data packets enter a relay through decode_fresh() (protocols/agent.h),
-// which discards stale ones and reads H(m) from the envelope's per-wire
-// memo; relay()'s packet-id and withhold branches read it the same way.
+// which discards stale ones and reads H(m) from the wire buffer;
+// relay()'s packet-id and withhold branches read it the same way.
 //
 // OnionRelay is the relay of the three onion-report protocols (full-ack,
 // Combination 1, PAAI-1; §4, §6.1 phase 3): it stores H(m) for every

@@ -1,6 +1,7 @@
 #include "sim/link.h"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -8,9 +9,11 @@ namespace paai::sim {
 
 namespace {
 
-// Static strings for the tracer (slots store pointers, not copies).
-const char* tx_trace_name(net::PacketType type) {
-  switch (type) {
+// Static strings for the tracer (slots store pointers, not copies). A wire
+// whose type byte does not parse is "?".
+const char* tx_trace_name(std::optional<net::PacketType> type) {
+  if (!type) return "tx ?";
+  switch (*type) {
     case net::PacketType::kData:
       return "tx data";
     case net::PacketType::kDestAck:
@@ -27,8 +30,9 @@ const char* tx_trace_name(net::PacketType type) {
   return "tx ?";
 }
 
-const char* drop_trace_name(net::PacketType type) {
-  switch (type) {
+const char* drop_trace_name(std::optional<net::PacketType> type) {
+  if (!type) return "drop ?";
+  switch (*type) {
     case net::PacketType::kData:
       return "drop data";
     case net::PacketType::kDestAck:
@@ -133,16 +137,12 @@ void Link::transmit(const PacketEnv& env) {
                            ? loss_process_->drop(sim_.now(), rng_)
                            : rng_.bernoulli(loss_rate_);
   if (dropped) {
-    if (counters_ != nullptr) {
-      counters_->on_link_drop(index_,
-                              type.value_or(net::PacketType::kData));
-    }
+    if (counters_ != nullptr) counters_->on_link_drop(index_, type);
     obs_.drops.add();
     if (trace_.ring != nullptr) {
-      trace_.ring->instant(
-          drop_trace_name(type.value_or(net::PacketType::kData)), "sim",
-          sim_.now() / kMicrosecond, trace_.track,
-          static_cast<std::int64_t>(index_), sender_pid);
+      trace_.ring->instant(drop_trace_name(type), "sim",
+                           sim_.now() / kMicrosecond, trace_.track,
+                           static_cast<std::int64_t>(index_), sender_pid);
     }
     return;
   }
@@ -155,10 +155,10 @@ void Link::transmit(const PacketEnv& env) {
     const SimDuration delay = draw_delay();
     obs_.latency_ns.observe(static_cast<std::uint64_t>(delay));
     if (trace_.ring != nullptr) {
-      trace_.ring->complete(
-          tx_trace_name(type.value_or(net::PacketType::kData)), "sim",
-          sim_.now() / kMicrosecond, delay / kMicrosecond, trace_.track,
-          static_cast<std::int64_t>(index_), sender_pid);
+      trace_.ring->complete(tx_trace_name(type), "sim",
+                            sim_.now() / kMicrosecond, delay / kMicrosecond,
+                            trace_.track, static_cast<std::int64_t>(index_),
+                            sender_pid);
     }
     sim_.after(delay, [target, env] { target->deliver(env); });
   }

@@ -1,5 +1,7 @@
 #include "sim/node.h"
 
+#include <utility>
+
 #include "sim/link.h"
 #include "sim/time.h"
 
@@ -12,8 +14,8 @@ void Node::attach_agent(std::unique_ptr<Agent> agent) {
 
 void Node::log_wire(obs::EventKind kind, const char* trace_name,
                     const PacketEnv& env) {
-  const std::uint64_t type =
-      (env.wire != nullptr && !env.wire->empty()) ? (*env.wire)[0] : 0;
+  const ByteView wire = env.view();
+  const std::uint64_t type = wire.empty() ? 0 : wire[0];
   if (events_ != nullptr) {
     events_->append(index_, kind, sim_.now(), /*link=*/-1, type,
                     env.wire_size);
@@ -34,10 +36,11 @@ void Node::deliver(const PacketEnv& env) {
   if (agent_) agent_->on_packet(env);
 }
 
-void Node::originate(const PacketEnv& env) {
+void Node::originate(Direction dir, Wire wire, std::size_t wire_size) {
   if (!up_) return;
-  Link* link = env.dir == Direction::kToDest ? toward_dest_ : toward_source_;
+  Link* link = dir == Direction::kToDest ? toward_dest_ : toward_source_;
   if (link == nullptr) return;
+  const PacketEnv env{std::move(wire), wire_size, dir};
   log_wire(obs::EventKind::kPacketSend, "tx", env);
   link->transmit(env);
 }

@@ -12,11 +12,11 @@
 #include <utility>
 #include <vector>
 
-#include "net/packet.h"
 #include "obs/events.h"
 #include "obs/tracer.h"
 #include "sim/simulator.h"
 #include "sim/storage.h"
+#include "sim/wire.h"
 #include "util/bytes.h"
 
 namespace paai::sim {
@@ -30,38 +30,16 @@ enum class Direction : std::uint8_t {
   kToSource,  // D -> S (acks, reports)
 };
 
-/// A packet in flight. `wire` holds the protocol header bytes (shared so
-/// relays can forward without copying); `wire_size` additionally counts the
-/// simulated application payload.
-///
-/// A data packet's H(m) travels with it as a memo keyed to the buffer it
-/// was hashed from: `id` is valid only while `id_of == wire.get()`. The
-/// source seeds it when it originates m; since a wire buffer is never
-/// written after it is shared, every honest hop reads the same id instead
-/// of re-hashing. An altered copy is a new buffer (and a new envelope), so
-/// it carries no memo and is hashed where it is received. An envelope
-/// re-pointed at another buffer no longer matches its key either; the key
-/// is an address, so re-point only while the old buffer is still alive,
-/// or build a new envelope.
+/// A packet in flight. `wire` holds the protocol header bytes (a pooled,
+/// refcounted buffer, so relays forward without copying; see sim/wire.h)
+/// and, for a data packet, its H(m) as `wire.id()`; `wire_size`
+/// additionally counts the simulated application payload.
 struct PacketEnv {
-  std::shared_ptr<const Bytes> wire;
+  Wire wire;
   std::size_t wire_size = 0;
   Direction dir = Direction::kToDest;
-  net::PacketId id{};
-  const Bytes* id_of = nullptr;
 
-  ByteView view() const { return ByteView(wire->data(), wire->size()); }
-
-  /// Memoises `h` as the id of the current `wire`.
-  void set_id(const net::PacketId& h) {
-    id = h;
-    id_of = wire.get();
-  }
-
-  /// The memoised id of the current `wire`, or nullptr if it has none.
-  const net::PacketId* memo_id() const {
-    return id_of != nullptr && id_of == wire.get() ? &id : nullptr;
-  }
+  ByteView view() const { return wire.view(); }
 };
 
 class Agent {
@@ -104,14 +82,9 @@ class Node {
   /// Called by a Link when a packet survives the traversal.
   void deliver(const PacketEnv& env);
 
-  /// Puts a new packet on the wire in its direction, id memo included.
-  /// No-op when the node is the last one in that direction (S upstream /
-  /// D downstream).
-  void originate(const PacketEnv& env);
-  void originate(Direction dir, std::shared_ptr<const Bytes> wire,
-                 std::size_t wire_size) {
-    originate(PacketEnv{std::move(wire), wire_size, dir});
-  }
+  /// Puts a new packet on the wire in its direction. No-op when the node
+  /// is the last one in that direction (S upstream / D downstream).
+  void originate(Direction dir, Wire wire, std::size_t wire_size);
 
   /// Forwards a received packet unchanged in its travel direction.
   void forward(const PacketEnv& env);

@@ -13,7 +13,7 @@ void TrafficCounters::on_transmit(net::PacketType type, std::size_t bytes,
 }
 
 void TrafficCounters::on_link_drop(std::size_t link_index,
-                                   net::PacketType type) {
+                                   std::optional<net::PacketType> type) {
   if (link_index < link_drops_.size()) ++link_drops_[link_index];
   if (type == net::PacketType::kData && link_index < data_drops_.size()) {
     ++data_drops_[link_index];

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "net/packet.h"
@@ -28,7 +29,10 @@ class TrafficCounters {
 
   void on_transmit(net::PacketType type, std::size_t bytes,
                    std::size_t link_index);
-  void on_link_drop(std::size_t link_index, net::PacketType type);
+  /// A drop of a wire whose type byte does not parse (`type` empty)
+  /// counts on the link but never as a data drop.
+  void on_link_drop(std::size_t link_index,
+                    std::optional<net::PacketType> type);
 
   const TypeCounter& by_type(net::PacketType type) const;
 

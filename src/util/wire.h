@@ -12,6 +12,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "util/bytes.h"
 
@@ -29,7 +30,13 @@ class WireWriter {
  public:
   WireWriter() = default;
   /// Reserves the encoded size up front, so the buffer is allocated once.
-  explicit WireWriter(std::size_t size) { buf_.reserve(size); }
+  /// Writing starts over `reuse`, whose capacity is kept: an encoder
+  /// handed a recycled buffer allocates nothing once it is large enough.
+  explicit WireWriter(std::size_t size, Bytes reuse = {})
+      : buf_(std::move(reuse)) {
+    buf_.clear();
+    buf_.reserve(size);
+  }
 
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);

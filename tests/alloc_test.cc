@@ -53,7 +53,7 @@ TEST(AllocBudget, SteadyStateEventsAreHeapFree) {
   constexpr int kRounds = 100;
   constexpr int kEventsPerRound = 1000;
   sim::Simulator simulator;
-  const sim::PacketEnv env{std::make_shared<const Bytes>(Bytes(19, 1)), 19,
+  const sim::PacketEnv env{sim::Wire(Bytes(19, 1)), 19,
                            sim::Direction::kToDest};
   std::uint64_t delivered = 0;
   // One round of events: a link delivery's capture shape (PacketEnv plus
@@ -101,15 +101,15 @@ double allocs_per_packet(protocols::ProtocolKind kind) {
 }
 
 TEST(AllocBudget, FullAckReferenceRun) {
-  EXPECT_LE(allocs_per_packet(protocols::ProtocolKind::kFullAck), 10.0);
+  EXPECT_LE(allocs_per_packet(protocols::ProtocolKind::kFullAck), 4.0);
 }
 
 TEST(AllocBudget, Paai1ReferenceRun) {
-  EXPECT_LE(allocs_per_packet(protocols::ProtocolKind::kPaai1), 7.0);
+  EXPECT_LE(allocs_per_packet(protocols::ProtocolKind::kPaai1), 1.0);
 }
 
 TEST(AllocBudget, Paai2ReferenceRun) {
-  EXPECT_LE(allocs_per_packet(protocols::ProtocolKind::kPaai2), 10.0);
+  EXPECT_LE(allocs_per_packet(protocols::ProtocolKind::kPaai2), 3.5);
 }
 
 }  // namespace

@@ -352,7 +352,7 @@ class CountingAgent final : public sim::Agent {
 
 sim::PacketEnv test_packet() {
   sim::PacketEnv env;
-  env.wire = std::make_shared<const Bytes>(Bytes{1, 2, 3});
+  env.wire = sim::Wire(Bytes{1, 2, 3});
   env.wire_size = 3;
   return env;
 }

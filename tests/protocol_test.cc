@@ -342,8 +342,8 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// Hash-once pin: the source computes H(m) and seeds the envelope's id
-// memo; honest relays and the destination read it. A counting decorator
+// Hash-once pin: the source computes H(m) and sets it on the wire
+// buffer; honest relays and the destination read it. A counting decorator
 // over the provider sees every hash() that is actually computed.
 class CountingCrypto final : public crypto::CryptoProvider {
  public:
@@ -439,16 +439,19 @@ TEST(HashOnce, RepointedEnvelopeIsHashedNotServedTheStaleId) {
   ASSERT_NE(first_id, second_id);
 
   sim::PacketEnv env = protocols::envelope(first, sim::Direction::kToDest);
-  env.set_id(first_id);
+  env.wire.set_id(first_id);
+  // The id lives on the buffer, so re-pointing a copy of the envelope at a
+  // buffer rebuilt from bytes leaves the copy without one.
   sim::PacketEnv copy = env;
-  copy.wire = std::make_shared<const Bytes>(second.encode());
-  EXPECT_EQ(copy.memo_id(), nullptr);
+  copy.wire = sim::Wire(second.encode());
+  EXPECT_EQ(copy.wire.id(), nullptr);
+  ASSERT_NE(env.wire.id(), nullptr);
 
   const std::uint64_t before = counting.hashes();
-  const auto memo = protocols::decode_fresh(ctx, net.node(1), env);
-  ASSERT_TRUE(memo.has_value());
-  EXPECT_EQ(memo->id, first_id);
-  EXPECT_EQ(counting.hashes(), before);  // served from the memo
+  const auto carried = protocols::decode_fresh(ctx, net.node(1), env);
+  ASSERT_TRUE(carried.has_value());
+  EXPECT_EQ(carried->id, first_id);
+  EXPECT_EQ(counting.hashes(), before);  // read off the buffer
 
   const auto fresh = protocols::decode_fresh(ctx, net.node(1), copy);
   ASSERT_TRUE(fresh.has_value());

@@ -1,12 +1,16 @@
 // Simulator-core tests: event ordering and determinism, the event slab's
 // capture lifetime and size bound, link loss and latency behaviour, path
 // construction, RTT-bound nesting (the property the protocol wait-timer
-// cascade relies on), storage metering, and traffic accounting.
+// cascade relies on), storage metering, traffic accounting, and the pooled
+// Wire buffer (reference counts, id reset on reuse, cross-thread release).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/link.h"
@@ -15,6 +19,7 @@
 #include "sim/simulator.h"
 #include "sim/storage.h"
 #include "sim/trace.h"
+#include "sim/wire.h"
 
 namespace paai::sim {
 namespace {
@@ -188,8 +193,7 @@ class CountingAgent final : public Agent {
 
 PacketEnv make_env(Direction dir) {
   net::DataPacket pkt{1, 2, 100};
-  auto wire = std::make_shared<const Bytes>(pkt.encode());
-  return PacketEnv{wire, pkt.wire_size(), dir};
+  return PacketEnv{Wire::of(pkt), pkt.wire_size(), dir};
 }
 
 TEST(Link, DeliversAfterLatencyWithoutLoss) {
@@ -230,6 +234,110 @@ TEST(Link, EmpiricalLossRateMatchesConfig) {
   EXPECT_NEAR(delivered, 0.9, 0.01);
   EXPECT_EQ(counters.drops_on_link(0) + bp->received,
             static_cast<std::uint64_t>(n));
+}
+
+TEST(Link, UntypedWireDropIsNotADataDrop) {
+  Simulator sim;
+  TrafficCounters counters(1);
+  Node a(sim, 0), b(sim, 1);
+  Link link(sim, 0, /*loss=*/1.0, 0, Rng(5), &counters);
+  link.connect(&a, &b);
+  const PacketEnv env{Wire(Bytes{0xFF, 1, 2}), 3, Direction::kToDest};
+  for (int i = 0; i < 10; ++i) link.transmit(env);
+  sim.run();
+  EXPECT_EQ(counters.data_tx(0), 0u);
+  EXPECT_EQ(counters.data_drops(0), 0u);
+  EXPECT_EQ(counters.drops_on_link(0), 10u);  // still a drop on the link
+  EXPECT_EQ(counters.total_packets(), 0u);
+}
+
+TEST(Wire, CopiesCountReferencesAndMovesAreFree) {
+  Wire a(Bytes{1, 2, 3});
+  EXPECT_EQ(a.use_count(), 1u);
+  {
+    Wire b = a;
+    EXPECT_EQ(a.use_count(), 2u);
+    EXPECT_EQ(b.view().data(), a.view().data());  // one buffer, not a copy
+    Wire c = std::move(b);
+    EXPECT_EQ(c.use_count(), 2u);  // the move took b's reference over
+    Wire d;
+    d = c;
+    EXPECT_EQ(a.use_count(), 3u);
+    d = Wire();
+    EXPECT_EQ(a.use_count(), 2u);
+    Wire e;
+    e = std::move(c);
+    EXPECT_EQ(a.use_count(), 2u);
+  }
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_TRUE(std::ranges::equal(a.view(), Bytes{1, 2, 3}));
+
+  const Wire empty;
+  EXPECT_EQ(empty.use_count(), 0u);
+  EXPECT_TRUE(empty.view().empty());
+  EXPECT_EQ(empty.id(), nullptr);
+}
+
+TEST(Wire, RecycledBufferNeverCarriesThePreviousId) {
+  net::PacketId id{};
+  id[0] = 0xAB;
+  const std::uint8_t* first = nullptr;
+  {
+    Wire w = Wire::of(net::DataPacket{1, 2, 100});
+    EXPECT_EQ(w.id(), nullptr);
+    w.set_id(id);
+    ASSERT_NE(w.id(), nullptr);
+    EXPECT_EQ(*w.id(), id);
+    const Wire copy = w;  // every holder reads the same id
+    ASSERT_NE(copy.id(), nullptr);
+    EXPECT_EQ(*copy.id(), id);
+    first = w.view().data();
+  }
+  // The free list is LIFO: the next wire reuses the buffer just released,
+  // bytes capacity included, and it starts without an id.
+  const net::DataPacket next{2, 3, 100};
+  const Wire w = Wire::of(next);
+  EXPECT_EQ(w.view().data(), first);
+  EXPECT_EQ(w.id(), nullptr);
+  EXPECT_TRUE(std::ranges::equal(w.view(), next.encode()));
+}
+
+TEST(Wire, SharedPtrConstructorCopiesTheBytes) {
+  const auto bytes = std::make_shared<const Bytes>(Bytes{7, 8, 9});
+  const Wire w = bytes;  // implicit, like PacketEnv{shared_ptr, size, dir}
+  EXPECT_NE(w.view().data(), bytes->data());
+  EXPECT_TRUE(std::ranges::equal(w.view(), *bytes));
+  EXPECT_EQ(w.id(), nullptr);
+  EXPECT_EQ(bytes.use_count(), 1);  // nothing shares the source buffer
+  const Wire none = std::shared_ptr<const Bytes>();
+  EXPECT_EQ(none.use_count(), 0u);
+}
+
+TEST(Wire, BuiltOnOneThreadReleasedOnAnotherAfterJoin) {
+  net::PacketId id{};
+  id[3] = 0x5A;
+  Wire handed;
+  std::thread producer([&] {
+    Wire w = Wire::of(net::DataPacket{4, 5, 100});
+    w.set_id(id);
+    handed = w;
+    // Outlives this thread's pool: released after it, so deleted directly.
+    thread_local Wire late;
+    late = Wire(Bytes{1});
+  });
+  producer.join();
+  ASSERT_EQ(handed.use_count(), 1u);
+  ASSERT_NE(handed.id(), nullptr);
+  EXPECT_EQ(*handed.id(), id);
+
+  std::thread consumer([w = std::move(handed)]() mutable {
+    const Wire copy = w;
+    EXPECT_EQ(copy.use_count(), 2u);
+    w = Wire();
+    EXPECT_EQ(copy.use_count(), 1u);
+    EXPECT_EQ(net::DataPacket::decode(copy.view())->seq, 4u);
+  });
+  consumer.join();
 }
 
 TEST(PathNetwork, BuildsChainAndValidates) {

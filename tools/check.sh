@@ -3,13 +3,16 @@
 # perfbench verdicts:
 #
 #   1. ThreadSanitizer — exec + runner + fleet + mesh + obs + faults +
-#      telemetry test suites. Catches data races in the parallel execution
-#      engine (src/exec), in anything run_experiment touches, in the mesh
-#      runner's sharded score accumulation (src/mesh), in the
-#      lock-free metrics/tracer
-#      shards (src/obs) that runs write concurrently, and in the telemetry
+#      telemetry + sim test suites. Catches data races in the parallel
+#      execution engine (src/exec), in anything run_experiment touches
+#      (exec_test's jobs>1 Monte-Carlo runs every protocol's wires on
+#      worker threads), in the mesh runner's sharded score accumulation
+#      (src/mesh), in the lock-free metrics/tracer
+#      shards (src/obs) that runs write concurrently, in the telemetry
 #      sampler racing registry/profiler writers
-#      (Concurrency.SamplerRacesProducers). faults_test runs the
+#      (Concurrency.SamplerRacesProducers), and in the pooled wire
+#      buffers' plain refcount and thread-local free lists (sim_test's
+#      Wire.BuiltOnOneThreadReleasedOnAnotherAfterJoin). faults_test runs the
 #      injector's schedule machinery and crash hooks under the Monte-Carlo
 #      fan-out (BitIdenticalAcrossJobs). The other half of the determinism
 #      story (the jobs=1 vs jobs=8 bit-identity test in exec_test) runs in
@@ -36,7 +39,7 @@
 #      intake run under both sanitizers for all seven protocols — plus
 #      the adversary-path suites adversary, adaptive and onion, which
 #      drive the relay's corrupt, withhold and packet-id branches (the
-#      tampered copies that miss the per-wire H(m) memo).
+#      tampered copies, new wire buffers that carry no H(m)).
 #
 #   The 60k-packet ChaosPaperScale sweep is excluded under sanitizers for
 #   runtime; ChaosSmoke is its in-sanitizer representative.
@@ -100,7 +103,7 @@ CHAOS_FILTER="--gtest_filter=-*ChaosPaperScale*"
 
 echo "== leg 1: ThreadSanitizer =="
 cmake -B "$TSAN_DIR" -S . -DPAAI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$TSAN_DIR" --target exec_test runner_test fleet_test mesh_test obs_test faults_test telemetry_test -j "$(nproc)"
+cmake --build "$TSAN_DIR" --target exec_test runner_test fleet_test mesh_test obs_test faults_test telemetry_test sim_test -j "$(nproc)"
 
 # TSAN_OPTIONS makes races hard failures rather than log noise.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -115,6 +118,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # The race-facing tests (sampler vs. registry/profiler writers, serve
 # lag) are what TSan is for.
 "$TSAN_DIR/tests/telemetry_test" "--gtest_filter=-Integration.*"
+"$TSAN_DIR/tests/sim_test"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -394,4 +398,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean, perfbench verdicts correct"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean, perfbench verdicts correct"
