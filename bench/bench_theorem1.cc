@@ -15,7 +15,7 @@
 
 #include "analysis/bounds.h"
 #include "bench_common.h"
-#include "runner/fleet.h"
+#include "mesh/runner.h"
 #include "util/csv.h"
 
 using namespace paai;
@@ -94,22 +94,22 @@ int main(int argc, char** argv) {
   const std::size_t fleet_reps = std::max<std::size_t>(args.runs_or(16) / 2, 4);
   for (const double rate : {0.02, 0.15}) {
     for (const bool is_spread : {true, false}) {
-      FleetConfig cfg;
-      cfg.base = paper_config(protocols::ProtocolKind::kPaai1,
-                              args.scaled(60000), 0);
+      // A Corollary 2 fleet is the mesh packet engine on linear@4:hops=6:
+      // path p's hop j is mesh link 6p + j.
+      mesh::MeshConfig cfg;
+      cfg.topo = mesh::Topology::parse("linear@4:hops=6");
+      cfg.paths = cfg.topo.enumerate_paths(4, /*seed=*/0);
+      cfg.engine = mesh::MeshEngine::kPacket;
+      cfg.packet_base = paper_config(protocols::ProtocolKind::kPaai1,
+                                     args.scaled(60000), 0);
+      cfg.packet_base.link_faults.clear();
+      cfg.natural_loss = cfg.packet_base.path.natural_loss;
+      cfg.decision_threshold = cfg.packet_base.decision_threshold;
       cfg.jobs = args.jobs;
-      cfg.base.link_faults.clear();
       if (is_spread) {
-        cfg.paths = {{LinkFault{4, rate}},
-                     {LinkFault{2, rate}},
-                     {LinkFault{3, rate}},
-                     {}};
+        cfg.link_faults = {{4, rate}, {6 + 2, rate}, {12 + 3, rate}};
       } else {
-        cfg.paths = {{LinkFault{2, rate}, LinkFault{3, rate},
-                      LinkFault{4, rate}},
-                     {},
-                     {},
-                     {}};
+        cfg.link_faults = {{2, rate}, {3, rate}, {4, rate}};
       }
       std::fprintf(stderr, "[cor2] %s rate=%.2f...\n",
                    is_spread ? "spread" : "concentrated", rate);
@@ -118,9 +118,9 @@ int main(int argc, char** argv) {
       bool framed = false;
       for (std::size_t rep = 0; rep < fleet_reps; ++rep) {
         cfg.seed0 = 9000 + rep * 101;
-        const FleetResult fr = run_fleet(cfg);
+        const mesh::MeshResult fr = mesh::run_mesh(cfg);
         damage.add(fr.total_damage);
-        for (const auto& p : fr.paths) {
+        for (const auto& p : fr.path_outcomes) {
           if (!p.malicious.empty()) {
             all_convicted &= p.all_malicious_convicted;
           }

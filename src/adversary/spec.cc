@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/json.h"
 #include "util/specgrammar.h"
 
 namespace paai::adversary {
@@ -126,49 +125,6 @@ Spec spec_from_clause(const util::SpecClause& c) {
   return s;
 }
 
-AdversaryPlan parse_json(std::string_view text) {
-  std::string error;
-  const auto doc = obs::json_parse(text, &error);
-  if (!doc) bad("JSON parse error: " + error);
-  const obs::JsonValue* clauses = &*doc;
-  if (doc->is_object()) {
-    clauses = doc->find("adversaries");
-    if (clauses == nullptr || !clauses->is_array()) {
-      bad("JSON object form needs an \"adversaries\" array member");
-    }
-  } else if (!doc->is_array()) {
-    bad("JSON form must be an array of clause objects");
-  }
-
-  AdversaryPlan plan;
-  for (const auto& entry : clauses->array) {
-    if (!entry.is_object()) bad("JSON clause must be an object");
-    util::SpecClause c;
-    bool have_node = false;
-    for (const auto& [key, value] : entry.object) {
-      if (key == "kind") {
-        if (!value.is_string()) bad("JSON clause \"kind\" must be a string");
-        c.kind = value.string;
-        continue;
-      }
-      if (!value.is_number()) {
-        bad("JSON clause key '" + key + "' must be a number");
-      }
-      if (key == "node") {
-        if (!(value.number >= 0.0)) bad("node must be >= 0");
-        c.index = static_cast<std::size_t>(value.number);
-        have_node = true;
-        continue;
-      }
-      c.kv.emplace_back(key, value.number);
-    }
-    if (c.kind.empty()) bad("JSON clause is missing \"kind\"");
-    if (!have_node) bad(c.kind + " JSON clause needs \"node\"");
-    plan.add(spec_from_clause(c));
-  }
-  return plan;
-}
-
 std::string fmt(double value) { return util::fmt_double(value); }
 
 }  // namespace
@@ -240,13 +196,9 @@ double Spec::mean_drop_rate(double cover_fraction,
 }
 
 AdversaryPlan AdversaryPlan::parse(std::string_view text) {
-  const std::string_view trimmed = util::spec_trim(text);
-  if (trimmed.empty()) return AdversaryPlan{};
-  if (trimmed.front() == '[' || trimmed.front() == '{') {
-    return parse_json(trimmed);
-  }
   AdversaryPlan plan;
-  for (const auto& clause : util::parse_compact_clauses(trimmed, kPrefix)) {
+  for (const auto& clause :
+       util::parse_plan_clauses(text, "adversaries", {"node"}, kPrefix)) {
     plan.add(spec_from_clause(clause));
   }
   return plan;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/json.h"
 #include "util/specgrammar.h"
 
 namespace paai::faults {
@@ -92,61 +91,14 @@ void apply_clause(FaultPlan& plan, const util::SpecClause& c) {
   }
 }
 
-FaultPlan parse_json(std::string_view spec) {
-  std::string error;
-  const auto doc = obs::json_parse(spec, &error);
-  if (!doc) bad("JSON parse error: " + error);
-  const obs::JsonValue* clauses = &*doc;
-  if (doc->is_object()) {
-    clauses = doc->find("faults");
-    if (clauses == nullptr || !clauses->is_array()) {
-      bad("JSON object form needs a \"faults\" array member");
-    }
-  } else if (!doc->is_array()) {
-    bad("JSON form must be an array of clause objects");
-  }
-
-  FaultPlan plan;
-  for (const auto& entry : clauses->array) {
-    if (!entry.is_object()) bad("JSON clause must be an object");
-    util::SpecClause c;
-    bool have_index = false;
-    for (const auto& [key, value] : entry.object) {
-      if (key == "kind") {
-        if (!value.is_string()) bad("JSON clause \"kind\" must be a string");
-        c.kind = value.string;
-        continue;
-      }
-      if (!value.is_number()) {
-        bad("JSON clause key '" + key + "' must be a number");
-      }
-      if (key == "link" || key == "node") {
-        if (!(value.number >= 0.0)) bad(key + " must be >= 0");
-        c.index = static_cast<std::size_t>(value.number);
-        have_index = true;
-        continue;
-      }
-      c.kv.emplace_back(key, value.number);
-    }
-    if (c.kind.empty()) bad("JSON clause is missing \"kind\"");
-    if (!have_index) bad(c.kind + " JSON clause needs \"link\" or \"node\"");
-    apply_clause(plan, c);
-  }
-  return plan;
-}
-
 std::string fmt(double value) { return util::fmt_double(value); }
 
 }  // namespace
 
 FaultPlan FaultPlan::parse(std::string_view spec) {
-  const std::string_view trimmed = util::spec_trim(spec);
-  if (trimmed.empty()) return FaultPlan{};
-  if (trimmed.front() == '[' || trimmed.front() == '{') {
-    return parse_json(trimmed);
-  }
   FaultPlan plan;
-  for (const auto& clause : util::parse_compact_clauses(trimmed, kPrefix)) {
+  for (const auto& clause :
+       util::parse_plan_clauses(spec, "faults", {"link", "node"}, kPrefix)) {
     apply_clause(plan, clause);
   }
   return plan;

@@ -44,8 +44,15 @@ void check_index(std::size_t index, std::size_t bound, const char* what) {
   }
 }
 
-void validate_paths(const MeshConfig& config) {
+/// Every mesh index a run reads — path links, compromised nodes, planted
+/// link faults and the benign plan's links and nodes — checked up front,
+/// so both engines reject the same out-of-range specs before any work.
+void validate_indices(const MeshConfig& config) {
   const std::size_t num_links = config.topo.num_links();
+  const std::size_t num_nodes = config.topo.num_nodes();
+  if (num_links == 0) {
+    throw std::invalid_argument("run_mesh: topology has no links");
+  }
   for (std::size_t i = 0; i < config.paths.size(); ++i) {
     const std::uint32_t* pl = config.paths.links(i);
     const std::size_t len = config.paths.length(i);
@@ -57,6 +64,28 @@ void validate_paths(const MeshConfig& config) {
       check_index(pl[j], num_links, "path link");
     }
   }
+  for (const adversary::Spec& spec : config.adversaries.specs) {
+    check_index(spec.node, num_nodes, "adversary node");
+  }
+  for (const MeshLinkFault& fault : config.link_faults) {
+    check_index(fault.link, num_links, "link fault");
+  }
+  const faults::FaultPlan& plan = config.faults;
+  for (const auto& ge : plan.gilbert) {
+    check_index(ge.link, num_links, "ge fault link");
+  }
+  for (const auto& retune : plan.retunes) {
+    check_index(retune.link, num_links, "retune link");
+  }
+  for (const auto& outage : plan.outages) {
+    check_index(outage.node, num_nodes, "outage node");
+  }
+  for (const auto& reorder : plan.reorders) {
+    check_index(reorder.link, num_links, "reorder link");
+  }
+  for (const auto& dup : plan.duplicates) {
+    check_index(dup.link, num_links, "dup link");
+  }
 }
 
 /// Ground truth: every outgoing link of a compromised node plus every
@@ -67,17 +96,54 @@ void validate_paths(const MeshConfig& config) {
 std::vector<char> malicious_links(const MeshConfig& config) {
   std::vector<char> malicious(config.topo.num_links(), 0);
   for (const adversary::Spec& spec : config.adversaries.specs) {
-    check_index(spec.node, config.topo.num_nodes(), "adversary node");
     for (const std::uint32_t l : config.topo.out_links(
              static_cast<std::uint32_t>(spec.node))) {
       malicious[l] = 1;
     }
   }
   for (const MeshLinkFault& fault : config.link_faults) {
-    check_index(fault.link, config.topo.num_links(), "link fault");
     malicious[fault.link] = 1;
   }
   return malicious;
+}
+
+/// The verdict tail both engines share: one LinkVerdict row per link
+/// from the merged store, the convicted / ground-truth lists, the
+/// false and missed counts, and the detection-units percentiles.
+/// `first_convicted(l, row)` supplies the row's first-conviction units
+/// (0 = never) — the only per-engine difference.
+template <typename FirstConvicted>
+void assemble_verdicts(const MeshConfig& config, const GlobalScoreStore& store,
+                       const std::vector<char>& malicious,
+                       FirstConvicted first_convicted, MeshResult& result) {
+  const std::size_t num_links = config.topo.num_links();
+  result.links.resize(num_links);
+  std::vector<double> detection;
+  for (std::size_t l = 0; l < num_links; ++l) {
+    MeshResult::LinkVerdict& row = result.links[l];
+    row.units = store.units(l);
+    row.blames = store.blames(l);
+    row.paths = store.paths(l);
+    row.solo_convictions = store.solo_convictions(l);
+    row.theta = store.theta(l);
+    row.convicted =
+        store.convicts(l, config.decision_threshold, config.blame);
+    row.malicious = malicious[l] != 0;
+    row.witnesses = store.witnesses(l);
+    row.first_convicted_units = first_convicted(l, row);
+    if (row.convicted) result.convicted.push_back(l);
+    if (row.malicious) result.malicious_links.push_back(l);
+    if (row.convicted && !row.malicious) ++result.false_accusations;
+    if (!row.convicted && row.malicious) ++result.missed_malicious;
+    if (row.convicted && row.malicious && row.first_convicted_units > 0) {
+      detection.push_back(static_cast<double>(row.first_convicted_units));
+    }
+  }
+  if (!detection.empty()) {
+    result.detection_units_p50 = quantile(detection, 0.5);
+    result.detection_units_p90 = quantile(detection, 0.9);
+    result.detection_units_p99 = quantile(detection, 0.99);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -104,38 +170,25 @@ StatTables build_stat_tables(const MeshConfig& config, std::size_t rounds) {
   std::vector<double> base(num_links, config.natural_loss);
   double worst_pi_bad = 0.0;
   for (const faults::GilbertElliottFault& ge : config.faults.gilbert) {
-    check_index(ge.link, num_links, "ge fault link");
     const double denom = ge.params.good_to_bad + ge.params.bad_to_good;
     const double pi_bad = denom > 0.0 ? ge.params.good_to_bad / denom : 0.0;
     base[ge.link] = ge.params.loss_good * (1.0 - pi_bad) +
                     ge.params.loss_bad * pi_bad;
     worst_pi_bad = std::max(worst_pi_bad, pi_bad);
   }
-  for (const faults::LinkRetune& retune : config.faults.retunes) {
-    check_index(retune.link, num_links, "retune link");
-  }
   // Long-run fraction of time benign fault cover is active — what a
   // fault-colluding adversary's duty cycle keys off.
   double outage_fraction = 0.0;
   for (const faults::NodeOutage& outage : config.faults.outages) {
-    check_index(outage.node, topo.num_nodes(), "outage node");
     outage_fraction += std::max(0.0, outage.duration_seconds) / horizon;
   }
   const double cover = std::min(1.0, worst_pi_bad + outage_fraction);
-  // Reorder/dup clauses drop nothing; validated and otherwise ignored.
-  for (const faults::ReorderFault& reorder : config.faults.reorders) {
-    check_index(reorder.link, num_links, "reorder link");
-  }
-  for (const faults::DuplicateFault& dup : config.faults.duplicates) {
-    check_index(dup.link, num_links, "dup link");
-  }
 
   // Adversary extra rate per link: every outgoing link of a compromised
   // node drops at the spec's time-averaged rate; direct link faults
   // compose in.
   std::vector<double> extra(num_links, 0.0);
   for (const adversary::Spec& spec : config.adversaries.specs) {
-    check_index(spec.node, topo.num_nodes(), "adversary node");
     const double rate =
         spec.mean_drop_rate(cover, config.decision_threshold);
     for (const std::uint32_t l :
@@ -144,7 +197,6 @@ StatTables build_stat_tables(const MeshConfig& config, std::size_t rounds) {
     }
   }
   for (const MeshLinkFault& fault : config.link_faults) {
-    check_index(fault.link, num_links, "link fault");
     extra[fault.link] = compose(extra[fault.link], fault.extra_loss);
   }
 
@@ -300,42 +352,21 @@ MeshResult run_stat(const MeshConfig& config) {
   result.store_bytes = store.memory_bytes();
   result.shard_bytes = ScoreShard::bytes_for(num_links, rounds);
 
-  result.links.resize(num_links);
-  std::vector<double> detection;
-  for (std::size_t l = 0; l < num_links; ++l) {
-    MeshResult::LinkVerdict& row = result.links[l];
-    row.units = store.units(l);
-    row.blames = store.blames(l);
-    row.paths = store.paths(l);
-    row.solo_convictions = store.solo_convictions(l);
-    row.theta = store.theta(l);
-    row.convicted =
-        store.convicts(l, config.decision_threshold, config.blame);
-    row.malicious = malicious[l] != 0;
-    row.witnesses = store.witnesses(l);
-    // Replay the cumulative checkpoint schedule to find the first round
-    // prefix whose aggregated evidence convicts under the configured
-    // blame rule — the detection-latency axis.
-    for (std::size_t r = 0; r < rounds; ++r) {
-      if (store.convicts(l, config.decision_threshold, config.blame,
-                         r + 1)) {
-        row.first_convicted_units = cum_units[r];
-        break;
-      }
-    }
-    if (row.convicted) result.convicted.push_back(l);
-    if (row.malicious) result.malicious_links.push_back(l);
-    if (row.convicted && !row.malicious) ++result.false_accusations;
-    if (!row.convicted && row.malicious) ++result.missed_malicious;
-    if (row.convicted && row.malicious && row.first_convicted_units > 0) {
-      detection.push_back(static_cast<double>(row.first_convicted_units));
-    }
-  }
-  if (!detection.empty()) {
-    result.detection_units_p50 = quantile(detection, 0.5);
-    result.detection_units_p90 = quantile(detection, 0.9);
-    result.detection_units_p99 = quantile(detection, 0.99);
-  }
+  // Replay the cumulative checkpoint schedule to find the first round
+  // prefix whose aggregated evidence convicts under the configured blame
+  // rule — the detection-latency axis.
+  assemble_verdicts(
+      config, store, malicious,
+      [&](std::size_t l, const MeshResult::LinkVerdict&) -> std::uint64_t {
+        for (std::size_t r = 0; r < rounds; ++r) {
+          if (store.convicts(l, config.decision_threshold, config.blame,
+                             r + 1)) {
+            return cum_units[r];
+          }
+        }
+        return 0;
+      },
+      result);
   return result;
 }
 
@@ -343,44 +374,38 @@ MeshResult run_stat(const MeshConfig& config) {
 // Packet engine
 // ---------------------------------------------------------------------
 
+/// Appends a path-local copy of every clause whose mesh index
+/// (`clause.*index`) is `mesh_id`, re-indexed to `local_id` — how the
+/// packet engine maps mesh-level plans onto one path's hops.
+template <typename Clause>
+void project(const std::vector<Clause>& clauses, std::size_t Clause::*index,
+             std::size_t mesh_id, std::size_t local_id,
+             std::vector<Clause>& out) {
+  for (const Clause& clause : clauses) {
+    if (clause.*index != mesh_id) continue;
+    out.push_back(clause);
+    out.back().*index = local_id;
+  }
+}
+
 MeshResult run_packet(const MeshConfig& config) {
   const Topology& topo = config.topo;
   const std::size_t num_links = topo.num_links();
   const std::size_t num_paths = config.paths.size();
-  const bool fleet_mode = !config.packet_path_faults.empty();
-  if (fleet_mode && config.packet_path_faults.size() != num_paths) {
-    throw std::invalid_argument(
-        "run_mesh: packet_path_faults must have one entry per path");
-  }
+  const std::vector<char> malicious = malicious_links(config);
 
   MeshResult result;
 
-  // Clean baseline: template with the malicious state stripped — the
-  // exact historical run_fleet baseline (benign FaultPlan intentionally
-  // kept, matching a deployment measuring its own fault floor).
-  if (config.packet_baseline) {
+  // Clean baseline: the template with the malicious state stripped
+  // (benign FaultPlan intentionally kept, matching a deployment
+  // measuring its own fault floor), seeded seed0.
+  {
     runner::ExperimentConfig clean = config.packet_base;
     clean.link_faults.clear();
     clean.adversaries.clear();
     clean.path.seed = config.seed0;
     result.baseline_delivery =
         runner::run_experiment(clean).ground_truth_delivery;
-  }
-
-  // Ground-truth malicious mesh links. Fleet mode plants path-local
-  // faults, so project them onto the topology; mesh mode derives them
-  // from the mesh-level plans.
-  std::vector<char> malicious(num_links, 0);
-  if (fleet_mode) {
-    for (std::size_t i = 0; i < num_paths; ++i) {
-      for (const runner::LinkFault& fault : config.packet_path_faults[i]) {
-        if (fault.link < config.paths.length(i)) {
-          malicious[config.paths.links(i)[fault.link]] = 1;
-        }
-      }
-    }
-  } else {
-    malicious = malicious_links(config);
   }
 
   struct PathEvidence {
@@ -396,7 +421,7 @@ MeshResult run_packet(const MeshConfig& config) {
   result.path_outcomes.reserve(num_paths);
   exec::OrderedReducer<PathEvidence> reducer(
       num_paths, [&](std::size_t i, PathEvidence&& ev) {
-        // Identical fold to run_fleet: damage accumulates in path order.
+        // Damage accumulates strictly in path order.
         result.total_damage += std::max(
             0.0, result.baseline_delivery - ev.outcome.ground_truth_delivery);
         const std::uint32_t* pl = config.paths.links(i);
@@ -419,80 +444,41 @@ MeshResult run_packet(const MeshConfig& config) {
         const std::uint32_t* pl = config.paths.links(i);
         const std::size_t len = config.paths.length(i);
 
+        // Project the mesh-level plans onto this path's local indices:
+        // hop j's link is path-local link j, its upstream node is
+        // path-local node j.
         runner::ExperimentConfig cfg = config.packet_base;
         cfg.path.seed = plan.seed(i);
-        if (fleet_mode) {
-          // Historical run_fleet contract, verbatim: per-path faults
-          // replace the template's; everything else (length, benign
-          // FaultPlan) is the template's as-is.
-          cfg.link_faults = config.packet_path_faults[i];
-        } else {
-          // Project the mesh-level plans onto this path's local indices:
-          // hop j's link is path-local link j, its upstream node is
-          // path-local node j.
-          cfg.path.length = len;
-          cfg.link_faults.clear();
-          cfg.adversaries.clear();
-          cfg.faults = faults::FaultPlan{};
-          for (std::size_t j = 0; j < len; ++j) {
-            const std::uint32_t l = pl[j];
-            const std::uint32_t from = topo.link(l).from;
-            for (const MeshLinkFault& fault : config.link_faults) {
-              if (fault.link == l) {
-                cfg.link_faults.push_back({j, fault.extra_loss});
-              }
-            }
-            // The path source (j == 0) is the monitor itself and cannot
-            // be the adversary; a compromised destination has no on-path
-            // outgoing link and never maps.
-            if (j >= 1) {
-              for (const adversary::Spec& spec : config.adversaries.specs) {
-                if (spec.node == from) {
-                  adversary::Spec local = spec;
-                  local.node = j;
-                  cfg.adversaries.push_back(local);
-                }
-              }
-              for (const faults::NodeOutage& outage : config.faults.outages) {
-                if (outage.node == from) {
-                  faults::NodeOutage local = outage;
-                  local.node = j;
-                  cfg.faults.outages.push_back(local);
-                }
-              }
-            }
-            for (const faults::GilbertElliottFault& ge :
-                 config.faults.gilbert) {
-              if (ge.link == l) {
-                faults::GilbertElliottFault local = ge;
-                local.link = j;
-                cfg.faults.gilbert.push_back(local);
-              }
-            }
-            for (const faults::LinkRetune& retune : config.faults.retunes) {
-              if (retune.link == l) {
-                faults::LinkRetune local = retune;
-                local.link = j;
-                cfg.faults.retunes.push_back(local);
-              }
-            }
-            for (const faults::ReorderFault& reorder :
-                 config.faults.reorders) {
-              if (reorder.link == l) {
-                faults::ReorderFault local = reorder;
-                local.link = j;
-                cfg.faults.reorders.push_back(local);
-              }
-            }
-            for (const faults::DuplicateFault& dup :
-                 config.faults.duplicates) {
-              if (dup.link == l) {
-                faults::DuplicateFault local = dup;
-                local.link = j;
-                cfg.faults.duplicates.push_back(local);
-              }
+        cfg.path.length = len;
+        cfg.link_faults.clear();
+        cfg.adversaries.clear();
+        cfg.faults = faults::FaultPlan{};
+        const faults::FaultPlan& mesh_faults = config.faults;
+        for (std::size_t j = 0; j < len; ++j) {
+          const std::uint32_t l = pl[j];
+          for (const MeshLinkFault& fault : config.link_faults) {
+            if (fault.link == l) {
+              cfg.link_faults.push_back({j, fault.extra_loss});
             }
           }
+          // The path source (j == 0) is the monitor itself and cannot be
+          // the adversary; a compromised destination has no on-path
+          // outgoing link and never maps.
+          if (j >= 1) {
+            const std::uint32_t from = topo.link(l).from;
+            project(config.adversaries.specs, &adversary::Spec::node, from, j,
+                    cfg.adversaries);
+            project(mesh_faults.outages, &faults::NodeOutage::node, from, j,
+                    cfg.faults.outages);
+          }
+          project(mesh_faults.gilbert, &faults::GilbertElliottFault::link, l,
+                  j, cfg.faults.gilbert);
+          project(mesh_faults.retunes, &faults::LinkRetune::link, l, j,
+                  cfg.faults.retunes);
+          project(mesh_faults.reorders, &faults::ReorderFault::link, l, j,
+                  cfg.faults.reorders);
+          project(mesh_faults.duplicates, &faults::DuplicateFault::link, l, j,
+                  cfg.faults.duplicates);
         }
 
         const obs::ScopedPhase phase(obs::Phase::kMeshPacket);
@@ -521,16 +507,9 @@ MeshResult run_packet(const MeshConfig& config) {
         outcome.ground_truth_delivery = run.ground_truth_delivery;
         outcome.observed_e2e_rate = run.observed_e2e_rate;
         outcome.convicted = run.final_convicted;
-        if (fleet_mode) {
-          for (const runner::LinkFault& fault : config.packet_path_faults[i]) {
-            outcome.malicious.push_back(fault.link);
-          }
-        } else {
-          for (std::size_t j = 0; j < len; ++j) {
-            if (malicious[pl[j]]) outcome.malicious.push_back(j);
-          }
+        for (std::size_t j = 0; j < len; ++j) {
+          if (malicious[pl[j]]) outcome.malicious.push_back(j);
         }
-        std::sort(outcome.malicious.begin(), outcome.malicious.end());
         outcome.all_malicious_convicted = true;
         for (const std::size_t link : outcome.malicious) {
           if (std::find(outcome.convicted.begin(), outcome.convicted.end(),
@@ -554,47 +533,22 @@ MeshResult run_packet(const MeshConfig& config) {
   result.store_bytes = store.memory_bytes();
   result.shard_bytes = ScoreShard::bytes_for(num_links);
 
-  result.links.resize(num_links);
-  std::vector<double> detection;
-  for (std::size_t l = 0; l < num_links; ++l) {
-    MeshResult::LinkVerdict& row = result.links[l];
-    row.units = store.units(l);
-    row.blames = store.blames(l);
-    row.paths = store.paths(l);
-    row.solo_convictions = store.solo_convictions(l);
-    row.theta = store.theta(l);
-    row.convicted =
-        store.convicts(l, config.decision_threshold, config.blame);
-    row.malicious = malicious[l] != 0;
-    row.witnesses = store.witnesses(l);
-    if (row.convicted && row.paths > 0) {
-      // Single checkpoint at the full horizon: the link's mean per-path
-      // evidence is the finest detection-latency statement available.
-      row.first_convicted_units = row.units / row.paths;
-    }
-    if (row.convicted) result.convicted.push_back(l);
-    if (row.malicious) result.malicious_links.push_back(l);
-    if (row.convicted && !row.malicious) ++result.false_accusations;
-    if (!row.convicted && row.malicious) ++result.missed_malicious;
-    if (row.convicted && row.malicious && row.first_convicted_units > 0) {
-      detection.push_back(static_cast<double>(row.first_convicted_units));
-    }
-  }
-  if (!detection.empty()) {
-    result.detection_units_p50 = quantile(detection, 0.5);
-    result.detection_units_p90 = quantile(detection, 0.9);
-    result.detection_units_p99 = quantile(detection, 0.99);
-  }
+  // Single checkpoint at the full horizon: a convicted link's mean
+  // per-path evidence is the finest detection-latency statement
+  // available.
+  assemble_verdicts(
+      config, store, malicious,
+      [](std::size_t, const MeshResult::LinkVerdict& row) -> std::uint64_t {
+        return row.convicted && row.paths > 0 ? row.units / row.paths : 0;
+      },
+      result);
   return result;
 }
 
 }  // namespace
 
 MeshResult run_mesh(const MeshConfig& config) {
-  if (config.topo.num_links() == 0) {
-    throw std::invalid_argument("run_mesh: topology has no links");
-  }
-  validate_paths(config);
+  validate_indices(config);
   return config.engine == MeshEngine::kStat ? run_stat(config)
                                             : run_packet(config);
 }

@@ -17,9 +17,9 @@
 //             run_experiment() discrete-event simulation (all seven
 //             protocols, adaptive adversaries, fault injection) and its
 //             per-link theta estimates are projected into rate-preserving
-//             (units, blames) evidence. run_fleet() is exactly this
-//             engine on a linear topology — the degenerate link-disjoint
-//             case.
+//             (units, blames) evidence. On linear@P it is a Corollary 2
+//             fleet: P link-disjoint paths, path p's hop j at mesh link
+//             p*H + j.
 //
 // Both engines fan out over the src/exec pool and are bit-identical for
 // any --jobs value: the path range is cut into exec::fixed_tile_count
@@ -108,27 +108,19 @@ struct MeshConfig {
 
   // --- Packet engine only -------------------------------------------
   /// Template experiment (protocol, rates, params). Per path, its length
-  /// is overridden to the path's hop count and its seed to the path's
-  /// ShardPlan seed.
+  /// becomes the path's hop count, its seed the path's ShardPlan seed,
+  /// and its link faults, adversaries and benign faults the mesh plans
+  /// projected onto the path's hops. The clean baseline runs the
+  /// template itself, seeded seed0, minus link faults and adversaries.
   runner::ExperimentConfig packet_base{};
-  /// Fleet-compat override: when non-empty (one entry per path), each
-  /// path's link_faults are taken VERBATIM (path-local indices) and
-  /// packet_base.faults is applied as-is — exactly the historical
-  /// run_fleet contract. When empty, faults and adversaries are mapped
-  /// from mesh ids to each path's local indices.
-  std::vector<std::vector<runner::LinkFault>> packet_path_faults;
-  /// Run the clean-template baseline experiment (fleet semantics); the
-  /// stat engine instead uses the closed-form (1-rho)^len baseline.
-  bool packet_baseline = true;
-
   /// Optional live telemetry sink (obs/telemetry.h), ticked from each
   /// engine's serialized reducer with cumulative committed units. Purely
   /// observational — verdicts are bit-identical with it attached.
   obs::TelemetrySink* telemetry = nullptr;
 };
 
-/// Per-path outcome, packet engine only (the fleet contract; the stat
-/// engine keeps no O(paths) result state).
+/// Per-path outcome, packet engine only (the stat engine keeps no
+/// O(paths) result state).
 struct MeshPathOutcome {
   double ground_truth_delivery = 0.0;
   double observed_e2e_rate = 0.0;

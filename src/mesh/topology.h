@@ -11,8 +11,8 @@
 // Generators (spec grammar shares util/specgrammar with --faults and
 // --adversary, so "fattree@8" parses exactly like "ge@2:pb=0.3"):
 //
-//   linear@C:hops=H    C link-disjoint chains of H links each — the
-//                      degenerate shape run_fleet reduces to
+//   linear@C:hops=H    C link-disjoint chains of H links each — a
+//                      Corollary 2 fleet; chain c's hop j is link c*H + j
 //   grid@R:cols=C      R x C lattice, right/down edges; staircase routes
 //                      from the left column to the right column share
 //                      interior nodes

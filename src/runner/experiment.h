@@ -8,7 +8,7 @@
 // (communication overhead), and the final estimates.
 //
 // Thread-safety contract (relied on by src/exec and the parallel
-// Monte-Carlo/fleet drivers): run_experiment() is a pure function of its
+// Monte-Carlo and mesh drivers): run_experiment() is a pure function of its
 // config. Every piece of mutable state — Simulator, PathNetwork, crypto
 // provider, KeyStore, ProtocolContext, adversary strategies, and all RNG
 // streams (forked from config.path.seed) — is constructed inside the call

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/json.h"
+
 namespace paai::util {
 
 void spec_error(const std::string& prefix, const std::string& message) {
@@ -131,6 +133,79 @@ std::vector<SpecClause> parse_compact_clauses(std::string_view spec,
       c.kv.emplace_back(key, spec_parse_double(spec_trim(kv.substr(eq + 1)),
                                                c.kind + " " + key,
                                                err_prefix));
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+std::vector<SpecClause> parse_plan_clauses(
+    std::string_view spec, const std::string& array_member,
+    std::initializer_list<std::string_view> index_keys,
+    const std::string& err_prefix) {
+  const std::string_view trimmed = spec_trim(spec);
+  if (trimmed.empty()) return {};
+  if (trimmed.front() != '[' && trimmed.front() != '{') {
+    return parse_compact_clauses(trimmed, err_prefix);
+  }
+
+  std::string error;
+  const auto doc = obs::json_parse(trimmed, &error);
+  if (!doc) spec_error(err_prefix, "JSON parse error: " + error);
+  const obs::JsonValue* clauses = &*doc;
+  if (doc->is_object()) {
+    clauses = doc->find(array_member);
+    if (clauses == nullptr || !clauses->is_array()) {
+      spec_error(err_prefix, "JSON object form needs a \"" + array_member +
+                                 "\" array member");
+    }
+  } else if (!doc->is_array()) {
+    spec_error(err_prefix, "JSON form must be an array of clause objects");
+  }
+
+  std::string index_names;
+  for (const std::string_view key : index_keys) {
+    index_names += (index_names.empty() ? "\"" : " or \"");
+    index_names += std::string(key) + "\"";
+  }
+  std::vector<SpecClause> out;
+  for (const auto& entry : clauses->array) {
+    if (!entry.is_object()) {
+      spec_error(err_prefix, "JSON clause must be an object");
+    }
+    SpecClause c;
+    bool have_index = false;
+    for (const auto& [key, value] : entry.object) {
+      if (key == "kind") {
+        if (!value.is_string()) {
+          spec_error(err_prefix, "JSON clause \"kind\" must be a string");
+        }
+        c.kind = value.string;
+        continue;
+      }
+      if (!value.is_number()) {
+        spec_error(err_prefix,
+                   "JSON clause key '" + key + "' must be a number");
+      }
+      if (std::find(index_keys.begin(), index_keys.end(), key) !=
+          index_keys.end()) {
+        // 0x1p64 is 2^64: every double below it that is integral fits.
+        const double v = value.number;
+        if (!(v >= 0.0 && v < 0x1p64 && std::floor(v) == v)) {
+          spec_error(err_prefix,
+                     "bad index for " + key + ": '" + fmt_double(v) + "'");
+        }
+        c.index = static_cast<std::size_t>(v);
+        have_index = true;
+        continue;
+      }
+      c.kv.emplace_back(key, value.number);
+    }
+    if (c.kind.empty()) {
+      spec_error(err_prefix, "JSON clause is missing \"kind\"");
+    }
+    if (!have_index) {
+      spec_error(err_prefix, c.kind + " JSON clause needs " + index_names);
     }
     out.push_back(std::move(c));
   }

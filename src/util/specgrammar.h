@@ -5,12 +5,12 @@
 //
 // faults::FaultPlan ("ge@2:pb=0.3,...") , adversary::AdversaryPlan
 // ("stealth@4:margin=0.9"), and mesh::Topology ("fattree@8") all parse
-// through this helper, so the grammars stay lexically identical and
-// their fuzz suites exercise the same code. The key list may be empty
-// ("fattree@8"); kinds with mandatory keys reject that through
-// SpecClause::require(). Every malformed clause throws std::invalid_argument with the
-// caller's prefix and a pointed message — specs must fail loudly, never
-// silently produce nonsense.
+// through this helper, the two plans' JSON form too, so the grammars
+// stay lexically identical and their fuzz suites exercise the same code.
+// The key list may be empty ("fattree@8"); kinds with mandatory keys
+// reject that through SpecClause::require(). Every malformed clause
+// throws std::invalid_argument with the caller's prefix and a pointed
+// message — specs must fail loudly, never silently produce nonsense.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +64,17 @@ void spec_check_nonnegative(double value, const std::string& what,
 /// are skipped; a clause missing '@'/':' or key=value structure throws.
 std::vector<SpecClause> parse_compact_clauses(std::string_view spec,
                                               const std::string& err_prefix);
+
+/// Splits a plan spec in either form into clauses: the compact grammar
+/// above, or JSON — an array of clause objects, or an object whose
+/// `array_member` holds that array. A JSON clause has a string "kind",
+/// an index under one of `index_keys`, and numeric members for the rest.
+/// A JSON index must be an integral number in [0, 2^64), the same set
+/// spec_parse_index accepts. Blank specs yield no clauses.
+std::vector<SpecClause> parse_plan_clauses(
+    std::string_view spec, const std::string& array_member,
+    std::initializer_list<std::string_view> index_keys,
+    const std::string& err_prefix);
 
 /// Shortest round-trippable rendering of a double (std::to_chars).
 std::string fmt_double(double value);

@@ -89,6 +89,12 @@ TEST(AdversaryPlan, RejectsMalformedSpecs) {
       "withhold@3:rate=1,release=2",      // release must be 0|1
       "stealth@4:margin=-1",              // negative margin
       R"([{"node": 4}])",                 // JSON clause without kind
+      // A JSON node is an index like the compact form's: integral and
+      // in [0, 2^64), never truncated or cast out of range.
+      R"([{"kind":"uniform","node":3.7,"rate":0.1}])",
+      R"([{"kind":"uniform","node":-1,"rate":0.1}])",
+      R"([{"kind":"uniform","node":1e300,"rate":0.1}])",
+      R"([{"kind":"uniform","node":18446744073709551616,"rate":0.1}])",
       R"({"adversaries": 3})",            // wrong JSON shape
   };
   for (const auto& spec : bad) {

@@ -1,7 +1,7 @@
 // Exec subsystem tests: thread-pool lifecycle, parallel_for_each exception
 // propagation / cancellation / oversubscription / empty input, ordered
-// reduction, and the headline guarantee — run_monte_carlo and run_fleet
-// are bit-identical across jobs values for a fixed seed.
+// reduction, and the headline guarantee — run_monte_carlo and the mesh
+// packet engine are bit-identical across jobs values for a fixed seed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,7 @@
 #include "exec/parallel_for.h"
 #include "exec/shard_plan.h"
 #include "exec/thread_pool.h"
-#include "runner/fleet.h"
+#include "mesh/runner.h"
 #include "runner/montecarlo.h"
 
 namespace paai::exec {
@@ -173,31 +173,40 @@ TEST(Determinism, MonteCarloIsBitIdenticalAcrossJobCounts) {
 }
 
 TEST(Determinism, FleetIsBitIdenticalAcrossJobCounts) {
-  runner::FleetConfig cfg;
-  cfg.base = runner::paper_config(protocols::ProtocolKind::kFullAck, 800, 0);
-  cfg.base.link_faults.clear();
-  cfg.paths = {{runner::LinkFault{4, 0.05}},
-               {runner::LinkFault{2, 0.05}},
-               {},
-               {runner::LinkFault{1, 0.05}, runner::LinkFault{3, 0.05}}};
+  // A Corollary 2 fleet: the mesh packet engine on four link-disjoint
+  // chains, path p's hop j at mesh link 6p + j.
+  mesh::MeshConfig cfg;
+  cfg.topo = mesh::Topology::parse("linear@4:hops=6");
+  cfg.paths = cfg.topo.enumerate_paths(4, /*seed=*/0);
+  cfg.engine = mesh::MeshEngine::kPacket;
+  cfg.packet_base =
+      runner::paper_config(protocols::ProtocolKind::kFullAck, 800, 0);
+  cfg.packet_base.link_faults.clear();
+  cfg.link_faults = {{4, 0.05}, {6 + 2, 0.05}, {18 + 1, 0.05}, {18 + 3, 0.05}};
   cfg.seed0 = 777;
 
   cfg.jobs = 1;
-  const runner::FleetResult serial = runner::run_fleet(cfg);
+  const mesh::MeshResult serial = mesh::run_mesh(cfg);
   cfg.jobs = 4;
-  const runner::FleetResult parallel = runner::run_fleet(cfg);
+  const mesh::MeshResult parallel = mesh::run_mesh(cfg);
 
   EXPECT_EQ(serial.total_damage, parallel.total_damage);
   EXPECT_EQ(serial.baseline_delivery, parallel.baseline_delivery);
-  ASSERT_EQ(serial.paths.size(), parallel.paths.size());
-  for (std::size_t i = 0; i < serial.paths.size(); ++i) {
-    EXPECT_EQ(serial.paths[i].ground_truth_delivery,
-              parallel.paths[i].ground_truth_delivery);
-    EXPECT_EQ(serial.paths[i].observed_e2e_rate,
-              parallel.paths[i].observed_e2e_rate);
-    EXPECT_EQ(serial.paths[i].convicted, parallel.paths[i].convicted);
-    EXPECT_EQ(serial.paths[i].all_malicious_convicted,
-              parallel.paths[i].all_malicious_convicted);
+  ASSERT_EQ(serial.path_outcomes.size(), parallel.path_outcomes.size());
+  for (std::size_t i = 0; i < serial.path_outcomes.size(); ++i) {
+    const mesh::MeshPathOutcome& s = serial.path_outcomes[i];
+    const mesh::MeshPathOutcome& p = parallel.path_outcomes[i];
+    EXPECT_EQ(s.ground_truth_delivery, p.ground_truth_delivery);
+    EXPECT_EQ(s.observed_e2e_rate, p.observed_e2e_rate);
+    EXPECT_EQ(s.convicted, p.convicted);
+    EXPECT_EQ(s.all_malicious_convicted, p.all_malicious_convicted);
+  }
+  ASSERT_EQ(serial.links.size(), parallel.links.size());
+  for (std::size_t l = 0; l < serial.links.size(); ++l) {
+    EXPECT_EQ(serial.links[l].units, parallel.links[l].units);
+    EXPECT_EQ(serial.links[l].blames, parallel.links[l].blames);
+    EXPECT_EQ(serial.links[l].convicted, parallel.links[l].convicted);
+    EXPECT_EQ(serial.links[l].witnesses, parallel.links[l].witnesses);
   }
 }
 

@@ -180,6 +180,15 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("[{\"kind\":\"dup\",\"p\":0.1}]"),
                std::invalid_argument);  // missing link/node
   EXPECT_THROW(FaultPlan::parse("[not json"), std::invalid_argument);
+  // A JSON index is an index like the compact form's ("dup@1.5:p=0.1" is
+  // a bad index): integral and in [0, 2^64), never truncated or cast out
+  // of range.
+  for (const char* link : {"1.5", "-1", "1e300", "18446744073709551616"}) {
+    SCOPED_TRACE(link);
+    EXPECT_THROW(FaultPlan::parse(std::string(R"([{"kind":"dup","link":)") +
+                                  link + R"(,"p":0.1}])"),
+                 std::invalid_argument);
+  }
 }
 
 TEST(FaultPlan, FuzzedSpecsRejectCleanlyOrRoundTrip) {

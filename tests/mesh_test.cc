@@ -419,14 +419,29 @@ TEST(MeshRunner, PacketEngineMapsMeshPlansOntoPaths) {
 }
 
 TEST(MeshRunner, RejectsOutOfRangeSpecs) {
-  MeshConfig cfg;
-  cfg.topo = Topology::parse("linear@1:hops=6");
-  cfg.paths = cfg.topo.enumerate_paths(2, 0);
-  cfg.adversaries = adversary::AdversaryPlan::parse("uniform@99:rate=0.05");
-  EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
-  cfg.adversaries = {};
-  cfg.link_faults = {{/*link=*/6, 0.05}};
-  EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
+  // linear@1:hops=6 has links 0..5 and nodes 0..6; both engines must
+  // reject every out-of-range index before running anything.
+  for (const MeshEngine engine : {MeshEngine::kStat, MeshEngine::kPacket}) {
+    MeshConfig cfg;
+    cfg.topo = Topology::parse("linear@1:hops=6");
+    cfg.paths = cfg.topo.enumerate_paths(2, 0);
+    cfg.engine = engine;
+    cfg.packet_base =
+        runner::paper_config(protocols::ProtocolKind::kPaai1, 200, 0);
+    cfg.adversaries = adversary::AdversaryPlan::parse("uniform@99:rate=0.05");
+    EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
+    cfg.adversaries = {};
+    cfg.link_faults = {{/*link=*/6, 0.05}};
+    EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
+    cfg.link_faults = {};
+    for (const char* clause :
+         {"ge@6:pg=0,pb=0.5,g2b=0.1,b2g=0.1", "set@6:t=0,loss=0.1",
+          "outage@7:t=0,dur=1", "reorder@6:p=0.1,delay=1", "dup@6:p=0.1"}) {
+      cfg.faults = faults::FaultPlan::parse(clause);
+      EXPECT_THROW(run_mesh(cfg), std::invalid_argument)
+          << clause << " engine=" << static_cast<int>(engine);
+    }
+  }
 }
 
 }  // namespace

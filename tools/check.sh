@@ -31,8 +31,9 @@
 #      through the slab, codecs and pending tables of three protocols),
 #      crypto (SipHash's word loads on unaligned input, the FastCrypto
 #      golden vectors), mesh (topology parser, sharded score store),
-#      runner and telemetry (sampler, serve lag, the Integration.*
-#      bit-identity sweeps), and the suites that drive every protocol
+#      runner, fleet (the mesh packet engine on linear@P against the
+#      serial fleet reference) and telemetry (sampler, serve lag, the
+#      Integration.* bit-identity sweeps), and the suites that drive every protocol
 #      agent end to end — fullack, paai2, statfl, comb, authprobe,
 #      ablation, protocol (the cross-commit GoldenRun digests among them)
 #      and security — so the shared source skeleton, onion relay and data
@@ -69,7 +70,10 @@
 #   7. mesh smoke — a compromised fat-tree core straddling ~100 paths per
 #      out-link; the aggregated cross-path score store (paai mesh) must
 #      convict exactly the core's out-links with witness provenance and
-#      exonerate every honest link.
+#      exonerate every honest link. Then the packet engine on a
+#      Corollary 2 fleet (linear@4:hops=6, full-ack) must convict exactly
+#      the one planted mesh link, and exit 2 on an out-of-range --faults
+#      clause.
 #
 #   8. detector smoke — the multi-level blame modes (docs/DETECTORS.md):
 #      the fault-colluding adversary (collude@4:rate=1 under the
@@ -122,7 +126,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test mesh_test runner_test telemetry_test fullack_test paai2_test statfl_test comb_test authprobe_test ablation_test protocol_test security_test adversary_test adaptive_test onion_test -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test score_test stream_test alloc_test crypto_test mesh_test fleet_test runner_test telemetry_test fullack_test paai2_test statfl_test comb_test authprobe_test ablation_test protocol_test security_test adversary_test adaptive_test onion_test -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -141,6 +145,7 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ASAN_DIR/tests/alloc_test"
 "$ASAN_DIR/tests/crypto_test"
 "$ASAN_DIR/tests/mesh_test"
+"$ASAN_DIR/tests/fleet_test"
 "$ASAN_DIR/tests/runner_test"
 "$ASAN_DIR/tests/telemetry_test"
 "$ASAN_DIR/tests/fullack_test"
@@ -265,6 +270,32 @@ grep -q 'witnesses=p' "$SMOKE_DIR/mesh.stdout" || {
 }
 # The emitted paai.bench.v1 report must be valid (self-diff is clean).
 "$ASAN_DIR/tools/bench_diff" "$SMOKE_DIR/mesh.json" "$SMOKE_DIR/mesh.json"
+# Packet engine on a Corollary 2 fleet: path p's hop j is mesh link 6p+j,
+# so link 10 is path 1's l_4. Exactly it is convicted, nobody honest.
+"$ASAN_DIR/tools/paai" mesh --engine=packet --topo=linear@4:hops=6 \
+    --paths=4 --fault=10:0.05 --protocol=fullack \
+    > "$SMOKE_DIR/fleet.stdout" || {
+  echo "leg 7 FAILED: packet-engine fleet exited nonzero:" >&2
+  cat "$SMOKE_DIR/fleet.stdout" >&2
+  exit 1
+}
+[[ "$(grep -c '^CONVICTED ' "$SMOKE_DIR/fleet.stdout")" -eq 1 ]] &&
+    grep -q '^CONVICTED l_10 .*\[malicious\]' "$SMOKE_DIR/fleet.stdout" &&
+    ! grep -q '\[HONEST\]' "$SMOKE_DIR/fleet.stdout" || {
+  echo "leg 7 FAILED: packet-engine fleet did not convict exactly l_10:" >&2
+  cat "$SMOKE_DIR/fleet.stdout" >&2
+  exit 1
+}
+# Both engines reject an out-of-range benign-fault index (exit 2).
+rc=0
+"$ASAN_DIR/tools/paai" mesh --engine=packet --topo=linear@4:hops=6 \
+    --paths=4 --fault=10:0.05 --protocol=fullack --faults='dup@24:p=0.1' \
+    > "$SMOKE_DIR/fleet_bad.stdout" 2>&1 || rc=$?
+[[ $rc -eq 2 ]] || {
+  echo "leg 7 FAILED: out-of-range --faults clause exited $rc, not 2:" >&2
+  cat "$SMOKE_DIR/fleet_bad.stdout" >&2
+  exit 1
+}
 
 echo "== leg 8: detector smoke (multi-level blame modes) =="
 # The hybrid detector's target scenario: the r=1 fault colluder hiding in
@@ -398,4 +429,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean, perfbench verdicts correct"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh + packet-engine fleet smoke clean, detector smoke clean, telemetry smoke clean, perfbench verdicts correct"
