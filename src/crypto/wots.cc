@@ -4,6 +4,7 @@
 
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "obs/profile.h"
 
 namespace paai::crypto {
 
@@ -49,7 +50,10 @@ Digest32 advance(Digest32 value, std::size_t steps) {
 
 }  // namespace
 
+// W-OTS hashes through Sha256 directly, not through a CryptoProvider, so
+// each entry point opens its own kCrypto scope.
 WotsPublicKey wots_public_key(const Key& seed, std::uint64_t index) {
+  const obs::ScopedPhase phase(obs::Phase::kCrypto);
   Sha256 acc;
   for (std::size_t c = 0; c < kWotsChains; ++c) {
     const Digest32 end = advance(chain_head(seed, index, c), kWotsDepth);
@@ -59,6 +63,7 @@ WotsPublicKey wots_public_key(const Key& seed, std::uint64_t index) {
 }
 
 Bytes wots_sign(const Key& seed, std::uint64_t index, ByteView message) {
+  const obs::ScopedPhase phase(obs::Phase::kCrypto);
   const auto digits = digits_of(message);
   Bytes signature;
   signature.reserve(kWotsSignatureSize);
@@ -72,6 +77,7 @@ Bytes wots_sign(const Key& seed, std::uint64_t index, ByteView message) {
 bool wots_verify(const WotsPublicKey& pk, ByteView message,
                  ByteView signature) {
   if (signature.size() != kWotsSignatureSize) return false;
+  const obs::ScopedPhase phase(obs::Phase::kCrypto);
   const auto digits = digits_of(message);
   Sha256 acc;
   for (std::size_t c = 0; c < kWotsChains; ++c) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -396,16 +397,27 @@ MeshResult run_packet(const MeshConfig& config) {
 
   MeshResult result;
 
-  // Clean baseline: the template with the malicious state stripped
-  // (benign FaultPlan intentionally kept, matching a deployment
-  // measuring its own fault floor), seeded seed0.
-  {
+  // Clean baselines, one per distinct route length: the template at that
+  // length with the malicious state stripped (benign FaultPlan
+  // intentionally kept, matching a deployment measuring its own fault
+  // floor), seeded seed0. Each path's damage is scored against its own
+  // length's baseline; baseline_delivery is their per-path mean, weighted
+  // so that a single length reproduces its baseline exactly.
+  std::map<std::size_t, std::size_t> paths_of_length;
+  for (std::size_t i = 0; i < num_paths; ++i) {
+    ++paths_of_length[config.paths.length(i)];
+  }
+  std::map<std::size_t, double> baseline_of_length;
+  for (const auto& [len, count] : paths_of_length) {
     runner::ExperimentConfig clean = config.packet_base;
+    clean.path.length = len;
     clean.link_faults.clear();
     clean.adversaries.clear();
     clean.path.seed = config.seed0;
-    result.baseline_delivery =
-        runner::run_experiment(clean).ground_truth_delivery;
+    const double baseline = runner::run_experiment(clean).ground_truth_delivery;
+    baseline_of_length[len] = baseline;
+    result.baseline_delivery += static_cast<double>(count) /
+                                static_cast<double>(num_paths) * baseline;
   }
 
   struct PathEvidence {
@@ -422,8 +434,9 @@ MeshResult run_packet(const MeshConfig& config) {
   exec::OrderedReducer<PathEvidence> reducer(
       num_paths, [&](std::size_t i, PathEvidence&& ev) {
         // Damage accumulates strictly in path order.
-        result.total_damage += std::max(
-            0.0, result.baseline_delivery - ev.outcome.ground_truth_delivery);
+        result.total_damage +=
+            std::max(0.0, baseline_of_length.at(config.paths.length(i)) -
+                              ev.outcome.ground_truth_delivery);
         const std::uint32_t* pl = config.paths.links(i);
         for (std::size_t j = 0; j < ev.blames.size(); ++j) {
           shard.add(pl[j], ev.units, ev.blames[j],

@@ -110,8 +110,9 @@ struct MeshConfig {
   /// Template experiment (protocol, rates, params). Per path, its length
   /// becomes the path's hop count, its seed the path's ShardPlan seed,
   /// and its link faults, adversaries and benign faults the mesh plans
-  /// projected onto the path's hops. The clean baseline runs the
-  /// template itself, seeded seed0, minus link faults and adversaries.
+  /// projected onto the path's hops. The clean baselines run the
+  /// template at each distinct route length, seeded seed0, minus link
+  /// faults and adversaries.
   runner::ExperimentConfig packet_base{};
   /// Optional live telemetry sink (obs/telemetry.h), ticked from each
   /// engine's serialized reducer with cumulative committed units. Purely
@@ -159,8 +160,10 @@ struct MeshResult {
   std::uint64_t total_units = 0;
 
   /// Sum over paths of max(0, clean-baseline delivery - delivery), in
-  /// paths' worth of traffic (the Corollary 2 damage axis).
+  /// paths' worth of traffic (the Corollary 2 damage axis). Packet
+  /// engine: each path against the baseline of its own route length.
   double total_damage = 0.0;
+  /// Per-path mean of the clean baseline delivery.
   double baseline_delivery = 0.0;
 
   /// Detection-units percentiles over malicious links that were

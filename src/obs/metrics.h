@@ -32,7 +32,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -188,31 +187,6 @@ class Histogram {
 
   detail::HistogramCells* cells_ = nullptr;
   const std::atomic<bool>* enabled_ = nullptr;
-};
-
-/// Records the scope's wall time into a histogram, in nanoseconds. The
-/// clock is only read when the histogram is live, so a disabled registry
-/// pays two branches and no clock syscalls.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Histogram& hist)
-      : hist_(hist), active_(hist.live()) {
-    if (active_) start_ = std::chrono::steady_clock::now();
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if (!active_) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    hist_.observe(ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
-  }
-
- private:
-  Histogram hist_;
-  bool active_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 struct CounterSnapshot {

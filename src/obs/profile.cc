@@ -30,10 +30,7 @@ const char* queue_name(QueueId queue) {
   return kQueueNames[static_cast<std::size_t>(queue)];
 }
 
-PhaseProfiler& PhaseProfiler::global() {
-  static PhaseProfiler instance;
-  return instance;
-}
+constinit PhaseProfiler PhaseProfiler::instance_;
 
 PhaseProfiler::Cell& PhaseProfiler::cell_for(Phase phase) {
   // Same per-thread shard assignment as the metrics registry, so the two

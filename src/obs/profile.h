@@ -7,16 +7,27 @@
 // every protocol leans on, the exec pool's task bodies, the mesh engines'
 // tile work, and the stream service's parse/apply halves each get a
 // phase. A ScopedPhase on a hot path costs one relaxed load and a
-// predicted-not-taken branch while disabled — no clock syscalls — so the
-// instrumentation is safe to leave compiled in everywhere.
+// predicted-not-taken branch while disabled — no clock reads, no
+// thread-local access — so the instrumentation is safe to leave compiled
+// in everywhere.
+//
+// Phase time is exclusive self time. Each thread keeps a pointer to its
+// innermost open ScopedPhase; a closing scope charges its elapsed time
+// minus its children's, and hands its elapsed time to its parent. Crypto
+// inside the sim loop is charged to crypto only, so one thread's phases
+// sum to at most its wall time, and the phases of a single-threaded run
+// sum to the run's wall time minus whatever no scope covers. A scope is
+// charged when it closes: a sample taken while the sim loop is still
+// running shows the loop's nested phases, and the loop's own self time
+// lands in the sample after it returns.
 //
 // The profiler follows the same observational contract as the metrics
 // registry (see the carve-out in runner/experiment.h): cells are relaxed
 // atomics sharded per thread, registration is static (the Phase enum), it
 // is strictly write-only from inside a run, and no simulation result ever
-// reads it — `Profiler.NeverAffectsResults` in tests/telemetry_test.cc
-// asserts bit-identical results with profiling on and off for all seven
-// protocols.
+// reads it — `Integration.ProfilerNeverAffectsResults` in
+// tests/telemetry_test.cc asserts bit-identical results with profiling on
+// and off for all seven protocols.
 //
 // Queue-depth high-waters ride along: the simulator's pending-event heap
 // and the exec pool's work queue record their depth on every push via a
@@ -32,8 +43,8 @@
 namespace paai::obs {
 
 enum class Phase : std::uint8_t {
-  kSimLoop,      // sim::Simulator::step handler dispatch
-  kCrypto,       // CryptoProvider hash/mac/prf/encrypt/decrypt
+  kSimLoop,      // sim::Simulator::run / run_until event loops
+  kCrypto,       // CryptoProvider hash/mac/prf/encrypt/decrypt, W-OTS
   kExecTask,     // exec::ThreadPool task bodies
   kMeshStat,     // mesh statistical engine tile bodies
   kMeshPacket,   // mesh packet engine per-path experiments
@@ -66,24 +77,22 @@ struct PhaseTotals {
 
 class PhaseProfiler {
  public:
-  PhaseProfiler() = default;
+  constexpr PhaseProfiler() = default;
   PhaseProfiler(const PhaseProfiler&) = delete;
   PhaseProfiler& operator=(const PhaseProfiler&) = delete;
 
   /// The process-wide profiler. Disabled until someone (a BenchSession
-  /// given --telemetry-out, a test) turns it on.
-  static PhaseProfiler& global();
+  /// given --telemetry-out, a test) turns it on. A plain address: the
+  /// instance is constant-initialized, so there is no init guard.
+  static PhaseProfiler& global() { return instance_; }
 
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Folds one timed call into the phase (no-op while disabled).
-  void add(Phase phase, std::uint64_t ns) {
-    if (!enabled()) return;
-    Cell& cell = cell_for(phase);
-    cell.ns.fetch_add(ns, std::memory_order_relaxed);
-    cell.calls.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Folds one hand-timed leaf call into the phase and credits it to this
+  /// thread's innermost open ScopedPhase, which then does not count it
+  /// again (no-op while disabled).
+  void add(Phase phase, std::uint64_t ns);
 
   /// Attributes allocated bytes to the phase (no-op while disabled).
   void add_alloc(Phase phase, std::uint64_t bytes) {
@@ -113,11 +122,19 @@ class PhaseProfiler {
   void reset();
 
  private:
+  friend class ScopedPhase;
+
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> ns{0};
     std::atomic<std::uint64_t> calls{0};
     std::atomic<std::uint64_t> alloc_bytes{0};
   };
+
+  void charge(Phase phase, std::uint64_t ns) {
+    Cell& cell = cell_for(phase);
+    cell.ns.fetch_add(ns, std::memory_order_relaxed);
+    cell.calls.fetch_add(1, std::memory_order_relaxed);
+  }
 
   Cell& cell_for(Phase phase);
 
@@ -125,15 +142,22 @@ class PhaseProfiler {
   std::array<Cell, kPhaseCount * 8> cells_{};
   std::array<std::atomic<std::uint64_t>, kQueueIdCount> queue_high_{};
   std::atomic<bool> enabled_{false};
+
+  static PhaseProfiler instance_;  // constinit, defined in profile.cc
 };
 
-/// RAII phase timer. The clock is read only while the profiler is
-/// enabled, so a disabled profiler pays two branches per scope.
+/// RAII phase timer charging exclusive self time (see the header comment).
+/// The clock and the thread's open-scope pointer are touched only while
+/// the profiler is enabled, so a disabled profiler pays two branches per
+/// scope.
 class ScopedPhase {
  public:
-  explicit ScopedPhase(Phase phase)
-      : phase_(phase), active_(PhaseProfiler::global().enabled()) {
-    if (active_) start_ = std::chrono::steady_clock::now();
+  explicit ScopedPhase(Phase phase) : phase_(phase) {
+    if (!PhaseProfiler::global().enabled()) return;
+    active_ = true;
+    parent_ = open_;
+    open_ = this;
+    start_ = std::chrono::steady_clock::now();
   }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
@@ -142,14 +166,30 @@ class ScopedPhase {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start_)
                         .count();
-    PhaseProfiler::global().add(phase_,
-                                ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
+    const std::uint64_t elapsed = ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
+    open_ = parent_;
+    if (parent_ != nullptr) parent_->child_ns_ += elapsed;
+    PhaseProfiler::global().charge(
+        phase_, elapsed > child_ns_ ? elapsed - child_ns_ : 0);
   }
 
  private:
+  friend class PhaseProfiler;
+
+  // This thread's innermost open active scope.
+  static inline constinit thread_local ScopedPhase* open_ = nullptr;
+
   Phase phase_;
-  bool active_;
+  bool active_ = false;
+  ScopedPhase* parent_ = nullptr;
+  std::uint64_t child_ns_ = 0;
   std::chrono::steady_clock::time_point start_{};
 };
+
+inline void PhaseProfiler::add(Phase phase, std::uint64_t ns) {
+  if (!enabled()) return;
+  charge(phase, ns);
+  if (ScopedPhase::open_ != nullptr) ScopedPhase::open_->child_ns_ += ns;
+}
 
 }  // namespace paai::obs

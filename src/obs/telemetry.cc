@@ -213,25 +213,18 @@ TelemetryLog read_telemetry(std::istream& in) {
   return log;
 }
 
-TelemetryTotals aggregate_telemetry(
+std::array<PhaseDelta, kPhaseCount> sum_phases(
     const std::vector<TelemetrySample>& samples) {
-  TelemetryTotals totals;
+  std::array<PhaseDelta, kPhaseCount> totals{};
   for (const TelemetrySample& s : samples) {
     for (const auto& [name, delta] : s.phases) {
       for (std::size_t p = 0; p < kPhaseCount; ++p) {
         if (name == phase_name(static_cast<Phase>(p))) {
-          totals.phases[p].ns += delta.ns;
-          totals.phases[p].calls += delta.calls;
-          totals.phases[p].alloc_bytes += delta.alloc_bytes;
+          totals[p].ns += delta.ns;
+          totals[p].calls += delta.calls;
+          totals[p].alloc_bytes += delta.alloc_bytes;
         }
       }
-    }
-    for (const auto& [name, delta] : s.counters) {
-      totals.counters[name] += delta;
-    }
-    for (const auto& [name, high] : s.queues) {
-      auto& slot = totals.queue_high[name];
-      if (high > slot) slot = high;
     }
   }
   return totals;

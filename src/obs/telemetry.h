@@ -5,8 +5,7 @@
 // exits. The telemetry plane makes the same numbers visible *while the
 // process runs*: a TelemetrySink periodically samples the global
 // MetricsRegistry and PhaseProfiler and appends one delta-encoded JSON
-// line per sample to a file a consumer (`paai top`, tools/telemetry_report)
-// can tail.
+// line per sample to a file its consumer (`paai top`) can tail.
 //
 // Line schema (one strict-JSON object per line, fixed key order, sorted
 // metric names — byte-identical across write/parse/rewrite):
@@ -93,8 +92,7 @@ void write_telemetry_line(std::ostream& os, const TelemetrySample& sample);
 bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
                           std::string* error = nullptr);
 
-/// A paai.telemetry.v1 file as its consumers (`paai top`,
-/// tools/telemetry_report) read it.
+/// A paai.telemetry.v1 file as its consumer (`paai top`) reads it.
 struct TelemetryLog {
   /// The well-formed lines, in file order, with strictly increasing
   /// sample indices.
@@ -111,15 +109,8 @@ struct TelemetryLog {
 /// Reads every line of `in`; never throws, never stops early.
 TelemetryLog read_telemetry(std::istream& in);
 
-/// Totals over a sample stream: phase and counter deltas summed, queue
-/// high-waters maxed.
-struct TelemetryTotals {
-  std::array<PhaseDelta, kPhaseCount> phases{};  // Phase enum order
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::uint64_t> queue_high;
-};
-
-TelemetryTotals aggregate_telemetry(
+/// Each phase's deltas summed over a sample stream, in Phase enum order.
+std::array<PhaseDelta, kPhaseCount> sum_phases(
     const std::vector<TelemetrySample>& samples);
 
 /// Periodic sampler over the global MetricsRegistry + PhaseProfiler.

@@ -90,14 +90,11 @@ MonteCarloResult run_monte_carlo(const MonteCarloConfig& config) {
   // to the serial loop for any jobs value.
   const exec::ShardPlan plan(config.seed0, config.runs);
 
-  // Driver-level observability. Handles resolve to no-ops while the
-  // registry is disabled; they are never read back into the result, so the
+  // Driver-level observability. The handle resolves to a no-op while the
+  // registry is disabled; it is never read back into the result, so the
   // aggregate stays bit-identical for any jobs value.
-  auto& reg = obs::MetricsRegistry::global();
-  const obs::Counter obs_runs = reg.counter("runner.runs");
-  const obs::Histogram obs_run_wall = reg.histogram("runner.run_wall_ns");
-  const obs::Histogram obs_detection =
-      reg.histogram("runner.detection_packets");
+  const obs::Counter obs_runs =
+      obs::MetricsRegistry::global().counter("runner.runs");
 
   auto fold = [&](std::size_t, ExperimentResult&& run) {
     result.total_events += run.events_processed;
@@ -120,7 +117,6 @@ MonteCarloResult run_monte_carlo(const MonteCarloConfig& config) {
           static_cast<double>(run.checkpoints[first_stable].packets);
       result.per_run_detection_packets.add(packets);
       result.detection_samples.push_back(packets);
-      obs_detection.observe(run.checkpoints[first_stable].packets);
     }
 
     result.final_e2e_rate.add(run.observed_e2e_rate);
@@ -162,7 +158,6 @@ MonteCarloResult run_monte_carlo(const MonteCarloConfig& config) {
         // is bit-identical for any jobs value.
         cfg.path.events = (r == 0) ? config.events : nullptr;
         obs_runs.add();
-        const obs::ScopedTimer timer(obs_run_wall);
         reducer.commit(r, run_experiment(cfg));
       },
       config.jobs);

@@ -65,17 +65,20 @@ bool Simulator::step() {
     ~Release() { sim.release_slot(id); }
   } release{*this, key.slot};
   Slot& s = slot(key.slot);
-  const obs::ScopedPhase phase(obs::Phase::kSimLoop);
   s.invoke(s.storage);
   return true;
 }
 
+// One sim-loop scope per loop, not per event: the phases the handlers
+// open (crypto, telemetry sampling) are subtracted from it on close.
 void Simulator::run() {
+  const obs::ScopedPhase phase(obs::Phase::kSimLoop);
   while (step()) {
   }
 }
 
 void Simulator::run_until(SimTime t) {
+  const obs::ScopedPhase phase(obs::Phase::kSimLoop);
   while (!heap_.empty() && heap_.front().time < t) {
     step();
   }

@@ -76,10 +76,6 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
   obs::Counter parse_errors_counter =
       registry.counter("stream.serve.parse_errors");
   obs::Counter bytes_read_counter = registry.counter("stream.serve.bytes_read");
-  obs::Counter parse_stall_counter =
-      registry.counter("stream.serve.parse_stall_ns");
-  obs::Counter apply_stall_counter =
-      registry.counter("stream.serve.apply_stall_ns");
   obs::Gauge backlog_gauge = registry.gauge("stream.serve.backlog_bytes");
   obs::Gauge lag_gauge = registry.gauge("stream.serve.lag_events");
   std::uint64_t next_snapshot =
@@ -114,7 +110,6 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
     if (timing) {
       const std::uint64_t dt = now_ns() - parse_start;
       report.parse_stall_ns += dt;
-      parse_stall_counter.add(dt);
       profiler.add(obs::Phase::kStreamParse, dt);
     }
     {
@@ -151,7 +146,6 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
     if (timing) {
       const std::uint64_t dt = now_ns() - apply_start;
       report.apply_stall_ns += dt;
-      apply_stall_counter.add(dt);
       profiler.add(obs::Phase::kStreamApply, dt);
     }
     if (engine.events_applied() == applied_before) continue;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "analysis/bounds.h"
@@ -416,6 +417,29 @@ TEST(MeshRunner, PacketEngineMapsMeshPlansOntoPaths) {
   EXPECT_TRUE(std::find(quick.convicted.begin(), quick.convicted.end(),
                         std::size_t{4}) != quick.convicted.end());
   EXPECT_EQ(quick.false_accusations, 0u);
+}
+
+TEST(MeshRunner, PacketDamageScoresEachRouteAgainstItsOwnLength) {
+  // A 3% malicious drop on one link of a two-path fleet costs that path
+  // about 0.03 of its delivery whatever the route's length. A clean
+  // baseline run at another length would hide (or inflate) the loss:
+  // 2-hop routes scored against a 6-hop baseline read 0 damage.
+  const auto damage = [](std::size_t hops) {
+    MeshConfig cfg;
+    cfg.topo = Topology::parse("linear@2:hops=" + std::to_string(hops));
+    cfg.paths = cfg.topo.enumerate_paths(2, 7);
+    cfg.engine = MeshEngine::kPacket;
+    cfg.link_faults = {{/*link=*/1, 0.03}};
+    cfg.seed0 = 9000;
+    cfg.jobs = 1;
+    cfg.packet_base =
+        runner::paper_config(protocols::ProtocolKind::kFullAck, 20000, 0);
+    cfg.packet_base.link_faults.clear();
+    return run_mesh(cfg).total_damage;
+  };
+  const double six = damage(6);
+  EXPECT_GT(six, 0.02);
+  EXPECT_NEAR(damage(2), six, 0.01);
 }
 
 TEST(MeshRunner, RejectsOutOfRangeSpecs) {

@@ -1,15 +1,17 @@
 // Tests for the live telemetry plane (obs/telemetry.h, obs/profile.h):
 // schema round-trip through the strict parser (write -> parse -> rewrite
 // must be byte-identical), fail-closed rejection of malformed lines,
-// delta encoding across registry resets, tick cadence, the observational
-// guarantee (profiler on/off and telemetry attached/detached never change
-// simulation results, bit for bit, for all seven protocols), and serve
+// delta encoding across registry resets, tick cadence, exclusive phase
+// self time under nested scopes, the observational guarantee (profiler
+// on/off and telemetry attached/detached never change simulation
+// results, bit for bit, for all seven protocols), and serve
 // lag/back-pressure gauges under a throttled consumer. The concurrency
 // test at the bottom races producers against the sampler and runs under
 // TSan in tools/check.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -130,12 +132,12 @@ TEST(TelemetryLog, TornTailBadLineAndNonMonotoneIndex) {
   EXPECT_EQ(log.first_error.rfind("line 3: ", 0), 0u) << log.first_error;
   EXPECT_EQ(log.torn_tail.rfind("line 7: ", 0), 0u) << log.torn_tail;
 
-  // Totals sum the phase/counter deltas of the kept samples only.
-  const TelemetryTotals totals = aggregate_telemetry(log.samples);
-  EXPECT_EQ(totals.phases[static_cast<std::size_t>(Phase::kCrypto)].calls,
+  // Totals sum the phase deltas of the kept samples only.
+  const auto totals = sum_phases(log.samples);
+  EXPECT_EQ(totals[static_cast<std::size_t>(Phase::kCrypto)].calls,
             3u * 3370u);
-  EXPECT_EQ(totals.counters.at("proto.score.updates"), 3u * 496u);
-  EXPECT_EQ(totals.queue_high.at("sim-queue"), 30u);
+  EXPECT_EQ(totals[static_cast<std::size_t>(Phase::kCrypto)].ns,
+            3u * 616254u);
 
   // A complete last line without its newline is a sample, not a tear.
   std::istringstream whole(text + complete.substr(0, complete.size() - 1));
@@ -284,6 +286,73 @@ constexpr protocols::ProtocolKind kAllProtocols[] = {
     protocols::ProtocolKind::kStatisticalFl,
     protocols::ProtocolKind::kSigAck,
 };
+
+std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+// Busy-waits on the steady clock and returns the measured span; a sleep
+// would hand the core away and measure the scheduler instead.
+std::uint64_t spin_for(std::chrono::milliseconds ms) {
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - start < ms) {
+  }
+  return ns_since(start);
+}
+
+TEST(Profiler, NestedScopesChargeSelfTime) {
+  using std::chrono::milliseconds;
+  ProfilerGuard guard;
+  PhaseProfiler& prof = PhaseProfiler::global();
+  constexpr std::uint64_t kMs = 1000000;
+
+  // Two nested scopes: the outer one's time excludes the inner one's, and
+  // together they account for the block's wall time.
+  auto start = std::chrono::steady_clock::now();
+  {
+    const ScopedPhase outer(Phase::kExecTask);
+    spin_for(milliseconds(20));
+    {
+      const ScopedPhase inner(Phase::kCrypto);
+      spin_for(milliseconds(30));
+    }
+    spin_for(milliseconds(10));
+  }
+  std::uint64_t wall = ns_since(start);
+  const PhaseTotals outer = prof.totals(Phase::kExecTask);
+  const PhaseTotals inner = prof.totals(Phase::kCrypto);
+  EXPECT_EQ(outer.calls, 1u);
+  EXPECT_EQ(inner.calls, 1u);
+  EXPECT_GE(inner.ns, 30 * kMs);
+  EXPECT_GE(outer.ns, 30 * kMs);
+  EXPECT_LE(outer.ns + inner.ns, wall);
+  EXPECT_GE(static_cast<double>(outer.ns + inner.ns),
+            0.95 * static_cast<double>(wall));
+
+  // A hand-timed leaf add() inside an open scope is charged to its own
+  // phase only; the scope does not count it again.
+  prof.reset();
+  std::uint64_t leaf = 0;
+  start = std::chrono::steady_clock::now();
+  {
+    const ScopedPhase scope(Phase::kSnapshot);
+    spin_for(milliseconds(10));
+    leaf = spin_for(milliseconds(20));
+    prof.add(Phase::kStreamParse, leaf);
+  }
+  wall = ns_since(start);
+  const PhaseTotals self = prof.totals(Phase::kSnapshot);
+  const PhaseTotals parse = prof.totals(Phase::kStreamParse);
+  EXPECT_EQ(parse.ns, leaf);
+  EXPECT_EQ(parse.calls, 1u);
+  EXPECT_GE(self.ns, 10 * kMs);
+  EXPECT_LE(self.ns + parse.ns, wall);
+  EXPECT_GE(static_cast<double>(self.ns + parse.ns),
+            0.95 * static_cast<double>(wall));
+}
 
 TEST(Integration, ProfilerNeverAffectsResults) {
   for (const auto kind : kAllProtocols) {

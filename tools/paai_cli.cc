@@ -78,7 +78,7 @@ serve/replay: --in=PATH ('-' = stdin, serve default)  --state-in=F
   --state-out=F --snapshot-every=N (snapshots every N applied events and
   on exit; 0 = exit only)  --skip-malformed (serve: skip bad lines)
   --verify (replay: exit 1 unless bit-identical to the batch verdict)
-top: --once (one frame)  --interval-ms=N (1000)
+top: --once (one frame; exit 2 on a malformed file)  --interval-ms=N (1000)
 shared with every bench (bench/bench_common.h): --runs=N (curve 50)
   --jobs=N (0 = all cores; results identical)  --csv
   --metrics-out=F (paai.bench.v1)  --trace-out=F (Chrome trace)
@@ -686,11 +686,16 @@ int cmd_mesh(int argc, char** argv) {
   }
   cfg.paths = cfg.topo.enumerate_paths(n_paths, /*seed=*/7);
 
+  // The packet engine sends --packets data packets down each path and
+  // ignores --units.
+  const bool packet = cfg.engine == mesh::MeshEngine::kPacket;
   std::fprintf(stderr,
-               "mesh: %s — %zu paths x %llu units, engine=%s, jobs=%zu...\n",
+               "mesh: %s — %zu paths x %llu %s, engine=%s, jobs=%zu...\n",
                cfg.topo.to_string().c_str(), cfg.paths.size(),
-               static_cast<unsigned long long>(cfg.units_per_path),
-               engine.c_str(), cfg.jobs);
+               static_cast<unsigned long long>(
+                   packet ? cfg.packet_base.params.total_packets
+                          : cfg.units_per_path),
+               packet ? "packets" : "units", engine.c_str(), cfg.jobs);
   const mesh::MeshResult r = mesh::run_mesh(cfg);
 
   Table table({"link", "edge", "paths", "units", "theta", "solo",
@@ -810,22 +815,30 @@ void render_top_frame(const std::string& path, const obs::TelemetryLog& data) {
     }
   }
   // Phase breakdown aggregated over ALL samples (each line carries
-  // deltas); inclusive times — nested scopes (crypto inside sim-loop)
-  // overlap, so no percent column.
-  const auto totals = obs::aggregate_telemetry(data.samples).phases;
-  bool any_phase = false;
-  for (const auto& t : totals) any_phase |= t.calls > 0 || t.ns > 0;
-  if (any_phase) {
-    std::printf("\n%-16s %12s %14s %14s\n", "phase", "calls", "time (ms)",
-                "alloc (B)");
+  // deltas). Phase times are exclusive self time, so they add up: share
+  // is each phase's part of the summed time, and on one thread the sum
+  // approaches the wall clock.
+  const auto totals = obs::sum_phases(data.samples);
+  std::uint64_t sum_ns = 0;
+  for (const auto& t : totals) sum_ns += t.ns;
+  if (sum_ns > 0) {
+    std::printf("\n%-16s %12s %14s %7s %14s\n", "phase", "calls",
+                "time (ms)", "share", "alloc (B)");
     for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
       if (totals[p].calls == 0 && totals[p].ns == 0) continue;
-      std::printf("%-16s %12llu %14.2f %14llu\n",
+      std::printf("%-16s %12llu %14.2f %6.1f%% %14llu\n",
                   obs::phase_name(static_cast<obs::Phase>(p)),
                   static_cast<unsigned long long>(totals[p].calls),
                   static_cast<double>(totals[p].ns) / 1e6,
+                  100.0 * static_cast<double>(totals[p].ns) /
+                      static_cast<double>(sum_ns),
                   static_cast<unsigned long long>(totals[p].alloc_bytes));
     }
+    std::printf("%-16s %12s %14.2f %6.1f%% of wall\n", "sum", "",
+                static_cast<double>(sum_ns) / 1e6,
+                last.wall_ns > 0 ? 100.0 * static_cast<double>(sum_ns) /
+                                       static_cast<double>(last.wall_ns)
+                                 : 0.0);
   }
   if (!last.counters.empty()) {
     std::printf("\n%-32s %14s\n", "counter (last delta)", "delta");
@@ -840,6 +853,11 @@ void render_top_frame(const std::string& path, const obs::TelemetryLog& data) {
   }
 }
 
+/// --once is the strict offline check of a finished file (a telemetry
+/// file is a schema, not a best-effort log): exit 2 on a malformed line,
+/// a non-monotone sample index or a torn last line, 1 on zero samples
+/// (a missing file reads as empty).
+/// Live mode tolerates a torn tail and flags bad lines in the banner.
 int cmd_top(int argc, char** argv) {
   const std::string path = file_operand(
       argc, argv, "top wants a telemetry file: paai top FILE [--once]");
@@ -862,6 +880,9 @@ int cmd_top(int argc, char** argv) {
   }
   std::signal(SIGINT, previous);
   if (!once) std::printf("\n");
+  const std::string& error =
+      data.first_error.empty() ? data.torn_tail : data.first_error;
+  if (once && !error.empty()) throw CliError{path + ": " + error};
   return data.samples.empty() ? 1 : 0;
 }
 
