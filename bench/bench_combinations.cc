@@ -46,9 +46,8 @@ int main(int argc, char** argv) {
   for (const Plan& plan : plans) {
     std::fprintf(stderr, "[comb] %s: %zu x %llu...\n", plan.name, plan.runs,
                  static_cast<unsigned long long>(plan.packets));
-    const auto mc =
-        bench::detection_curve(plan.kind, plan.packets, plan.runs, 12, 2000,
-                               args.jobs, session.trace(), &args);
+    const auto mc = bench::detection_curve(plan.kind, plan.packets,
+                                           plan.runs, 12, 2000, session);
     session.exec(mc.exec);
 
     // Storage probe (short run).

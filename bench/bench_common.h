@@ -17,7 +17,9 @@
 //                       docs/OBSERVABILITY.md) and enable the global
 //                       metrics registry for the process
 //   --trace-out FILE    write a Chrome trace_event JSON (load in
-//                       chrome://tracing or https://ui.perfetto.dev)
+//                       chrome://tracing or https://ui.perfetto.dev):
+//                       the event log of run 0 of the first Monte-Carlo
+//                       call, one instant per event
 //   --telemetry-out FILE  stream live "paai.telemetry.v1" JSONL samples
 //                       (obs/telemetry.h); enables the metrics registry
 //                       and the phase self-profiler for the process
@@ -48,11 +50,11 @@
 
 #include "adversary/spec.h"
 #include "faults/plan.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
-#include "obs/tracer.h"
 #include "runner/montecarlo.h"
 #include "util/csv.h"
 
@@ -158,22 +160,19 @@ struct BenchArgs {
 };
 
 /// RAII wrapper every bench main() starts with: parses the shared flags,
-/// enables the global metrics registry when --metrics-out/--trace-out is
-/// given, and writes the JSON documents on destruction. With neither flag
-/// the registry stays disabled and the session costs nothing.
+/// enables the global metrics registry when --metrics-out/--telemetry-out
+/// is given, and writes the JSON documents on destruction. With no such
+/// flag the registry stays disabled and the session costs nothing.
 class BenchSession {
  public:
   BenchSession(std::string name, int argc, char** argv)
       : args(BenchArgs::parse(argc, argv)),
         report_(name),
         start_(std::chrono::steady_clock::now()) {
-    if (args.metrics_out || args.trace_out || args.telemetry_out) {
+    if (args.metrics_out || args.telemetry_out) {
       auto& reg = obs::MetricsRegistry::global();
       reg.reset();
       reg.set_enabled(true);
-    }
-    if (args.trace_out) {
-      trace_ = std::make_unique<obs::TraceRing>(std::size_t{1} << 16);
     }
     if (args.telemetry_out) {
       auto& prof = obs::PhaseProfiler::global();
@@ -215,19 +214,29 @@ class BenchSession {
         report_.write(os, obs::MetricsRegistry::global().snapshot());
       }
     }
-    if (args.trace_out && trace_ != nullptr) {
+    if (args.trace_out) {
       std::ofstream os(*args.trace_out);
       if (!os) {
         std::fprintf(stderr, "error: cannot write trace to %s\n",
                      args.trace_out->c_str());
       } else {
-        trace_->write_chrome_json(os);
+        take_events();  // a session that drove no run writes an empty one
+        events_->write_chrome_trace(os);
       }
     }
   }
 
-  /// nullptr unless --trace-out was given; pass to MonteCarloConfig.trace.
-  obs::TraceRing* trace() { return trace_.get(); }
+  /// The event log --trace-out renders on exit. The first call makes it
+  /// and every later call returns nullptr, so the timeline is one
+  /// coherent run: benches pass it to MonteCarloConfig::events, which
+  /// attaches it to run 0. nullptr without --trace-out unless `want`
+  /// (paai run/curve's --events-out writes the same log).
+  obs::EventLog* take_events(std::size_t per_node_capacity = 1 << 14,
+                             bool want = false) {
+    if (events_ != nullptr || !(want || args.trace_out)) return nullptr;
+    events_ = std::make_unique<obs::EventLog>(per_node_capacity);
+    return events_.get();
+  }
 
   /// nullptr unless --telemetry-out was given; pass to
   /// MonteCarloConfig/MeshConfig/ServeConfig telemetry.
@@ -251,7 +260,7 @@ class BenchSession {
 
  private:
   obs::BenchReport report_;
-  std::unique_ptr<obs::TraceRing> trace_;
+  std::unique_ptr<obs::EventLog> events_;
   std::unique_ptr<obs::TelemetrySink> telemetry_;
   std::chrono::steady_clock::time_point start_;
 };
@@ -281,12 +290,12 @@ inline void print_header(const char* title, const char* paper_ref) {
 }
 
 /// Measured detection point of a protocol: runs Monte-Carlo over a
-/// log-spaced checkpoint grid; returns the MC result.
+/// log-spaced checkpoint grid at the session's --jobs, with its
+/// --adversary plan; returns the MC result.
 inline runner::MonteCarloResult detection_curve(
     protocols::ProtocolKind kind, std::uint64_t packets, std::size_t runs,
-    std::size_t grid_points = 16, std::uint64_t first_checkpoint = 100,
-    std::size_t jobs = 0, obs::TraceRing* trace = nullptr,
-    const BenchArgs* cli = nullptr, obs::TelemetrySink* telemetry = nullptr) {
+    std::size_t grid_points, std::uint64_t first_checkpoint,
+    BenchSession& session) {
   runner::MonteCarloConfig mc;
   mc.base = runner::paper_config(kind, packets, 0);
   mc.base.checkpoints =
@@ -295,10 +304,9 @@ inline runner::MonteCarloResult detection_curve(
   mc.seed0 = 1000;
   mc.malicious_links = {4};
   mc.sigma = 0.03;
-  mc.jobs = jobs;
-  mc.trace = trace;
-  mc.telemetry = telemetry;
-  if (cli != nullptr) cli->apply_adversaries(mc);
+  mc.jobs = session.args.jobs;
+  mc.events = session.take_events();
+  session.args.apply_adversaries(mc);
   return runner::run_monte_carlo(mc);
 }
 

@@ -17,11 +17,10 @@ namespace {
 
 std::optional<std::uint64_t> measure_detection(
     protocols::ProtocolKind kind, std::size_t d, double rho,
-    std::uint64_t packets, std::size_t runs, std::size_t jobs,
-    obs::TraceRing* trace, const bench::BenchArgs& cli) {
+    std::uint64_t packets, std::size_t runs, bench::BenchSession& session) {
   MonteCarloConfig mc;
-  mc.jobs = jobs;
-  mc.trace = trace;
+  mc.jobs = session.args.jobs;
+  mc.events = session.take_events();
   mc.base = paper_config(kind, packets, 0);
   mc.base.path.length = d;
   mc.base.path.natural_loss = rho;
@@ -37,7 +36,7 @@ std::optional<std::uint64_t> measure_detection(
   mc.seed0 = 1000;
   mc.malicious_links = {target};
   mc.sigma = 0.03;
-  cli.apply_adversaries(mc);
+  session.args.apply_adversaries(mc);
   return run_monte_carlo(mc).detection_packets;
 }
 
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[cor3] PAAI-1 d=%zu rho=%.3f...\n", d, rho);
       const auto measured = measure_detection(
           protocols::ProtocolKind::kPaai1, d, rho, args.scaled(140000),
-          runs1, args.jobs, session.trace(), args);
+          runs1, session);
       if (measured) {
         session.metric("paai1.d" + std::to_string(d) + ".rho" +
                            fmt_num(rho, 3),
@@ -113,8 +112,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[cor3] PAAI-2 d=%zu...\n", d);
     const auto measured = measure_detection(
         protocols::ProtocolKind::kPaai2, d, 0.01,
-        args.scaled(d <= 6 ? 600000 : 1200000), runs2, args.jobs,
-        session.trace(), args);
+        args.scaled(d <= 6 ? 600000 : 1200000), runs2, session);
     if (measured) {
       session.metric("paai2.d" + std::to_string(d),
                      static_cast<double>(*measured));

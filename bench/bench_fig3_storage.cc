@@ -48,7 +48,7 @@ void run_rate(bench::BenchSession& session, double rate_pps,
     mc.jobs = jobs;
     mc.storage_bins = 40;
     mc.storage_horizon_seconds = horizon;
-    mc.trace = session.trace();
+    mc.events = session.take_events();
     std::fprintf(stderr, "[fig3] %s @%g pps...\n", col.label, rate_pps);
     const MonteCarloResult result = run_monte_carlo(mc);
     session.exec(result.exec);

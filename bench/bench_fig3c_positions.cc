@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   mc.jobs = args.jobs;
   mc.storage_bins = 50;
   mc.storage_horizon_seconds = 2.2;
-  mc.trace = session.trace();
+  mc.events = session.take_events();
 
   std::fprintf(stderr, "[fig3c] full-ack, l_4 at 0.1, bypass @1000, "
                "%zu runs...\n", runs);

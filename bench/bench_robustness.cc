@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
       mc.sigma = 0.03;
       args.apply_adversaries(mc);
       mc.jobs = args.jobs;
-      mc.trace = session.trace();
+      mc.events = session.take_events();
       const MonteCarloResult r = run_monte_carlo(mc);
       session.exec(r.exec);
 
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
       mc.malicious_links = {4};
       mc.sigma = 0.03;
       mc.jobs = args.jobs;
-      mc.trace = session.trace();
+      mc.events = session.take_events();
       const MonteCarloResult r = run_monte_carlo(mc);
       session.exec(r.exec);
 

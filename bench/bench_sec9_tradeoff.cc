@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   mc.runs = runs;
   mc.seed0 = 1000;
   mc.jobs = args.jobs;
-  mc.trace = session.trace();
+  mc.events = session.take_events();
   std::fprintf(stderr, "[sec9] detection run: %zu x %llu packets...\n",
                runs, static_cast<unsigned long long>(packets));
   const MonteCarloResult det = run_monte_carlo(mc);

@@ -91,8 +91,7 @@ int main(int argc, char** argv) {
                  plan.name, plan.runs,
                  static_cast<unsigned long long>(plan.packets));
     const auto mc = bench::detection_curve(plan.kind, plan.packets, plan.runs,
-                                           14, 100, args.jobs,
-                                           session.trace(), &args);
+                                           14, 100, session);
     session.exec(mc.exec);
     const double bound_min = analysis::detection_minutes(plan.bound_packets,
                                                          100.0);

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     mc.seed0 = 1000;
     mc.jobs = args.jobs;
     mc.malicious_links = {4};
-    mc.trace = session.trace();
+    mc.events = session.take_events();
     const MonteCarloResult agg = run_monte_carlo(mc);
     if (agg.detection_packets) {
       session.metric("sweep.rate" + fmt_num(extra, 3) + ".detection_packets",

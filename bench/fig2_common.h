@@ -30,8 +30,8 @@ inline int run_fig2(int argc, char** argv, protocols::ProtocolKind kind,
               protocols::protocol_name(kind), runs,
               static_cast<unsigned long long>(packets));
 
-  const auto mc = detection_curve(kind, packets, runs, 18, first_checkpoint,
-                                  args.jobs, session.trace(), &args);
+  const auto mc =
+      detection_curve(kind, packets, runs, 18, first_checkpoint, session);
   session.exec(mc.exec);
 
   Table table({"packets_sent", "false_positive", "false_negative",

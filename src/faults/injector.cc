@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/tracer.h"
 #include "sim/time.h"
 
 namespace paai::faults {
@@ -30,8 +29,6 @@ FaultInjector::FaultInjector(sim::Simulator& sim, sim::PathNetwork& net,
   obs_.restarts = reg.counter("faults.restarts");
   obs_.retunes = reg.counter("faults.retunes");
   obs_.node_drops = reg.counter("faults.node_drops");
-  obs::TraceRing* trace = net.config().trace;
-  const std::uint32_t track = net.config().trace_track;
 
   for (const auto& g : plan_.gilbert) {
     check_link(g.link, d, "Gilbert-Elliott");
@@ -55,22 +52,16 @@ FaultInjector::FaultInjector(sim::Simulator& sim, sim::PathNetwork& net,
     // The entry lives in plan_, which outlives every scheduled event; a
     // pointer keeps the capture within the simulator's event slot.
     const LinkRetune* retune = &r;
-    sim_.at(sim::seconds(r.at_seconds),
-            [link, retune, retunes, trace, track, this] {
-              if (retune->loss) link->set_loss_rate(*retune->loss);
-              if (retune->latency_ms) {
-                link->set_latency(sim::milliseconds(*retune->latency_ms));
-              }
-              if (retune->jitter_ms) {
-                link->set_jitter(sim::milliseconds(*retune->jitter_ms));
-              }
-              retunes.add();
-              if (trace != nullptr) {
-                trace->instant("fault retune", "faults",
-                               sim_.now() / sim::kMicrosecond, track,
-                               static_cast<std::int64_t>(retune->link));
-              }
-            });
+    sim_.at(sim::seconds(r.at_seconds), [link, retune, retunes] {
+      if (retune->loss) link->set_loss_rate(*retune->loss);
+      if (retune->latency_ms) {
+        link->set_latency(sim::milliseconds(*retune->latency_ms));
+      }
+      if (retune->jitter_ms) {
+        link->set_jitter(sim::milliseconds(*retune->jitter_ms));
+      }
+      retunes.add();
+    });
   }
 
   for (const auto& o : plan_.outages) {
@@ -83,25 +74,14 @@ FaultInjector::FaultInjector(sim::Simulator& sim, sim::PathNetwork& net,
     sim::Node* node = &net.node(o.node);
     const auto outages = obs_.outages;
     const auto restarts = obs_.restarts;
-    sim_.at(sim::seconds(o.at_seconds),
-            [node, outages, trace, track, this] {
-              node->set_up(false);
-              outages.add();
-              if (trace != nullptr) {
-                trace->instant("fault crash", "faults",
-                               sim_.now() / sim::kMicrosecond, track,
-                               static_cast<std::int64_t>(node->index()));
-              }
-            });
+    sim_.at(sim::seconds(o.at_seconds), [node, outages] {
+      node->set_up(false);
+      outages.add();
+    });
     sim_.at(sim::seconds(o.at_seconds + o.duration_seconds),
-            [node, restarts, trace, track, this] {
+            [node, restarts] {
               node->set_up(true);
               restarts.add();
-              if (trace != nullptr) {
-                trace->instant("fault restart", "faults",
-                               sim_.now() / sim::kMicrosecond, track,
-                               static_cast<std::int64_t>(node->index()));
-              }
             });
   }
 }

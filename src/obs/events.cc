@@ -7,6 +7,9 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <string>
+
+#include "obs/json.h"
 
 namespace paai::obs {
 namespace {
@@ -328,6 +331,36 @@ void EventLog::write_jsonl(std::ostream& os) const {
   for (const Event& e : merged()) {
     os.write(line, static_cast<std::streamsize>(encode_event_line(e, line)));
   }
+}
+
+void EventLog::write_chrome_trace(std::ostream& os) const {
+  JsonWriter w(os);
+  w.begin_object();
+  w.key("displayTimeUnit").value("ms");
+  w.key("otherData").begin_object();
+  w.key("recorded").value(recorded_);
+  w.key("dropped").value(dropped_);
+  w.end_object();
+  w.key("traceEvents").begin_array();
+  for (const Event& e : merged()) {
+    w.begin_object();
+    w.key("name").value(event_kind_name(e.kind));
+    w.key("ph").value("i");
+    w.key("s").value("t");
+    w.key("ts").value(static_cast<double>(e.ts_ns) / 1000.0);
+    w.key("pid").value(static_cast<std::uint64_t>(e.node));
+    w.key("tid").value(0);
+    w.key("args").begin_object();
+    w.key("a").value(std::to_string(e.a));
+    w.key("b").value(std::to_string(e.b));
+    w.key("v").value(e.value);
+    if (e.link >= 0) w.key("link").value(static_cast<std::int64_t>(e.link));
+    w.end_object();
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  os << '\n';
 }
 
 EventReader::Frame EventReader::read_line() {

@@ -17,7 +17,9 @@
 //
 // Export is deterministic JSONL (one strict-JSON object per line, merged
 // across nodes and sorted by (ts_ns, node, seq)); `paai explain` replays
-// an exported log into a conviction audit trail (obs/forensics.h).
+// an exported log into a conviction audit trail (obs/forensics.h). The
+// same merged stream renders as a Chrome trace_event timeline
+// (`--trace-out`; load it in chrome://tracing or https://ui.perfetto.dev).
 #pragma once
 
 #include <cstddef>
@@ -157,6 +159,12 @@ class EventLog {
   /// Writes merged() as JSONL: one canonical event line per event (see
   /// encode_event_line()), one os.write() per line.
   void write_jsonl(std::ostream& os) const;
+
+  /// Writes merged() as a Chrome trace_event document: one instant per
+  /// event, pid = node, ts = ts_ns / 1000 (µs on the simulated clock),
+  /// name = event_kind_name(), and a/b/v/link as args (a and b as decimal
+  /// strings, as in the JSONL).
+  void write_chrome_trace(std::ostream& os) const;
 
   /// Parses a JSONL stream produced by write_jsonl(). On failure returns
   /// an empty vector and, when `error` is non-null, a description with

@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -459,6 +460,20 @@ class Parser {
 std::optional<JsonValue> json_parse(std::string_view text,
                                     std::string* error) {
   return Parser(text).run(error);
+}
+
+bool json_u64_string(const JsonValue& v, std::uint64_t* out) {
+  const std::string& s = v.string;
+  if (!v.is_string() || s.empty() ||
+      s.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  std::uint64_t parsed = 0;
+  const char* const last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, parsed);
+  if (ec != std::errc() || end != last) return false;
+  *out = parsed;
+  return true;
 }
 
 }  // namespace paai::obs

@@ -83,4 +83,10 @@ struct JsonValue {
 std::optional<JsonValue> json_parse(std::string_view text,
                                     std::string* error = nullptr);
 
+/// Reads a u64 carried as a decimal string (the persisted formats spell
+/// u64s this way so they survive double-typed parsers): ASCII digits
+/// only — no sign, no whitespace — and overflow-checked. Anything else
+/// returns false and leaves `*out` untouched.
+bool json_u64_string(const JsonValue& v, std::uint64_t* out);
+
 }  // namespace paai::obs

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-
 namespace paai::obs {
 
 namespace detail {
@@ -29,35 +27,7 @@ void GaugeCell::reset() {
              std::memory_order_relaxed);
 }
 
-void HistogramCells::reset() {
-  for (auto& s : shards) {
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-  }
-  min.store(std::numeric_limits<std::uint64_t>::max(),
-            std::memory_order_relaxed);
-  max.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace detail
-
-std::uint64_t HistogramSnapshot::quantile_bound(double q) const {
-  if (count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(count) + 0.5);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    seen += buckets[b];
-    if (seen >= target) {
-      if (b == 0) return 0;
-      if (b >= 64) return std::numeric_limits<std::uint64_t>::max();
-      return (std::uint64_t{1} << b) - 1;
-    }
-  }
-  return max;
-}
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
@@ -87,18 +57,6 @@ Gauge MetricsRegistry::gauge(std::string_view name) {
   return Gauge(it->second.get(), &enabled_);
 }
 
-Histogram MetricsRegistry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<detail::HistogramCells>())
-             .first;
-  }
-  return Histogram(it->second.get(), &enabled_);
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
@@ -115,22 +73,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     g.high = high == std::numeric_limits<std::int64_t>::min() ? g.value : high;
     snap.gauges.push_back(std::move(g));
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, cells] : histograms_) {
-    HistogramSnapshot h;
-    h.name = name;
-    for (const auto& shard : cells->shards) {
-      h.count += shard.count.load(std::memory_order_relaxed);
-      h.sum += shard.sum.load(std::memory_order_relaxed);
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        h.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-      }
-    }
-    const std::uint64_t lo = cells->min.load(std::memory_order_relaxed);
-    h.min = h.count == 0 ? 0 : lo;
-    h.max = cells->max.load(std::memory_order_relaxed);
-    snap.histograms.push_back(std::move(h));
-  }
   return snap;
 }
 
@@ -138,7 +80,6 @@ void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, cells] : counters_) cells->reset();
   for (auto& [name, cell] : gauges_) cell->reset();
-  for (auto& [name, cells] : histograms_) cells->reset();
 }
 
 }  // namespace paai::obs

@@ -1,11 +1,9 @@
 // Low-overhead process-wide metrics.
 //
-// A MetricsRegistry names three metric kinds:
+// A MetricsRegistry names two metric kinds:
 //   * Counter    — monotonically increasing uint64 (packets, probes, ...);
 //   * Gauge      — last-written int64 plus its high-water mark (storage
-//                  entries held, queue depth, ...);
-//   * Histogram  — log2-bucketed uint64 distribution with count / sum /
-//                  min / max (latencies in ns, sizes in bytes, ...).
+//                  entries held, queue depth, ...).
 //
 // Design constraints, in order:
 //   1. Near-zero cost when disabled. Handles are 16-byte value types; a
@@ -13,13 +11,12 @@
 //      and a predicted-not-taken branch, so instrumentation can live on
 //      the simulator's per-packet hot path.
 //   2. TSan-clean under the src/exec pool. Every cell is a relaxed
-//      std::atomic; counters and histograms are sharded per thread
+//      std::atomic; counters are sharded per thread
 //      (each thread is assigned one of kShards cache-line-padded shards
 //      on first use), so concurrent Monte-Carlo runs aggregate lock-free
 //      with no shared-line ping-pong on the common path.
-//   3. Deterministic totals. Aggregated counter totals and histogram
-//      multisets depend only on the set of operations performed, never on
-//      thread interleaving — run_experiment()'s results never read the
+//   3. Deterministic totals. Aggregated counter totals depend only on
+//      the set of operations performed, never on thread interleaving — run_experiment()'s results never read the
 //      registry, so the bit-identity contract of runner/experiment.h is
 //      preserved (see the carve-out documented there).
 //
@@ -31,7 +28,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -43,12 +39,8 @@
 
 namespace paai::obs {
 
-/// Number of per-thread shards per counter/histogram (power of two).
+/// Number of per-thread shards per counter (power of two).
 inline constexpr std::size_t kShards = 8;
-
-/// Histogram bucket b holds values whose bit_width() == b, i.e. bucket 0
-/// is exactly {0} and bucket b >= 1 covers [2^(b-1), 2^b - 1].
-inline constexpr std::size_t kHistogramBuckets = 65;
 
 namespace detail {
 
@@ -68,19 +60,6 @@ struct CounterCells {
 struct GaugeCell {
   std::atomic<std::int64_t> value{0};
   std::atomic<std::int64_t> high{std::numeric_limits<std::int64_t>::min()};
-  void reset();
-};
-
-struct alignas(64) HistogramShard {
-  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-};
-
-struct HistogramCells {
-  std::array<HistogramShard, kShards> shards{};
-  std::atomic<std::uint64_t> min{std::numeric_limits<std::uint64_t>::max()};
-  std::atomic<std::uint64_t> max{0};
   void reset();
 };
 
@@ -153,42 +132,6 @@ class Gauge {
   const std::atomic<bool>* enabled_ = nullptr;
 };
 
-class Histogram {
- public:
-  Histogram() = default;
-
-  void observe(std::uint64_t v) const {
-    if (cells_ == nullptr || !enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
-    auto& shard = cells_->shards[detail::this_thread_shard()];
-    shard.buckets[static_cast<std::size_t>(std::bit_width(v))].fetch_add(
-        1, std::memory_order_relaxed);
-    shard.count.fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t cur = cells_->min.load(std::memory_order_relaxed);
-    while (v < cur && !cells_->min.compare_exchange_weak(
-                          cur, v, std::memory_order_relaxed)) {
-    }
-    cur = cells_->max.load(std::memory_order_relaxed);
-    while (v > cur && !cells_->max.compare_exchange_weak(
-                          cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  bool live() const {
-    return cells_ != nullptr && enabled_->load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(detail::HistogramCells* cells, const std::atomic<bool>* enabled)
-      : cells_(cells), enabled_(enabled) {}
-
-  detail::HistogramCells* cells_ = nullptr;
-  const std::atomic<bool>* enabled_ = nullptr;
-};
-
 struct CounterSnapshot {
   std::string name;
   std::uint64_t value = 0;
@@ -200,27 +143,9 @@ struct GaugeSnapshot {
   std::int64_t high = 0;
 };
 
-struct HistogramSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-
-  /// Upper bound of the bucket containing quantile q (q in [0, 1]).
-  std::uint64_t quantile_bound(double q) const;
-};
-
 struct MetricsSnapshot {
   std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
-  std::vector<HistogramSnapshot> histograms;
 };
 
 class MetricsRegistry {
@@ -239,7 +164,6 @@ class MetricsRegistry {
   /// docs/OBSERVABILITY.md); one name must keep one kind.
   Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
-  Histogram histogram(std::string_view name);
 
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
@@ -259,8 +183,6 @@ class MetricsRegistry {
       counters_;
   std::map<std::string, std::unique_ptr<detail::GaugeCell>, std::less<>>
       gauges_;
-  std::map<std::string, std::unique_ptr<detail::HistogramCells>, std::less<>>
-      histograms_;
 };
 
 }  // namespace paai::obs

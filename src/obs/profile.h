@@ -48,15 +48,14 @@ enum class Phase : std::uint8_t {
   kExecTask,     // exec::ThreadPool task bodies
   kMeshStat,     // mesh statistical engine tile bodies
   kMeshPacket,   // mesh packet engine per-path experiments
-  kStreamParse,  // stream service: EventReader::next
-  kStreamApply,  // stream service: ScoreEngine::apply
+  kStreamParse,  // stream service: reading + parsing a line
+  kStreamApply,  // stream service: applying + booking an event
   kSnapshot,     // state snapshots + telemetry sampling itself
 };
 
 inline constexpr std::size_t kPhaseCount = 8;
 
-/// Stable kebab-case name ("sim-loop", "crypto", ...); a string literal,
-/// so it may be handed to TraceRing slots directly.
+/// Stable kebab-case name ("sim-loop", "crypto", ...); a string literal.
 const char* phase_name(Phase phase);
 
 enum class QueueId : std::uint8_t {

@@ -127,30 +127,6 @@ void BenchReport::write(std::ostream& os,
     w.end_object();
   }
   w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& h : metrics.histograms) {
-    w.key(h.name).begin_object();
-    w.key("count").value(h.count);
-    w.key("sum").value(h.sum);
-    w.key("min").value(h.min);
-    w.key("max").value(h.max);
-    w.key("mean").value(h.mean());
-    w.key("p50").value(h.quantile_bound(0.50));
-    w.key("p99").value(h.quantile_bound(0.99));
-    w.key("buckets").begin_array();
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] == 0) continue;
-      const std::uint64_t lower =
-          b == 0 ? 0 : (std::uint64_t{1} << (b - 1));
-      w.begin_array();
-      w.value(lower);
-      w.value(h.buckets[b]);
-      w.end_array();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
   w.end_object();
 
   w.end_object();

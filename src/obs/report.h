@@ -18,11 +18,7 @@
 //               "queue_wait_mean_seconds", "utilization" } | null,
 //     "observability": {
 //       "counters":   { "<name>": <uint>, ... },
-//       "gauges":     { "<name>": {"value": <int>, "high": <int>}, ... },
-//       "histograms": { "<name>": {"count","sum","min","max","mean",
-//                                  "p50","p99",
-//                                  "buckets": [[<lower_bound>,<count>]...]},
-//                       ... }
+//       "gauges":     { "<name>": {"value": <int>, "high": <int>}, ... }
 //     }
 //   }
 //

@@ -1,8 +1,6 @@
 #include "obs/telemetry.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/json.h"
 
@@ -16,18 +14,6 @@ constexpr const char* kSchema = "paai.telemetry.v1";
 /// the sample index stay JSON numbers, so the parser fail-closes beyond
 /// it to keep write -> parse -> rewrite byte-identical.
 constexpr double kMaxExactInt = 9007199254740992.0;
-
-bool parse_u64_string(const JsonValue& v, std::uint64_t* out) {
-  if (!v.is_string() || v.string.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.string.c_str(), &end, 10);
-  if (errno != 0 || end != v.string.c_str() + v.string.size()) return false;
-  // strtoull accepts "-1" by wrapping; a telemetry payload never does.
-  if (v.string.front() == '-' || v.string.front() == '+') return false;
-  *out = parsed;
-  return true;
-}
 
 bool parse_exact_i64(const JsonValue& v, std::int64_t* out) {
   if (!v.is_number()) return false;
@@ -117,7 +103,7 @@ bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
       have_sample = true;
     } else if (key == "wall_ns" || key == "virt_ns" || key == "units") {
       std::uint64_t v = 0;
-      if (!parse_u64_string(value, &v)) {
+      if (!json_u64_string(value, &v)) {
         return fail(error, "\"" + key + "\" is not a u64 decimal string");
       }
       if (key == "wall_ns") {
@@ -137,7 +123,7 @@ bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
       auto& dst = key == "counters" ? out->counters : out->queues;
       for (const auto& [name, v] : value.object) {
         std::uint64_t u = 0;
-        if (!parse_u64_string(v, &u)) {
+        if (!json_u64_string(v, &u)) {
           return fail(error, "\"" + key + "\" member \"" + name +
                                  "\" is not a u64 decimal string");
         }
@@ -161,9 +147,9 @@ bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
       for (const auto& [name, v] : value.object) {
         PhaseDelta d;
         if (!v.is_array() || v.array.size() != 3 ||
-            !parse_u64_string(v.array[0], &d.ns) ||
-            !parse_u64_string(v.array[1], &d.calls) ||
-            !parse_u64_string(v.array[2], &d.alloc_bytes)) {
+            !json_u64_string(v.array[0], &d.ns) ||
+            !json_u64_string(v.array[1], &d.calls) ||
+            !json_u64_string(v.array[2], &d.alloc_bytes)) {
           return fail(error, "phase \"" + name +
                                  "\" is not a [ns, calls, alloc] string "
                                  "triple");
@@ -245,14 +231,15 @@ TelemetrySink::TelemetrySink(std::ostream& os, std::uint64_t every_units)
       next_(every_),
       start_(std::chrono::steady_clock::now()) {}
 
-void TelemetrySink::tick(std::uint64_t units, std::uint64_t virt_ns) {
-  if (units < next_.load(std::memory_order_relaxed)) return;
+bool TelemetrySink::tick(std::uint64_t units, std::uint64_t virt_ns) {
+  if (units < next_.load(std::memory_order_relaxed)) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t next = next_.load(std::memory_order_relaxed);
-  if (units < next) return;  // another ticker sampled this threshold
+  if (units < next) return false;  // another ticker sampled this threshold
   while (next <= units) next += every_;
   next_.store(next, std::memory_order_relaxed);
   do_sample(units, virt_ns);
+  return true;
 }
 
 void TelemetrySink::sample_now(std::uint64_t units, std::uint64_t virt_ns) {

@@ -136,8 +136,9 @@ class TelemetrySink {
   }
 
   /// Samples when `units` has crossed the next cadence threshold; cheap
-  /// (one relaxed load) otherwise. Safe to call from any thread.
-  void tick(std::uint64_t units, std::uint64_t virt_ns = 0);
+  /// (one relaxed load) otherwise. Safe to call from any thread. Returns
+  /// true when this call wrote a sample.
+  bool tick(std::uint64_t units, std::uint64_t virt_ns = 0);
 
   /// Unconditional sample — the final flush every producer emits on exit.
   void sample_now(std::uint64_t units, std::uint64_t virt_ns = 0);

@@ -292,12 +292,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   obs::MetricsRegistry::global()
       .gauge("sim.storage.peak_entries")
       .set(static_cast<std::int64_t>(peak));
-  if (config.path.trace != nullptr) {
-    config.path.trace->complete(
-        "run", "runner", /*ts_us=*/0,
-        simulator.now() / sim::kMicrosecond, config.path.trace_track,
-        static_cast<std::int64_t>(result.events_processed));
-  }
   return result;
 }
 

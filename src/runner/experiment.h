@@ -15,17 +15,17 @@
 // and owned by it. There are no globals, function-local statics, or
 // lazily initialized shared tables anywhere beneath it, with one
 // deliberate carve-out: the src/obs metrics registry
-// (obs::MetricsRegistry::global()) and an optional caller-owned
-// obs::TraceRing. Both are fully synchronized (mutex-guarded
-// registration, relaxed atomics on the hot path) and strictly
-// write-only from inside a run — no result field ever reads them — so
-// concurrent run_experiment() calls remain safe and their results still
-// depend only on their configs, never on interleaving. Any future code
-// that introduces shared mutable state below this call must follow the
-// same rule: synchronize it AND keep results schedule-independent, or be
-// rejected — tools/check.sh runs the exec + runner + obs tests under
-// TSan to enforce the first half, and the jobs=1-vs-jobs=8 determinism
-// test in tests/exec_test.cc the second.
+// (obs::MetricsRegistry::global()) and phase profiler
+// (obs::PhaseProfiler::global()). Both are fully synchronized
+// (mutex-guarded registration, relaxed atomics on the hot path) and
+// strictly write-only from inside a run — no result field ever reads
+// them — so concurrent run_experiment() calls remain safe and their
+// results still depend only on their configs, never on interleaving.
+// Any future code that introduces shared mutable state below this call
+// must follow the same rule: synchronize it AND keep results
+// schedule-independent, or be rejected — tools/check.sh runs the exec +
+// runner + obs tests under TSan to enforce the first half, and the
+// jobs=1-vs-jobs=8 determinism test in tests/exec_test.cc the second.
 #pragma once
 
 #include <cstdint>

@@ -152,8 +152,6 @@ MonteCarloResult run_monte_carlo(const MonteCarloConfig& config) {
       [&](std::size_t r) {
         ExperimentConfig cfg = config.base;
         cfg.path.seed = plan.seed(r);
-        cfg.path.trace = config.trace;
-        cfg.path.trace_track = static_cast<std::uint32_t>(r);
         // Forensics attach to run 0 only: single writer, and the stream
         // is bit-identical for any jobs value.
         cfg.path.events = (r == 0) ? config.events : nullptr;

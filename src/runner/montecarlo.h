@@ -16,7 +16,6 @@
 
 #include "exec/telemetry.h"
 #include "obs/events.h"
-#include "obs/tracer.h"
 #include "runner/experiment.h"
 #include "util/stats.h"
 #include "util/timeseries.h"
@@ -40,11 +39,6 @@ struct MonteCarloConfig {
   /// serial. Results are bit-identical for any value (seeds are fixed up
   /// front and reduction happens strictly in run order).
   std::size_t jobs = 1;
-
-  /// Optional event tracer. Each run gets its own Chrome-trace track
-  /// (tid = run index) so per-link events from concurrent runs never
-  /// interleave. Purely observational — results are unaffected.
-  obs::TraceRing* trace = nullptr;
 
   /// Optional forensic event log. Attached to run 0 ONLY: a single run's
   /// stream is causally coherent (one path, one clock) where an

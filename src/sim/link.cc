@@ -1,53 +1,12 @@
 #include "sim/link.h"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 namespace paai::sim {
 
 namespace {
-
-// Static strings for the tracer (slots store pointers, not copies). A wire
-// whose type byte does not parse is "?".
-const char* tx_trace_name(std::optional<net::PacketType> type) {
-  if (!type) return "tx ?";
-  switch (*type) {
-    case net::PacketType::kData:
-      return "tx data";
-    case net::PacketType::kDestAck:
-      return "tx dest-ack";
-    case net::PacketType::kProbe:
-      return "tx probe";
-    case net::PacketType::kReportAck:
-      return "tx report-ack";
-    case net::PacketType::kFlReport:
-      return "tx fl-report";
-    case net::PacketType::kFlRequest:
-      return "tx fl-request";
-  }
-  return "tx ?";
-}
-
-const char* drop_trace_name(std::optional<net::PacketType> type) {
-  if (!type) return "drop ?";
-  switch (*type) {
-    case net::PacketType::kData:
-      return "drop data";
-    case net::PacketType::kDestAck:
-      return "drop dest-ack";
-    case net::PacketType::kProbe:
-      return "drop probe";
-    case net::PacketType::kReportAck:
-      return "drop report-ack";
-    case net::PacketType::kFlReport:
-      return "drop fl-report";
-    case net::PacketType::kFlRequest:
-      return "drop fl-request";
-  }
-  return "drop ?";
-}
 
 void check_probability(double value, const char* what) {
   if (!(value >= 0.0 && value <= 1.0)) {  // NaN fails both comparisons
@@ -129,21 +88,12 @@ void Link::transmit(const PacketEnv& env) {
   }
   obs_.tx_packets.add();
   obs_.tx_bytes.add(env.wire_size);
-  // Trace attribution: link events land on the *sending* node's row
-  // (l_i connects F_i and F_{i+1}, so kToDest traffic is sent by F_i).
-  const std::uint32_t sender_pid = static_cast<std::uint32_t>(
-      env.dir == Direction::kToDest ? index_ : index_ + 1);
   const bool dropped = loss_process_ != nullptr
                            ? loss_process_->drop(sim_.now(), rng_)
                            : rng_.bernoulli(loss_rate_);
   if (dropped) {
     if (counters_ != nullptr) counters_->on_link_drop(index_, type);
     obs_.drops.add();
-    if (trace_.ring != nullptr) {
-      trace_.ring->instant(drop_trace_name(type), "sim",
-                           sim_.now() / kMicrosecond, trace_.track,
-                           static_cast<std::int64_t>(index_), sender_pid);
-    }
     return;
   }
   Node* target = env.dir == Direction::kToDest ? downstream_ : upstream_;
@@ -152,15 +102,7 @@ void Link::transmit(const PacketEnv& env) {
       dup_prob_ > 0.0 && rng_.bernoulli(dup_prob_) ? 2 : 1;
   if (copies == 2) obs_.dup_copies.add();
   for (std::size_t c = 0; c < copies; ++c) {
-    const SimDuration delay = draw_delay();
-    obs_.latency_ns.observe(static_cast<std::uint64_t>(delay));
-    if (trace_.ring != nullptr) {
-      trace_.ring->complete(tx_trace_name(type), "sim",
-                            sim_.now() / kMicrosecond, delay / kMicrosecond,
-                            trace_.track, static_cast<std::int64_t>(index_),
-                            sender_pid);
-    }
-    sim_.after(delay, [target, env] { target->deliver(env); });
+    sim_.after(draw_delay(), [target, env] { target->deliver(env); });
   }
 }
 

@@ -19,7 +19,6 @@
 
 #include "net/packet.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
@@ -48,7 +47,6 @@ struct LinkObs {
   obs::Counter tx_bytes;
   obs::Counter drops;
   obs::Counter dup_copies;  // extra deliveries minted by the dup knob
-  obs::Histogram latency_ns;
 };
 
 class Link {
@@ -72,12 +70,9 @@ class Link {
     downstream_ = downstream;
   }
 
-  /// Wires the metrics handles and the (optional) trace destination;
-  /// PathNetwork calls this once at construction.
-  void set_obs(LinkObs obs, obs::TraceCtx trace) {
-    obs_ = obs;
-    trace_ = trace;
-  }
+  /// Wires the metrics handles; PathNetwork calls this once at
+  /// construction.
+  void set_obs(LinkObs obs) { obs_ = obs; }
 
   /// Sends the packet across the link: counts it, tosses the natural-loss
   /// coin (or consults the attached LossProcess), and on survival
@@ -125,7 +120,6 @@ class Link {
   SimDuration reorder_delay_ = 0;
   double dup_prob_ = 0.0;
   LinkObs obs_{};
-  obs::TraceCtx trace_{};
   Node* upstream_ = nullptr;    // the l_i endpoint closer to S (F_i)
   Node* downstream_ = nullptr;  // the endpoint closer to D (F_{i+1})
 };

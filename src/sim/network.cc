@@ -20,7 +20,6 @@ LinkObs link_obs(std::size_t i) {
   o.tx_bytes = reg.counter(prefix + ".tx_bytes");
   o.drops = reg.counter(prefix + ".drops");
   o.dup_copies = reg.counter(prefix + ".dup_copies");
-  o.latency_ns = reg.histogram(prefix + ".latency_ns");
   return o;
 }
 
@@ -65,11 +64,7 @@ PathNetwork::PathNetwork(Simulator& sim, const PathConfig& config)
       nodes_.back()->set_clock_offset(milliseconds(clock_rng.uniform(
           -config.max_clock_error_ms, config.max_clock_error_ms)));
     }
-    // Per-node attribution: events carry the node index directly, and the
-    // node's trace pid is its path position (one Chrome row per node).
-    nodes_.back()->set_obs(
-        config.events, obs::TraceCtx{config.trace, config.trace_track,
-                                     static_cast<std::uint32_t>(i)});
+    nodes_.back()->set_obs(config.events);
   }
 
   links_.reserve(config.length);
@@ -79,8 +74,7 @@ PathNetwork::PathNetwork(Simulator& sim, const PathConfig& config)
     links_.push_back(std::make_unique<Link>(
         sim_, i, config.natural_loss, latency,
         milliseconds(config.jitter_ms), loss_seed_rng.fork(i), &counters_));
-    links_[i]->set_obs(link_obs(i),
-                       obs::TraceCtx{config.trace, config.trace_track});
+    links_[i]->set_obs(link_obs(i));
     links_[i]->connect(nodes_[i].get(), nodes_[i + 1].get());
     nodes_[i]->set_link_toward_dest(links_[i].get());
     nodes_[i + 1]->set_link_toward_source(links_[i].get());

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/events.h"
-#include "obs/tracer.h"
 #include "sim/link.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
@@ -44,12 +43,6 @@ struct PathConfig {
   double extra_rtt_slack_ms = 0.0;
   /// Seed for link loss / latency / clock-offset streams.
   std::uint64_t seed = 1;
-  /// Optional event tracer: when set, every link transmit/drop is
-  /// recorded (sim-time timestamps) under `trace_track` (one Chrome
-  /// swimlane per run; the Monte-Carlo driver assigns run indices).
-  /// Purely observational — never read by the simulation.
-  obs::TraceRing* trace = nullptr;
-  std::uint32_t trace_track = 0;
   /// Optional structured event log (obs/events.h): when set, every node
   /// records packet send/recv/forward and crash/restart events, and the
   /// protocol engines record their forensic trail (sample selections,

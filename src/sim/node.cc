@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "sim/link.h"
-#include "sim/time.h"
 
 namespace paai::sim {
 
@@ -12,19 +11,11 @@ void Node::attach_agent(std::unique_ptr<Agent> agent) {
   agent_->node_ = this;
 }
 
-void Node::log_wire(obs::EventKind kind, const char* trace_name,
-                    const PacketEnv& env) {
+void Node::log_wire(obs::EventKind kind, const PacketEnv& env) {
+  if (events_ == nullptr) return;
   const ByteView wire = env.view();
-  const std::uint64_t type = wire.empty() ? 0 : wire[0];
-  if (events_ != nullptr) {
-    events_->append(index_, kind, sim_.now(), /*link=*/-1, type,
-                    env.wire_size);
-  }
-  if (trace_.ring != nullptr) {
-    trace_.ring->instant(trace_name, "node", sim_.now() / kMicrosecond,
-                         trace_.track, static_cast<std::int64_t>(type),
-                         trace_.pid);
-  }
+  events_->append(index_, kind, sim_.now(), /*link=*/-1,
+                  wire.empty() ? 0 : wire[0], env.wire_size);
 }
 
 void Node::deliver(const PacketEnv& env) {
@@ -32,7 +23,7 @@ void Node::deliver(const PacketEnv& env) {
     ++crash_drops_;
     return;
   }
-  log_wire(obs::EventKind::kPacketRecv, "rx", env);
+  log_wire(obs::EventKind::kPacketRecv, env);
   if (agent_) agent_->on_packet(env);
 }
 
@@ -41,7 +32,7 @@ void Node::originate(Direction dir, Wire wire, std::size_t wire_size) {
   Link* link = dir == Direction::kToDest ? toward_dest_ : toward_source_;
   if (link == nullptr) return;
   const PacketEnv env{std::move(wire), wire_size, dir};
-  log_wire(obs::EventKind::kPacketSend, "tx", env);
+  log_wire(obs::EventKind::kPacketSend, env);
   link->transmit(env);
 }
 
@@ -49,7 +40,7 @@ void Node::forward(const PacketEnv& env) {
   if (!up_) return;
   Link* link = env.dir == Direction::kToDest ? toward_dest_ : toward_source_;
   if (link == nullptr) return;
-  log_wire(obs::EventKind::kPacketForward, "fwd", env);
+  log_wire(obs::EventKind::kPacketForward, env);
   link->transmit(env);
 }
 
@@ -60,11 +51,6 @@ void Node::set_up(bool up) {
     events_->append(
         index_, up_ ? obs::EventKind::kNodeRestart : obs::EventKind::kNodeCrash,
         sim_.now());
-  }
-  if (trace_.ring != nullptr) {
-    trace_.ring->instant(up_ ? "restart" : "crash", "node",
-                         sim_.now() / kMicrosecond, trace_.track,
-                         obs::kTraceNoArg, trace_.pid);
   }
   if (!up_) {
     for (const CrashHook& hook : crash_hooks_) hook.fn(hook.ctx);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obs/events.h"
-#include "obs/tracer.h"
 #include "sim/simulator.h"
 #include "sim/storage.h"
 #include "sim/wire.h"
@@ -120,22 +119,16 @@ class Node {
   Link* link_toward_source() { return toward_source_; }
   Link* link_toward_dest() { return toward_dest_; }
 
-  /// Observability destinations (set by PathNetwork at construction).
-  /// `events` may be nullptr (logging off — one branch per packet);
-  /// `trace.pid` is this node's path position so per-node wire activity
-  /// gets its own row in the Chrome viewer. Strictly observational.
-  void set_obs(obs::EventLog* events, obs::TraceCtx trace) {
-    events_ = events;
-    trace_ = trace;
-  }
+  /// Event log destination (set by PathNetwork at construction); may be
+  /// nullptr (logging off — one branch per packet). Strictly
+  /// observational.
+  void set_obs(obs::EventLog* events) { events_ = events; }
   obs::EventLog* events() { return events_; }
 
  private:
   /// Records a node-level wire event (a = first wire byte = packet type,
-  /// b = simulated wire size) in the structured log and, when tracing,
-  /// as an instant under this node's pid.
-  void log_wire(obs::EventKind kind, const char* trace_name,
-                const PacketEnv& env);
+  /// b = simulated wire size) in the structured log.
+  void log_wire(obs::EventKind kind, const PacketEnv& env);
 
   Simulator& sim_;
   std::size_t index_;
@@ -152,7 +145,6 @@ class Node {
   Link* toward_source_ = nullptr;
   Link* toward_dest_ = nullptr;
   obs::EventLog* events_ = nullptr;
-  obs::TraceCtx trace_;
 };
 
 }  // namespace paai::sim

@@ -81,10 +81,24 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
   std::uint64_t next_snapshot =
       config.snapshot_every > 0 ? config.snapshot_every : 0;
 
-  // Stall timers cost two clock reads per event, so only run them when
-  // someone can observe the result. The counters themselves are cheap.
+  // Chained stall timers: one clock read per boundary, each interval
+  // charged to the phase that ran in it, so parse + apply cover the loop.
+  // Snapshot writes and telemetry samples charge their own kSnapshot
+  // scopes, so the chain restarts after them. The clock is read only when
+  // someone can observe the result; the counters themselves are cheap.
   const bool timing = config.telemetry != nullptr || profiler.enabled() ||
                       registry.enabled();
+  std::uint64_t mark = timing ? now_ns() : 0;
+  const auto lap = [&](obs::Phase phase, std::uint64_t& stall) {
+    if (!timing) return;
+    const std::uint64_t now = now_ns();
+    stall += now - mark;
+    profiler.add(phase, now - mark);
+    mark = now;
+  };
+  const auto restart = [&] {
+    if (timing) mark = now_ns();
+  };
   std::uint64_t prev_bytes = 0;
 
   const auto probe_backlog = [&] {
@@ -105,13 +119,7 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
       report.interrupted = true;
       break;
     }
-    const std::uint64_t parse_start = timing ? now_ns() : 0;
     const obs::EventReader::Status status = reader.next(&event, &error);
-    if (timing) {
-      const std::uint64_t dt = now_ns() - parse_start;
-      report.parse_stall_ns += dt;
-      profiler.add(obs::Phase::kStreamParse, dt);
-    }
     {
       const std::uint64_t bytes = reader.bytes();
       if (bytes > prev_bytes) {
@@ -119,6 +127,7 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
         prev_bytes = bytes;
       }
     }
+    lap(obs::Phase::kStreamParse, report.parse_stall_ns);
     if (status == obs::EventReader::Status::kEof) break;
     if (status == obs::EventReader::Status::kError) {
       ++report.parse_errors;
@@ -135,7 +144,6 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
     events_read_counter.add();
     const std::uint64_t applied_before = engine.events_applied();
     engine.set_stream_line(reader.line());
-    const std::uint64_t apply_start = timing ? now_ns() : 0;
     try {
       engine.apply(event);
     } catch (const std::exception& e) {
@@ -143,30 +151,30 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
       report.error = "line " + std::to_string(reader.line()) + ": " + e.what();
       break;
     }
-    if (timing) {
-      const std::uint64_t dt = now_ns() - apply_start;
-      report.apply_stall_ns += dt;
-      profiler.add(obs::Phase::kStreamApply, dt);
+    const bool applied = engine.events_applied() != applied_before;
+    if (applied) {
+      ++report.applied;
+      events_applied_counter.add();
+      const std::uint64_t lag = report.events - report.applied;
+      if (lag > report.peak_lag_events) report.peak_lag_events = lag;
+      lag_gauge.set(static_cast<std::int64_t>(lag));
+
+      // The backlog probe can stat the filesystem, so sample it at a
+      // coarse cadence plus at every telemetry tick boundary.
+      if ((report.applied & 0xff) == 0) probe_backlog();
+
+      for (const std::size_t link : engine.take_new_convictions()) {
+        report.new_convictions.push_back(link);
+        if (config.announce) announce_conviction(log, engine, link);
+      }
     }
-    if (engine.events_applied() == applied_before) continue;
-    ++report.applied;
-    events_applied_counter.add();
-    const std::uint64_t lag = report.events - report.applied;
-    if (lag > report.peak_lag_events) report.peak_lag_events = lag;
-    lag_gauge.set(static_cast<std::int64_t>(lag));
+    lap(obs::Phase::kStreamApply, report.apply_stall_ns);
+    if (!applied) continue;
 
-    // The backlog probe can stat the filesystem, so sample it at a
-    // coarse cadence plus at every telemetry tick boundary.
-    if ((report.applied & 0xff) == 0) probe_backlog();
-
-    if (config.telemetry != nullptr) {
-      config.telemetry->tick(report.applied,
-                             static_cast<std::uint64_t>(event.ts_ns));
-    }
-
-    for (const std::size_t link : engine.take_new_convictions()) {
-      report.new_convictions.push_back(link);
-      if (config.announce) announce_conviction(log, engine, link);
+    if (config.telemetry != nullptr &&
+        config.telemetry->tick(report.applied,
+                               static_cast<std::uint64_t>(event.ts_ns))) {
+      restart();
     }
 
     if (next_snapshot != 0 && report.applied >= next_snapshot) {
@@ -180,6 +188,7 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
         }
         ++report.snapshots;
         snapshots_counter.add();
+        restart();
       }
     }
   }

@@ -1,8 +1,6 @@
 #include "stream/state.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -21,16 +19,6 @@ constexpr double kMaxProtocol =
     static_cast<double>(protocols::ProtocolKind::kSigAck);
 constexpr double kMaxLinks = 65536.0;
 constexpr double kMaxRecordLink = 9007199254740992.0;  // 2^53
-
-bool parse_u64(const obs::JsonValue* v, std::uint64_t* out) {
-  if (v == nullptr || !v->is_string() || v->string.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->string.c_str(), &end, 10);
-  if (errno != 0 || end != v->string.c_str() + v->string.size()) return false;
-  *out = parsed;
-  return true;
-}
 
 /// A JSON number holding an integer in [0, max]; the range check comes
 /// before the cast, so a hostile document never reaches undefined
@@ -140,7 +128,7 @@ class FieldReader {
   }
   void field(const char* name, std::uint64_t& x) {
     const obs::JsonValue* v = member(name);
-    if (v != nullptr && !parse_u64(v, &x)) mistyped(name);
+    if (v != nullptr && !obs::json_u64_string(*v, &x)) mistyped(name);
   }
   void field(const char* name, double& x) {
     const obs::JsonValue* v = member(name);
@@ -151,7 +139,9 @@ class FieldReader {
   void field(const char* name, std::vector<std::uint64_t>& xs) {
     const obs::JsonValue* v = array(name, xs.size());
     for (std::size_t i = 0; v != nullptr && i < xs.size(); ++i) {
-      if (!parse_u64(&v->array[i], &xs[i])) return mistyped(name);
+      if (!obs::json_u64_string(v->array[i], &xs[i])) {
+        return mistyped(name);
+      }
     }
   }
   void field(const char* name, std::vector<double>& xs) {

@@ -1,6 +1,6 @@
 // Tests for the src/obs observability subsystem: metric registry
-// semantics (enabled/disabled, reset, log2 bucketing, exact aggregation
-// under the exec pool), the trace ring (wraparound, Chrome JSON export),
+// semantics (enabled/disabled, reset, exact aggregation under the exec
+// pool), the event log (ring bounds, JSONL and Chrome trace export),
 // the strict JSON writer/parser pair (hostile strings, non-finite
 // numbers, malformed documents), and the BenchReport document schema —
 // every emitted document must survive the strict parser.
@@ -21,7 +21,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/tracer.h"
 #include "runner/montecarlo.h"
 
 namespace paai::obs {
@@ -56,14 +55,6 @@ const GaugeSnapshot* find_gauge(const MetricsSnapshot& snap,
   return nullptr;
 }
 
-const HistogramSnapshot* find_histogram(const MetricsSnapshot& snap,
-                                        const std::string& name) {
-  for (const auto& h : snap.histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
 TEST(Metrics, CounterBasics) {
   RegistryGuard guard;
   auto& reg = MetricsRegistry::global();
@@ -80,28 +71,21 @@ TEST(Metrics, DisabledRegistryRecordsNothing) {
   RegistryGuard guard;
   auto& reg = MetricsRegistry::global();
   const Counter c = reg.counter("test.disabled");
-  const Histogram h = reg.histogram("test.disabled_hist");
   reg.set_enabled(false);
   c.add(100);
-  h.observe(7);
   EXPECT_FALSE(c.live());
-  EXPECT_FALSE(h.live());
   reg.set_enabled(true);
   const auto snap = reg.snapshot();
   EXPECT_EQ(find_counter(snap, "test.disabled")->value, 0u);
-  EXPECT_EQ(find_histogram(snap, "test.disabled_hist")->count, 0u);
 }
 
 TEST(Metrics, DefaultConstructedHandlesAreInert) {
   Counter c;
   Gauge g;
-  Histogram h;
   c.add();         // must not crash
   g.set(5);
-  h.observe(9);
   EXPECT_FALSE(c.live());
   EXPECT_FALSE(g.live());
-  EXPECT_FALSE(h.live());
 }
 
 TEST(Metrics, ResetZeroesButKeepsHandles) {
@@ -152,53 +136,10 @@ TEST(Metrics, GaugeHighFallsBackToValueWhenNeverRaised) {
   EXPECT_EQ(gauge->high, -5);
 }
 
-TEST(Metrics, HistogramLog2BucketBoundaries) {
-  RegistryGuard guard;
-  auto& reg = MetricsRegistry::global();
-  const Histogram h = reg.histogram("test.hist");
-  // bucket 0 = {0}; bucket b >= 1 = [2^(b-1), 2^b - 1].
-  h.observe(0);                       // bucket 0
-  h.observe(1);                       // bucket 1
-  h.observe(2);                       // bucket 2
-  h.observe(3);                       // bucket 2
-  h.observe(4);                       // bucket 3
-  h.observe(1023);                    // bucket 10
-  h.observe(1024);                    // bucket 11
-  h.observe(std::numeric_limits<std::uint64_t>::max());  // bucket 64
-  const auto snap = reg.snapshot();
-  const auto* hist = find_histogram(snap, "test.hist");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 8u);
-  EXPECT_EQ(hist->min, 0u);
-  EXPECT_EQ(hist->max, std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(hist->buckets[0], 1u);
-  EXPECT_EQ(hist->buckets[1], 1u);
-  EXPECT_EQ(hist->buckets[2], 2u);
-  EXPECT_EQ(hist->buckets[3], 1u);
-  EXPECT_EQ(hist->buckets[10], 1u);
-  EXPECT_EQ(hist->buckets[11], 1u);
-  EXPECT_EQ(hist->buckets[64], 1u);
-}
-
-TEST(Metrics, HistogramQuantileBounds) {
-  RegistryGuard guard;
-  auto& reg = MetricsRegistry::global();
-  const Histogram h = reg.histogram("test.quantile");
-  for (int i = 0; i < 99; ++i) h.observe(5);    // bucket 3, bound 7
-  h.observe(1'000'000);                         // bucket 20
-  const auto snap = reg.snapshot();
-  const auto* hist = find_histogram(snap, "test.quantile");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->quantile_bound(0.5), 7u);
-  EXPECT_GE(hist->quantile_bound(1.0), 1'000'000u);
-  EXPECT_NEAR(hist->mean(), (99.0 * 5.0 + 1e6) / 100.0, 1.0);
-}
-
 TEST(Metrics, ParallelAggregationIsExact) {
   RegistryGuard guard;
   auto& reg = MetricsRegistry::global();
   const Counter c = reg.counter("test.parallel");
-  const Histogram h = reg.histogram("test.parallel_hist");
   constexpr std::size_t kTasks = 64;
   constexpr std::uint64_t kPerTask = 1000;
   exec::parallel_for_each(
@@ -206,70 +147,11 @@ TEST(Metrics, ParallelAggregationIsExact) {
       [&](std::size_t) {
         for (std::uint64_t i = 0; i < kPerTask; ++i) {
           c.add();
-          h.observe(i);
         }
       },
       /*jobs=*/8);
   const auto snap = reg.snapshot();
   EXPECT_EQ(find_counter(snap, "test.parallel")->value, kTasks * kPerTask);
-  const auto* hist = find_histogram(snap, "test.parallel_hist");
-  EXPECT_EQ(hist->count, kTasks * kPerTask);
-  EXPECT_EQ(hist->sum, kTasks * (kPerTask * (kPerTask - 1) / 2));
-  EXPECT_EQ(hist->min, 0u);
-  EXPECT_EQ(hist->max, kPerTask - 1);
-}
-
-// ---------------------------------------------------------------- tracer
-
-TEST(Tracer, RecordsAndExports) {
-  TraceRing ring(16);
-  ring.instant("drop", "sim", 100, /*track=*/1, /*arg=*/4);
-  ring.complete("tx", "sim", 200, /*dur_us=*/5, /*track=*/1);
-  EXPECT_EQ(ring.recorded(), 2u);
-  EXPECT_EQ(ring.dropped(), 0u);
-
-  std::ostringstream os;
-  ring.write_chrome_json(os);
-  std::string error;
-  const auto doc = json_parse(os.str(), &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-  const JsonValue* events = doc->find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->array.size(), 2u);
-  EXPECT_EQ(events->array[0].find("name")->string, "drop");
-  EXPECT_EQ(events->array[0].find("ph")->string, "i");
-  EXPECT_EQ(events->array[1].find("ph")->string, "X");
-  EXPECT_EQ(events->array[1].find("dur")->number, 5.0);
-}
-
-TEST(Tracer, WrapOverwritesOldestAndCountsDropped) {
-  TraceRing ring(8);
-  for (int i = 0; i < 20; ++i) {
-    ring.instant("e", "t", i, /*track=*/0, i);
-  }
-  EXPECT_EQ(ring.recorded(), 20u);
-  EXPECT_EQ(ring.retained(), 8u);
-  EXPECT_EQ(ring.dropped(), 12u);
-
-  std::ostringstream os;
-  ring.write_chrome_json(os);
-  std::string error;
-  const auto doc = json_parse(os.str(), &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-  const JsonValue* events = doc->find("traceEvents");
-  ASSERT_EQ(events->array.size(), 8u);
-  // Oldest retained event first: 20 recorded into 8 slots keeps 12..19.
-  EXPECT_EQ(events->array.front().find("ts")->number, 12.0);
-  EXPECT_EQ(events->array.back().find("ts")->number, 19.0);
-  EXPECT_EQ(doc->find("otherData")->find("dropped")->number, 12.0);
-}
-
-TEST(Tracer, ClearEmptiesTheRing) {
-  TraceRing ring(8);
-  ring.instant("e", "t", 1, 0);
-  ring.clear();
-  EXPECT_EQ(ring.retained(), 0u);
 }
 
 // ------------------------------------------------------------------ json
@@ -346,7 +228,6 @@ TEST(Report, DocumentMatchesSchemaAndSurvivesStrictParse) {
   auto& reg = MetricsRegistry::global();
   reg.counter("sim.link.0.tx_packets").add(7);
   reg.gauge("sim.storage.peak_entries").set(12);
-  reg.histogram("test.report_ns").observe(1500);
 
   BenchReport report("bench_unit_test");
   report.set_arg("runs", 10);
@@ -389,14 +270,6 @@ TEST(Report, DocumentMatchesSchemaAndSurvivesStrictParse) {
   EXPECT_EQ(obs->find("gauges")->find("sim.storage.peak_entries")
                 ->find("high")->number,
             12.0);
-  const JsonValue* hist =
-      obs->find("histograms")->find("test.report_ns");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->find("count")->number, 1.0);
-  EXPECT_EQ(hist->find("sum")->number, 1500.0);
-  ASSERT_EQ(hist->find("buckets")->array.size(), 1u);
-  EXPECT_EQ(hist->find("buckets")->array[0].array[0].number, 1024.0);
-  EXPECT_EQ(hist->find("buckets")->array[0].array[1].number, 1.0);
 }
 
 // ------------------------------------------------------- integration (MC)
@@ -434,6 +307,49 @@ TEST(Events, BoundedRingOverflowKeepsNewest) {
   log.clear();
   EXPECT_EQ(log.recorded(), 0u);
   EXPECT_EQ(log.retained(), 0u);
+}
+
+TEST(Events, ChromeTraceRendersEveryEvent) {
+  EventLog log;
+  log.append(0, EventKind::kRunStart, 0, -1, 20000, 1, 0.018);
+  log.append(0, EventKind::kScoreBlame, 99'000'500, 3,
+             0xffffffffffffffffULL, 42, 0.25);
+  log.append(2, EventKind::kPacketForward, 12'345'678, -1, 0x3d, 1019, 0.0);
+  log.append(5, EventKind::kNodeCrash, 4'000'000'000'000LL);
+
+  std::ostringstream os;
+  log.write_chrome_trace(os);
+  std::string error;
+  const auto doc = json_parse(os.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const JsonValue* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  const auto merged = log.merged();
+  ASSERT_EQ(events->array.size(), merged.size());
+  // One instant per event in merged() order; every node shows up.
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    const Event& e = merged[i];
+    const JsonValue& t = events->array[i];
+    EXPECT_EQ(t.find("name")->string, event_kind_name(e.kind));
+    EXPECT_EQ(t.find("ph")->string, "i");
+    EXPECT_EQ(t.find("pid")->number, static_cast<double>(e.node));
+    EXPECT_EQ(t.find("ts")->number, static_cast<double>(e.ts_ns) / 1000.0);
+    const JsonValue* args = t.find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->find("a")->string, std::to_string(e.a));
+    EXPECT_EQ(args->find("b")->string, std::to_string(e.b));
+    EXPECT_EQ(args->find("v")->number, e.value);
+    if (e.link >= 0) {
+      EXPECT_EQ(args->find("link")->number, static_cast<double>(e.link));
+    } else {
+      EXPECT_EQ(args->find("link"), nullptr);
+    }
+  }
+  EXPECT_EQ(events->array[1].find("name")->string, "packet-fwd");
+  EXPECT_EQ(events->array[1].find("pid")->number, 2.0);
+  EXPECT_EQ(events->array[1].find("ts")->number, 12345.678);
+  EXPECT_EQ(events->array[3].find("pid")->number, 5.0);
+  EXPECT_EQ(events->array[3].find("ts")->number, 4e9);
 }
 
 TEST(Events, JsonlRoundTripsThroughStrictParser) {
@@ -687,7 +603,7 @@ TEST(Forensics, ConvictionAuditMatchesVerdict) {
 
 TEST(Integration, MonteCarloPopulatesMetricsAndTrace) {
   RegistryGuard guard;
-  TraceRing ring(1 << 12);
+  EventLog log;
 
   runner::MonteCarloConfig mc;
   mc.base = runner::paper_config(protocols::ProtocolKind::kFullAck, 200, 0);
@@ -695,7 +611,7 @@ TEST(Integration, MonteCarloPopulatesMetricsAndTrace) {
   mc.runs = 4;
   mc.seed0 = 42;
   mc.jobs = 2;
-  mc.trace = &ring;
+  mc.events = &log;
   const auto result = runner::run_monte_carlo(mc);
   EXPECT_EQ(result.runs, 4u);
 
@@ -707,19 +623,20 @@ TEST(Integration, MonteCarloPopulatesMetricsAndTrace) {
   // Natural loss 1% + malicious l_4 => some probes and some drops.
   EXPECT_GT(find_counter(snap, "proto.probes_sent")->value, 0u);
 
-  // The per-run "run" span plus per-link events made it into the ring and
-  // the export is strict-parser clean.
-  EXPECT_GT(ring.recorded(), 0u);
+  // Run 0's event log renders as a strict-parser-clean Chrome trace.
+  EXPECT_GT(log.recorded(), 0u);
   std::ostringstream os;
-  ring.write_chrome_json(os);
+  log.write_chrome_trace(os);
   std::string error;
-  ASSERT_TRUE(json_parse(os.str(), &error).has_value()) << error;
+  const auto doc = json_parse(os.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_EQ(doc->find("traceEvents")->array.size(), log.retained());
 }
 
 TEST(Integration, MetricsNeverAffectResults) {
-  // Identical configs with the registry on and off (and with a trace ring
-  // on one side) must produce bit-identical Monte-Carlo aggregates.
-  auto run_once = [](bool instrumented, TraceRing* ring) {
+  // Identical configs with the registry on and off must produce
+  // bit-identical Monte-Carlo aggregates.
+  auto run_once = [](bool instrumented) {
     MetricsRegistry::global().reset();
     MetricsRegistry::global().set_enabled(instrumented);
     runner::MonteCarloConfig mc;
@@ -729,12 +646,10 @@ TEST(Integration, MetricsNeverAffectResults) {
     mc.runs = 3;
     mc.seed0 = 7;
     mc.jobs = 2;
-    mc.trace = ring;
     return runner::run_monte_carlo(mc);
   };
-  TraceRing ring(256);
-  const auto with = run_once(true, &ring);
-  const auto without = run_once(false, nullptr);
+  const auto with = run_once(true);
+  const auto without = run_once(false);
   MetricsRegistry::global().set_enabled(false);
   MetricsRegistry::global().reset();
 

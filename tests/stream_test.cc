@@ -391,6 +391,25 @@ TEST(Snapshot, LoadRejectsGarbage) {
       R"("table":{"kind":"onion","s":["0","0"],"n":"0","probes":"0"}})",
       &engine, &error));
   EXPECT_NE(error.find("shape"), std::string::npos);
+
+  // A u64 travels as a decimal string; anything but bare ASCII digits is
+  // rejected, never wrapped ("-1" -> 2^64 - 1) or trimmed (" 7" -> 7).
+  ScoreEngine source(EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018,
+                                  protocols::BlameSpec{}});
+  source.apply(make_event(obs::EventKind::kDataSend));
+  const std::string good = state_to_string(source);
+  ASSERT_TRUE(load_state(good, &engine, &error)) << error;
+  const std::string key = "\"packets_sent\":\"";
+  ASSERT_NE(good.find(key), std::string::npos);
+  const std::size_t value = good.find(key) + key.size();
+  const std::size_t close = good.find('"', value);
+  for (const char* bad : {"-1", "+7", " 7"}) {
+    ScoreEngine target;
+    EXPECT_FALSE(load_state(good.substr(0, value) + bad + good.substr(close),
+                            &target, &error))
+        << bad;
+    EXPECT_NE(error.find("packets_sent"), std::string::npos) << error;
+  }
 }
 
 /// A snapshot of `protocol`'s table family under blame `spec`, from a

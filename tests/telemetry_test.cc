@@ -191,6 +191,16 @@ TEST(TelemetrySchema, FailClosed) {
           "\"phases\":{\"p\":[\"1\",\"2\"]},\"queues\":{}}");
   // A good line with a trailing character is not a valid document.
   rejects(bare + "x");
+  // u64 strings are bare ASCII digits: a leading space (even before a
+  // sign that would wrap) is malformed, not trimmed.
+  const std::string units = "\"units\":\"499\"";
+  ASSERT_NE(bare.find(units), std::string::npos);
+  for (const char* bad : {" -1", " 5"}) {
+    std::string line = bare;
+    line.replace(line.find(units), units.size(),
+                 std::string("\"units\":\"") + bad + "\"");
+    rejects(line);
+  }
 }
 
 std::vector<TelemetrySample> parse_all(const std::string& text) {

@@ -7,7 +7,7 @@
 #      execution engine (src/exec), in anything run_experiment touches
 #      (exec_test's jobs>1 Monte-Carlo runs every protocol's wires on
 #      worker threads), in the mesh runner's sharded score accumulation
-#      (src/mesh), in the lock-free metrics/tracer
+#      (src/mesh), in the lock-free metrics and profiler
 #      shards (src/obs) that runs write concurrently, in the telemetry
 #      sampler racing registry/profiler writers
 #      (Concurrency.SamplerRacesProducers), and in the pooled wire
@@ -55,7 +55,9 @@
 #   4. forensics smoke — a small PAAI-1 run (adversary at l_3) with
 #      --events-out, replayed through `paai explain`; the audit trail must
 #      name the planted link, and the emitted paai.bench.v1 report must
-#      diff cleanly against itself.
+#      diff cleanly against itself. The same run's --trace-out (a Chrome
+#      rendering of the same event log) must be strict JSON with exactly
+#      one trace event per --events-out line.
 #
 #   5. colluder forensics smoke — a full-ack run against the adaptive
 #      fault colluder (collude@4:rate=1 hiding inside the calibrated
@@ -89,7 +91,8 @@
 #      reference stream must emit >= 2 paai.telemetry.v1 lines that
 #      `paai top --once` (the strict consumer: exit 2 on a malformed line,
 #      a non-monotone sample index or a torn tail) accepts, including
-#      nonzero back-pressure gauges; `replay --verify` must stay
+#      nonzero back-pressure gauges, and its phases must sum to >= 95% of
+#      wall (the serve loop's chained timers); `replay --verify` must stay
 #      bit-identical with telemetry + profiling enabled; and a sig-ack
 #      run's telemetry file must pass the same check, and its exclusive
 #      phase profile must charge >= 90% of the summed phase time to
@@ -177,7 +180,7 @@ echo "== leg 4: forensics smoke (paai run --events-out -> paai explain) =="
 "$ASAN_DIR/tools/paai" run --protocol=paai1 --packets=20000 --seed=1 \
     --fault=3:0.02 --events-out="$SMOKE_DIR/events.jsonl" \
     --events-cap=65536 --metrics-out="$SMOKE_DIR/run.json" \
-    > "$SMOKE_DIR/run.stdout"
+    --trace-out="$SMOKE_DIR/trace.json" > "$SMOKE_DIR/run.stdout"
 "$ASAN_DIR/tools/paai" explain "$SMOKE_DIR/events.jsonl" \
     > "$SMOKE_DIR/explain.stdout"
 grep -q "CONVICTED l_3" "$SMOKE_DIR/explain.stdout" || {
@@ -192,6 +195,23 @@ grep -q "CONVICTED" "$SMOKE_DIR/run.stdout" || {
 }
 # The emitted paai.bench.v1 report must be valid (self-diff is clean).
 "$ASAN_DIR/tools/bench_diff" "$SMOKE_DIR/run.json" "$SMOKE_DIR/run.json"
+# --trace-out renders the same event log: strict JSON, one trace event
+# per --events-out line.
+python3 - "$SMOKE_DIR/trace.json" "$SMOKE_DIR/events.jsonl" <<'PY' || {
+import json, sys
+def strict(token):
+    raise ValueError("non-finite number " + token)
+with open(sys.argv[1]) as f:
+    trace = json.load(f, parse_constant=strict)
+with open(sys.argv[2]) as f:
+    lines = sum(1 for _ in f)
+n = len(trace["traceEvents"])
+if n != lines or n == 0:
+    sys.exit(f"{n} trace events vs {lines} event lines")
+PY
+  echo "leg 4 FAILED: --trace-out is not the --events-out log" >&2
+  exit 1
+}
 
 echo "== leg 5: colluder forensics smoke (fault-colluding adversary) =="
 "$ASAN_DIR/tools/paai" run --protocol=fullack --packets=20000 --seed=1 \
@@ -389,6 +409,14 @@ grep -Eq '^stream\.serve\.backlog_bytes +-?[0-9]+ +[1-9]' \
   cat "$SMOKE_DIR/serve_tele.top" >&2
   exit 1
 }
+# The sum row is `sum ms pct% of wall`: the serve loop's chained parse and
+# apply timers plus the snapshot phase cover its wall time.
+awk '$1 == "sum" && $3 + 0 >= 95 { ok = 1 } END { exit !ok }' \
+    "$SMOKE_DIR/serve_tele.top" || {
+  echo "leg 9 FAILED: serve phases cover < 95% of wall:" >&2
+  cat "$SMOKE_DIR/serve_tele.top" >&2
+  exit 1
+}
 # The exit summary (satellite of the same PR) prints throughput and peak
 # lag on stderr even when telemetry is off; with it on, same line.
 grep -q 'events/s applied' "$SMOKE_DIR/serve_tele.stderr" || {
@@ -441,4 +469,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, sig-ack crypto >= 90%) clean, perfbench verdicts correct"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log) clean, colluder forensics clean, serve smoke clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%) clean, perfbench verdicts correct"

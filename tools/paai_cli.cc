@@ -69,7 +69,8 @@ experiment (run, curve):
                      repeatable, merged into one plan
   --faults=SPEC      scripted benign faults (docs/FAULTS.md)
   --events-out=F     forensic JSONL event log (curve: run 0)
-  --events-cap=N     per-node event-ring capacity (32768)
+  --events-cap=N     per-node event-ring capacity (32768; also the
+                     --trace-out log's)
   --alpha=X --sigma=X  (bounds) detection parameters (0.03)
 mesh (docs/MESH.md): --topo=SPEC (fattree@8) --paths=N (10000)
   --units=N (2000) --rounds=N (8) --engine=stat|packet (packet: per-path
@@ -81,7 +82,8 @@ serve/replay: --in=PATH ('-' = stdin, serve default)  --state-in=F
 top: --once (one frame; exit 2 on a malformed file)  --interval-ms=N (1000)
 shared with every bench (bench/bench_common.h): --runs=N (curve 50)
   --jobs=N (0 = all cores; results identical)  --csv
-  --metrics-out=F (paai.bench.v1)  --trace-out=F (Chrome trace)
+  --metrics-out=F (paai.bench.v1)  --trace-out=F (Chrome trace of the
+  event log, run 0)
   --telemetry-out=F (paai.telemetry.v1, docs/OBSERVABILITY.md)
   --telemetry-every=N (10000 work units: packets, runs, events)
 examples:
@@ -253,12 +255,13 @@ std::string file_operand(int argc, char** argv, const char* usage) {
   throw CliError{usage};
 }
 
-/// --events-out / --events-cap handling shared by run and curve. Returns
-/// a live log only when the user asked for one.
-std::unique_ptr<obs::EventLog> make_event_log(int argc, char** argv) {
-  if (!flag_str(argc, argv, "--events-out")) return nullptr;
-  return std::make_unique<obs::EventLog>(
-      count_flag(argc, argv, "--events-cap", 32768));
+/// The session's event log for run and curve, sized by --events-cap:
+/// --events-out and --trace-out render the same log. nullptr when neither
+/// flag is given.
+obs::EventLog* take_event_log(int argc, char** argv,
+                              bench::BenchSession& session) {
+  return session.take_events(count_flag(argc, argv, "--events-cap", 32768),
+                             flag_str(argc, argv, "--events-out").has_value());
 }
 
 void write_event_log(int argc, char** argv, const obs::EventLog& log) {
@@ -277,15 +280,13 @@ void write_event_log(int argc, char** argv, const obs::EventLog& log) {
 int cmd_run(int argc, char** argv) {
   bench::BenchSession session("paai.run", argc, argv);
   ExperimentConfig cfg = config_from_args(argc, argv, session.args);
-  cfg.path.trace = session.trace();
   cfg.telemetry = session.telemetry();
-  const auto events = make_event_log(argc, argv);
-  cfg.path.events = events.get();
+  cfg.path.events = take_event_log(argc, argv, session);
   std::fprintf(stderr, "running %s on a %zu-hop path, %llu packets...\n",
                protocols::protocol_name(cfg.protocol), cfg.path.length,
                static_cast<unsigned long long>(cfg.params.total_packets));
   const ExperimentResult r = run_experiment(cfg);
-  if (events) write_event_log(argc, argv, *events);
+  if (cfg.path.events) write_event_log(argc, argv, *cfg.path.events);
   session.info("protocol", protocols::protocol_name(cfg.protocol));
   if (!cfg.faults.empty()) session.info("faults", cfg.faults.to_string());
   session.metric("convicted_links",
@@ -313,10 +314,8 @@ int cmd_curve(int argc, char** argv) {
   bench::BenchSession session("paai.curve", argc, argv);
   MonteCarloConfig mc;
   mc.base = config_from_args(argc, argv, session.args);
-  mc.trace = session.trace();
   mc.telemetry = session.telemetry();
-  const auto events = make_event_log(argc, argv);
-  mc.events = events.get();
+  mc.events = take_event_log(argc, argv, session);
   mc.runs = session.args.runs_or(50);
   mc.jobs = session.args.jobs;
   if (mc.base.link_faults.empty() && mc.base.adversaries.empty()) {
@@ -336,7 +335,7 @@ int cmd_curve(int argc, char** argv) {
                static_cast<unsigned long long>(mc.base.params.total_packets),
                protocols::protocol_name(mc.base.protocol));
   const MonteCarloResult r = run_monte_carlo(mc);
-  if (events) write_event_log(argc, argv, *events);
+  if (mc.events) write_event_log(argc, argv, *mc.events);
   session.exec(r.exec);
   session.info("protocol", protocols::protocol_name(mc.base.protocol));
   if (!mc.base.faults.empty()) {
