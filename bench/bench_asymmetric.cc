@@ -33,6 +33,8 @@ int main(int argc, char** argv) {
 
   Table table({"protocol", "ctrl_bytes/data_byte", "ctrl_pkts/data",
                "cpu_us/pkt(sim)", "convicted", "ack_bytes"});
+  double sigack_us = 0.0;
+  double fullack_us = 0.0;
   for (const Plan& plan : plans) {
     ExperimentConfig cfg = paper_config(plan.kind, plan.packets, 0);
     cfg.crypto = crypto::CryptoKind::kReal;  // honest crypto cost
@@ -55,6 +57,8 @@ int main(int argc, char** argv) {
     session.metric(prefix + "overhead_packets_ratio",
                    r.overhead_packets_ratio);
     session.metric(prefix + "cpu_us_per_pkt", us_per_pkt);
+    if (plan.kind == protocols::ProtocolKind::kSigAck) sigack_us = us_per_pkt;
+    if (plan.kind == protocols::ProtocolKind::kFullAck) fullack_us = us_per_pkt;
     table.row()
         .cell(plan.name)
         .num(r.overhead_bytes_ratio, 4)
@@ -68,7 +72,8 @@ int main(int argc, char** argv) {
   table.print(std::cout, args.csv);
   std::printf("\nreading: every protocol localizes l_4; the signature "
               "variant pays >100%% byte overhead (a 2.1 KB signature per "
-              "ack vs 8-byte MACs) and two orders of magnitude more "
-              "CPU — footnote 1's dismissal, quantified.\n");
+              "ack vs 8-byte MACs) and %.0fx the CPU per packet of "
+              "full-ack — footnote 1's dismissal, quantified.\n",
+              sigack_us / fullack_us);
   return 0;
 }

@@ -306,6 +306,7 @@ inline runner::MonteCarloResult detection_curve(
   mc.sigma = 0.03;
   mc.jobs = session.args.jobs;
   mc.events = session.take_events();
+  mc.telemetry = session.telemetry();
   session.args.apply_adversaries(mc);
   return runner::run_monte_carlo(mc);
 }

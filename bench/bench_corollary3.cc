@@ -21,6 +21,7 @@ std::optional<std::uint64_t> measure_detection(
   MonteCarloConfig mc;
   mc.jobs = session.args.jobs;
   mc.events = session.take_events();
+  mc.telemetry = session.telemetry();
   mc.base = paper_config(kind, packets, 0);
   mc.base.path.length = d;
   mc.base.path.natural_loss = rho;

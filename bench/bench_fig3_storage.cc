@@ -49,6 +49,7 @@ void run_rate(bench::BenchSession& session, double rate_pps,
     mc.storage_bins = 40;
     mc.storage_horizon_seconds = horizon;
     mc.events = session.take_events();
+    mc.telemetry = session.telemetry();
     std::fprintf(stderr, "[fig3] %s @%g pps...\n", col.label, rate_pps);
     const MonteCarloResult result = run_monte_carlo(mc);
     session.exec(result.exec);

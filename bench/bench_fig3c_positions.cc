@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   mc.storage_bins = 50;
   mc.storage_horizon_seconds = 2.2;
   mc.events = session.take_events();
+  mc.telemetry = session.telemetry();
 
   std::fprintf(stderr, "[fig3c] full-ack, l_4 at 0.1, bypass @1000, "
                "%zu runs...\n", runs);

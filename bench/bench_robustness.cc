@@ -146,6 +146,7 @@ int main(int argc, char** argv) {
       args.apply_adversaries(mc);
       mc.jobs = args.jobs;
       mc.events = session.take_events();
+      mc.telemetry = session.telemetry();
       const MonteCarloResult r = run_monte_carlo(mc);
       session.exec(r.exec);
 
@@ -258,6 +259,7 @@ int main(int argc, char** argv) {
       mc.sigma = 0.03;
       mc.jobs = args.jobs;
       mc.events = session.take_events();
+      mc.telemetry = session.telemetry();
       const MonteCarloResult r = run_monte_carlo(mc);
       session.exec(r.exec);
 

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   mc.seed0 = 1000;
   mc.jobs = args.jobs;
   mc.events = session.take_events();
+  mc.telemetry = session.telemetry();
   std::fprintf(stderr, "[sec9] detection run: %zu x %llu packets...\n",
                runs, static_cast<unsigned long long>(packets));
   const MonteCarloResult det = run_monte_carlo(mc);

@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
     mc.jobs = args.jobs;
     mc.malicious_links = {4};
     mc.events = session.take_events();
+    mc.telemetry = session.telemetry();
     const MonteCarloResult agg = run_monte_carlo(mc);
     if (agg.detection_packets) {
       session.metric("sweep.rate" + fmt_num(extra, 3) + ".detection_packets",

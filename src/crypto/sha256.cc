@@ -1,6 +1,13 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "crypto/sha256_blocks.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace paai::crypto {
 
@@ -29,6 +36,156 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 
 }  // namespace
 
+namespace detail {
+
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+namespace {
+
+#define PAAI_SHA_TARGET __attribute__((target("sha,sse4.1")))
+
+/// Four rounds: W[4q..4q+3] + K[4q..4q+3], two per SHA256RNDS2. The
+/// state travels as ABEF/CDGH halves, as the instruction wants it.
+PAAI_SHA_TARGET inline __attribute__((always_inline)) void rounds4(
+    __m128i& abef, __m128i& cdgh, __m128i w, int q) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK.data() + 4 * q)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+/// W[t..t+3] for t = 4q + 16 from the four previous word groups:
+/// W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+PAAI_SHA_TARGET inline __attribute__((always_inline)) __m128i schedule4(
+    __m128i w0, __m128i w1, __m128i w2, __m128i w3) {
+  const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                  _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(t, w3);
+}
+
+}  // namespace
+
+PAAI_SHA_TARGET void sha256_blocks_x86_sha(std::uint32_t state[8],
+                                           const std::uint8_t* data,
+                                           std::size_t nblocks) {
+  // Big-endian word loads: reverse the bytes of each 32-bit lane.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const auto* in = reinterpret_cast<const __m128i*>(data);
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in + 0), bswap);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap);
+    for (int q = 0; q < 12; q += 4) {
+      rounds4(abef, cdgh, w0, q);
+      w0 = schedule4(w0, w1, w2, w3);
+      rounds4(abef, cdgh, w1, q + 1);
+      w1 = schedule4(w1, w2, w3, w0);
+      rounds4(abef, cdgh, w2, q + 2);
+      w2 = schedule4(w2, w3, w0, w1);
+      rounds4(abef, cdgh, w3, q + 3);
+      w3 = schedule4(w3, w0, w1, w2);
+    }
+    rounds4(abef, cdgh, w0, 12);
+    rounds4(abef, cdgh, w1, 13);
+    rounds4(abef, cdgh, w2, 14);
+    rounds4(abef, cdgh, w3, 15);
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#undef PAAI_SHA_TARGET
+
+bool sha256_x86_sha_supported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+#endif  // x86
+
+void sha256_blocks(std::uint32_t state[8], const std::uint8_t* data,
+                   std::size_t nblocks) {
+  using BlockFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+  static const BlockFn chosen = [] {
+#if defined(__x86_64__) || defined(__i386__)
+    if (sha256_x86_sha_supported()) return &sha256_blocks_x86_sha;
+#endif
+    return &sha256_blocks_portable;
+  }();
+  chosen(state, data, nblocks);
+}
+
+}  // namespace detail
+
 Sha256::Sha256() { reset(); }
 
 void Sha256::reset() {
@@ -38,42 +195,45 @@ void Sha256::reset() {
 }
 
 void Sha256::update(ByteView data) {
+  if (data.empty()) return;
   total_bytes_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* in = data.data();
+  std::size_t left = data.size();
   if (buffered_ > 0) {
-    const std::size_t need = 64 - buffered_;
-    const std::size_t take = std::min(need, data.size());
-    std::memcpy(buffer_.data() + buffered_, data.data(), take);
+    const std::size_t take = std::min(64 - buffered_, left);
+    std::memcpy(buffer_.data() + buffered_, in, take);
     buffered_ += take;
-    offset += take;
-    if (buffered_ == 64) {
-      compress(buffer_.data());
-      buffered_ = 0;
-    }
+    in += take;
+    left -= take;
+    if (buffered_ < 64) return;
+    detail::sha256_blocks(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    compress(data.data() + offset);
-    offset += 64;
+  if (left >= 64) {
+    detail::sha256_blocks(state_.data(), in, left / 64);
+    in += left - left % 64;
+    left %= 64;
   }
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
+  if (left > 0) {
+    std::memcpy(buffer_.data(), in, left);
+    buffered_ = left;
   }
 }
 
 Digest32 Sha256::finish() {
+  // 0x80, zeros up to byte 56 of a block, then the big-endian bit length.
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(ByteView(&zero, 1));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    detail::sha256_blocks(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
   }
-  std::array<std::uint8_t, 8> len_bytes;
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(ByteView(len_bytes.data(), 8));
+  detail::sha256_blocks(state_.data(), buffer_.data(), 1);
 
   Digest32 out;
   for (int i = 0; i < 8; ++i) {
@@ -83,52 +243,6 @@ Digest32 Sha256::finish() {
     out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return out;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Digest32 Sha256::digest(ByteView data) {

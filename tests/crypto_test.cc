@@ -4,7 +4,11 @@
 // the provider seam, key store, and keyed samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <utility>
 
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
@@ -12,6 +16,7 @@
 #include "crypto/provider.h"
 #include "crypto/sampler.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_blocks.h"
 #include "crypto/siphash.h"
 #include "util/bytes.h"
 
@@ -48,19 +53,72 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// Any split of the input into update() calls gives the one-shot digest:
+// byte-at-a-time, partial buffer fills, multi-block runs in one call.
 TEST(Sha256, IncrementalMatchesOneShot) {
-  const Bytes msg = bytes_of("the quick brown fox jumps over the lazy dog");
-  Sha256 h;
+  Bytes msg(300);
   for (std::size_t i = 0; i < msg.size(); ++i) {
-    h.update(ByteView(msg.data() + i, 1));
+    msg[i] = static_cast<std::uint8_t>(i * 131 + 7);
   }
-  EXPECT_EQ(h.finish(), Sha256::digest(ByteView(msg.data(), msg.size())));
+  const Digest32 want = Sha256::digest(ByteView(msg.data(), msg.size()));
+  for (std::size_t chunk = 1; chunk <= 200; ++chunk) {
+    Sha256 h;
+    for (std::size_t at = 0; at < msg.size(); at += chunk) {
+      h.update(ByteView(msg.data() + at, std::min(chunk, msg.size() - at)));
+    }
+    EXPECT_EQ(h.finish(), want) << "chunk " << chunk;
+  }
 }
 
+// n x 'a' at the block boundary and the padding edges around it: 55 is
+// the longest message that pads in one block, 56..63 push the length
+// into a second block, and 119/120 are the same edge one block later.
+// Digests from python3 hashlib.
 TEST(Sha256, ExactBlockBoundary) {
-  const Bytes msg(64, 0x61);
-  EXPECT_EQ(hex_digest(Sha256::digest(ByteView(msg.data(), msg.size()))),
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [n, hex] : cases) {
+    const Bytes msg(n, 'a');
+    EXPECT_EQ(hex_digest(Sha256::digest(ByteView(msg.data(), msg.size()))),
+              hex)
+        << n << " bytes";
+  }
+}
+
+// The SHA-extension block function against the portable reference on
+// random chaining states and 1-4 random blocks.
+TEST(Sha256Blocks, X86ShaMatchesPortable) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!detail::sha256_x86_sha_supported()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions; only the portable "
+                    "block function runs here";
+  }
+  std::mt19937_64 rng(20081209);
+  std::uint8_t data[4 * 64];
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::uint32_t want[8];
+    for (auto& word : want) word = static_cast<std::uint32_t>(rng());
+    std::uint32_t got[8];
+    std::memcpy(got, want, sizeof(got));
+    const std::size_t nblocks = 1 + rng() % 4;
+    for (std::size_t i = 0; i < nblocks * 64; ++i) {
+      data[i] = static_cast<std::uint8_t>(rng());
+    }
+    detail::sha256_blocks_portable(want, data, nblocks);
+    detail::sha256_blocks_x86_sha(got, data, nblocks);
+    ASSERT_EQ(0, std::memcmp(want, got, sizeof(got)))
+        << "trial " << trial << ", " << nblocks << " blocks";
+  }
+#else
+  GTEST_SKIP() << "not an x86 build; only the portable block function exists";
+#endif
 }
 
 // RFC 4231 test case 1.

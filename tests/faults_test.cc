@@ -587,10 +587,11 @@ TEST_P(ChaosPaperScale, BenignPlanConvictsNobody) {
   const auto [kind, plan_index] = GetParam();
   const auto& named = faults::benign_plans()[plan_index];
   SCOPED_TRACE(named.name);
-  // sig-ack signs every data packet with W-OTS (~3 CPU-minutes per
-  // 60k-packet run), so it keeps the full 600 s horizon — the shipped
-  // plans schedule events up to t = 550 — at a tenth of the rate and
-  // therefore a tenth of the signing cost.
+  // sig-ack signs every data packet with W-OTS (~0.5 ms a packet, ~30
+  // CPU-seconds per 60k-packet run, on the x86 SHA-extension block
+  // function; ~3 CPU-minutes on the portable one), so it keeps the full
+  // 600 s horizon — the shipped plans schedule events up to t = 550 — at
+  // a tenth of the rate and therefore a tenth of the signing cost.
   if (kind == protocols::ProtocolKind::kSigAck) {
     expect_no_false_identification(kind, named.spec, /*packets=*/6000,
                                    /*seed=*/2026, /*pps=*/10.0);

@@ -1,6 +1,7 @@
 // W-OTS signature tests and the signature-ack protocol end-to-end.
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.h"
 #include "crypto/wots.h"
 #include "runner/experiment.h"
 
@@ -15,6 +16,20 @@ TEST(Wots, SignVerifyRoundTrip) {
   ASSERT_EQ(sig.size(), kWotsSignatureSize);
   EXPECT_TRUE(wots_verify(pk, ByteView(msg.data(), msg.size()),
                           ByteView(sig.data(), sig.size())));
+}
+
+// Pins the W-OTS key and signature bytes (chain heads, chain steps and
+// the public-key fold), whichever SHA-256 block function runs.
+TEST(Wots, KnownPublicKeyAndSignature) {
+  const Key seed = test_master_key(1);
+  const WotsPublicKey pk = wots_public_key(seed, 0);
+  EXPECT_EQ(to_hex(ByteView(pk.data(), pk.size())),
+            "eaa0e3e784286239ab8b0afb5b3627a45df2c45d9ba1929fb1c105bdcdd8a85a");
+  const Bytes msg = bytes_of("abc");
+  const Bytes sig = wots_sign(seed, 0, ByteView(msg.data(), msg.size()));
+  const Digest32 sig_digest = Sha256::digest(ByteView(sig.data(), sig.size()));
+  EXPECT_EQ(to_hex(ByteView(sig_digest.data(), sig_digest.size())),
+            "7821b057b599301b9d2f04d94660552dcab3d764b23f1d6c424ad2fb4f4acb0c");
 }
 
 TEST(Wots, RejectsTamperedMessageAndSignature) {

@@ -30,7 +30,10 @@
 #      mutation fuzz), alloc (the hot path's allocation budgets, run
 #      through the slab, codecs and pending tables of three protocols),
 #      crypto (SipHash's word loads on unaligned input, the FastCrypto
-#      golden vectors), mesh (topology parser, sharded score store),
+#      golden vectors, SHA-256's in-place padding at the block-boundary
+#      lengths and both block functions — the SHA-extension one checked
+#      against the portable one on random states where the CPU has it),
+#      mesh (topology parser, sharded score store),
 #      runner, fleet (the mesh packet engine on linear@P against the
 #      serial fleet reference) and telemetry (sampler, serve lag, the
 #      Integration.* bit-identity sweeps), and the suites that drive every protocol
@@ -96,7 +99,9 @@
 #      bit-identical with telemetry + profiling enabled; and a sig-ack
 #      run's telemetry file must pass the same check, and its exclusive
 #      phase profile must charge >= 90% of the summed phase time to
-#      crypto (W-OTS included).
+#      crypto (W-OTS included). A Monte-Carlo bench must tick its own
+#      --telemetry-out sink: bench_fig2_fullack's six runs at
+#      --telemetry-every=1 give >= 6 samples that `paai top --once` accepts.
 #
 #  10. perfbench verdicts — each perfbench workload for 1 s at seed 1;
 #      its result line must say "correct": true (perfbench/golden.txt).
@@ -458,6 +463,19 @@ awk '$1 == "crypto" && $4 + 0 >= 90 { ok = 1 } END { exit !ok }' \
   exit 1
 }
 
+# A bench ticks its sink once per completed Monte-Carlo run; the exit
+# sample comes on top. The top header reads `(N samples)`.
+"$ASAN_DIR/bench/bench_fig2_fullack" --runs=6 --scale=5 --jobs=1 \
+    --telemetry-out="$SMOKE_DIR/bench_tele.jsonl" --telemetry-every=1 \
+    > "$SMOKE_DIR/bench_tele.stdout" 2> "$SMOKE_DIR/bench_tele.stderr"
+"$ASAN_DIR/tools/paai" top "$SMOKE_DIR/bench_tele.jsonl" --once \
+    > "$SMOKE_DIR/bench_tele.top" &&
+grep -Eq '\(([6-9]|[1-9][0-9]+) samples\)' "$SMOKE_DIR/bench_tele.top" || {
+  echo "leg 9 FAILED: bench telemetry rejected or < 6 samples:" >&2
+  cat "$SMOKE_DIR/bench_tele.top" >&2
+  exit 1
+}
+
 echo "== leg 10: perfbench verdicts (golden digests) =="
 for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   out="$SMOKE_DIR/perfbench_$workload.out"
@@ -469,4 +487,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log) clean, colluder forensics clean, serve smoke clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%) clean, perfbench verdicts correct"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log) clean, colluder forensics clean, serve smoke clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples) clean, perfbench verdicts correct"
