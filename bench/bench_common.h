@@ -20,7 +20,7 @@
 //                       chrome://tracing or https://ui.perfetto.dev):
 //                       the event log of run 0 of the first Monte-Carlo
 //                       call, one instant per event
-//   --telemetry-out FILE  stream live "paai.telemetry.v1" JSONL samples
+//   --telemetry-out FILE  stream live "paai.telemetry.v2" JSONL samples
 //                       (obs/telemetry.h); enables the metrics registry
 //                       and the phase self-profiler for the process
 //   --telemetry-every N sampling cadence in bench work units (also env

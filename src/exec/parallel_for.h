@@ -46,15 +46,10 @@ ExecTelemetry parallel_for_each(std::size_t count,
 template <typename T>
 class OrderedReducer {
  public:
-  /// `fold(index, value)` is called in index order; `on_progress(n)` (if
-  /// set) is called after each fold with the monotonically increasing
-  /// completed count n in [1, count].
+  /// `fold(index, value)` is called in index order.
   OrderedReducer(std::size_t count,
-                 std::function<void(std::size_t, T&&)> fold,
-                 std::function<void(std::size_t)> on_progress = nullptr)
-      : slots_(count),
-        fold_(std::move(fold)),
-        on_progress_(std::move(on_progress)) {}
+                 std::function<void(std::size_t, T&&)> fold)
+      : slots_(count), fold_(std::move(fold)) {}
 
   void commit(std::size_t index, T&& value) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -63,7 +58,6 @@ class OrderedReducer {
       fold_(next_, std::move(*slots_[next_]));
       slots_[next_].reset();
       ++next_;
-      if (on_progress_) on_progress_(next_);
     }
   }
 
@@ -78,7 +72,6 @@ class OrderedReducer {
   std::vector<std::optional<T>> slots_;
   std::size_t next_ = 0;
   std::function<void(std::size_t, T&&)> fold_;
-  std::function<void(std::size_t)> on_progress_;
 };
 
 }  // namespace paai::exec

@@ -20,19 +20,6 @@ namespace paai::mesh {
 
 namespace {
 
-/// The store's one-standard-error rule applied to a raw (units, blames)
-/// pair — used for the single-path solo counterfactual and the
-/// cumulative checkpoint scan, so all three conviction sites share one
-/// formula.
-bool evidence_convicts(std::uint64_t units, std::uint64_t blames,
-                       double threshold) {
-  if (units == 0) return false;
-  const double n = static_cast<double>(units);
-  const double b = static_cast<double>(blames) / n;
-  const double sd = std::sqrt(std::max(b, 1.0 / n) * (1.0 - b) / n);
-  return b - sd > threshold;
-}
-
 /// Composes two independent per-traversal drop probabilities.
 double compose(double a, double b) { return 1.0 - (1.0 - a) * (1.0 - b); }
 
@@ -278,18 +265,16 @@ MeshResult run_stat(const MeshConfig& config) {
   GlobalScoreStore store(num_links, rounds);
   double total_damage = 0.0;
   double baseline_sum = 0.0;
-  std::uint64_t committed_units = 0;
   exec::OrderedReducer<TileResult> reducer(
       ranges.size(), [&](std::size_t ti, TileResult&& tile) {
         store.absorb(tile.shard);
         total_damage += tile.damage;
         baseline_sum += tile.baseline;
-        // Telemetry on the serialized fold: cumulative committed units
-        // make a monotone axis regardless of worker interleaving.
-        committed_units += (ranges[ti].second - ranges[ti].first) *
-                           config.units_per_path;
+        // Telemetry on the serialized fold: committed units make a
+        // monotone axis regardless of worker interleaving.
         if (config.telemetry != nullptr) {
-          config.telemetry->tick(committed_units);
+          config.telemetry->tick((ranges[ti].second - ranges[ti].first) *
+                                 config.units_per_path);
         }
       });
 
@@ -334,7 +319,7 @@ MeshResult run_stat(const MeshConfig& config) {
           tile.damage += std::max(0.0, baseline_path - delivered_path);
           tile.baseline += baseline_path;
           for (std::size_t j = 0; j < len; ++j) {
-            const bool solo = evidence_convicts(path_units[j], path_blames[j],
+            const bool solo = margin_convicts(path_units[j], path_blames[j],
                                                 config.decision_threshold);
             tile.shard.add(pl[j], path_units[j], path_blames[j],
                            static_cast<std::uint32_t>(i), solo);
@@ -447,7 +432,7 @@ MeshResult run_packet(const MeshConfig& config) {
         }
         total_units += ev.units;
         result.path_outcomes.push_back(std::move(ev.outcome));
-        if (config.telemetry != nullptr) config.telemetry->tick(total_units);
+        if (config.telemetry != nullptr) config.telemetry->tick(ev.units);
       });
 
   const exec::ShardPlan plan(config.seed0 + 1, num_paths);

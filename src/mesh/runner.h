@@ -115,7 +115,7 @@ struct MeshConfig {
   /// faults and adversaries.
   runner::ExperimentConfig packet_base{};
   /// Optional live telemetry sink (obs/telemetry.h), ticked from each
-  /// engine's serialized reducer with cumulative committed units. Purely
+  /// engine's serialized reducer with the units each fold commits. Purely
   /// observational — verdicts are bit-identical with it attached.
   obs::TelemetrySink* telemetry = nullptr;
 };

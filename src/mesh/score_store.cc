@@ -130,11 +130,6 @@ double GlobalScoreStore::theta(std::size_t link) const {
          static_cast<double>(units_[link]);
 }
 
-namespace {
-
-/// The one-standard-error margin rule on a raw (units, blames) pair —
-/// identical math to the two-argument convicts() and to
-/// protocols::ScoreTable's margin mode on the mesh's t = 1 evidence.
 bool margin_convicts(std::uint64_t units, std::uint64_t blames,
                      double threshold) {
   if (units == 0) return false;
@@ -142,21 +137,6 @@ bool margin_convicts(std::uint64_t units, std::uint64_t blames,
   const double b = static_cast<double>(blames) / n;
   const double sd = std::sqrt(std::max(b, 1.0 / n) * (1.0 - b) / n);
   return b - sd > threshold;
-}
-
-}  // namespace
-
-bool GlobalScoreStore::convicts(std::size_t link, double threshold) const {
-  return margin_convicts(units_[link], blames_[link], threshold);
-}
-
-std::vector<std::size_t> GlobalScoreStore::convicted(
-    double threshold) const {
-  std::vector<std::size_t> out;
-  for (std::size_t l = 0; l < units_.size(); ++l) {
-    if (convicts(l, threshold)) out.push_back(l);
-  }
-  return out;
 }
 
 namespace {
@@ -213,15 +193,6 @@ bool GlobalScoreStore::convicts(std::size_t link, double threshold,
                          blames_through(link, prefix)};
   if (ev.units == 0) return false;
   return protocols::blame_convicts(blame, threshold, ev);
-}
-
-std::vector<std::size_t> GlobalScoreStore::convicted(
-    double threshold, const protocols::BlameSpec& blame) const {
-  std::vector<std::size_t> out;
-  for (std::size_t l = 0; l < units_.size(); ++l) {
-    if (convicts(l, threshold, blame)) out.push_back(l);
-  }
-  return out;
 }
 
 std::size_t GlobalScoreStore::memory_bytes() const {

@@ -50,6 +50,17 @@ namespace paai::mesh {
 inline constexpr std::size_t kWitnessCap = 4;
 inline constexpr std::uint32_t kNoWitness = 0xffffffffu;
 
+/// The mesh's one-standard-error evidence rule on a raw (units, blames)
+/// pair, the same as protocols::ScoreTable's margin mode on the mesh's
+/// t = 1 evidence: the blame proportion must clear the threshold by one
+/// standard error. More cross-path evidence -> smaller margin ->
+/// Corollary 2's union conviction, while honest links keep the
+/// no-false-accusation bar at any path count. The store's margin clause,
+/// the runner's single-path solo counterfactual and its checkpoint scan
+/// all call it.
+bool margin_convicts(std::uint64_t units, std::uint64_t blames,
+                     double threshold);
+
 /// One worker's private slice of evidence: same struct-of-arrays shape as
 /// the global store, no synchronization, merged via
 /// GlobalScoreStore::absorb.
@@ -135,14 +146,6 @@ class GlobalScoreStore {
   /// ScoreTable inversion 1-(1-b)^(1/t) degenerates to b itself).
   double theta(std::size_t link) const;
 
-  /// Same one-standard-error evidence rule as protocols::ScoreTable: the
-  /// estimate must clear the threshold by one standard error of the
-  /// aggregated blame proportion. More cross-path evidence -> smaller
-  /// margin -> Corollary 2's union conviction, while honest links keep
-  /// the no-false-accusation bar at any path count.
-  bool convicts(std::size_t link, double threshold) const;
-  std::vector<std::size_t> convicted(double threshold) const;
-
   /// Multi-level conviction rule (protocols::BlameSpec) evaluated over
   /// the first `rounds_prefix` checkpoint rounds of window evidence
   /// (default: all) by the chain detectors' own protocols::
@@ -151,13 +154,11 @@ class GlobalScoreStore {
   /// as the estimate, the margin rule above, the aggregated blame count
   /// as the persistence tally, and the flagrant-round count and longest
   /// hot-round streak from a scan of the prefix. Margin mode reproduces
-  /// convicts() exactly when the window cells cover the cumulative
-  /// evidence.
+  /// margin_convicts() on units()/blames() exactly when the window cells
+  /// cover the cumulative evidence.
   bool convicts(std::size_t link, double threshold,
                 const protocols::BlameSpec& blame,
                 std::size_t rounds_prefix = ~std::size_t{0}) const;
-  std::vector<std::size_t> convicted(double threshold,
-                                     const protocols::BlameSpec& blame) const;
 
   /// Heap bytes of the aggregated store itself (the O(links) quantity the
   /// bench reports as memory per link).

@@ -335,6 +335,7 @@ void EventLog::write_jsonl(std::ostream& os) const {
 
 void EventLog::write_chrome_trace(std::ostream& os) const {
   JsonWriter w(os);
+  JsonFieldWriter fields(w);
   w.begin_object();
   w.key("displayTimeUnit").value("ms");
   w.key("otherData").begin_object();
@@ -351,9 +352,9 @@ void EventLog::write_chrome_trace(std::ostream& os) const {
     w.key("pid").value(static_cast<std::uint64_t>(e.node));
     w.key("tid").value(0);
     w.key("args").begin_object();
-    w.key("a").value(std::to_string(e.a));
-    w.key("b").value(std::to_string(e.b));
-    w.key("v").value(e.value);
+    fields.field("a", e.a);
+    fields.field("b", e.b);
+    fields.field("v", e.value);
     if (e.link >= 0) w.key("link").value(static_cast<std::int64_t>(e.link));
     w.end_object();
     w.end_object();

@@ -462,18 +462,242 @@ std::optional<JsonValue> json_parse(std::string_view text,
   return Parser(text).run(error);
 }
 
-bool json_u64_string(const JsonValue& v, std::uint64_t* out) {
+// -------------------------------------------------------- field layer
+
+void JsonFieldWriter::field(std::string_view name, std::uint64_t x) {
+  w_.key(name).value(std::to_string(x));
+}
+
+void JsonFieldWriter::field(std::string_view name,
+                            const std::vector<std::uint64_t>& xs) {
+  w_.key(name).begin_array();
+  for (const std::uint64_t x : xs) w_.value(std::to_string(x));
+  w_.end_array();
+}
+
+void JsonFieldWriter::field(std::string_view name,
+                            const std::vector<double>& xs) {
+  w_.key(name);
+  doubles(xs);
+}
+
+void JsonFieldWriter::field(std::string_view name,
+                            const std::vector<std::vector<double>>& rings,
+                            std::size_t /*cap*/) {
+  w_.key(name).begin_array();
+  for (const std::vector<double>& ring : rings) doubles(ring);
+  w_.end_array();
+}
+
+void JsonFieldWriter::doubles(const std::vector<double>& xs) {
+  w_.begin_array();
+  for (const double x : xs) w_.value(x);
+  w_.end_array();
+}
+
+namespace {
+
+/// 2^53: the first integer a double no longer holds unambiguously (an
+/// input of 2^53 + 1 parses to the same bits), so exact int64 values stay
+/// strictly below it.
+constexpr double kMaxExactInt = 9007199254740992.0;
+
+/// Stands in for an object the reader failed to enter, so every later
+/// read is a no-op on an empty frame.
+const JsonValue kEmptyObject = [] {
+  JsonValue v;
+  v.kind = JsonValue::Kind::kObject;
+  return v;
+}();
+
+}  // namespace
+
+bool json_convert(const JsonValue& v, std::uint64_t& out) {
   const std::string& s = v.string;
   if (!v.is_string() || s.empty() ||
       s.find_first_not_of("0123456789") != std::string::npos) {
     return false;
   }
-  std::uint64_t parsed = 0;
   const char* const last = s.data() + s.size();
-  const auto [end, ec] = std::from_chars(s.data(), last, parsed);
-  if (ec != std::errc() || end != last) return false;
-  *out = parsed;
+  const auto [end, ec] = std::from_chars(s.data(), last, out);
+  return ec == std::errc() && end == last;
+}
+
+bool json_convert(const JsonValue& v, std::int64_t& out) {
+  if (!v.is_number() || v.number != std::floor(v.number) ||
+      std::fabs(v.number) >= kMaxExactInt) {
+    return false;
+  }
+  out = static_cast<std::int64_t>(v.number);
   return true;
+}
+
+bool json_convert(const JsonValue& v, double& out) {
+  if (!v.is_number() || !std::isfinite(v.number)) return false;
+  out = v.number;
+  return true;
+}
+
+bool json_convert(const JsonValue& v, bool& out) {
+  if (v.kind != JsonValue::Kind::kBool) return false;
+  out = v.boolean;
+  return true;
+}
+
+bool json_convert(const JsonValue& v, std::string& out) {
+  if (!v.is_string()) return false;
+  out = v.string;
+  return true;
+}
+
+JsonFieldReader::JsonFieldReader(const JsonValue& doc) {
+  if (doc.is_object()) {
+    push(&doc, "");
+  } else {
+    push(&kEmptyObject, "");
+    fail("not a JSON object");
+  }
+}
+
+void JsonFieldReader::fail(const std::string& what) {
+  if (error_.empty()) error_ = what;
+}
+
+bool JsonFieldReader::has(std::string_view name) const {
+  return frames_.back().obj->find(name) != nullptr;
+}
+
+const JsonValue* JsonFieldReader::member(std::string_view name) {
+  if (!ok()) return nullptr;
+  Frame& f = frames_.back();
+  for (std::size_t i = 0; i < f.obj->object.size(); ++i) {
+    if (f.obj->object[i].first == name) {
+      f.read[i] = true;
+      return &f.obj->object[i].second;
+    }
+  }
+  fail("missing " + f.path + std::string(name));
+  return nullptr;
+}
+
+void JsonFieldReader::mistyped(std::string_view name) {
+  fail("mistyped " + path() + std::string(name));
+}
+
+const JsonValue* JsonFieldReader::array(std::string_view name,
+                                        std::size_t size) {
+  const JsonValue* v = member(name);
+  if (v == nullptr) return nullptr;
+  if (!v->is_array()) {
+    mistyped(name);
+    return nullptr;
+  }
+  if (v->array.size() != size) {
+    fail("wrong shape of " + path() + std::string(name));
+    return nullptr;
+  }
+  return v;
+}
+
+void JsonFieldReader::field(std::string_view name,
+                            std::vector<std::vector<double>>& rings,
+                            std::size_t cap) {
+  const JsonValue* v = array(name, rings.size());
+  for (std::size_t i = 0; v != nullptr && i < rings.size(); ++i) {
+    const JsonValue& ring = v->array[i];
+    if (!ring.is_array()) return mistyped(name);
+    if (ring.array.size() > cap) {
+      return fail("wrong shape of " + path() + std::string(name));
+    }
+    rings[i].assign(ring.array.size(), 0.0);
+    for (std::size_t j = 0; j < ring.array.size(); ++j) {
+      if (!json_convert(ring.array[j], rings[i][j])) return mistyped(name);
+    }
+  }
+}
+
+void JsonFieldReader::index(std::string_view name, std::size_t& x,
+                            std::uint64_t max) {
+  // The range check comes before the cast, so a hostile document never
+  // reaches an undefined float-to-integer conversion. 0x1p64 is 2^64:
+  // every integral double below it fits.
+  const JsonValue* v = member(name);
+  if (v == nullptr) return;
+  const double d = v->number;
+  if (!v->is_number() || !(d >= 0.0 && d < 0x1p64) || std::floor(d) != d) {
+    return mistyped(name);
+  }
+  if (static_cast<std::uint64_t>(d) > max) {
+    return fail(path() + std::string(name) + " is above " +
+                std::to_string(max));
+  }
+  x = static_cast<std::size_t>(d);
+}
+
+void JsonFieldReader::push(const JsonValue* obj, std::string path) {
+  frames_.push_back(Frame{obj, std::move(path),
+                          std::vector<bool>(obj->object.size(), false)});
+}
+
+void JsonFieldReader::open(std::string_view name) {
+  const JsonValue* v = member(name);
+  if (v != nullptr && !v->is_object()) mistyped(name);
+  push(ok() ? v : &kEmptyObject, path() + std::string(name) + ".");
+}
+
+void JsonFieldReader::pop() {
+  const Frame& f = frames_.back();
+  for (std::size_t i = 0; ok() && i < f.read.size(); ++i) {
+    if (f.read[i]) continue;
+    const auto& [key, value] = f.obj->object[i];
+    const bool repeated = f.obj->find(key) != &value;
+    fail((repeated ? "duplicate member " : "unknown member ") + f.path + key);
+  }
+  frames_.pop_back();
+}
+
+void JsonFieldReader::close() {
+  if (frames_.size() > 1) pop();
+}
+
+void JsonFieldReader::members(
+    std::string_view name,
+    const std::function<void(const std::string&)>& each) {
+  open(name);
+  for (const auto& [key, value] : frames_.back().obj->object) {
+    if (!ok()) break;
+    each(key);
+  }
+  close();
+}
+
+void JsonFieldReader::items(std::string_view name,
+                            const std::function<void()>& each) {
+  const JsonValue* v = member(name);
+  if (v == nullptr) return;
+  if (!v->is_array()) return mistyped(name);
+  for (std::size_t i = 0; ok() && i < v->array.size(); ++i) {
+    const std::string item = std::string(name) + "[" + std::to_string(i) + "]";
+    if (!v->array[i].is_object()) return mistyped(item);
+    push(&v->array[i], path() + item + ".");
+    each();
+    pop();
+  }
+}
+
+void JsonFieldReader::rest(
+    const std::function<void(const std::string&)>& each) {
+  const Frame& f = frames_.back();
+  for (std::size_t i = 0; ok() && i < f.read.size(); ++i) {
+    const auto& [key, value] = f.obj->object[i];
+    // A repeated key is left unread for pop() to name as a duplicate.
+    if (!f.read[i] && f.obj->find(key) == &value) each(key);
+  }
+}
+
+bool JsonFieldReader::finish() {
+  while (!frames_.empty()) pop();
+  return ok();
 }
 
 }  // namespace paai::obs

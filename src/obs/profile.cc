@@ -46,7 +46,6 @@ PhaseTotals PhaseProfiler::totals(Phase phase) const {
     const Cell& cell = cells_[base + s];
     out.ns += cell.ns.load(std::memory_order_relaxed);
     out.calls += cell.calls.load(std::memory_order_relaxed);
-    out.alloc_bytes += cell.alloc_bytes.load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -55,7 +54,6 @@ void PhaseProfiler::reset() {
   for (Cell& cell : cells_) {
     cell.ns.store(0, std::memory_order_relaxed);
     cell.calls.store(0, std::memory_order_relaxed);
-    cell.alloc_bytes.store(0, std::memory_order_relaxed);
   }
   for (auto& q : queue_high_) q.store(0, std::memory_order_relaxed);
 }

@@ -1,6 +1,6 @@
-// PhaseProfiler: a process-wide self-profiler that attributes wall time,
-// call counts, and allocation bytes to a small fixed set of phases — the
-// measurement substrate the ROADMAP's hot-path rewrite is gated on.
+// PhaseProfiler: a process-wide self-profiler that attributes wall time
+// and call counts to a small fixed set of phases — the measurement
+// substrate the ROADMAP's hot-path rewrite is gated on.
 //
 // Where the metrics registry counts *what* happened, the profiler says
 // *where the time went*: the simulator event loop, the crypto hot loops
@@ -71,7 +71,6 @@ const char* queue_name(QueueId queue);
 struct PhaseTotals {
   std::uint64_t ns = 0;
   std::uint64_t calls = 0;
-  std::uint64_t alloc_bytes = 0;
 };
 
 class PhaseProfiler {
@@ -92,12 +91,6 @@ class PhaseProfiler {
   /// thread's innermost open ScopedPhase, which then does not count it
   /// again (no-op while disabled).
   void add(Phase phase, std::uint64_t ns);
-
-  /// Attributes allocated bytes to the phase (no-op while disabled).
-  void add_alloc(Phase phase, std::uint64_t bytes) {
-    if (!enabled()) return;
-    cell_for(phase).alloc_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
 
   /// CAS-max fold of a queue's current depth into its high-water mark.
   void record_queue_depth(QueueId queue, std::uint64_t depth) {
@@ -126,7 +119,6 @@ class PhaseProfiler {
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> ns{0};
     std::atomic<std::uint64_t> calls{0};
-    std::atomic<std::uint64_t> alloc_bytes{0};
   };
 
   void charge(Phase phase, std::uint64_t ns) {

@@ -1,30 +1,16 @@
 #include "obs/telemetry.h"
 
-#include <cmath>
-
 #include "obs/json.h"
 
 namespace paai::obs {
 
 namespace {
 
-constexpr const char* kSchema = "paai.telemetry.v1";
+constexpr const char* kSchema = "paai.telemetry.v2";
 
-/// Largest integer a double round-trips exactly (2^53); gauge values and
-/// the sample index stay JSON numbers, so the parser fail-closes beyond
-/// it to keep write -> parse -> rewrite byte-identical.
-constexpr double kMaxExactInt = 9007199254740992.0;
-
-bool parse_exact_i64(const JsonValue& v, std::int64_t* out) {
-  if (!v.is_number()) return false;
-  const double d = v.number;
-  // >= because at exactly 2^53 the double is already ambiguous: an input
-  // of 2^53 + 1 parses to the same bit pattern, so accepting it would
-  // break the byte-identical rewrite guarantee.
-  if (d != std::floor(d) || std::fabs(d) >= kMaxExactInt) return false;
-  *out = static_cast<std::int64_t>(d);
-  return true;
-}
+/// The sample index stays a JSON number: below 2^53, so a parsed line
+/// rewrites byte-identically.
+constexpr std::uint64_t kMaxSampleIndex = (std::uint64_t{1} << 53) - 1;
 
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
@@ -35,45 +21,29 @@ bool fail(std::string* error, const std::string& what) {
 
 void write_telemetry_line(std::ostream& os, const TelemetrySample& sample) {
   JsonWriter w(os);
+  JsonFieldWriter fields(w);
   w.begin_object();
   w.key("schema").value(kSchema);
   w.key("sample").value(static_cast<std::int64_t>(sample.sample));
-  w.key("wall_ns").value(std::to_string(sample.wall_ns));
-  w.key("virt_ns").value(std::to_string(sample.virt_ns));
-  w.key("units").value(std::to_string(sample.units));
-  w.key("counters");
-  w.begin_object();
-  for (const auto& [name, delta] : sample.counters) {
-    w.key(name).value(std::to_string(delta));
-  }
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
+  fields.field("wall_ns", sample.wall_ns);
+  fields.field("virt_ns", sample.virt_ns);
+  fields.field("units", sample.units);
+  fields.open("counters");
+  for (const auto& [name, delta] : sample.counters) fields.field(name, delta);
+  fields.close();
+  fields.open("gauges");
   for (const GaugeSnapshot& g : sample.gauges) {
-    w.key(g.name);
-    w.begin_array();
-    w.value(g.value);
-    w.value(g.high);
-    w.end_array();
+    w.key(g.name).begin_array().value(g.value).value(g.high).end_array();
   }
-  w.end_object();
-  w.key("phases");
-  w.begin_object();
+  fields.close();
+  fields.open("phases");
   for (const auto& [name, d] : sample.phases) {
-    w.key(name);
-    w.begin_array();
-    w.value(std::to_string(d.ns));
-    w.value(std::to_string(d.calls));
-    w.value(std::to_string(d.alloc_bytes));
-    w.end_array();
+    fields.field(name, std::vector<std::uint64_t>{d.ns, d.calls});
   }
-  w.end_object();
-  w.key("queues");
-  w.begin_object();
-  for (const auto& [name, high] : sample.queues) {
-    w.key(name).value(std::to_string(high));
-  }
-  w.end_object();
+  fields.close();
+  fields.open("queues");
+  for (const auto& [name, high] : sample.queues) fields.field(name, high);
+  fields.close();
   w.end_object();
   os << '\n';
 }
@@ -84,90 +54,34 @@ bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
   std::string parse_error;
   const auto doc = json_parse(line, &parse_error);
   if (!doc) return fail(error, "not valid JSON: " + parse_error);
-  if (!doc->is_object()) return fail(error, "line is not a JSON object");
 
-  bool have_schema = false, have_sample = false, have_wall = false,
-       have_virt = false, have_units = false;
-  for (const auto& [key, value] : doc->object) {
-    if (key == "schema") {
-      if (!value.is_string() || value.string != kSchema) {
-        return fail(error, "schema is not \"" + std::string(kSchema) + "\"");
-      }
-      have_schema = true;
-    } else if (key == "sample") {
-      std::int64_t idx = 0;
-      if (!parse_exact_i64(value, &idx) || idx < 0) {
-        return fail(error, "\"sample\" is not a non-negative exact integer");
-      }
-      out->sample = static_cast<std::uint64_t>(idx);
-      have_sample = true;
-    } else if (key == "wall_ns" || key == "virt_ns" || key == "units") {
-      std::uint64_t v = 0;
-      if (!json_u64_string(value, &v)) {
-        return fail(error, "\"" + key + "\" is not a u64 decimal string");
-      }
-      if (key == "wall_ns") {
-        out->wall_ns = v;
-        have_wall = true;
-      } else if (key == "virt_ns") {
-        out->virt_ns = v;
-        have_virt = true;
-      } else {
-        out->units = v;
-        have_units = true;
-      }
-    } else if (key == "counters" || key == "queues") {
-      if (!value.is_object()) {
-        return fail(error, "\"" + key + "\" is not an object");
-      }
-      auto& dst = key == "counters" ? out->counters : out->queues;
-      for (const auto& [name, v] : value.object) {
-        std::uint64_t u = 0;
-        if (!json_u64_string(v, &u)) {
-          return fail(error, "\"" + key + "\" member \"" + name +
-                                 "\" is not a u64 decimal string");
-        }
-        dst.emplace_back(name, u);
-      }
-    } else if (key == "gauges") {
-      if (!value.is_object()) return fail(error, "\"gauges\" is not an object");
-      for (const auto& [name, v] : value.object) {
-        GaugeSnapshot g;
-        g.name = name;
-        if (!v.is_array() || v.array.size() != 2 ||
-            !parse_exact_i64(v.array[0], &g.value) ||
-            !parse_exact_i64(v.array[1], &g.high)) {
-          return fail(error, "gauge \"" + name +
-                                 "\" is not a [value, high] exact-int pair");
-        }
-        out->gauges.push_back(std::move(g));
-      }
-    } else if (key == "phases") {
-      if (!value.is_object()) return fail(error, "\"phases\" is not an object");
-      for (const auto& [name, v] : value.object) {
-        PhaseDelta d;
-        if (!v.is_array() || v.array.size() != 3 ||
-            !json_u64_string(v.array[0], &d.ns) ||
-            !json_u64_string(v.array[1], &d.calls) ||
-            !json_u64_string(v.array[2], &d.alloc_bytes)) {
-          return fail(error, "phase \"" + name +
-                                 "\" is not a [ns, calls, alloc] string "
-                                 "triple");
-        }
-        out->phases.emplace_back(name, d);
-      }
-    } else {
-      // Fail-closed: an unknown member means a newer (or corrupt) writer;
-      // silently dropping it would defeat the versioned schema.
-      return fail(error, "unknown member \"" + key + "\"");
-    }
-  }
-  if (!have_schema) return fail(error, "missing \"schema\"");
-  if (!have_sample) return fail(error, "missing \"sample\"");
-  if (!have_wall) return fail(error, "missing \"wall_ns\"");
-  if (!have_virt) return fail(error, "missing \"virt_ns\"");
-  if (!have_units) return fail(error, "missing \"units\"");
-  return true;
+  JsonFieldReader r(*doc);
+  std::size_t sample = 0;
+  r.expect<std::string>("schema", kSchema);
+  r.index("sample", sample, kMaxSampleIndex);
+  out->sample = sample;
+  r.field("wall_ns", out->wall_ns);
+  r.field("virt_ns", out->virt_ns);
+  r.field("units", out->units);
+  r.members("counters", [&](const std::string& name) {
+    out->counters.emplace_back(name, 0);
+    r.field(name, out->counters.back().second);
+  });
+  r.members("gauges", [&](const std::string& name) {
+    std::vector<std::int64_t> pair(2);
+    r.field(name, pair);
+    out->gauges.push_back(GaugeSnapshot{name, pair[0], pair[1]});
+  });
+  r.members("phases", [&](const std::string& name) {
+    std::vector<std::uint64_t> pair(2);
+    r.field(name, pair);
+    out->phases.emplace_back(name, PhaseDelta{pair[0], pair[1]});
+  });
+  r.members("queues", [&](const std::string& name) {
+    out->queues.emplace_back(name, 0);
+    r.field(name, out->queues.back().second);
+  });
+  return r.finish() || fail(error, r.error());
 }
 
 TelemetryLog read_telemetry(std::istream& in) {
@@ -208,7 +122,6 @@ std::array<PhaseDelta, kPhaseCount> sum_phases(
         if (name == phase_name(static_cast<Phase>(p))) {
           totals[p].ns += delta.ns;
           totals[p].calls += delta.calls;
-          totals[p].alloc_bytes += delta.alloc_bytes;
         }
       }
     }
@@ -232,30 +145,33 @@ TelemetrySink::TelemetrySink(std::ostream& os, std::uint64_t every_units)
       start_(std::chrono::steady_clock::now()) {}
 
 bool TelemetrySink::tick(std::uint64_t units, std::uint64_t virt_ns) {
-  if (units < next_.load(std::memory_order_relaxed)) return false;
+  const std::uint64_t total =
+      total_.fetch_add(units, std::memory_order_relaxed) + units;
+  if (total < next_.load(std::memory_order_relaxed)) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t next = next_.load(std::memory_order_relaxed);
-  if (units < next) return false;  // another ticker sampled this threshold
-  while (next <= units) next += every_;
+  const std::uint64_t now = total_.load(std::memory_order_relaxed);
+  if (now < next) return false;  // another ticker sampled this threshold
+  while (next <= now) next += every_;
   next_.store(next, std::memory_order_relaxed);
-  do_sample(units, virt_ns);
+  do_sample(virt_ns);
   return true;
 }
 
 void TelemetrySink::sample_now(std::uint64_t units, std::uint64_t virt_ns) {
+  total_.fetch_add(units, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mutex_);
-  do_sample(units, virt_ns);
+  do_sample(virt_ns);
 }
 
 void TelemetrySink::final_sample() {
   std::lock_guard<std::mutex> lock(mutex_);
-  do_sample(last_units_, last_virt_ns_);
+  do_sample(last_virt_ns_);
 }
 
-void TelemetrySink::do_sample(std::uint64_t units, std::uint64_t virt_ns) {
+void TelemetrySink::do_sample(std::uint64_t virt_ns) {
   if (out_ == nullptr) return;
   const ScopedPhase scope(Phase::kSnapshot);
-  last_units_ = units;
   last_virt_ns_ = virt_ns;
 
   TelemetrySample s;
@@ -265,7 +181,7 @@ void TelemetrySink::do_sample(std::uint64_t units, std::uint64_t virt_ns) {
           std::chrono::steady_clock::now() - start_)
           .count());
   s.virt_ns = virt_ns;
-  s.units = units;
+  s.units = total_.load(std::memory_order_relaxed);
 
   // Counter deltas. A counter whose total shrank was reset since the
   // previous sample; its delta restarts from the current value.
@@ -287,11 +203,8 @@ void TelemetrySink::do_sample(std::uint64_t units, std::uint64_t virt_ns) {
     PhaseDelta d;
     d.ns = cur.ns >= prev.ns ? cur.ns - prev.ns : cur.ns;
     d.calls = cur.calls >= prev.calls ? cur.calls - prev.calls : cur.calls;
-    d.alloc_bytes = cur.alloc_bytes >= prev.alloc_bytes
-                        ? cur.alloc_bytes - prev.alloc_bytes
-                        : cur.alloc_bytes;
     prev = cur;
-    if (d.ns != 0 || d.calls != 0 || d.alloc_bytes != 0) {
+    if (d.ns != 0 || d.calls != 0) {
       s.phases.emplace_back(phase_name(phase), d);
     }
   }

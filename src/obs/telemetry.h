@@ -1,4 +1,4 @@
-// Live telemetry plane: periodic `paai.telemetry.v1` JSONL snapshots.
+// Live telemetry plane: periodic `paai.telemetry.v2` JSONL snapshots.
 //
 // Everything src/obs produced before this file is post-mortem — the
 // paai.bench.v1 report and the Chrome trace are written when the process
@@ -10,11 +10,11 @@
 // Line schema (one strict-JSON object per line, fixed key order, sorted
 // metric names — byte-identical across write/parse/rewrite):
 //
-//   {"schema":"paai.telemetry.v1","sample":0,
+//   {"schema":"paai.telemetry.v2","sample":0,
 //    "wall_ns":"123","virt_ns":"456","units":"789",
 //    "counters":{"name":"delta",...},       // u64 deltas, omitted when 0
 //    "gauges":{"name":[value,high],...},    // absolute int64 pairs
-//    "phases":{"name":["ns","calls","alloc"],...},  // u64 deltas
+//    "phases":{"name":["ns","calls"],...},  // u64 deltas
 //    "queues":{"name":"high",...}}          // absolute u64 high-waters
 //
 // Conventions shared with the forensic event log: u64 payloads travel as
@@ -23,17 +23,22 @@
 // fail-closes on non-integral values or magnitudes above 2^53 so a
 // parsed document always rewrites byte-identically. `sample` is a
 // monotonic 0-based index; `wall_ns` counts from sink construction;
-// `virt_ns` and `units` are caller-supplied progress clocks (simulated
-// time and applied events / packets / runs respectively).
+// `virt_ns` is the caller's virtual clock (simulated time, or the event
+// time of a served stream); `units` is the sink's running total of
+// completed work (packets, Monte-Carlo runs, served events, mesh units)
+// over every producer that shares the sink, so it never goes back even
+// when a bench makes several Monte-Carlo calls on one sink. v2 dropped
+// v1's per-phase allocation column, which nothing fed; there is no v1
+// reader.
 //
 // Delta encoding: counters and phases carry the change since the previous
 // sample. Across a registry reset (current total < previous total) the
 // delta restarts from the current value — restart semantics, asserted by
 // tests/telemetry_test.cc. Gauges and queue high-waters are absolute.
 //
-// The parser is fail-closed like every schema in this repo: unknown
-// top-level keys, missing required members, or mistyped values are hard
-// errors, never silently ignored.
+// The parser reads through obs::JsonFieldReader, fail-closed like every
+// persisted document in this repo: unknown members, missing required
+// members, or mistyped values are hard errors, never silently ignored.
 //
 // Thread-safety: tick() is a relaxed load + branch until a sample is due,
 // then a mutex serializes the sample; the registry/profiler snapshots are
@@ -63,14 +68,13 @@ namespace paai::obs {
 struct PhaseDelta {
   std::uint64_t ns = 0;
   std::uint64_t calls = 0;
-  std::uint64_t alloc_bytes = 0;
 };
 
 struct TelemetrySample {
   std::uint64_t sample = 0;   // monotonic 0-based index
   std::uint64_t wall_ns = 0;  // wall clock since sink construction
   std::uint64_t virt_ns = 0;  // caller's virtual clock (0 = none)
-  std::uint64_t units = 0;    // caller's progress units
+  std::uint64_t units = 0;    // the sink's running total of work units
   /// Counter deltas since the previous sample, sorted by name, zero
   /// deltas omitted.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -92,7 +96,7 @@ void write_telemetry_line(std::ostream& os, const TelemetrySample& sample);
 bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
                           std::string* error = nullptr);
 
-/// A paai.telemetry.v1 file as its consumer (`paai top`) reads it.
+/// A paai.telemetry.v2 file as its consumer (`paai top`) reads it.
 struct TelemetryLog {
   /// The well-formed lines, in file order, with strictly increasing
   /// sample indices.
@@ -135,30 +139,32 @@ class TelemetrySink {
     return samples_.load(std::memory_order_relaxed);
   }
 
-  /// Samples when `units` has crossed the next cadence threshold; cheap
-  /// (one relaxed load) otherwise. Safe to call from any thread. Returns
-  /// true when this call wrote a sample.
+  /// Adds `units` of completed work to the running total and samples
+  /// when the total has crossed the next cadence threshold; cheap (one
+  /// relaxed add and load) otherwise. Safe to call from any thread.
+  /// Returns true when this call wrote a sample.
   bool tick(std::uint64_t units, std::uint64_t virt_ns = 0);
 
-  /// Unconditional sample — the final flush every producer emits on exit.
+  /// Adds `units` and samples unconditionally: a simulated run's periodic
+  /// sampler and the final flush a producer emits on exit.
   void sample_now(std::uint64_t units, std::uint64_t virt_ns = 0);
 
-  /// sample_now() at the largest (units, virt_ns) ever seen; used by
-  /// owners (BenchSession) that do not know the producer's unit count.
+  /// A sample at the running total and the last virt_ns seen; used by
+  /// owners (BenchSession) that flush the sink on exit.
   void final_sample();
 
  private:
-  void do_sample(std::uint64_t units, std::uint64_t virt_ns);
+  void do_sample(std::uint64_t virt_ns);
 
   std::ofstream file_;
   std::ostream* out_ = nullptr;
   std::uint64_t every_ = 1;
+  std::atomic<std::uint64_t> total_{0};
   std::atomic<std::uint64_t> next_;
   std::atomic<std::uint64_t> samples_{0};
   std::mutex mutex_;
   std::map<std::string, std::uint64_t> prev_counters_;
   std::array<PhaseTotals, kPhaseCount> prev_phases_{};
-  std::uint64_t last_units_ = 0;
   std::uint64_t last_virt_ns_ = 0;
   std::chrono::steady_clock::time_point start_;
 };

@@ -193,11 +193,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       std::uint64_t& fires;
       sim::SimDuration period;
       sim::SimTime end;
+      std::uint64_t sampled = 0;  // packets sent at the previous sample
 
       void operator()() {
         ++fires;
-        sink.sample_now(source.packets_sent(),
+        const std::uint64_t sent = source.packets_sent();
+        sink.sample_now(sent - sampled,
                         static_cast<std::uint64_t>(simulator.now()));
+        sampled = sent;
         if (simulator.now() + period <= end) {
           simulator.after(period, *this);
         }

@@ -101,7 +101,8 @@ struct ExperimentConfig {
 
   /// Optional live telemetry sink (obs/telemetry.h). A periodic sampler
   /// event snapshots the metrics registry / phase profiler as the run
-  /// progresses, with the simulated clock as the virtual timestamp.
+  /// progresses, adding the packets sent since its previous sample to
+  /// the sink's units, with the simulated clock as the virtual timestamp.
   /// Strictly observational: sampler events are subtracted from
   /// events_processed, and they never reorder protocol events (the
   /// simulator's tie-break seq preserves relative order of all other

@@ -133,19 +133,11 @@ MonteCarloResult run_monte_carlo(const MonteCarloConfig& config) {
         result.storage_grids[i].accumulate(run.storage[i]);
       }
     }
+    // One telemetry unit per completed run, from the serialized fold, so
+    // a multi-threaded fan-out still produces a monotone sample stream.
+    if (config.telemetry != nullptr) config.telemetry->tick(1);
   };
-  // Telemetry ticks piggyback on the serialized progress callback so a
-  // multi-threaded fan-out still produces a monotone sample stream.
-  std::function<void(std::size_t)> progress = config.progress;
-  if (config.telemetry != nullptr) {
-    obs::TelemetrySink* const sink = config.telemetry;
-    const std::function<void(std::size_t)> user = config.progress;
-    progress = [sink, user](std::size_t completed) {
-      sink->tick(completed);
-      if (user) user(completed);
-    };
-  }
-  exec::OrderedReducer<ExperimentResult> reducer(config.runs, fold, progress);
+  exec::OrderedReducer<ExperimentResult> reducer(config.runs, fold);
 
   result.exec = exec::parallel_for_each(
       config.runs,

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -46,14 +45,8 @@ struct MonteCarloConfig {
   /// stream is bit-identical for any jobs value. Purely observational.
   obs::EventLog* events = nullptr;
 
-  /// Optional progress callback. Invoked from a single reducer context
-  /// (serialized, never concurrently) with the monotonically increasing
-  /// count of completed runs, 1..runs, in order. Must not call back into
-  /// the Monte-Carlo engine.
-  std::function<void(std::size_t)> progress;
-
-  /// Optional live telemetry sink, ticked from the serialized reducer
-  /// with completed-run counts (so a multi-threaded fan-out still
+  /// Optional live telemetry sink, ticked one unit per completed run
+  /// from the serialized reducer (so a multi-threaded fan-out still
   /// produces a monotone sample stream). Purely observational.
   obs::TelemetrySink* telemetry = nullptr;
 };

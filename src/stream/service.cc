@@ -41,13 +41,14 @@ void announce_conviction(std::ostream& log, const ScoreEngine& engine,
                          std::size_t link) {
   const std::vector<double> thetas = engine.thetas();
   obs::JsonWriter w(log);
+  obs::JsonFieldWriter fields(w);
   w.begin_object();
   w.key("kind").value("conviction");
   w.key("link").value(static_cast<std::int64_t>(link));
-  w.key("theta").value(link < thetas.size() ? thetas[link] : 0.0);
-  w.key("observations").value(std::to_string(engine.observations()));
-  w.key("packets_sent").value(std::to_string(engine.packets_sent()));
-  w.key("events").value(std::to_string(engine.events_seen()));
+  fields.field("theta", link < thetas.size() ? thetas[link] : 0.0);
+  fields.field("observations", engine.observations());
+  fields.field("packets_sent", engine.packets_sent());
+  fields.field("events", engine.events_seen());
   w.end_object();
   log << '\n';
   log.flush();
@@ -172,8 +173,7 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
     if (!applied) continue;
 
     if (config.telemetry != nullptr &&
-        config.telemetry->tick(report.applied,
-                               static_cast<std::uint64_t>(event.ts_ns))) {
+        config.telemetry->tick(1, static_cast<std::uint64_t>(event.ts_ns))) {
       restart();
     }
 
@@ -216,8 +216,7 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
                                     wall_start)
           .count();
   if (config.telemetry != nullptr) {
-    config.telemetry->sample_now(report.applied,
-                                 static_cast<std::uint64_t>(event.ts_ns));
+    config.telemetry->sample_now(0, static_cast<std::uint64_t>(event.ts_ns));
   }
   return report;
 }

@@ -39,13 +39,17 @@
 //
 // The "table" object is not hand-written per family: it is the table's
 // own state walk (ScoreTable/Paai2ScoreTable/FlScoreTable::visit, via
-// ScoreEngine::visit_table), emitted by one writer visitor and read back
-// by one reader visitor. Loading is fail-closed on every field: every
-// member above is required ("protocol_name" is display-only and not
-// read), every vector must have the size the configured table was
-// constructed with (each "recent" ring at most kWindowRingCap values),
-// "w" must equal the blame spec's window width and "v" must be 1.
-// Anything else is rejected outright, never half-applied or defaulted.
+// ScoreEngine::visit_table), written by obs::JsonFieldWriter and read
+// back by obs::JsonFieldReader, the strict reader every persisted JSON
+// document goes through. Loading is fail-closed on every field: every
+// member above is required ("protocol_name" is display-only: a string
+// when present, never read back), any other member anywhere in the
+// document is rejected, every number must be finite, every vector must
+// have the size the configured table was constructed with (each
+// "recent" ring at most kWindowRingCap values), "w" must equal the blame
+// spec's window width and "v" must be 1. The first violation is reported
+// with its member path ("table.window.v"); nothing is half-applied or
+// defaulted.
 #pragma once
 
 #include <iosfwd>

@@ -150,65 +150,38 @@ std::vector<SpecClause> parse_plan_clauses(
   }
 
   std::string error;
-  const auto doc = obs::json_parse(trimmed, &error);
+  auto doc = obs::json_parse(trimmed, &error);
   if (!doc) spec_error(err_prefix, "JSON parse error: " + error);
-  const obs::JsonValue* clauses = &*doc;
-  if (doc->is_object()) {
-    clauses = doc->find(array_member);
-    if (clauses == nullptr || !clauses->is_array()) {
-      spec_error(err_prefix, "JSON object form needs a \"" + array_member +
-                                 "\" array member");
-    }
-  } else if (!doc->is_array()) {
-    spec_error(err_prefix, "JSON form must be an array of clause objects");
+  if (doc->is_array()) {  // the array form is the object form's member
+    obs::JsonValue wrapped;
+    wrapped.kind = obs::JsonValue::Kind::kObject;
+    wrapped.object.emplace_back(array_member, std::move(*doc));
+    doc = std::move(wrapped);
   }
 
-  std::string index_names;
-  for (const std::string_view key : index_keys) {
-    index_names += (index_names.empty() ? "\"" : " or \"");
-    index_names += std::string(key) + "\"";
-  }
+  obs::JsonFieldReader r(*doc);
   std::vector<SpecClause> out;
-  for (const auto& entry : clauses->array) {
-    if (!entry.is_object()) {
-      spec_error(err_prefix, "JSON clause must be an object");
-    }
+  r.items(array_member, [&] {
     SpecClause c;
-    bool have_index = false;
-    for (const auto& [key, value] : entry.object) {
-      if (key == "kind") {
-        if (!value.is_string()) {
-          spec_error(err_prefix, "JSON clause \"kind\" must be a string");
-        }
-        c.kind = value.string;
-        continue;
+    r.field("kind", c.kind);
+    const auto index_key =
+        std::find_if(index_keys.begin(), index_keys.end(),
+                     [&r](std::string_view key) { return r.has(key); });
+    if (index_key == index_keys.end()) {
+      std::string names;
+      for (const std::string_view key : index_keys) {
+        names += (names.empty() ? "" : " or ") + std::string(key);
       }
-      if (!value.is_number()) {
-        spec_error(err_prefix,
-                   "JSON clause key '" + key + "' must be a number");
-      }
-      if (std::find(index_keys.begin(), index_keys.end(), key) !=
-          index_keys.end()) {
-        // 0x1p64 is 2^64: every double below it that is integral fits.
-        const double v = value.number;
-        if (!(v >= 0.0 && v < 0x1p64 && std::floor(v) == v)) {
-          spec_error(err_prefix,
-                     "bad index for " + key + ": '" + fmt_double(v) + "'");
-        }
-        c.index = static_cast<std::size_t>(v);
-        have_index = true;
-        continue;
-      }
-      c.kv.emplace_back(key, value.number);
+      return r.fail("missing " + r.path() + names);
     }
-    if (c.kind.empty()) {
-      spec_error(err_prefix, "JSON clause is missing \"kind\"");
-    }
-    if (!have_index) {
-      spec_error(err_prefix, c.kind + " JSON clause needs " + index_names);
-    }
+    r.index(*index_key, c.index, ~std::uint64_t{0});
+    r.rest([&](const std::string& key) {
+      c.kv.emplace_back(key, 0.0);
+      r.field(key, c.kv.back().second);
+    });
     out.push_back(std::move(c));
-  }
+  });
+  if (!r.finish()) spec_error(err_prefix, r.error());
   return out;
 }
 

@@ -66,11 +66,14 @@ std::vector<SpecClause> parse_compact_clauses(std::string_view spec,
                                               const std::string& err_prefix);
 
 /// Splits a plan spec in either form into clauses: the compact grammar
-/// above, or JSON — an array of clause objects, or an object whose
-/// `array_member` holds that array. A JSON clause has a string "kind",
-/// an index under one of `index_keys`, and numeric members for the rest.
-/// A JSON index must be an integral number in [0, 2^64), the same set
-/// spec_parse_index accepts. Blank specs yield no clauses.
+/// above, or JSON — an array of clause objects, or an object whose only
+/// member, `array_member`, holds that array. A JSON clause has a string
+/// "kind", an index under the first of `index_keys` it has, and finite
+/// numbers for the rest. A JSON index must be an integral number in
+/// [0, 2^64), the same set spec_parse_index accepts. The JSON form is
+/// read through obs::JsonFieldReader: a mistyped, duplicate or (in the
+/// object form) unknown member is an error naming its path
+/// ("faults[0].p"). Blank specs yield no clauses.
 std::vector<SpecClause> parse_plan_clauses(
     std::string_view spec, const std::string& array_member,
     std::initializer_list<std::string_view> index_keys,

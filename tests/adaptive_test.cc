@@ -6,13 +6,16 @@
 // fault plan change nothing), and bit-identity across --jobs.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/spec.h"
 #include "adversary/strategy.h"
 #include "faults/plan.h"
+#include "mutation_fuzz.h"
 #include "protocols/factory.h"
 #include "runner/experiment.h"
 #include "runner/montecarlo.h"
@@ -74,6 +77,56 @@ TEST(AdversaryPlan, JsonFormsParse) {
   EXPECT_EQ(object.to_string(),
             AdversaryPlan::parse("collude@4:rate=1;ack@1:rate=0.5")
                 .to_string());
+}
+
+// The JSON forms go through the shared strict reader: a member the plan
+// does not read is an error naming its path, never silently dropped.
+TEST(AdversaryPlan, JsonFormsRejectUnknownMembersByPath) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"adversaries":[{"kind":"uniform","node":4,"rate":0.5}],)"
+       R"("typo_adversaries":[{"kind":"uniform","node":2,"rate":0.5}]})",
+       "unknown member typo_adversaries"},
+      {R"([{"kind":"uniform","node":4,"rate":0.5,"rate":0.1}])",
+       "duplicate member adversaries[0].rate"},
+      {R"([{"kind":"uniform","node":4,"rate":0.5},)"
+       R"({"kind":"ack","node":1,"rate":"0.5"}])",
+       "mistyped adversaries[1].rate"},
+  };
+  for (const auto& [spec, want] : cases) {
+    SCOPED_TRACE(spec);
+    try {
+      AdversaryPlan::parse(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Mutation fuzz over both JSON forms through the shared harness
+// (tests/mutation_fuzz.h): every mutant is rejected cleanly or parses to
+// a plan whose compact rendering reparses to itself.
+TEST(AdversaryPlan, JsonFormsMutationFuzz) {
+  const fuzz::Rewrite rewrite =
+      [](const std::string& spec) -> std::optional<std::string> {
+    try {
+      return AdversaryPlan::parse(spec).to_string();
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;
+    }
+  };
+  std::uint64_t seed = 11;
+  for (const char* doc :
+       {R"({"adversaries":[{"kind":"collude","node":4,"rate":1},)"
+        R"({"kind":"onoff","node":2,"rate":0.25,"on":5,"off":15}]})",
+        R"([{"kind":"stealth","node":4,"margin":0.8},)"
+        R"({"kind":"type","node":1,"data":0.1,"probe":0,"ack":0.5}])"}) {
+    SCOPED_TRACE(doc);
+    const fuzz::Tally tally = fuzz::mutation_fuzz(doc, seed++, rewrite);
+    EXPECT_GT(tally.accepted, 1u);
+    EXPECT_GT(tally.rejected, 0u);
+  }
 }
 
 TEST(AdversaryPlan, RejectsMalformedSpecs) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "exec/shard_plan.h"
 #include "exec/thread_pool.h"
 #include "mesh/runner.h"
+#include "obs/telemetry.h"
 #include "runner/montecarlo.h"
 
 namespace paai::exec {
@@ -214,12 +216,20 @@ TEST(Progress, IsMonotonicCompletedCountUnderParallelism) {
   runner::MonteCarloConfig mc = small_mc(4);
   mc.storage_bins = 0;  // keep it light
   mc.base.storage_sample_period = 0;
-  std::vector<std::size_t> seen;
-  mc.progress = [&seen](std::size_t completed) { seen.push_back(completed); };
+  // A sink sampling every unit sees one tick per completed run, from the
+  // serialized reducer: units 1..runs in order.
+  std::ostringstream lines;
+  obs::TelemetrySink sink(lines, 1);
+  mc.telemetry = &sink;
   const runner::MonteCarloResult r = runner::run_monte_carlo(mc);
   EXPECT_EQ(r.runs, mc.runs);
-  ASSERT_EQ(seen.size(), mc.runs);
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+  std::istringstream in(lines.str());
+  const obs::TelemetryLog log = obs::read_telemetry(in);
+  EXPECT_EQ(log.bad_lines, 0u) << log.first_error;
+  ASSERT_EQ(log.samples.size(), mc.runs);
+  for (std::size_t i = 0; i < log.samples.size(); ++i) {
+    EXPECT_EQ(log.samples[i].units, i + 1);
+  }
 }
 
 TEST(Telemetry, PopulatedOnSerialAndParallelPaths) {

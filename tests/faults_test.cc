@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -21,6 +22,7 @@
 #include "faults/injector.h"
 #include "faults/loss_process.h"
 #include "faults/plan.h"
+#include "mutation_fuzz.h"
 #include "protocols/context.h"
 #include "protocols/pending.h"
 #include "runner/experiment.h"
@@ -153,6 +155,56 @@ TEST(FaultPlan, JsonForms) {
       R"({"faults":[{"kind":"dup","link":4,"p":0.01}]})");
   ASSERT_EQ(object_form.duplicates.size(), 1u);
   EXPECT_EQ(object_form.duplicates[0].link, 4u);
+}
+
+// The JSON forms go through the shared strict reader: a member the plan
+// does not read is an error naming its path, never silently dropped.
+TEST(FaultPlan, JsonFormsRejectUnknownMembersByPath) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"faults":[{"kind":"dup","link":4,"p":0.01}],"extra":[]})",
+       "unknown member extra"},
+      {R"({"faults":[{"kind":"dup","link":4,"p":0.01,"p":0.5}]})",
+       "duplicate member faults[0].p"},
+      {R"([{"kind":"dup","link":4,"p":0.01},{"kind":"dup","link":2,"p":"x"}])",
+       "mistyped faults[1].p"},
+      {R"([{"kind":"dup","p":0.01}])", "missing faults[0].link or node"},
+  };
+  for (const auto& [spec, want] : cases) {
+    SCOPED_TRACE(spec);
+    try {
+      FaultPlan::parse(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Mutation fuzz over both JSON forms through the shared harness
+// (tests/mutation_fuzz.h): every mutant is rejected cleanly or parses to
+// a plan whose compact rendering reparses to itself.
+TEST(FaultPlan, JsonFormsMutationFuzz) {
+  const fuzz::Rewrite rewrite =
+      [](const std::string& spec) -> std::optional<std::string> {
+    try {
+      return FaultPlan::parse(spec).to_string();
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;
+    }
+  };
+  std::uint64_t seed = 7;
+  for (const char* doc :
+       {R"({"faults":[{"kind":"ge","link":2,"pb":0.3,"g2b":0.01,"b2g":0.2},)"
+        R"({"kind":"outage","node":3,"t":60,"dur":2}]})",
+        R"([{"kind":"set","link":1,"t":150,"loss":0.02,"lat":3.5},)"
+        R"({"kind":"reorder","link":1,"p":0.05,"delay":2},)"
+        R"({"kind":"dup","link":4,"p":0.01}])"}) {
+    SCOPED_TRACE(doc);
+    const fuzz::Tally tally = fuzz::mutation_fuzz(doc, seed++, rewrite);
+    EXPECT_GT(tally.accepted, 1u);
+    EXPECT_GT(tally.rejected, 0u);
+  }
 }
 
 TEST(FaultPlan, EmptySpecIsEmptyPlan) {

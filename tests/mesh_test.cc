@@ -338,7 +338,7 @@ TEST(MeshRunner, StatEngineWindowedModeBitIdenticalAcrossJobs) {
 }
 
 // The store's window cells cover the cumulative evidence exactly, and
-// the blame-aware convicts() reproduces the legacy margin verdict.
+// the blame-aware convicts() reproduces the margin rule on the totals.
 TEST(ScoreStore, WindowCountersCommuteAndCoverTotals) {
   ScoreShard a(3, /*rounds=*/2);
   ScoreShard b(3, /*rounds=*/2);
@@ -362,9 +362,10 @@ TEST(ScoreStore, WindowCountersCommuteAndCoverTotals) {
     EXPECT_EQ(store->round_blames(0, 1), 7u);
     EXPECT_EQ(store->units_through(0, 2), store->units(0));
     EXPECT_EQ(store->blames_through(0, 2), store->blames(0));
-    // Margin via the blame-aware overload == the legacy rule.
+    // Margin via the blame-aware overload == the rule on the totals.
     const protocols::BlameSpec margin;
-    EXPECT_EQ(store->convicts(0, 0.02, margin), store->convicts(0, 0.02));
+    EXPECT_EQ(store->convicts(0, 0.02, margin),
+              margin_convicts(store->units(0), store->blames(0), 0.02));
   }
 
   // Round mismatch is a hard error, not a silent mis-keying.

@@ -321,8 +321,8 @@ std::string pin_mesh(const BlameSpec& spec) {
   std::ostringstream os;
   for (const double threshold : kPinThresholds) {
     os << "convicted=";
-    for (const std::size_t l : store.convicted(threshold, spec)) {
-      os << l << ' ';
+    for (std::size_t l = 0; l < links; ++l) {
+      if (store.convicts(l, threshold, spec)) os << l << ' ';
     }
     for (const std::size_t prefix : {1, 3, 12}) {
       os << "| rounds<" << prefix << "=";

@@ -17,12 +17,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "adversary/spec.h"
 #include "faults/plan.h"
+#include "mutation_fuzz.h"
 #include "obs/events.h"
 #include "obs/json.h"
 #include "protocols/score.h"
@@ -410,6 +412,16 @@ TEST(Snapshot, LoadRejectsGarbage) {
         << bad;
     EXPECT_NE(error.find("packets_sent"), std::string::npos) << error;
   }
+  // A number literal beyond double range parses to infinity: not finite,
+  // so not a threshold.
+  const std::string threshold = "\"threshold\":";
+  ASSERT_NE(good.find(threshold), std::string::npos);
+  const std::size_t number = good.find(threshold) + threshold.size();
+  ScoreEngine overflowed;
+  EXPECT_FALSE(load_state(good.substr(0, number) + "1e999" +
+                              good.substr(good.find(',', number)),
+                          &overflowed, &error));
+  EXPECT_NE(error.find("threshold"), std::string::npos) << error;
 }
 
 /// A snapshot of `protocol`'s table family under blame `spec`, from a
@@ -448,60 +460,20 @@ std::string synthetic_snapshot(protocols::ProtocolKind protocol,
   return state_to_string(engine);
 }
 
-/// Every way to delete one object member from a snapshot, as (member
-/// name, document without it). Relies on the writer's fixed format: no
-/// whitespace, and no quotes or brackets inside strings.
-std::vector<std::pair<std::string, std::string>> member_deletions(
-    const std::string& doc) {
-  std::vector<std::pair<std::string, std::string>> out;
-  for (std::size_t i = 1; i < doc.size(); ++i) {
-    if (doc[i] != '"' || (doc[i - 1] != '{' && doc[i - 1] != ',')) continue;
-    const std::size_t close = doc.find('"', i + 1);
-    if (close + 1 >= doc.size() || doc[close + 1] != ':') continue;
-    std::size_t end = close + 2;  // one past the member's value
-    int depth = 0;
-    bool in_string = false;
-    for (; end < doc.size(); ++end) {
-      const char c = doc[end];
-      if (in_string) {
-        in_string = c != '"';
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if ((c == '}' || c == ']' || c == ',') && depth == 0) {
-        break;
-      } else if (c == '}' || c == ']') {
-        --depth;
-      }
-    }
-    std::string cut = doc;
-    if (doc[i - 1] == ',') {
-      cut.erase(i - 1, end - i + 1);
-    } else {
-      cut.erase(i, end - i + (doc[end] == ',' ? 1 : 0));
-    }
-    out.emplace_back(doc.substr(i + 1, close - i - 1), std::move(cut));
-  }
-  return out;
-}
-
 // Seeded byte flips, truncations and member deletions over one snapshot
-// per table family and blame mode: load_state must answer true or false,
-// never throw, crash or trip a sanitizer (this suite runs under
-// ASan+UBSan in tools/check.sh). Truncated documents and documents
-// missing any member the loader reads are always rejected.
+// per table family and blame mode, through the shared harness
+// (tests/mutation_fuzz.h): load_state must reject a mutant or restore an
+// engine whose snapshot reloads to the same snapshot, never throw, crash
+// or trip a sanitizer (this suite runs under ASan+UBSan in
+// tools/check.sh). Truncated documents and documents missing any member
+// the loader reads are always rejected.
 TEST(Snapshot, MutationFuzzFailsClosed) {
-  const auto load = [](const std::string& doc) {
+  const fuzz::Rewrite rewrite =
+      [](const std::string& doc) -> std::optional<std::string> {
     ScoreEngine engine;
-    std::string error;
-    bool ok = false;
-    EXPECT_NO_THROW(ok = load_state(doc, &engine, &error));
-    if (ok) {
-      EXPECT_NO_THROW(engine.convicted());
-      EXPECT_NO_THROW(state_to_string(engine));
-    }
-    return ok;
+    if (!load_state(doc, &engine)) return std::nullopt;
+    EXPECT_NO_THROW(engine.convicted());
+    return state_to_string(engine);
   };
   std::uint64_t seed = 1;
   for (const auto protocol : {protocols::ProtocolKind::kPaai1,
@@ -512,31 +484,45 @@ TEST(Snapshot, MutationFuzzFailsClosed) {
       SCOPED_TRACE(std::string(protocols::protocol_name(protocol)) + " / " +
                    spec);
       const std::string snapshot = synthetic_snapshot(protocol, spec);
-      ASSERT_TRUE(load(snapshot));
-      Rng rng(seed++);
-
-      for (int round = 0; round < 200; ++round) {
-        std::string flipped = snapshot;
-        const std::uint64_t flips = 1 + rng.next_below(3);
-        for (std::uint64_t f = 0; f < flips; ++f) {
-          const std::size_t at = rng.next_below(flipped.size());
-          flipped[at] = static_cast<char>(
-              flipped[at] ^ static_cast<char>(1u << rng.next_below(8)));
-        }
-        load(flipped);
-      }
-      for (int round = 0; round < 40; ++round) {
-        const std::string cut =
-            snapshot.substr(0, rng.next_below(snapshot.size()));
-        EXPECT_FALSE(load(cut)) << cut.size();
-      }
-      const auto deletions = member_deletions(snapshot);
+      const fuzz::Tally tally = fuzz::mutation_fuzz(snapshot, seed++, rewrite);
+      EXPECT_GT(tally.rejected, 0u);
+      const auto deletions = fuzz::member_deletions(snapshot);
       EXPECT_GT(deletions.size(), 30u);
       for (const auto& [member, doc] : deletions) {
         if (member == "protocol_name") continue;  // display only
-        EXPECT_FALSE(load(doc)) << "without " << member;
+        EXPECT_FALSE(rewrite(doc)) << "without " << member;
       }
     }
+  }
+}
+
+// Every object of a snapshot rejects a member the loader does not read,
+// and the error names the member by its path.
+TEST(Snapshot, UnknownMembersAreRejectedByPath) {
+  const std::string snapshot =
+      synthetic_snapshot(protocols::ProtocolKind::kPaai1, "hybrid:4,64");
+  const auto insert = [&](const std::string& after, const char* member) {
+    const std::size_t at = snapshot.find(after);
+    EXPECT_NE(at, std::string::npos) << after;
+    return snapshot.substr(0, at + after.size()) + member +
+           snapshot.substr(at + after.size());
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {insert("{", R"("bogus":{"x":[1,2]},)"), "unknown member bogus"},
+      {insert(R"("table":{)", R"("extra":"7",)"),
+       "unknown member table.extra"},
+      {insert(R"("window":{)", R"("extra":[],)"),
+       "unknown member table.window.extra"},
+      {insert(R"("recorded_convictions":[{)", R"("extra":true,)"),
+       "unknown member recorded_convictions[0].extra"},
+      // A repeated member is never resolved silently to either value.
+      {insert("{", R"("run_ended":true,)"), "duplicate member run_ended"},
+  };
+  for (const auto& [doc, want] : cases) {
+    ScoreEngine engine;
+    std::string error;
+    EXPECT_FALSE(load_state(doc, &engine, &error)) << doc;
+    EXPECT_NE(error.find(want), std::string::npos) << error;
   }
 }
 
@@ -728,6 +714,47 @@ TEST(BlameSpec, RejectsMalformedSpecs) {
     EXPECT_THROW(protocols::BlameSpec::parse(spec), std::invalid_argument);
   }
   EXPECT_THROW(protocols::BlameSpec::decode32(-1), std::invalid_argument);
+}
+
+// Mutation fuzz over the blame grammar: every mutated spec either throws
+// std::invalid_argument or parses to a spec that round-trips through
+// to_string() and through the 32-bit wire encoding of kRunConfig events.
+TEST(BlameSpec, FuzzedSpecsRejectCleanlyOrRoundTrip) {
+  const std::vector<std::string> seeds = {
+      "margin", "persistent:3", "windowed:192", "hybrid:4,192", "hybrid",
+      "persistent", "windowed:8", "hybrid:8,65536"};
+  const std::string charset = "0123456789,:; abcdehilmnprstwyxz-+.";
+  Rng rng(20261018);
+  std::uint64_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string spec = seeds[rng.next_below(seeds.size())];
+    const std::uint64_t edits = rng.next_below(4);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const char c = charset[rng.next_below(charset.size())];
+      const std::uint64_t op = rng.next_below(3);
+      if (spec.empty() || op == 2) {
+        spec.insert(rng.next_below(spec.size() + 1), 1, c);
+      } else if (op == 0) {
+        spec[rng.next_below(spec.size())] = c;
+      } else {
+        spec.erase(rng.next_below(spec.size()), 1);
+      }
+    }
+    protocols::BlameSpec parsed;
+    try {
+      parsed = protocols::BlameSpec::parse(spec);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(protocols::BlameSpec::parse(parsed.to_string()), parsed)
+        << spec;
+    EXPECT_EQ(protocols::BlameSpec::decode32(parsed.encode32()), parsed)
+        << spec;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // -------------------------------------------------------- event reader

@@ -13,11 +13,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mutation_fuzz.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -64,8 +66,8 @@ TelemetrySample make_sample() {
   g.value = -7;
   g.high = 98326;
   s.gauges.push_back(g);
-  s.phases.push_back({"sim-loop", PhaseDelta{910618953, 9209, 442848}});
-  s.phases.push_back({"crypto", PhaseDelta{616254, 3370, 0}});
+  s.phases.push_back({"sim-loop", PhaseDelta{910618953, 9209}});
+  s.phases.push_back({"crypto", PhaseDelta{616254, 3370}});
   s.queues.push_back({"sim-queue", 30});
   return s;
 }
@@ -161,34 +163,34 @@ TEST(TelemetrySchema, FailClosed) {
   rejects("not json");
   rejects("[1,2,3]");
   // Unknown top-level key.
-  rejects("{\"schema\":\"paai.telemetry.v1\",\"sample\":0,\"wall_ns\":\"0\","
+  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
           "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},\"gauges\":{},"
           "\"phases\":{},\"queues\":{},\"extra\":1}");
-  // Wrong schema string.
-  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
+  // Wrong schema string (v1 carried an alloc column; no v1 reader).
+  rejects("{\"schema\":\"paai.telemetry.v1\",\"sample\":0,\"wall_ns\":\"0\","
           "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},\"gauges\":{},"
           "\"phases\":{},\"queues\":{}}");
   // Missing required member (no units).
-  rejects("{\"schema\":\"paai.telemetry.v1\",\"sample\":0,\"wall_ns\":\"0\","
+  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
           "\"virt_ns\":\"0\",\"counters\":{},\"gauges\":{},"
           "\"phases\":{},\"queues\":{}}");
   // Counter as a JSON number instead of a decimal string.
-  rejects("{\"schema\":\"paai.telemetry.v1\",\"sample\":0,\"wall_ns\":\"0\","
+  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
           "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{\"x\":5},"
           "\"gauges\":{},\"phases\":{},\"queues\":{}}");
   // Gauge above 2^53 cannot rewrite exactly: fail closed.
-  rejects("{\"schema\":\"paai.telemetry.v1\",\"sample\":0,\"wall_ns\":\"0\","
+  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
           "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},"
           "\"gauges\":{\"g\":[9007199254740993,0]},\"phases\":{},"
           "\"queues\":{}}");
   // Non-integral gauge.
-  rejects("{\"schema\":\"paai.telemetry.v1\",\"sample\":0,\"wall_ns\":\"0\","
+  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
           "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},"
           "\"gauges\":{\"g\":[1.5,2]},\"phases\":{},\"queues\":{}}");
-  // Phase tuple with the wrong arity.
-  rejects("{\"schema\":\"paai.telemetry.v1\",\"sample\":0,\"wall_ns\":\"0\","
+  // Phase pair with the wrong arity (v1's [ns, calls, alloc] triple).
+  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
           "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},\"gauges\":{},"
-          "\"phases\":{\"p\":[\"1\",\"2\"]},\"queues\":{}}");
+          "\"phases\":{\"p\":[\"1\",\"2\",\"0\"]},\"queues\":{}}");
   // A good line with a trailing character is not a valid document.
   rejects(bare + "x");
   // u64 strings are bare ASCII digits: a leading space (even before a
@@ -201,6 +203,24 @@ TEST(TelemetrySchema, FailClosed) {
                  std::string("\"units\":\"") + bad + "\"");
     rejects(line);
   }
+}
+
+// Mutation fuzz over one line through the shared harness
+// (tests/mutation_fuzz.h): every mutant is rejected cleanly or parses to
+// a sample that rewrites to itself.
+TEST(TelemetrySchema, MutationFuzzFailsClosed) {
+  const fuzz::Rewrite rewrite =
+      [](const std::string& line) -> std::optional<std::string> {
+    TelemetrySample s;
+    if (!parse_telemetry_line(line, &s)) return std::nullopt;
+    const std::string out = to_line(s);
+    return out.substr(0, out.size() - 1);
+  };
+  const std::string line = to_line(make_sample());
+  const fuzz::Tally tally =
+      fuzz::mutation_fuzz(line.substr(0, line.size() - 1), 5, rewrite);
+  EXPECT_GT(tally.accepted, 1u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 std::vector<TelemetrySample> parse_all(const std::string& text) {
@@ -233,12 +253,12 @@ TEST(TelemetrySink, DeltaEncodingAcrossResets) {
   reg.counter("tele.test.delta").add(100);
   sink.sample_now(1);
   reg.counter("tele.test.delta").add(50);
-  sink.sample_now(2);
+  sink.sample_now(1);
   // Registry reset: the counter restarts below its previous total; the
   // delta must restart from the current value, not wrap around.
   reg.reset();
   reg.counter("tele.test.delta").add(30);
-  sink.sample_now(3);
+  sink.sample_now(1);
 
   const auto samples = parse_all(os.str());
   ASSERT_EQ(samples.size(), 3u);
@@ -255,8 +275,11 @@ TEST(TelemetrySink, TickCadence) {
   RegistryGuard guard;
   std::ostringstream os;
   TelemetrySink sink(os, 10);
-  for (std::uint64_t u = 1; u <= 35; ++u) sink.tick(u);
-  // Thresholds crossed at units 10, 20, 30 -> exactly three samples.
+  // Two producers share the sink (two Monte-Carlo calls, say): their
+  // ticks add up on one running total, so the thresholds at units 10,
+  // 20, 30 are each crossed once -> exactly three samples.
+  for (int i = 0; i < 15; ++i) sink.tick(1);
+  for (int i = 0; i < 20; ++i) sink.tick(1);
   EXPECT_EQ(sink.samples(), 3u);
   const auto samples = parse_all(os.str());
   ASSERT_EQ(samples.size(), 3u);
@@ -494,7 +517,7 @@ TEST(Concurrency, SamplerRacesProducers) {
       }
     });
   }
-  for (std::uint64_t u = 1; u <= 200; ++u) sink.sample_now(u);
+  for (int i = 0; i < 200; ++i) sink.sample_now(1);
   stop.store(true);
   for (auto& w : workers) w.join();
 

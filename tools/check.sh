@@ -70,7 +70,9 @@
 #      localise in-window drops; PAAI-1's blame-to-first-failing-hop
 #      heuristic measurably under-attributes here (bench_robustness C).
 #
-#   6. serve-mode smoke — stream engine replay + snapshot/restore.
+#   6. serve-mode smoke — stream engine replay + snapshot/restore; a
+#      snapshot with a member the loader does not read must be rejected
+#      (exit 2), never restored with the member ignored.
 #
 #   7. mesh smoke — a compromised fat-tree core straddling ~100 paths per
 #      out-link; the aggregated cross-path score store (paai mesh) must
@@ -91,7 +93,7 @@
 #      the Theorem 2 false-accusation door.
 #
 #   9. telemetry smoke — `paai serve` with --telemetry-out over the leg-6
-#      reference stream must emit >= 2 paai.telemetry.v1 lines that
+#      reference stream must emit >= 2 paai.telemetry.v2 lines that
 #      `paai top --once` (the strict consumer: exit 2 on a malformed line,
 #      a non-monotone sample index or a torn tail) accepts, including
 #      nonzero back-pressure gauges, and its phases must sum to >= 95% of
@@ -101,7 +103,9 @@
 #      phase profile must charge >= 90% of the summed phase time to
 #      crypto (W-OTS included). A Monte-Carlo bench must tick its own
 #      --telemetry-out sink: bench_fig2_fullack's six runs at
-#      --telemetry-every=1 give >= 6 samples that `paai top --once` accepts.
+#      --telemetry-every=1 give >= 6 samples that `paai top --once` accepts,
+#      and bench_theorem1's five Monte-Carlo calls of two runs, sharing one
+#      sink, give one sample per completed run (>= 10).
 #
 #  10. perfbench verdicts — each perfbench workload for 1 s at seed 1;
 #      its result line must say "correct": true (perfbench/golden.txt).
@@ -175,7 +179,7 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 echo "== leg 3: protocol-metric baseline (fresh run vs bench/baseline.json) =="
-cmake --build "$ASAN_DIR" --target bench_diff bench_table1 bench_fig2_fullack bench_ablation bench_mesh paai -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target bench_diff bench_table1 bench_fig2_fullack bench_ablation bench_mesh bench_theorem1 paai -j "$(nproc)"
 "$ASAN_DIR/tools/bench_diff" --self-test
 tools/bench_snapshot.sh "$SMOKE_DIR/fresh.json" "$ASAN_DIR"
 "$ASAN_DIR/tools/bench_diff" --threshold=0 bench/baseline.json \
@@ -266,6 +270,20 @@ cat "$SMOKE_DIR/stream_part."a[b-z] > "$SMOKE_DIR/stream_rest.jsonl"
 }
 grep -q "verify: OK" "$SMOKE_DIR/replay_resumed.stdout" || {
   echo "leg 6 FAILED: resumed replay did not report verify: OK" >&2
+  exit 1
+}
+# The same snapshot with one unknown top-level member fails closed.
+sed 's/^{/{"bogus":{"x":[1,2]},/' "$SMOKE_DIR/state.json" \
+    > "$SMOKE_DIR/state_bogus.json"
+rc=0
+"$ASAN_DIR/tools/paai" replay "$SMOKE_DIR/stream_rest.jsonl" \
+    --state-in="$SMOKE_DIR/state_bogus.json" --verify \
+    > "$SMOKE_DIR/replay_bogus.stdout" 2> "$SMOKE_DIR/replay_bogus.stderr" ||
+    rc=$?
+[[ $rc -eq 2 ]] &&
+grep -q "unknown member bogus" "$SMOKE_DIR/replay_bogus.stderr" || {
+  echo "leg 6 FAILED: snapshot with an unknown member not rejected (rc=$rc):" >&2
+  cat "$SMOKE_DIR/replay_bogus.stderr" >&2
   exit 1
 }
 
@@ -382,7 +400,7 @@ for plan in "${BENIGN_PLANS[@]}"; do
   fi
 done
 
-echo "== leg 9: telemetry smoke (live paai.telemetry.v1 plane) =="
+echo "== leg 9: telemetry smoke (live paai.telemetry.v2 plane) =="
 # Serve the leg-6 reference stream with telemetry on. `paai top --once` IS
 # the strict parser: exit 2 on any malformed line, non-monotone sample
 # index or torn tail, so schema validity and monotonicity ride on its
@@ -453,7 +471,7 @@ rc=0
   echo "leg 9 FAILED: sig-ack telemetry run errored (rc=$rc)" >&2
   exit 1
 }
-# Phase rows are `name calls ms share% alloc`.
+# Phase rows are `name calls ms share%`.
 "$ASAN_DIR/tools/paai" top "$SMOKE_DIR/sigack_tele.jsonl" --once \
     > "$SMOKE_DIR/sigack_tele.top" &&
 awk '$1 == "crypto" && $4 + 0 >= 90 { ok = 1 } END { exit !ok }' \
@@ -475,6 +493,18 @@ grep -Eq '\(([6-9]|[1-9][0-9]+) samples\)' "$SMOKE_DIR/bench_tele.top" || {
   cat "$SMOKE_DIR/bench_tele.top" >&2
   exit 1
 }
+# Several Monte-Carlo calls share the sink, whose units keep counting
+# across them: 5 calls x 2 runs tick 10 samples, plus the exit sample.
+"$ASAN_DIR/bench/bench_theorem1" --runs=2 --scale=1 --jobs=1 \
+    --telemetry-out="$SMOKE_DIR/thm1_tele.jsonl" --telemetry-every=1 \
+    > "$SMOKE_DIR/thm1_tele.stdout" 2> "$SMOKE_DIR/thm1_tele.stderr"
+"$ASAN_DIR/tools/paai" top "$SMOKE_DIR/thm1_tele.jsonl" --once \
+    > "$SMOKE_DIR/thm1_tele.top" &&
+grep -Eq '\(([1-9][0-9]+) samples\)' "$SMOKE_DIR/thm1_tele.top" || {
+  echo "leg 9 FAILED: multi-call bench telemetry rejected or < 10 samples:" >&2
+  cat "$SMOKE_DIR/thm1_tele.top" >&2
+  exit 1
+}
 
 echo "== leg 10: perfbench verdicts (golden digests) =="
 for workload in mc_fast crypto_real serve_replay mesh_fattree; do
@@ -487,4 +517,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log) clean, colluder forensics clean, serve smoke clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples) clean, perfbench verdicts correct"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples, multi-call bench one sample per run) clean, perfbench verdicts correct"

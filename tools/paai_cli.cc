@@ -55,7 +55,7 @@ constexpr const char kUsage[] =
   serve          online scoring of a JSONL event stream: convictions as
                  they happen, periodic snapshots, graceful drain on SIGINT
   replay FILE    a recorded event log through the stream engine
-  top FILE       live dashboard over a paai.telemetry.v1 file
+  top FILE       live dashboard over a paai.telemetry.v2 file
                  (replay, top: FILE or --in=FILE)
 detector (serve/replay: --protocol preconfigures the engine from these):
   --protocol=NAME  full-ack|paai1|paai2|comb1|comb2|statfl|sigack (paai1)
@@ -84,7 +84,7 @@ shared with every bench (bench/bench_common.h): --runs=N (curve 50)
   --jobs=N (0 = all cores; results identical)  --csv
   --metrics-out=F (paai.bench.v1)  --trace-out=F (Chrome trace of the
   event log, run 0)
-  --telemetry-out=F (paai.telemetry.v1, docs/OBSERVABILITY.md)
+  --telemetry-out=F (paai.telemetry.v2, docs/OBSERVABILITY.md)
   --telemetry-every=N (10000 work units: packets, runs, events)
 examples:
   paai run --protocol=fullack --adversary='corrupt@3:rate=0.3' --packets=5000
@@ -821,17 +821,16 @@ void render_top_frame(const std::string& path, const obs::TelemetryLog& data) {
   std::uint64_t sum_ns = 0;
   for (const auto& t : totals) sum_ns += t.ns;
   if (sum_ns > 0) {
-    std::printf("\n%-16s %12s %14s %7s %14s\n", "phase", "calls",
-                "time (ms)", "share", "alloc (B)");
+    std::printf("\n%-16s %12s %14s %7s\n", "phase", "calls", "time (ms)",
+                "share");
     for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
       if (totals[p].calls == 0 && totals[p].ns == 0) continue;
-      std::printf("%-16s %12llu %14.2f %6.1f%% %14llu\n",
+      std::printf("%-16s %12llu %14.2f %6.1f%%\n",
                   obs::phase_name(static_cast<obs::Phase>(p)),
                   static_cast<unsigned long long>(totals[p].calls),
                   static_cast<double>(totals[p].ns) / 1e6,
                   100.0 * static_cast<double>(totals[p].ns) /
-                      static_cast<double>(sum_ns),
-                  static_cast<unsigned long long>(totals[p].alloc_bytes));
+                      static_cast<double>(sum_ns));
     }
     std::printf("%-16s %12s %14.2f %6.1f%% of wall\n", "sum", "",
                 static_cast<double>(sum_ns) / 1e6,
