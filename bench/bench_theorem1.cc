@@ -107,6 +107,7 @@ int main(int argc, char** argv) {
       cfg.natural_loss = cfg.packet_base.path.natural_loss;
       cfg.decision_threshold = cfg.packet_base.decision_threshold;
       cfg.jobs = args.jobs;
+      cfg.telemetry = session.telemetry();
       if (is_spread) {
         cfg.link_faults = {{4, rate}, {6 + 2, rate}, {12 + 3, rate}};
       } else {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "obs/json.h"
 
@@ -52,6 +53,13 @@ constexpr KindSlots kKindBySlot = make_kind_slots();
 static_assert(kKindBySlot.collision_free,
               "kind_slot() collides on the event-kind names; retune it");
 
+/// The kind named `name`, or -1.
+inline int kind_index(std::string_view name) {
+  if (name.size() < 2) return -1;
+  const std::int8_t i = kKindBySlot.index[kind_slot(name)];
+  return i >= 0 && kKindNames[static_cast<std::size_t>(i)] == name ? i : -1;
+}
+
 // Exact total order for the merged export; seq breaks ties within a node
 // (two nodes never share a seq collision at the same ts because node is
 // compared first).
@@ -69,11 +77,8 @@ const char* event_kind_name(EventKind kind) {
 }
 
 std::optional<EventKind> event_kind_from_name(std::string_view name) {
-  if (name.size() < 2) return std::nullopt;
-  const std::int8_t i = kKindBySlot.index[kind_slot(name)];
-  if (i < 0 || kKindNames[static_cast<std::size_t>(i)] != name) {
-    return std::nullopt;
-  }
+  const int i = kind_index(name);
+  if (i < 0) return std::nullopt;
   return static_cast<EventKind>(i);
 }
 
@@ -128,13 +133,16 @@ std::vector<Event> EventLog::merged() const {
 //
 //   {"ts_ns":I,"node":I,"seq":U,"kind":"NAME"[,"link":I],"a":"U","b":"U","v":NUM|null}
 //
-// The writer formats straight into a stack buffer; the reader scans the
-// same grammar once, left to right, with fixed key order and no
-// whitespace. Integers convert exactly through from_chars; `v` is checked
-// against the RFC 8259 number grammar and converted with the correctly
-// rounded from_chars, so every accepted line is also valid strict JSON
-// carrying the same values (tests/stream_test.cc fuzzes this against
-// json_parse).
+// The writer formats straight into a stack buffer. The reader decodes the
+// same grammar in one left-to-right pass with fixed key order and no
+// whitespace: each key literal is compared at its compile-time size,
+// integers go through an exact digit loop that rejects overflow, and the
+// `"v":0}` tail of the wire-activity lines (most of a stream) is taken
+// whole. Any other `v` is checked against the RFC 8259 number grammar and
+// converted with the correctly rounded from_chars, so every accepted line
+// is also valid strict JSON carrying the same values (tests/stream_test.cc
+// fuzzes this against json_parse). Every rejection is described by one
+// cold function, so the accept path builds no strings.
 
 namespace {
 
@@ -150,125 +158,184 @@ char* put_int(char* p, T v) {
   return std::to_chars(p, p + 24, v).ptr;
 }
 
-class LineScanner {
- public:
-  LineScanner(std::string_view line, std::string* what)
-      : p_(line.data()), end_(line.data() + line.size()), what_(what) {}
-
-  bool fail(std::string_view field, std::string_view reason) {
-    if (what_ != nullptr) {
-      *what_ = std::string(field) + ": " + std::string(reason);
-    }
-    return false;
+/// Writes "field: reason<text><after>" to `*what` (when non-null) and
+/// returns false.
+[[gnu::cold, gnu::noinline]] bool reject(std::string* what, const char* field,
+                                         const char* reason,
+                                         std::string_view text = {},
+                                         const char* after = "") {
+  if (what != nullptr) {
+    what->assign(field).append(": ").append(reason).append(text).append(after);
   }
+  return false;
+}
 
-  /// Consumes `lit` if the input continues with it.
-  bool accept(std::string_view lit) {
-    if (static_cast<std::size_t>(end_ - p_) < lit.size() ||
-        std::memcmp(p_, lit.data(), lit.size()) != 0) {
+bool is_digit(char c) { return static_cast<unsigned char>(c - '0') < 10; }
+
+template <class W>
+W load(const char* p) {
+  W w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+/// `q` starts with the N - 1 bytes of `lit` (a key literal, at most 16
+/// bytes). Two overlapping fixed-width loads per side: the literal's
+/// halves fold to constants, so no memcmp of a run-time length is left.
+template <std::size_t N>
+bool same_bytes(const char* q, const char (&lit)[N]) {
+  constexpr std::size_t n = N - 1;
+  static_assert(n >= 1 && n <= 16);
+  if constexpr (n >= 8) {
+    return load<std::uint64_t>(q) == load<std::uint64_t>(lit) &&
+           load<std::uint64_t>(q + n - 8) == load<std::uint64_t>(lit + n - 8);
+  } else if constexpr (n >= 4) {
+    return load<std::uint32_t>(q) == load<std::uint32_t>(lit) &&
+           load<std::uint32_t>(q + n - 4) == load<std::uint32_t>(lit + n - 4);
+  } else {
+    return std::memcmp(q, lit, n) == 0;
+  }
+}
+
+/// The decoder's cursor over one line: every step either advances past
+/// what it accepted or returns reject()'s false.
+struct LineDecoder {
+  const char* p;
+  const char* end;
+  std::string* what;
+
+  bool digit_at(const char* q) const { return q != end && is_digit(*q); }
+
+  /// Consumes the literal `lit` if the input continues with it.
+  template <std::size_t N>
+  bool take(const char (&lit)[N]) {
+    if (static_cast<std::size_t>(end - p) < N - 1 || !same_bytes(p, lit)) {
       return false;
     }
-    p_ += lit.size();
+    p += N - 1;
     return true;
   }
 
-  bool expect(std::string_view lit, std::string_view field) {
-    return accept(lit) ||
-           fail(field, "expected '" + std::string(lit) +
-                           "' (canonical key order, no whitespace)");
+  /// True when the rest of the line is exactly `lit`; consumes nothing.
+  template <std::size_t N>
+  bool rest_is(const char (&lit)[N]) const {
+    return static_cast<std::size_t>(end - p) == N - 1 && same_bytes(p, lit);
   }
 
-  bool at_end() const { return p_ == end_; }
+  template <std::size_t N>
+  bool expect(const char (&lit)[N], const char* field) {
+    return take(lit) ||
+           reject(what, field, "expected '", std::string_view(lit, N - 1),
+                  "' (canonical key order, no whitespace)");
+  }
+
+  /// [0-9]+ with no leading zero at `q`, accumulated exactly into *mag;
+  /// leaves p after the last digit. The caller has checked the first
+  /// digit is there.
+  bool magnitude(const char* q, const char* field, std::uint64_t* mag) {
+    if (*q == '0' && digit_at(q + 1)) {
+      return reject(what, field, "leading zero");
+    }
+    std::uint64_t v = 0;
+    do {
+      if (__builtin_mul_overflow(v, 10u, &v) ||
+          __builtin_add_overflow(v, static_cast<unsigned>(*q - '0'), &v)) {
+        return reject(what, field, "out of range");
+      }
+      ++q;
+    } while (digit_at(q));
+    p = q;
+    *mag = v;
+    return true;
+  }
 
   /// A JSON integer token, -?(0|[1-9][0-9]*) with no fraction or
   /// exponent, converted exactly into T; anything T cannot hold is out of
-  /// range (from_chars rejects a '-' for unsigned T).
+  /// range, and so is a '-' before an unsigned T (even "-0").
   template <class T>
-  bool integer(std::string_view field, T* out) {
-    const char* q = p_ != end_ && *p_ == '-' ? p_ + 1 : p_;
-    if (!digit_at(q)) return fail(field, "expected an integer");
-    if (*q == '0' && digit_at(q + 1)) return fail(field, "leading zero");
-    const auto [stop, ec] = std::from_chars(p_, end_, *out);
-    if (ec != std::errc()) return fail(field, "out of range");
-    if (stop != end_ && (*stop == '.' || *stop == 'e' || *stop == 'E')) {
-      return fail(field, "not an integer");
+  bool integer(const char* field, T* out) {
+    const bool negative = p != end && *p == '-';
+    const char* q = p + (negative ? 1 : 0);
+    if (!digit_at(q)) return reject(what, field, "expected an integer");
+    std::uint64_t mag = 0;
+    if (!magnitude(q, field, &mag)) return false;
+    constexpr auto kMax =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if ((negative && std::is_unsigned_v<T>) ||
+        mag > kMax + (negative ? 1 : 0)) {
+      return reject(what, field, "out of range");
     }
-    p_ = stop;
+    if (p != end && (*p == '.' || *p == 'e' || *p == 'E')) {
+      return reject(what, field, "not an integer");
+    }
+    // Two's-complement wrap: 0 - 2^63 is INT64_MIN exactly.
+    *out = static_cast<T>(negative ? 0 - mag : mag);
     return true;
   }
 
   /// The body and closing quote of a decimal-string u64 ("a" / "b").
-  bool quoted_u64(std::string_view field, std::uint64_t* out) {
-    if (!digit_at(p_)) return fail(field, "expected a decimal string");
-    if (*p_ == '0' && digit_at(p_ + 1)) return fail(field, "leading zero");
-    const auto [stop, ec] = std::from_chars(p_, end_, *out);
-    if (ec != std::errc()) return fail(field, "out of range");
-    if (stop == end_ || *stop != '"') {
-      return fail(field, "expected a decimal string");
+  bool quoted_u64(const char* field, std::uint64_t* out) {
+    if (!digit_at(p)) return reject(what, field, "expected a decimal string");
+    if (!magnitude(p, field, out)) return false;
+    if (p == end || *p != '"') {
+      return reject(what, field, "expected a decimal string");
     }
-    p_ = stop + 1;
+    ++p;
     return true;
   }
 
   /// The body and closing quote of the kind name.
   bool kind(EventKind* out) {
-    const auto* close = static_cast<const char*>(
-        std::memchr(p_, '"', static_cast<std::size_t>(end_ - p_)));
-    if (close == nullptr) return fail("kind", "unterminated string");
-    const std::string_view name(p_, static_cast<std::size_t>(close - p_));
-    const auto k = event_kind_from_name(name);
-    if (!k.has_value()) {
-      return fail("kind", "unknown kind \"" + std::string(name) + "\"");
-    }
-    *out = *k;
-    p_ = close + 1;
+    const char* close = p;
+    while (close != end && *close != '"') ++close;
+    if (close == end) return reject(what, "kind", "unterminated string");
+    const std::string_view name(p, static_cast<std::size_t>(close - p));
+    const int k = kind_index(name);
+    if (k < 0) return reject(what, "kind", "unknown kind \"", name, "\"");
+    *out = static_cast<EventKind>(k);
+    p = close + 1;
     return true;
   }
 
   /// An RFC 8259 number -> the correctly rounded double, or null -> 0.0
   /// (the writer's spelling of a non-finite value). A number no double
   /// can hold is out of range: the writer never emits one.
-  bool number_or_null(std::string_view field, double* out) {
-    if (accept("null")) {
+  bool number_or_null(double* out) {
+    if (take("null")) {
       *out = 0.0;
       return true;
     }
-    const char* q = p_ != end_ && *p_ == '-' ? p_ + 1 : p_;
-    if (!digit_at(q)) return fail(field, "expected a number or null");
-    if (*q == '0' && digit_at(q + 1)) return fail(field, "leading zero");
+    const char* q = p != end && *p == '-' ? p + 1 : p;
+    if (!digit_at(q)) return reject(what, "v", "expected a number or null");
+    if (*q == '0' && digit_at(q + 1)) {
+      return reject(what, "v", "leading zero");
+    }
     const char* stop = digits(q);
-    if (stop != end_ && *stop == '.') {
+    if (stop != end && *stop == '.') {
       const char* frac = digits(stop + 1);
-      if (frac == stop + 1) return fail(field, "truncated fraction");
+      if (frac == stop + 1) return reject(what, "v", "truncated fraction");
       stop = frac;
     }
-    if (stop != end_ && (*stop == 'e' || *stop == 'E')) {
+    if (stop != end && (*stop == 'e' || *stop == 'E')) {
       const char* exp = stop + 1;
-      if (exp != end_ && (*exp == '+' || *exp == '-')) ++exp;
+      if (exp != end && (*exp == '+' || *exp == '-')) ++exp;
       const char* exp_end = digits(exp);
-      if (exp_end == exp) return fail(field, "truncated exponent");
+      if (exp_end == exp) return reject(what, "v", "truncated exponent");
       stop = exp_end;
     }
     const auto [ptr, ec] =
-        std::from_chars(p_, stop, *out, std::chars_format::general);
-    if (ec != std::errc() || ptr != stop) return fail(field, "out of range");
-    p_ = stop;
+        std::from_chars(p, stop, *out, std::chars_format::general);
+    if (ec != std::errc() || ptr != stop) {
+      return reject(what, "v", "out of range");
+    }
+    p = stop;
     return true;
   }
 
- private:
-  bool digit_at(const char* q) const {
-    return q != end_ && static_cast<unsigned char>(*q - '0') < 10;
-  }
-
   const char* digits(const char* q) const {
-    while (q != end_ && static_cast<unsigned char>(*q - '0') < 10) ++q;
+    while (digit_at(q)) ++q;
     return q;
   }
-
-  const char* p_;
-  const char* end_;
-  std::string* what_;
 };
 
 }  // namespace
@@ -302,26 +369,33 @@ std::size_t encode_event_line(const Event& e, char* out) {
 }
 
 bool decode_event_line(std::string_view line, Event* out, std::string* what) {
-  LineScanner s(line, what);
+  LineDecoder d{line.data(), line.data() + line.size(), what};
   Event e;
-  if (!s.expect("{\"ts_ns\":", "ts_ns") || !s.integer("ts_ns", &e.ts_ns) ||
-      !s.expect(",\"node\":", "node") || !s.integer("node", &e.node) ||
-      !s.expect(",\"seq\":", "seq") || !s.integer("seq", &e.seq) ||
-      !s.expect(",\"kind\":\"", "kind") || !s.kind(&e.kind)) {
+  if (!d.expect("{\"ts_ns\":", "ts_ns") || !d.integer("ts_ns", &e.ts_ns) ||
+      !d.expect(",\"node\":", "node") || !d.integer("node", &e.node) ||
+      !d.expect(",\"seq\":", "seq") || !d.integer("seq", &e.seq) ||
+      !d.expect(",\"kind\":\"", "kind") || !d.kind(&e.kind)) {
     return false;
   }
-  if (s.accept(",\"link\":")) {
-    if (!s.integer("link", &e.link)) return false;
+  if (d.take(",\"link\":")) {
+    if (!d.integer("link", &e.link)) return false;
     // -1 ("not link-scoped") is spelled by omitting the key.
-    if (e.link < 0) return s.fail("link", "out of range");
+    if (e.link < 0) return reject(what, "link", "out of range");
   }
-  if (!s.expect(",\"a\":\"", "a") || !s.quoted_u64("a", &e.a) ||
-      !s.expect(",\"b\":\"", "b") || !s.quoted_u64("b", &e.b) ||
-      !s.expect(",\"v\":", "v") || !s.number_or_null("v", &e.value) ||
-      !s.expect("}", "v")) {
+  if (!d.expect(",\"a\":\"", "a") || !d.quoted_u64("a", &e.a) ||
+      !d.expect(",\"b\":\"", "b") || !d.quoted_u64("b", &e.b)) {
     return false;
   }
-  if (!s.at_end()) return s.fail("line", "trailing bytes after the object");
+  // The wire-activity tail: `"v":0}` and the end of the line, in one step.
+  if (!d.rest_is(",\"v\":0}")) {
+    if (!d.expect(",\"v\":", "v") || !d.number_or_null(&e.value) ||
+        !d.expect("}", "v")) {
+      return false;
+    }
+    if (d.p != d.end) {
+      return reject(what, "v", "trailing bytes after the object");
+    }
+  }
   *out = e;
   return true;
 }
@@ -369,9 +443,11 @@ EventReader::Frame EventReader::read_line() {
   // right after the newline, so nothing past the current line is consumed
   // (FIFO tailing and the caller's tellg() stay exact). The stream's state
   // bits are restored afterwards: hitting EOF here must not poison a
-  // later tellg() or a later read from a growing file.
+  // later tellg() or a later read from a growing file. Every path below
+  // leaves the state good, so a stream that came in good (the common
+  // case) needs no clear() at all.
   const std::ios::iostate saved = is_->rdstate();
-  is_->clear();
+  if (saved != std::ios::goodbit) is_->clear();
   if (buf_.empty()) buf_.resize(kInitialLineBytes + 1);  // + getline's NUL
   len_ = 0;
   Frame frame = Frame::kLine;
@@ -382,11 +458,11 @@ EventReader::Frame EventReader::read_line() {
     const auto got = static_cast<std::size_t>(is_->gcount());
     bytes_ += got;
     const std::ios::iostate state = is_->rdstate();
-    is_->clear();
     if (state == std::ios::goodbit) {
       len_ += got - 1;  // the newline was extracted, not stored
       break;
     }
+    is_->clear();
     len_ += got;
     if ((state & (std::ios::eofbit | std::ios::badbit)) != 0) {
       frame = len_ == 0 ? Frame::kEof : Frame::kUnterminated;
@@ -404,7 +480,7 @@ EventReader::Frame EventReader::read_line() {
     }
     buf_.resize(std::min(2 * (buf_.size() - 1), kMaxLineBytes) + 1);
   }
-  is_->clear(saved);
+  if (saved != std::ios::goodbit) is_->clear(saved);
   return frame;
 }
 

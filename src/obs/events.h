@@ -123,8 +123,8 @@ std::size_t encode_event_line(const Event& e, char* out);
 /// Parses one canonical line (without its newline). Anything else —
 /// whitespace, reordered or unknown keys, a non-integer or out-of-range
 /// integer field, a malformed number — returns false with a description
-/// (no line prefix) in `*what` when `what` is non-null; `*out` is then
-/// untouched.
+/// that names the field (`node: out of range`, no line prefix) in `*what`
+/// when `what` is non-null; `*out` is then untouched.
 bool decode_event_line(std::string_view line, Event* out, std::string* what);
 
 class EventLog {

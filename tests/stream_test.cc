@@ -12,10 +12,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <optional>
 #include <sstream>
@@ -810,66 +812,100 @@ TEST(Reader, ErrorsCarryLineNumbersAndReaderSurvives) {
 }
 
 TEST(Reader, RejectsMistypedFields) {
-  const char* bad_lines[] = {
+  // Each line with the field its rejection must name.
+  const struct {
+    const char* field;
+    const char* line;
+  } bad_lines[] = {
       // ts_ns as string
-      R"({"ts_ns":"0","node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      {"ts_ns", R"({"ts_ns":"0","node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
       // unknown kind
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"no-such-kind","a":"1","b":"0","v":0})",
+      {"kind", R"({"ts_ns":0,"node":0,"seq":0,"kind":"no-such-kind","a":"1","b":"0","v":0})"},
       // a as JSON number instead of a decimal string
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":1,"b":"0","v":0})",
+      {"a", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":1,"b":"0","v":0})"},
       // missing seq
-      R"({"ts_ns":0,"node":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      {"seq", R"({"ts_ns":0,"node":0,"kind":"data-send","a":"1","b":"0","v":0})"},
       // v as string
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":"x"})",
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":"x"})"},
       // not an object
-      R"([1,2,3])",
+      {"ts_ns", R"([1,2,3])"},
       // node beyond u16 (used to wrap silently to 4464)
-      R"({"ts_ns":0,"node":70000,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      {"node", R"({"ts_ns":0,"node":70000,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
       // node with a fraction (used to truncate to 1)
-      R"({"ts_ns":0,"node":1.5,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
-      // negative node
-      R"({"ts_ns":0,"node":-1,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      {"node", R"({"ts_ns":0,"node":1.5,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
+      // negative node, and a signed zero in an unsigned field
+      {"node", R"({"ts_ns":0,"node":-1,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
+      {"node", R"({"ts_ns":0,"node":-0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
+      {"seq", R"({"ts_ns":0,"node":0,"seq":-1,"kind":"data-send","a":"1","b":"0","v":0})"},
       // seq in exponent form (a double, not an exact integer)
-      R"({"ts_ns":0,"node":0,"seq":9e15,"kind":"data-send","a":"1","b":"0","v":0})",
+      {"seq", R"({"ts_ns":0,"node":0,"seq":9e15,"kind":"data-send","a":"1","b":"0","v":0})"},
       // seq beyond u64
-      R"({"ts_ns":0,"node":0,"seq":18446744073709551616,"kind":"data-send","a":"1","b":"0","v":0})",
+      {"seq", R"({"ts_ns":0,"node":0,"seq":18446744073709551616,"kind":"data-send","a":"1","b":"0","v":0})"},
       // link beyond int32 (used to be an undefined double->int cast)
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":3e9,"a":"1","b":"0","v":0})",
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":2147483648,"a":"1","b":"0","v":0})",
+      {"link", R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":3e9,"a":"1","b":"0","v":0})"},
+      {"link", R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":2147483648,"a":"1","b":"0","v":0})"},
       // link -1 is spelled by omitting the key
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":-1,"a":"1","b":"0","v":0})",
+      {"link", R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":-1,"a":"1","b":"0","v":0})"},
       // ts_ns beyond i64, and with a fraction
-      R"({"ts_ns":9223372036854775808,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
-      R"({"ts_ns":1.5,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      {"ts_ns", R"({"ts_ns":9223372036854775808,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
+      {"ts_ns", R"({"ts_ns":1.5,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
       // a beyond u64, signed, with a leading zero
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"18446744073709551616","b":"0","v":0})",
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"-1","b":"0","v":0})",
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"01","b":"0","v":0})",
+      {"a", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"18446744073709551616","b":"0","v":0})"},
+      {"a", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"-1","b":"0","v":0})"},
+      {"a", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"01","b":"0","v":0})"},
       // leading zero in an integer field
-      R"({"ts_ns":0,"node":0,"seq":01,"kind":"data-send","a":"1","b":"0","v":0})",
+      {"seq", R"({"ts_ns":0,"node":0,"seq":01,"kind":"data-send","a":"1","b":"0","v":0})"},
       // v outside the RFC 8259 grammar, and beyond any double
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":.5})",
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":1.})",
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":NaN})",
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":1e400})",
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":.5})"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":1.})"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":NaN})"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":1e400})"},
+      // near misses of the `"v":0}` tail
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":-})"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0.})"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":00})"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0e})"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0}})"},
       // non-canonical layout: whitespace, reordered keys, trailing bytes
-      R"({"ts_ns":0, "node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
-      R"({"node":0,"ts_ns":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0} )",
-      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0,"x":1})",
+      {"node", R"({"ts_ns":0, "node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
+      {"ts_ns", R"({"node":0,"ts_ns":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0} )"},
+      {"v", R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0,"x":1})"},
   };
-  for (const char* line : bad_lines) {
+  for (const auto& [field, line] : bad_lines) {
     SCOPED_TRACE(line);
     std::istringstream is(std::string(line) + "\n");
     obs::EventReader reader(is);
     obs::Event e;
     std::string error;
     EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kError);
-    EXPECT_NE(error.find("line 1:"), std::string::npos) << error;
+    EXPECT_EQ(error.rfind("line 1: " + std::string(field) + ": ", 0), 0u)
+        << error;
   }
 }
 
-/// The scanner must never be more permissive than strict JSON: a line it
+// Spellings at the edge of the grammar that are still accepted: a signed
+// zero is a valid JSON integer (reading 0) in the signed fields, and
+// "v":-0 keeps its sign bit.
+TEST(Reader, AcceptsSignedZeros) {
+  obs::Event e;
+  std::string what;
+  ASSERT_TRUE(obs::decode_event_line(
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":-0})",
+      &e, &what))
+      << what;
+  EXPECT_EQ(e.value, 0.0);
+  EXPECT_TRUE(std::signbit(e.value));
+  ASSERT_TRUE(obs::decode_event_line(
+      R"({"ts_ns":-0,"node":0,"seq":0,"kind":"score-blame","link":-0,"a":"1","b":"0","v":0})",
+      &e, &what))
+      << what;
+  EXPECT_EQ(e.ts_ns, 0);
+  EXPECT_EQ(e.link, 0);
+  EXPECT_FALSE(std::signbit(e.value));
+}
+
+/// The decoder must never be more permissive than strict JSON: a line it
 /// accepts parses under json_parse to exactly the same field values.
 void expect_json_agrees(const std::string& line, const obs::Event& e) {
   std::string error;
@@ -894,36 +930,62 @@ void expect_json_agrees(const std::string& line, const obs::Event& e) {
   EXPECT_EQ(v->is_null() ? 0.0 : v->number, e.value) << line;
 }
 
+/// One canonical line (newline stripped) of every event kind, with and
+/// without `link`, across the `v` spellings the writer emits (0, null,
+/// -0, a tiny exponent, the 17-digit threshold) and with a 20-digit `a`
+/// on every other line.
+std::vector<std::string> reader_fuzz_lines() {
+  const double values[] = {0.0, std::numeric_limits<double>::quiet_NaN(),
+                           -0.0, 1e-300, 0.018};
+  std::vector<std::string> out;
+  for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+    for (const std::int32_t link : {-1, 4}) {
+      for (const double v : values) {
+        const std::uint64_t a =
+            out.size() % 2 == 0 ? 12345678901234567890ULL : 0xdeadbeefULL;
+        obs::Event e =
+            make_event(static_cast<obs::EventKind>(k), link, a, 9, v);
+        e.ts_ns = 1'000'000'007;
+        e.node = 3;
+        const std::string line = to_jsonl({e});
+        out.push_back(line.substr(0, line.size() - 1));  // strip '\n'
+      }
+    }
+  }
+  return out;
+}
+
 // Fuzz-style: every strict prefix of a valid line must be rejected (a
 // truncated tail from a killed producer), and deterministic byte
 // corruption must never crash the reader — it either still parses or
-// reports a line-numbered error. Every mutated line the scanner accepts
+// reports a line-numbered error. Every mutated line the decoder accepts
 // must also be accepted by json_parse with the same field values.
 TEST(Reader, TruncationAndCorruptionFuzz) {
-  const std::string line = to_jsonl(
-      {make_event(obs::EventKind::kScoreBlame, 4, 0xdeadbeefULL, 9, 0.25)});
-  ASSERT_FALSE(line.empty());
-  const std::string body = line.substr(0, line.size() - 1);  // strip '\n'
-
-  for (std::size_t len = 1; len < body.size(); ++len) {
-    std::istringstream is(body.substr(0, len) + "\n");
-    obs::EventReader reader(is);
+  const std::vector<std::string> bodies = reader_fuzz_lines();
+  ASSERT_EQ(bodies.size(), obs::kEventKindCount * 2 * 5);
+  for (const std::string& body : bodies) {
+    SCOPED_TRACE(body);
     obs::Event e;
     std::string error;
-    EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kError)
-        << "prefix length " << len;
-  }
+    ASSERT_TRUE(obs::decode_event_line(body, &e, &error)) << error;
+    expect_json_agrees(body, e);
 
-  // The same prefixes WITHOUT the newline: a torn tail must be rejected
-  // as unterminated even when the fragment would parse as valid JSON.
-  for (std::size_t len = 1; len <= body.size(); ++len) {
-    std::istringstream is(body.substr(0, len));
-    obs::EventReader reader(is);
-    obs::Event e;
-    std::string error;
-    EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kError)
-        << "unterminated prefix length " << len;
-    EXPECT_NE(error.find("unterminated"), std::string::npos) << error;
+    for (std::size_t len = 1; len < body.size(); ++len) {
+      std::istringstream is(body.substr(0, len) + "\n");
+      obs::EventReader reader(is);
+      EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kError)
+          << "prefix length " << len;
+    }
+
+    // The same prefixes WITHOUT the newline: a torn tail must be rejected
+    // as unterminated even when the fragment would parse as valid JSON.
+    for (std::size_t len = 1; len <= body.size(); ++len) {
+      std::istringstream is(body.substr(0, len));
+      obs::EventReader reader(is);
+      EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kError)
+          << "unterminated prefix length " << len;
+      EXPECT_NE(error.find("unterminated"), std::string::npos) << error;
+    }
   }
 
   std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
@@ -937,8 +999,8 @@ TEST(Reader, TruncationAndCorruptionFuzz) {
   // (so many mutants stay well-formed enough to reach the value checks).
   static constexpr char kGrammar[] = "0123456789-+.eE\"{}:,nul \\";
   std::size_t accepted = 0;
-  for (int trial = 0; trial < 4000; ++trial) {
-    std::string mutated = body;
+  for (int trial = 0; trial < 6000; ++trial) {
+    std::string mutated = bodies[static_cast<std::size_t>(trial) % bodies.size()];
     const std::size_t edits = 1 + next_rand() % 4;
     for (std::size_t f = 0; f < edits; ++f) {
       const std::size_t at = next_rand() % mutated.size();
@@ -974,6 +1036,33 @@ TEST(Reader, TruncationAndCorruptionFuzz) {
   }
   // The differential must not be vacuous.
   EXPECT_GT(accepted, 100u);
+}
+
+// `paai serve` reads every event through one EventReader: once the first
+// line has sized its buffer, framing and decoding touch no heap.
+TEST(Reader, NextIsHeapFreeAfterTheFirstLine) {
+  const std::vector<std::string> bodies = reader_fuzz_lines();
+  std::string jsonl;
+  for (int i = 0; i < 3000; ++i) {
+    jsonl += bodies[static_cast<std::size_t>(i) % bodies.size()];
+    jsonl += '\n';
+  }
+  std::istringstream is(jsonl);
+  obs::EventReader reader(is);
+  obs::Event e;
+  std::string error;
+  ASSERT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEvent);
+
+  const std::uint64_t before = g_allocs.load();
+  g_count_allocs = true;
+  std::size_t events = 1;
+  while (reader.next(&e, &error) == obs::EventReader::Status::kEvent) {
+    ++events;
+  }
+  g_count_allocs = false;
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(events, 3000u);
+  EXPECT_EQ(reader.errors(), 0u);
 }
 
 // A stream that ends mid-line (killed producer, torn pipe) must be a

@@ -494,7 +494,8 @@ grep -Eq '\(([6-9]|[1-9][0-9]+) samples\)' "$SMOKE_DIR/bench_tele.top" || {
   exit 1
 }
 # Several Monte-Carlo calls share the sink, whose units keep counting
-# across them: 5 calls x 2 runs tick 10 samples, plus the exit sample.
+# across them: 5 calls x 2 runs tick 10 samples, the Corollary 2 fleet
+# runs tick once per path, and the exit sample comes on top.
 "$ASAN_DIR/bench/bench_theorem1" --runs=2 --scale=1 --jobs=1 \
     --telemetry-out="$SMOKE_DIR/thm1_tele.jsonl" --telemetry-every=1 \
     > "$SMOKE_DIR/thm1_tele.stdout" 2> "$SMOKE_DIR/thm1_tele.stderr"
@@ -503,6 +504,20 @@ grep -Eq '\(([6-9]|[1-9][0-9]+) samples\)' "$SMOKE_DIR/bench_tele.top" || {
 grep -Eq '\(([1-9][0-9]+) samples\)' "$SMOKE_DIR/thm1_tele.top" || {
   echo "leg 9 FAILED: multi-call bench telemetry rejected or < 10 samples:" >&2
   cat "$SMOKE_DIR/thm1_tele.top" >&2
+  exit 1
+}
+# Every run ticks the sink, so no work is left for the exit sample: its
+# sim-loop calls are no more than the busiest per-run sample's.
+python3 - "$SMOKE_DIR/thm1_tele.jsonl" <<'PY' || {
+import json, sys
+with open(sys.argv[1]) as f:
+    calls = [int(json.loads(line)["phases"].get("sim-loop", ["0", "0"])[1])
+             for line in f]
+if len(calls) < 2 or calls[-1] > max(calls[:-1]):
+    sys.exit(f"exit sample sim-loop calls {calls[-1]} > per-run max "
+             f"{max(calls[:-1], default=0)}")
+PY
+  echo "leg 9 FAILED: bench_theorem1 work lands unattributed in the exit sample" >&2
   exit 1
 }
 
@@ -517,4 +532,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples, multi-call bench one sample per run) clean, perfbench verdicts correct"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"

@@ -775,9 +775,16 @@ void render_top_frame(const std::string& path, const obs::TelemetryLog& data) {
     return;
   }
   const obs::TelemetrySample& last = data.samples.back();
-  const obs::TelemetrySample* prev =
-      data.samples.size() >= 2 ? &data.samples[data.samples.size() - 2]
-                               : nullptr;
+  // The last interval ends at the latest earlier sample whose units
+  // differ: a producer's exit sample repeats its last tick's running
+  // total, and rating against that tick would always read 0.
+  const obs::TelemetrySample* prev = nullptr;
+  for (auto it = data.samples.rbegin() + 1; it != data.samples.rend(); ++it) {
+    if (it->units != last.units) {
+      prev = &*it;
+      break;
+    }
+  }
   std::printf("paai top — %s   sample %llu   (%zu samples%s)\n",
               path.c_str(), static_cast<unsigned long long>(last.sample),
               data.samples.size(),
