@@ -6,7 +6,8 @@
 //   2. derive per-node keys from a master secret;
 //   3. install the PAAI-1 agents (source / relays / destination);
 //   4. compromise one node with a dropping strategy;
-//   5. run traffic and read the identification verdict off SourceHandle.
+//   5. run traffic and read the identification verdict off the source's
+//      Scorer.
 //
 //   $ ./build/examples/quickstart
 #include <cstdio>
@@ -52,7 +53,7 @@ int main() {
   std::vector<adversary::Strategy*> compromised(path.length + 1, nullptr);
   compromised[4] = strategy.get();
 
-  protocols::SourceHandle* source = protocols::install_protocol(
+  const protocols::Scorer& source = protocols::install_protocol(
       protocols::ProtocolKind::kPaai1, ctx, network, compromised);
   network.start_agents();
 
@@ -65,15 +66,15 @@ int main() {
 
   std::printf("\nsource observed a %.1f%% failure rate over %llu monitored "
               "rounds\n",
-              source->observed_e2e_rate() * 100.0,
-              static_cast<unsigned long long>(source->observations()));
+              source.observed_e2e_rate() * 100.0,
+              static_cast<unsigned long long>(source.observations()));
   std::printf("per-link drop-rate estimates:\n");
-  const auto thetas = source->thetas();
+  const auto thetas = source.thetas();
   for (std::size_t i = 0; i < thetas.size(); ++i) {
     std::printf("  l_%zu (F_%zu -> F_%zu): %.4f\n", i, i, i + 1, thetas[i]);
   }
 
-  const auto convicted = source->convicted(0.018);
+  const auto convicted = source.convicted(0.018);
   if (convicted.empty()) {
     std::printf("\nno link convicted — path looks healthy\n");
     return 1;

@@ -130,7 +130,9 @@ std::string fmt(double value) { return util::fmt_double(value); }
 }  // namespace
 
 std::string Spec::to_string() const {
-  const std::string at = "@" + std::to_string(node) + ":";
+  std::string at = "@";
+  at += std::to_string(node);
+  at += ':';
   switch (kind) {
     case Kind::kUniform:
       return "uniform" + at + "rate=" + fmt(rate);

@@ -251,7 +251,8 @@ struct LineDecoder {
 
   /// A JSON integer token, -?(0|[1-9][0-9]*) with no fraction or
   /// exponent, converted exactly into T; anything T cannot hold is out of
-  /// range, and so is a '-' before an unsigned T (even "-0").
+  /// range, and so is a '-' before an unsigned T. "-0" is not canonical
+  /// (the writer never emits it) and is rejected.
   template <class T>
   bool integer(const char* field, T* out) {
     const bool negative = p != end && *p == '-';
@@ -265,6 +266,7 @@ struct LineDecoder {
         mag > kMax + (negative ? 1 : 0)) {
       return reject(what, field, "out of range");
     }
+    if (negative && mag == 0) return reject(what, field, "negative zero");
     if (p != end && (*p == '.' || *p == 'e' || *p == 'E')) {
       return reject(what, field, "not an integer");
     }

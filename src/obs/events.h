@@ -59,7 +59,7 @@ enum class EventKind : std::uint8_t {
   // the scoring state without out-of-band configuration.
   kRunConfig,     // a = ProtocolKind, b = path length d,
                   // link = blame-mode code (BlameSpec::encode32; 0 =
-                  // margin, bare K = persistent — the PR 7 wire format),
+                  // margin),
                   // v = decision threshold
   // Statistical FL: one event per node when a reporting interval folds
   // into the accumulated counts (node = source, logged before the
@@ -108,10 +108,11 @@ inline std::uint64_t event_id64(const std::uint8_t* id_bytes) {
 //   {"ts_ns":I,"node":I,"seq":U,"kind":"NAME"[,"link":I],"a":"U","b":"U","v":NUM|null}
 //
 // `ts_ns` is an i64 and `seq` a u64, both exact; `node` is in [0, 65535];
-// `link` is present only when >= 0 and is at most INT32_MAX; `a` and `b`
-// are u64 decimal strings, so full 64-bit ids survive double-typed JSON
-// parsers; `v` is the %.17g rendering of a finite double, or null for a
-// non-finite one (decoded as 0.0). Every line is strict JSON.
+// `link` is present only when >= 0 and is at most INT32_MAX; no integer
+// is spelled `-0`. `a` and `b` are u64 decimal strings, so full 64-bit ids
+// survive double-typed JSON parsers; `v` is the %.17g rendering of a
+// finite double (`-0` keeps its sign), or null for a non-finite one
+// (decoded as 0.0). Every line is strict JSON.
 
 /// Upper bound on one encoded line, newline included.
 inline constexpr std::size_t kEventLineMaxBytes = 256;

@@ -81,17 +81,30 @@ ForensicsReport forensics_analyze(const std::vector<Event>& events,
         break;
     }
   }
-
-  // The last conviction of each link is the run's verdict for it.
-  for (auto it = report.convictions.rbegin(); it != report.convictions.rend();
-       ++it) {
-    bool later = false;
-    for (auto jt = report.convictions.rbegin(); jt != it; ++jt) {
-      if (jt->link == it->link) later = true;
-    }
-    it->final_verdict = !later;
-  }
   return report;
+}
+
+std::vector<const ConvictionRecord*> ForensicsReport::verdict() const {
+  // Checkpoint records carry smaller packet counts (the rule `paai replay
+  // --verify` uses).
+  std::vector<const ConvictionRecord*> out;
+  if (count(EventKind::kRunEnd) == 0) return out;
+  for (auto it = convictions.rbegin(); it != convictions.rend(); ++it) {
+    if (it->packets_sent == packets_sent) out.push_back(&*it);
+  }
+  const auto by_link = [](const ConvictionRecord* x,
+                          const ConvictionRecord* y) {
+    return x->link < y->link;
+  };
+  // Latest record first within a link, then one per link.
+  std::stable_sort(out.begin(), out.end(), by_link);
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const ConvictionRecord* x,
+                           const ConvictionRecord* y) {
+                          return x->link == y->link;
+                        }),
+            out.end());
+  return out;
 }
 
 void write_audit_trail(std::ostream& os, const ForensicsReport& report) {
@@ -135,16 +148,11 @@ void write_audit_trail(std::ostream& os, const ForensicsReport& report) {
   }
 
   // Which links the run ultimately convicted.
-  std::vector<const ConvictionRecord*> verdicts;
-  for (const ConvictionRecord& rec : report.convictions) {
-    if (rec.final_verdict) verdicts.push_back(&rec);
-  }
-  std::sort(verdicts.begin(), verdicts.end(),
-            [](const ConvictionRecord* x, const ConvictionRecord* y) {
-              return x->link < y->link;
-            });
-
-  if (verdicts.empty()) {
+  const std::vector<const ConvictionRecord*> verdicts = report.verdict();
+  if (report.count(EventKind::kRunEnd) == 0) {
+    os << "verdict: unknown — run-end not retained (partial log or ring "
+          "overflow?)\n";
+  } else if (verdicts.empty()) {
     os << "verdict: no link convicted\n";
   }
   for (const ConvictionRecord* rec : verdicts) {

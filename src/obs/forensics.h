@@ -4,7 +4,8 @@
 // ForensicsReport: per-kind totals, per-link evidence (blame counts,
 // sample packet ids, the theta trajectory and its threshold crossing),
 // and the conviction records the runner stamped at checkpoints and at
-// run end. write_audit_trail() renders the report as the human-readable
+// run end (the records stamped with the run-end packet count are the
+// run's verdict). write_audit_trail() renders the report as the human-readable
 // output of `paai explain` — "which acks/reports led PAAI-1 to convict
 // l_3, and when" without a debugger.
 //
@@ -46,7 +47,6 @@ struct ConvictionRecord {
   std::uint64_t packets_sent = 0;
   std::uint64_t observations = 0;
   double theta = 0.0;
-  bool final_verdict = false;  // last conviction of this link in the log
 };
 
 struct ForensicsReport {
@@ -70,6 +70,11 @@ struct ForensicsReport {
   std::uint64_t count(EventKind kind) const {
     return kind_counts[static_cast<std::size_t>(kind)];
   }
+
+  /// The run's final verdict: per convicted link, by ascending link, its
+  /// latest record stamped with the run-end packet count. Without a
+  /// run-end the verdict is unknown and this is empty.
+  std::vector<const ConvictionRecord*> verdict() const;
 };
 
 /// Folds a time-ordered event stream (EventLog::merged() or read_jsonl())
@@ -77,8 +82,8 @@ struct ForensicsReport {
 ForensicsReport forensics_analyze(const std::vector<Event>& events,
                                   std::size_t max_sample_ids = 8);
 
-/// Renders the audit trail `paai explain` prints. Convicted links get a
-/// "CONVICTED l_<k>" block with evidence counts, score trajectory
+/// Renders the audit trail `paai explain` prints. Links in the verdict()
+/// get a "CONVICTED l_<k>" block with evidence counts, score trajectory
 /// summary, and the convicting event; exonerated links one summary line.
 void write_audit_trail(std::ostream& os, const ForensicsReport& report);
 

@@ -11,9 +11,10 @@
 //     per-node state horizon, and full-ack's local reports (which
 //     Combination 1 shares).
 //   * SourceAgent: the source skeleton. It owns the send loop, the
-//     SourceHandle view, the receive dispatch, the probe send, and the
-//     ScoreTable credit rules (onion decision, contiguous-ack prefix)
-//     together with the forensic events each rule logs.
+//     Scorer, the receive dispatch, the probe send, and the onion-table
+//     credit rules (onion decision, contiguous-ack prefix). It scores
+//     only through record(): each forensic event it logs is first
+//     applied to its Scorer.
 #pragma once
 
 #include <functional>
@@ -28,7 +29,6 @@
 #include "protocols/context.h"
 #include "protocols/pending.h"
 #include "protocols/score.h"
-#include "protocols/source_handle.h"
 #include "sim/node.h"
 
 namespace paai::protocols {
@@ -90,7 +90,7 @@ Bytes onion_layer(const ProtocolContext& ctx, std::size_t index,
 Bytes onion_layer(const ProtocolContext& ctx, std::size_t index,
                   ByteView report, ByteView inner);
 
-/// Per-packet source state of the ScoreTable protocols: whether the
+/// Per-packet source state of the onion-table protocols: whether the
 /// packet was probed, the verified per-node acks (bit i = F_i), and the
 /// sequence number sig-ack signs under.
 struct ProbeRound {
@@ -113,8 +113,8 @@ struct NoPending {};
 /// A hook's place relative to the originate is part of its protocol's
 /// event schedule: each protocol's originate / log_event / timer order
 /// is pinned by tests/protocol_test.cc's GoldenRun digests.
-template <class Derived, class Score = ScoreTable, class Pending = ProbeRound>
-class SourceAgent : public sim::Agent, public SourceHandle {
+template <class Derived, class Pending = ProbeRound>
+class SourceAgent : public sim::Agent {
  public:
   void start() override {
     if constexpr (!std::is_same_v<Pending, NoPending>) {
@@ -143,35 +143,16 @@ class SourceAgent : public sim::Agent, public SourceHandle {
     }
   }
 
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.observations(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override {
-    if constexpr (std::is_same_v<Score, ScoreTable>) {
-      // Confirmed deliveries per monitored packet: every packet sent when
-      // each one is monitored, else every resolved observation.
-      const std::uint64_t n =
-          every_packet_monitored_ ? sent_ : score_.observations();
-      if (n == 0) return 0.0;
-      return 1.0 - static_cast<double>(delivered_) / static_cast<double>(n);
-    } else {
-      return score_.observed_e2e_rate();
-    }
-  }
+  /// The identification verdict's read side.
+  const Scorer& scorer() const { return scorer_; }
 
  protected:
-  template <class... ScoreArgs>
-  explicit SourceAgent(const ProtocolContext& ctx, ScoreArgs&&... score_args)
+  SourceAgent(const ProtocolContext& ctx, ProtocolKind protocol)
       : ctx_(ctx),
-        score_(std::forward<ScoreArgs>(score_args)...),
+        scorer_(protocol, ctx.d(), ctx.params().blame),
         pending_(nullptr),
         send_period_(static_cast<sim::SimDuration>(
-            static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-    score_.set_blame(ctx.params().blame);
-  }
+            static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {}
 
   // Default receive hooks: a protocol that never expects a message type
   // ignores it.
@@ -179,9 +160,23 @@ class SourceAgent : public sim::Agent, public SourceHandle {
   void on_report(const net::ReportAck&) {}
   void on_fl_report(const net::FlReport&) {}
 
-  void log(obs::EventKind kind, const net::PacketId& id, std::uint64_t b = 0,
-           std::int32_t link = -1, double value = 0.0) const {
-    ctx_.log_event(node(), kind, link, obs::event_id64(id.data()), b, value);
+  /// Scores and logs one source event: the Scorer applies it (and fills
+  /// in a score event's post-state payload), then the log records it.
+  void record(obs::EventKind kind, std::uint64_t a, std::uint64_t b = 0,
+              std::int32_t link = -1, double value = 0.0) {
+    obs::Event e;
+    e.kind = kind;
+    e.a = a;
+    e.b = b;
+    e.link = link;
+    e.value = value;
+    scorer_.apply(e);
+    ctx_.log_event(node(), e.kind, e.link, e.a, e.b, e.value);
+  }
+  void record(obs::EventKind kind, const net::PacketId& id,
+              std::uint64_t b = 0, std::int32_t link = -1,
+              double value = 0.0) {
+    record(kind, obs::event_id64(id.data()), b, link, value);
   }
 
   /// Starts tracking `id` until now + `horizon`.
@@ -199,11 +194,11 @@ class SourceAgent : public sim::Agent, public SourceHandle {
                   std::uint64_t b = 0) {
     node().originate(sim::Direction::kToDest, std::move(wire), wire_size);
     ctx_.metrics().probes_sent.add();
-    log(obs::EventKind::kProbeSend, id, b);
+    record(obs::EventKind::kProbeSend, id, b);
     node().sim().after(wait, [this, id] { self().on_probe_timeout(id); });
   }
 
-  // ---- ScoreTable protocols (full-ack, PAAI-1, Comb-1, sig-ack) ----
+  // ---- onion-table protocols (full-ack, PAAI-1, Comb-1, sig-ack) ----
 
   /// The destination's ack for `id` did not arrive in time: mark the
   /// round probed and probe, resolving after `wait`.
@@ -211,8 +206,7 @@ class SourceAgent : public sim::Agent, public SourceHandle {
     Pending* p = pending_.find(id);
     if (p == nullptr || p->probed) return;
     p->probed = true;
-    score_.note_probe();
-    log(obs::EventKind::kAckTimeout, id);
+    record(obs::EventKind::kAckTimeout, id);
     net::Probe probe;
     probe.data_id = id;
     send_probe(id, sim::Wire::of(probe), probe.wire_size(), wait);
@@ -225,15 +219,11 @@ class SourceAgent : public sim::Agent, public SourceHandle {
   }
 
   void credit_clean(const net::PacketId& id) {
-    score_.add_clean();
-    ++delivered_;
-    log(obs::EventKind::kScoreClean, id, score_.observations());
+    record(obs::EventKind::kScoreClean, id);
   }
 
   void credit_blame(const net::PacketId& id, std::size_t link) {
-    score_.blame(link);
-    log(obs::EventKind::kScoreBlame, id, score_.observations(),
-        static_cast<std::int32_t>(link), score_.theta(link));
+    record(obs::EventKind::kScoreBlame, id, 0, static_cast<std::int32_t>(link));
   }
 
   /// The onion-report decision (§4, §6.1 phases 4-5): verify the onion
@@ -242,11 +232,11 @@ class SourceAgent : public sim::Agent, public SourceHandle {
       const net::ReportAck& ack,
       const std::function<bool(std::uint8_t, ByteView)>& report_ok) {
     const net::PacketId& id = ack.data_id;
-    log(obs::EventKind::kAckRecv, id, /*b=*/1);
+    record(obs::EventKind::kAckRecv, id, /*b=*/1);
     const auto result = net::onion_verify(
         ctx_.crypto(), ctx_.key_vector(), ctx_.d(),
         ByteView(ack.report.data(), ack.report.size()), report_ok);
-    log(obs::EventKind::kOnionDecode, id, result.valid_layers);
+    record(obs::EventKind::kOnionDecode, id, result.valid_layers);
     if (result.valid_layers == 0) {
       // Not even F_1's layer authenticates: indistinguishable from an
       // injected forgery. Acting on it would let any downstream
@@ -279,11 +269,8 @@ class SourceAgent : public sim::Agent, public SourceHandle {
   }
 
   const ProtocolContext& ctx_;
-  Score score_;
+  Scorer scorer_;
   PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  bool every_packet_monitored_ = false;
 
  private:
   Derived& self() { return static_cast<Derived&>(*this); }
@@ -291,10 +278,10 @@ class SourceAgent : public sim::Agent, public SourceHandle {
   /// One send period: m = <seq || timestamp || payload> goes out between
   /// the protocol's two hooks.
   void send_next() {
-    if (sent_ >= ctx_.params().total_packets) return;
+    if (scorer_.packets_sent() >= ctx_.params().total_packets) return;
 
     net::DataPacket pkt;
-    pkt.seq = sent_;
+    pkt.seq = scorer_.packets_sent();
     pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
     pkt.payload_size = ctx_.params().payload_size;
     const net::PacketId id = pkt.id(ctx_.crypto());
@@ -304,11 +291,10 @@ class SourceAgent : public sim::Agent, public SourceHandle {
     wire.set_id(id);
     node().originate(sim::Direction::kToDest, std::move(wire),
                      pkt.wire_size());
-    log(obs::EventKind::kDataSend, id, pkt.seq);
-    ++sent_;
+    record(obs::EventKind::kDataSend, id, pkt.seq);  // counts the packet
     self().after_send(id, pkt.seq, flag);
 
-    if (sent_ < ctx_.params().total_packets) {
+    if (scorer_.packets_sent() < ctx_.params().total_packets) {
       node().sim().after(send_period_, [this] { send_next(); });
     }
   }

@@ -21,10 +21,10 @@ adversary::Strategy* strategy_for(
 }
 
 template <typename Source, typename Relay, typename Dest>
-SourceHandle* install(const ProtocolContext& ctx, sim::PathNetwork& net,
+const Scorer& install(const ProtocolContext& ctx, sim::PathNetwork& net,
                       const std::vector<adversary::Strategy*>& strategies) {
   auto source = std::make_unique<Source>(ctx);
-  SourceHandle* handle = source.get();
+  const Scorer& scorer = source->scorer();
   net.source().attach_agent(std::move(source));
 
   for (std::size_t i = 1; i < net.length(); ++i) {
@@ -34,12 +34,12 @@ SourceHandle* install(const ProtocolContext& ctx, sim::PathNetwork& net,
   }
 
   net.destination().attach_agent(std::make_unique<Dest>(ctx));
-  return handle;
+  return scorer;
 }
 
 }  // namespace
 
-SourceHandle* install_protocol(
+const Scorer& install_protocol(
     ProtocolKind kind, const ProtocolContext& ctx, sim::PathNetwork& net,
     const std::vector<adversary::Strategy*>& strategies) {
   if (net.length() != ctx.d()) {

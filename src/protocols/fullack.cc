@@ -4,23 +4,16 @@ namespace paai::protocols {
 
 // ---------------------------------------------------------------- source
 
-// Blame exposure per monitored packet: a *data* drop on l_i is always
-// localized there (1 traversal); a lost destination ack resolves to
-// "clean" via the onion round (the data demonstrably arrived); the probe
-// and onion legs add exposure only in rounds that actually probed — hence
-// the dynamic probe_extra term (see ScoreTable). Combination 1 has the
-// same structure.
 FullAckSource::FullAckSource(const ProtocolContext& ctx, bool sampled_mode)
-    : SourceAgent(ctx, ctx.d(), /*traversals=*/1.0, /*probe_extra=*/2.0),
+    : SourceAgent(ctx, sampled_mode ? ProtocolKind::kCombination1
+                                    : ProtocolKind::kFullAck),
       sampled_mode_(sampled_mode),
       sampler_(ctx.crypto(), ctx.keys().destination_key(),
                ctx.params().probe_probability),
       // Combination 1 waits one timer slack longer for the onion than
       // full-ack does; unifying the two would change full-ack's verdicts
       // (docs/PROTOCOLS.md, Combinations).
-      probe_wait_(ctx.r0() + (sampled_mode ? 2 : 1) * ctx.timer_slack()) {
-  every_packet_monitored_ = !sampled_mode;
-}
+      probe_wait_(ctx.r0() + (sampled_mode ? 2 : 1) * ctx.timer_slack()) {}
 
 bool FullAckSource::before_send(const net::PacketId& id, std::uint64_t) {
   if (!sampled_mode_) track(id, {}, 3 * ctx_.r0() + 8 * ctx_.timer_slack());
@@ -32,7 +25,7 @@ void FullAckSource::after_send(const net::PacketId& id, std::uint64_t seq,
   if (sampled_mode_) {
     // Only K_d-sampled packets are monitored; D acks those unprompted.
     if (!sampler_.sampled(ByteView(id.data(), id.size()))) return;
-    log(obs::EventKind::kSampleSelect, id, seq);
+    record(obs::EventKind::kSampleSelect, id, seq);
     track(id, {}, 3 * ctx_.r0() + 8 * ctx_.timer_slack());
   }
   node().sim().after(ctx_.r0() + ctx_.timer_slack(),
@@ -52,7 +45,7 @@ void FullAckSource::on_dest_ack(const net::DestAck& ack) {
   if (!dest_ack_ok(ack)) return;  // forged/corrupted: the timeout probes
   // Delivery confirmed. A probe may already be in flight (late ack); the
   // outcome is clean either way.
-  log(obs::EventKind::kAckRecv, ack.data_id, /*b=*/0);
+  record(obs::EventKind::kAckRecv, ack.data_id, /*b=*/0);
   credit_clean(ack.data_id);
   pending_.erase(ack.data_id);
 }

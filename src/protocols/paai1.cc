@@ -74,7 +74,7 @@ void Paai1Source::after_send(const net::PacketId& id, std::uint64_t seq,
   // Phase 1 decision: sample m for probing with probability p, keyed so
   // no observer can predict the outcome.
   if (!sampler_.sampled(ByteView(id.data(), id.size()))) return;
-  log(obs::EventKind::kSampleSelect, id, seq);
+  record(obs::EventKind::kSampleSelect, id, seq);
   track(id, {},
         ctx_.probe_delay() + 2 * ctx_.r0() + 8 * ctx_.timer_slack());
   node().sim().after(ctx_.probe_delay(), [this, id] { send_probe_for(id); });
@@ -101,7 +101,7 @@ void Paai1Source::on_probe_timeout(const net::PacketId& id) {
   }
   // No authenticated report at all: the drop is on the source's own
   // downstream link (footnote 8).
-  log(obs::EventKind::kAckTimeout, id);
+  record(obs::EventKind::kAckTimeout, id);
   credit_blame(id, 0);
   pending_.erase(id);
 }

@@ -26,15 +26,10 @@
 
 namespace paai::protocols {
 
-// Every probed packet exposes a link to the data, probe, and onion legs —
-// nominally 3 traversals, but a drop suppresses the same round's
-// downstream legs (an onion that originated upstream of l_i never crosses
-// it), leaving an effective exposure of ~2.6. Calibrated so that honest
-// links estimate at their true natural rate.
 class Paai1Source final : public SourceAgent<Paai1Source> {
  public:
   explicit Paai1Source(const ProtocolContext& ctx)
-      : SourceAgent(ctx, ctx.d(), /*traversals=*/2.6),
+      : SourceAgent(ctx, ProtocolKind::kPaai1),
         sampler_(ctx.crypto(), ctx.keys().source_sampling_key(),
                  ctx.params().probe_probability) {}
 

@@ -43,7 +43,8 @@ std::uint64_t paai2_layer_nonce(const net::PacketId& id, std::size_t index) {
 // ---------------------------------------------------------------- source
 
 Paai2Source::Paai2Source(const ProtocolContext& ctx, bool sampled_mode)
-    : SourceAgent(ctx, ctx.d()),
+    : SourceAgent(ctx, sampled_mode ? ProtocolKind::kCombination2
+                                    : ProtocolKind::kPaai2),
       sampled_mode_(sampled_mode),
       monitor_sampler_(ctx.crypto(), ctx.keys().destination_key(),
                        ctx.params().probe_probability) {}
@@ -60,8 +61,9 @@ bool Paai2Source::before_send(const net::PacketId& id, std::uint64_t) {
 void Paai2Source::after_send(const net::PacketId& id, std::uint64_t seq,
                              bool monitored) {
   if (!monitored) return;
-  if (sampled_mode_) log(obs::EventKind::kSampleSelect, id, seq);
-  score_.add_data_packet();
+  // A monitored packet is a trial: plain PAAI-2's data-send counted it,
+  // Combination 2's sample-select does.
+  if (sampled_mode_) record(obs::EventKind::kSampleSelect, id, seq);
   node().sim().after(ctx_.r0() + ctx_.timer_slack(),
                      [this, id] { on_ack_timeout(id); });
 }
@@ -70,7 +72,7 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
   Paai2Round* p = pending_.find(id);
   if (p == nullptr || p->probed) return;
   p->probed = true;
-  log(obs::EventKind::kAckTimeout, id);
+  record(obs::EventKind::kAckTimeout, id);
 
   // Fresh unpredictable challenge Z (PRF over id and a counter under the
   // source-private key).
@@ -99,17 +101,16 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
 void Paai2Source::on_probe_timeout(const net::PacketId& id) {
   Paai2Round* p = pending_.find(id);
   if (p == nullptr) return;
-  score_.add_probe(p->selected, /*prefix_failed=*/true);
   // Prefix evidence: no report survived, so the failure lies somewhere in
   // [l_0, l_{e-1}] (e = selected node) — no single link is named.
-  log(obs::EventKind::kScoreBlame, id, p->selected);
+  record(obs::EventKind::kScoreBlame, id, p->selected);
   pending_.erase(id);
 }
 
 void Paai2Source::on_dest_ack(const net::DestAck& ack) {
   Paai2Round* p = pending_.find(ack.data_id);
   if (p == nullptr || p->probed || !dest_ack_ok(ack)) return;
-  log(obs::EventKind::kAckRecv, ack.data_id, /*b=*/0);
+  record(obs::EventKind::kAckRecv, ack.data_id, /*b=*/0);
   pending_.erase(ack.data_id);  // clean round: no probe, no scoring
 }
 
@@ -117,7 +118,7 @@ void Paai2Source::on_report(const net::ReportAck& ack) {
   Paai2Round* p = pending_.find(ack.data_id);
   if (p == nullptr || !p->probed) return;
   if (ack.report.size() != kPaai2ReportSize) return;  // malformed: wait
-  log(obs::EventKind::kAckRecv, ack.data_id, /*b=*/1);
+  record(obs::EventKind::kAckRecv, ack.data_id, /*b=*/1);
 
   // Peel E_{K_1} .. E_{K_e}.
   Bytes cur = ack.report;
@@ -138,11 +139,10 @@ void Paai2Source::on_report(const net::ReportAck& ack) {
   const bool match = ct_equal(ByteView(expected.data(), expected.size()),
                               ByteView(cur.data(), crypto::kMacSize));
 
-  log(obs::EventKind::kOnionDecode, ack.data_id, p->selected, -1,
-      match ? 1.0 : 0.0);
-  score_.add_probe(p->selected, /*prefix_failed=*/!match);
-  log(match ? obs::EventKind::kScoreClean : obs::EventKind::kScoreBlame,
-      ack.data_id, p->selected);
+  record(obs::EventKind::kOnionDecode, ack.data_id, p->selected, -1,
+         match ? 1.0 : 0.0);
+  record(match ? obs::EventKind::kScoreClean : obs::EventKind::kScoreBlame,
+         ack.data_id, p->selected);
   pending_.erase(ack.data_id);
 }
 

@@ -34,8 +34,7 @@ struct Paai2Round {
   sim::Wire probe_wire;  // the probe as sent
 };
 
-class Paai2Source
-    : public SourceAgent<Paai2Source, Paai2ScoreTable, Paai2Round> {
+class Paai2Source : public SourceAgent<Paai2Source, Paai2Round> {
  public:
   explicit Paai2Source(const ProtocolContext& ctx)
       : Paai2Source(ctx, /*sampled_mode=*/false) {}

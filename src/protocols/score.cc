@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 namespace paai::protocols {
 
@@ -378,6 +380,184 @@ void FlScoreTable::convicted(double threshold, std::vector<std::size_t>* out,
 double FlScoreTable::observed_e2e_rate() const {
   if (acc_[0] <= 0.0) return 0.0;
   return std::max(0.0, 1.0 - acc_.back() / acc_[0]);
+}
+
+namespace {
+
+/// The table `protocol` scores with, calibrated.
+std::variant<ScoreTable, Paai2ScoreTable, FlScoreTable> make_table(
+    ProtocolKind protocol, std::size_t num_links) {
+  switch (protocol) {
+    case ProtocolKind::kFullAck:
+    case ProtocolKind::kCombination1:
+    case ProtocolKind::kSigAck:
+      // A data drop on l_i is always localized there (1 traversal); a
+      // lost destination ack resolves to "clean" via the onion round (the
+      // data demonstrably arrived); the probe and onion legs add exposure
+      // only in rounds that actually probed, hence the dynamic
+      // probe_extra term (see ScoreTable).
+      return ScoreTable(num_links, /*traversals=*/1.0, /*probe_extra=*/2.0);
+    case ProtocolKind::kPaai1:
+      // Every probed packet exposes a link to the data, probe and onion
+      // legs: nominally 3 traversals, but a drop suppresses the same
+      // round's downstream legs (an onion that originated upstream of l_i
+      // never crosses it), leaving an effective exposure of ~2.6.
+      // Calibrated so that honest links estimate at their true natural
+      // rate.
+      return ScoreTable(num_links, /*traversals=*/2.6);
+    case ProtocolKind::kPaai2:
+    case ProtocolKind::kCombination2:
+      return Paai2ScoreTable(num_links);
+    case ProtocolKind::kStatisticalFl:
+      return FlScoreTable(num_links);
+  }
+  throw std::invalid_argument("Scorer: unknown protocol kind");
+}
+
+[[noreturn]] void impossible(const obs::Event& e, const char* why) {
+  throw std::runtime_error(std::string(obs::event_kind_name(e.kind)) +
+                           " (node " + std::to_string(e.node) + ", seq " +
+                           std::to_string(e.seq) + ") " + why);
+}
+
+template <class T>
+constexpr bool kOnion = std::is_same_v<T, ScoreTable>;
+
+}  // namespace
+
+Scorer::Scorer(ProtocolKind protocol, std::size_t num_links,
+               const BlameSpec& blame)
+    : protocol_(protocol), table_(make_table(protocol, num_links)) {
+  std::visit([&](auto& table) { table.set_blame(blame); }, table_);
+}
+
+bool Scorer::apply_to(ScoreTable& t, obs::Event& e) {
+  switch (e.kind) {
+    case obs::EventKind::kDataSend:
+      ++sent_;
+      return true;
+    case obs::EventKind::kAckTimeout:
+      if (protocol_ == ProtocolKind::kPaai1) return false;
+      t.note_probe();
+      return true;
+    case obs::EventKind::kScoreClean:
+      t.add_clean();
+      ++delivered_;
+      e.b = t.observations();
+      return true;
+    case obs::EventKind::kScoreBlame: {
+      if (e.link < 0 || static_cast<std::size_t>(e.link) >= t.num_links()) {
+        impossible(e, "names an out-of-range link");
+      }
+      const auto link = static_cast<std::size_t>(e.link);
+      t.blame(link);
+      e.b = t.observations();
+      e.value = t.theta(link);
+      return true;
+    }
+    case obs::EventKind::kFlCount:
+      impossible(e, "outside stat-FL");
+    default:
+      return false;
+  }
+}
+
+bool Scorer::apply_to(Paai2ScoreTable& t, obs::Event& e) {
+  switch (e.kind) {
+    case obs::EventKind::kDataSend:
+      ++sent_;
+      if (protocol_ == ProtocolKind::kPaai2) t.add_data_packet();
+      return true;
+    case obs::EventKind::kSampleSelect:
+      if (protocol_ != ProtocolKind::kCombination2) return false;
+      t.add_data_packet();
+      return true;
+    case obs::EventKind::kScoreClean:
+    case obs::EventKind::kScoreBlame:
+      // b = the selected node e: a verified report proves the prefix
+      // [l_0, l_{e-1}] clean, a failed or missing one blames it.
+      t.add_probe(static_cast<std::size_t>(e.b),
+                  e.kind == obs::EventKind::kScoreBlame);
+      return true;
+    case obs::EventKind::kFlCount:
+      impossible(e, "outside stat-FL");
+    default:
+      return false;
+  }
+}
+
+bool Scorer::apply_to(FlScoreTable& t, obs::Event& e) {
+  switch (e.kind) {
+    case obs::EventKind::kDataSend:
+      ++sent_;
+      return true;
+    case obs::EventKind::kAckTimeout:
+      t.interval_lost();
+      return true;
+    case obs::EventKind::kScoreClean:
+      t.interval_reported();
+      e.b = t.intervals_reported();
+      return true;
+    case obs::EventKind::kScoreBlame:
+      impossible(e, "in stat-FL (counts, not blames, drive its estimator)");
+    case obs::EventKind::kFlCount:
+      if (e.link < 0 || static_cast<std::size_t>(e.link) > t.num_links()) {
+        impossible(e, "names an out-of-range node");
+      }
+      t.add_count(static_cast<std::size_t>(e.link), e.b);
+      return true;
+    default:
+      return false;
+  }
+}
+
+std::uint64_t Scorer::observations() const {
+  return std::visit([](const auto& table) { return table.observations(); },
+                    table_);
+}
+
+std::vector<double> Scorer::thetas() const {
+  return std::visit([](const auto& table) { return table.thetas(); }, table_);
+}
+
+std::vector<std::size_t> Scorer::convicted(double threshold) const {
+  std::vector<std::size_t> out;
+  std::vector<double> scratch;
+  convicted(threshold, &out, &scratch);
+  return out;
+}
+
+void Scorer::convicted(double threshold, std::vector<std::size_t>* out,
+                       std::vector<double>* scratch) const {
+  std::visit(
+      [&](const auto& table) {
+        if constexpr (kOnion<std::decay_t<decltype(table)>>) {
+          table.convicted(threshold, out);
+        } else {
+          table.convicted(threshold, out, scratch);
+        }
+      },
+      table_);
+}
+
+double Scorer::observed_e2e_rate() const {
+  return std::visit(
+      [&](const auto& table) {
+        if constexpr (kOnion<std::decay_t<decltype(table)>>) {
+          // Confirmed deliveries per monitored packet: full-ack and
+          // sig-ack monitor every packet sent, PAAI-1 and comb1 only the
+          // resolved observations.
+          const bool per_sent = protocol_ == ProtocolKind::kFullAck ||
+                                protocol_ == ProtocolKind::kSigAck;
+          const std::uint64_t n = per_sent ? sent_ : table.observations();
+          if (n == 0) return 0.0;
+          return 1.0 -
+                 static_cast<double>(delivered_) / static_cast<double>(n);
+        } else {
+          return table.observed_e2e_rate();
+        }
+      },
+      table_);
 }
 
 }  // namespace paai::protocols

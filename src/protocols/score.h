@@ -41,19 +41,24 @@
 // estimate, its margin predicate, its persistence tally and the ledger's
 // flagrant count and max streak. Only those inputs differ by family.
 //
-// All three tables are *stream-consumable*: every mutation corresponds
-// 1:1 to a forensic event the protocols log (obs/events.h), and visit()
-// lists every mutable field by name in snapshot order, so src/stream
-// writes and restores a table bit-identically with one walk — its online
-// engine replays a recorded event log through these exact classes, so
-// batch and streaming convictions agree to the last bit. reset() is the
-// same walk with a zeroing visitor.
+// Scorer — the one identify phase of a path: it picks and calibrates the
+// protocol's table and maps forensic events (obs/events.h) to table
+// mutations. A batch source scores by applying each event it logs;
+// src/stream applies the logged events to a Scorer of its own, so a
+// replay is the source's computation and agrees to the last bit.
+//
+// visit() lists every mutable table field by name in snapshot order, so
+// src/stream writes and restores a table bit-identically with one walk.
+// reset() is the same walk with a zeroing visitor.
 #pragma once
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
+#include "obs/events.h"
 #include "obs/metrics.h"
+#include "protocols/context.h"
 #include "protocols/window.h"
 
 namespace paai::protocols {
@@ -81,14 +86,12 @@ class ScoreTable {
   void blame(std::size_t link);
 
   std::uint64_t observations() const { return n_; }
-  std::uint64_t score(std::size_t link) const { return s_[link]; }
   std::uint64_t probes() const { return probes_; }
 
   /// Selects the conviction rule (see BlameSpec in protocols/window.h).
   /// Must be called before the first monitored unit when it changes the
   /// window width; throws std::logic_error otherwise.
   void set_blame(const BlameSpec& spec) { blame_.set(spec, n_); }
-  const BlameSpec& blame_spec() const { return blame_.spec(); }
 
   /// Per-traversal drop-rate estimate for a link (0 when n == 0).
   double theta(std::size_t link) const;
@@ -102,12 +105,9 @@ class ScoreTable {
 
   std::size_t num_links() const { return s_.size(); }
 
-  /// Windowed view: the ledger of closed windows, the current window's
-  /// per-link blame bins, and the burstiness statistic (max window
-  /// blame-share over cumulative share).
+  /// Windowed view: the ledger of closed windows and the burstiness
+  /// statistic (max window blame-share over cumulative share).
   const WindowLedger& windows() const { return blame_.ledger(); }
-  const std::vector<std::uint64_t>& window_bins() const { return win_s_; }
-  std::uint64_t window_fill() const { return blame_.fill(n_); }
   double burstiness(std::size_t link) const {
     return windows().burstiness(link, theta(link));
   }
@@ -167,17 +167,14 @@ class Paai2ScoreTable {
   /// expected value (or never arrived).
   void add_probe(std::size_t selected, bool prefix_failed);
 
-  std::uint64_t data_packets() const { return data_packets_; }
   std::uint64_t probes() const { return probes_; }
   /// Monitored units: the probes.
   std::uint64_t observations() const { return probes_; }
   std::uint64_t interval_score(std::size_t link) const { return s_[link]; }
   std::uint64_t selections(std::size_t e) const { return sel_n_[e]; }
-  std::uint64_t selection_failures(std::size_t e) const { return sel_f_[e]; }
 
   /// Selects the conviction rule; the probe count is the window axis.
   void set_blame(const BlameSpec& spec) { blame_.set(spec, probes_); }
-  const BlameSpec& blame_spec() const { return blame_.spec(); }
 
   /// Per-traversal per-link estimates via the prefix-difference estimator.
   std::vector<double> thetas() const;
@@ -196,9 +193,6 @@ class Paai2ScoreTable {
   std::size_t num_links() const { return s_.size(); }
 
   const WindowLedger& windows() const { return blame_.ledger(); }
-  const std::vector<std::uint64_t>& window_sel_n() const { return win_sel_n_; }
-  const std::vector<std::uint64_t>& window_sel_f() const { return win_sel_f_; }
-  std::uint64_t window_fill() const { return blame_.fill(probes_); }
   double burstiness(std::size_t link) const {
     return windows().burstiness(link, thetas()[link]);
   }
@@ -278,18 +272,15 @@ class FlScoreTable {
   /// Marks a reporting interval abandoned (report never arrived).
   void interval_lost() { ++intervals_lost_; }
 
-  double accumulated(std::size_t node) const { return acc_[node]; }
   std::uint64_t intervals_reported() const { return intervals_reported_; }
   /// Monitored units: the reported intervals.
   std::uint64_t observations() const { return intervals_reported_; }
-  std::uint64_t intervals_lost() const { return intervals_lost_; }
   std::size_t num_links() const { return acc_.size() - 1; }
 
   /// Selects the conviction rule; reported intervals are the window axis.
   void set_blame(const BlameSpec& spec) {
     blame_.set(spec, intervals_reported_);
   }
-  const BlameSpec& blame_spec() const { return blame_.spec(); }
 
   /// theta_j = max(0, 1 - S_{j+1}/S_j); 0 while S_j is empty.
   std::vector<double> thetas() const;
@@ -306,10 +297,6 @@ class FlScoreTable {
   double observed_e2e_rate() const;
 
   const WindowLedger& windows() const { return blame_.ledger(); }
-  const std::vector<double>& window_counts() const { return win_acc_; }
-  std::uint64_t window_fill() const {
-    return blame_.fill(intervals_reported_);
-  }
   double burstiness(std::size_t link) const {
     return windows().burstiness(link, thetas()[link]);
   }
@@ -351,6 +338,100 @@ class FlScoreTable {
   std::uint64_t intervals_lost_ = 0;
   std::vector<double> win_acc_;  // current window's per-node count sums
   BlameCore blame_;
+};
+
+/// The identify phase of one path (see the file comment). Event →
+/// mutation by table family (onion: full-ack, comb1, sig-ack, PAAI-1;
+/// prefix: PAAI-2, comb2; fl: stat-FL); any other kind is ignored:
+///
+///   data-send      all: packets sent; PAAI-2: also a trial
+///   sample-select  comb2: a trial
+///   ack-timeout    onion but PAAI-1: note_probe; fl: interval_lost
+///   score-clean    onion: add_clean, delivered, b := observations
+///                  prefix: add_probe(b, clean)
+///                  fl: interval_reported, b := intervals reported
+///   score-blame    onion: blame(link), b := observations, v := theta
+///                  prefix: add_probe(b, failed); fl: impossible
+///   fl-count       fl: add_count(link, b); onion, prefix: impossible
+///
+/// ":=" is post-state payload apply() writes into the event, which the
+/// source then logs. A trial is a monitored data packet: plain PAAI-2
+/// monitors every one, comb2 only its sampled ones. PAAI-1's ack-timeout
+/// leaves the exposure alone, because its fixed 2.6 traversals already
+/// count the probe leg.
+class Scorer {
+ public:
+  Scorer(ProtocolKind protocol, std::size_t num_links,
+         const BlameSpec& blame);
+
+  /// Whether apply() can act on `kind` at all.
+  static constexpr bool reads(obs::EventKind kind) {
+    switch (kind) {
+      case obs::EventKind::kDataSend:
+      case obs::EventKind::kSampleSelect:
+      case obs::EventKind::kAckTimeout:
+      case obs::EventKind::kScoreClean:
+      case obs::EventKind::kScoreBlame:
+      case obs::EventKind::kFlCount:
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  /// Applies `e` and fills in its post-state payload; returns whether it
+  /// changed any state. Throws std::runtime_error on a payload this
+  /// protocol cannot produce (a blame on an out-of-range link, an
+  /// fl-count outside stat-FL, ...).
+  bool apply(obs::Event& e) {
+    if (!reads(e.kind)) return false;
+    return std::visit([&](auto& table) { return apply_to(table, e); },
+                      table_);
+  }
+
+  std::uint64_t packets_sent() const { return sent_; }
+  /// Onion rounds that ended clean (confirmed deliveries).
+  std::uint64_t delivered() const { return delivered_; }
+
+  /// Monitored units with a resolved outcome (packets for full-ack,
+  /// probes for the PAAI protocols, reported intervals for stat-FL).
+  std::uint64_t observations() const;
+  /// Per-traversal drop-rate estimate of each link l_0..l_{d-1}.
+  std::vector<double> thetas() const;
+  /// Links the configured blame rule convicts at `threshold`, ascending.
+  std::vector<std::size_t> convicted(double threshold) const;
+  /// The same into caller-owned storage, with `scratch` for estimates
+  /// (both overwritten): a caller that reuses them stays off the heap.
+  void convicted(double threshold, std::vector<std::size_t>* out,
+                 std::vector<double>* scratch) const;
+  /// End-to-end data drop rate psi as the source observes it.
+  double observed_e2e_rate() const;
+
+  /// The table's state walk (see ScoreTable::visit).
+  template <class V>
+  void visit(V& v) {
+    std::visit([&](auto& table) { table.visit(v); }, table_);
+  }
+  template <class V>
+  void visit(V& v) const {
+    std::visit([&](const auto& table) { table.visit(v); }, table_);
+  }
+
+  /// Overwrites the packet counters (snapshot restore).
+  void restore_counters(std::uint64_t packets_sent, std::uint64_t delivered) {
+    sent_ = packets_sent;
+    delivered_ = delivered;
+  }
+
+ private:
+  bool apply_to(ScoreTable& t, obs::Event& e);
+  bool apply_to(Paai2ScoreTable& t, obs::Event& e);
+  bool apply_to(FlScoreTable& t, obs::Event& e);
+
+  ProtocolKind protocol_;
+  std::variant<ScoreTable, Paai2ScoreTable, FlScoreTable> table_;
+  std::uint64_t sent_ = 0;
+  std::uint64_t delivered_ = 0;
 };
 
 }  // namespace paai::protocols

@@ -43,11 +43,6 @@ std::optional<std::size_t> sigack_verify(const ProtocolContext& ctx,
 
 // ---------------------------------------------------------------- source
 
-SigAckSource::SigAckSource(const ProtocolContext& ctx)
-    : SourceAgent(ctx, ctx.d(), /*traversals=*/1.0, /*probe_extra=*/2.0) {
-  every_packet_monitored_ = true;
-}
-
 bool SigAckSource::before_send(const net::PacketId& id, std::uint64_t seq) {
   ProbeRound round;
   round.seq = seq;
@@ -72,13 +67,12 @@ void SigAckSource::on_report(const net::ReportAck& ack) {
   ProbeRound* p = pending_.find(ack.data_id);
   if (p == nullptr) return;
 
-  ++verifications_;
   const auto signer = sigack_verify(ctx_, ByteView(ack.report.data(),
                                                    ack.report.size()),
                                     ack.data_id);
   if (!signer) return;
   // b = signing node index (the destination's per-packet ack is b = d).
-  log(obs::EventKind::kAckRecv, ack.data_id, *signer);
+  record(obs::EventKind::kAckRecv, ack.data_id, *signer);
 
   if (*signer == ctx_.d() && !p->probed) {
     // The destination's per-packet signed ack: delivery confirmed.

@@ -32,10 +32,8 @@ namespace paai::protocols {
 
 class SigAckSource final : public SourceAgent<SigAckSource> {
  public:
-  explicit SigAckSource(const ProtocolContext& ctx);
-
-  /// Number of signature verifications performed (cost accounting).
-  std::uint64_t signature_verifications() const { return verifications_; }
+  explicit SigAckSource(const ProtocolContext& ctx)
+      : SourceAgent(ctx, ProtocolKind::kSigAck) {}
 
  private:
   friend SourceAgent;
@@ -44,8 +42,6 @@ class SigAckSource final : public SourceAgent<SigAckSource> {
   void after_send(const net::PacketId& id, std::uint64_t seq, bool);
   void on_probe_timeout(const net::PacketId& id);
   void on_report(const net::ReportAck& ack);
-
-  std::uint64_t verifications_ = 0;
 };
 
 class SigAckRelay final : public RelayBase {

@@ -42,8 +42,10 @@ bool StatFlSource::before_send(const net::PacketId& id, std::uint64_t) {
 
 void StatFlSource::after_send(const net::PacketId& id, std::uint64_t seq,
                               bool counted) {
-  if (counted) log(obs::EventKind::kSampleSelect, id, seq);
-  if (sent_ % ctx_.params().fl_interval_packets != 0) return;
+  if (counted) record(obs::EventKind::kSampleSelect, id, seq);
+  if (scorer_.packets_sent() % ctx_.params().fl_interval_packets != 0) {
+    return;
+  }
   // Close the interval. The request trails the interval's last data
   // packet by a timer slack so that even with per-hop jitter it cannot
   // overtake it — node snapshots stay race-free.
@@ -60,18 +62,17 @@ void StatFlSource::request_report(std::uint64_t interval, int attempt) {
   if (!awaiting_active_ || awaiting_ != interval) return;
   if (attempt >= kMaxRequestAttempts) {
     awaiting_active_ = false;
-    score_.interval_lost();
     // a = interval, b = attempts — the interval's report never arrived.
-    ctx_.log_event(node(), obs::EventKind::kAckTimeout, -1, interval,
-                   static_cast<std::uint64_t>(attempt));
+    record(obs::EventKind::kAckTimeout, interval,
+           static_cast<std::uint64_t>(attempt));
     return;
   }
   net::FlRequest req;
   req.interval = interval;
   originate(node(), sim::Direction::kToDest, req);
   // a = interval, b = attempt — the FL report request plays probe here.
-  ctx_.log_event(node(), obs::EventKind::kProbeSend, -1, interval,
-                 static_cast<std::uint64_t>(attempt));
+  record(obs::EventKind::kProbeSend, interval,
+         static_cast<std::uint64_t>(attempt));
   node().sim().after(ctx_.r0() + 2 * ctx_.timer_slack(),
                      [this, interval, attempt] {
                        request_report(interval, attempt + 1);
@@ -80,8 +81,7 @@ void StatFlSource::request_report(std::uint64_t interval, int attempt) {
 
 void StatFlSource::on_fl_report(const net::FlReport& report) {
   if (!awaiting_active_ || report.interval != awaiting_) return;
-  ctx_.log_event(node(), obs::EventKind::kAckRecv, -1, report.interval,
-                 /*b=*/2);
+  record(obs::EventKind::kAckRecv, report.interval, /*b=*/2);
 
   std::vector<std::uint64_t> counts(ctx_.d() + 1, 0);
   const std::uint64_t interval = report.interval;
@@ -101,8 +101,7 @@ void StatFlSource::on_fl_report(const net::FlReport& report) {
         return true;
       });
 
-  ctx_.log_event(node(), obs::EventKind::kOnionDecode, -1, report.interval,
-                 result.valid_layers);
+  record(obs::EventKind::kOnionDecode, report.interval, result.valid_layers);
   if (result.valid_layers < ctx_.d()) {
     // Broken or truncated onion: wait for a retransmission to bring a
     // complete one; the attempt counter bounds the wait.
@@ -113,15 +112,12 @@ void StatFlSource::on_fl_report(const net::FlReport& report) {
   for (std::size_t i = 0; i <= ctx_.d(); ++i) {
     // One kFlCount per node, in ascending order, so a stream consumer
     // can rebuild the accumulators without decoding the onion itself.
-    ctx_.log_event(node(), obs::EventKind::kFlCount,
-                   static_cast<std::int32_t>(i), report.interval, counts[i]);
-    score_.add_count(i, counts[i]);
+    record(obs::EventKind::kFlCount, report.interval, counts[i],
+           static_cast<std::int32_t>(i));
   }
-  score_.interval_reported();
   awaiting_active_ = false;
-  // a = interval, b = intervals folded in so far.
-  ctx_.log_event(node(), obs::EventKind::kScoreClean, -1, report.interval,
-                 score_.intervals_reported());
+  // a = interval; the Scorer sets b = intervals folded in so far.
+  record(obs::EventKind::kScoreClean, report.interval);
 }
 
 // ----------------------------------------------------------------- relay

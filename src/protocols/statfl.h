@@ -22,11 +22,10 @@
 
 namespace paai::protocols {
 
-class StatFlSource final
-    : public SourceAgent<StatFlSource, FlScoreTable, NoPending> {
+class StatFlSource final : public SourceAgent<StatFlSource, NoPending> {
  public:
   explicit StatFlSource(const ProtocolContext& ctx)
-      : SourceAgent(ctx, ctx.d()) {}
+      : SourceAgent(ctx, ProtocolKind::kStatisticalFl) {}
 
  private:
   friend SourceAgent;

@@ -111,8 +111,7 @@ std::int32_t BlameSpec::encode32() const {
     case Mode::kMargin:
       return 0;
     case Mode::kPersistent:
-      // PR 7 wire format: a bare K. Keeps old streams decodable.
-      return static_cast<std::int32_t>(k);
+      return static_cast<std::int32_t>((std::uint64_t{3} << kTagShift) | k);
     case Mode::kWindowed:
       return static_cast<std::int32_t>((std::uint64_t{1} << kTagShift) | w);
     case Mode::kHybrid:
@@ -131,11 +130,8 @@ BlameSpec BlameSpec::decode32(std::int32_t code) {
   BlameSpec out;
   switch (tag) {
     case 0:
-      if (u == 0) return out;  // margin
-      out.mode = Mode::kPersistent;
-      out.k = u;
-      check_persistence(out.k);
-      return out;
+      if (u != 0) util::spec_error(kPrefix, "unknown wire encoding");
+      return out;  // margin
     case 1:
       out.mode = Mode::kWindowed;
       out.w = u & (kMaxCount - 1);
@@ -147,6 +143,11 @@ BlameSpec BlameSpec::decode32(std::int32_t code) {
       out.w = u & (kMaxCount - 1);
       check_streak(out.k);
       check_width(out.w);
+      return out;
+    case 3:
+      out.mode = Mode::kPersistent;
+      out.k = u & (kMaxCount - 1);
+      check_persistence(out.k);
       return out;
     default:
       util::spec_error(kPrefix, "unknown wire tag");

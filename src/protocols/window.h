@@ -92,8 +92,8 @@ inline constexpr std::size_t kWindowRingCap = 8;
 ///                             theta_i > kWindowHighTheta)
 ///
 /// encode32()/decode32() pack a spec into the int32 `link` field of the
-/// kRunConfig forensic event (margin = 0 and persistent:K = K keep the
-/// PR 7 wire format; windowed/hybrid use tag bits 28+).
+/// kRunConfig forensic event: margin = 0, and the mode tag in bits 28+
+/// (1 windowed, 2 hybrid, 3 persistent) over its K and W.
 struct BlameSpec {
   enum class Mode : std::uint8_t { kMargin, kPersistent, kWindowed, kHybrid };
 
@@ -250,7 +250,6 @@ class BlameCore {
   /// Selects the conviction rule. A width change is only legal before the
   /// first monitored unit (axis == 0); throws std::logic_error otherwise.
   void set(const BlameSpec& spec, std::uint64_t axis);
-  const BlameSpec& spec() const { return spec_; }
   const WindowLedger& ledger() const { return ledger_; }
 
   /// Units in the current, still open window.

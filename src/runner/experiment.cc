@@ -112,7 +112,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
   }
 
-  protocols::SourceHandle* source =
+  const protocols::Scorer& source =
       protocols::install_protocol(config.protocol, ctx, net, by_node);
   net.start_agents();
 
@@ -130,15 +130,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   for (const std::uint64_t n : config.checkpoints) {
     const sim::SimTime t =
         static_cast<sim::SimTime>(n) * send_period + 3 * net.path_rtt_bound();
-    simulator.at(t, [&result, &simulator, source, n, &config, events] {
+    simulator.at(t, [&result, &simulator, &source, n, &config, events] {
       std::vector<std::size_t> convicted =
-          source->convicted(config.decision_threshold);
+          source.convicted(config.decision_threshold);
       if (events != nullptr) {
-        const auto thetas = source->thetas();
+        const auto thetas = source.thetas();
         for (const std::size_t link : convicted) {
           events->append(0, obs::EventKind::kConviction, simulator.now(),
                          static_cast<std::int32_t>(link), /*a=*/n,
-                         source->observations(),
+                         source.observations(),
                          link < thetas.size() ? thetas[link] : 0.0);
         }
       }
@@ -189,7 +189,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     struct TelemetrySampler {
       sim::Simulator& simulator;
       obs::TelemetrySink& sink;
-      protocols::SourceHandle& source;
+      const protocols::Scorer& source;
       std::uint64_t& fires;
       sim::SimDuration period;
       sim::SimTime end;
@@ -207,7 +207,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       }
     };
     simulator.after(telemetry_period,
-                    TelemetrySampler{simulator, *config.telemetry, *source,
+                    TelemetrySampler{simulator, *config.telemetry, source,
                                      telemetry_fires, telemetry_period,
                                      end_time});
   }
@@ -230,11 +230,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   simulator.run();  // drain remaining settled timers
   if (injector) injector->finish();
 
-  result.final_thetas = source->thetas();
-  result.final_convicted = source->convicted(config.decision_threshold);
-  result.observed_e2e_rate = source->observed_e2e_rate();
-  result.observations = source->observations();
-  result.packets_sent = source->packets_sent();
+  result.final_thetas = source.thetas();
+  result.final_convicted = source.convicted(config.decision_threshold);
+  result.observed_e2e_rate = source.observed_e2e_rate();
+  result.observations = source.observations();
+  result.packets_sent = source.packets_sent();
   result.overhead_bytes_ratio = net.counters().overhead_ratio();
   result.overhead_packets_ratio = net.counters().control_packets_per_data();
   result.data_link_crossings =

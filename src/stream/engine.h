@@ -1,45 +1,23 @@
-// Incremental scoring engine: the batch protocols' identify phase,
-// re-expressed as a consumer of the forensic event stream (obs/events.h).
+// Incremental scoring engine: the batch protocols' identify phase as a
+// consumer of the forensic event stream (obs/events.h).
 //
-// The batch sources log every score-table mutation as a typed event at the
-// moment it happens — kScoreClean/kScoreBlame/kFlCount carry the full
-// mutation payload, kDataSend/kSampleSelect/kAckTimeout carry the derived
-// counters (packets sent, probe rounds, lost intervals). All of them are
-// node-0 events, so the merged JSONL export preserves their exact append
-// order. ScoreEngine replays that order through the *same*
-// protocols/score.h classes the batch path uses, with the same calibration
-// literals, so its estimates, conviction sets, and e2e rates are
-// bit-identical to the originating run's — `paai replay` asserts this, and
-// tests/stream_test.cc proves it per protocol.
+// A batch source scores by applying each event it logs to its
+// protocols::Scorer. The score events are node-0 events, so the merged
+// JSONL export keeps their append order, and ScoreEngine applies them to
+// a Scorer of its own: its estimates, conviction sets and e2e rates are
+// the originating run's, bit for bit — `paai replay` asserts this, and
+// tests/stream_test.cc proves it per protocol. The event → mutation
+// mapping lives once, at Scorer (protocols/score.h).
 //
-// Configuration is in-band: the runner opens every log with a kRunConfig
-// event (protocol, path length, blame-mode code, threshold), so a consumer
-// needs no out-of-band knowledge of what produced the stream. An engine
-// can also be configured explicitly (restored snapshots, headless pipes);
-// a later kRunConfig that contradicts the active configuration is a hard
-// error rather than a silent re-score.
-//
-// Event → mutation mapping (exactly mirroring src/protocols):
-//
-//   full-ack / comb1 / sigack   kDataSend → packets_sent
-//     (ScoreTable)              kAckTimeout → note_probe
-//                               kScoreClean → add_clean, delivered
-//                               kScoreBlame(link) → blame(link)
-//   paai1 (ScoreTable)          same, except kAckTimeout does NOT
-//                               note_probe (the batch source never calls
-//                               it; exposure is the fixed 2.6) and the
-//                               timeout is immediately followed by its
-//                               kScoreBlame(0)
-//   paai2 (Paai2ScoreTable)     kDataSend → add_data_packet (every packet
-//                               is monitored in plain mode)
-//                               kScoreClean(b=e) → add_probe(e, false)
-//                               kScoreBlame(b=e) → add_probe(e, true)
-//   comb2 (Paai2ScoreTable)     like paai2, but kSampleSelect →
-//                               add_data_packet (only sampled packets are
-//                               monitored)
-//   statfl (FlScoreTable)       kFlCount(link=j, b=count) → add_count
-//                               kScoreClean → interval_reported
-//                               kAckTimeout → interval_lost
+// Around the Scorer the engine keeps what only a stream has: the
+// configuration, conviction records, conviction transitions, counters
+// and the snapshot walk. Configuration is in-band: the runner opens
+// every log with a kRunConfig event (protocol, path length, blame-mode
+// code, threshold), so a consumer needs no out-of-band knowledge of what
+// produced the stream. An engine can also be configured explicitly
+// (restored snapshots, headless pipes); a later kRunConfig that
+// contradicts the active configuration is a hard error rather than a
+// silent re-score.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +26,6 @@
 
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "protocols/context.h"
 #include "protocols/score.h"
 
 namespace paai::stream {
@@ -84,7 +61,7 @@ class ScoreEngine {
   /// (Re)configures the engine and resets all scoring state.
   void configure(const EngineConfig& config);
 
-  bool configured() const { return table_ != Table::kNone; }
+  bool configured() const { return scorer_.has_value(); }
   const EngineConfig& config() const { return config_; }
 
   /// Applies one event. Score-irrelevant kinds are counted and skipped.
@@ -103,11 +80,14 @@ class ScoreEngine {
   /// The subset that mutated scoring state or derived counters.
   std::uint64_t events_applied() const { return events_applied_; }
 
-  std::uint64_t packets_sent() const { return packets_sent_; }
-  std::uint64_t delivered() const { return delivered_; }
   bool run_ended() const { return run_ended_; }
 
-  // --- the SourceHandle-shaped read side -------------------------------
+  /// The Scorer the stream drives; configured engines only.
+  const protocols::Scorer& scorer() const { return *scorer_; }
+
+  // --- the Scorer's read side (zero / empty while unconfigured) ---------
+  std::uint64_t packets_sent() const;
+  std::uint64_t delivered() const;
   std::uint64_t observations() const;
   std::vector<double> thetas() const;
   std::vector<std::size_t> convicted() const;
@@ -127,7 +107,7 @@ class ScoreEngine {
   }
 
   // --- snapshot plumbing (stream/state.h) ------------------------------
-  /// Walks the active table's state (protocols/window.h StateZeroer
+  /// Walks the Scorer's table state (protocols/window.h StateZeroer
   /// vocabulary): its kind, then every mutable field in snapshot order.
   /// An unconfigured engine lists only kind "none".
   template <class V>
@@ -146,39 +126,23 @@ class ScoreEngine {
   void rebaseline_convictions();
 
  private:
-  enum class Table : std::uint8_t { kNone, kOnion, kPrefix, kFl };
-
   template <class Self, class V>
   static void walk_table(Self& e, V& v) {
-    if (e.onion_) {
-      e.onion_->visit(v);
-    } else if (e.prefix_) {
-      e.prefix_->visit(v);
-    } else if (e.fl_) {
-      e.fl_->visit(v);
+    if (e.scorer_) {
+      e.scorer_->visit(v);
     } else {
       v.kind("none");
     }
   }
 
-  void apply_score_clean(const obs::Event& event);
-  void apply_score_blame(const obs::Event& event);
-  void require_configured(const obs::Event& event) const;
-  /// convicted() into `out` (ascending), with `scratch` for the
-  /// estimates; both are overwritten.
-  void convicted(std::vector<std::size_t>* out,
-                 std::vector<double>* scratch) const;
+  /// Applies a score event to the Scorer; false if it ignored it.
+  bool apply_score(const obs::Event& event);
 
   EngineConfig config_{};
-  Table table_ = Table::kNone;
-  std::optional<protocols::ScoreTable> onion_;
-  std::optional<protocols::Paai2ScoreTable> prefix_;
-  std::optional<protocols::FlScoreTable> fl_;
+  std::optional<protocols::Scorer> scorer_;
 
   std::uint64_t events_seen_ = 0;
   std::uint64_t events_applied_ = 0;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t delivered_ = 0;
   bool run_ended_ = false;
   std::uint64_t stream_line_ = 0;
 

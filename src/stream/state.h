@@ -39,7 +39,7 @@
 //
 // The "table" object is not hand-written per family: it is the table's
 // own state walk (ScoreTable/Paai2ScoreTable/FlScoreTable::visit, via
-// ScoreEngine::visit_table), written by obs::JsonFieldWriter and read
+// Scorer::visit), written by obs::JsonFieldWriter and read
 // back by obs::JsonFieldReader, the strict reader every persisted JSON
 // document goes through. Loading is fail-closed on every field: every
 // member above is required ("protocol_name" is display-only: a string

@@ -318,7 +318,9 @@ TEST(Provider, EncryptDecryptRoundTrip) {
       for (std::size_t i = 0; i < len; ++i) pt[i] = static_cast<std::uint8_t>(i);
       const Bytes ct = crypto->encrypt(key, 42, ByteView(pt.data(), pt.size()));
       EXPECT_EQ(ct.size(), pt.size());
-      if (len > 2) EXPECT_NE(ct, pt);
+      if (len > 2) {
+        EXPECT_NE(ct, pt);
+      }
       EXPECT_EQ(crypto->decrypt(key, 42, ByteView(ct.data(), ct.size())), pt);
       // Wrong nonce decrypts to garbage (not the plaintext) for len > 8.
       if (len > 8) {

@@ -275,7 +275,7 @@ TEST(Report, DocumentMatchesSchemaAndSurvivesStrictParse) {
 // ------------------------------------------------------- integration (MC)
 
 TEST(Events, KindNamesRoundTrip) {
-  for (int i = 0; i < kEventKindCount; ++i) {
+  for (std::size_t i = 0; i < kEventKindCount; ++i) {
     const EventKind kind = static_cast<EventKind>(i);
     const char* name = event_kind_name(kind);
     ASSERT_NE(name, nullptr);
@@ -586,11 +586,9 @@ TEST(Forensics, ConvictionAuditMatchesVerdict) {
 
   // Final verdicts in the report == the run's convicted set.
   std::vector<std::size_t> audited;
-  for (const auto& c : report.convictions) {
-    if (c.final_verdict) audited.push_back(c.link);
+  for (const ConvictionRecord* c : report.verdict()) {
+    audited.push_back(c->link);
   }
-  std::sort(audited.begin(), audited.end());
-  audited.erase(std::unique(audited.begin(), audited.end()), audited.end());
   EXPECT_EQ(audited, r.final_convicted);
 
   std::ostringstream os;
@@ -599,6 +597,39 @@ TEST(Forensics, ConvictionAuditMatchesVerdict) {
   EXPECT_NE(text.find("CONVICTED l_3"), std::string::npos) << text;
   EXPECT_NE(text.find("blames:"), std::string::npos);
   EXPECT_NE(text.find("score trajectory"), std::string::npos);
+}
+
+// A checkpoint conviction is not the verdict: only the records stamped
+// with the run-end packet count are, and without a run-end the verdict
+// is unknown.
+TEST(Forensics, VerdictIsTheRunEndRecords) {
+  EventLog log;
+  log.append(0, EventKind::kRunStart, 0, -1, 2000, 1, 0.018);
+  // Checkpoint at 1000 packets: l_0 (a false positive) and l_4.
+  log.append(0, EventKind::kConviction, 10, 0, 1000, 40, 0.032);
+  log.append(0, EventKind::kConviction, 10, 4, 1000, 40, 0.05);
+  // Final verdict at 2000 packets: l_4 only.
+  log.append(0, EventKind::kConviction, 20, 4, 2000, 80, 0.045);
+  const std::vector<Event> head = log.merged();
+  log.append(0, EventKind::kRunEnd, 20, -1, 2000, 80);
+
+  const ForensicsReport report = forensics_analyze(log.merged());
+  const std::vector<const ConvictionRecord*> verdict = report.verdict();
+  ASSERT_EQ(verdict.size(), 1u);
+  EXPECT_EQ(verdict[0]->link, 4u);
+  EXPECT_EQ(verdict[0]->theta, 0.045);
+  std::ostringstream os;
+  write_audit_trail(os, report);
+  EXPECT_NE(os.str().find("CONVICTED l_4"), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("CONVICTED l_0"), std::string::npos) << os.str();
+
+  const ForensicsReport partial = forensics_analyze(head);
+  EXPECT_TRUE(partial.verdict().empty());
+  std::ostringstream partial_os;
+  write_audit_trail(partial_os, partial);
+  EXPECT_NE(partial_os.str().find("verdict: unknown"), std::string::npos)
+      << partial_os.str();
+  EXPECT_EQ(partial_os.str().find("CONVICTED"), std::string::npos);
 }
 
 TEST(Integration, MonteCarloPopulatesMetricsAndTrace) {

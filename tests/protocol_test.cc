@@ -338,8 +338,8 @@ INSTANTIATE_TEST_SUITE_P(
                          adversary_of(AdversarySpec::Kind::kCorrupt, 0.3));
                    },
                    "5ea27ecc7c0f04bb"}),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return std::string(info.param.name);
+    [](const ::testing::TestParamInfo<GoldenCase>& golden) {
+      return std::string(golden.param.name);
     });
 
 // Hash-once pin: the source computes H(m) and sets it on the wire
@@ -394,11 +394,11 @@ std::pair<std::uint64_t, std::uint64_t> count_hashes(
                                              rng.fork(owned.size() + 1)));
     by_node.at(spec.node) = owned.back().get();
   }
-  const protocols::SourceHandle* source =
+  const protocols::Scorer& source =
       protocols::install_protocol(cfg.protocol, ctx, net, by_node);
   net.start_agents();
   simulator.run();
-  return {counting.hashes(), source->packets_sent()};
+  return {counting.hashes(), source.packets_sent()};
 }
 
 TEST(HashOnce, CleanRunHashesOncePerPacketSent) {

@@ -18,20 +18,26 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <new>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/spec.h"
+#include "crypto/keystore.h"
+#include "faults/injector.h"
 #include "faults/plan.h"
 #include "mutation_fuzz.h"
 #include "obs/events.h"
 #include "obs/json.h"
+#include "protocols/factory.h"
 #include "protocols/score.h"
 #include "runner/experiment.h"
 #include "runner/producer.h"
+#include "sim/simulator.h"
 #include "stream/engine.h"
 #include "stream/service.h"
 #include "stream/state.h"
@@ -45,15 +51,16 @@ std::atomic<bool> g_count_allocs{false};
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// All out of line, so the compiler never pairs an inlined malloc() or
+// free() with the other side's operator and warns about a mismatch that
+// cannot happen here.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-// Out of line, so the compiler does not pair an inlined free() with a
-// library-side new and warn about a mismatch that cannot happen here.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
@@ -84,6 +91,97 @@ BatchRun run_with_log(runner::ExperimentConfig cfg) {
   out.events = log.merged();
   out.dropped = log.dropped();
   return out;
+}
+
+/// A Scorer's table walk (paai.state.v1's "table" section) and its packet
+/// counters, as one JSON document.
+std::string scorer_state(const protocols::Scorer& scorer) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  obs::JsonFieldWriter fields(w);
+  w.begin_object();
+  fields.field("packets_sent", scorer.packets_sent());
+  fields.field("delivered", scorer.delivered());
+  fields.open("table");
+  scorer.visit(fields);
+  fields.close();
+  w.end_object();
+  return os.str();
+}
+
+/// The adversaries' fault-cover signal, read off the run's injector.
+class InjectorCover final : public adversary::FaultObservation {
+ public:
+  explicit InjectorCover(const faults::FaultInjector* injector)
+      : injector_(injector) {}
+  bool cover_active(sim::SimTime now) const override {
+    return injector_ != nullptr && injector_->cover_active(now);
+  }
+
+ private:
+  const faults::FaultInjector* injector_;
+};
+
+/// A run of `cfg` driven by hand, so the source's own Scorer is in reach
+/// at run end: link faults, the benign fault plan (with its cover signal)
+/// and the adversaries are installed as the runner does, and the log opens
+/// with the run-config prologue. Returns the source Scorer's state and the
+/// run's log.
+std::pair<std::string, std::vector<obs::Event>> run_source(
+    const runner::ExperimentConfig& cfg) {
+  obs::EventLog log(
+      static_cast<std::size_t>(cfg.params.total_packets) * 16 + 4096);
+  sim::PathConfig path = cfg.path;
+  path.events = &log;
+  log.append(0, obs::EventKind::kRunConfig, 0, cfg.params.blame.encode32(),
+             static_cast<std::uint64_t>(cfg.protocol), path.length,
+             cfg.decision_threshold);
+  sim::Simulator simulator;
+  sim::PathNetwork net(simulator, path);
+  const auto provider = crypto::make_crypto(cfg.crypto);
+  const crypto::KeyStore keys(crypto::test_master_key(path.seed),
+                              net.length());
+  const protocols::ProtocolContext ctx(*provider, keys, net, cfg.params);
+  for (const runner::LinkFault& fault : cfg.link_faults) {
+    net.link(fault.link)
+        .set_loss_rate(1.0 - (1.0 - path.natural_loss) *
+                                 (1.0 - fault.extra_loss));
+  }
+  std::optional<faults::FaultInjector> injector;
+  if (!cfg.faults.empty()) injector.emplace(simulator, net, cfg.faults);
+  const InjectorCover cover(injector ? &*injector : nullptr);
+  adversary::Environment env;
+  env.cover = &cover;
+  Rng rng(path.seed);
+  std::vector<std::unique_ptr<adversary::Strategy>> owned;
+  std::vector<adversary::Strategy*> by_node(net.length() + 1, nullptr);
+  for (const auto& spec : cfg.adversaries) {
+    owned.push_back(
+        adversary::make_strategy(spec, env, rng.fork(owned.size() + 1)));
+    by_node.at(spec.node) = owned.back().get();
+  }
+  const protocols::Scorer& source =
+      protocols::install_protocol(cfg.protocol, ctx, net, by_node);
+  net.start_agents();
+  simulator.run();
+  if (injector) injector->finish();
+  EXPECT_EQ(log.dropped(), 0u);
+  return {scorer_state(source), log.merged()};
+}
+
+/// The source's Scorer at run end and a ScoreEngine fed the same run's
+/// log agree field for field (window ledger, bins and counters, not only
+/// the verdict), under the margin rule and a window-backed one.
+void expect_scorers_agree(runner::ExperimentConfig cfg) {
+  for (const char* spec : {"margin", "hybrid:4,192"}) {
+    SCOPED_TRACE(spec);
+    cfg.params.blame = protocols::BlameSpec::parse(spec);
+    const auto [source_state, events] = run_source(cfg);
+    ScoreEngine engine;
+    for (const obs::Event& e : events) engine.apply(e);
+    ASSERT_TRUE(engine.configured());
+    EXPECT_EQ(scorer_state(engine.scorer()), source_state);
+  }
 }
 
 /// Bit-exact comparison between a finished engine and the batch result it
@@ -138,25 +236,32 @@ TEST(Equivalence, AllProtocolsReferenceScenario) {
   }
 }
 
+constexpr const char* kBenignPlan = "ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15";
+
 // Every protocol under a benign fault plan (Gilbert-Elliott bursts on an
-// honest link) — the stream must absorb the same noisy evidence.
+// honest link) — the stream must absorb the same noisy evidence, and its
+// Scorer must match the source's field for field.
 TEST(Equivalence, AllProtocolsBenignFaults) {
   for (const auto protocol : kAllProtocols) {
+    SCOPED_TRACE(protocols::protocol_name(protocol));
     runner::ExperimentConfig cfg = runner::paper_config(protocol, 3000, 11);
-    cfg.faults =
-        faults::FaultPlan::parse("ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15");
+    cfg.faults = faults::FaultPlan::parse(kBenignPlan);
     const BatchRun batch = run_with_log(cfg);
     ASSERT_EQ(batch.dropped, 0u);
     ScoreEngine engine;
     for (const obs::Event& e : batch.events) engine.apply(e);
     expect_equivalent(batch.result, engine,
                       protocols::protocol_name(protocol));
+    expect_scorers_agree(cfg);
   }
 }
 
-// Every protocol against a behavioural adversary (colluding dropper).
+// Every protocol against a behavioural adversary (colluding dropper). The
+// field-for-field Scorer check runs it inside the benign plan's bursts,
+// the cover it needs to drop at all.
 TEST(Equivalence, AllProtocolsAdversary) {
   for (const auto protocol : kAllProtocols) {
+    SCOPED_TRACE(protocols::protocol_name(protocol));
     runner::ExperimentConfig cfg = runner::paper_config(protocol, 3000, 13);
     cfg.link_faults.clear();
     const auto plan = adversary::AdversaryPlan::parse("collude@4:rate=0.5");
@@ -167,6 +272,8 @@ TEST(Equivalence, AllProtocolsAdversary) {
     for (const obs::Event& e : batch.events) engine.apply(e);
     expect_equivalent(batch.result, engine,
                       protocols::protocol_name(protocol));
+    cfg.faults = faults::FaultPlan::parse(kBenignPlan);
+    expect_scorers_agree(cfg);
   }
 }
 
@@ -557,7 +664,7 @@ TEST(Engine, RunConfigMismatchThrows) {
 
 TEST(Engine, CrossProtocolEventsThrow) {
   ScoreEngine engine(
-      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018});
+      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018, {}});
   EXPECT_THROW(engine.apply(make_event(obs::EventKind::kFlCount, 2, 0, 10)),
                std::runtime_error);
   EXPECT_THROW(
@@ -570,7 +677,7 @@ TEST(Engine, CrossProtocolEventsThrow) {
 
 TEST(Engine, ConvictionTransitionsFireOnce) {
   ScoreEngine engine(
-      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.001});
+      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.001, {}});
   // Enough clean mass plus repeated blames of l_3 to cross the margin.
   for (int i = 0; i < 50; ++i) {
     engine.apply(make_event(obs::EventKind::kScoreClean));
@@ -601,7 +708,8 @@ std::uint64_t counted_poll(ScoreEngine& engine,
 // conviction, while links stay convicted, for every table family.
 TEST(Engine, TakeNewConvictionsIsHeapFreeWhenNothingIsNew) {
   std::vector<std::size_t> fresh;
-  ScoreEngine onion(EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.001});
+  ScoreEngine onion(
+      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.001, {}});
   for (int i = 0; i < 50; ++i) {
     onion.apply(make_event(obs::EventKind::kScoreClean));
     EXPECT_EQ(counted_poll(onion, &fresh), 0u);
@@ -695,8 +803,9 @@ TEST(BlameSpec, ParsesEveryModeAndRoundTrips) {
   const protocols::BlameSpec hybrid = protocols::BlameSpec::parse("hybrid");
   EXPECT_EQ(hybrid.k, protocols::kDefaultHybridStreak);
   EXPECT_EQ(hybrid.w, protocols::kDefaultWindowWidth);
-  // Persistent keeps the PR 7 bare-K wire format.
-  EXPECT_EQ(protocols::BlameSpec::parse("persistent:3").encode32(), 3);
+  // Persistent has its own wire tag (3), like windowed (1) and hybrid (2).
+  EXPECT_EQ(protocols::BlameSpec::parse("persistent:3").encode32(),
+            (3 << 28) | 3);
   EXPECT_EQ(protocols::BlameSpec::parse("margin").encode32(), 0);
 }
 
@@ -716,6 +825,8 @@ TEST(BlameSpec, RejectsMalformedSpecs) {
     EXPECT_THROW(protocols::BlameSpec::parse(spec), std::invalid_argument);
   }
   EXPECT_THROW(protocols::BlameSpec::decode32(-1), std::invalid_argument);
+  // A bare nonzero count is not a wire encoding.
+  EXPECT_THROW(protocols::BlameSpec::decode32(3), std::invalid_argument);
 }
 
 // Mutation fuzz over the blame grammar: every mutated spec either throws
@@ -884,9 +995,9 @@ TEST(Reader, RejectsMistypedFields) {
   }
 }
 
-// Spellings at the edge of the grammar that are still accepted: a signed
-// zero is a valid JSON integer (reading 0) in the signed fields, and
-// "v":-0 keeps its sign bit.
+// Signed zeros at the edge of the grammar: "v":-0 is accepted and keeps
+// its sign bit, but an integer field spelled -0 is not canonical (the
+// writer never emits it) and is rejected with the field named.
 TEST(Reader, AcceptsSignedZeros) {
   obs::Event e;
   std::string what;
@@ -896,13 +1007,14 @@ TEST(Reader, AcceptsSignedZeros) {
       << what;
   EXPECT_EQ(e.value, 0.0);
   EXPECT_TRUE(std::signbit(e.value));
-  ASSERT_TRUE(obs::decode_event_line(
-      R"({"ts_ns":-0,"node":0,"seq":0,"kind":"score-blame","link":-0,"a":"1","b":"0","v":0})",
-      &e, &what))
-      << what;
-  EXPECT_EQ(e.ts_ns, 0);
-  EXPECT_EQ(e.link, 0);
-  EXPECT_FALSE(std::signbit(e.value));
+  EXPECT_FALSE(obs::decode_event_line(
+      R"({"ts_ns":-0,"node":0,"seq":0,"kind":"score-blame","link":0,"a":"1","b":"0","v":0})",
+      &e, &what));
+  EXPECT_EQ(what, "ts_ns: negative zero");
+  EXPECT_FALSE(obs::decode_event_line(
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":-0,"a":"1","b":"0","v":0})",
+      &e, &what));
+  EXPECT_EQ(what, "link: negative zero");
 }
 
 /// The decoder must never be more permissive than strict JSON: a line it
@@ -1216,7 +1328,7 @@ TEST(Service, FailFastStopsAtFirstBadLine) {
       to_jsonl({make_event(obs::EventKind::kDataSend, -1, 1, 0)});
   std::istringstream is(good + "garbage\n" + good);
   ScoreEngine engine(
-      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018});
+      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018, {}});
   std::ostringstream log;
   ServeConfig cfg;
   cfg.fail_fast = true;
@@ -1232,7 +1344,7 @@ TEST(Service, SkipMalformedContinues) {
       to_jsonl({make_event(obs::EventKind::kDataSend, -1, 1, 0)});
   std::istringstream is(good + "garbage\n" + good);
   ScoreEngine engine(
-      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018});
+      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018, {}});
   std::ostringstream log;
   ServeConfig cfg;
   cfg.fail_fast = false;
@@ -1247,7 +1359,7 @@ TEST(Service, StopFlagDrainsImmediately) {
   std::istringstream is(
       to_jsonl({make_event(obs::EventKind::kDataSend, -1, 1, 0)}));
   ScoreEngine engine(
-      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018});
+      EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018, {}});
   std::ostringstream log;
   const volatile std::sig_atomic_t stop = 1;
   const ServeReport report =

@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Sanitizer legs, the protocol-metric baseline, end-to-end smokes and the
-# perfbench verdicts:
+# A warning-free build, sanitizer legs, the protocol-metric baseline,
+# end-to-end smokes and the perfbench verdicts:
+#
+#   0. Warnings are errors — a Release build of every target (library,
+#      tests, benches, examples, tools) with -DCMAKE_CXX_FLAGS=-Werror on
+#      top of the project's -Wall -Wextra -Wshadow.
 #
 #   1. ThreadSanitizer — exec + runner + fleet + mesh + obs + faults +
 #      telemetry + sim test suites. Catches data races in the parallel
@@ -60,7 +64,10 @@
 #      name the planted link, and the emitted paai.bench.v1 report must
 #      diff cleanly against itself. The same run's --trace-out (a Chrome
 #      rendering of the same event log) must be strict JSON with exactly
-#      one trace event per --events-out line.
+#      one trace event per --events-out line. On every event log legs 4-6
+#      write (a `paai curve` log with checkpoint convictions among them),
+#      explain's CONVICTED set must equal `paai replay --verify`'s verdict
+#      and, for a `paai run` log, the run's own verdict table.
 #
 #   5. colluder forensics smoke — a full-ack run against the adaptive
 #      fault colluder (collude@4:rate=1 hiding inside the calibrated
@@ -111,14 +118,19 @@
 #      its result line must say "correct": true (perfbench/golden.txt).
 #      The timing numbers themselves are the benchmark's, not a gate here.
 #
-# Usage: tools/check.sh [tsan-build-dir [asan-build-dir]]
-#        (defaults: build-tsan build-asan)
+# Usage: tools/check.sh [tsan-build-dir [asan-build-dir [werror-build-dir]]]
+#        (defaults: build-tsan build-asan build-werror)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 TSAN_DIR="${1:-build-tsan}"
 ASAN_DIR="${2:-build-asan}"
+WERROR_DIR="${3:-build-werror}"
 CHAOS_FILTER="--gtest_filter=-*ChaosPaperScale*"
+
+echo "== leg 0: warning-free Release build (-Werror, every target) =="
+cmake -B "$WERROR_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
+cmake --build "$WERROR_DIR" -j "$(nproc)"
 
 echo "== leg 1: ThreadSanitizer =="
 cmake -B "$TSAN_DIR" -S . -DPAAI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -178,6 +190,30 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
+# One verdict per event log: `paai explain`'s CONVICTED links must equal
+# `paai replay --verify`'s verdict and, when a `paai run` stdout is given,
+# that run's own verdict table.
+convicted_by_explain() {
+  # explain exits 1 when the verdict convicts nothing.
+  { "$ASAN_DIR/tools/paai" explain "$1" || [[ $? -eq 1 ]]; } |
+      sed -n 's/^CONVICTED \(l_[0-9]*\).*/\1/p' | sort | tr '\n' ' '
+}
+check_verdicts() {  # LEG LOG [RUN_STDOUT]
+  local explained replayed ran
+  explained="$(convicted_by_explain "$2")"
+  replayed="$("$ASAN_DIR/tools/paai" replay "$2" --verify --csv |
+      sed -n 's/^\(l_[0-9]*\),.*,CONVICTED$/\1/p' | sort | tr '\n' ' ')"
+  ran="$replayed"
+  if [[ $# -ge 3 ]]; then
+    ran="$(awk '$NF == "CONVICTED" { print $1 }' "$3" | sort | tr '\n' ' ')"
+  fi
+  if [[ "$explained" != "$replayed" || "$ran" != "$replayed" ]]; then
+    echo "leg $1 FAILED: verdicts disagree on $2: explain [$explained]," \
+         "replay [$replayed], run [$ran]" >&2
+    exit 1
+  fi
+}
+
 echo "== leg 3: protocol-metric baseline (fresh run vs bench/baseline.json) =="
 cmake --build "$ASAN_DIR" --target bench_diff bench_table1 bench_fig2_fullack bench_ablation bench_mesh bench_theorem1 paai -j "$(nproc)"
 "$ASAN_DIR/tools/bench_diff" --self-test
@@ -202,6 +238,14 @@ grep -q "CONVICTED" "$SMOKE_DIR/run.stdout" || {
   echo "leg 4 FAILED: run verdict table has no conviction" >&2
   exit 1
 }
+check_verdicts 4 "$SMOKE_DIR/events.jsonl" "$SMOKE_DIR/run.stdout"
+# A curve log carries checkpoint convictions (here an honest l_0 early on,
+# and l_4 at the final packet count as well as in the verdict); only the
+# latest run-end-count record of each link is the verdict.
+"$ASAN_DIR/tools/paai" curve --protocol=paai1 --packets=30000 --runs=1 \
+    --jobs=1 --fault=4:0.02 --events-out="$SMOKE_DIR/curve.jsonl" \
+    --events-cap=3000000 > "$SMOKE_DIR/curve.stdout"
+check_verdicts 4 "$SMOKE_DIR/curve.jsonl"
 # The emitted paai.bench.v1 report must be valid (self-diff is clean).
 "$ASAN_DIR/tools/bench_diff" "$SMOKE_DIR/run.json" "$SMOKE_DIR/run.json"
 # --trace-out renders the same event log: strict JSON, one trace event
@@ -226,7 +270,7 @@ echo "== leg 5: colluder forensics smoke (fault-colluding adversary) =="
 "$ASAN_DIR/tools/paai" run --protocol=fullack --packets=20000 --seed=1 \
     --adversary='collude@4:rate=1' \
     --faults='ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15' \
-    --events-out="$SMOKE_DIR/collude.jsonl" --events-cap=65536 \
+    --events-out="$SMOKE_DIR/collude.jsonl" --events-cap=200000 \
     > "$SMOKE_DIR/collude.stdout"
 "$ASAN_DIR/tools/paai" explain "$SMOKE_DIR/collude.jsonl" \
     > "$SMOKE_DIR/collude_explain.stdout"
@@ -240,6 +284,7 @@ if grep -q "CONVICTED l_2" "$SMOKE_DIR/collude_explain.stdout"; then
   cat "$SMOKE_DIR/collude_explain.stdout" >&2
   exit 1
 fi
+check_verdicts 5 "$SMOKE_DIR/collude.jsonl" "$SMOKE_DIR/collude.stdout"
 
 echo "== leg 6: serve-mode smoke (stream engine replay + snapshot/restore) =="
 # A batch run's event stream replayed through the online engine must
@@ -256,6 +301,7 @@ echo "== leg 6: serve-mode smoke (stream engine replay + snapshot/restore) =="
   cat "$SMOKE_DIR/replay.stdout" >&2
   exit 1
 }
+check_verdicts 6 "$SMOKE_DIR/stream.jsonl" "$SMOKE_DIR/stream_run.stdout"
 # Snapshot mid-stream, restore, and finish: same verdict.
 split -l 6000 "$SMOKE_DIR/stream.jsonl" "$SMOKE_DIR/stream_part."
 "$ASAN_DIR/tools/paai" serve --in="$SMOKE_DIR/stream_part.aa" \
@@ -532,4 +578,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"
+echo "check.sh: warning-free Release build (-Werror), TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log; explain = replay = run verdicts) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"

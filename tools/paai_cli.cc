@@ -391,7 +391,7 @@ int cmd_explain(int argc, char** argv) {
   }
   const obs::ForensicsReport report = obs::forensics_analyze(events);
   obs::write_audit_trail(std::cout, report);
-  return report.convictions.empty() ? 1 : 0;
+  return report.verdict().empty() ? 1 : 0;
 }
 
 // ------------------------------------------------------------ serve/replay
@@ -564,9 +564,25 @@ int cmd_replay(int argc, char** argv) {
                    "verify against\n");
       return 1;
     }
-    // The batch run's final verdict: the conviction records stamped with
-    // the run's total packet count (checkpoint records carry smaller
-    // counts). Bit-identity means the same link set AND the same thetas.
+    // The batch run's final verdict: per link, the latest conviction
+    // record stamped with the run's total packet count (checkpoint
+    // records carry smaller counts; one at the total count records the
+    // link again before the verdict does). Bit-identity means the same
+    // link set AND the same thetas.
+    std::vector<const stream::ConvictionRecord*> verdict;
+    for (const stream::ConvictionRecord& rec : engine.recorded_convictions()) {
+      if (rec.packets != engine.packets_sent()) continue;
+      const auto same = std::find_if(
+          verdict.begin(), verdict.end(),
+          [&](const stream::ConvictionRecord* v) {
+            return v->link == rec.link;
+          });
+      if (same != verdict.end()) {
+        *same = &rec;
+      } else {
+        verdict.push_back(&rec);
+      }
+    }
     bool ok = true;
     const stream::ConvictionRecord* divergent = nullptr;
     // First final-checkpoint record the stream's verdict lacks.
@@ -576,8 +592,8 @@ int cmd_replay(int argc, char** argv) {
       ok = false;
     };
     std::vector<std::size_t> expected;
-    for (const stream::ConvictionRecord& rec : engine.recorded_convictions()) {
-      if (rec.packets != engine.packets_sent()) continue;
+    for (const stream::ConvictionRecord* latest : verdict) {
+      const stream::ConvictionRecord& rec = *latest;
       expected.push_back(rec.link);
       if (unmatched == nullptr &&
           !std::binary_search(convicted.begin(), convicted.end(), rec.link)) {
