@@ -17,9 +17,10 @@
 //
 // Export is deterministic JSONL (one strict-JSON object per line, merged
 // across nodes and sorted by (ts_ns, node, seq)); `paai explain` replays
-// an exported log into a conviction audit trail (obs/forensics.h). The
-// same merged stream renders as a Chrome trace_event timeline
-// (`--trace-out`; load it in chrome://tracing or https://ui.perfetto.dev).
+// an exported log through the stream engine into a conviction audit
+// trail (stream/explain.h). The same merged stream renders as a Chrome
+// trace_event timeline (`--trace-out`; load it in chrome://tracing or
+// https://ui.perfetto.dev).
 #pragma once
 
 #include <cstddef>

@@ -477,20 +477,7 @@ void JsonFieldWriter::field(std::string_view name,
 
 void JsonFieldWriter::field(std::string_view name,
                             const std::vector<double>& xs) {
-  w_.key(name);
-  doubles(xs);
-}
-
-void JsonFieldWriter::field(std::string_view name,
-                            const std::vector<std::vector<double>>& rings,
-                            std::size_t /*cap*/) {
   w_.key(name).begin_array();
-  for (const std::vector<double>& ring : rings) doubles(ring);
-  w_.end_array();
-}
-
-void JsonFieldWriter::doubles(const std::vector<double>& xs) {
-  w_.begin_array();
   for (const double x : xs) w_.value(x);
   w_.end_array();
 }
@@ -597,23 +584,6 @@ const JsonValue* JsonFieldReader::array(std::string_view name,
     return nullptr;
   }
   return v;
-}
-
-void JsonFieldReader::field(std::string_view name,
-                            std::vector<std::vector<double>>& rings,
-                            std::size_t cap) {
-  const JsonValue* v = array(name, rings.size());
-  for (std::size_t i = 0; v != nullptr && i < rings.size(); ++i) {
-    const JsonValue& ring = v->array[i];
-    if (!ring.is_array()) return mistyped(name);
-    if (ring.array.size() > cap) {
-      return fail("wrong shape of " + path() + std::string(name));
-    }
-    rings[i].assign(ring.array.size(), 0.0);
-    for (std::size_t j = 0; j < ring.array.size(); ++j) {
-      if (!json_convert(ring.array[j], rings[i][j])) return mistyped(name);
-    }
-  }
 }
 
 void JsonFieldReader::index(std::string_view name, std::size_t& x,

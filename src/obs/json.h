@@ -109,13 +109,8 @@ class JsonFieldWriter {
   void field(std::string_view name, double x) { w_.key(name).value(x); }
   void field(std::string_view name, const std::vector<std::uint64_t>& xs);
   void field(std::string_view name, const std::vector<double>& xs);
-  void field(std::string_view name,
-             const std::vector<std::vector<double>>& rings,
-             std::size_t cap);
 
  private:
-  void doubles(const std::vector<double>& xs);
-
   JsonWriter& w_;
 };
 
@@ -171,9 +166,6 @@ class JsonFieldReader {
       if (!json_convert(v->array[i], xs[i])) return mistyped(name);
     }
   }
-  /// Per-link rings of at most `cap` doubles each.
-  void field(std::string_view name, std::vector<std::vector<double>>& rings,
-             std::size_t cap);
   void index(std::string_view name, std::size_t& x, std::uint64_t max);
   /// A member that must read, as a T, equal to `want`.
   template <class T, class W>

@@ -32,7 +32,7 @@ void check_width(std::uint64_t w) {
 }
 
 void check_streak(std::uint64_t k) {
-  if (k < 1 || k > kWindowRingCap) {
+  if (k < 1 || k > kMaxHybridStreak) {
     util::spec_error(kPrefix, "hybrid streak K must be in [1, 8]");
   }
 }
@@ -159,8 +159,7 @@ WindowLedger::WindowLedger(std::size_t num_links, std::uint64_t width)
       cur_streak_(num_links, 0),
       max_streak_(num_links, 0),
       flagrant_(num_links, 0),
-      max_theta_w_(num_links, 0.0),
-      recent_(num_links) {
+      max_theta_w_(num_links, 0.0) {
   if (num_links == 0) {
     throw std::invalid_argument("WindowLedger: need at least one link");
   }
@@ -191,9 +190,6 @@ void WindowLedger::finalize(const std::vector<double>& theta_w) {
     }
     if (tw > kWindowFlagrantTheta) ++flagrant_[i];
     if (tw > max_theta_w_[i]) max_theta_w_[i] = tw;
-    std::vector<double>& ring = recent_[i];
-    if (ring.size() == kWindowRingCap) ring.erase(ring.begin());
-    ring.push_back(tw);
   }
 }
 

@@ -13,8 +13,7 @@
 //   - how many closed windows were "hot"  (theta_w > kWindowHighTheta)
 //     in a row (current streak + a monotone max-streak latch),
 //   - how many were "flagrant"            (theta_w > kWindowFlagrantTheta),
-//   - the largest theta_w ever seen (the burstiness numerator),
-//   - a short ring of recent theta_w values for forensics.
+//   - the largest theta_w ever seen (the burstiness numerator).
 //
 // Multi-level conviction (BlameSpec, --blame=...): the cumulative margin
 // rule stays the baseline; windowed/hybrid modes add clauses that fire
@@ -72,8 +71,8 @@ inline constexpr std::uint64_t kDefaultHybridStreak = 4;
 /// Default repetition count for --blame=persistent (PR 7's calibration).
 inline constexpr std::uint64_t kDefaultPersistence = 3;
 
-/// Completed-window theta_w values retained per link for forensics.
-inline constexpr std::size_t kWindowRingCap = 8;
+/// Upper bound on the hybrid streak K (--blame=hybrid:K).
+inline constexpr std::uint64_t kMaxHybridStreak = 8;
 
 /// Unified conviction-rule spec behind --blame. Grammar
 /// (util/specgrammar lexical conventions, parsed by parse()):
@@ -197,10 +196,6 @@ class WindowLedger {
     return flagrant_[link];
   }
   double max_theta_w(std::size_t link) const { return max_theta_w_[link]; }
-  /// Last kWindowRingCap completed-window estimates, oldest first.
-  const std::vector<double>& recent(std::size_t link) const {
-    return recent_[link];
-  }
 
   /// Burstiness statistic: max window blame-share over cumulative share.
   /// ~1 for steady loss, >> 1 when blame concentrates in time. 0 until a
@@ -219,14 +214,13 @@ class WindowLedger {
  private:
   template <class Self, class V>
   static void walk(Self& l, V& v) {
-    v.version("v", 1);
+    v.version("v", 2);
     v.fixed("w", l.width_);
     v.field("completed", l.completed_);
     v.field("cur_streak", l.cur_streak_);
     v.field("max_streak", l.max_streak_);
     v.field("flagrant", l.flagrant_);
     v.field("max_theta_w", l.max_theta_w_);
-    v.field("recent", l.recent_, kWindowRingCap);
   }
 
   std::uint64_t width_;
@@ -235,7 +229,6 @@ class WindowLedger {
   std::vector<std::uint64_t> max_streak_;
   std::vector<std::uint64_t> flagrant_;
   std::vector<double> max_theta_w_;
-  std::vector<std::vector<double>> recent_;
 };
 
 /// The window/blame core every score table owns: the configured BlameSpec
@@ -288,7 +281,6 @@ class BlameCore {
 ///   fixed(name, x)         construction-time u64 the snapshot must match
 ///   field(name, x)         a u64 scalar, or a u64/f64 vector whose size
 ///                          is fixed by construction
-///   field(name, rings, cap)  per-link rings of at most `cap` doubles
 struct StateZeroer {
   void kind(const char*) {}
   void open(const char*) {}
@@ -299,10 +291,6 @@ struct StateZeroer {
   template <class T>
   void field(const char*, std::vector<T>& xs) {
     std::fill(xs.begin(), xs.end(), T{});
-  }
-  void field(const char*, std::vector<std::vector<double>>& rings,
-             std::size_t) {
-    for (auto& ring : rings) ring.clear();
   }
 };
 

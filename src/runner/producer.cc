@@ -7,16 +7,20 @@
 
 namespace paai::runner {
 
+std::size_t drop_free_events_cap(std::uint64_t total_packets) {
+  // The busiest ring is the source's: per data packet it sees the
+  // protocol decisions (send, sample, probe, ack, onion, score — up to
+  // ~8) plus its own wire events. 16/packet with a floor comfortably
+  // bounds every protocol in the suite.
+  return std::max<std::size_t>(4096,
+                               static_cast<std::size_t>(total_packets) * 16);
+}
+
 StreamProduceResult run_experiment_to_stream(ExperimentConfig config,
                                              std::ostream& os,
                                              std::size_t events_cap) {
   if (events_cap == 0) {
-    // The busiest ring is the source's: per data packet it sees the
-    // protocol decisions (send, sample, probe, ack, onion, score — up to
-    // ~8) plus its own wire events. 16/packet with a floor comfortably
-    // bounds every protocol in the suite.
-    events_cap = std::max<std::size_t>(
-        4096, static_cast<std::size_t>(config.params.total_packets) * 16);
+    events_cap = drop_free_events_cap(config.params.total_packets);
   }
   obs::EventLog log(events_cap);
   config.path.events = &log;

@@ -28,11 +28,17 @@ struct StreamProduceResult {
   std::uint64_t events_dropped = 0;
 };
 
+/// The per-node event-ring capacity that drops no event of a run of
+/// `total_packets` data packets: 16 per packet, floored at 4096. Rings
+/// grow on demand, so memory follows the events a run records (13-29
+/// per packet over all nodes for PAAI-1, PAAI-2, full-ack and stat-FL
+/// at 60k packets), not this bound.
+std::size_t drop_free_events_cap(std::uint64_t total_packets);
+
 /// Runs `config` with a forensic event log attached (replacing any
 /// `config.path.events` the caller set) and writes the merged stream as
-/// JSONL to `os`. `events_cap` is the per-node ring capacity; 0 picks a
-/// capacity generous enough that no event is dropped (≈16 events per
-/// packet per node, floored at 4096).
+/// JSONL to `os`. `events_cap` is the per-node ring capacity; 0 picks
+/// drop_free_events_cap().
 StreamProduceResult run_experiment_to_stream(ExperimentConfig config,
                                              std::ostream& os,
                                              std::size_t events_cap = 0);

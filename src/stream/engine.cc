@@ -136,6 +136,28 @@ std::vector<std::size_t> ScoreEngine::take_new_convictions() {
   return fresh;
 }
 
+std::vector<ConvictionRecord> ScoreEngine::verdict() const {
+  std::vector<ConvictionRecord> out;
+  if (!run_ended_) return out;
+  for (const ConvictionRecord& rec : recorded_) {
+    if (rec.packets != packets_sent()) continue;
+    const auto same =
+        std::find_if(out.begin(), out.end(), [&](const ConvictionRecord& v) {
+          return v.link == rec.link;
+        });
+    if (same != out.end()) {
+      *same = rec;
+    } else {
+      out.push_back(rec);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ConvictionRecord& x, const ConvictionRecord& y) {
+              return x.link < y.link;
+            });
+  return out;
+}
+
 void ScoreEngine::restore_counters(std::uint64_t events_seen,
                                    std::uint64_t events_applied,
                                    std::uint64_t packets_sent,

@@ -38,8 +38,8 @@ struct EngineConfig {
 };
 
 /// A batch conviction record observed in the stream (kConviction events
-/// are the producer's own verdicts; replay --verify compares the engine's
-/// final conviction set against the final batch records).
+/// are the producer's own verdicts at checkpoints and at run end;
+/// ScoreEngine::verdict() selects the final ones).
 struct ConvictionRecord {
   std::size_t link = 0;
   std::uint64_t packets = 0;
@@ -105,6 +105,13 @@ class ScoreEngine {
   const std::vector<ConvictionRecord>& recorded_convictions() const {
     return recorded_;
   }
+
+  /// The batch run's final verdict: per link, by ascending link, the
+  /// latest recorded conviction stamped with the run's final packet count
+  /// (checkpoint records carry smaller counts). Empty until the run-end
+  /// arrives: without it the verdict is unknown. `paai replay --verify`
+  /// checks the engine against it and `paai explain` prints it.
+  std::vector<ConvictionRecord> verdict() const;
 
   // --- snapshot plumbing (stream/state.h) ------------------------------
   /// Walks the Scorer's table state (protocols/window.h StateZeroer

@@ -33,9 +33,9 @@
 //        "intervals_reported": "<u64>", "intervals_lost": "<u64>",
 //        "window": {"counts": [<double>, ...], <ledger>}}
 //   }
-//   <ledger> = "v": 1, "w": "<u64>", "completed": "<u64>",
+//   <ledger> = "v": 2, "w": "<u64>", "completed": "<u64>",
 //              "cur_streak": [...], "max_streak": [...], "flagrant": [...],
-//              "max_theta_w": [<double>, ...], "recent": [[<double>...]...]
+//              "max_theta_w": [<double>, ...]
 //
 // The "table" object is not hand-written per family: it is the table's
 // own state walk (ScoreTable/Paai2ScoreTable/FlScoreTable::visit, via
@@ -45,11 +45,11 @@
 // member above is required ("protocol_name" is display-only: a string
 // when present, never read back), any other member anywhere in the
 // document is rejected, every number must be finite, every vector must
-// have the size the configured table was constructed with (each
-// "recent" ring at most kWindowRingCap values), "w" must equal the blame
-// spec's window width and "v" must be 1. The first violation is reported
-// with its member path ("table.window.v"); nothing is half-applied or
-// defaulted.
+// have the size the configured table was constructed with, "w" must
+// equal the blame spec's window width and "v" must be 2 (a v1 ledger,
+// which carried a per-link "recent" ring, is refused by its version).
+// The first violation is reported with its member path
+// ("table.window.v"); nothing is half-applied or defaulted.
 #pragma once
 
 #include <iosfwd>

@@ -17,7 +17,6 @@
 
 #include "exec/parallel_for.h"
 #include "obs/events.h"
-#include "obs/forensics.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -564,72 +563,6 @@ TEST(EventCodec, WriteJsonlIsTheConcatenatedLines) {
   std::ostringstream os;
   log.write_jsonl(os);
   EXPECT_EQ(os.str(), expected);
-}
-
-TEST(Forensics, ConvictionAuditMatchesVerdict) {
-  // The acceptance scenario: PAAI-1, adversary planted at l_3. The audit
-  // trail replayed from the event log must name exactly the links the
-  // run's own verdict convicted.
-  EventLog log(1 << 16);
-  runner::ExperimentConfig cfg =
-      runner::paper_config(protocols::ProtocolKind::kPaai1, 20000, 1);
-  cfg.link_faults.clear();
-  cfg.link_faults.push_back(runner::LinkFault{3, 0.02});
-  cfg.path.events = &log;
-  const runner::ExperimentResult r = runner::run_experiment(cfg);
-  ASSERT_FALSE(r.final_convicted.empty());
-
-  const ForensicsReport report = forensics_analyze(log.merged());
-  EXPECT_EQ(report.threshold, cfg.decision_threshold);
-  EXPECT_EQ(report.packets_sent, r.packets_sent);
-  EXPECT_EQ(report.observations, r.observations);
-
-  // Final verdicts in the report == the run's convicted set.
-  std::vector<std::size_t> audited;
-  for (const ConvictionRecord* c : report.verdict()) {
-    audited.push_back(c->link);
-  }
-  EXPECT_EQ(audited, r.final_convicted);
-
-  std::ostringstream os;
-  write_audit_trail(os, report);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("CONVICTED l_3"), std::string::npos) << text;
-  EXPECT_NE(text.find("blames:"), std::string::npos);
-  EXPECT_NE(text.find("score trajectory"), std::string::npos);
-}
-
-// A checkpoint conviction is not the verdict: only the records stamped
-// with the run-end packet count are, and without a run-end the verdict
-// is unknown.
-TEST(Forensics, VerdictIsTheRunEndRecords) {
-  EventLog log;
-  log.append(0, EventKind::kRunStart, 0, -1, 2000, 1, 0.018);
-  // Checkpoint at 1000 packets: l_0 (a false positive) and l_4.
-  log.append(0, EventKind::kConviction, 10, 0, 1000, 40, 0.032);
-  log.append(0, EventKind::kConviction, 10, 4, 1000, 40, 0.05);
-  // Final verdict at 2000 packets: l_4 only.
-  log.append(0, EventKind::kConviction, 20, 4, 2000, 80, 0.045);
-  const std::vector<Event> head = log.merged();
-  log.append(0, EventKind::kRunEnd, 20, -1, 2000, 80);
-
-  const ForensicsReport report = forensics_analyze(log.merged());
-  const std::vector<const ConvictionRecord*> verdict = report.verdict();
-  ASSERT_EQ(verdict.size(), 1u);
-  EXPECT_EQ(verdict[0]->link, 4u);
-  EXPECT_EQ(verdict[0]->theta, 0.045);
-  std::ostringstream os;
-  write_audit_trail(os, report);
-  EXPECT_NE(os.str().find("CONVICTED l_4"), std::string::npos) << os.str();
-  EXPECT_EQ(os.str().find("CONVICTED l_0"), std::string::npos) << os.str();
-
-  const ForensicsReport partial = forensics_analyze(head);
-  EXPECT_TRUE(partial.verdict().empty());
-  std::ostringstream partial_os;
-  write_audit_trail(partial_os, partial);
-  EXPECT_NE(partial_os.str().find("verdict: unknown"), std::string::npos)
-      << partial_os.str();
-  EXPECT_EQ(partial_os.str().find("CONVICTED"), std::string::npos);
 }
 
 TEST(Integration, MonteCarloPopulatesMetricsAndTrace) {

@@ -39,6 +39,7 @@
 #include "runner/producer.h"
 #include "sim/simulator.h"
 #include "stream/engine.h"
+#include "stream/explain.h"
 #include "stream/service.h"
 #include "stream/state.h"
 #include "util/rng.h"
@@ -256,23 +257,26 @@ TEST(Equivalence, AllProtocolsBenignFaults) {
   }
 }
 
-// Every protocol against a behavioural adversary (colluding dropper). The
-// field-for-field Scorer check runs it inside the benign plan's bursts,
-// the cover it needs to drop at all.
+// Every protocol against a behavioural adversary (colluding dropper),
+// run inside the benign plan's bursts: the cover it needs to drop at
+// all. Its log must differ from the same run without it, so a colluder
+// that goes silent fails here instead of replaying a clean run.
 TEST(Equivalence, AllProtocolsAdversary) {
   for (const auto protocol : kAllProtocols) {
     SCOPED_TRACE(protocols::protocol_name(protocol));
     runner::ExperimentConfig cfg = runner::paper_config(protocol, 3000, 13);
     cfg.link_faults.clear();
+    cfg.faults = faults::FaultPlan::parse(kBenignPlan);
+    const BatchRun honest = run_with_log(cfg);
     const auto plan = adversary::AdversaryPlan::parse("collude@4:rate=0.5");
     cfg.adversaries.assign(plan.specs.begin(), plan.specs.end());
     const BatchRun batch = run_with_log(cfg);
     ASSERT_EQ(batch.dropped, 0u);
+    EXPECT_NE(batch.events, honest.events) << "the colluder never acted";
     ScoreEngine engine;
     for (const obs::Event& e : batch.events) engine.apply(e);
     expect_equivalent(batch.result, engine,
                       protocols::protocol_name(protocol));
-    cfg.faults = faults::FaultPlan::parse(kBenignPlan);
     expect_scorers_agree(cfg);
   }
 }
@@ -440,7 +444,8 @@ std::string strip_window(const std::string& snapshot) {
 // Window state restores exactly or not at all. A snapshot whose "window"
 // object is missing is rejected for every table family (a clean ledger
 // would silently forget streak and flagrant history), and so is one with
-// an unsupported window state version.
+// an unsupported window state version, including a version-1 ledger with
+// its retired "recent" ring.
 TEST(Snapshot, WindowStateFailsClosed) {
   for (const auto protocol : {protocols::ProtocolKind::kPaai1,
                               protocols::ProtocolKind::kPaai2,
@@ -463,7 +468,7 @@ TEST(Snapshot, WindowStateFailsClosed) {
     EXPECT_NE(error.find("window"), std::string::npos) << error;
 
     // Tamper: unsupported window state version.
-    const std::string versioned = R"("v":1,"w")";
+    const std::string versioned = R"("v":2,"w")";
     const std::size_t at = snapshot.find(versioned);
     ASSERT_NE(at, std::string::npos) << snapshot;
     std::string tampered = snapshot;
@@ -471,6 +476,21 @@ TEST(Snapshot, WindowStateFailsClosed) {
     ScoreEngine rejected;
     EXPECT_FALSE(load_state(tampered, &rejected, &error));
     EXPECT_NE(error.find("window"), std::string::npos) << error;
+
+    // A version-1 ledger, as written before the "recent" ring was retired:
+    // refused by its version, not by the ring it still carries.
+    std::string old_form = snapshot;
+    old_form.replace(at, versioned.size(), R"("v":1,"w")");
+    const std::size_t window_end = old_form.find("]}}", at);
+    ASSERT_NE(window_end, std::string::npos) << old_form;
+    std::string rings = R"(,"recent":[)";
+    for (std::size_t i = 0; i < engine.thetas().size(); ++i) {
+      rings += i == 0 ? "[0.031]" : ",[0]";
+    }
+    old_form.insert(window_end + 1, rings + "]");
+    ScoreEngine old_engine;
+    EXPECT_FALSE(load_state(old_form, &old_engine, &error)) << old_form;
+    EXPECT_NE(error.find("table.window.v"), std::string::npos) << error;
   }
 }
 
@@ -1416,6 +1436,201 @@ TEST(Producer, StreamsADropFreeLog) {
   const ServeReport report = serve_stream(engine, is, log, ServeConfig{});
   EXPECT_FALSE(report.failed) << report.error;
   expect_equivalent(produced.result, engine, "producer stream");
+}
+
+// ------------------------------------------------------ the audit trail
+
+/// `events` read back as `paai explain` reads a file: JSONL, line by line.
+bool explain_jsonl(const std::vector<obs::Event>& events, AuditTrail& trail,
+                   std::string* error) {
+  std::string jsonl;
+  char line[obs::kEventLineMaxBytes];
+  for (const obs::Event& e : events) {
+    jsonl.append(line, obs::encode_event_line(e, line));
+  }
+  std::istringstream is(jsonl);
+  return read_audit_trail(is, trail, error);
+}
+
+std::string render(const AuditTrail& trail) {
+  std::ostringstream os;
+  trail.write(os);
+  return os.str();
+}
+
+std::vector<std::size_t> verdict_links(const ScoreEngine& engine) {
+  std::vector<std::size_t> out;
+  for (const ConvictionRecord& rec : engine.verdict()) out.push_back(rec.link);
+  return out;
+}
+
+// The acceptance scenario: PAAI-1, adversary planted at l_3. The audit
+// trail replayed from the event log must name exactly the links the
+// run's own verdict convicted, and the rule convicts l_3 later than its
+// first blame (one blamed observation is not a margin crossing).
+TEST(Forensics, ConvictionAuditMatchesVerdict) {
+  runner::ExperimentConfig cfg =
+      runner::paper_config(protocols::ProtocolKind::kPaai1, 20000, 1);
+  cfg.link_faults.clear();
+  cfg.link_faults.push_back(runner::LinkFault{3, 0.02});
+  const BatchRun batch = run_with_log(cfg);
+  ASSERT_EQ(batch.dropped, 0u);
+  const runner::ExperimentResult& r = batch.result;
+  ASSERT_FALSE(r.final_convicted.empty());
+
+  AuditTrail trail;
+  std::string error;
+  ASSERT_TRUE(explain_jsonl(batch.events, trail, &error)) << error;
+  EXPECT_EQ(trail.engine().config().threshold, cfg.decision_threshold);
+  EXPECT_EQ(trail.engine().packets_sent(), r.packets_sent);
+  EXPECT_EQ(trail.engine().observations(), r.observations);
+
+  // Final verdicts in the trail == the run's convicted set.
+  EXPECT_EQ(verdict_links(trail.engine()), r.final_convicted);
+
+  const std::string text = render(trail);
+  EXPECT_NE(text.find("CONVICTED l_3"), std::string::npos) << text;
+  EXPECT_NE(text.find("blames:"), std::string::npos);
+  EXPECT_NE(text.find("score trajectory"), std::string::npos);
+  EXPECT_NE(text.find("--blame=margin convicts it since t="),
+            std::string::npos)
+      << text;
+
+  const AuditTrail::LinkEvidence& l3 = trail.links().at(3);
+  ASSERT_GE(l3.first_blame_ns, 0);
+  EXPECT_GT(l3.entered_ns, l3.first_blame_ns);
+  EXPECT_EQ(l3.trajectory.size(), l3.blames);
+  EXPECT_EQ(trail.engine().thetas(), r.final_thetas);
+}
+
+// A checkpoint conviction is not the verdict: only the records stamped
+// with the run-end packet count are, and without a run-end the verdict
+// is unknown.
+TEST(Forensics, VerdictIsTheRunEndRecords) {
+  obs::EventLog log;
+  log.append(0, obs::EventKind::kRunStart, 0, -1, 2000, 1, 0.018);
+  log.append(0, obs::EventKind::kRunConfig, 0, 0,
+             static_cast<std::uint64_t>(protocols::ProtocolKind::kPaai1), 6,
+             0.018);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    log.append(0, obs::EventKind::kDataSend, 5, -1, i, i);
+  }
+  // Checkpoint at 1000 packets: l_0 (a false positive) and l_4.
+  log.append(0, obs::EventKind::kConviction, 10, 0, 1000, 40, 0.032);
+  log.append(0, obs::EventKind::kConviction, 10, 4, 1000, 40, 0.05);
+  for (std::uint64_t i = 1000; i < 2000; ++i) {
+    log.append(0, obs::EventKind::kDataSend, 15, -1, i, i);
+  }
+  // Final verdict at 2000 packets: l_4 only.
+  log.append(0, obs::EventKind::kConviction, 20, 4, 2000, 80, 0.045);
+  const std::vector<obs::Event> head = log.merged();
+  log.append(0, obs::EventKind::kRunEnd, 20, -1, 2000, 80);
+
+  AuditTrail trail;
+  std::string error;
+  ASSERT_TRUE(explain_jsonl(log.merged(), trail, &error)) << error;
+  const std::vector<ConvictionRecord> verdict = trail.engine().verdict();
+  ASSERT_EQ(verdict.size(), 1u);
+  EXPECT_EQ(verdict[0].link, 4u);
+  EXPECT_EQ(verdict[0].theta, 0.045);
+  const std::string text = render(trail);
+  EXPECT_NE(text.find("CONVICTED l_4"), std::string::npos) << text;
+  EXPECT_EQ(text.find("CONVICTED l_0"), std::string::npos) << text;
+
+  AuditTrail partial;
+  ASSERT_TRUE(explain_jsonl(head, partial, &error)) << error;
+  EXPECT_TRUE(partial.engine().verdict().empty());
+  const std::string partial_text = render(partial);
+  EXPECT_NE(partial_text.find("verdict: unknown"), std::string::npos)
+      << partial_text;
+  EXPECT_EQ(partial_text.find("CONVICTED"), std::string::npos);
+}
+
+// Records that need no configuration (a conviction, here) may precede
+// the run-config; the per-link exhibit still takes the configured shape.
+TEST(Forensics, RecordsBeforeRunConfigKeepTheConfiguredShape) {
+  obs::EventLog log;
+  log.append(0, obs::EventKind::kConviction, 0, 8, 0, 0, 0.5);
+  log.append(0, obs::EventKind::kRunConfig, 1, 0,
+             static_cast<std::uint64_t>(protocols::ProtocolKind::kPaai1), 10,
+             0.018);
+  log.append(0, obs::EventKind::kDataSend, 2, -1, 7, 0);
+  log.append(0, obs::EventKind::kScoreBlame, 3, 8, 7, 0);
+  AuditTrail trail;
+  std::string error;
+  ASSERT_TRUE(explain_jsonl(log.merged(), trail, &error)) << error;
+  ASSERT_EQ(trail.links().size(), 10u);
+  EXPECT_EQ(trail.links()[8].blames, 1u);
+  EXPECT_EQ(trail.links()[8].first_blame_ns, 3);
+}
+
+// PAAI-2 blames prefixes and stat-FL counts packets, so neither names a
+// link in a blame; the trail still lists every link with the engine's
+// final theta, bit-equal to the batch run's.
+TEST(Forensics, EveryFamilyListsEveryLinkWithTheEngineTheta) {
+  for (const auto protocol : {protocols::ProtocolKind::kPaai2,
+                              protocols::ProtocolKind::kStatisticalFl}) {
+    SCOPED_TRACE(protocols::protocol_name(protocol));
+    const BatchRun batch =
+        run_with_log(runner::paper_config(protocol, 20000, 3));
+    ASSERT_EQ(batch.dropped, 0u);
+    AuditTrail trail;
+    std::string error;
+    ASSERT_TRUE(explain_jsonl(batch.events, trail, &error)) << error;
+    EXPECT_EQ(trail.engine().thetas(), batch.result.final_thetas);
+    EXPECT_EQ(verdict_links(trail.engine()), batch.result.final_convicted);
+
+    const std::string text = render(trail);
+    const std::vector<double>& thetas = batch.result.final_thetas;
+    for (std::size_t link = 0; link < thetas.size(); ++link) {
+      const bool convicted =
+          std::binary_search(batch.result.final_convicted.begin(),
+                             batch.result.final_convicted.end(), link);
+      char want[96];
+      std::snprintf(want, sizeof want,
+                    convicted ? "CONVICTED l_%zu  theta %.6g"
+                              : "l_%zu: theta %.6g",
+                    link, thetas[link]);
+      EXPECT_NE(text.find(want), std::string::npos) << want << "\n" << text;
+    }
+    EXPECT_NE(text.find("not convicted under --blame=margin"),
+              std::string::npos)
+        << text;
+  }
+}
+
+// A log cut before its run-config cannot be replayed: explain reports
+// the first event it cannot score, by line, and renders no trail. So do
+// a ring-truncated log (the ring keeps the newest events) and an empty
+// one.
+TEST(Forensics, LogWithoutRunConfigIsAnError) {
+  const BatchRun batch = run_with_log(
+      runner::paper_config(protocols::ProtocolKind::kPaai1, 2000, 5));
+  std::vector<obs::Event> cut = batch.events;
+  const auto config = std::find_if(cut.begin(), cut.end(), [](const auto& e) {
+    return e.kind == obs::EventKind::kRunConfig;
+  });
+  ASSERT_NE(config, cut.end());
+  cut.erase(cut.begin(), config + 1);
+  AuditTrail trail;
+  std::string error;
+  EXPECT_FALSE(explain_jsonl(cut, trail, &error));
+  EXPECT_EQ(error.rfind("line ", 0), 0u) << error;
+  EXPECT_NE(error.find("before any run-config"), std::string::npos) << error;
+
+  runner::ExperimentConfig cfg =
+      runner::paper_config(protocols::ProtocolKind::kPaai1, 2000, 5);
+  obs::EventLog ring(4096);
+  cfg.path.events = &ring;
+  runner::run_experiment(cfg);
+  ASSERT_GT(ring.dropped(), 0u);
+  AuditTrail truncated;
+  EXPECT_FALSE(explain_jsonl(ring.merged(), truncated, &error));
+  EXPECT_NE(error.find("run-config"), std::string::npos) << error;
+
+  AuditTrail empty;
+  EXPECT_FALSE(explain_jsonl({}, empty, &error));
+  EXPECT_NE(error.find("no run-config"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -65,9 +65,12 @@
 #      diff cleanly against itself. The same run's --trace-out (a Chrome
 #      rendering of the same event log) must be strict JSON with exactly
 #      one trace event per --events-out line. On every event log legs 4-6
-#      write (a `paai curve` log with checkpoint convictions among them),
-#      explain's CONVICTED set must equal `paai replay --verify`'s verdict
-#      and, for a `paai run` log, the run's own verdict table.
+#      write (a `paai curve` log with checkpoint convictions among them,
+#      and PAAI-1/PAAI-2 logs at 60000 packets with the default, drop-free
+#      --events-cap), explain's CONVICTED set must equal `paai replay
+#      --verify`'s verdict and, for a `paai run` log, the run's own verdict
+#      table. A log whose ring was too small (--events-cap=4096) lost its
+#      run-config: explain and replay --verify must both exit 2 on it.
 #
 #   5. colluder forensics smoke — a full-ack run against the adaptive
 #      fault colluder (collude@4:rate=1 hiding inside the calibrated
@@ -246,6 +249,29 @@ check_verdicts 4 "$SMOKE_DIR/events.jsonl" "$SMOKE_DIR/run.stdout"
     --jobs=1 --fault=4:0.02 --events-out="$SMOKE_DIR/curve.jsonl" \
     --events-cap=3000000 > "$SMOKE_DIR/curve.stdout"
 check_verdicts 4 "$SMOKE_DIR/curve.jsonl"
+# With no --events-cap the ring is drop-free, so a paper-horizon log
+# replays and explains to the run's own verdict.
+for proto in paai1 paai2; do
+  "$ASAN_DIR/tools/paai" run --protocol=$proto --packets=60000 \
+      --fault=4:0.05 --events-out="$SMOKE_DIR/default_$proto.jsonl" \
+      > "$SMOKE_DIR/default_$proto.stdout"
+  check_verdicts 4 "$SMOKE_DIR/default_$proto.jsonl" \
+      "$SMOKE_DIR/default_$proto.stdout"
+done
+# A ring too small for the run keeps only the newest events and loses the
+# run-config: explain and replay --verify both refuse the log (exit 2).
+"$ASAN_DIR/tools/paai" run --protocol=paai1 --packets=60000 \
+    --fault=4:0.05 --events-out="$SMOKE_DIR/truncated.jsonl" \
+    --events-cap=4096 > /dev/null
+for cmd in explain "replay --verify"; do
+  rc=0
+  "$ASAN_DIR/tools/paai" $cmd "$SMOKE_DIR/truncated.jsonl" \
+      > /dev/null 2>&1 || rc=$?
+  [[ $rc -eq 2 ]] || {
+    echo "leg 4 FAILED: $cmd exited $rc, not 2, on a truncated log" >&2
+    exit 1
+  }
+done
 # The emitted paai.bench.v1 report must be valid (self-diff is clean).
 "$ASAN_DIR/tools/bench_diff" "$SMOKE_DIR/run.json" "$SMOKE_DIR/run.json"
 # --trace-out renders the same event log: strict JSON, one trace event
@@ -578,4 +604,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: warning-free Release build (-Werror), TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log; explain = replay = run verdicts) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"
+echo "check.sh: warning-free Release build (-Werror), TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log; explain = replay = run verdicts, default-cap logs included; truncated log exit 2) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"

@@ -29,12 +29,12 @@
 #include "mesh/runner.h"
 #include "util/specgrammar.h"
 #include "obs/events.h"
-#include "obs/forensics.h"
 #include "obs/profile.h"
 #include "obs/telemetry.h"
 #include "runner/montecarlo.h"
 #include "runner/producer.h"
 #include "stream/engine.h"
+#include "stream/explain.h"
 #include "stream/service.h"
 #include "stream/state.h"
 #include "util/csv.h"
@@ -51,7 +51,9 @@ constexpr const char kUsage[] =
   bounds         section-7 closed forms from --d --rho --p --alpha --sigma
   mesh           many paths on one topology; links convicted from the
                  cross-path evidence, printed with witness paths
-  explain FILE   conviction audit trail of an --events-out log
+  explain FILE   conviction audit trail of an --events-out log, replayed
+                 through the stream engine (exit 2 on a log that does
+                 not parse or lost its run-config)
   serve          online scoring of a JSONL event stream: convictions as
                  they happen, periodic snapshots, graceful drain on SIGINT
   replay FILE    a recorded event log through the stream engine
@@ -69,8 +71,10 @@ experiment (run, curve):
                      repeatable, merged into one plan
   --faults=SPEC      scripted benign faults (docs/FAULTS.md)
   --events-out=F     forensic JSONL event log (curve: run 0)
-  --events-cap=N     per-node event-ring capacity (32768; also the
-                     --trace-out log's)
+  --events-cap=N     per-node event-ring capacity (also the --trace-out
+                     log's); default drop-free, 16 x --packets. Rings
+                     grow with what the run records: at 60000 packets a
+                     log costs ~75-170 MiB of peak RSS (14 without one)
   --alpha=X --sigma=X  (bounds) detection parameters (0.03)
 mesh (docs/MESH.md): --topo=SPEC (fattree@8) --paths=N (10000)
   --units=N (2000) --rounds=N (8) --engine=stat|packet (packet: per-path
@@ -255,13 +259,15 @@ std::string file_operand(int argc, char** argv, const char* usage) {
   throw CliError{usage};
 }
 
-/// The session's event log for run and curve, sized by --events-cap:
-/// --events-out and --trace-out render the same log. nullptr when neither
-/// flag is given.
+/// The session's event log for a run of `packets` packets (curve: run 0),
+/// sized by --events-cap, else drop-free: --events-out and --trace-out
+/// render the same log. nullptr when neither flag is given.
 obs::EventLog* take_event_log(int argc, char** argv,
-                              bench::BenchSession& session) {
-  return session.take_events(count_flag(argc, argv, "--events-cap", 32768),
-                             flag_str(argc, argv, "--events-out").has_value());
+                              bench::BenchSession& session,
+                              std::uint64_t packets) {
+  return session.take_events(
+      count_flag(argc, argv, "--events-cap", drop_free_events_cap(packets)),
+      flag_str(argc, argv, "--events-out").has_value());
 }
 
 void write_event_log(int argc, char** argv, const obs::EventLog& log) {
@@ -281,7 +287,8 @@ int cmd_run(int argc, char** argv) {
   bench::BenchSession session("paai.run", argc, argv);
   ExperimentConfig cfg = config_from_args(argc, argv, session.args);
   cfg.telemetry = session.telemetry();
-  cfg.path.events = take_event_log(argc, argv, session);
+  cfg.path.events =
+      take_event_log(argc, argv, session, cfg.params.total_packets);
   std::fprintf(stderr, "running %s on a %zu-hop path, %llu packets...\n",
                protocols::protocol_name(cfg.protocol), cfg.path.length,
                static_cast<unsigned long long>(cfg.params.total_packets));
@@ -315,7 +322,8 @@ int cmd_curve(int argc, char** argv) {
   MonteCarloConfig mc;
   mc.base = config_from_args(argc, argv, session.args);
   mc.telemetry = session.telemetry();
-  mc.events = take_event_log(argc, argv, session);
+  mc.events =
+      take_event_log(argc, argv, session, mc.base.params.total_packets);
   mc.runs = session.args.runs_or(50);
   mc.jobs = session.args.jobs;
   if (mc.base.link_faults.empty() && mc.base.adversaries.empty()) {
@@ -382,16 +390,16 @@ int cmd_explain(int argc, char** argv) {
   if (argc < 3 || argv[2][0] == '-') {
     throw CliError{"explain wants an event-log file: paai explain FILE"};
   }
-  std::ifstream in(argv[2]);
-  if (!in) throw CliError{std::string("cannot open '") + argv[2] + "'"};
+  const std::string path = argv[2];
+  std::ifstream in(path);
+  if (!in) throw CliError{"cannot open '" + path + "'"};
+  stream::AuditTrail trail;
   std::string error;
-  const std::vector<obs::Event> events = obs::EventLog::read_jsonl(in, &error);
-  if (events.empty()) {
-    throw CliError{error.empty() ? std::string("empty event log") : error};
+  if (!stream::read_audit_trail(in, trail, &error)) {
+    throw CliError{path + ": " + error};
   }
-  const obs::ForensicsReport report = obs::forensics_analyze(events);
-  obs::write_audit_trail(std::cout, report);
-  return report.verdict().empty() ? 1 : 0;
+  trail.write(std::cout);
+  return trail.engine().verdict().empty() ? 1 : 0;
 }
 
 // ------------------------------------------------------------ serve/replay
@@ -564,25 +572,9 @@ int cmd_replay(int argc, char** argv) {
                    "verify against\n");
       return 1;
     }
-    // The batch run's final verdict: per link, the latest conviction
-    // record stamped with the run's total packet count (checkpoint
-    // records carry smaller counts; one at the total count records the
-    // link again before the verdict does). Bit-identity means the same
+    // Bit-identity with the batch run's final verdict means the same
     // link set AND the same thetas.
-    std::vector<const stream::ConvictionRecord*> verdict;
-    for (const stream::ConvictionRecord& rec : engine.recorded_convictions()) {
-      if (rec.packets != engine.packets_sent()) continue;
-      const auto same = std::find_if(
-          verdict.begin(), verdict.end(),
-          [&](const stream::ConvictionRecord* v) {
-            return v->link == rec.link;
-          });
-      if (same != verdict.end()) {
-        *same = &rec;
-      } else {
-        verdict.push_back(&rec);
-      }
-    }
+    const std::vector<stream::ConvictionRecord> verdict = engine.verdict();
     bool ok = true;
     const stream::ConvictionRecord* divergent = nullptr;
     // First final-checkpoint record the stream's verdict lacks.
@@ -592,8 +584,7 @@ int cmd_replay(int argc, char** argv) {
       ok = false;
     };
     std::vector<std::size_t> expected;
-    for (const stream::ConvictionRecord* latest : verdict) {
-      const stream::ConvictionRecord& rec = *latest;
+    for (const stream::ConvictionRecord& rec : verdict) {
       expected.push_back(rec.link);
       if (unmatched == nullptr &&
           !std::binary_search(convicted.begin(), convicted.end(), rec.link)) {
@@ -614,7 +605,6 @@ int cmd_replay(int argc, char** argv) {
         flag(rec);
       }
     }
-    std::sort(expected.begin(), expected.end());
     if (expected != convicted) {
       std::fprintf(stderr,
                    "verify: conviction set mismatch (batch %zu links, "
