@@ -2,6 +2,13 @@
 //
 // This is both the MAC ([m]_K in the paper) and — truncated — the keyed PRF
 // used for secure sampling and the PAAI-2 selection predicate.
+//
+// Each key's inner and outer midstates (SHA-256 after the K ^ ipad and
+// K ^ opad blocks) are computed once and kept in a ~4.3 KiB thread-local
+// table in hmac.cc, looked up by the zero-padded key block; a miss
+// recomputes them. A message of at most 55 bytes then costs two
+// compressions instead of four. Tags are the RFC 2104 ones either way
+// (tests/crypto_test.cc checks them against a plain Sha256 reference).
 #pragma once
 
 #include <array>

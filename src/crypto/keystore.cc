@@ -1,18 +1,22 @@
 #include "crypto/keystore.h"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "crypto/hmac.h"
+#include "util/wire.h"
 
 namespace paai::crypto {
 
 Key derive_key(const Key& master, ByteView label, std::uint32_t index) {
-  Bytes input(label.begin(), label.end());
-  for (int i = 0; i < 4; ++i) {
-    input.push_back(static_cast<std::uint8_t>(index >> (24 - 8 * i)));
+  std::array<std::uint8_t, kMaxKeyLabel + 4> input{};
+  if (label.size() > kMaxKeyLabel) {
+    throw std::invalid_argument("derive_key: label longer than 60 bytes");
   }
+  if (!label.empty()) std::memcpy(input.data(), label.data(), label.size());
+  store_be(input.data() + label.size(), index);
   const Digest32 d = hmac_sha256(ByteView(master.data(), master.size()),
-                                 ByteView(input.data(), input.size()));
+                                 ByteView(input.data(), label.size() + 4));
   Key out;
   std::copy(d.begin(), d.end(), out.begin());
   return out;

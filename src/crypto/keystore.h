@@ -17,8 +17,13 @@
 
 namespace paai::crypto {
 
-/// Derives a subkey = HMAC(master, label || index). Deterministic, so the
-/// source and node F_i agree on K_i after a (not modeled) key exchange.
+/// Longest label derive_key() takes: label || index is built on the stack.
+constexpr std::size_t kMaxKeyLabel = 60;
+
+/// Derives a subkey = HMAC(master, label || index as 4 big-endian bytes).
+/// Deterministic, so the source and node F_i agree on K_i after a (not
+/// modeled) key exchange. Throws std::invalid_argument on a label longer
+/// than kMaxKeyLabel bytes.
 Key derive_key(const Key& master, ByteView label, std::uint32_t index);
 
 class KeyStore {

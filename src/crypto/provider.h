@@ -9,9 +9,16 @@
 //   * RealCrypto — SHA-256 / HMAC-SHA256 / ChaCha20. Used by default, by all
 //     examples, and by every security test.
 //   * FastCrypto — SipHash-2-4 based. Identical interface and statistical
-//     behaviour (it is still a keyed PRF family), ~20x faster; selected by
-//     the multi-million-packet Monte-Carlo benches. NOT cryptographically
+//     behaviour (it is still a keyed PRF family); selected by the
+//     multi-million-packet Monte-Carlo benches. NOT cryptographically
 //     collision resistant — never use it outside simulation studies.
+//
+// The speed gap is small on a CPU with the SHA extensions: per simulated
+// packet a real run costs ~1.1-1.25x a fast one (PAAI-1, PAAI-2 and
+// full-ack; medians and minima of 15 alternated 4 000-packet runs per
+// provider on a 4-core x86-64 host, the runs perfbench's
+// runner.*.us_per_packet rows time once each). Per call, fast mac/prf
+// are 2-5x cheaper and the fast hash is dearer than SHA-256.
 //
 // MAC tags are truncated to 8 bytes, matching what an actual deployment on
 // resource-constrained networks (the paper's motivating setting) would use.

@@ -26,10 +26,6 @@ constexpr std::array<std::uint32_t, 64> kK = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-constexpr std::array<std::uint32_t, 8> kInit = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
 inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
@@ -112,55 +108,88 @@ PAAI_SHA_TARGET inline __attribute__((always_inline)) __m128i schedule4(
   return _mm_sha256msg2_epu32(t, w3);
 }
 
-}  // namespace
+/// Reverses the bytes of each 32-bit lane: big-endian words <-> bytes.
+PAAI_SHA_TARGET inline __attribute__((always_inline)) __m128i bswap32x4(
+    __m128i v) {
+  return _mm_shuffle_epi8(
+      v, _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL));
+}
 
-PAAI_SHA_TARGET void sha256_blocks_x86_sha(std::uint32_t state[8],
-                                           const std::uint8_t* data,
-                                           std::size_t nblocks) {
-  // Big-endian word loads: reverse the bytes of each 32-bit lane.
-  const __m128i bswap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+/// The chaining words a..h as the ABEF/CDGH halves SHA256RNDS2 takes.
+PAAI_SHA_TARGET inline __attribute__((always_inline)) void load_state(
+    const std::uint32_t state[8], __m128i& abef, __m128i& cdgh) {
   const __m128i dcba =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
   const __m128i hgfe =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
   const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
   const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
-  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
-  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  abef = _mm_alignr_epi8(cdab, efgh, 8);
+  cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+}
 
-  for (; nblocks > 0; --nblocks, data += 64) {
-    const __m128i abef_in = abef;
-    const __m128i cdgh_in = cdgh;
-    const auto* in = reinterpret_cast<const __m128i*>(data);
-    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in + 0), bswap);
-    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap);
-    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap);
-    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap);
-    for (int q = 0; q < 12; q += 4) {
-      rounds4(abef, cdgh, w0, q);
-      w0 = schedule4(w0, w1, w2, w3);
-      rounds4(abef, cdgh, w1, q + 1);
-      w1 = schedule4(w1, w2, w3, w0);
-      rounds4(abef, cdgh, w2, q + 2);
-      w2 = schedule4(w2, w3, w0, w1);
-      rounds4(abef, cdgh, w3, q + 3);
-      w3 = schedule4(w3, w0, w1, w2);
-    }
-    rounds4(abef, cdgh, w0, 12);
-    rounds4(abef, cdgh, w1, 13);
-    rounds4(abef, cdgh, w2, 14);
-    rounds4(abef, cdgh, w3, 15);
-    abef = _mm_add_epi32(abef, abef_in);
-    cdgh = _mm_add_epi32(cdgh, cdgh_in);
-  }
-
+/// Back from ABEF/CDGH to words a..d and e..h in memory order.
+PAAI_SHA_TARGET inline __attribute__((always_inline)) void unload_state(
+    __m128i abef, __m128i cdgh, __m128i& dcba, __m128i& hgfe) {
   const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
   const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
-                   _mm_blend_epi16(feba, dchg, 0xf0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
-                   _mm_alignr_epi8(dchg, feba, 8));
+  dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+}
+
+/// One 64-byte block into the ABEF/CDGH state.
+PAAI_SHA_TARGET inline __attribute__((always_inline)) void compress(
+    __m128i& abef, __m128i& cdgh, const std::uint8_t* data) {
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+  const auto* in = reinterpret_cast<const __m128i*>(data);
+  __m128i w0 = bswap32x4(_mm_loadu_si128(in + 0));
+  __m128i w1 = bswap32x4(_mm_loadu_si128(in + 1));
+  __m128i w2 = bswap32x4(_mm_loadu_si128(in + 2));
+  __m128i w3 = bswap32x4(_mm_loadu_si128(in + 3));
+  for (int q = 0; q < 12; q += 4) {
+    rounds4(abef, cdgh, w0, q);
+    w0 = schedule4(w0, w1, w2, w3);
+    rounds4(abef, cdgh, w1, q + 1);
+    w1 = schedule4(w1, w2, w3, w0);
+    rounds4(abef, cdgh, w2, q + 2);
+    w2 = schedule4(w2, w3, w0, w1);
+    rounds4(abef, cdgh, w3, q + 3);
+    w3 = schedule4(w3, w0, w1, w2);
+  }
+  rounds4(abef, cdgh, w0, 12);
+  rounds4(abef, cdgh, w1, 13);
+  rounds4(abef, cdgh, w2, 14);
+  rounds4(abef, cdgh, w3, 15);
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+}
+
+}  // namespace
+
+PAAI_SHA_TARGET void sha256_blocks_x86_sha(std::uint32_t state[8],
+                                           const std::uint8_t* data,
+                                           std::size_t nblocks) {
+  __m128i abef, cdgh;
+  load_state(state, abef, cdgh);
+  for (; nblocks > 0; --nblocks, data += 64) compress(abef, cdgh, data);
+  __m128i dcba, hgfe;
+  unload_state(abef, cdgh, dcba, hgfe);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+PAAI_SHA_TARGET void sha256_block_digest_x86_sha(const std::uint32_t state[8],
+                                                 const std::uint8_t* block,
+                                                 std::uint8_t* out) {
+  __m128i abef, cdgh;
+  load_state(state, abef, cdgh);
+  compress(abef, cdgh, block);
+  __m128i dcba, hgfe;
+  unload_state(abef, cdgh, dcba, hgfe);
+  // Two whole-vector stores, so a next step's loads of `out` forward.
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), bswap32x4(dcba));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16), bswap32x4(hgfe));
 }
 
 #undef PAAI_SHA_TARGET
@@ -172,24 +201,83 @@ bool sha256_x86_sha_supported() {
 
 #endif  // x86
 
+void sha256_block_digest_portable(const std::uint32_t state[8],
+                                  const std::uint8_t* block,
+                                  std::uint8_t* out) {
+  std::uint32_t s[8];
+  std::memcpy(s, state, sizeof(s));
+  sha256_blocks_portable(s, block, 1);
+  for (int i = 0; i < 8; ++i) {
+    out[4 * i + 0] = static_cast<std::uint8_t>(s[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(s[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(s[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(s[i]);
+  }
+}
+
+namespace {
+
+/// The block functions for this CPU, picked once from CPUID.
+struct BlockFns {
+  void (*blocks)(std::uint32_t*, const std::uint8_t*, std::size_t);
+  void (*block_digest)(const std::uint32_t*, const std::uint8_t*,
+                       std::uint8_t*);
+};
+
+const BlockFns& chosen() {
+  static const BlockFns fns = [] {
+#if defined(__x86_64__) || defined(__i386__)
+    if (sha256_x86_sha_supported()) {
+      return BlockFns{&sha256_blocks_x86_sha, &sha256_block_digest_x86_sha};
+    }
+#endif
+    return BlockFns{&sha256_blocks_portable, &sha256_block_digest_portable};
+  }();
+  return fns;
+}
+
+}  // namespace
+
 void sha256_blocks(std::uint32_t state[8], const std::uint8_t* data,
                    std::size_t nblocks) {
-  using BlockFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
-  static const BlockFn chosen = [] {
-#if defined(__x86_64__) || defined(__i386__)
-    if (sha256_x86_sha_supported()) return &sha256_blocks_x86_sha;
-#endif
-    return &sha256_blocks_portable;
-  }();
-  chosen(state, data, nblocks);
+  chosen().blocks(state, data, nblocks);
+}
+
+void sha256_block_digest(const std::uint32_t state[8],
+                         const std::uint8_t* block, std::uint8_t* out) {
+  chosen().block_digest(state, block, out);
 }
 
 }  // namespace detail
 
+namespace {
+
+/// Longest message tail one last block holds: 55 bytes, 0x80, 8 length
+/// bytes.
+constexpr std::size_t kMaxShortTail = 55;
+
+/// Pads a last block holding its `len` <= kMaxShortTail message bytes in
+/// block[0, len): 0x80, zeros up to byte 56, then the big-endian bit
+/// length of the whole `total_bytes`-byte message.
+void pad_last_block(std::uint8_t block[64], std::size_t len,
+                    std::uint64_t total_bytes) {
+  block[len] = 0x80;
+  std::memset(block + len + 1, 0, 55 - len);
+  const std::uint64_t bit_len = total_bytes * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+}
+
+}  // namespace
+
 Sha256::Sha256() { reset(); }
 
+Sha256::Sha256(const Sha256State& midstate, std::uint64_t absorbed)
+    : state_(midstate), total_bytes_(absorbed) {}
+
 void Sha256::reset() {
-  state_ = kInit;
+  state_ = kInitialState;
   buffered_ = 0;
   total_bytes_ = 0;
 }
@@ -233,22 +321,40 @@ Digest32 Sha256::finish() {
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  detail::sha256_blocks(state_.data(), buffer_.data(), 1);
-
   Digest32 out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i + 0] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  detail::sha256_block_digest(state_.data(), buffer_.data(), out.data());
   return out;
 }
 
 Digest32 Sha256::digest(ByteView data) {
-  Sha256 h;
-  h.update(data);
-  return h.finish();
+  return finish_from(kInitialState, 0, data);
+}
+
+Digest32 Sha256::finish_from(const Sha256State& midstate,
+                             std::uint64_t absorbed, ByteView rest) {
+  if (rest.size() > kMaxShortTail) {
+    Sha256 h(midstate, absorbed);
+    h.update(rest);
+    return h.finish();
+  }
+  std::uint8_t block[64];
+  if (!rest.empty()) std::memcpy(block, rest.data(), rest.size());
+  pad_last_block(block, rest.size(), absorbed + rest.size());
+  Digest32 out;
+  detail::sha256_block_digest(midstate.data(), block, out.data());
+  return out;
+}
+
+Digest32 Sha256::iterate(const Digest32& value, std::size_t steps) {
+  std::uint8_t block[64];
+  std::memcpy(block, value.data(), value.size());
+  pad_last_block(block, value.size(), value.size());
+  for (std::size_t s = 0; s < steps; ++s) {
+    detail::sha256_block_digest(kInitialState.data(), block, block);
+  }
+  Digest32 out;
+  std::memcpy(out.data(), block, out.size());
+  return out;
 }
 
 }  // namespace paai::crypto

@@ -6,7 +6,8 @@
 // against; on x86 a second function uses the SHA extensions (SHA-NI).
 // sha256_blocks() is the one Sha256 calls: it picks the SHA-extension
 // function once, from CPUID, when the CPU has it, and the portable one
-// otherwise.
+// otherwise. sha256_block_digest() is the same compression for one last
+// block, from a state it leaves alone, straight to the digest bytes.
 #pragma once
 
 #include <cstddef>
@@ -17,17 +18,28 @@ namespace paai::crypto::detail {
 void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
                             std::size_t nblocks);
 
+/// One block compressed from `state` (not modified); the eight result
+/// words go big-endian to out[0, 32), which may alias the block.
+void sha256_block_digest_portable(const std::uint32_t state[8],
+                                  const std::uint8_t* block,
+                                  std::uint8_t* out);
+
 #if defined(__x86_64__) || defined(__i386__)
 /// Requires sha256_x86_sha_supported().
 void sha256_blocks_x86_sha(std::uint32_t state[8], const std::uint8_t* data,
                            std::size_t nblocks);
+void sha256_block_digest_x86_sha(const std::uint32_t state[8],
+                                 const std::uint8_t* block,
+                                 std::uint8_t* out);
 
 /// True when CPUID reports the SHA extensions and SSE4.1.
 bool sha256_x86_sha_supported();
 #endif
 
-/// The block function chosen for this CPU.
+/// The block functions chosen for this CPU.
 void sha256_blocks(std::uint32_t state[8], const std::uint8_t* data,
                    std::size_t nblocks);
+void sha256_block_digest(const std::uint32_t state[8],
+                         const std::uint8_t* block, std::uint8_t* out);
 
 }  // namespace paai::crypto::detail

@@ -5,6 +5,7 @@
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "obs/profile.h"
+#include "util/wire.h"
 
 namespace paai::crypto {
 
@@ -28,24 +29,14 @@ std::array<std::uint8_t, kWotsChains> digits_of(ByteView message) {
   return digits;
 }
 
-/// Secret chain head for (seed, key index, chain).
+/// Secret chain head for (seed, key index, chain): HMAC(seed, index as
+/// 8 big-endian bytes || chain).
 Digest32 chain_head(const Key& seed, std::uint64_t index, std::size_t chain) {
-  Bytes input;
-  input.reserve(16);
-  for (int i = 0; i < 8; ++i) {
-    input.push_back(static_cast<std::uint8_t>(index >> (56 - 8 * i)));
-  }
-  input.push_back(static_cast<std::uint8_t>(chain));
+  std::uint8_t input[9];
+  store_be(input, index);
+  input[8] = static_cast<std::uint8_t>(chain);
   return hmac_sha256(ByteView(seed.data(), seed.size()),
-                     ByteView(input.data(), input.size()));
-}
-
-/// Applies the chaining function `steps` times.
-Digest32 advance(Digest32 value, std::size_t steps) {
-  for (std::size_t s = 0; s < steps; ++s) {
-    value = Sha256::digest(ByteView(value.data(), value.size()));
-  }
-  return value;
+                     ByteView(input, sizeof(input)));
 }
 
 }  // namespace
@@ -56,7 +47,8 @@ WotsPublicKey wots_public_key(const Key& seed, std::uint64_t index) {
   const obs::ScopedPhase phase(obs::Phase::kCrypto);
   Sha256 acc;
   for (std::size_t c = 0; c < kWotsChains; ++c) {
-    const Digest32 end = advance(chain_head(seed, index, c), kWotsDepth);
+    const Digest32 end =
+        Sha256::iterate(chain_head(seed, index, c), kWotsDepth);
     acc.update(ByteView(end.data(), end.size()));
   }
   return acc.finish();
@@ -68,7 +60,7 @@ Bytes wots_sign(const Key& seed, std::uint64_t index, ByteView message) {
   Bytes signature;
   signature.reserve(kWotsSignatureSize);
   for (std::size_t c = 0; c < kWotsChains; ++c) {
-    const Digest32 v = advance(chain_head(seed, index, c), digits[c]);
+    const Digest32 v = Sha256::iterate(chain_head(seed, index, c), digits[c]);
     signature.insert(signature.end(), v.begin(), v.end());
   }
   return signature;
@@ -83,7 +75,7 @@ bool wots_verify(const WotsPublicKey& pk, ByteView message,
   for (std::size_t c = 0; c < kWotsChains; ++c) {
     Digest32 v;
     std::memcpy(v.data(), signature.data() + 32 * c, 32);
-    v = advance(v, kWotsDepth - digits[c]);
+    v = Sha256::iterate(v, kWotsDepth - digits[c]);
     acc.update(ByteView(v.data(), v.size()));
   }
   const WotsPublicKey computed = acc.finish();

@@ -1,17 +1,21 @@
 // Allocation budgets for the simulator hot path: steady-state event
-// scheduling makes no heap allocation, and a fast-crypto §8.1 reference run
-// stays within a per-packet allocation budget for each Fig. 2 protocol.
+// scheduling makes no heap allocation, a fast-crypto §8.1 reference run
+// stays within a per-packet allocation budget for each Fig. 2 protocol,
+// and the real primitives and W-OTS allocate nothing but a signature.
 //
 // Counts come from a replaced global operator new (the same technique as
 // stream_test), switched on only around the measured calls.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
 
+#include "crypto/provider.h"
+#include "crypto/wots.h"
 #include "protocols/context.h"
 #include "runner/experiment.h"
 #include "sim/node.h"
@@ -110,6 +114,46 @@ TEST(AllocBudget, Paai1ReferenceRun) {
 
 TEST(AllocBudget, Paai2ReferenceRun) {
   EXPECT_LE(allocs_per_packet(protocols::ProtocolKind::kPaai2), 3.5);
+}
+
+// Once a key's HMAC pads are in this thread's table (one warm-up call),
+// real mac/prf/hash and W-OTS keygen and verify make no heap allocation;
+// signing makes exactly one, the returned signature.
+TEST(AllocBudget, RealCryptoAndWotsAreHeapFree) {
+  const crypto::Key key = crypto::test_master_key(7);
+  const auto real = crypto::make_real_crypto();
+  std::array<std::uint8_t, 40> msg{};
+  msg.fill(0x5a);
+  const ByteView mv(msg.data(), msg.size());
+  const crypto::WotsPublicKey pk = crypto::wots_public_key(key, 0);
+  const Bytes sig = crypto::wots_sign(key, 0, mv);
+  real->mac(key, mv);
+
+  bool verified = false;
+  const std::uint64_t keygen =
+      count_allocs([&] { crypto::wots_public_key(key, 1); });
+  const std::uint64_t verify =
+      count_allocs([&] { verified = crypto::wots_verify(pk, mv, sig); });
+  Bytes sig1;
+  const std::uint64_t sign =
+      count_allocs([&] { sig1 = crypto::wots_sign(key, 1, mv); });
+  const std::uint64_t primitives = count_allocs([&] {
+    real->mac(key, mv);
+    real->prf(key, mv);
+    real->hash(mv);
+  });
+  std::printf("[alloc] wots keygen %llu, verify %llu, sign %llu; "
+              "real mac+prf+hash %llu\n",
+              static_cast<unsigned long long>(keygen),
+              static_cast<unsigned long long>(verify),
+              static_cast<unsigned long long>(sign),
+              static_cast<unsigned long long>(primitives));
+  EXPECT_TRUE(verified);
+  EXPECT_EQ(sig1.size(), crypto::kWotsSignatureSize);
+  EXPECT_EQ(keygen, 0u);
+  EXPECT_EQ(verify, 0u);
+  EXPECT_EQ(sign, 1u);
+  EXPECT_EQ(primitives, 0u);
 }
 
 }  // namespace

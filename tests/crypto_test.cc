@@ -1,14 +1,17 @@
 // Crypto substrate tests: official test vectors for SHA-256 (FIPS 180-4 /
 // NIST CAVS), HMAC-SHA256 (RFC 4231), ChaCha20 (RFC 8439), and SipHash-2-4
-// (reference vectors from the SipHash paper), plus behavioural tests for
-// the provider seam, key store, and keyed samplers.
+// (reference vectors from the SipHash paper), the one-block SHA-256 paths
+// and HMAC pad table against plain Sha256 references, plus behavioural
+// tests for the provider seam, key store, and keyed samplers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
@@ -25,6 +28,14 @@ namespace {
 
 std::string hex_digest(const Digest32& d) {
   return to_hex(ByteView(d.data(), d.size()));
+}
+
+Bytes pattern_bytes(std::size_t n, std::uint8_t seed) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::uint8_t>(seed + 37 * i);
+  }
+  return b;
 }
 
 TEST(Sha256, EmptyString) {
@@ -92,8 +103,43 @@ TEST(Sha256, ExactBlockBoundary) {
   }
 }
 
-// The SHA-extension block function against the portable reference on
-// random chaining states and 1-4 random blocks.
+// The one-block finish on a midstate and the chain helper against the
+// object path: every tail length up to 130 bytes after 0, 64 and 128
+// absorbed bytes, and 0, 1 and 15 chain steps.
+TEST(Sha256, FinishFromMatchesIncremental) {
+  const Bytes msg = pattern_bytes(128 + 130, 11);
+  for (const std::size_t absorbed : {0, 64, 128}) {
+    Sha256 prefix;
+    prefix.update(ByteView(msg.data(), absorbed));
+    Sha256State midstate = Sha256::kInitialState;
+    detail::sha256_blocks(midstate.data(), msg.data(), absorbed / 64);
+    for (std::size_t n = 0; n <= 130; ++n) {
+      Sha256 whole = prefix;
+      whole.update(ByteView(msg.data() + absorbed, n));
+      ASSERT_EQ(hex_digest(Sha256::finish_from(
+                    midstate, absorbed, ByteView(msg.data() + absorbed, n))),
+                hex_digest(whole.finish()))
+          << absorbed << " absorbed, " << n << " more";
+    }
+  }
+}
+
+TEST(Sha256, IterateMatchesRepeatedDigest) {
+  const Digest32 start = Sha256::digest(ByteView());
+  for (const std::size_t steps : {0, 1, 15}) {
+    Digest32 want = start;
+    for (std::size_t s = 0; s < steps; ++s) {
+      Sha256 h;
+      h.update(ByteView(want.data(), want.size()));
+      want = h.finish();
+    }
+    EXPECT_EQ(hex_digest(Sha256::iterate(start, steps)), hex_digest(want))
+        << steps << " steps";
+  }
+}
+
+// The SHA-extension block functions against the portable references on
+// random chaining states: 1-4 random blocks, and the one-block digest.
 TEST(Sha256Blocks, X86ShaMatchesPortable) {
 #if defined(__x86_64__) || defined(__i386__)
   if (!detail::sha256_x86_sha_supported()) {
@@ -111,6 +157,11 @@ TEST(Sha256Blocks, X86ShaMatchesPortable) {
     for (std::size_t i = 0; i < nblocks * 64; ++i) {
       data[i] = static_cast<std::uint8_t>(rng());
     }
+    std::uint8_t want_digest[32], got_digest[32];
+    detail::sha256_block_digest_portable(want, data, want_digest);
+    detail::sha256_block_digest_x86_sha(want, data, got_digest);
+    ASSERT_EQ(0, std::memcmp(want_digest, got_digest, sizeof(got_digest)))
+        << "trial " << trial << ", one-block digest";
     detail::sha256_blocks_portable(want, data, nblocks);
     detail::sha256_blocks_x86_sha(got, data, nblocks);
     ASSERT_EQ(0, std::memcmp(want, got, sizeof(got)))
@@ -159,6 +210,134 @@ TEST(Hmac, Rfc4231LongKey) {
                                    ByteView(msg.data(), msg.size()));
   EXPECT_EQ(hex_digest(tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+/// RFC 2104 HMAC written out on Sha256::update/finish only: no pad table,
+/// no one-block finish.
+Digest32 reference_hmac(ByteView key, ByteView message) {
+  std::array<std::uint8_t, 64> k{};
+  if (key.size() > k.size()) {
+    Sha256 kh;
+    kh.update(key);
+    const Digest32 kd = kh.finish();
+    std::copy(kd.begin(), kd.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
+  }
+  std::array<std::uint8_t, 64> ipad, opad;
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+  }
+  Sha256 inner;
+  inner.update(ByteView(ipad.data(), ipad.size()));
+  inner.update(message);
+  const Digest32 id = inner.finish();
+  Sha256 outer;
+  outer.update(ByteView(opad.data(), opad.size()));
+  outer.update(ByteView(id.data(), id.size()));
+  return outer.finish();
+}
+
+// Key lengths around the 64-byte block (65 and 131 are hashed first)
+// and every message length up to 130 bytes: the 55/56/64-byte padding
+// edges of the one-block finish and of the Sha256 fallback.
+TEST(Hmac, MatchesReferenceAtEveryLength) {
+  const Bytes msg = pattern_bytes(130, 7);
+  for (const std::size_t key_len : {0, 20, 32, 64, 65, 131}) {
+    const Bytes key =
+        pattern_bytes(key_len, static_cast<std::uint8_t>(key_len));
+    const ByteView kv(key.data(), key.size());
+    for (std::size_t n = 0; n <= msg.size(); ++n) {
+      const ByteView mv(msg.data(), n);
+      ASSERT_EQ(hex_digest(hmac_sha256(kv, mv)),
+                hex_digest(reference_hmac(kv, mv)))
+          << "key " << key_len << " B, message " << n << " B";
+    }
+  }
+}
+
+// 200 distinct keys, far more than the pad table's 32 ways, cycled
+// twice in order and then revisited in a scrambled order: every lookup
+// is an eviction, a hit or a set collision somewhere along the way, and
+// each tag must still be the reference one. Keys that differ only in
+// trailing zeros share a key block and must share a tag.
+TEST(Hmac, PadTableEvictionAndCollisions) {
+  constexpr std::size_t kKeys = 200;
+  std::vector<Bytes> keys;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    keys.push_back(pattern_bytes(32, static_cast<std::uint8_t>(i)));
+    keys.back()[0] = static_cast<std::uint8_t>(i >> 8);
+  }
+  const Bytes msg = bytes_of("packet identifier and sequence");
+  const ByteView mv(msg.data(), msg.size());
+  std::vector<Digest32> want;
+  for (const Bytes& k : keys) {
+    want.push_back(reference_hmac(ByteView(k.data(), k.size()), mv));
+  }
+  auto check = [&](std::size_t i) {
+    const Bytes& k = keys[i];
+    ASSERT_EQ(hmac_sha256(ByteView(k.data(), k.size()), mv), want[i])
+        << "key " << i;
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < kKeys; ++i) check(i);
+  }
+  for (std::size_t i = 0; i < kKeys; ++i) check((i * 73) % kKeys);
+  for (std::size_t i = 0; i < 8; ++i) {  // a few hot keys, back to back
+    check(3);
+    check(150);
+  }
+
+  const Bytes short_key = bytes_of("key");
+  Bytes padded_key = short_key;
+  padded_key.resize(40, 0);
+  const ByteView sk(short_key.data(), short_key.size());
+  const Digest32 a = hmac_sha256(sk, mv);
+  EXPECT_EQ(a, hmac_sha256(ByteView(padded_key.data(), padded_key.size()), mv));
+  EXPECT_EQ(a, reference_hmac(sk, mv));
+}
+
+// The pad table is per thread: four threads hashing shared and private
+// keys in interleaved orders must each get the serial tags.
+TEST(Hmac, ThreadsAgreeWithSerial) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 24;
+  constexpr std::size_t kShared = 24;
+  std::vector<Bytes> keys;  // kShared shared keys, then each thread's own
+  for (std::size_t i = 0; i < kShared + kThreads * kPerThread; ++i) {
+    keys.push_back(pattern_bytes(32, static_cast<std::uint8_t>(i)));
+    keys.back()[31] = static_cast<std::uint8_t>(i >> 8);
+  }
+  const Bytes msg = bytes_of("H(m) || seq");
+  const ByteView mv(msg.data(), msg.size());
+  std::vector<Digest32> serial;
+  for (const Bytes& k : keys) {
+    serial.push_back(hmac_sha256(ByteView(k.data(), k.size()), mv));
+  }
+
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        for (std::size_t j = 0; j < kPerThread; ++j) {
+          const std::size_t shared = (j * (t + 1) + round) % kShared;
+          const std::size_t own = kShared + t * kPerThread + j;
+          for (const std::size_t i : {shared, own}) {
+            const Bytes& k = keys[i];
+            if (hmac_sha256(ByteView(k.data(), k.size()), mv) != serial[i]) {
+              ++mismatches[t];
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 // RFC 8439 §2.3.2 block function test vector.
@@ -429,6 +608,28 @@ TEST(DeriveKey, SeparatesLabelsAndIndices) {
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
   EXPECT_NE(b, c);
+}
+
+// derive_key builds label || index on the stack: the tag is HMAC(master,
+// label || big-endian index) up to the 60-byte label limit, and a longer
+// label is refused.
+TEST(DeriveKey, IsHmacOfLabelAndIndex) {
+  const Key master = test_master_key(2);
+  const ByteView mk(master.data(), master.size());
+  for (const std::size_t len : {std::size_t{0}, std::size_t{13},
+                                 kMaxKeyLabel}) {
+    Bytes input = pattern_bytes(len, 3);
+    const Key got = derive_key(master, ByteView(input.data(), len), 0x01020304);
+    for (const std::uint8_t b : {1, 2, 3, 4}) input.push_back(b);
+    const Digest32 want =
+        reference_hmac(mk, ByteView(input.data(), input.size()));
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+        << len << "-byte label";
+  }
+  const Bytes too_long = pattern_bytes(kMaxKeyLabel + 1, 3);
+  EXPECT_THROW(
+      derive_key(master, ByteView(too_long.data(), too_long.size()), 0),
+      std::invalid_argument);
 }
 
 }  // namespace

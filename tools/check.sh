@@ -7,16 +7,18 @@
 #      top of the project's -Wall -Wextra -Wshadow.
 #
 #   1. ThreadSanitizer — exec + runner + fleet + mesh + obs + faults +
-#      telemetry + sim test suites. Catches data races in the parallel
-#      execution engine (src/exec), in anything run_experiment touches
-#      (exec_test's jobs>1 Monte-Carlo runs every protocol's wires on
-#      worker threads), in the mesh runner's sharded score accumulation
+#      telemetry + sim + crypto test suites. Catches data races in the
+#      parallel execution engine (src/exec), in anything run_experiment
+#      touches (exec_test's jobs>1 Monte-Carlo runs every protocol's wires
+#      on worker threads), in the mesh runner's sharded score accumulation
 #      (src/mesh), in the lock-free metrics and profiler
 #      shards (src/obs) that runs write concurrently, in the telemetry
 #      sampler racing registry/profiler writers
 #      (Concurrency.SamplerRacesProducers), and in the pooled wire
 #      buffers' plain refcount and thread-local free lists (sim_test's
-#      Wire.BuiltOnOneThreadReleasedOnAnotherAfterJoin). faults_test runs the
+#      Wire.BuiltOnOneThreadReleasedOnAnotherAfterJoin), and the
+#      HMAC pad table's per-thread lookups (crypto_test's
+#      Hmac.ThreadsAgreeWithSerial). faults_test runs the
 #      injector's schedule machinery and crash hooks under the Monte-Carlo
 #      fan-out (BitIdenticalAcrossJobs). The other half of the determinism
 #      story (the jobs=1 vs jobs=8 bit-identity test in exec_test) runs in
@@ -109,9 +111,10 @@
 #      nonzero back-pressure gauges, and its phases must sum to >= 95% of
 #      wall (the serve loop's chained timers); `replay --verify` must stay
 #      bit-identical with telemetry + profiling enabled; and a sig-ack
-#      run's telemetry file must pass the same check, and its exclusive
-#      phase profile must charge >= 90% of the summed phase time to
-#      crypto (W-OTS included). A Monte-Carlo bench must tick its own
+#      run's telemetry file must pass the same check (ASan and Release
+#      builds), and its exclusive phase profile in the Release build must
+#      charge >= 90% of the summed phase time to crypto (W-OTS
+#      included). A Monte-Carlo bench must tick its own
 #      --telemetry-out sink: bench_fig2_fullack's six runs at
 #      --telemetry-every=1 give >= 6 samples that `paai top --once` accepts,
 #      and bench_theorem1's five Monte-Carlo calls of two runs, sharing one
@@ -137,7 +140,7 @@ cmake --build "$WERROR_DIR" -j "$(nproc)"
 
 echo "== leg 1: ThreadSanitizer =="
 cmake -B "$TSAN_DIR" -S . -DPAAI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$TSAN_DIR" --target exec_test runner_test fleet_test mesh_test obs_test faults_test telemetry_test sim_test -j "$(nproc)"
+cmake --build "$TSAN_DIR" --target exec_test runner_test fleet_test mesh_test obs_test faults_test telemetry_test sim_test crypto_test -j "$(nproc)"
 
 # TSAN_OPTIONS makes races hard failures rather than log noise.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -153,6 +156,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # lag) are what TSan is for.
 "$TSAN_DIR/tests/telemetry_test" "--gtest_filter=-Integration.*"
 "$TSAN_DIR/tests/sim_test"
+"$TSAN_DIR/tests/crypto_test"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -534,21 +538,33 @@ grep -q "verify: OK" "$SMOKE_DIR/replay_tele.stdout" || {
 }
 # Sig-ack's per-packet W-OTS signatures are its cost: the exclusive phase
 # profile must charge >= 90% of the summed phase time to crypto (rc 1 =
-# no conviction, acceptable for this packet budget).
-rc=0
-"$ASAN_DIR/tools/paai" run --protocol=sigack --packets=2000 --seed=1 \
-    --fault=4:0.02 --telemetry-out="$SMOKE_DIR/sigack_tele.jsonl" \
-    --telemetry-every=500 > "$SMOKE_DIR/sigack_tele.stdout" || rc=$?
-[[ $rc -le 1 ]] || {
-  echo "leg 9 FAILED: sig-ack telemetry run errored (rc=$rc)" >&2
-  exit 1
-}
-# Phase rows are `name calls ms share%`.
-"$ASAN_DIR/tools/paai" top "$SMOKE_DIR/sigack_tele.jsonl" --once \
-    > "$SMOKE_DIR/sigack_tele.top" &&
+# no conviction, acceptable for this packet budget). The run's telemetry
+# file must pass `paai top --once` from the ASan build and from leg 0's
+# Release build; the crypto share is read from the Release run. Under
+# ASan the instrumented simulator slows several-fold while the
+# SHA-extension compressions barely do, so a sanitized run's shares
+# measure the sanitizer (sig-ack reads ~98% crypto optimized, ~88% under
+# ASan).
+for dir in "$ASAN_DIR" "$WERROR_DIR"; do
+  rc=0
+  "$dir/tools/paai" run --protocol=sigack --packets=2000 --seed=1 \
+      --fault=4:0.02 --telemetry-out="$SMOKE_DIR/sigack_tele.jsonl" \
+      --telemetry-every=500 > "$SMOKE_DIR/sigack_tele.stdout" || rc=$?
+  [[ $rc -le 1 ]] || {
+    echo "leg 9 FAILED: sig-ack telemetry run errored (rc=$rc, $dir)" >&2
+    exit 1
+  }
+  # Phase rows are `name calls ms share%`.
+  "$dir/tools/paai" top "$SMOKE_DIR/sigack_tele.jsonl" --once \
+      > "$SMOKE_DIR/sigack_tele.top" || {
+    echo "leg 9 FAILED: sig-ack telemetry rejected ($dir):" >&2
+    cat "$SMOKE_DIR/sigack_tele.top" >&2
+    exit 1
+  }
+done
 awk '$1 == "crypto" && $4 + 0 >= 90 { ok = 1 } END { exit !ok }' \
     "$SMOKE_DIR/sigack_tele.top" || {
-  echo "leg 9 FAILED: sig-ack telemetry rejected or < 90% crypto:" >&2
+  echo "leg 9 FAILED: sig-ack charges < 90% to crypto (Release build):" >&2
   cat "$SMOKE_DIR/sigack_tele.top" >&2
   exit 1
 }
@@ -604,4 +620,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: warning-free Release build (-Werror), TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log; explain = replay = run verdicts, default-cap logs included; truncated log exit 2) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90%, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"
+echo "check.sh: warning-free Release build (-Werror), TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim/crypto), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log; explain = replay = run verdicts, default-cap logs included; truncated log exit 2) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90% in Release, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"
