@@ -20,9 +20,9 @@
 //                       chrome://tracing or https://ui.perfetto.dev):
 //                       the event log of run 0 of the first Monte-Carlo
 //                       call, one instant per event
-//   --telemetry-out FILE  stream live "paai.telemetry.v2" JSONL samples
+//   --telemetry-out FILE  stream live "paai.telemetry.v3" JSONL samples
 //                       (obs/telemetry.h); enables the metrics registry
-//                       and the phase self-profiler for the process
+//                       (phase timers included) for the process
 //   --telemetry-every N sampling cadence in bench work units (also env
 //                       PAAI_TELEMETRY_EVERY; default 10000)
 //   --faults SPEC       scripted benign fault plan (compact grammar or
@@ -52,7 +52,6 @@
 #include "faults/plan.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
 #include "runner/montecarlo.h"
@@ -160,9 +159,10 @@ struct BenchArgs {
 };
 
 /// RAII wrapper every bench main() starts with: parses the shared flags,
-/// enables the global metrics registry when --metrics-out/--telemetry-out
-/// is given, and writes the JSON documents on destruction. With no such
-/// flag the registry stays disabled and the session costs nothing.
+/// enables the global metrics registry (counters, gauges and phases) when
+/// --metrics-out/--telemetry-out is given, and writes the JSON documents
+/// on destruction. With no such flag the registry stays disabled and the
+/// session costs nothing.
 class BenchSession {
  public:
   BenchSession(std::string name, int argc, char** argv)
@@ -175,9 +175,6 @@ class BenchSession {
       reg.set_enabled(true);
     }
     if (args.telemetry_out) {
-      auto& prof = obs::PhaseProfiler::global();
-      prof.reset();
-      prof.set_enabled(true);
       telemetry_ = std::make_unique<obs::TelemetrySink>(
           *args.telemetry_out,
           args.telemetry_every > 0

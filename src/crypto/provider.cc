@@ -28,9 +28,9 @@ Nonce96 make_nonce(std::uint64_t nonce) {
   return n;
 }
 
-// Every provider method opens a kCrypto profiler scope (two branches
-// while profiling is off): the crypto loops dominate PAAI-2 and sig-ack
-// (perfbench's crypto.* probes); the phase self-profiler measures them.
+// Every provider method opens a kCrypto phase scope (two branches while
+// the metrics registry is off): the crypto loops dominate PAAI-2 and
+// sig-ack (perfbench's crypto.* probes); the phase counters measure them.
 class RealCrypto final : public CryptoProvider {
  public:
   std::array<std::uint8_t, 32> hash(ByteView message) const override {

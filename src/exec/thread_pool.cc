@@ -25,8 +25,7 @@ void ThreadPool::submit(std::function<void()> task) {
       throw std::runtime_error("ThreadPool::submit after shutdown");
     }
     queue_.push_back(std::move(task));
-    obs::PhaseProfiler::global().record_queue_depth(obs::QueueId::kExecQueue,
-                                                    queue_.size());
+    queue_depth_.record_high(static_cast<std::int64_t>(queue_.size()));
   }
   work_available_.notify_one();
 }
@@ -41,11 +40,6 @@ void ThreadPool::shutdown() {
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-}
-
-std::size_t ThreadPool::queued() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 std::size_t ThreadPool::hardware_jobs() {

@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace paai::exec {
 
 class ThreadPool {
@@ -42,18 +44,18 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Tasks currently queued (not yet picked up by a worker).
-  std::size_t queued() const;
-
   /// The machine's hardware concurrency, never less than 1.
   static std::size_t hardware_jobs();
 
  private:
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;
+  // High-water of the work queue.
+  obs::Gauge queue_depth_ =
+      obs::MetricsRegistry::global().gauge("exec.queue_depth");
   std::vector<std::thread> workers_;
   bool stopping_ = false;
 };

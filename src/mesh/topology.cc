@@ -34,11 +34,6 @@ void PathSet::append(const std::vector<std::uint32_t>& link_ids) {
   max_length_ = std::max(max_length_, link_ids.size());
 }
 
-std::size_t PathSet::memory_bytes() const {
-  return offsets_.capacity() * sizeof(std::uint64_t) +
-         links_.capacity() * sizeof(std::uint32_t);
-}
-
 std::uint32_t Topology::add_node() {
   out_links_.emplace_back();
   return static_cast<std::uint32_t>(num_nodes_++);

@@ -66,7 +66,6 @@ class PathSet {
   std::size_t max_length() const { return max_length_; }
 
   void append(const std::vector<std::uint32_t>& link_ids);
-  std::size_t memory_bytes() const;
 
  private:
   std::vector<std::uint64_t> offsets_{0};

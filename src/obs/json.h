@@ -11,7 +11,7 @@
 // document round-trips.
 //
 // On top of those, JsonFieldWriter and JsonFieldReader fix the persisted
-// formats' conventions once (paai.state.v1, paai.telemetry.v2 and the
+// formats' conventions once (paai.state.v1, paai.telemetry.v3 and the
 // JSON forms of the fault and adversary plans): u64s travel as decimal
 // strings so full 64-bit values survive double-typed parsers, doubles at
 // %.17g, which round-trips bit-exactly; the reader decides whether a

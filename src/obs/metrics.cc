@@ -43,7 +43,7 @@ Counter MetricsRegistry::counter(std::string_view name) {
                       std::make_unique<detail::CounterCells>())
              .first;
   }
-  return Counter(it->second.get(), &enabled_);
+  return Counter(it->second.get());
 }
 
 Gauge MetricsRegistry::gauge(std::string_view name) {
@@ -54,7 +54,7 @@ Gauge MetricsRegistry::gauge(std::string_view name) {
              .emplace(std::string(name), std::make_unique<detail::GaugeCell>())
              .first;
   }
-  return Gauge(it->second.get(), &enabled_);
+  return Gauge(it->second.get());
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -1,15 +1,18 @@
-// Low-overhead process-wide metrics.
+// Low-overhead process-wide metrics: the one registry in src/obs.
 //
-// A MetricsRegistry names two metric kinds:
-//   * Counter    — monotonically increasing uint64 (packets, probes, ...);
+// The MetricsRegistry names two metric kinds:
+//   * Counter    — monotonically increasing uint64 (packets, probes, a
+//                  phase's self time and calls, see obs/profile.h);
 //   * Gauge      — last-written int64 plus its high-water mark (storage
 //                  entries held, queue depth, ...).
 //
 // Design constraints, in order:
-//   1. Near-zero cost when disabled. Handles are 16-byte value types; a
-//      disabled registry turns every write into one relaxed atomic load
-//      and a predicted-not-taken branch, so instrumentation can live on
-//      the simulator's per-packet hot path.
+//   1. Near-zero cost when disabled. Handles are 8-byte value types; the
+//      one enable switch is a constant-initialized atomic, so a disabled
+//      registry turns every write (and every ScopedPhase) into one
+//      relaxed load and a predicted-not-taken branch, with no call and
+//      no init guard, and instrumentation can live on the simulator's
+//      per-packet hot path.
 //   2. TSan-clean under the src/exec pool. Every cell is a relaxed
 //      std::atomic; counters are sharded per thread
 //      (each thread is assigned one of kShards cache-line-padded shards
@@ -63,6 +66,11 @@ struct GaugeCell {
   void reset();
 };
 
+/// The registry's enable switch (MetricsRegistry::enabled()).
+inline constinit std::atomic<bool> g_enabled{false};
+
+inline bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
+
 }  // namespace detail
 
 /// Handle to a registered counter. Default-constructed handles are inert
@@ -73,26 +81,19 @@ class Counter {
   Counter() = default;
 
   void add(std::uint64_t n = 1) const {
-    if (cells_ == nullptr || !enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
+    if (!detail::enabled() || cells_ == nullptr) return;
     cells_->shards[detail::this_thread_shard()].value.fetch_add(
         n, std::memory_order_relaxed);
   }
-  void inc() const { add(1); }
 
   /// True when writes will actually be recorded right now.
-  bool live() const {
-    return cells_ != nullptr && enabled_->load(std::memory_order_relaxed);
-  }
+  bool live() const { return detail::enabled() && cells_ != nullptr; }
 
  private:
   friend class MetricsRegistry;
-  Counter(detail::CounterCells* cells, const std::atomic<bool>* enabled)
-      : cells_(cells), enabled_(enabled) {}
+  explicit Counter(detail::CounterCells* cells) : cells_(cells) {}
 
   detail::CounterCells* cells_ = nullptr;
-  const std::atomic<bool>* enabled_ = nullptr;
 };
 
 class Gauge {
@@ -101,35 +102,27 @@ class Gauge {
 
   /// Stores `v` and folds it into the high-water mark.
   void set(std::int64_t v) const {
-    if (cell_ == nullptr || !enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
+    if (!detail::enabled() || cell_ == nullptr) return;
     cell_->value.store(v, std::memory_order_relaxed);
     record_high(v);
   }
 
   /// Folds `v` into the high-water mark without touching the value.
   void record_high(std::int64_t v) const {
-    if (cell_ == nullptr || !enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
+    if (!detail::enabled() || cell_ == nullptr) return;
     std::int64_t cur = cell_->high.load(std::memory_order_relaxed);
     while (v > cur && !cell_->high.compare_exchange_weak(
                           cur, v, std::memory_order_relaxed)) {
     }
   }
 
-  bool live() const {
-    return cell_ != nullptr && enabled_->load(std::memory_order_relaxed);
-  }
+  bool live() const { return detail::enabled() && cell_ != nullptr; }
 
  private:
   friend class MetricsRegistry;
-  Gauge(detail::GaugeCell* cell, const std::atomic<bool>* enabled)
-      : cell_(cell), enabled_(enabled) {}
+  explicit Gauge(detail::GaugeCell* cell) : cell_(cell) {}
 
   detail::GaugeCell* cell_ = nullptr;
-  const std::atomic<bool>* enabled_ = nullptr;
 };
 
 struct CounterSnapshot {
@@ -150,13 +143,12 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry used by the built-in sim / protocols /
-  /// runner instrumentation. Disabled until someone (a BenchSession, a
-  /// test) turns it on.
+  /// The process-wide registry, the only one: the sim / protocols /
+  /// runner / stream instrumentation and the phase counters all write
+  /// here. Disabled until someone (a BenchSession, a test) turns it on.
   static MetricsRegistry& global();
 
   /// Returns a handle, registering the metric on first use. Names are
@@ -165,10 +157,11 @@ class MetricsRegistry {
   Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
 
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
+  /// The one switch for every counter, gauge and phase.
+  static void set_enabled(bool on) {
+    detail::g_enabled.store(on, std::memory_order_relaxed);
   }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  static bool enabled() { return detail::enabled(); }
 
   /// Relaxed-read snapshot of every registered metric, sorted by name.
   MetricsSnapshot snapshot() const;
@@ -177,8 +170,9 @@ class MetricsRegistry {
   void reset();
 
  private:
+  MetricsRegistry() = default;
+
   mutable std::mutex mutex_;
-  std::atomic<bool> enabled_{false};
   std::map<std::string, std::unique_ptr<detail::CounterCells>, std::less<>>
       counters_;
   std::map<std::string, std::unique_ptr<detail::GaugeCell>, std::less<>>

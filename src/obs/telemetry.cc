@@ -6,7 +6,7 @@ namespace paai::obs {
 
 namespace {
 
-constexpr const char* kSchema = "paai.telemetry.v2";
+constexpr const char* kSchema = "paai.telemetry.v3";
 
 /// The sample index stays a JSON number: below 2^53, so a parsed line
 /// rewrites byte-identically.
@@ -36,14 +36,6 @@ void write_telemetry_line(std::ostream& os, const TelemetrySample& sample) {
     w.key(g.name).begin_array().value(g.value).value(g.high).end_array();
   }
   fields.close();
-  fields.open("phases");
-  for (const auto& [name, d] : sample.phases) {
-    fields.field(name, std::vector<std::uint64_t>{d.ns, d.calls});
-  }
-  fields.close();
-  fields.open("queues");
-  for (const auto& [name, high] : sample.queues) fields.field(name, high);
-  fields.close();
   w.end_object();
   os << '\n';
 }
@@ -71,15 +63,6 @@ bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
     std::vector<std::int64_t> pair(2);
     r.field(name, pair);
     out->gauges.push_back(GaugeSnapshot{name, pair[0], pair[1]});
-  });
-  r.members("phases", [&](const std::string& name) {
-    std::vector<std::uint64_t> pair(2);
-    r.field(name, pair);
-    out->phases.emplace_back(name, PhaseDelta{pair[0], pair[1]});
-  });
-  r.members("queues", [&](const std::string& name) {
-    out->queues.emplace_back(name, 0);
-    r.field(name, out->queues.back().second);
   });
   return r.finish() || fail(error, r.error());
 }
@@ -113,16 +96,18 @@ TelemetryLog read_telemetry(std::istream& in) {
   return log;
 }
 
-std::array<PhaseDelta, kPhaseCount> sum_phases(
+std::array<PhaseSum, kPhaseCount> sum_phases(
     const std::vector<TelemetrySample>& samples) {
-  std::array<PhaseDelta, kPhaseCount> totals{};
-  for (const TelemetrySample& s : samples) {
-    for (const auto& [name, delta] : s.phases) {
-      for (std::size_t p = 0; p < kPhaseCount; ++p) {
-        if (name == phase_name(static_cast<Phase>(p))) {
-          totals[p].ns += delta.ns;
-          totals[p].calls += delta.calls;
-        }
+  std::array<PhaseSum, kPhaseCount> totals{};
+  for (std::size_t p = 0; p < kPhaseCount; ++p) {
+    const std::string base =
+        std::string("phase.") + phase_name(static_cast<Phase>(p));
+    const std::string ns = base + ".ns";
+    const std::string calls = base + ".calls";
+    for (const TelemetrySample& s : samples) {
+      for (const auto& [name, delta] : s.counters) {
+        if (name == ns) totals[p].ns += delta;
+        if (name == calls) totals[p].calls += delta;
       }
     }
   }
@@ -194,26 +179,6 @@ void TelemetrySink::do_sample(std::uint64_t virt_ns) {
     if (delta != 0) s.counters.emplace_back(c.name, delta);
   }
   s.gauges = snap.gauges;
-
-  PhaseProfiler& prof = PhaseProfiler::global();
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    const Phase phase = static_cast<Phase>(p);
-    const PhaseTotals cur = prof.totals(phase);
-    PhaseTotals& prev = prev_phases_[p];
-    PhaseDelta d;
-    d.ns = cur.ns >= prev.ns ? cur.ns - prev.ns : cur.ns;
-    d.calls = cur.calls >= prev.calls ? cur.calls - prev.calls : cur.calls;
-    prev = cur;
-    if (d.ns != 0 || d.calls != 0) {
-      s.phases.emplace_back(phase_name(phase), d);
-    }
-  }
-  for (std::size_t q = 0; q < kQueueIdCount; ++q) {
-    const std::uint64_t high = prof.queue_high(static_cast<QueueId>(q));
-    if (high != 0) {
-      s.queues.emplace_back(queue_name(static_cast<QueueId>(q)), high);
-    }
-  }
 
   write_telemetry_line(*out_, s);
   out_->flush();  // consumers tail the file while we run

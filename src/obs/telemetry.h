@@ -1,21 +1,20 @@
-// Live telemetry plane: periodic `paai.telemetry.v2` JSONL snapshots.
+// Live telemetry plane: periodic `paai.telemetry.v3` JSONL snapshots.
 //
 // Everything src/obs produced before this file is post-mortem — the
 // paai.bench.v1 report and the Chrome trace are written when the process
 // exits. The telemetry plane makes the same numbers visible *while the
 // process runs*: a TelemetrySink periodically samples the global
-// MetricsRegistry and PhaseProfiler and appends one delta-encoded JSON
-// line per sample to a file its consumer (`paai top`) can tail.
+// MetricsRegistry (phases included: they are its phase.<name>.ns and
+// phase.<name>.calls counters) and appends one delta-encoded JSON line per
+// sample to a file its consumer (`paai top`) can tail.
 //
 // Line schema (one strict-JSON object per line, fixed key order, sorted
 // metric names — byte-identical across write/parse/rewrite):
 //
-//   {"schema":"paai.telemetry.v2","sample":0,
+//   {"schema":"paai.telemetry.v3","sample":0,
 //    "wall_ns":"123","virt_ns":"456","units":"789",
 //    "counters":{"name":"delta",...},       // u64 deltas, omitted when 0
-//    "gauges":{"name":[value,high],...},    // absolute int64 pairs
-//    "phases":{"name":["ns","calls"],...},  // u64 deltas
-//    "queues":{"name":"high",...}}          // absolute u64 high-waters
+//    "gauges":{"name":[value,high],...}}    // absolute int64 pairs
 //
 // Conventions shared with the forensic event log: u64 payloads travel as
 // decimal strings so full 64-bit values survive double-typed JSON
@@ -27,22 +26,22 @@
 // time of a served stream); `units` is the sink's running total of
 // completed work (packets, Monte-Carlo runs, served events, mesh units)
 // over every producer that shares the sink, so it never goes back even
-// when a bench makes several Monte-Carlo calls on one sink. v2 dropped
-// v1's per-phase allocation column, which nothing fed; there is no v1
-// reader.
+// when a bench makes several Monte-Carlo calls on one sink. v3 folded
+// v2's `phases` and `queues` sections into counters and gauges; there is
+// no v2 (or v1) reader.
 //
-// Delta encoding: counters and phases carry the change since the previous
-// sample. Across a registry reset (current total < previous total) the
-// delta restarts from the current value — restart semantics, asserted by
-// tests/telemetry_test.cc. Gauges and queue high-waters are absolute.
+// Delta encoding: counters carry the change since the previous sample.
+// Across a registry reset (current total < previous total) the delta
+// restarts from the current value — restart semantics, asserted by
+// tests/telemetry_test.cc. Gauges are absolute.
 //
 // The parser reads through obs::JsonFieldReader, fail-closed like every
 // persisted document in this repo: unknown members, missing required
 // members, or mistyped values are hard errors, never silently ignored.
 //
 // Thread-safety: tick() is a relaxed load + branch until a sample is due,
-// then a mutex serializes the sample; the registry/profiler snapshots are
-// relaxed reads that tolerate live writers (the TSan leg races a sampler
+// then a mutex serializes the sample; the registry snapshot is relaxed
+// reads that tolerate live writers (the TSan leg races a sampler
 // thread against pool writers).
 #pragma once
 
@@ -65,11 +64,6 @@
 
 namespace paai::obs {
 
-struct PhaseDelta {
-  std::uint64_t ns = 0;
-  std::uint64_t calls = 0;
-};
-
 struct TelemetrySample {
   std::uint64_t sample = 0;   // monotonic 0-based index
   std::uint64_t wall_ns = 0;  // wall clock since sink construction
@@ -80,11 +74,6 @@ struct TelemetrySample {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   /// Absolute gauge (value, high-water) pairs, sorted by name.
   std::vector<GaugeSnapshot> gauges;
-  /// Phase deltas since the previous sample, in Phase enum order, phases
-  /// with an all-zero delta omitted.
-  std::vector<std::pair<std::string, PhaseDelta>> phases;
-  /// Queue-depth high-waters (absolute), in QueueId order, zeros omitted.
-  std::vector<std::pair<std::string, std::uint64_t>> queues;
 };
 
 /// Writes one telemetry line (object + '\n'). Deterministic for a given
@@ -96,7 +85,7 @@ void write_telemetry_line(std::ostream& os, const TelemetrySample& sample);
 bool parse_telemetry_line(std::string_view line, TelemetrySample* out,
                           std::string* error = nullptr);
 
-/// A paai.telemetry.v2 file as its consumer (`paai top`) reads it.
+/// A paai.telemetry.v3 file as its consumer (`paai top`) reads it.
 struct TelemetryLog {
   /// The well-formed lines, in file order, with strictly increasing
   /// sample indices.
@@ -113,11 +102,18 @@ struct TelemetryLog {
 /// Reads every line of `in`; never throws, never stops early.
 TelemetryLog read_telemetry(std::istream& in);
 
-/// Each phase's deltas summed over a sample stream, in Phase enum order.
-std::array<PhaseDelta, kPhaseCount> sum_phases(
+/// A phase's summed phase.<name>.ns and phase.<name>.calls deltas.
+struct PhaseSum {
+  std::uint64_t ns = 0;
+  std::uint64_t calls = 0;
+};
+
+/// Each phase's counter deltas summed over a sample stream, in Phase enum
+/// order.
+std::array<PhaseSum, kPhaseCount> sum_phases(
     const std::vector<TelemetrySample>& samples);
 
-/// Periodic sampler over the global MetricsRegistry + PhaseProfiler.
+/// Periodic sampler over the global MetricsRegistry.
 class TelemetrySink {
  public:
   /// Appends samples to `path` (truncated on open); every_units <= 0 is
@@ -164,7 +160,6 @@ class TelemetrySink {
   std::atomic<std::uint64_t> samples_{0};
   std::mutex mutex_;
   std::map<std::string, std::uint64_t> prev_counters_;
-  std::array<PhaseTotals, kPhaseCount> prev_phases_{};
   std::uint64_t last_virt_ns_ = 0;
   std::chrono::steady_clock::time_point start_;
 };

@@ -15,11 +15,10 @@
 // and owned by it. There are no globals, function-local statics, or
 // lazily initialized shared tables anywhere beneath it, with one
 // deliberate carve-out: the src/obs metrics registry
-// (obs::MetricsRegistry::global()) and phase profiler
-// (obs::PhaseProfiler::global()). Both are fully synchronized
-// (mutex-guarded registration, relaxed atomics on the hot path) and
-// strictly write-only from inside a run — no result field ever reads
-// them — so concurrent run_experiment() calls remain safe and their
+// (obs::MetricsRegistry::global(), phase timers included). It is fully
+// synchronized (mutex-guarded registration, relaxed atomics on the hot
+// path) and strictly write-only from inside a run — no result field ever
+// reads it — so concurrent run_experiment() calls remain safe and their
 // results still depend only on their configs, never on interleaving.
 // Any future code that introduces shared mutable state below this call
 // must follow the same rule: synchronize it AND keep results
@@ -100,7 +99,7 @@ struct ExperimentConfig {
   std::uint64_t bypass_after_packets = 0;
 
   /// Optional live telemetry sink (obs/telemetry.h). A periodic sampler
-  /// event snapshots the metrics registry / phase profiler as the run
+  /// event snapshots the metrics registry as the run
   /// progresses, adding the packets sent since its previous sample to
   /// the sink's units, with the simulated clock as the virtual timestamp.
   /// Strictly observational: sampler events are subtracted from

@@ -45,9 +45,8 @@ void Simulator::release_slot(std::uint32_t id) {
 void Simulator::push_key(SimTime t, std::uint32_t id) {
   heap_.push_back(Key{t, next_seq_++, id});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  // Profiler bookkeeping (one relaxed load + branch while disabled).
-  obs::PhaseProfiler::global().record_queue_depth(obs::QueueId::kSimQueue,
-                                                  heap_.size());
+  // One relaxed load + branch while the registry is disabled.
+  queue_depth_.record_high(static_cast<std::int64_t>(heap_.size()));
 }
 
 bool Simulator::step() {

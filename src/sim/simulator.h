@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/time.h"
 
 namespace paai::sim {
@@ -126,6 +127,9 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
+  // High-water of the pending-event heap.
+  obs::Gauge queue_depth_ =
+      obs::MetricsRegistry::global().gauge("sim.queue_depth");
 };
 
 }  // namespace paai::sim

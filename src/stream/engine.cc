@@ -21,11 +21,6 @@ void ScoreEngine::configure(const EngineConfig& config) {
   convicted_before_.reserve(config.num_links);
   convicted_now_.reserve(config.num_links);
   theta_scratch_.reserve(config.num_links + 1);
-
-  auto& reg = obs::MetricsRegistry::global();
-  obs_ingested_ = reg.counter("stream.events.ingested");
-  obs_applied_ = reg.counter("stream.events.applied");
-  obs_convictions_ = reg.counter("stream.convictions");
 }
 
 bool ScoreEngine::apply_score(const obs::Event& event) {

@@ -160,9 +160,14 @@ class ScoreEngine {
   std::vector<std::size_t> convicted_now_;
   std::vector<double> theta_scratch_;
 
-  obs::Counter obs_ingested_;
-  obs::Counter obs_applied_;
-  obs::Counter obs_convictions_;
+  // Registered with the engine, so the run-config that configures it
+  // counts too.
+  obs::Counter obs_ingested_ =
+      obs::MetricsRegistry::global().counter("stream.events.ingested");
+  obs::Counter obs_applied_ =
+      obs::MetricsRegistry::global().counter("stream.events.applied");
+  obs::Counter obs_convictions_ =
+      obs::MetricsRegistry::global().counter("stream.convictions");
 };
 
 }  // namespace paai::stream

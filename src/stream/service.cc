@@ -69,16 +69,11 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
   ServeReport report;
   obs::EventReader reader(in);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
   obs::Counter snapshots_counter = registry.counter("stream.snapshots");
-  obs::Counter events_read_counter = registry.counter("stream.serve.events_read");
-  obs::Counter events_applied_counter =
-      registry.counter("stream.serve.events_applied");
   obs::Counter parse_errors_counter =
       registry.counter("stream.serve.parse_errors");
   obs::Counter bytes_read_counter = registry.counter("stream.serve.bytes_read");
   obs::Gauge backlog_gauge = registry.gauge("stream.serve.backlog_bytes");
-  obs::Gauge lag_gauge = registry.gauge("stream.serve.lag_events");
   std::uint64_t next_snapshot =
       config.snapshot_every > 0 ? config.snapshot_every : 0;
 
@@ -87,14 +82,13 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
   // Snapshot writes and telemetry samples charge their own kSnapshot
   // scopes, so the chain restarts after them. The clock is read only when
   // someone can observe the result; the counters themselves are cheap.
-  const bool timing = config.telemetry != nullptr || profiler.enabled() ||
-                      registry.enabled();
+  const bool timing = config.telemetry != nullptr || registry.enabled();
   std::uint64_t mark = timing ? now_ns() : 0;
   const auto lap = [&](obs::Phase phase, std::uint64_t& stall) {
     if (!timing) return;
     const std::uint64_t now = now_ns();
     stall += now - mark;
-    profiler.add(phase, now - mark);
+    obs::add_phase(phase, now - mark);
     mark = now;
   };
   const auto restart = [&] {
@@ -142,7 +136,6 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
     }
 
     ++report.events;
-    events_read_counter.add();
     const std::uint64_t applied_before = engine.events_applied();
     engine.set_stream_line(reader.line());
     try {
@@ -155,10 +148,6 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
     const bool applied = engine.events_applied() != applied_before;
     if (applied) {
       ++report.applied;
-      events_applied_counter.add();
-      const std::uint64_t lag = report.events - report.applied;
-      if (lag > report.peak_lag_events) report.peak_lag_events = lag;
-      lag_gauge.set(static_cast<std::int64_t>(lag));
 
       // The backlog probe can stat the filesystem, so sample it at a
       // coarse cadence plus at every telemetry tick boundary.
@@ -195,11 +184,6 @@ ServeReport serve_stream(ScoreEngine& engine, std::istream& in,
 
   report.lines = reader.line();
   probe_backlog();
-  {
-    const std::uint64_t lag = report.events - report.applied;
-    if (lag > report.peak_lag_events) report.peak_lag_events = lag;
-    lag_gauge.set(static_cast<std::int64_t>(lag));
-  }
   // Exit snapshot on every path — a drained serve must be resumable.
   if (!config.state_out.empty() && engine.configured()) {
     std::string snap_error;

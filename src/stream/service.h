@@ -63,14 +63,13 @@ struct ServeReport {
   std::string error;               // first failure description
   /// Links whose estimates entered the convicted set during this serve.
   std::vector<std::size_t> new_convictions;
-  // --- lag / back-pressure (always populated; stall timers only when an
-  // observer — telemetry sink, profiler, or metrics registry — is on).
+  // --- back-pressure (always populated; stall timers only when an
+  // observer — a telemetry sink or the metrics registry — is on).
   // The two stalls are chained intervals: together they cover the loop
   // except snapshot writes and telemetry samples.
   double wall_seconds = 0.0;           // loop wall time, reader included
   std::uint64_t parse_stall_ns = 0;    // reading + parsing a line
   std::uint64_t apply_stall_ns = 0;    // applying + booking an event
-  std::uint64_t peak_lag_events = 0;   // high-water of events - applied
   std::int64_t peak_backlog_bytes = 0;   // high-water of backlog probe
   std::int64_t final_backlog_bytes = 0;  // probe value at exit
 };

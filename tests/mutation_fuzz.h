@@ -1,5 +1,5 @@
 // Seeded mutation fuzz for the strict JSON readers (obs/json.h
-// JsonFieldReader): paai.state.v1 snapshots, paai.telemetry.v2 lines and
+// JsonFieldReader): paai.state.v1 snapshots, paai.telemetry.v3 lines and
 // the JSON forms of the fault and adversary plans all run through the
 // same harness. Each mutant is one to three bit flips, a truncation, or
 // the deletion of one object member. A reader must reject a mutant

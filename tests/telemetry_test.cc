@@ -1,13 +1,13 @@
 // Tests for the live telemetry plane (obs/telemetry.h, obs/profile.h):
 // schema round-trip through the strict parser (write -> parse -> rewrite
-// must be byte-identical), fail-closed rejection of malformed lines,
-// delta encoding across registry resets, tick cadence, exclusive phase
-// self time under nested scopes, the observational guarantee (profiler
-// on/off and telemetry attached/detached never change simulation
-// results, bit for bit, for all seven protocols), and serve
-// lag/back-pressure gauges under a throttled consumer. The concurrency
-// test at the bottom races producers against the sampler and runs under
-// TSan in tools/check.sh.
+// must be byte-identical), fail-closed rejection of malformed lines (v2
+// lines included), delta encoding across registry resets, tick cadence,
+// exclusive phase self time under nested scopes, the observational
+// guarantee (the registry on/off and telemetry attached/detached never
+// change simulation results, bit for bit, for all seven protocols), and
+// serve back-pressure under a throttled consumer. The concurrency test at
+// the bottom races producers against the sampler and runs under TSan in
+// tools/check.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -42,33 +42,20 @@ struct RegistryGuard {
   }
 };
 
-struct ProfilerGuard {
-  ProfilerGuard() {
-    PhaseProfiler::global().reset();
-    PhaseProfiler::global().set_enabled(true);
-  }
-  ~ProfilerGuard() {
-    PhaseProfiler::global().set_enabled(false);
-    PhaseProfiler::global().reset();
-  }
-};
-
 TelemetrySample make_sample() {
   TelemetrySample s;
   s.sample = 3;
   s.wall_ns = 123456789;
   s.virt_ns = 5000000000ull;
   s.units = 499;
+  s.counters.push_back({"phase.crypto.calls", 3370});
+  s.counters.push_back({"phase.crypto.ns", 616254});
+  s.counters.push_back({"phase.sim-loop.calls", 9209});
+  s.counters.push_back({"phase.sim-loop.ns", 910618953});
   s.counters.push_back({"proto.score.updates", 496});
   s.counters.push_back({"sim.link.0.tx_bytes", 18446744073709551615ull});
-  GaugeSnapshot g;
-  g.name = "stream.serve.lag_events";
-  g.value = -7;
-  g.high = 98326;
-  s.gauges.push_back(g);
-  s.phases.push_back({"sim-loop", PhaseDelta{910618953, 9209}});
-  s.phases.push_back({"crypto", PhaseDelta{616254, 3370}});
-  s.queues.push_back({"sim-queue", 30});
+  s.gauges.push_back(GaugeSnapshot{"sim.queue_depth", 0, 30});
+  s.gauges.push_back(GaugeSnapshot{"stream.serve.backlog_bytes", -7, 98326});
   return s;
 }
 
@@ -90,13 +77,14 @@ TEST(TelemetrySchema, RoundTripByteIdentical) {
       << error;
   EXPECT_EQ(parsed.sample, 3u);
   EXPECT_EQ(parsed.units, 499u);
-  ASSERT_EQ(parsed.counters.size(), 2u);
-  EXPECT_EQ(parsed.counters[1].second, 18446744073709551615ull);
-  ASSERT_EQ(parsed.gauges.size(), 1u);
-  EXPECT_EQ(parsed.gauges[0].value, -7);
-  EXPECT_EQ(parsed.gauges[0].high, 98326);
-  ASSERT_EQ(parsed.phases.size(), 2u);
-  EXPECT_EQ(parsed.phases[0].second.ns, 910618953u);
+  ASSERT_EQ(parsed.counters.size(), 6u);
+  EXPECT_EQ(parsed.counters[3].first, "phase.sim-loop.ns");
+  EXPECT_EQ(parsed.counters[3].second, 910618953u);
+  EXPECT_EQ(parsed.counters[5].second, 18446744073709551615ull);
+  ASSERT_EQ(parsed.gauges.size(), 2u);
+  EXPECT_EQ(parsed.gauges[0].high, 30);
+  EXPECT_EQ(parsed.gauges[1].value, -7);
+  EXPECT_EQ(parsed.gauges[1].high, 98326);
 
   EXPECT_EQ(to_line(parsed), first);  // byte-identical rewrite
 }
@@ -106,7 +94,7 @@ TEST(TelemetrySchema, EmptyContainersStillRoundTrip) {
   s.sample = 0;
   const std::string line = to_line(s);
   EXPECT_NE(line.find("\"counters\":{}"), std::string::npos);
-  EXPECT_NE(line.find("\"queues\":{}"), std::string::npos);
+  EXPECT_NE(line.find("\"gauges\":{}}"), std::string::npos);
   TelemetrySample parsed;
   ASSERT_TRUE(parse_telemetry_line(
       std::string_view(line).substr(0, line.size() - 1), &parsed));
@@ -134,7 +122,7 @@ TEST(TelemetryLog, TornTailBadLineAndNonMonotoneIndex) {
   EXPECT_EQ(log.first_error.rfind("line 3: ", 0), 0u) << log.first_error;
   EXPECT_EQ(log.torn_tail.rfind("line 7: ", 0), 0u) << log.torn_tail;
 
-  // Totals sum the phase deltas of the kept samples only.
+  // Totals sum the phase counters' deltas of the kept samples only.
   const auto totals = sum_phases(log.samples);
   EXPECT_EQ(totals[static_cast<std::size_t>(Phase::kCrypto)].calls,
             3u * 3370u);
@@ -162,35 +150,36 @@ TEST(TelemetrySchema, FailClosed) {
   rejects("");
   rejects("not json");
   rejects("[1,2,3]");
+  // The whole member set, valid: the cases below each break one thing.
+  const std::string head =
+      "{\"schema\":\"paai.telemetry.v3\",\"sample\":0,\"wall_ns\":\"0\","
+      "\"virt_ns\":\"0\",\"units\":\"0\",";
+  TelemetrySample ok;
+  ASSERT_TRUE(parse_telemetry_line(head + "\"counters\":{},\"gauges\":{}}",
+                                   &ok));
   // Unknown top-level key.
+  rejects(head + "\"counters\":{},\"gauges\":{},\"extra\":1}");
+  // v2's phase and queue sections are gone: a v3 line carrying either is
+  // rejected, and so is a whole v2 line (no v2 reader, as no v1 one).
+  rejects(head + "\"counters\":{},\"gauges\":{},\"phases\":{}}");
+  rejects(head + "\"counters\":{},\"gauges\":{},\"queues\":{}}");
   rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
           "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},\"gauges\":{},"
-          "\"phases\":{},\"queues\":{},\"extra\":1}");
-  // Wrong schema string (v1 carried an alloc column; no v1 reader).
-  rejects("{\"schema\":\"paai.telemetry.v1\",\"sample\":0,\"wall_ns\":\"0\","
-          "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},\"gauges\":{},"
-          "\"phases\":{},\"queues\":{}}");
+          "\"phases\":{\"crypto\":[\"616254\",\"3370\"]},"
+          "\"queues\":{\"sim-queue\":\"30\"}}");
+  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
+          "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},\"gauges\":{}}");
   // Missing required member (no units).
-  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
-          "\"virt_ns\":\"0\",\"counters\":{},\"gauges\":{},"
-          "\"phases\":{},\"queues\":{}}");
+  rejects("{\"schema\":\"paai.telemetry.v3\",\"sample\":0,\"wall_ns\":\"0\","
+          "\"virt_ns\":\"0\",\"counters\":{},\"gauges\":{}}");
+  rejects(head + "\"counters\":{}}");  // no gauges
   // Counter as a JSON number instead of a decimal string.
-  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
-          "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{\"x\":5},"
-          "\"gauges\":{},\"phases\":{},\"queues\":{}}");
+  rejects(head + "\"counters\":{\"x\":5},\"gauges\":{}}");
   // Gauge above 2^53 cannot rewrite exactly: fail closed.
-  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
-          "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},"
-          "\"gauges\":{\"g\":[9007199254740993,0]},\"phases\":{},"
-          "\"queues\":{}}");
-  // Non-integral gauge.
-  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
-          "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},"
-          "\"gauges\":{\"g\":[1.5,2]},\"phases\":{},\"queues\":{}}");
-  // Phase pair with the wrong arity (v1's [ns, calls, alloc] triple).
-  rejects("{\"schema\":\"paai.telemetry.v2\",\"sample\":0,\"wall_ns\":\"0\","
-          "\"virt_ns\":\"0\",\"units\":\"0\",\"counters\":{},\"gauges\":{},"
-          "\"phases\":{\"p\":[\"1\",\"2\",\"0\"]},\"queues\":{}}");
+  rejects(head + "\"counters\":{},\"gauges\":{\"g\":[9007199254740993,0]}}");
+  // Non-integral gauge, and a gauge that is not a [value, high] pair.
+  rejects(head + "\"counters\":{},\"gauges\":{\"g\":[1.5,2]}}");
+  rejects(head + "\"counters\":{},\"gauges\":{\"g\":[1,2,3]}}");
   // A good line with a trailing character is not a valid document.
   rejects(bare + "x");
   // u64 strings are bare ASCII digits: a leading space (even before a
@@ -336,10 +325,27 @@ std::uint64_t spin_for(std::chrono::milliseconds ms) {
   return ns_since(start);
 }
 
+// A phase's phase.<name>.ns / phase.<name>.calls counter totals.
+PhaseSum phase_total(Phase phase) {
+  const std::string base = std::string("phase.") + phase_name(phase);
+  PhaseSum out;
+  for (const CounterSnapshot& c : MetricsRegistry::global().snapshot().counters) {
+    if (c.name == base + ".ns") out.ns = c.value;
+    if (c.name == base + ".calls") out.calls = c.value;
+  }
+  return out;
+}
+
+std::int64_t gauge_high(const std::string& name) {
+  for (const GaugeSnapshot& g : MetricsRegistry::global().snapshot().gauges) {
+    if (g.name == name) return g.high;
+  }
+  return 0;
+}
+
 TEST(Profiler, NestedScopesChargeSelfTime) {
   using std::chrono::milliseconds;
-  ProfilerGuard guard;
-  PhaseProfiler& prof = PhaseProfiler::global();
+  RegistryGuard guard;
   constexpr std::uint64_t kMs = 1000000;
 
   // Two nested scopes: the outer one's time excludes the inner one's, and
@@ -355,8 +361,8 @@ TEST(Profiler, NestedScopesChargeSelfTime) {
     spin_for(milliseconds(10));
   }
   std::uint64_t wall = ns_since(start);
-  const PhaseTotals outer = prof.totals(Phase::kExecTask);
-  const PhaseTotals inner = prof.totals(Phase::kCrypto);
+  const PhaseSum outer = phase_total(Phase::kExecTask);
+  const PhaseSum inner = phase_total(Phase::kCrypto);
   EXPECT_EQ(outer.calls, 1u);
   EXPECT_EQ(inner.calls, 1u);
   EXPECT_GE(inner.ns, 30 * kMs);
@@ -365,26 +371,37 @@ TEST(Profiler, NestedScopesChargeSelfTime) {
   EXPECT_GE(static_cast<double>(outer.ns + inner.ns),
             0.95 * static_cast<double>(wall));
 
-  // A hand-timed leaf add() inside an open scope is charged to its own
-  // phase only; the scope does not count it again.
-  prof.reset();
+  // A hand-timed leaf add_phase() inside an open scope is charged to its
+  // own phase only; the scope does not count it again.
+  MetricsRegistry::global().reset();
   std::uint64_t leaf = 0;
   start = std::chrono::steady_clock::now();
   {
     const ScopedPhase scope(Phase::kSnapshot);
     spin_for(milliseconds(10));
     leaf = spin_for(milliseconds(20));
-    prof.add(Phase::kStreamParse, leaf);
+    add_phase(Phase::kStreamParse, leaf);
   }
   wall = ns_since(start);
-  const PhaseTotals self = prof.totals(Phase::kSnapshot);
-  const PhaseTotals parse = prof.totals(Phase::kStreamParse);
+  const PhaseSum self = phase_total(Phase::kSnapshot);
+  const PhaseSum parse = phase_total(Phase::kStreamParse);
   EXPECT_EQ(parse.ns, leaf);
   EXPECT_EQ(parse.calls, 1u);
   EXPECT_GE(self.ns, 10 * kMs);
   EXPECT_LE(self.ns + parse.ns, wall);
   EXPECT_GE(static_cast<double>(self.ns + parse.ns),
             0.95 * static_cast<double>(wall));
+
+  // With the registry off, scopes and leaf adds charge nothing.
+  MetricsRegistry::global().reset();
+  MetricsRegistry::set_enabled(false);
+  {
+    const ScopedPhase scope(Phase::kSnapshot);
+    add_phase(Phase::kStreamParse, 5);
+  }
+  MetricsRegistry::set_enabled(true);
+  EXPECT_EQ(phase_total(Phase::kSnapshot).calls, 0u);
+  EXPECT_EQ(phase_total(Phase::kStreamParse).ns, 0u);
 }
 
 TEST(Integration, ProfilerNeverAffectsResults) {
@@ -395,12 +412,13 @@ TEST(Integration, ProfilerNeverAffectsResults) {
     const runner::ExperimentResult off = runner::run_experiment(cfg);
     runner::ExperimentResult on;
     {
-      ProfilerGuard prof;
+      RegistryGuard guard;
       on = runner::run_experiment(cfg);
-      // The profiler actually saw the run (the guarantee is about
-      // results, not about the profiler being a no-op).
-      EXPECT_GT(
-          PhaseProfiler::global().totals(Phase::kSimLoop).calls, 0u)
+      // The phases and queue gauge actually saw the run (the guarantee is
+      // about results, not about the registry being a no-op).
+      EXPECT_GT(phase_total(Phase::kSimLoop).calls, 0u)
+          << protocols::protocol_name(kind);
+      EXPECT_GT(gauge_high("sim.queue_depth"), 0)
           << protocols::protocol_name(kind);
     }
     SCOPED_TRACE(protocols::protocol_name(kind));
@@ -429,7 +447,7 @@ TEST(Integration, TelemetryNeverAffectsResults) {
   }
 }
 
-// --- serve lag / back-pressure --------------------------------------
+// --- serve back-pressure --------------------------------------------
 
 TEST(ServeLag, ThrottledConsumerShowsBacklogAndLag) {
   RegistryGuard guard;
@@ -467,36 +485,38 @@ TEST(ServeLag, ThrottledConsumerShowsBacklogAndLag) {
 
   ASSERT_FALSE(report.failed) << report.error;
   EXPECT_GT(report.applied, 0u);
-  // Forensic logs carry many more wire events than score-relevant ones,
-  // so the ingest/apply lag is structurally nonzero.
-  EXPECT_GT(report.peak_lag_events, 0u);
+  // Forensic logs carry many more wire events than score-relevant ones.
+  EXPECT_GT(report.events, report.applied);
   EXPECT_GT(report.peak_backlog_bytes, 0);
   EXPECT_EQ(report.final_backlog_bytes, 0);
   EXPECT_GT(report.parse_stall_ns, 0u);
   EXPECT_GT(report.apply_stall_ns, 0u);
 
-  // The telemetry stream saw the lag gauges with nonzero values.
+  // The telemetry stream saw the backlog gauge nonzero, and the engine's
+  // counters (the serve loop keeps none of its own) count each event once.
   const auto samples = parse_all(tele.str());
   ASSERT_GE(samples.size(), 2u);
-  bool lag_seen = false;
   bool backlog_seen = false;
+  std::uint64_t ingested = 0;
+  std::uint64_t applied = 0;
   for (const auto& s : samples) {
     for (const auto& g : s.gauges) {
-      if (g.name == "stream.serve.lag_events" && g.high > 0) lag_seen = true;
       if (g.name == "stream.serve.backlog_bytes" && g.high > 0) {
         backlog_seen = true;
       }
     }
+    ingested += counter_delta(s, "stream.events.ingested");
+    applied += counter_delta(s, "stream.events.applied");
   }
-  EXPECT_TRUE(lag_seen);
   EXPECT_TRUE(backlog_seen);
+  EXPECT_EQ(ingested, report.events);
+  EXPECT_EQ(applied, report.applied);
 }
 
 // --- concurrency (runs under TSan in tools/check.sh) -----------------
 
 TEST(Concurrency, SamplerRacesProducers) {
   RegistryGuard guard;
-  ProfilerGuard prof;
   std::ostringstream os;
   TelemetrySink sink(os, 1);
 
@@ -506,13 +526,13 @@ TEST(Concurrency, SamplerRacesProducers) {
     workers.emplace_back([&stop, t] {
       auto counter = MetricsRegistry::global().counter("tele.race.counter");
       auto gauge = MetricsRegistry::global().gauge("tele.race.gauge");
+      auto queue = MetricsRegistry::global().gauge("tele.race.queue_depth");
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         counter.add();
         gauge.set(static_cast<std::int64_t>(i % 1000));
-        PhaseProfiler::global().add(Phase::kExecTask, 5);
-        PhaseProfiler::global().record_queue_depth(QueueId::kExecQueue,
-                                                   (t + i) % 64);
+        add_phase(Phase::kExecTask, 5);
+        queue.record_high(static_cast<std::int64_t>((t + i) % 64));
         ++i;
       }
     });

@@ -105,12 +105,14 @@
 #      the Theorem 2 false-accusation door.
 #
 #   9. telemetry smoke — `paai serve` with --telemetry-out over the leg-6
-#      reference stream must emit >= 2 paai.telemetry.v2 lines that
+#      reference stream must emit >= 2 paai.telemetry.v3 lines that
 #      `paai top --once` (the strict consumer: exit 2 on a malformed line,
-#      a non-monotone sample index or a torn tail) accepts, including
-#      nonzero back-pressure gauges, and its phases must sum to >= 95% of
-#      wall (the serve loop's chained timers); `replay --verify` must stay
-#      bit-identical with telemetry + profiling enabled; and a sig-ack
+#      a non-monotone sample index or a torn tail) accepts, including a
+#      nonzero back-pressure gauge; its stream.events.applied deltas must
+#      add up to the summary's nonzero applied count, and its phases must
+#      sum to >= 95% of wall (the serve loop's chained timers);
+#      `replay --verify` must stay bit-identical with telemetry (and so
+#      the phase timers) enabled; and a sig-ack
 #      run's telemetry file must pass the same check (ASan and Release
 #      builds), and its exclusive phase profile in the Release build must
 #      charge >= 90% of the summed phase time to crypto (W-OTS
@@ -476,7 +478,7 @@ for plan in "${BENIGN_PLANS[@]}"; do
   fi
 done
 
-echo "== leg 9: telemetry smoke (live paai.telemetry.v2 plane) =="
+echo "== leg 9: telemetry smoke (live paai.telemetry.v3 plane) =="
 # Serve the leg-6 reference stream with telemetry on. `paai top --once` IS
 # the strict parser: exit 2 on any malformed line, non-monotone sample
 # index or torn tail, so schema validity and monotonicity ride on its
@@ -495,13 +497,24 @@ echo "== leg 9: telemetry smoke (live paai.telemetry.v2 plane) =="
   cat "$SMOKE_DIR/serve_tele.top" >&2
   exit 1
 }
-# Gauge rows are `name value high`; the high-water must be nonzero.
-grep -Eq '^stream\.serve\.lag_events +-?[0-9]+ +[1-9]' \
-    "$SMOKE_DIR/serve_tele.top" || {
-  echo "leg 9 FAILED: serve telemetry has no nonzero lag gauge:" >&2
-  cat "$SMOKE_DIR/serve_tele.top" >&2
+# The engine's stream.events.applied counter is the serve loop's one
+# count of applied events: its deltas add up to the exit summary's
+# `(N applied, ...)`, and N is nonzero.
+python3 - "$SMOKE_DIR/serve_tele.jsonl" "$SMOKE_DIR/serve_tele.stderr" <<'PY' || {
+import json, re, sys
+with open(sys.argv[1]) as f:
+    applied = sum(int(json.loads(line)["counters"].get(
+        "stream.events.applied", "0")) for line in f)
+with open(sys.argv[2]) as f:
+    summary = int(re.search(r"\((\d+) applied", f.read()).group(1))
+if applied == 0 or applied != summary:
+    sys.exit(f"stream.events.applied sums to {applied}, summary {summary}")
+PY
+  echo "leg 9 FAILED: serve telemetry does not count the applied events:" >&2
+  cat "$SMOKE_DIR/serve_tele.stderr" >&2
   exit 1
 }
+# Gauge rows are `name value high`; the high-water must be nonzero.
 grep -Eq '^stream\.serve\.backlog_bytes +-?[0-9]+ +[1-9]' \
     "$SMOKE_DIR/serve_tele.top" || {
   echo "leg 9 FAILED: serve telemetry has no nonzero backlog gauge:" >&2
@@ -516,15 +529,15 @@ awk '$1 == "sum" && $3 + 0 >= 95 { ok = 1 } END { exit !ok }' \
   cat "$SMOKE_DIR/serve_tele.top" >&2
   exit 1
 }
-# The exit summary (satellite of the same PR) prints throughput and peak
-# lag on stderr even when telemetry is off; with it on, same line.
+# The exit summary prints throughput and peak backlog on stderr even when
+# telemetry is off; with it on, same line.
 grep -q 'events/s applied' "$SMOKE_DIR/serve_tele.stderr" || {
   echo "leg 9 FAILED: serve exit summary missing throughput line:" >&2
   cat "$SMOKE_DIR/serve_tele.stderr" >&2
   exit 1
 }
-# Telemetry + profiling must stay strictly observational: the replayed
-# verdict is still bit-identical to the batch run.
+# Telemetry and the phase timers must stay strictly observational: the
+# replayed verdict is still bit-identical to the batch run.
 "$ASAN_DIR/tools/paai" replay "$SMOKE_DIR/stream.jsonl" --verify \
     --telemetry-out="$SMOKE_DIR/replay_tele.jsonl" --telemetry-every=2000 \
     > "$SMOKE_DIR/replay_tele.stdout" || {
@@ -599,7 +612,7 @@ grep -Eq '\(([1-9][0-9]+) samples\)' "$SMOKE_DIR/thm1_tele.top" || {
 python3 - "$SMOKE_DIR/thm1_tele.jsonl" <<'PY' || {
 import json, sys
 with open(sys.argv[1]) as f:
-    calls = [int(json.loads(line)["phases"].get("sim-loop", ["0", "0"])[1])
+    calls = [int(json.loads(line)["counters"].get("phase.sim-loop.calls", "0"))
              for line in f]
 if len(calls) < 2 or calls[-1] > max(calls[:-1]):
     sys.exit(f"exit sample sim-loop calls {calls[-1]} > per-run max "
@@ -620,4 +633,4 @@ for workload in mc_fast crypto_real serve_replay mesh_fattree; do
   }
 done
 
-echo "check.sh: warning-free Release build (-Werror), TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim/crypto), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log; explain = replay = run verdicts, default-cap logs included; truncated log exit 2) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve phases >= 95% of wall, sig-ack crypto >= 90% in Release, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"
+echo "check.sh: warning-free Release build (-Werror), TSan (exec/runner/fleet/mesh/obs/faults/telemetry/sim/crypto), ASan+UBSan (obs/util/sim/exec/faults/score/stream/alloc/crypto/mesh/fleet/runner/telemetry/fullack/paai2/statfl/comb/authprobe/ablation/protocol/security/adversary/adaptive/onion), protocol-metric baseline clean, forensics smoke (trace = event log; explain = replay = run verdicts, default-cap logs included; truncated log exit 2) clean, colluder forensics clean, serve smoke (snapshot unknown member rejected) clean, mesh + packet-engine fleet + route-length damage smoke clean, detector smoke clean, telemetry smoke (paai top --once strict, serve applied events counted once, serve phases >= 95% of wall, sig-ack crypto >= 90% in Release, bench ticks >= 6 samples, multi-call bench one sample per run, no unattributed exit-sample work) clean, perfbench verdicts correct"

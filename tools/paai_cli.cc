@@ -57,7 +57,7 @@ constexpr const char kUsage[] =
   serve          online scoring of a JSONL event stream: convictions as
                  they happen, periodic snapshots, graceful drain on SIGINT
   replay FILE    a recorded event log through the stream engine
-  top FILE       live dashboard over a paai.telemetry.v2 file
+  top FILE       live dashboard over a paai.telemetry.v3 file
                  (replay, top: FILE or --in=FILE)
 detector (serve/replay: --protocol preconfigures the engine from these):
   --protocol=NAME  full-ack|paai1|paai2|comb1|comb2|statfl|sigack (paai1)
@@ -88,7 +88,7 @@ shared with every bench (bench/bench_common.h): --runs=N (curve 50)
   --jobs=N (0 = all cores; results identical)  --csv
   --metrics-out=F (paai.bench.v1)  --trace-out=F (Chrome trace of the
   event log, run 0)
-  --telemetry-out=F (paai.telemetry.v2, docs/OBSERVABILITY.md)
+  --telemetry-out=F (paai.telemetry.v3, docs/OBSERVABILITY.md)
   --telemetry-every=N (10000 work units: packets, runs, events)
 examples:
   paai run --protocol=fullack --adversary='corrupt@3:rate=0.3' --packets=5000
@@ -460,16 +460,14 @@ void print_serve_summary(const char* cmd, const stream::ServeReport& report,
       static_cast<unsigned long long>(report.parse_errors),
       static_cast<unsigned long long>(report.snapshots),
       report.interrupted ? " [drained on SIGINT]" : "");
-  // Lag/throughput line — always, telemetry on or off.
+  // Throughput/back-pressure line — always, telemetry on or off.
   const double throughput =
       report.wall_seconds > 0.0
           ? static_cast<double>(report.applied) / report.wall_seconds
           : 0.0;
   std::fprintf(stderr,
-               "%s: %.0f events/s applied over %.2fs, peak lag %llu events, "
-               "peak backlog %lld B\n",
+               "%s: %.0f events/s applied over %.2fs, peak backlog %lld B\n",
                cmd, throughput, report.wall_seconds,
-               static_cast<unsigned long long>(report.peak_lag_events),
                static_cast<long long>(report.peak_backlog_bytes));
   if (skip_malformed && report.parse_errors > 0 && !report.failed) {
     std::fprintf(stderr,
@@ -526,8 +524,6 @@ int cmd_serve(int argc, char** argv) {
   session.metric("snapshots", static_cast<double>(report.snapshots));
   session.metric("convictions",
                  static_cast<double>(report.new_convictions.size()));
-  session.metric("peak_lag_events",
-                 static_cast<double>(report.peak_lag_events));
   session.metric("peak_backlog_bytes",
                  static_cast<double>(report.peak_backlog_bytes));
   print_serve_summary("serve", report, engine, !cfg.fail_fast);
@@ -819,15 +815,8 @@ void render_top_frame(const std::string& path, const obs::TelemetryLog& data) {
                   static_cast<long long>(g.high));
     }
   }
-  if (!last.queues.empty()) {
-    std::printf("\n%-32s %14s\n", "queue", "peak depth");
-    for (const auto& [name, high] : last.queues) {
-      std::printf("%-32s %14llu\n", name.c_str(),
-                  static_cast<unsigned long long>(high));
-    }
-  }
-  // Phase breakdown aggregated over ALL samples (each line carries
-  // deltas). Phase times are exclusive self time, so they add up: share
+  // Phase breakdown: the phase.* counter deltas aggregated over ALL
+  // samples. Phase times are exclusive self time, so they add up: share
   // is each phase's part of the summed time, and on one thread the sum
   // approaches the wall clock.
   const auto totals = obs::sum_phases(data.samples);
