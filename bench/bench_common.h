@@ -3,14 +3,14 @@
 // shared flags through BenchArgs. Each value flag takes either form,
 // "--name=value" or "--name value":
 //   --csv               emit CSV instead of aligned columns
-//   --runs N            Monte-Carlo runs (also env PAAI_RUNS); the paper
-//                       used 10000 — defaults here are sized for a single
-//                       core, and the curves are already stable
+//   --runs N            Monte-Carlo runs (0 = the bench's default); the
+//                       paper used 10000 — defaults here are sized for a
+//                       single core, and the curves are already stable
 //   --scale PCT         integer percent of the default packet budgets
-//                       (also env PAAI_SCALE; default 100 = paper scale)
-//   --jobs N            worker threads for the Monte-Carlo fan-out (also
-//                       env PAAI_JOBS); default 0 = hardware concurrency.
-//                       Results are bit-identical for any value.
+//                       (default 100 = paper scale)
+//   --jobs N            worker threads for the Monte-Carlo fan-out;
+//                       default 0 = hardware concurrency. Results are
+//                       bit-identical for any value.
 //   --metrics-out FILE  write a machine-readable "paai.bench.v1" JSON
 //                       document (paper metrics + wall time + exec
 //                       telemetry + src/obs counters; see
@@ -23,25 +23,28 @@
 //   --telemetry-out FILE  stream live "paai.telemetry.v3" JSONL samples
 //                       (obs/telemetry.h); enables the metrics registry
 //                       (phase timers included) for the process
-//   --telemetry-every N sampling cadence in bench work units (also env
-//                       PAAI_TELEMETRY_EVERY; default 10000)
-//   --faults SPEC       scripted benign fault plan (compact grammar or
-//                       JSON; see docs/FAULTS.md) applied to every run
-//   --adversary SPEC    declarative adversary plan (compact grammar or
-//                       JSON; see docs/ADVERSARIES.md); repeatable, every
+//   --telemetry-every N sampling cadence in bench work units (default
+//                       10000)
+//   --faults SPEC       scripted benign fault plan (see docs/FAULTS.md)
+//                       applied to every run
+//   --adversary SPEC    declarative adversary plan (see
+//                       docs/ADVERSARIES.md); repeatable, every
 //                       occurrence merges into one plan, and a node named
 //                       twice (within or across flags) is an error. A
 //                       bench replaces its built-in adversary with it.
-// Malformed values are a hard error (exit 2) with a diagnostic naming the
-// flag, never a silent default: integers through parse_ll (util/csv.h),
-// --faults/--adversary through their plan's parse().
+// Knobs come from argv only. Malformed values are a hard error (exit 2)
+// with a diagnostic naming the flag, never a silent default: counts
+// through count_flag (util/csv.h), --faults/--adversary through their
+// plan's parse().
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -60,53 +63,41 @@
 namespace paai::bench {
 
 struct BenchArgs {
-  /// The shared flags, one row each: parse() reads exactly these, and
-  /// `paai` accepts them besides its own (through shared_flag).
-  struct Flag {
-    std::string_view name;
-    bool takes_value;
-  };
-  static constexpr Flag kFlags[] = {
-      {"--csv", false},           {"--runs", true},
-      {"--scale", true},          {"--jobs", true},
-      {"--metrics-out", true},    {"--trace-out", true},
-      {"--telemetry-out", true},  {"--telemetry-every", true},
-      {"--faults", true},         {"--adversary", true}};
+  /// The shared flags: parse() reads exactly these, and `paai` accepts
+  /// them besides its own (through shared_flag).
+  static constexpr std::string_view kFlags[] = {
+      "--csv", "--runs", "--scale", "--jobs", "--metrics-out", "--trace-out",
+      "--telemetry-out", "--telemetry-every", "--faults", "--adversary"};
 
-  /// The row an argv token ("--name" or "--name=value") names, else null.
-  static const Flag* shared_flag(std::string_view arg) {
+  /// True when an argv token ("--name" or "--name=value") names one.
+  static bool shared_flag(std::string_view arg) {
     const std::string_view name = arg.substr(0, arg.find('='));
-    for (const Flag& flag : kFlags) {
-      if (flag.name == name) return &flag;
-    }
-    return nullptr;
+    return std::find(std::begin(kFlags), std::end(kFlags), name) !=
+           std::end(kFlags);
   }
 
   bool csv = false;
-  long long runs = 0;      // 0 = per-bench default
+  std::uint64_t runs = 0;  // 0 = per-bench default
   double scale = 1.0;
   std::size_t jobs = 0;    // 0 = hardware concurrency
   std::optional<std::string> metrics_out;
   std::optional<std::string> trace_out;
   std::optional<std::string> telemetry_out;
-  long long telemetry_every = 0;  // 0 = the 10000-unit default
+  std::uint64_t telemetry_every = 0;  // 0 = the 10000-unit default
   faults::FaultPlan faults{};
   adversary::AdversaryPlan adversaries{};
 
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
     args.csv = has_flag(argc, argv, "--csv");
-    args.runs = flag_or_env(argc, argv, "--runs", "PAAI_RUNS", 0);
-    args.scale = static_cast<double>(
-                     flag_or_env(argc, argv, "--scale", "PAAI_SCALE", 100)) /
-                 100.0;
-    const long long jobs = flag_or_env(argc, argv, "--jobs", "PAAI_JOBS", 0);
-    args.jobs = jobs > 0 ? static_cast<std::size_t>(jobs) : 0;
+    args.runs = count_flag(argc, argv, "--runs", 0);
+    args.scale =
+        static_cast<double>(count_flag(argc, argv, "--scale", 100)) / 100.0;
+    args.jobs = count_flag(argc, argv, "--jobs", 0);
     args.metrics_out = flag_str(argc, argv, "--metrics-out");
     args.trace_out = flag_str(argc, argv, "--trace-out");
     args.telemetry_out = flag_str(argc, argv, "--telemetry-out");
-    args.telemetry_every =
-        flag_or_env(argc, argv, "--telemetry-every", "PAAI_TELEMETRY_EVERY", 0);
+    args.telemetry_every = count_flag(argc, argv, "--telemetry-every", 0);
     const char* flag = "--faults";
     try {
       if (const auto spec = flag_str(argc, argv, flag)) {
@@ -126,7 +117,7 @@ struct BenchArgs {
   }
 
   std::size_t runs_or(std::size_t dflt) const {
-    return runs > 0 ? static_cast<std::size_t>(runs) : dflt;
+    return runs > 0 ? runs : dflt;
   }
 
   /// Applies --adversary to an experiment config: replaces the bench's
@@ -177,16 +168,14 @@ class BenchSession {
     if (args.telemetry_out) {
       telemetry_ = std::make_unique<obs::TelemetrySink>(
           *args.telemetry_out,
-          args.telemetry_every > 0
-              ? static_cast<std::uint64_t>(args.telemetry_every)
-              : 10000);
+          args.telemetry_every > 0 ? args.telemetry_every : 10000);
       if (!telemetry_->ok()) {
         std::fprintf(stderr, "error: cannot write telemetry to %s\n",
                      args.telemetry_out->c_str());
         telemetry_.reset();
       }
     }
-    report_.set_arg("runs", args.runs);
+    report_.set_arg("runs", static_cast<long long>(args.runs));
     report_.set_arg("scale_percent",
                     static_cast<long long>(args.scale * 100.0 + 0.5));
     report_.set_arg("jobs", static_cast<long long>(args.jobs));

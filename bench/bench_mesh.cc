@@ -68,14 +68,11 @@ int main(int argc, char** argv) {
   MeshConfig cfg;
   cfg.topo =
       Topology::parse(flag_str(argc, argv, "--topo").value_or("fattree@16"));
-  const auto n_paths = static_cast<std::size_t>(
-      flag_or_env(argc, argv, "--paths", "PAAI_MESH_PATHS",
-                  static_cast<long long>(args.scaled(1000000))));
+  const std::size_t n_paths =
+      count_flag(argc, argv, "--paths", args.scaled(1000000));
   cfg.engine = MeshEngine::kStat;
-  cfg.units_per_path = static_cast<std::uint64_t>(
-      flag_or_env(argc, argv, "--units", "PAAI_MESH_UNITS", 2000));
-  cfg.rounds = static_cast<std::size_t>(
-      flag_or_env(argc, argv, "--rounds", "PAAI_MESH_ROUNDS", 8));
+  cfg.units_per_path = count_flag(argc, argv, "--units", 2000);
+  cfg.rounds = count_flag(argc, argv, "--rounds", 8);
   cfg.natural_loss = 0.01;
   cfg.decision_threshold = 0.02;
   cfg.blame = protocols::BlameSpec::parse(

@@ -26,7 +26,7 @@ inline int run_fig2(int argc, char** argv, protocols::ProtocolKind kind,
   print_header(fig_name,
                "Figure 2: false positive/negative vs packets sent");
   std::printf("protocol=%s runs=%zu packets=%llu (paper used 10000 runs; "
-              "--runs=N or PAAI_RUNS to scale)\n\n",
+              "--runs=N to scale)\n\n",
               protocols::protocol_name(kind), runs,
               static_cast<unsigned long long>(packets));
 

@@ -200,7 +200,7 @@ double Spec::mean_drop_rate(double cover_fraction,
 AdversaryPlan AdversaryPlan::parse(std::string_view text) {
   AdversaryPlan plan;
   for (const auto& clause :
-       util::parse_plan_clauses(text, "adversaries", {"node"}, kPrefix)) {
+       util::parse_compact_clauses(text, kPrefix)) {
     plan.add(spec_from_clause(clause));
   }
   return plan;

@@ -1,14 +1,13 @@
 // Declarative adversary specs: the --adversary grammar.
 //
-// Mirrors faults::FaultPlan exactly: a compact clause form
+// Mirrors faults::FaultPlan exactly: one compact clause form
 //
 //   plan   := clause (';' clause)*
 //   clause := kind '@' node ':' key '=' value (',' key '=' value)*
 //
-// and an equivalent JSON form (an array of clause objects, or an object
-// with an "adversaries" array). Both parse through util/specgrammar, both
-// round-trip through to_string()/parse(), and both fail loudly on any
-// malformed input. Clause kinds:
+// parsed through util/specgrammar, round-tripping through
+// to_string()/parse(), and failing loudly on any malformed input. Clause
+// kinds:
 //
 //   uniform@N:rate=R                 drop everything at R (Corollary 1)
 //   type@N:data=R,probe=R,ack=R     per-packet-type rates
@@ -83,7 +82,7 @@ struct Spec {
 };
 
 /// An ordered list of Specs, at most one per node. Parse accepts the
-/// compact grammar, the JSON forms, and the empty string (no adversary).
+/// compact grammar and the empty string (no adversary).
 struct AdversaryPlan {
   std::vector<Spec> specs;
 

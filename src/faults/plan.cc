@@ -98,7 +98,7 @@ std::string fmt(double value) { return util::fmt_double(value); }
 FaultPlan FaultPlan::parse(std::string_view spec) {
   FaultPlan plan;
   for (const auto& clause :
-       util::parse_plan_clauses(spec, "faults", {"link", "node"}, kPrefix)) {
+       util::parse_compact_clauses(spec, kPrefix)) {
     apply_clause(plan, clause);
   }
   return plan;

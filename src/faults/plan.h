@@ -1,8 +1,7 @@
 // FaultPlan: a declarative, schedule-driven description of benign faults.
 //
-// A plan is a list of clauses, parseable from a compact string (CLI/bench
-// friendly) or a JSON array (config friendly). The compact grammar — see
-// docs/FAULTS.md for the full reference:
+// A plan is a list of clauses in one compact grammar — see docs/FAULTS.md
+// for the full reference:
 //
 //   plan    := clause (';' clause)*
 //   clause  := kind '@' index ':' key '=' value (',' key '=' value)*
@@ -14,9 +13,7 @@
 //   dup@L     : p=                            duplication knob on link L
 //
 // Times/durations are seconds, latencies/delays milliseconds, everything
-// else per-traversal probabilities. The JSON form is an array of objects
-// with a "kind" member plus the same keys (and "link"/"node" for the
-// index): [{"kind":"outage","node":3,"t":120,"dur":2}, ...].
+// else per-traversal probabilities.
 //
 // Plans carry no RNG state of their own: all randomness is drawn from the
 // per-link streams at simulation time, so a plan is bit-identical across
@@ -95,9 +92,9 @@ struct FaultPlan {
   /// Canonical compact-grammar rendering (parse(to_string()) round-trips).
   std::string to_string() const;
 
-  /// Parses the compact grammar, or — when the spec starts with '[' or
-  /// '{' — the JSON form. Throws std::invalid_argument with a pointed
-  /// message on any malformed clause, unknown key, or out-of-range value.
+  /// Parses the compact grammar (blank = no faults). Throws
+  /// std::invalid_argument with a pointed message on any malformed
+  /// clause, unknown key, or out-of-range value.
   static FaultPlan parse(std::string_view spec);
 };
 

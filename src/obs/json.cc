@@ -550,10 +550,6 @@ void JsonFieldReader::fail(const std::string& what) {
   if (error_.empty()) error_ = what;
 }
 
-bool JsonFieldReader::has(std::string_view name) const {
-  return frames_.back().obj->find(name) != nullptr;
-}
-
 const JsonValue* JsonFieldReader::member(std::string_view name) {
   if (!ok()) return nullptr;
   Frame& f = frames_.back();
@@ -652,16 +648,6 @@ void JsonFieldReader::items(std::string_view name,
     push(&v->array[i], path() + item + ".");
     each();
     pop();
-  }
-}
-
-void JsonFieldReader::rest(
-    const std::function<void(const std::string&)>& each) {
-  const Frame& f = frames_.back();
-  for (std::size_t i = 0; ok() && i < f.read.size(); ++i) {
-    const auto& [key, value] = f.obj->object[i];
-    // A repeated key is left unread for pop() to name as a duplicate.
-    if (!f.read[i] && f.obj->find(key) == &value) each(key);
   }
 }
 

@@ -11,12 +11,11 @@
 // document round-trips.
 //
 // On top of those, JsonFieldWriter and JsonFieldReader fix the persisted
-// formats' conventions once (paai.state.v1, paai.telemetry.v3 and the
-// JSON forms of the fault and adversary plans): u64s travel as decimal
-// strings so full 64-bit values survive double-typed parsers, doubles at
-// %.17g, which round-trips bit-exactly; the reader decides whether a
-// value is well typed and fails closed on the first violation, naming
-// the member by its path.
+// formats' conventions once (paai.state.v1 and paai.telemetry.v3): u64s
+// travel as decimal strings so full 64-bit values survive double-typed
+// parsers, doubles at %.17g, which round-trips bit-exactly; the reader
+// decides whether a value is well typed and fails closed on the first
+// violation, naming the member by its path.
 #pragma once
 
 #include <cstddef>
@@ -132,10 +131,10 @@ bool json_convert(const JsonValue& v, std::string& out);
 
 /// Reads a JSON object member by member, through json_convert() plus
 /// index() (an integral number in [0, max]) and vector fields (arrays of
-/// exactly the destination's size). Every member read is required (has()
-/// guards an optional one). The first violation sticks and error() names
-/// it by the member's path ("table.window.v", "faults[0].kind"); every
-/// later read is a no-op. close() and finish() fail on any member of the
+/// exactly the destination's size). Every member read is required. The
+/// first violation sticks and error() names it by the member's path
+/// ("table.window.v", "recorded_convictions[0].link"); every later read
+/// is a no-op. close() and finish() fail on any member of the
 /// object that no read consumed: unknown or repeated members are
 /// rejected, never skipped. The reader speaks the state-walk vocabulary
 /// too (kind/open/close/version/fixed/field), so a score table's visit()
@@ -151,8 +150,6 @@ class JsonFieldReader {
   void fail(const std::string& what);
   /// The open object's path, "" at the root, else ending in '.'.
   const std::string& path() const { return frames_.back().path; }
-
-  bool has(std::string_view name) const;
 
   template <class T>
   void field(std::string_view name, T& x) {
@@ -194,8 +191,6 @@ class JsonFieldReader {
   /// Calls each() once per item of the array member `name`, with the
   /// item (which must be an object) open.
   void items(std::string_view name, const std::function<void()>& each);
-  /// Calls each(key) once per member of the open object not read yet.
-  void rest(const std::function<void(const std::string&)>& each);
 
   /// Checks the root object for unread members; true when the whole
   /// read was clean.

@@ -28,8 +28,4 @@ constexpr double to_seconds(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kSecond);
 }
 
-constexpr double to_milliseconds(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 }  // namespace paai::sim

@@ -45,8 +45,9 @@ struct ConvictionRecord {
   std::uint64_t packets = 0;
   std::uint64_t observations = 0;
   double theta = 0.0;
-  /// 1-based stream line the record arrived on (0 = unknown: in-memory
-  /// replays and legacy snapshots). Diagnostic only — never compared.
+  /// 1-based stream line the record arrived on (0 = unknown: an event
+  /// applied without a line number, as in-memory replays do). Diagnostic
+  /// only — never compared.
   std::uint64_t line = 0;
 };
 

@@ -76,15 +76,16 @@ bool load_state(std::string_view json, ScoreEngine* engine,
   obs::JsonFieldReader r(*doc);
   EngineConfig cfg;
   std::size_t protocol = 0;
-  std::string display, blame;
+  std::string blame;
   r.expect<std::string>("schema", kStateSchema);
   r.index("protocol", protocol, kMaxProtocol);
-  if (r.has("protocol_name")) r.field("protocol_name", display);
+  cfg.protocol = static_cast<protocols::ProtocolKind>(protocol);
+  r.expect<std::string>("protocol_name",
+                        protocols::protocol_name(cfg.protocol));
   r.index("links", cfg.num_links, kMaxLinks);
   r.field("threshold", cfg.threshold);
   r.field("blame", blame);
   if (!r.ok()) return fail(error, r.error());
-  cfg.protocol = static_cast<protocols::ProtocolKind>(protocol);
   try {
     cfg.blame = protocols::BlameSpec::parse(blame);
   } catch (const std::invalid_argument&) {

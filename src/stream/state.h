@@ -42,8 +42,9 @@
 // Scorer::visit), written by obs::JsonFieldWriter and read
 // back by obs::JsonFieldReader, the strict reader every persisted JSON
 // document goes through. Loading is fail-closed on every field: every
-// member above is required ("protocol_name" is display-only: a string
-// when present, never read back), any other member anywhere in the
+// member above is required ("protocol_name" must be the display name of
+// "protocol": it configures nothing, but a snapshot whose two protocol
+// members disagree is corrupt), any other member anywhere in the
 // document is rejected, every number must be finite, every vector must
 // have the size the configured table was constructed with, "w" must
 // equal the blame spec's window width and "v" must be 2 (a v1 ledger,

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+
+#include "util/specgrammar.h"
 
 namespace paai {
 
@@ -95,58 +98,6 @@ bool has_flag(int argc, char** argv, const std::string& flag) {
   return false;
 }
 
-std::optional<long long> parse_ll(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  std::size_t i = 0;
-  const bool negative = text[0] == '-';
-  if (negative) i = 1;
-  if (i >= text.size()) return std::nullopt;
-  unsigned long long magnitude = 0;
-  const unsigned long long limit =
-      negative ? 9223372036854775808ULL : 9223372036854775807ULL;
-  for (; i < text.size(); ++i) {
-    const char ch = text[i];
-    if (ch < '0' || ch > '9') return std::nullopt;
-    const unsigned long long digit = static_cast<unsigned long long>(ch - '0');
-    if (magnitude > (limit - digit) / 10) return std::nullopt;  // overflow
-    magnitude = magnitude * 10 + digit;
-  }
-  if (negative) {
-    return static_cast<long long>(~magnitude + 1ULL);
-  }
-  return static_cast<long long>(magnitude);
-}
-
-namespace {
-
-[[noreturn]] void die_bad_value(const char* what, const std::string& name,
-                                const char* value) {
-  std::fprintf(stderr,
-               "error: invalid integer for %s %s: \"%s\" "
-               "(expected base-10 digits)\n",
-               what, name.c_str(), value);
-  std::exit(2);
-}
-
-}  // namespace
-
-long long flag_or_env(int argc, char** argv, const std::string& name,
-                      const char* env, long long dflt) {
-  if (const auto value = flag_str(argc, argv, name)) {
-    const auto parsed = parse_ll(*value);
-    if (!parsed) die_bad_value("flag", name, value->c_str());
-    return *parsed;
-  }
-  if (env != nullptr) {
-    if (const char* v = std::getenv(env); v != nullptr && *v != '\0') {
-      const auto parsed = parse_ll(v);
-      if (!parsed) die_bad_value("environment variable", env, v);
-      return *parsed;
-    }
-  }
-  return dflt;
-}
-
 std::vector<std::string> flag_all(int argc, char** argv,
                                   const std::string& name) {
   const std::string prefix = name + "=";
@@ -172,6 +123,36 @@ std::optional<std::string> flag_str(int argc, char** argv,
   auto values = flag_all(argc, argv, name);
   if (values.empty()) return std::nullopt;
   return std::move(values.front());
+}
+
+namespace {
+
+/// A malformed flag value: the reader's message already names the flag.
+[[noreturn]] void exit_malformed(const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  std::exit(2);
+}
+
+}  // namespace
+
+std::uint64_t count_flag(int argc, char** argv, const std::string& name,
+                         std::uint64_t dflt) {
+  const auto value = flag_str(argc, argv, name);
+  try {
+    return value ? util::spec_parse_index(*value, "value", name) : dflt;
+  } catch (const std::invalid_argument& e) {
+    exit_malformed(e);
+  }
+}
+
+double real_flag(int argc, char** argv, const std::string& name,
+                 double dflt) {
+  const auto value = flag_str(argc, argv, name);
+  try {
+    return value ? util::spec_parse_double(*value, "value", name) : dflt;
+  } catch (const std::invalid_argument& e) {
+    exit_malformed(e);
+  }
 }
 
 }  // namespace paai

@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace paai {
@@ -32,8 +32,6 @@ class Table {
   /// Convenience: honours `csv` flag.
   void print(std::ostream& os, bool csv) const;
 
-  std::size_t rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
@@ -45,17 +43,6 @@ std::string fmt_num(double value, int precision = 4);
 /// True when argv contains the given flag (e.g. "--csv").
 bool has_flag(int argc, char** argv, const std::string& flag);
 
-/// Strict base-10 integer parse: optional leading '-', digits only, no
-/// whitespace, no trailing garbage, rejects overflow and empty input.
-std::optional<long long> parse_ll(std::string_view text);
-
-/// Returns the integer value of --name (either value form, as flag_str)
-/// or env fallback, else dflt. A malformed value (e.g. PAAI_JOBS=all) is a
-/// hard error: prints a diagnostic naming the offending flag/variable to
-/// stderr and exits 2 — it must never silently become 0/dflt.
-long long flag_or_env(int argc, char** argv, const std::string& name,
-                      const char* env, long long dflt);
-
 /// Every value of a repeatable flag, in argv order: "--name=value" or
 /// "--name value". "--name" as the last token (missing value) exits 2.
 std::vector<std::string> flag_all(int argc, char** argv,
@@ -64,5 +51,15 @@ std::vector<std::string> flag_all(int argc, char** argv,
 /// The first value of --name (either form, as flag_all), else nullopt.
 std::optional<std::string> flag_str(int argc, char** argv,
                                     const std::string& name);
+
+/// The one number reader for flags: the value of --name (either form, as
+/// flag_str) as a count (util::spec_parse_index: base-10 digits only, so
+/// "-3", "2e3" and "all" are malformed) or a finite real
+/// (util::spec_parse_double), else dflt. A malformed value prints
+/// "error: <name>: ..." to stderr and exits 2 — it never becomes dflt.
+std::uint64_t count_flag(int argc, char** argv, const std::string& name,
+                         std::uint64_t dflt);
+double real_flag(int argc, char** argv, const std::string& name,
+                 double dflt);
 
 }  // namespace paai

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/json.h"
-
 namespace paai::util {
 
 void spec_error(const std::string& prefix, const std::string& message) {
@@ -136,52 +134,6 @@ std::vector<SpecClause> parse_compact_clauses(std::string_view spec,
     }
     out.push_back(std::move(c));
   }
-  return out;
-}
-
-std::vector<SpecClause> parse_plan_clauses(
-    std::string_view spec, const std::string& array_member,
-    std::initializer_list<std::string_view> index_keys,
-    const std::string& err_prefix) {
-  const std::string_view trimmed = spec_trim(spec);
-  if (trimmed.empty()) return {};
-  if (trimmed.front() != '[' && trimmed.front() != '{') {
-    return parse_compact_clauses(trimmed, err_prefix);
-  }
-
-  std::string error;
-  auto doc = obs::json_parse(trimmed, &error);
-  if (!doc) spec_error(err_prefix, "JSON parse error: " + error);
-  if (doc->is_array()) {  // the array form is the object form's member
-    obs::JsonValue wrapped;
-    wrapped.kind = obs::JsonValue::Kind::kObject;
-    wrapped.object.emplace_back(array_member, std::move(*doc));
-    doc = std::move(wrapped);
-  }
-
-  obs::JsonFieldReader r(*doc);
-  std::vector<SpecClause> out;
-  r.items(array_member, [&] {
-    SpecClause c;
-    r.field("kind", c.kind);
-    const auto index_key =
-        std::find_if(index_keys.begin(), index_keys.end(),
-                     [&r](std::string_view key) { return r.has(key); });
-    if (index_key == index_keys.end()) {
-      std::string names;
-      for (const std::string_view key : index_keys) {
-        names += (names.empty() ? "" : " or ") + std::string(key);
-      }
-      return r.fail("missing " + r.path() + names);
-    }
-    r.index(*index_key, c.index, ~std::uint64_t{0});
-    r.rest([&](const std::string& key) {
-      c.kv.emplace_back(key, 0.0);
-      r.field(key, c.kv.back().second);
-    });
-    out.push_back(std::move(c));
-  });
-  if (!r.finish()) spec_error(err_prefix, r.error());
   return out;
 }
 

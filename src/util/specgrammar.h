@@ -5,8 +5,8 @@
 //
 // faults::FaultPlan ("ge@2:pb=0.3,...") , adversary::AdversaryPlan
 // ("stealth@4:margin=0.9"), and mesh::Topology ("fattree@8") all parse
-// through this helper, the two plans' JSON form too, so the grammars
-// stay lexically identical and their fuzz suites exercise the same code.
+// through this helper and nothing else, so the grammars stay lexically
+// identical and their fuzz suites exercise the same code.
 // The key list may be empty ("fattree@8"); kinds with mandatory keys
 // reject that through SpecClause::require(). Every malformed clause
 // throws std::invalid_argument with the caller's prefix and a pointed
@@ -48,7 +48,9 @@ struct SpecClause {
 std::string_view spec_trim(std::string_view s);
 
 /// Parses a finite double / a size_t index, or throws with a message
-/// naming `what`.
+/// naming `what`. An index is base-10 digits only: no sign, whitespace,
+/// exponent or trailing text, and no overflow. These are also the number
+/// readers of every command-line flag (count_flag/real_flag, util/csv.h).
 double spec_parse_double(std::string_view text, const std::string& what,
                          const std::string& err_prefix);
 std::size_t spec_parse_index(std::string_view text, const std::string& what,
@@ -64,20 +66,6 @@ void spec_check_nonnegative(double value, const std::string& what,
 /// are skipped; a clause missing '@'/':' or key=value structure throws.
 std::vector<SpecClause> parse_compact_clauses(std::string_view spec,
                                               const std::string& err_prefix);
-
-/// Splits a plan spec in either form into clauses: the compact grammar
-/// above, or JSON — an array of clause objects, or an object whose only
-/// member, `array_member`, holds that array. A JSON clause has a string
-/// "kind", an index under the first of `index_keys` it has, and finite
-/// numbers for the rest. A JSON index must be an integral number in
-/// [0, 2^64), the same set spec_parse_index accepts. The JSON form is
-/// read through obs::JsonFieldReader: a mistyped, duplicate or (in the
-/// object form) unknown member is an error naming its path
-/// ("faults[0].p"). Blank specs yield no clauses.
-std::vector<SpecClause> parse_plan_clauses(
-    std::string_view spec, const std::string& array_member,
-    std::initializer_list<std::string_view> index_keys,
-    const std::string& err_prefix);
 
 /// Shortest round-trippable rendering of a double (std::to_chars).
 std::string fmt_double(double value);

@@ -44,19 +44,4 @@ void SeriesGrid::accumulate(const TimeSeries& run) {
   }
 }
 
-void SeriesGrid::add_at(double x, double value) {
-  if (xs_.empty()) return;
-  auto it = std::lower_bound(xs_.begin(), xs_.end(), x);
-  std::size_t idx;
-  if (it == xs_.end()) {
-    idx = xs_.size() - 1;
-  } else if (it == xs_.begin()) {
-    idx = 0;
-  } else {
-    const std::size_t hi = static_cast<std::size_t>(it - xs_.begin());
-    idx = (x - xs_[hi - 1] <= xs_[hi] - x) ? hi - 1 : hi;
-  }
-  stats_[idx].add(value);
-}
-
 }  // namespace paai

@@ -45,9 +45,6 @@ class SeriesGrid {
   /// Folds one run's series into the grid with step interpolation.
   void accumulate(const TimeSeries& run);
 
-  /// Adds a single observation at the bin nearest to x.
-  void add_at(double x, double value);
-
   std::size_t size() const { return xs_.size(); }
   double x(std::size_t i) const { return xs_[i]; }
   const RunningStat& stat(std::size_t i) const { return stats_[i]; }

@@ -1,7 +1,6 @@
 // Seeded mutation fuzz for the strict JSON readers (obs/json.h
-// JsonFieldReader): paai.state.v1 snapshots, paai.telemetry.v3 lines and
-// the JSON forms of the fault and adversary plans all run through the
-// same harness. Each mutant is one to three bit flips, a truncation, or
+// JsonFieldReader): paai.state.v1 snapshots and paai.telemetry.v3 lines
+// run through the same harness. Each mutant is one to three bit flips, a truncation, or
 // the deletion of one object member. A reader must reject a mutant
 // cleanly or accept it and rewrite it to a document that parses to the
 // same value; a truncation is never accepted. Any exception other than

@@ -514,7 +514,8 @@ TEST(Snapshot, LoadRejectsGarbage) {
   EXPECT_FALSE(load_state(R"({"schema":"paai.state.v2"})", &engine, &error));
   // Valid schema, wrong table shape.
   EXPECT_FALSE(load_state(
-      R"({"schema":"paai.state.v1","protocol":1,"links":6,"threshold":0.018,)"
+      R"({"schema":"paai.state.v1","protocol":1,"protocol_name":"PAAI-1",)"
+      R"("links":6,"threshold":0.018,)"
       R"("persistence":"0","blame":"margin","events_seen":"0",)"
       R"("events_applied":"0",)"
       R"("packets_sent":"0","delivered":"0","run_ended":false,)"
@@ -618,11 +619,40 @@ TEST(Snapshot, MutationFuzzFailsClosed) {
       const auto deletions = fuzz::member_deletions(snapshot);
       EXPECT_GT(deletions.size(), 30u);
       for (const auto& [member, doc] : deletions) {
-        if (member == "protocol_name") continue;  // display only
         EXPECT_FALSE(rewrite(doc)) << "without " << member;
       }
     }
   }
+}
+
+// "protocol_name" configures nothing, but it is required and must be the
+// display name of "protocol": a snapshot whose two protocol members
+// disagree is corrupt.
+TEST(Snapshot, ProtocolNameMustMatchProtocol) {
+  const std::string snapshot =
+      synthetic_snapshot(protocols::ProtocolKind::kPaai1, "margin");
+  const std::string member = R"("protocol_name":"PAAI-1",)";
+  const std::size_t at = snapshot.find(member);
+  ASSERT_NE(at, std::string::npos) << snapshot;
+  const auto with = [&](const std::string& replacement) {
+    return snapshot.substr(0, at) + replacement +
+           snapshot.substr(at + member.size());
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {with(""), "missing protocol_name"},
+      {with(R"("protocol_name":"PAAI-2",)"), "protocol_name"},
+      {with(R"("protocol_name":"paai1",)"), "protocol_name"},
+      {with(R"("protocol_name":7,)"), "protocol_name"},
+  };
+  for (const auto& [doc, want] : cases) {
+    ScoreEngine engine;
+    std::string error;
+    EXPECT_FALSE(load_state(doc, &engine, &error)) << doc;
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+  }
+  ScoreEngine engine;
+  std::string error;
+  EXPECT_TRUE(load_state(snapshot, &engine, &error)) << error;
 }
 
 // Every object of a snapshot rejects a member the loader does not read,

@@ -6,13 +6,17 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 #include "util/bytes.h"
 #include "util/csv.h"
 #include "util/rng.h"
+#include "util/specgrammar.h"
 #include "util/stats.h"
 #include "util/timeseries.h"
 #include "util/wire.h"
@@ -197,64 +201,60 @@ TEST(Flags, ParsesFlagsAndEnv) {
   char** argv = const_cast<char**>(argv_c);
   EXPECT_TRUE(has_flag(3, argv, "--csv"));
   EXPECT_FALSE(has_flag(3, argv, "--json"));
-  EXPECT_EQ(flag_or_env(3, argv, "--runs", nullptr, 7), 25);
-  EXPECT_EQ(flag_or_env(3, argv, "--packets", nullptr, 7), 7);
+  EXPECT_EQ(count_flag(3, argv, "--runs", 7), 25u);
+  EXPECT_EQ(count_flag(3, argv, "--packets", 7), 7u);
 
-  const char* spaced_c[] = {"prog", "--csv", "--runs", "25"};
+  const char* spaced_c[] = {"prog", "--csv", "--runs", "25", "--rho",
+                            "0.02"};
   char** spaced = const_cast<char**>(spaced_c);
-  EXPECT_EQ(flag_or_env(4, spaced, "--runs", nullptr, 7), 25);
-  EXPECT_EQ(flag_or_env(4, spaced, "--packets", nullptr, 7), 7);
+  EXPECT_EQ(count_flag(6, spaced, "--runs", 7), 25u);
+  EXPECT_EQ(count_flag(6, spaced, "--packets", 7), 7u);
+  EXPECT_EQ(real_flag(6, spaced, "--rho", 0.01), 0.02);
+  EXPECT_EQ(real_flag(6, spaced, "--alpha", 0.03), 0.03);
+
+  // Knobs come from argv only: the environment is never a second spelling.
+  setenv("PAAI_RUNS", "12", 1);
+  EXPECT_EQ(count_flag(2, argv, "--runs", 7), 7u);
+  unsetenv("PAAI_RUNS");
 }
 
-TEST(Flags, ParseLlAcceptsBase10Integers) {
-  EXPECT_EQ(parse_ll("0"), 0);
-  EXPECT_EQ(parse_ll("42"), 42);
-  EXPECT_EQ(parse_ll("-17"), -17);
-  EXPECT_EQ(parse_ll("9223372036854775807"),
-            std::numeric_limits<long long>::max());
-  EXPECT_EQ(parse_ll("-9223372036854775808"),
-            std::numeric_limits<long long>::min());
+TEST(Flags, CountReaderAcceptsBase10Counts) {
+  const auto count = [](std::string_view text) {
+    return util::spec_parse_index(text, "value", "--runs");
+  };
+  EXPECT_EQ(count("0"), 0u);
+  EXPECT_EQ(count("42"), 42u);
+  EXPECT_EQ(count("007"), 7u);
+  // Past the old signed reader's range, but still a count.
+  EXPECT_EQ(count("9223372036854775808"), std::uint64_t{1} << 63);
+  EXPECT_EQ(count("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
-TEST(Flags, ParseLlRejectsGarbage) {
-  EXPECT_FALSE(parse_ll("").has_value());
-  EXPECT_FALSE(parse_ll("-").has_value());
-  EXPECT_FALSE(parse_ll("all").has_value());
-  EXPECT_FALSE(parse_ll("12x").has_value());
-  EXPECT_FALSE(parse_ll("x12").has_value());
-  EXPECT_FALSE(parse_ll(" 12").has_value());
-  EXPECT_FALSE(parse_ll("1.5").has_value());
-  EXPECT_FALSE(parse_ll("+5").has_value());
-  EXPECT_FALSE(parse_ll("0x10").has_value());
-  EXPECT_FALSE(parse_ll("9223372036854775808").has_value());   // max+1
-  EXPECT_FALSE(parse_ll("-9223372036854775809").has_value());  // min-1
+TEST(Flags, CountReaderRejectsGarbage) {
+  for (const char* text :
+       {"", "-", "all", "12x", "x12", " 12", "12 ", "1.5", "+5", "-5",
+        "-17", "1e3", "0x10",
+        "18446744073709551616",     // max+1
+        "-9223372036854775809"}) {  // below every signed range
+    EXPECT_THROW(util::spec_parse_index(text, "value", "--runs"),
+                 std::invalid_argument)
+        << "'" << text << "'";
+  }
 }
 
 TEST(FlagsDeathTest, InvalidFlagValueExitsWithError) {
-  const char* argv_c[] = {"prog", "--runs=many"};
+  const char* argv_c[] = {"prog", "--runs=many", "--scale=-50",
+                          "--packets=2e3", "--rho=0.01junk"};
   char** argv = const_cast<char**>(argv_c);
-  EXPECT_EXIT(flag_or_env(2, argv, "--runs", nullptr, 7),
-              testing::ExitedWithCode(2), "invalid integer for flag --runs");
-}
-
-TEST(FlagsDeathTest, InvalidEnvValueExitsWithError) {
-  // PAAI_JOBS=all must be a hard error, not a silent fall-back to the
-  // default (the bug this guards against).
-  const char* argv_c[] = {"prog"};
-  char** argv = const_cast<char**>(argv_c);
-  setenv("PAAI_TEST_BADENV", "all", 1);
-  EXPECT_EXIT(flag_or_env(1, argv, "--jobs", "PAAI_TEST_BADENV", 0),
-              testing::ExitedWithCode(2),
-              "invalid integer for environment variable PAAI_TEST_BADENV");
-  unsetenv("PAAI_TEST_BADENV");
-}
-
-TEST(Flags, ValidEnvValueIsUsed) {
-  const char* argv_c[] = {"prog"};
-  char** argv = const_cast<char**>(argv_c);
-  setenv("PAAI_TEST_GOODENV", "12", 1);
-  EXPECT_EQ(flag_or_env(1, argv, "--jobs", "PAAI_TEST_GOODENV", 0), 12);
-  unsetenv("PAAI_TEST_GOODENV");
+  EXPECT_EXIT(count_flag(2, argv, "--runs", 7), testing::ExitedWithCode(2),
+              "error: --runs: bad index for value: 'many'");
+  EXPECT_EXIT(count_flag(3, argv, "--scale", 100),
+              testing::ExitedWithCode(2), "error: --scale: ");
+  EXPECT_EXIT(count_flag(4, argv, "--packets", 60000),
+              testing::ExitedWithCode(2), "error: --packets: ");
+  EXPECT_EXIT(real_flag(5, argv, "--rho", 0.01), testing::ExitedWithCode(2),
+              "error: --rho: bad number for value: '0.01junk'");
 }
 
 TEST(Flags, FlagStrParsesBothForms) {

@@ -31,14 +31,12 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/json.h"
 #include "util/csv.h"
-#include "util/specgrammar.h"
 
 using paai::obs::JsonValue;
 
@@ -236,26 +234,20 @@ void usage() {
 int main(int argc, char** argv) {
   if (paai::has_flag(argc, argv, "--self-test")) return self_test();
 
-  double threshold = 0.10;
+  const double threshold =
+      paai::real_flag(argc, argv, "--threshold", 10.0) / 100.0;
+  if (threshold < 0.0) {
+    std::fprintf(stderr, "error: --threshold must be >= 0\n");
+    return 2;
+  }
+  const bool csv = paai::has_flag(argc, argv, "--csv");
   std::vector<std::string> files;
-  bool csv = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--threshold=", 0) == 0) {
-      try {
-        threshold =
-            paai::util::spec_parse_double(arg.substr(12), "PCT", "") / 100.0;
-      } catch (const std::invalid_argument&) {
-        std::fprintf(stderr, "error: bad --threshold value '%s'\n",
-                     arg.c_str());
-        return 2;
-      }
-      if (!(threshold >= 0.0)) {  // also rejects NaN
-        std::fprintf(stderr, "error: --threshold must be >= 0\n");
-        return 2;
-      }
-    } else if (arg == "--csv") {
-      csv = true;
+    if (arg == "--threshold") {
+      ++i;  // its value
+    } else if (arg.rfind("--threshold=", 0) == 0 || arg == "--csv") {
+      continue;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       usage();

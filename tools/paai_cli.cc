@@ -6,8 +6,8 @@
 // --jobs, --csv, --adversary, --faults, the observability outputs) are
 // read by BenchArgs (bench/bench_common.h); the commands' own flags are
 // listed in kCliFlags and read here through the same helpers (flag_str/
-// flag_all in util/csv.h, util::spec_parse_* for numbers). An unknown
-// flag or a malformed value exits 2 with a message naming the flag.
+// flag_all/count_flag/real_flag in util/csv.h). An unknown flag or a
+// malformed value exits 2 with a message naming the flag.
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -58,17 +58,16 @@ constexpr const char kUsage[] =
                  they happen, periodic snapshots, graceful drain on SIGINT
   replay FILE    a recorded event log through the stream engine
   top FILE       live dashboard over a paai.telemetry.v3 file
-                 (replay, top: FILE or --in=FILE)
 detector (serve/replay: --protocol preconfigures the engine from these):
-  --protocol=NAME  full-ack|paai1|paai2|comb1|comb2|statfl|sigack (paai1)
+  --protocol=NAME  fullack|paai1|paai2|comb1|comb2|statfl|sigack (paai1)
   --d=N (6)  --rho=X (0.01)  --threshold=X (rho+0.008; mesh 0.02)
   --blame=MODE     margin|persistent[:K]|windowed[:W]|hybrid[:K[,W]]
                    (docs/DETECTORS.md; mesh windows are its rounds)
 experiment (run, curve):
   --packets=N (60000)  --rate=X pkt/s (100)  --p=X probe prob. (1/36)
   --seed=N (1; mesh 9000)  --fault=LINK:RATE malicious loss, repeatable
-  --adversary=SPEC   plan grammar or JSON (docs/ADVERSARIES.md),
-                     repeatable, merged into one plan
+  --adversary=SPEC   plan grammar (docs/ADVERSARIES.md), repeatable,
+                     merged into one plan
   --faults=SPEC      scripted benign faults (docs/FAULTS.md)
   --events-out=F     forensic JSONL event log (curve: run 0)
   --events-cap=N     per-node event-ring capacity (also the --trace-out
@@ -79,9 +78,10 @@ experiment (run, curve):
 mesh (docs/MESH.md): --topo=SPEC (fattree@8) --paths=N (10000)
   --units=N (2000) --rounds=N (8) --engine=stat|packet (packet: per-path
   --protocol and --packets, 20000)
-serve/replay: --in=PATH ('-' = stdin, serve default)  --state-in=F
-  --state-out=F --snapshot-every=N (snapshots every N applied events and
-  on exit; 0 = exit only)  --skip-malformed (serve: skip bad lines)
+serve/replay: --in=PATH (serve's input; '-' = stdin, the default)
+  --state-in=F  --state-out=F --snapshot-every=N (snapshots every N
+  applied events and on exit; 0 = exit only)  --skip-malformed (serve:
+  skip bad lines)
   --verify (replay: exit 1 unless bit-identical to the batch verdict)
 top: --once (one frame; exit 2 on a malformed file)  --interval-ms=N (1000)
 shared with every bench (bench/bench_common.h): --runs=N (curve 50)
@@ -118,7 +118,7 @@ void check_flags(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
     const std::string_view name = arg.substr(0, arg.find('='));
-    if (bench::BenchArgs::shared_flag(arg) == nullptr &&
+    if (!bench::BenchArgs::shared_flag(arg) &&
         std::find(std::begin(kCliFlags), std::end(kCliFlags), name) ==
             std::end(kCliFlags)) {
       throw CliError{"unknown flag '" + std::string(name) + "'"};
@@ -126,23 +126,8 @@ void check_flags(int argc, char** argv) {
   }
 }
 
-/// Strict numeric flags, else `dflt`; a malformed value throws a message
-/// naming the flag.
-std::uint64_t count_flag(int argc, char** argv, const char* name,
-                         std::uint64_t dflt) {
-  const auto value = flag_str(argc, argv, name);
-  return value ? util::spec_parse_index(*value, "value", name) : dflt;
-}
-
-double real_flag(int argc, char** argv, const char* name, double dflt) {
-  const auto value = flag_str(argc, argv, name);
-  return value ? util::spec_parse_double(*value, "value", name) : dflt;
-}
-
 protocols::ProtocolKind parse_protocol(const std::string& name) {
-  if (name == "full-ack" || name == "fullack") {
-    return protocols::ProtocolKind::kFullAck;
-  }
+  if (name == "fullack") return protocols::ProtocolKind::kFullAck;
   if (name == "paai1") return protocols::ProtocolKind::kPaai1;
   if (name == "paai2") return protocols::ProtocolKind::kPaai2;
   if (name == "comb1") return protocols::ProtocolKind::kCombination1;
@@ -252,11 +237,10 @@ void print_verdicts(const std::vector<double>& thetas,
   table.print(std::cout, csv);
 }
 
-/// The FILE operand of replay and top: argv[2], else --in.
+/// The FILE operand of explain, replay and top: argv[2], never a flag.
 std::string file_operand(int argc, char** argv, const char* usage) {
-  if (argc >= 3 && argv[2][0] != '-') return argv[2];
-  if (const auto in = flag_str(argc, argv, "--in")) return *in;
-  throw CliError{usage};
+  if (argc < 3 || argv[2][0] == '-') throw CliError{usage};
+  return argv[2];
 }
 
 /// The session's event log for a run of `packets` packets (curve: run 0),
@@ -387,10 +371,8 @@ int cmd_curve(int argc, char** argv) {
 }
 
 int cmd_explain(int argc, char** argv) {
-  if (argc < 3 || argv[2][0] == '-') {
-    throw CliError{"explain wants an event-log file: paai explain FILE"};
-  }
-  const std::string path = argv[2];
+  const std::string path = file_operand(
+      argc, argv, "explain wants an event-log file: paai explain FILE");
   std::ifstream in(path);
   if (!in) throw CliError{"cannot open '" + path + "'"};
   stream::AuditTrail trail;
