@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "bench_common.h"
@@ -61,13 +62,22 @@ std::string digest(const MeshResult& r) {
 int main(int argc, char** argv) {
   bench::BenchSession session("bench_mesh", argc, argv);
   const auto& args = session.args;
+
+  MeshConfig cfg;
+  const char* flag = "--topo";
+  try {
+    cfg.topo =
+        Topology::parse(flag_str(argc, argv, flag).value_or("fattree@16"));
+    flag = "--blame";
+    cfg.blame = protocols::BlameSpec::parse(
+        flag_str(argc, argv, flag).value_or("margin"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s: %s\n", flag, e.what());
+    return 2;
+  }
   bench::print_header("Mesh fleet — cross-path aggregation at scale",
                       "Corollary 2 at mesh scale; src/mesh design notes "
                       "in docs/MESH.md");
-
-  MeshConfig cfg;
-  cfg.topo =
-      Topology::parse(flag_str(argc, argv, "--topo").value_or("fattree@16"));
   const std::size_t n_paths =
       count_flag(argc, argv, "--paths", args.scaled(1000000));
   cfg.engine = MeshEngine::kStat;
@@ -75,8 +85,6 @@ int main(int argc, char** argv) {
   cfg.rounds = count_flag(argc, argv, "--rounds", 8);
   cfg.natural_loss = 0.01;
   cfg.decision_threshold = 0.02;
-  cfg.blame = protocols::BlameSpec::parse(
-      flag_str(argc, argv, "--blame").value_or("margin"));
   // Default adversary: one compromised core straddling a large share of
   // the inter-pod paths — the cross-path union scenario.
   cfg.adversaries = args.adversaries.empty()

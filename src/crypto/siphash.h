@@ -1,9 +1,12 @@
 // SipHash-2-4 (Aumasson & Bernstein), implemented from scratch.
 //
-// Backs the `FastCrypto` provider: a keyed 64-bit PRF that is ~20x faster
-// than HMAC-SHA256. The Monte-Carlo benches that push millions of packets
-// through PAAI-2 use it so the statistical experiments stay laptop-scale;
-// the security-relevant tests always run against the real HMAC/ChaCha20
+// Backs the `FastCrypto` provider: a keyed 64-bit PRF. On a 4-core
+// x86-64 host with the SHA extensions, perfbench's crypto probes read its
+// mac at 86-105 ns and prf at 42-50 ns against HMAC-SHA256's 222-285 and
+// 174-228 ns (crypto.fast.* vs crypto.real.*, six traced runs): 2-5x,
+// and the fast hash is slower than SHA-NI SHA-256. The Monte-Carlo
+// benches that push millions of packets through PAAI-2 use it; the
+// security-relevant tests always run against the real HMAC/ChaCha20
 // provider (see crypto/provider.h).
 //
 // The kernel reads the message a little-endian word at a time (memcpy

@@ -319,8 +319,9 @@ MeshResult run_stat(const MeshConfig& config) {
           tile.damage += std::max(0.0, baseline_path - delivered_path);
           tile.baseline += baseline_path;
           for (std::size_t j = 0; j < len; ++j) {
-            const bool solo = margin_convicts(path_units[j], path_blames[j],
-                                                config.decision_threshold);
+            const bool solo = protocols::clears_margin(
+                evidence(path_units[j], path_blames[j]),
+                config.decision_threshold);
             tile.shard.add(pl[j], path_units[j], path_blames[j],
                            static_cast<std::uint32_t>(i), solo);
           }

@@ -98,22 +98,6 @@ void GlobalScoreStore::absorb(const ScoreShard& shard) {
   }
 }
 
-std::uint64_t GlobalScoreStore::units_through(
-    std::size_t link, std::size_t rounds_prefix) const {
-  std::uint64_t sum = 0;
-  const std::size_t n = std::min(rounds_prefix, rounds_);
-  for (std::size_t r = 0; r < n; ++r) sum += round_units(link, r);
-  return sum;
-}
-
-std::uint64_t GlobalScoreStore::blames_through(
-    std::size_t link, std::size_t rounds_prefix) const {
-  std::uint64_t sum = 0;
-  const std::size_t n = std::min(rounds_prefix, rounds_);
-  for (std::size_t r = 0; r < n; ++r) sum += round_blames(link, r);
-  return sum;
-}
-
 std::vector<std::uint32_t> GlobalScoreStore::witnesses(
     std::size_t link) const {
   std::vector<std::uint32_t> out;
@@ -130,69 +114,34 @@ double GlobalScoreStore::theta(std::size_t link) const {
          static_cast<double>(units_[link]);
 }
 
-bool margin_convicts(std::uint64_t units, std::uint64_t blames,
-                     double threshold) {
-  if (units == 0) return false;
-  const double n = static_cast<double>(units);
-  const double b = static_cast<double>(blames) / n;
-  const double sd = std::sqrt(std::max(b, 1.0 / n) * (1.0 - b) / n);
-  return b - sd > threshold;
-}
-
-namespace {
-
-/// protocols::blame_convicts()' view of one link over a round prefix.
-/// The rounds are the windows: flagrant() and max_streak() scan the
-/// prefix only when a windowed clause asks (after the margin failed).
-struct RoundEvidence {
-  const GlobalScoreStore& store;
-  std::size_t link;
-  std::size_t prefix;
-  std::uint64_t units;
-  std::uint64_t blames;
-
-  bool margin(double threshold) const {
-    return margin_convicts(units, blames, threshold);
-  }
-  double theta() const {
-    return static_cast<double>(blames) / static_cast<double>(units);
-  }
+protocols::LinkEvidence evidence(std::uint64_t units, std::uint64_t blames) {
+  if (units == 0) return protocols::kNoEvidence;
   // The chain rule's per-link blame tally maps onto the aggregated blame
   // count: K independent blame observations above the raw threshold
   // convict without waiting out the sd margin.
-  double tally() const { return static_cast<double>(blames); }
-  std::uint64_t flagrant() const { return scan(false); }
-  std::uint64_t max_streak() const { return scan(true); }
+  return {static_cast<double>(blames) / static_cast<double>(units),
+          protocols::proportion_sd(units, blames),
+          static_cast<double>(blames), 0, 0};
+}
 
-  /// Flagrant rounds, or the longest hot-round streak, over the prefix:
-  /// the chain ledger's bars (kWindowFlagrantTheta / kWindowHighTheta);
-  /// an empty round breaks a streak.
-  std::uint64_t scan(bool streaks) const {
-    std::uint64_t flagrant = 0, streak = 0, longest = 0;
-    for (std::size_t r = 0; r < prefix; ++r) {
-      const std::uint64_t ru = store.round_units(link, r);
-      const double theta_r =
-          ru == 0 ? 0.0
-                  : static_cast<double>(store.round_blames(link, r)) /
-                        static_cast<double>(ru);
-      if (theta_r > protocols::kWindowFlagrantTheta) ++flagrant;
-      streak = theta_r > protocols::kWindowHighTheta ? streak + 1 : 0;
-      longest = std::max(longest, streak);
-    }
-    return streaks ? longest : flagrant;
+protocols::LinkEvidence GlobalScoreStore::evidence(
+    std::size_t link, std::size_t rounds_prefix) const {
+  std::uint64_t units = 0, blames = 0, flagrant = 0, streak = 0, longest = 0;
+  for (std::size_t r = 0; r < std::min(rounds_prefix, rounds_); ++r) {
+    const std::uint64_t ru = round_units(link, r);
+    const std::uint64_t rb = round_blames(link, r);
+    units += ru;
+    blames += rb;
+    const double theta_r =
+        ru == 0 ? 0.0 : static_cast<double>(rb) / static_cast<double>(ru);
+    if (theta_r > protocols::kWindowFlagrantTheta) ++flagrant;
+    streak = theta_r > protocols::kWindowHighTheta ? streak + 1 : 0;
+    longest = std::max(longest, streak);
   }
-};
-
-}  // namespace
-
-bool GlobalScoreStore::convicts(std::size_t link, double threshold,
-                                const protocols::BlameSpec& blame,
-                                std::size_t rounds_prefix) const {
-  const std::size_t prefix = std::min(rounds_prefix, rounds_);
-  const RoundEvidence ev{*this, link, prefix, units_through(link, prefix),
-                         blames_through(link, prefix)};
-  if (ev.units == 0) return false;
-  return protocols::blame_convicts(blame, threshold, ev);
+  protocols::LinkEvidence ev = mesh::evidence(units, blames);
+  ev.flagrant = flagrant;
+  ev.max_streak = longest;
+  return ev;
 }
 
 std::size_t GlobalScoreStore::memory_bytes() const {

@@ -26,9 +26,11 @@
 // window counters u64 sums like everything else: a shard absorbed in any
 // order lands each delta in the same round cell, so the merged window
 // state commutes exactly. The multi-level conviction rules
-// (protocols::BlameSpec) evaluate post-merge over the round grid; the
-// spec's W parameter is ignored in the mesh (the round schedule fixes
-// the window width — documented in docs/DETECTORS.md).
+// (protocols::BlameSpec) evaluate post-merge over the round grid through
+// the chain detectors' own protocols::convicts(), on a LinkEvidence
+// record the store fills per link and round prefix; the spec's W
+// parameter is ignored in the mesh (the round schedule fixes the window
+// width — documented in docs/DETECTORS.md).
 //
 // Sharding/determinism contract: workers accumulate into private
 // ScoreShard instances (one per in-flight tile of the path range) and the
@@ -50,16 +52,15 @@ namespace paai::mesh {
 inline constexpr std::size_t kWitnessCap = 4;
 inline constexpr std::uint32_t kNoWitness = 0xffffffffu;
 
-/// The mesh's one-standard-error evidence rule on a raw (units, blames)
-/// pair, the same as protocols::ScoreTable's margin mode on the mesh's
-/// t = 1 evidence: the blame proportion must clear the threshold by one
-/// standard error. More cross-path evidence -> smaller margin ->
-/// Corollary 2's union conviction, while honest links keep the
-/// no-false-accusation bar at any path count. The store's margin clause,
-/// the runner's single-path solo counterfactual and its checkpoint scan
-/// all call it.
-bool margin_convicts(std::uint64_t units, std::uint64_t blames,
-                     double threshold);
+/// The mesh's evidence record on a raw (units, blames) pair, the same as
+/// protocols::ScoreTable's on the mesh's t = 1 evidence: the blame
+/// proportion as the estimate, its protocols::proportion_sd() as the sd,
+/// the blame count as the persistence tally, and no windows;
+/// protocols::kNoEvidence when units == 0. More cross-path evidence ->
+/// smaller sd -> Corollary 2's union conviction, while honest links keep
+/// the no-false-accusation bar at any path count. The store's records
+/// and the runner's single-path solo counterfactual both start here.
+protocols::LinkEvidence evidence(std::uint64_t units, std::uint64_t blames);
 
 /// One worker's private slice of evidence: same struct-of-arrays shape as
 /// the global store, no synchronization, merged via
@@ -129,15 +130,6 @@ class GlobalScoreStore {
     return win_blames_[round * num_links() + link];
   }
 
-  /// Cumulative window evidence over the first `rounds_prefix` rounds —
-  /// the checkpoint-scan axis. With a full prefix this equals
-  /// units()/blames() whenever every add() was mirrored by add_window()
-  /// calls covering the same totals.
-  std::uint64_t units_through(std::size_t link,
-                              std::size_t rounds_prefix) const;
-  std::uint64_t blames_through(std::size_t link,
-                               std::size_t rounds_prefix) const;
-
   /// Witness path ids for a link (ascending, at most kWitnessCap).
   std::vector<std::uint32_t> witnesses(std::size_t link) const;
 
@@ -146,19 +138,25 @@ class GlobalScoreStore {
   /// ScoreTable inversion 1-(1-b)^(1/t) degenerates to b itself).
   double theta(std::size_t link) const;
 
-  /// Multi-level conviction rule (protocols::BlameSpec) evaluated over
-  /// the first `rounds_prefix` checkpoint rounds of window evidence
-  /// (default: all) by the chain detectors' own protocols::
-  /// blame_convicts(). Rounds are the mesh's windows; the spec's W is
-  /// ignored. The store supplies the evidence: the raw blame proportion
-  /// as the estimate, the margin rule above, the aggregated blame count
-  /// as the persistence tally, and the flagrant-round count and longest
-  /// hot-round streak from a scan of the prefix. Margin mode reproduces
-  /// margin_convicts() on units()/blames() exactly when the window cells
-  /// cover the cumulative evidence.
+  /// The link's evidence record over the first `rounds_prefix`
+  /// checkpoint rounds (default: all) — the checkpoint-scan axis:
+  /// evidence() on the prefix's summed window cells, plus the
+  /// flagrant-round count and longest hot-round streak (the chain
+  /// ledger's bars; an empty round breaks a streak). Rounds are the
+  /// mesh's windows. With a full prefix the estimate, sd and tally are
+  /// evidence(units(), blames())'s whenever every add() was mirrored by
+  /// add_window() calls covering the same totals.
+  protocols::LinkEvidence evidence(
+      std::size_t link, std::size_t rounds_prefix = ~std::size_t{0}) const;
+
+  /// protocols::convicts() on evidence(link, rounds_prefix); the spec's
+  /// W is ignored.
   bool convicts(std::size_t link, double threshold,
                 const protocols::BlameSpec& blame,
-                std::size_t rounds_prefix = ~std::size_t{0}) const;
+                std::size_t rounds_prefix = ~std::size_t{0}) const {
+    return protocols::convicts(blame, threshold,
+                               evidence(link, rounds_prefix));
+  }
 
   /// Heap bytes of the aggregated store itself (the O(links) quantity the
   /// bench reports as memory per link).

@@ -209,9 +209,9 @@ Topology Topology::parse(std::string_view spec) {
   }
   if (c.kind == "chains") {
     c.check_keys({"degree", "seed"}, kPrefix);
-    const auto seed = c.get("seed");
+    // A seed is any integer a spec number holds exactly.
     return chains(c.index, count_key("degree", 3, 1, 64),
-                  seed ? static_cast<std::uint64_t>(*seed) : 1);
+                  count_key("seed", 1, 0, std::size_t{1} << 53));
   }
   bad("unknown topology kind '" + c.kind +
       "' (expected linear | grid | fattree | chains)");

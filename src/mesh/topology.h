@@ -25,7 +25,8 @@
 //                      (guaranteeing strong connectivity) plus D seeded
 //                      random extra out-links per node; routes follow
 //                      BFS shortest paths toward a bounded set of
-//                      deterministic gateway targets
+//                      deterministic gateway targets; S is an integer
+//                      in [0, 2^53] (default 1)
 //
 // Everything here is a pure function of the spec (and its embedded seed):
 // the same spec always yields the same node/link numbering and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -10,26 +11,83 @@ namespace paai::protocols {
 
 namespace {
 
-/// The windowed half of a table's blame_convicts() evidence: one link's
-/// flagrant-window count and longest hot streak from the ledger. Each
-/// table's evidence view derives from it and adds its own margin,
-/// estimate and persistence tally.
-struct LedgerEvidence {
-  const WindowLedger& ledger;
-  std::size_t link;
-  std::uint64_t flagrant() const { return ledger.flagrant_windows(link); }
-  std::uint64_t max_streak() const { return ledger.max_streak(link); }
-};
+constexpr double kNoMargin = std::numeric_limits<double>::infinity();
+
+/// A record with `theta`, `sd` and `tally`, and the windowed half from
+/// `ledger`: the link's flagrant-window count and longest hot streak.
+LinkEvidence with_windows(const WindowLedger& ledger, std::size_t link,
+                          double theta, double sd, double tally) {
+  return {theta, sd, tally, ledger.flagrant_windows(link),
+          ledger.max_streak(link)};
+}
+
+/// The links `spec` convicts at `threshold`, ascending, into `out`
+/// (overwritten; a reused `out` stays off the heap).
+void convicted_links(const BlameSpec& spec, double threshold,
+                     const std::vector<LinkEvidence>& evidence,
+                     std::vector<std::size_t>* out) {
+  out->clear();
+  for (std::size_t i = 0; i < evidence.size(); ++i) {
+    if (convicts(spec, threshold, evidence[i])) out->push_back(i);
+  }
+}
+
+/// A table's verdict under `spec`: its records through convicted_links().
+template <class Table>
+std::vector<std::size_t> verdict_of(const Table& table, const BlameSpec& spec,
+                                    double threshold) {
+  std::vector<LinkEvidence> evidence;
+  table.evidence(&evidence);
+  std::vector<std::size_t> out;
+  convicted_links(spec, threshold, evidence, &out);
+  return out;
+}
+
+/// PAAI-2's prefix-difference estimator over selection bins `sel_n`/
+/// `sel_f` (cumulative, or one window's) at end-to-end drop rate `psi`:
+/// calls put(j, theta_j) for each link in order.
+///
+/// q_e is the unconditional prefix-failure probability, carried forward
+/// while selection index e has no observations yet. The per-link cycle
+/// rate comes from adjacent prefix differences, then goes down to a
+/// per-traversal rate. The data packet always crosses a prefix link, but
+/// the probe and the report only exist when a probe fired (probability
+/// psi), so one monitored cycle exposes a prefix link to ~(1 + 2 psi)
+/// traversals. With psi = 0 (no data packet yet) every theta is 0.
+template <class Put>
+void prefix_difference(const std::vector<std::uint64_t>& sel_n,
+                       const std::vector<std::uint64_t>& sel_f, double psi,
+                       Put put) {
+  const double traversals = 1.0 + 2.0 * psi;
+  double q_lo = 0.0;  // q_0 is exactly zero
+  for (std::size_t j = 0; j + 1 < sel_n.size(); ++j) {
+    const std::size_t e = j + 1;
+    double q_hi = q_lo;
+    if (sel_n[e] != 0) {
+      const double cond_fail =
+          static_cast<double>(sel_f[e]) / static_cast<double>(sel_n[e]);
+      q_hi = std::max(q_lo, psi * cond_fail);
+    }
+    const double denom = 1.0 - q_lo;
+    const double g = denom > 0.0 ? (q_hi - q_lo) / denom : 0.0;
+    put(j, 1.0 - std::pow(1.0 - std::clamp(g, 0.0, 1.0), 1.0 / traversals));
+    q_lo = q_hi;
+  }
+}
 
 /// theta_j = max(0, 1 - S_{j+1}/S_j) over per-node counts (cumulative or
 /// one window's), 0 while S_j is empty.
-void count_ratio_thetas(const std::vector<double>& counts,
-                        std::vector<double>* out) {
-  out->assign(counts.size() - 1, 0.0);
-  for (std::size_t j = 0; j + 1 < counts.size(); ++j) {
-    if (counts[j] <= 0.0) continue;
-    (*out)[j] = std::max(0.0, 1.0 - counts[j + 1] / counts[j]);
+double count_ratio_theta(const std::vector<double>& counts, std::size_t j) {
+  if (counts[j] <= 0.0) return 0.0;
+  return std::max(0.0, 1.0 - counts[j + 1] / counts[j]);
+}
+
+std::vector<double> count_ratio_thetas(const std::vector<double>& counts) {
+  std::vector<double> out(counts.size() - 1);
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = count_ratio_theta(counts, j);
   }
+  return out;
 }
 
 }  // namespace
@@ -104,44 +162,23 @@ std::vector<double> ScoreTable::thetas() const {
   return out;
 }
 
-bool ScoreTable::margin_convicts(std::size_t link, double threshold) const {
-  // Conviction requires the estimate to clear the threshold by one
-  // standard error — the operational form of the paper's "converged
-  // condition" (§7: the observed rate approaches its true value within a
-  // small uncertainty interval before decisions are made). Without the
-  // margin, early small-sample noise convicts honest links.
-  const double n = static_cast<double>(n_);
-  const double b = static_cast<double>(s_[link]) / n;
-  const double sd_b = std::sqrt(std::max(b, 1.0 / n) * (1.0 - b) / n);
-  const double sd_theta = sd_b / effective_traversals();
-  return theta(link) - sd_theta > threshold;
+void ScoreTable::evidence(std::vector<LinkEvidence>* out) const {
+  if (n_ == 0) {
+    out->assign(s_.size(), kNoEvidence);
+    return;
+  }
+  out->resize(s_.size());
+  const double t = effective_traversals();
+  for (std::size_t i = 0; i < s_.size(); ++i) {
+    // First-failing-hop blames are the onion tables' persistence tally.
+    (*out)[i] = with_windows(windows(), i, theta(i),
+                             proportion_sd(n_, s_[i]) / t,
+                             static_cast<double>(s_[i]));
+  }
 }
 
 std::vector<std::size_t> ScoreTable::convicted(double threshold) const {
-  std::vector<std::size_t> out;
-  convicted(threshold, &out);
-  return out;
-}
-
-struct ScoreTable::Evidence : LedgerEvidence {
-  const ScoreTable& t;
-  bool margin(double threshold) const {
-    return t.margin_convicts(link, threshold);
-  }
-  double theta() const { return t.theta(link); }
-  // First-failing-hop blames are the onion tables' persistence tally.
-  double tally() const { return static_cast<double>(t.s_[link]); }
-};
-
-void ScoreTable::convicted(double threshold,
-                           std::vector<std::size_t>* out) const {
-  out->clear();
-  if (n_ == 0) return;
-  for (std::size_t i = 0; i < s_.size(); ++i) {
-    if (blame_.convicts(threshold, Evidence{{windows(), i}, *this})) {
-      out->push_back(i);
-    }
-  }
+  return verdict_of(*this, blame_.spec(), threshold);
 }
 
 Paai2ScoreTable::Paai2ScoreTable(std::size_t num_links)
@@ -164,8 +201,9 @@ void Paai2ScoreTable::roll_window() {
   // Windowed prefix-difference estimator: the selection bins are this
   // window's only. psi and the traversal exponent stay cumulative — they
   // calibrate exposure, not the time-local rate.
-  std::vector<double> tw;
-  estimate(win_sel_n_, win_sel_f_, &tw);
+  std::vector<double> tw(s_.size());
+  prefix_difference(win_sel_n_, win_sel_f_, observed_e2e_rate(),
+                    [&](std::size_t j, double theta) { tw[j] = theta; });
   blame_.close_window(tw);
   std::fill(win_sel_n_.begin(), win_sel_n_.end(), 0ULL);
   std::fill(win_sel_f_.begin(), win_sel_f_.end(), 0ULL);
@@ -197,102 +235,35 @@ double Paai2ScoreTable::observed_e2e_rate() const {
 }
 
 std::vector<double> Paai2ScoreTable::thetas() const {
-  std::vector<double> out;
-  thetas(&out);
+  std::vector<double> out(s_.size());
+  prefix_difference(sel_n_, sel_f_, observed_e2e_rate(),
+                    [&](std::size_t j, double theta) { out[j] = theta; });
   return out;
 }
 
-void Paai2ScoreTable::thetas(std::vector<double>* out) const {
-  if (data_packets_ == 0) {
-    out->assign(s_.size(), 0.0);
-    return;
-  }
-  estimate(sel_n_, sel_f_, out);
-}
-
-void Paai2ScoreTable::estimate(const std::vector<std::uint64_t>& sel_n,
-                               const std::vector<std::uint64_t>& sel_f,
-                               std::vector<double>* out) const {
-  const std::size_t d = s_.size();
-  std::vector<double>& q = *out;
-  q.assign(d + 1, 0.0);
-  const double psi = observed_e2e_rate();
-
-  // Unconditional prefix-failure probabilities q_e; carry forward when
-  // a selection index has no observations yet.
-  for (std::size_t e = 1; e <= d; ++e) {
-    if (sel_n[e] == 0) {
-      q[e] = q[e - 1];
-      continue;
-    }
-    const double cond_fail =
-        static_cast<double>(sel_f[e]) / static_cast<double>(sel_n[e]);
-    q[e] = std::max(q[e - 1], psi * cond_fail);
-  }
-
-  // Per-link cycle rate from adjacent prefix differences, then down to
-  // a per-traversal rate. The data packet always crosses a prefix link,
-  // but the probe and the report only exist when a probe fired
-  // (probability psi), so one monitored cycle exposes a prefix link to
-  // ~(1 + 2 psi) traversals. theta_j overwrites q_j in place: q_j and
-  // q_{j+1} are both read before the write.
-  const double traversals = 1.0 + 2.0 * psi;
-  for (std::size_t j = 0; j < d; ++j) {
-    const double denom = 1.0 - q[j];
-    const double g = denom > 0.0 ? (q[j + 1] - q[j]) / denom : 0.0;
-    q[j] = 1.0 - std::pow(1.0 - std::clamp(g, 0.0, 1.0), 1.0 / traversals);
-  }
-  q.pop_back();
-}
-
-bool Paai2ScoreTable::margin_convicts(std::size_t link, double threshold,
-                                      const std::vector<double>& th) const {
-  // Same two-standard-error evidence rule as ScoreTable. The per-link
-  // estimate comes from the difference of two prefix-failure estimates,
-  // each a proportion over the probes whose selection hit that index, so
-  // the standard error combines both selection bins (scaled by psi, since
-  // q_e = psi * conditional failure rate).
+void Paai2ScoreTable::evidence(std::vector<LinkEvidence>* out) const {
+  out->resize(s_.size());
   const double psi = observed_e2e_rate();
   const double traversals = 1.0 + 2.0 * psi;
-  const double n_hi = static_cast<double>(sel_n_[link + 1]);
-  if (n_hi < 1.0) return false;
-  // q_0 is exactly zero; q_j for j >= 1 carries its own bin's noise.
-  const double inv_lo =
-      link == 0 ? 0.0
-                : 1.0 / std::max(1.0, static_cast<double>(sel_n_[link]));
-  const double sd_q = psi * 0.5 * std::sqrt(inv_lo + 1.0 / n_hi);
-  const double margin = sd_q / traversals;
-  return th[link] - margin > threshold;
+  prefix_difference(sel_n_, sel_f_, psi, [&](std::size_t j, double theta) {
+    // theta_j differences two prefix-failure estimates, each a
+    // proportion over the probes whose selection hit that index, so its
+    // standard error combines both selection bins (scaled by psi, since
+    // q_e = psi * conditional failure rate); q_0 is exactly zero.
+    const double n_hi = static_cast<double>(sel_n_[j + 1]);
+    const double inv_lo =
+        j == 0 ? 0.0 : 1.0 / std::max(1.0, static_cast<double>(sel_n_[j]));
+    const double sd =
+        n_hi < 1.0 ? kNoMargin
+                   : psi * 0.5 * std::sqrt(inv_lo + 1.0 / n_hi) / traversals;
+    // Interval scores are PAAI-2's per-link blame tallies.
+    (*out)[j] =
+        with_windows(windows(), j, theta, sd, static_cast<double>(s_[j]));
+  });
 }
 
 std::vector<std::size_t> Paai2ScoreTable::convicted(double threshold) const {
-  std::vector<std::size_t> out;
-  std::vector<double> th;
-  convicted(threshold, &out, &th);
-  return out;
-}
-
-struct Paai2ScoreTable::Evidence : LedgerEvidence {
-  const Paai2ScoreTable& t;
-  const std::vector<double>& th;
-  bool margin(double threshold) const {
-    return t.margin_convicts(link, threshold, th);
-  }
-  double theta() const { return th[link]; }
-  // Interval scores are PAAI-2's per-link blame tallies.
-  double tally() const { return static_cast<double>(t.s_[link]); }
-};
-
-void Paai2ScoreTable::convicted(double threshold,
-                                std::vector<std::size_t>* out,
-                                std::vector<double>* scratch) const {
-  thetas(scratch);
-  out->clear();
-  for (std::size_t j = 0; j < scratch->size(); ++j) {
-    if (blame_.convicts(threshold, Evidence{{windows(), j}, *this, *scratch})) {
-      out->push_back(j);
-    }
-  }
+  return verdict_of(*this, blame_.spec(), threshold);
 }
 
 FlScoreTable::FlScoreTable(std::size_t num_links)
@@ -306,9 +277,7 @@ FlScoreTable::FlScoreTable(std::size_t num_links)
 
 void FlScoreTable::roll_window() {
   if (blame_.fill(intervals_reported_) != 0) return;
-  std::vector<double> tw;
-  count_ratio_thetas(win_acc_, &tw);
-  blame_.close_window(tw);
+  blame_.close_window(count_ratio_thetas(win_acc_));
   std::fill(win_acc_.begin(), win_acc_.end(), 0.0);
 }
 
@@ -326,55 +295,25 @@ void FlScoreTable::interval_reported() {
 }
 
 std::vector<double> FlScoreTable::thetas() const {
-  std::vector<double> out;
-  thetas(&out);
-  return out;
+  return count_ratio_thetas(acc_);
 }
 
-void FlScoreTable::thetas(std::vector<double>* out) const {
-  count_ratio_thetas(acc_, out);
-}
-
-bool FlScoreTable::margin_convicts(std::size_t link, double threshold,
-                                   const std::vector<double>& th) const {
-  // One-standard-error evidence rule on a ratio of Poisson-ish sampled
-  // counts: Var(S_{j+1}/S_j) ~ 2 S_{j+1} / S_j^2 (both counts carry
-  // sampling noise); the +1 keeps a total blackhole (S_{j+1} = 0)
-  // convictable with a finite margin.
-  const double sj = acc_[link];
-  if (sj < 1.0) return false;
-  const double sd = std::sqrt(2.0 * acc_[link + 1] + 1.0) / sj;
-  return th[link] - sd > threshold;
+void FlScoreTable::evidence(std::vector<LinkEvidence>* out) const {
+  out->resize(num_links());
+  for (std::size_t j = 0; j < num_links(); ++j) {
+    // A ratio of Poisson-ish sampled counts: both carry sampling noise.
+    const double sj = acc_[j];
+    const double sd =
+        sj < 1.0 ? kNoMargin : std::sqrt(2.0 * acc_[j + 1] + 1.0) / sj;
+    // The sampled-count deficit at this hop plays the blame-tally role:
+    // at least K sampled packets must have vanished here.
+    (*out)[j] = with_windows(windows(), j, count_ratio_theta(acc_, j), sd,
+                             acc_[j] - acc_[j + 1]);
+  }
 }
 
 std::vector<std::size_t> FlScoreTable::convicted(double threshold) const {
-  std::vector<std::size_t> out;
-  std::vector<double> th;
-  convicted(threshold, &out, &th);
-  return out;
-}
-
-struct FlScoreTable::Evidence : LedgerEvidence {
-  const FlScoreTable& t;
-  const std::vector<double>& th;
-  bool margin(double threshold) const {
-    return t.margin_convicts(link, threshold, th);
-  }
-  double theta() const { return th[link]; }
-  // The sampled-count deficit at this hop plays the blame-tally role:
-  // at least K sampled packets must have vanished here.
-  double tally() const { return t.acc_[link] - t.acc_[link + 1]; }
-};
-
-void FlScoreTable::convicted(double threshold, std::vector<std::size_t>* out,
-                             std::vector<double>* scratch) const {
-  thetas(scratch);
-  out->clear();
-  for (std::size_t j = 0; j < scratch->size(); ++j) {
-    if (blame_.convicts(threshold, Evidence{{windows(), j}, *this, *scratch})) {
-      out->push_back(j);
-    }
-  }
+  return verdict_of(*this, blame_.spec(), threshold);
 }
 
 double FlScoreTable::observed_e2e_rate() const {
@@ -427,7 +366,9 @@ constexpr bool kOnion = std::is_same_v<T, ScoreTable>;
 
 Scorer::Scorer(ProtocolKind protocol, std::size_t num_links,
                const BlameSpec& blame)
-    : protocol_(protocol), table_(make_table(protocol, num_links)) {
+    : protocol_(protocol),
+      blame_(blame),
+      table_(make_table(protocol, num_links)) {
   std::visit([&](auto& table) { table.set_blame(blame); }, table_);
 }
 
@@ -520,24 +461,21 @@ std::vector<double> Scorer::thetas() const {
   return std::visit([](const auto& table) { return table.thetas(); }, table_);
 }
 
+void Scorer::evidence(std::vector<LinkEvidence>* out) const {
+  std::visit([&](const auto& table) { table.evidence(out); }, table_);
+}
+
 std::vector<std::size_t> Scorer::convicted(double threshold) const {
   std::vector<std::size_t> out;
-  std::vector<double> scratch;
+  std::vector<LinkEvidence> scratch;
   convicted(threshold, &out, &scratch);
   return out;
 }
 
 void Scorer::convicted(double threshold, std::vector<std::size_t>* out,
-                       std::vector<double>* scratch) const {
-  std::visit(
-      [&](const auto& table) {
-        if constexpr (kOnion<std::decay_t<decltype(table)>>) {
-          table.convicted(threshold, out);
-        } else {
-          table.convicted(threshold, out, scratch);
-        }
-      },
-      table_);
+                       std::vector<LinkEvidence>* scratch) const {
+  evidence(scratch);
+  convicted_links(blame_, threshold, *scratch, out);
 }
 
 double Scorer::observed_e2e_rate() const {

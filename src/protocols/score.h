@@ -36,10 +36,11 @@
 // shows up as hot or flagrant windows. The ledger is maintained in every
 // mode; margin-mode verdicts never read it.
 //
-// Conviction is one rule for all three: convicted() hands
-// blame_convicts() (window.h) a per-link evidence view — the family's
-// estimate, its margin predicate, its persistence tally and the ledger's
-// flagrant count and max streak. Only those inputs differ by family.
+// Conviction is one rule for all three: evidence() fills one LinkEvidence
+// record per link — the family's estimate, that estimate's standard error,
+// its persistence tally and the ledger's flagrant count and max streak —
+// and convicts() (window.h) decides from the records. Only the records
+// differ by family; the sd formulas are tabled in docs/DETECTORS.md.
 //
 // Scorer — the one identify phase of a path: it picks and calibrates the
 // protocol's table and maps forensic events (obs/events.h) to table
@@ -97,11 +98,12 @@ class ScoreTable {
   double theta(std::size_t link) const;
   std::vector<double> thetas() const;
 
+  /// Each link's evidence record into `out` (overwritten): sd is the
+  /// binomial standard error of the blame proportion, carried through
+  /// the exposure inversion; kNoEvidence for every link while n == 0.
+  void evidence(std::vector<LinkEvidence>* out) const;
   /// Links convicted under the configured blame rule, ascending.
   std::vector<std::size_t> convicted(double threshold) const;
-  /// The same into caller-owned storage (overwritten): a caller that
-  /// reuses `out` across calls keeps them off the heap.
-  void convicted(double threshold, std::vector<std::size_t>* out) const;
 
   std::size_t num_links() const { return s_.size(); }
 
@@ -126,8 +128,6 @@ class ScoreTable {
   }
 
  private:
-  struct Evidence;  // blame_convicts()' view of one link (score.cc)
-
   template <class Self, class V>
   static void walk(Self& t, V& v) {
     v.kind("onion");
@@ -141,7 +141,6 @@ class ScoreTable {
   }
 
   double effective_traversals() const;
-  bool margin_convicts(std::size_t link, double threshold) const;
   void roll_window();
 
   std::vector<std::uint64_t> s_;
@@ -179,11 +178,11 @@ class Paai2ScoreTable {
   /// Per-traversal per-link estimates via the prefix-difference estimator.
   std::vector<double> thetas() const;
 
+  /// Each link's evidence record into `out` (overwritten): sd combines
+  /// the two selection bins the estimate differences; +inf (no margin)
+  /// while the link's upper bin holds no probe.
+  void evidence(std::vector<LinkEvidence>* out) const;
   std::vector<std::size_t> convicted(double threshold) const;
-  /// Allocation-free form for callers that poll every event: `out` is
-  /// overwritten, `scratch` holds the estimates.
-  void convicted(double threshold, std::vector<std::size_t>* out,
-                 std::vector<double>* scratch) const;
 
   /// End-to-end data-path drop rate psi observed by the source
   /// (probes / data packets — a probe fires exactly when the destination
@@ -210,8 +209,6 @@ class Paai2ScoreTable {
   }
 
  private:
-  struct Evidence;
-
   template <class Self, class V>
   static void walk(Self& t, V& v) {
     v.kind("prefix");
@@ -227,16 +224,6 @@ class Paai2ScoreTable {
     v.close();
   }
 
-  /// thetas() into `out` (overwritten); it holds num_links() + 1 values
-  /// while the estimator runs, so a reused buffer never reallocates.
-  void thetas(std::vector<double>* out) const;
-  /// The prefix-difference estimator over selection bins `sel_n`/`sel_f`
-  /// (cumulative, or one window's) into `out`, like thetas().
-  void estimate(const std::vector<std::uint64_t>& sel_n,
-                const std::vector<std::uint64_t>& sel_f,
-                std::vector<double>* out) const;
-  bool margin_convicts(std::size_t link, double threshold,
-                       const std::vector<double>& th) const;
   void roll_window();
 
   std::vector<std::uint64_t> s_;       // the paper's interval scores
@@ -285,13 +272,12 @@ class FlScoreTable {
   /// theta_j = max(0, 1 - S_{j+1}/S_j); 0 while S_j is empty.
   std::vector<double> thetas() const;
 
-  /// One-standard-error evidence rule over the count ratios (see
-  /// convicted() in statfl.cc history: Var(theta_j) ~ 2 S_{j+1} / S_j^2,
-  /// +1 so a total blackhole stays convictable).
+  /// Each link's evidence record into `out` (overwritten): sd is the
+  /// count ratio's, Var(theta_j) ~ 2 S_{j+1} / S_j^2 with +1 so a total
+  /// blackhole keeps a finite margin; +inf (no margin) while S_j < 1.
+  /// The tally is the sampled-count deficit S_j - S_{j+1}.
+  void evidence(std::vector<LinkEvidence>* out) const;
   std::vector<std::size_t> convicted(double threshold) const;
-  /// Allocation-free form (see Paai2ScoreTable::convicted).
-  void convicted(double threshold, std::vector<std::size_t>* out,
-                 std::vector<double>* scratch) const;
 
   /// 1 - S_d/S_0: the end-to-end drop rate the counts imply.
   double observed_e2e_rate() const;
@@ -314,8 +300,6 @@ class FlScoreTable {
   }
 
  private:
-  struct Evidence;
-
   template <class Self, class V>
   static void walk(Self& t, V& v) {
     v.kind("fl");
@@ -328,9 +312,6 @@ class FlScoreTable {
     v.close();
   }
 
-  void thetas(std::vector<double>* out) const;
-  bool margin_convicts(std::size_t link, double threshold,
-                       const std::vector<double>& th) const;
   void roll_window();
 
   std::vector<double> acc_;  // S_0..S_d, indexed by node
@@ -398,12 +379,15 @@ class Scorer {
   std::uint64_t observations() const;
   /// Per-traversal drop-rate estimate of each link l_0..l_{d-1}.
   std::vector<double> thetas() const;
+  /// Each link's evidence record into `out` (overwritten).
+  void evidence(std::vector<LinkEvidence>* out) const;
   /// Links the configured blame rule convicts at `threshold`, ascending.
   std::vector<std::size_t> convicted(double threshold) const;
-  /// The same into caller-owned storage, with `scratch` for estimates
-  /// (both overwritten): a caller that reuses them stays off the heap.
+  /// The same into caller-owned storage, with `scratch` for the records
+  /// (both overwritten): a caller that polls every event and reuses them
+  /// stays off the heap.
   void convicted(double threshold, std::vector<std::size_t>* out,
-                 std::vector<double>* scratch) const;
+                 std::vector<LinkEvidence>* scratch) const;
   /// End-to-end data drop rate psi as the source observes it.
   double observed_e2e_rate() const;
 
@@ -429,6 +413,7 @@ class Scorer {
   bool apply_to(FlScoreTable& t, obs::Event& e);
 
   ProtocolKind protocol_;
+  BlameSpec blame_;
   std::variant<ScoreTable, Paai2ScoreTable, FlScoreTable> table_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

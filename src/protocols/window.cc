@@ -154,6 +154,36 @@ BlameSpec BlameSpec::decode32(std::int32_t code) {
   }
 }
 
+bool convicts(const BlameSpec& spec, double threshold,
+              const LinkEvidence& ev) {
+  switch (spec.mode) {
+    case BlameSpec::Mode::kMargin:
+      return clears_margin(ev, threshold);
+    case BlameSpec::Mode::kPersistent:
+      // The K-repetition requirement replaces the standard-error margin
+      // as the anti-noise gate: an honest link needs BOTH K blames AND an
+      // above-threshold estimate to be falsely convicted, while an
+      // adversary riding just inside the margin no longer escapes.
+      return ev.tally >= static_cast<double>(spec.k) && ev.theta > threshold;
+    case BlameSpec::Mode::kWindowed:
+    case BlameSpec::Mode::kHybrid:
+      // A single flagrant window plus an above-threshold cumulative
+      // estimate is burst evidence the margin rule would dilute away.
+      if (clears_margin(ev, threshold) ||
+          (ev.flagrant >= 1 && ev.theta > threshold)) {
+        return true;
+      }
+      // Hybrid adds the streak clause: >= K consecutive hot windows with
+      // the cumulative estimate above the hot bar. The cumulative floor
+      // separates a colluder (theta ~ 0.015+) from benign loss churn
+      // whose windows also run hot for a while but whose lifetime
+      // average stays below kWindowHighTheta.
+      return spec.mode == BlameSpec::Mode::kHybrid &&
+             ev.max_streak >= spec.k && ev.theta > kWindowHighTheta;
+  }
+  return false;
+}
+
 WindowLedger::WindowLedger(std::size_t num_links, std::uint64_t width)
     : width_(width),
       cur_streak_(num_links, 0),

@@ -1,5 +1,6 @@
 // Burst-aware windowed detection state shared by the three score tables
-// (ScoreTable / Paai2ScoreTable / FlScoreTable).
+// (ScoreTable / Paai2ScoreTable / FlScoreTable), and the one conviction
+// rule every table and the mesh store decide by.
 //
 // The cumulative estimators in score.h answer "what fraction of this
 // link's traffic is lost overall?" — which is exactly the statistic an
@@ -15,21 +16,24 @@
 //   - how many were "flagrant"            (theta_w > kWindowFlagrantTheta),
 //   - the largest theta_w ever seen (the burstiness numerator).
 //
-// Multi-level conviction (BlameSpec, --blame=...): the cumulative margin
-// rule stays the baseline; windowed/hybrid modes add clauses that fire
-// on time-concentrated evidence whose cumulative trace rides inside the
-// margin. All four modes are one function, blame_convicts(): the three
-// score tables and the mesh store (mesh/score_store.h) each hand it an
-// evidence view of one link and it applies the same clauses to all of
-// them. The ledger is maintained unconditionally — margin-mode verdicts
-// never read it, which is what makes `--blame=margin` byte-identical to
-// the pre-window code (tests/stream_test.cc WindowedNeverAffectsMarginMode).
+// Conviction is one record and one rule. Each table family (and the mesh
+// store, mesh/score_store.h) fills a LinkEvidence per link from its own
+// state: its estimate theta, that estimate's standard error sd, its
+// persistence tally and the ledger's flagrant count and longest hot
+// streak. convicts() decides all four --blame modes from that record
+// alone; the cumulative margin rule, theta - sd > threshold, lives only
+// in clears_margin(). A family guard is data in the record, never a
+// branch in the rule: a link without a margin carries sd = +inf, and a
+// table or mesh link with no monitored unit carries kNoEvidence. The
+// ledger is maintained unconditionally — margin-mode verdicts never read
+// it, which is what makes `--blame=margin` byte-identical to the
+// pre-window code (tests/stream_test.cc WindowedNeverAffectsMarginMode).
 //
 // Each table owns its spec and ledger through one BlameCore. Table and
 // ledger state is listed once, by a visit() walk over named u64/f64
 // fields in snapshot order; the tables' reset() (StateZeroer) and the
 // paai.state.v1 writer and reader (stream/state.cc) are visitors of that
-// walk.
+// walk. Evidence records are derived on demand and are not state.
 //
 // Contracts: every ledger mutation is driven by the same table mutators
 // the forensic event stream replays (src/stream bit-identity); the
@@ -38,7 +42,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,7 +88,7 @@ inline constexpr std::uint64_t kMaxHybridStreak = 8;
 ///          | 'windowed'   [':' W]        W in [8, 2^20)
 ///          | 'hybrid'     [':' K [',' W]]  K in [1, 8]
 ///
-/// The rules (blame_convicts() below):
+/// The rules (convicts() below):
 ///
 ///   margin       theta_i - sd > threshold            (paper Theorem 2)
 ///   persistent:K s_i >= K and theta_i > threshold    (PR 7)
@@ -114,51 +120,44 @@ struct BlameSpec {
   }
 };
 
-/// The one blame rule: decides whether `spec` convicts one link at
-/// `threshold`. Every score table and the mesh store call it; each
-/// supplies its own evidence view `ev`, queried lazily in clause order
-/// (a clause past the first true one is never evaluated):
-///
-///   ev.margin(threshold)  the family's one-standard-error margin clears
-///   ev.theta()            the cumulative per-traversal estimate
-///   ev.tally()            the persistence tally (blames, or the sampled
-///                         count deficit for statistical FL)
-///   ev.flagrant()         closed windows with theta_w above
-///                         kWindowFlagrantTheta
-///   ev.max_streak()       longest run of windows with theta_w above
-///                         kWindowHighTheta
-///
-/// A template so the per-link call inlines: no virtual or indirect call.
-template <class Evidence>
-bool blame_convicts(const BlameSpec& spec, double threshold,
-                    const Evidence& ev) {
-  switch (spec.mode) {
-    case BlameSpec::Mode::kMargin:
-      return ev.margin(threshold);
-    case BlameSpec::Mode::kPersistent:
-      // The K-repetition requirement replaces the standard-error margin
-      // as the anti-noise gate: an honest link needs BOTH K blames AND an
-      // above-threshold estimate to be falsely convicted, while an
-      // adversary riding just inside the margin no longer escapes.
-      return ev.tally() >= static_cast<double>(spec.k) &&
-             ev.theta() > threshold;
-    case BlameSpec::Mode::kWindowed:
-    case BlameSpec::Mode::kHybrid:
-      // A single flagrant window plus an above-threshold cumulative
-      // estimate is burst evidence the margin rule would dilute away.
-      if (ev.margin(threshold) ||
-          (ev.flagrant() >= 1 && ev.theta() > threshold)) {
-        return true;
-      }
-      // Hybrid adds the streak clause: >= K consecutive hot windows with
-      // the cumulative estimate above the hot bar. The cumulative floor
-      // separates a colluder (theta ~ 0.015+) from benign loss churn
-      // whose windows also run hot for a while but whose lifetime
-      // average stays below kWindowHighTheta.
-      return spec.mode == BlameSpec::Mode::kHybrid &&
-             ev.max_streak() >= spec.k && ev.theta() > kWindowHighTheta;
-  }
-  return false;
+/// One link's evidence, everything convicts() reads. Each table family
+/// and the mesh store fill it from their own state (docs/DETECTORS.md
+/// lists each family's sd formula).
+struct LinkEvidence {
+  double theta = 0.0;  // the cumulative per-traversal estimate
+  double sd = 0.0;     // its standard error; +inf = no margin
+  double tally = 0.0;  // the persistence tally: blames, or stat-FL's
+                       // sampled-count deficit at the hop
+  std::uint64_t flagrant = 0;    // windows with theta_w > kWindowFlagrantTheta
+  std::uint64_t max_streak = 0;  // longest run of windows above
+                                 // kWindowHighTheta
+};
+
+/// The record of a link with no monitored unit: no estimate, no margin,
+/// nothing to persist. No parsed blame mode convicts it (K >= 1).
+inline constexpr LinkEvidence kNoEvidence{
+    0.0, std::numeric_limits<double>::infinity(), 0.0, 0, 0};
+
+/// The margin clause (paper Theorem 2): the estimate clears `threshold`
+/// by one standard error — the operational form of the paper's
+/// "converged condition" (§7: decide only once the observed rate is
+/// within a small uncertainty interval of its true value). Without the
+/// margin, early small-sample noise convicts honest links.
+inline bool clears_margin(const LinkEvidence& ev, double threshold) {
+  return ev.theta - ev.sd > threshold;
+}
+
+/// The one blame rule: whether `spec` convicts a link with evidence `ev`
+/// at `threshold`.
+bool convicts(const BlameSpec& spec, double threshold, const LinkEvidence& ev);
+
+/// Standard error of a blame proportion b = k/n over n > 0 units, with b
+/// floored at 1/n so a link with no blame yet still carries a margin.
+/// The onion tables and the mesh share it.
+inline double proportion_sd(std::uint64_t n, std::uint64_t k) {
+  const double units = static_cast<double>(n);
+  const double b = static_cast<double>(k) / units;
+  return std::sqrt(std::max(b, 1.0 / units) * (1.0 - b) / units);
 }
 
 /// Per-link accumulator over *closed* windows. The owning table cuts its
@@ -255,11 +254,7 @@ class BlameCore {
     ledger_.finalize(theta_w);
   }
 
-  /// blame_convicts() under the configured spec.
-  template <class Evidence>
-  bool convicts(double threshold, const Evidence& ev) const {
-    return blame_convicts(spec_, threshold, ev);
-  }
+  const BlameSpec& spec() const { return spec_; }
 
   template <class V>
   void visit(V& v) { ledger_.visit(v); }

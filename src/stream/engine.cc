@@ -20,7 +20,7 @@ void ScoreEngine::configure(const EngineConfig& config) {
   convicted_before_.clear();
   convicted_before_.reserve(config.num_links);
   convicted_now_.reserve(config.num_links);
-  theta_scratch_.reserve(config.num_links + 1);
+  evidence_scratch_.reserve(config.num_links);
 }
 
 bool ScoreEngine::apply_score(const obs::Event& event) {
@@ -120,7 +120,7 @@ double ScoreEngine::observed_e2e_rate() const {
 std::vector<std::size_t> ScoreEngine::take_new_convictions() {
   std::vector<std::size_t> fresh;
   if (!scorer_) return fresh;
-  scorer_->convicted(config_.threshold, &convicted_now_, &theta_scratch_);
+  scorer_->convicted(config_.threshold, &convicted_now_, &evidence_scratch_);
   // Both sets ascend, so the entries are a sorted set difference; an
   // empty `fresh` never allocates.
   std::set_difference(convicted_now_.begin(), convicted_now_.end(),
@@ -166,7 +166,8 @@ void ScoreEngine::restore_counters(std::uint64_t events_seen,
 }
 
 void ScoreEngine::rebaseline_convictions() {
-  scorer_->convicted(config_.threshold, &convicted_before_, &theta_scratch_);
+  scorer_->convicted(config_.threshold, &convicted_before_,
+                     &evidence_scratch_);
 }
 
 }  // namespace paai::stream

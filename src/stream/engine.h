@@ -156,10 +156,10 @@ class ScoreEngine {
 
   std::vector<ConvictionRecord> recorded_;
   // Conviction-transition tracking, reused across take_new_convictions()
-  // calls: the baseline set, the current set, and estimate scratch.
+  // calls: the baseline set, the current set, and the evidence records.
   std::vector<std::size_t> convicted_before_;
   std::vector<std::size_t> convicted_now_;
-  std::vector<double> theta_scratch_;
+  std::vector<protocols::LinkEvidence> evidence_scratch_;
 
   // Registered with the engine, so the run-config that configures it
   // counts too.

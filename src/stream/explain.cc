@@ -39,7 +39,7 @@ void AuditTrail::apply(const obs::Event& event, std::uint64_t line) {
     if (event.link < 0 || link >= links_.size()) {
       ++prefix_blames_;
     } else {
-      LinkEvidence& x = links_[link];
+      LinkExhibit& x = links_[link];
       ++x.blames;
       if (x.sample_ids.size() < kSampleIds) x.sample_ids.push_back(event.a);
       if (x.first_blame_ns < 0) x.first_blame_ns = event.ts_ns;
@@ -90,17 +90,26 @@ void AuditTrail::write(std::ostream& os) const {
   } else if (verdict.empty()) {
     os << "verdict: no link convicted\n";
   }
-  const std::vector<double> thetas = engine_.thetas();
+  std::vector<protocols::LinkEvidence> evidence;
+  if (engine_.configured()) engine_.scorer().evidence(&evidence);
+  // theta, sd and the margin distance of one link's record.
+  const auto record = [&](std::size_t link, const char* sep) {
+    const protocols::LinkEvidence ev =
+        link < evidence.size() ? evidence[link] : protocols::kNoEvidence;
+    std::snprintf(buf, sizeof buf, "theta %.6g%ssd %.3g%smargin %+.3g",
+                  ev.theta, sep, ev.sd, sep, ev.theta - ev.sd - cfg.threshold);
+    return std::string(buf);
+  };
   const std::vector<std::size_t> convicted = engine_.convicted();
   for (const ConvictionRecord& rec : verdict) {
+    os << "\nCONVICTED l_" << rec.link << "  " << record(rec.link, "  ");
     std::snprintf(buf, sizeof buf,
-                  "\nCONVICTED l_%zu  theta %.6g  (recorded at %" PRIu64
-                  " packets, %" PRIu64 " observations, line %" PRIu64 ")\n",
-                  rec.link, rec.link < thetas.size() ? thetas[rec.link] : 0.0,
+                  "  (recorded at %" PRIu64 " packets, %" PRIu64
+                  " observations, line %" PRIu64 ")\n",
                   rec.packets, rec.observations, rec.line);
     os << buf;
     if (rec.link >= links_.size()) continue;
-    const LinkEvidence& x = links_[rec.link];
+    const LinkExhibit& x = links_[rec.link];
     if (std::binary_search(convicted.begin(), convicted.end(), rec.link)) {
       os << "  " << rule << " convicts it since "
          << format_ms(x.entered_ns) << '\n';
@@ -138,13 +147,12 @@ void AuditTrail::write(std::ostream& os) const {
   }
 
   // Every other link, acquitted under the configured rule.
-  for (std::size_t link = 0; link < thetas.size(); ++link) {
+  for (std::size_t link = 0; link < evidence.size(); ++link) {
     if (std::any_of(verdict.begin(), verdict.end(),
                     [&](const ConvictionRecord& r) { return r.link == link; })) {
       continue;
     }
-    std::snprintf(buf, sizeof buf, "l_%zu: theta %.6g", link, thetas[link]);
-    os << buf;
+    os << "l_" << link << ": " << record(link, ", ");
     if (link < links_.size() && links_[link].blames > 0) {
       os << ", " << links_[link].blames << " blames";
     }

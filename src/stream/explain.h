@@ -6,9 +6,11 @@
 // per-kind counts, each link's blame count, first blamed packet ids and
 // first-blame time, and the time each link last entered the engine's
 // convicted set. Every theta the trail prints is the engine's: the score
-// trajectory point after each blame, the final theta of every link, the
-// verdict links' thetas. The verdict is ScoreEngine::verdict(), the rule
-// `paai replay --verify` checks; a log without its run-end has an
+// trajectory point after each blame, and each link's final evidence
+// record (protocols::LinkEvidence): theta, its standard error sd and the
+// margin distance theta - sd - threshold, which is positive exactly when
+// the margin clause clears. The verdict is ScoreEngine::verdict(), the
+// rule `paai replay --verify` checks; a log without its run-end has an
 // unknown verdict.
 //
 // A log that does not parse, carries an impossible payload, or never
@@ -33,7 +35,7 @@ class AuditTrail {
   static constexpr std::size_t kSampleIds = 8;
 
   /// The exhibit against one link.
-  struct LinkEvidence {
+  struct LinkExhibit {
     std::uint64_t blames = 0;
     std::vector<std::uint64_t> sample_ids;  // the first kSampleIds blamed
     std::vector<double> trajectory;         // engine theta after each blame
@@ -48,7 +50,7 @@ class AuditTrail {
 
   const ScoreEngine& engine() const { return engine_; }
   /// Per link, by link id; empty until the engine is configured.
-  const std::vector<LinkEvidence>& links() const { return links_; }
+  const std::vector<LinkExhibit>& links() const { return links_; }
 
   /// Renders the trail: a "CONVICTED l_<k>" block per verdict link, then
   /// one line per other link naming the --blame rule that acquits it.
@@ -64,7 +66,7 @@ class AuditTrail {
   std::size_t nodes_ = 0;  // max node index seen + 1
   std::array<std::uint64_t, obs::kEventKindCount> kind_counts_{};
   std::uint64_t prefix_blames_ = 0;  // score-blame without a named link
-  std::vector<LinkEvidence> links_;
+  std::vector<LinkExhibit> links_;
 };
 
 /// Reads `in` line by line into `trail`. False with `error` ("line N:

@@ -120,6 +120,18 @@ TEST(MeshTopology, GrammarRoundTripsAndRejectsMalformedSpecs) {
                std::invalid_argument);
 }
 
+// A chains seed is an integer in [0, 2^53]: a negative or fractional one
+// is an error, not a wrapped or truncated seed.
+TEST(MeshTopology, ChainsSeedIsAnExactInteger) {
+  EXPECT_THROW(Topology::parse("chains@4:seed=-1"), std::invalid_argument);
+  EXPECT_THROW(Topology::parse("chains@4:seed=1.9"), std::invalid_argument);
+  const Topology topo = Topology::parse("chains@4:degree=3,seed=7");
+  EXPECT_EQ(topo.to_string(), "chains@4:degree=3,seed=7");
+  EXPECT_EQ(Topology::parse(topo.to_string()).to_string(), topo.to_string());
+  EXPECT_EQ(Topology::parse("chains@4:seed=9007199254740992").to_string(),
+            "chains@4:degree=3,seed=9007199254740992");
+}
+
 TEST(MeshStore, MergeIsOrderIndependentAndMemoryIsPerLink) {
   ScoreShard a(3), b(3);
   a.add(0, 100, 5, /*path=*/7, false);
@@ -360,12 +372,19 @@ TEST(ScoreStore, WindowCountersCommuteAndCoverTotals) {
     EXPECT_EQ(store->round_blames(0, 0), 8u);
     EXPECT_EQ(store->round_units(0, 1), 90u);
     EXPECT_EQ(store->round_blames(0, 1), 7u);
-    EXPECT_EQ(store->units_through(0, 2), store->units(0));
-    EXPECT_EQ(store->blames_through(0, 2), store->blames(0));
+    // The full-prefix record sums the cells: the totals' estimate, sd
+    // and tally (the blame count).
+    const protocols::LinkEvidence cells = store->evidence(0, 2);
+    const protocols::LinkEvidence totals =
+        evidence(store->units(0), store->blames(0));
+    EXPECT_EQ(cells.theta, totals.theta);
+    EXPECT_EQ(cells.sd, totals.sd);
+    EXPECT_EQ(cells.tally, static_cast<double>(store->blames(0)));
     // Margin via the blame-aware overload == the rule on the totals.
     const protocols::BlameSpec margin;
     EXPECT_EQ(store->convicts(0, 0.02, margin),
-              margin_convicts(store->units(0), store->blames(0), 0.02));
+              protocols::clears_margin(
+                  evidence(store->units(0), store->blames(0)), 0.02));
   }
 
   // Round mismatch is a hard error, not a silent mis-keying.

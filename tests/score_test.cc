@@ -9,6 +9,7 @@
 #include <cstring>
 #include <deque>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -436,6 +437,141 @@ TEST(VerdictPin, EveryFamilyUnderEveryBlameMode) {
     EXPECT_EQ(pin_fl(spec), fl[m]);
     EXPECT_EQ(pin_mesh(spec), mesh[m]);
   }
+}
+
+// ------------------------------------------------------- conviction guards
+//
+// The guard cases the pin sequences never reach: empty tables, a PAAI-2
+// link with no probe in its upper selection bin, and a stat-FL table
+// polled before its first interval is reported.
+
+constexpr const char* kGuardSpecs[] = {"margin", "persistent:1", "windowed:8",
+                                       "hybrid:1,8"};
+
+TEST(ConvictionGuards, EmptyTablesConvictNothingInEveryMode) {
+  for (const char* text : kGuardSpecs) {
+    SCOPED_TRACE(text);
+    const BlameSpec spec = BlameSpec::parse(text);
+    ScoreTable onion(6, 2.6);
+    onion.set_blame(spec);
+    Paai2ScoreTable prefix(6);
+    prefix.set_blame(spec);
+    FlScoreTable fl(6);
+    fl.set_blame(spec);
+    const mesh::GlobalScoreStore store(6, 8);
+    // Below zero, any estimate at all would clear the threshold.
+    for (const double threshold : {-1.0, 0.0, 0.018}) {
+      SCOPED_TRACE(threshold);
+      EXPECT_TRUE(onion.convicted(threshold).empty());
+      EXPECT_TRUE(prefix.convicted(threshold).empty());
+      EXPECT_TRUE(fl.convicted(threshold).empty());
+      for (const ProtocolKind kind :
+           {ProtocolKind::kFullAck, ProtocolKind::kPaai1, ProtocolKind::kPaai2,
+            ProtocolKind::kStatisticalFl}) {
+        EXPECT_TRUE(Scorer(kind, 6, spec).convicted(threshold).empty());
+      }
+      for (std::size_t l = 0; l < 6; ++l) {
+        EXPECT_FALSE(store.convicts(l, threshold, spec)) << l;
+      }
+    }
+  }
+}
+
+// Probes select node 1 or 3 only, so link 1's upper bin (selection 2)
+// stays empty: its estimate is exactly 0 and it has no margin, while its
+// interval score still counts the failed selection-3 probes. Only a
+// threshold below zero tells "no margin" from "estimate 0".
+TEST(ConvictionGuards, Paai2EmptyUpperBinDisablesOnlyTheMargin) {
+  Paai2ScoreTable table(3);
+  for (int i = 0; i < 100; ++i) table.add_data_packet();
+  for (int i = 0; i < 10; ++i) {
+    table.add_probe(1, false);
+    table.add_probe(3, true);
+  }
+  ASSERT_EQ(table.selections(2), 0u);
+  ASSERT_EQ(table.interval_score(1), 10u);
+  ASSERT_EQ(table.thetas()[1], 0.0);
+  EXPECT_EQ(table.convicted(-1.0), (std::vector<std::size_t>{0, 2}));
+  table.set_blame(BlameSpec::parse("persistent:1"));
+  EXPECT_EQ(table.convicted(-1.0), (std::vector<std::size_t>{0, 1, 2}));
+  table.set_blame(BlameSpec::parse("persistent:11"));
+  EXPECT_TRUE(table.convicted(-1.0).empty());
+}
+
+// Stat-FL folds an interval's counts node by node, and a stream poll can
+// land between them, before any interval is reported: the partial
+// counts are evidence (a count deficit and a ratio estimate) like any
+// other.
+TEST(ConvictionGuards, StatFlPolledBetweenFirstCountsKeepsItsVerdict) {
+  for (const char* text : {"persistent:1", "margin"}) {
+    SCOPED_TRACE(text);
+    FlScoreTable table(3);
+    table.set_blame(BlameSpec::parse(text));
+    EXPECT_TRUE(table.convicted(0.018).empty());
+    table.add_count(0, 100);  // S = 100 0 0 0: l_0 reads as a blackhole
+    EXPECT_EQ(table.convicted(0.018), std::vector<std::size_t>{0});
+    table.add_count(1, 50);  // S = 100 50 0 0
+    EXPECT_EQ(table.convicted(0.018), (std::vector<std::size_t>{0, 1}));
+    table.add_count(2, 50);  // S = 100 50 50 0
+    EXPECT_EQ(table.convicted(0.018), (std::vector<std::size_t>{0, 2}));
+    table.add_count(3, 50);
+    ASSERT_EQ(table.intervals_reported(), 0u);
+    EXPECT_EQ(table.convicted(0.018), std::vector<std::size_t>{0});
+    table.interval_reported();
+    EXPECT_EQ(table.convicted(0.018), std::vector<std::size_t>{0});
+  }
+}
+
+// Each family's sd at one hand-computed point (docs/DETECTORS.md's
+// table), and the mesh's zero-unit record.
+TEST(LinkEvidence, SdMatchesEachFamilysFormula) {
+  std::vector<LinkEvidence> ev;
+
+  // Onion: sqrt(max(b, 1/n) (1 - b) / n) / t with n = 100, t = 2.
+  ScoreTable onion(3, 2.0);
+  for (int i = 0; i < 90; ++i) onion.add_clean();
+  for (int i = 0; i < 10; ++i) onion.blame(1);
+  onion.evidence(&ev);
+  ASSERT_EQ(ev.size(), 3u);
+  EXPECT_NEAR(ev[0].sd, 0.005, 1e-15);  // b = 0 -> floored at 1/n
+  EXPECT_NEAR(ev[1].sd, 0.015, 1e-15);  // b = 0.1: sqrt(0.0009) / 2
+  EXPECT_EQ(ev[1].tally, 10.0);
+  EXPECT_EQ(ev[1].theta, onion.theta(1));
+
+  // PAAI-2: psi/2 sqrt(1/n_lo + 1/n_hi) / (1 + 2 psi), psi = 50/100.
+  Paai2ScoreTable prefix(3);
+  for (int i = 0; i < 100; ++i) prefix.add_data_packet();
+  for (int i = 0; i < 10; ++i) prefix.add_probe(1, false);
+  for (int i = 0; i < 40; ++i) prefix.add_probe(2, i < 4);
+  prefix.evidence(&ev);
+  ASSERT_EQ(ev.size(), 3u);
+  EXPECT_NEAR(ev[0].sd, 0.0395284707521047, 1e-15);  // 0.125 sqrt(0.1)
+  EXPECT_NEAR(ev[1].sd, 0.0441941738241592, 1e-15);  // 0.125 sqrt(0.125)
+  EXPECT_EQ(ev[2].sd, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ev[1].tally, 4.0);
+  EXPECT_EQ(ev[1].theta, prefix.thetas()[1]);
+
+  // Stat-FL: sqrt(2 S_{j+1} + 1) / S_j over S = 100 98 0.
+  FlScoreTable fl(2);
+  fl.add_count(0, 100);
+  fl.add_count(1, 98);
+  fl.add_count(2, 0);
+  fl.interval_reported();
+  fl.evidence(&ev);
+  ASSERT_EQ(ev.size(), 2u);
+  EXPECT_NEAR(ev[0].sd, 0.140356688476182, 1e-15);  // sqrt(197) / 100
+  EXPECT_NEAR(ev[1].sd, 1.0 / 98.0, 1e-15);
+  EXPECT_EQ(ev[0].tally, 2.0);
+  EXPECT_EQ(ev[1].theta, 1.0);
+
+  // Mesh: the onion formula at t = 1; no unit, no evidence.
+  const LinkEvidence m = mesh::evidence(400, 8);
+  EXPECT_NEAR(m.sd, 0.007, 1e-15);  // sqrt(0.02 * 0.98 / 400)
+  EXPECT_EQ(m.theta, 0.02);
+  EXPECT_EQ(m.tally, 8.0);
+  const LinkEvidence none = mesh::evidence(0, 0);
+  EXPECT_EQ(none.sd, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(none.theta, 0.0);
 }
 
 TEST(PendingStore, PutFindEraseWithMeter) {

@@ -1526,7 +1526,7 @@ TEST(Forensics, ConvictionAuditMatchesVerdict) {
             std::string::npos)
       << text;
 
-  const AuditTrail::LinkEvidence& l3 = trail.links().at(3);
+  const AuditTrail::LinkExhibit& l3 = trail.links().at(3);
   ASSERT_GE(l3.first_blame_ns, 0);
   EXPECT_GT(l3.entered_ns, l3.first_blame_ns);
   EXPECT_EQ(l3.trajectory.size(), l3.blames);

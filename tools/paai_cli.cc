@@ -631,8 +631,12 @@ int cmd_mesh(int argc, char** argv) {
   bench::BenchSession session("paai.mesh", argc, argv);
   mesh::MeshConfig cfg;
   const DetectorArgs det = read_detector(argc, argv, 0.02);
-  cfg.topo = mesh::Topology::parse(
-      flag_str(argc, argv, "--topo").value_or("fattree@8"));
+  try {
+    cfg.topo = mesh::Topology::parse(
+        flag_str(argc, argv, "--topo").value_or("fattree@8"));
+  } catch (const std::invalid_argument& e) {
+    throw CliError{std::string("--topo: ") + e.what()};
+  }
   const auto n_paths = count_flag(argc, argv, "--paths", 10000);
   const std::string engine =
       flag_str(argc, argv, "--engine").value_or("stat");
