@@ -1,11 +1,13 @@
 #include "mesh/runner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -139,11 +141,15 @@ void assemble_verdicts(const MeshConfig& config, const GlobalScoreStore& store,
 // ---------------------------------------------------------------------
 
 /// Per-round, per-link drop-rate tables the stat engine samples from.
-/// benign excludes the adversary (the clean-baseline rate); total
-/// composes the adversary on top. Layout: round-major, `round * L + l`.
+/// benign excludes the adversary (the clean-baseline rate). The total
+/// rate composes the adversary on top; each distinct total rate is
+/// stored once in `rates`, and `rate_id` names it per (round, link) — the
+/// key a tile's BinomialCache draws on. Layout: round-major,
+/// `round * L + l`.
 struct StatTables {
   std::vector<double> benign;
-  std::vector<double> total;
+  std::vector<double> rates;
+  std::vector<std::uint32_t> rate_id;
 };
 
 StatTables build_stat_tables(const MeshConfig& config, std::size_t rounds) {
@@ -190,7 +196,9 @@ StatTables build_stat_tables(const MeshConfig& config, std::size_t rounds) {
 
   StatTables tables;
   tables.benign.resize(rounds * num_links);
-  tables.total.resize(rounds * num_links);
+  tables.rate_id.resize(rounds * num_links);
+  // Keyed by bit pattern, so the id of a rate is exact.
+  std::unordered_map<std::uint64_t, std::uint32_t> id_of_rate;
   for (std::size_t r = 0; r < rounds; ++r) {
     const double t_mid = (static_cast<double>(r) + 0.5) * round_s;
     const double round_begin = static_cast<double>(r) * round_s;
@@ -222,7 +230,12 @@ StatTables build_stat_tables(const MeshConfig& config, std::size_t rounds) {
         }
       }
       tables.benign[r * num_links + l] = benign;
-      tables.total[r * num_links + l] = compose(benign, extra[l]);
+      const double total = compose(benign, extra[l]);
+      const auto [it, fresh] = id_of_rate.try_emplace(
+          std::bit_cast<std::uint64_t>(total),
+          static_cast<std::uint32_t>(tables.rates.size()));
+      if (fresh) tables.rates.push_back(total);
+      tables.rate_id[r * num_links + l] = it->second;
     }
   }
   return tables;
@@ -284,6 +297,7 @@ MeshResult run_stat(const MeshConfig& config) {
       [&](std::size_t ti) {
         const obs::ScopedPhase phase(obs::Phase::kMeshStat);
         TileResult tile(num_links, rounds);
+        BinomialCache sampler(tables.rates);
         std::vector<std::uint64_t> path_units(config.paths.max_length(), 0);
         std::vector<std::uint64_t> path_blames(config.paths.max_length(), 0);
         for (std::size_t i = ranges[ti].first; i < ranges[ti].second; ++i) {
@@ -301,8 +315,8 @@ MeshResult run_stat(const MeshConfig& config) {
             double clean = 1.0;
             for (std::size_t j = 0; j < len; ++j) {
               const std::size_t l = pl[j];
-              const std::uint64_t drops =
-                  rng.binomial(reached, tables.total[r * num_links + l]);
+              const std::uint64_t drops = sampler.draw(
+                  rng, reached, tables.rate_id[r * num_links + l]);
               tile.shard.add_window(l, r, slice[r], drops);
               path_units[j] += slice[r];
               path_blames[j] += drops;
@@ -339,19 +353,15 @@ MeshResult run_stat(const MeshConfig& config) {
   result.store_bytes = store.memory_bytes();
   result.shard_bytes = ScoreShard::bytes_for(num_links, rounds);
 
-  // Replay the cumulative checkpoint schedule to find the first round
-  // prefix whose aggregated evidence convicts under the configured blame
-  // rule — the detection-latency axis.
+  // The first round prefix whose aggregated evidence convicts under the
+  // configured blame rule, in cumulative per-path units — the
+  // detection-latency axis.
   assemble_verdicts(
       config, store, malicious,
       [&](std::size_t l, const MeshResult::LinkVerdict&) -> std::uint64_t {
-        for (std::size_t r = 0; r < rounds; ++r) {
-          if (store.convicts(l, config.decision_threshold, config.blame,
-                             r + 1)) {
-            return cum_units[r];
-          }
-        }
-        return 0;
+        const std::size_t prefix = store.first_convicting_prefix(
+            l, config.decision_threshold, config.blame);
+        return prefix == 0 ? 0 : cum_units[prefix - 1];
       },
       result);
   return result;

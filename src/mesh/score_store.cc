@@ -21,6 +21,30 @@ void witness_insert(std::uint32_t* window, std::uint32_t path) {
   }
 }
 
+/// The round-prefix accumulator behind GlobalScoreStore::evidence():
+/// running (units, blames) sums, the flagrant-round count and the hot
+/// streak, one add() per round in order.
+struct RoundScan {
+  std::uint64_t units = 0, blames = 0, flagrant = 0, streak = 0, longest = 0;
+
+  void add(std::uint64_t ru, std::uint64_t rb) {
+    units += ru;
+    blames += rb;
+    const double theta_r =
+        ru == 0 ? 0.0 : static_cast<double>(rb) / static_cast<double>(ru);
+    if (theta_r > protocols::kWindowFlagrantTheta) ++flagrant;
+    streak = theta_r > protocols::kWindowHighTheta ? streak + 1 : 0;
+    longest = std::max(longest, streak);
+  }
+
+  protocols::LinkEvidence record() const {
+    protocols::LinkEvidence ev = evidence(units, blames);
+    ev.flagrant = flagrant;
+    ev.max_streak = longest;
+    return ev;
+  }
+};
+
 }  // namespace
 
 ScoreShard::ScoreShard(std::size_t num_links, std::size_t rounds)
@@ -126,22 +150,22 @@ protocols::LinkEvidence evidence(std::uint64_t units, std::uint64_t blames) {
 
 protocols::LinkEvidence GlobalScoreStore::evidence(
     std::size_t link, std::size_t rounds_prefix) const {
-  std::uint64_t units = 0, blames = 0, flagrant = 0, streak = 0, longest = 0;
+  RoundScan scan;
   for (std::size_t r = 0; r < std::min(rounds_prefix, rounds_); ++r) {
-    const std::uint64_t ru = round_units(link, r);
-    const std::uint64_t rb = round_blames(link, r);
-    units += ru;
-    blames += rb;
-    const double theta_r =
-        ru == 0 ? 0.0 : static_cast<double>(rb) / static_cast<double>(ru);
-    if (theta_r > protocols::kWindowFlagrantTheta) ++flagrant;
-    streak = theta_r > protocols::kWindowHighTheta ? streak + 1 : 0;
-    longest = std::max(longest, streak);
+    scan.add(round_units(link, r), round_blames(link, r));
   }
-  protocols::LinkEvidence ev = mesh::evidence(units, blames);
-  ev.flagrant = flagrant;
-  ev.max_streak = longest;
-  return ev;
+  return scan.record();
+}
+
+std::size_t GlobalScoreStore::first_convicting_prefix(
+    std::size_t link, double threshold,
+    const protocols::BlameSpec& blame) const {
+  RoundScan scan;
+  for (std::size_t r = 0; r < rounds_; ++r) {
+    scan.add(round_units(link, r), round_blames(link, r));
+    if (protocols::convicts(blame, threshold, scan.record())) return r + 1;
+  }
+  return 0;
 }
 
 std::size_t GlobalScoreStore::memory_bytes() const {

@@ -158,6 +158,12 @@ class GlobalScoreStore {
                                evidence(link, rounds_prefix));
   }
 
+  /// The smallest round prefix (1..rounds()) on which convicts() holds,
+  /// or 0 if none does — the runner's detection-latency axis, in one
+  /// pass over the link's rounds.
+  std::size_t first_convicting_prefix(std::size_t link, double threshold,
+                                      const protocols::BlameSpec& blame) const;
+
   /// Heap bytes of the aggregated store itself (the O(links) quantity the
   /// bench reports as memory per link).
   std::size_t memory_bytes() const;

@@ -15,6 +15,7 @@ void ScoreEngine::configure(const EngineConfig& config) {
   scorer_.emplace(config.protocol, config.num_links, config.blame);
 
   run_ended_ = false;
+  mid_interval_ = false;
   recorded_.clear();
   // Sized once here so take_new_convictions() never grows them.
   convicted_before_.clear();
@@ -90,6 +91,7 @@ void ScoreEngine::apply(const obs::Event& event) {
   }
   ++events_applied_;
   obs_applied_.add();
+  mid_interval_ = event.kind == obs::EventKind::kFlCount;
 }
 
 std::uint64_t ScoreEngine::packets_sent() const {
@@ -119,7 +121,7 @@ double ScoreEngine::observed_e2e_rate() const {
 
 std::vector<std::size_t> ScoreEngine::take_new_convictions() {
   std::vector<std::size_t> fresh;
-  if (!scorer_) return fresh;
+  if (!scorer_ || mid_interval_) return fresh;
   scorer_->convicted(config_.threshold, &convicted_now_, &evidence_scratch_);
   // Both sets ascend, so the entries are a sorted set difference; an
   // empty `fresh` never allocates.

@@ -99,7 +99,11 @@ class ScoreEngine {
   /// and re-enters is reported again — conviction is a monotone event for
   /// honest runs, but adversarial estimates can hover at the threshold.
   /// The serve loop polls this after every applied event, so a call that
-  /// finds nothing new does not touch the heap.
+  /// finds nothing new does not touch the heap. A poll right after a
+  /// stat-FL fl-count finds nothing and keeps the baseline: an interval's
+  /// counts land one node at a time, and until its score-clean the
+  /// estimator reads half-updated sums (theta 1 with nothing counted
+  /// downstream yet), so stat-FL convictions are taken at score-clean.
   std::vector<std::size_t> take_new_convictions();
 
   /// Batch kConviction records seen in the stream, in order.
@@ -152,6 +156,8 @@ class ScoreEngine {
   std::uint64_t events_seen_ = 0;
   std::uint64_t events_applied_ = 0;
   bool run_ended_ = false;
+  // The last applied event was an fl-count: the interval is half folded.
+  bool mid_interval_ = false;
   std::uint64_t stream_line_ = 0;
 
   std::vector<ConvictionRecord> recorded_;

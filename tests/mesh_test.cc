@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "mesh/runner.h"
 #include "mesh/score_store.h"
 #include "mesh/topology.h"
+#include "util/rng.h"
 
 namespace paai::mesh {
 namespace {
@@ -392,6 +395,48 @@ TEST(ScoreStore, WindowCountersCommuteAndCoverTotals) {
   EXPECT_THROW(narrow.absorb(a), std::invalid_argument);
 }
 
+// The runner's one-pass detection-latency scan finds the same round as
+// asking convicts() of every prefix in turn, under every blame mode, on
+// stores merged from random shards with empty rounds mixed in.
+TEST(ScoreStore, FirstConvictingPrefixMatchesThePerPrefixScan) {
+  constexpr std::size_t kLinks = 40;
+  constexpr double kThreshold = 0.02;
+  for (const std::size_t rounds : {1u, 2u, 8u, 33u}) {
+    Rng rng(1000 + rounds);
+    GlobalScoreStore store(kLinks, rounds);
+    for (int s = 0; s < 3; ++s) {
+      ScoreShard shard(kLinks, rounds);
+      for (std::size_t l = 0; l < kLinks; ++l) {
+        const double rate = 0.006 * static_cast<double>(l % 10);
+        for (std::size_t r = 0; r < rounds; ++r) {
+          if (rng.next_below(4) == 0) continue;  // an empty round
+          const std::uint64_t units = 1 + rng.next_below(120);
+          const std::uint64_t blames = rng.binomial(units, rate);
+          shard.add(l, units, blames, static_cast<std::uint32_t>(l), false);
+          shard.add_window(l, r, units, blames);
+        }
+      }
+      store.absorb(shard);
+    }
+    for (const char* mode :
+         {"margin", "persistent:3", "windowed", "hybrid:2,8"}) {
+      const protocols::BlameSpec spec = protocols::BlameSpec::parse(mode);
+      std::size_t convicting = 0;
+      for (std::size_t l = 0; l < kLinks; ++l) {
+        std::size_t expected = 0;
+        for (std::size_t p = 1; p <= rounds && expected == 0; ++p) {
+          if (store.convicts(l, kThreshold, spec, p)) expected = p;
+        }
+        EXPECT_EQ(store.first_convicting_prefix(l, kThreshold, spec), expected)
+            << mode << " rounds=" << rounds << " link=" << l;
+        convicting += expected != 0 ? 1 : 0;
+      }
+      EXPECT_GT(convicting, 0u) << mode << " rounds=" << rounds;
+      EXPECT_LT(convicting, kLinks) << mode << " rounds=" << rounds;
+    }
+  }
+}
+
 TEST(MeshRunner, PacketEngineMapsMeshPlansOntoPaths) {
   // Full discrete-event engine on a shared chain: the mesh-level
   // adversary at node 4 must project onto every path's local F_4 and be
@@ -460,6 +505,56 @@ TEST(MeshRunner, PacketDamageScoresEachRouteAgainstItsOwnLength) {
   const double six = damage(6);
   EXPECT_GT(six, 0.02);
   EXPECT_NEAR(damage(2), six, 0.01);
+}
+
+/// FNV-1a over every verdict row and the exact bits of the damage and
+/// baseline doubles: one number that moves if any draw does.
+std::uint64_t verdict_digest(const MeshResult& r) {
+  std::string t;
+  for (const MeshResult::LinkVerdict& row : r.links) {
+    t += std::to_string(row.units) + "," + std::to_string(row.blames) + "," +
+         std::to_string(row.paths) + "," +
+         std::to_string(row.solo_convictions) + "," +
+         std::to_string(row.first_convicted_units) +
+         (row.convicted ? "C;" : ".;");
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a|%a", r.total_damage,
+                r.baseline_delivery);
+  t += buf;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : t) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// A stat run whose every link drops at its own rate: 512 distinct rates
+// (some above 0.5, so the sampler's flipped tail runs too) — more keys
+// than any per-tile draw cache holds. The digest pins the draws, and
+// --jobs cannot move them.
+TEST(MeshRunner, StatEngineDistinctRatePerLinkDigest) {
+  MeshConfig cfg;
+  cfg.topo = Topology::parse("fattree@8");
+  ASSERT_EQ(cfg.topo.num_links(), 512u);
+  cfg.paths = cfg.topo.enumerate_paths(3000, 11);
+  cfg.engine = MeshEngine::kStat;
+  cfg.units_per_path = 600;
+  cfg.rounds = 3;
+  cfg.natural_loss = 0.01;
+  for (std::size_t l = 0; l < cfg.topo.num_links(); ++l) {
+    const double rate =
+        l % 37 == 5 ? 0.55 + 1e-4 * static_cast<double>(l)
+                    : 1e-3 + 6e-5 * static_cast<double>(l);
+    cfg.link_faults.push_back({l, rate});
+  }
+  cfg.seed0 = 2024;
+
+  cfg.jobs = 1;
+  const std::uint64_t serial = verdict_digest(run_mesh(cfg));
+  cfg.jobs = 3;
+  EXPECT_EQ(verdict_digest(run_mesh(cfg)), serial);
+  EXPECT_EQ(serial, 0x2795eb7168bed197ULL);
 }
 
 TEST(MeshRunner, RejectsOutOfRangeSpecs) {

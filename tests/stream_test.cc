@@ -1451,6 +1451,59 @@ TEST(Service, SnapshotsAreReloadable) {
   expect_equivalent(batch.result, restored, "from exit snapshot");
 }
 
+/// The u64 member `key` of a one-line JSON object (written as a quoted
+/// decimal string); 0 when absent.
+std::uint64_t json_u64(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":\"");
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + key.size() + 4));
+}
+
+// A stat-FL interval lands as one fl-count per node, then its
+// score-clean. Between the fl-counts the estimator reads half-folded
+// sums (theta 1 on links whose downstream count has not arrived), so a
+// live serve announces nothing there: every announcement follows a
+// non-fl-count event and reports observations.
+TEST(Service, StatFlAnnouncesOnlyAtIntervalBoundaries) {
+  std::size_t total_announced = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    runner::ExperimentConfig run_cfg = runner::paper_config(
+        protocols::ProtocolKind::kStatisticalFl, 8000, seed);
+    run_cfg.link_faults = {{4, 0.05}};
+    const std::string jsonl = to_jsonl(run_with_log(run_cfg).events);
+    std::vector<std::string> lines;
+    {
+      std::istringstream split(jsonl);
+      for (std::string line; std::getline(split, line);) {
+        lines.push_back(line);
+      }
+    }
+    std::istringstream is(jsonl);
+    ScoreEngine engine;
+    std::ostringstream log;
+    const ServeReport report = serve_stream(engine, is, log, ServeConfig{});
+    ASSERT_FALSE(report.failed) << report.error;
+    std::istringstream announcements(log.str());
+    std::size_t announced = 0;
+    for (std::string line; std::getline(announcements, line);) {
+      if (line.find("\"kind\":\"conviction\"") == std::string::npos) {
+        continue;
+      }
+      ++announced;
+      EXPECT_GT(json_u64(line, "observations"), 0u)
+          << "seed " << seed << ": " << line;
+      const std::uint64_t at = json_u64(line, "events");
+      ASSERT_GE(at, 1u);
+      ASSERT_LE(at, lines.size());
+      EXPECT_EQ(lines[at - 1].find("\"fl-count\""), std::string::npos)
+          << "seed " << seed << ": announced after " << lines[at - 1];
+    }
+    EXPECT_EQ(announced, report.new_convictions.size());
+    total_announced += announced;
+  }
+  EXPECT_GT(total_announced, 0u);
+}
+
 // --------------------------------------------------------- the producer
 
 TEST(Producer, StreamsADropFreeLog) {

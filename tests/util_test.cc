@@ -1,4 +1,5 @@
-// Unit tests for the util layer: hex/bytes, RNG statistics, Welford stats,
+// Unit tests for the util layer: hex/bytes, RNG statistics, the cached
+// binomial sampler's bit-identity with Rng::binomial, Welford stats,
 // Hoeffding helpers, time series, table formatting, and the bounds-checked
 // wire codec (including a decode fuzz loop: arbitrary bytes must never
 // crash or over-read).
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/csv.h"
@@ -94,6 +96,68 @@ TEST(Rng, ForkedStreamsDiffer) {
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+// BinomialCache::draw is Rng::binomial from the same state, bit for bit,
+// and consumes the same randomness: `plain` and `cached` start equal and
+// must stay in lockstep through every case — n = 0, p <= 0 and p >= 1
+// (no randomness), the flipped tail, the normal approximation just over
+// mean 400 and the exact walk just under it, and walks that run past the
+// cached prefix.
+TEST(BinomialCache, EqualsRngBinomialOverTheGrid) {
+  // The last two put mean = 4e4 * p just under and just over 400.
+  const std::vector<double> rates = {
+      0.0, 1e-9, 0.01, 0.0397, 0.5, 0.5 + 1e-12, 0.99, 1.0, -0.25, 1.5,
+      0.0099999, 0.0100001};
+  const std::uint64_t ns[] = {0, 1, 2, 15, 16, 17, 250, 40000};
+  Rng plain(91), cached(91);
+  BinomialCache cache(rates);
+  // Three passes: the first fills slots, the later ones hit them.
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::uint32_t id = 0; id < rates.size(); ++id) {
+      for (const std::uint64_t n : ns) {
+        for (int i = 0; i < 40; ++i) {
+          ASSERT_EQ(cache.draw(cached, n, id), plain.binomial(n, rates[id]))
+              << "n=" << n << " p=" << rates[id] << " pass=" << pass;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cached.next_u64(), plain.next_u64());
+}
+
+TEST(BinomialCache, EvictionAndDeepWalksStayExact) {
+  // More (id, n) keys than slots, revisited in an interleaved order, so
+  // every slot is evicted and refilled many times.
+  std::vector<double> rates;
+  for (int i = 0; i < 600; ++i) rates.push_back(0.002 + 1e-4 * i);
+  Rng plain(7), cached(7), order(8);
+  BinomialCache cache(rates);
+  ASSERT_GT(rates.size(), BinomialCache::kSlots);
+  for (int i = 0; i < 60000; ++i) {
+    const auto id = static_cast<std::uint32_t>(order.next_below(rates.size()));
+    const std::uint64_t n = 240 + order.next_below(12);
+    ASSERT_EQ(cache.draw(cached, n, id), plain.binomial(n, rates[id]));
+  }
+  EXPECT_EQ(cached.next_u64(), plain.next_u64());
+
+  // Mean ~10 over a few hot keys: about 4% of draws pass the 16-entry
+  // prefix and resume the walk, and u near 1 walks far past it.
+  const std::vector<double> hot = {0.0397, 0.06};
+  BinomialCache deep(hot);
+  std::uint64_t past_prefix = 0, near_one = 0;
+  for (int i = 0; i < 50000; ++i) {
+    Rng peek = plain;
+    if (peek.next_double() > 0.999) ++near_one;
+    const auto id = static_cast<std::uint32_t>(i % 2);
+    const std::uint64_t n = 250 + static_cast<std::uint64_t>(i % 3);
+    const std::uint64_t k = plain.binomial(n, hot[id]);
+    ASSERT_EQ(deep.draw(cached, n, id), k);
+    if (k >= BinomialCache::kPrefix) ++past_prefix;
+  }
+  EXPECT_GT(past_prefix, 1000u);
+  EXPECT_GT(near_one, 10u);
+  EXPECT_EQ(cached.next_u64(), plain.next_u64());
 }
 
 TEST(RunningStat, MeanVarianceMinMax) {

@@ -94,7 +94,10 @@
 #      the one planted mesh link, and exit 2 on an out-of-range --faults
 #      clause; and a 3% drop on 2-hop routes must cost the same damage
 #      (~0.03) as on 6-hop routes, each route scored against a clean
-#      baseline of its own length.
+#      baseline of its own length. Last, the stat engine with a distinct
+#      --fault rate on each of fattree@8's 512 links (more rates than a
+#      tile's binomial draw cache has slots) must print the same stdout
+#      at --jobs=1 and --jobs=4.
 #
 #   8. detector smoke — the multi-level blame modes (docs/DETECTORS.md):
 #      the fault-colluding adversary (collude@4:rate=1 under the
@@ -430,6 +433,25 @@ done > "$SMOKE_DIR/damage.txt"
 awk 'NR == 1 { a = $1 } NR == 2 { d = a - $1 }
      END { exit !(a > 0.02 && d < 0.01 && d > -0.01) }' "$SMOKE_DIR/damage.txt" || {
   echo "leg 7 FAILED: hops=2 vs hops=6 damage:" $(cat "$SMOKE_DIR/damage.txt") >&2
+  exit 1
+}
+# Stat engine, one distinct drop rate per link: each tile's draw cache
+# evicts and refills in whatever order its paths run, yet every draw is
+# a pure function of (seed, path, round), so --jobs cannot move a byte.
+# Both runs exit 1 (the mildest faults go unconvicted); only the stdout
+# and the exit statuses are compared.
+mapfile -t link_faults < <(awk 'BEGIN {
+  for (l = 0; l < 512; ++l) printf "--fault=%d:%.6f\n", l, 0.001 + 6e-5 * l }')
+for jobs in 1 4; do
+  rc=0
+  "$ASAN_DIR/tools/paai" mesh --engine=stat --topo=fattree@8 --paths=3000 \
+      --units=600 --rounds=3 "${link_faults[@]}" --jobs=$jobs \
+      > "$SMOKE_DIR/stat_jobs$jobs.stdout" 2>/dev/null || rc=$?
+  echo "exit $rc" >> "$SMOKE_DIR/stat_jobs$jobs.stdout"
+done
+cmp "$SMOKE_DIR/stat_jobs1.stdout" "$SMOKE_DIR/stat_jobs4.stdout" || {
+  echo "leg 7 FAILED: stat engine stdout differs across --jobs:" >&2
+  diff "$SMOKE_DIR/stat_jobs1.stdout" "$SMOKE_DIR/stat_jobs4.stdout" >&2 || true
   exit 1
 }
 
