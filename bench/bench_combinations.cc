@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
         .cell(plan.name)
         .cell(mc.detection_packets
                   ? std::to_string(*mc.detection_packets)
-                  : std::string(">") + std::to_string(plan.packets))
+                  : std::string(">").append(std::to_string(plan.packets)))
         .num(mc.detection_packets
                  ? static_cast<double>(*mc.detection_packets) / 6000.0
                  : -1.0,

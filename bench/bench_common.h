@@ -212,15 +212,19 @@ class BenchSession {
     }
   }
 
-  /// The event log --trace-out renders on exit. The first call makes it
-  /// and every later call returns nullptr, so the timeline is one
-  /// coherent run: benches pass it to MonteCarloConfig::events, which
-  /// attaches it to run 0. nullptr without --trace-out unless `want`
-  /// (paai run/curve's --events-out writes the same log).
+  /// The run's event log. The first call makes it and every later call
+  /// returns nullptr, so the log is one coherent run: benches pass it to
+  /// MonteCarloConfig::events, which attaches it to run 0. With
+  /// --trace-out it keeps rings of `per_node_capacity` events per node,
+  /// rendered on exit; `events_out` (paai run/curve's --events-out) makes
+  /// it write through to that stream as well. nullptr with neither.
   obs::EventLog* take_events(std::size_t per_node_capacity = 1 << 14,
-                             bool want = false) {
-    if (events_ != nullptr || !(want || args.trace_out)) return nullptr;
-    events_ = std::make_unique<obs::EventLog>(per_node_capacity);
+                             std::ostream* events_out = nullptr) {
+    if (events_ != nullptr || !(events_out || args.trace_out)) return nullptr;
+    const std::size_t rings = args.trace_out ? per_node_capacity : 0;
+    events_ = events_out != nullptr
+                  ? std::make_unique<obs::EventLog>(*events_out, rings)
+                  : std::make_unique<obs::EventLog>(rings);
     return events_.get();
   }
 

@@ -1,12 +1,15 @@
 #include "obs/events.h"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <cmath>
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 
@@ -60,15 +63,6 @@ inline int kind_index(std::string_view name) {
   return i >= 0 && kKindNames[static_cast<std::size_t>(i)] == name ? i : -1;
 }
 
-// Exact total order for the merged export; seq breaks ties within a node
-// (two nodes never share a seq collision at the same ts because node is
-// compared first).
-bool event_before(const Event& x, const Event& y) {
-  if (x.ts_ns != y.ts_ns) return x.ts_ns < y.ts_ns;
-  if (x.node != y.node) return x.node < y.node;
-  return x.seq < y.seq;
-}
-
 }  // namespace
 
 const char* event_kind_name(EventKind kind) {
@@ -82,15 +76,105 @@ std::optional<EventKind> event_kind_from_name(std::string_view name) {
   return static_cast<EventKind>(i);
 }
 
+// -------------------------------------------------------------- the log
+//
+// Both exports put the same lines in the same (ts_ns, node, seq) order
+// through one LineBlock. Every producer stamps its appends with the
+// simulated clock, which never runs back, so
+//  - a write-through log can write an event as soon as a later timestamp
+//    arrives: it only holds the events of the newest one, and orders them
+//    by (node, seq);
+//  - each ring is already in (ts_ns, seq) order from its oldest slot,
+//    wrapped or not, so the rings' export is a k-way merge, not a sort.
+// append() checks the clock instead of assuming it.
+
+namespace {
+
+/// Encodes event lines into one block and hands each full block to the
+/// stream in one write.
+class LineBlock {
+ public:
+  explicit LineBlock(std::ostream& os)
+      : os_(&os), buf_(std::make_unique<char[]>(kBytes)) {}
+
+  void put(const Event& e) {
+    if (kBytes - used_ < kEventLineMaxBytes) flush();
+    used_ += encode_event_line(e, buf_.get() + used_);
+  }
+
+  void flush() {
+    os_->write(buf_.get(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+  std::ostream& stream() const { return *os_; }
+
+ private:
+  static constexpr std::size_t kBytes = std::size_t{1} << 16;
+  std::ostream* os_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t used_ = 0;
+};
+
+[[noreturn, gnu::cold, gnu::noinline]] void clock_ran_back(
+    const char* what, std::int64_t ts_ns, std::int64_t floor_ns) {
+  throw std::logic_error("EventLog: append at ts_ns " +
+                         std::to_string(ts_ns) + " is below " + what +
+                         " ts_ns " + std::to_string(floor_ns));
+}
+
+}  // namespace
+
+struct EventLog::WriteThrough {
+  explicit WriteThrough(std::ostream& os) : block(os) {}
+
+  LineBlock block;
+  std::vector<Event> held;  // the events stamped held_ts, in append order
+  std::int64_t held_ts = INT64_MIN;
+
+  void add(const Event& e) {
+    if (e.ts_ns != held_ts) {
+      write_held();
+      held_ts = e.ts_ns;
+    }
+    held.push_back(e);
+  }
+
+  void write_held() {
+    // One timestamp's events in export order: by node, then seq.
+    const auto before = [](const Event& x, const Event& y) {
+      return x.node != y.node ? x.node < y.node : x.seq < y.seq;
+    };
+    if (!std::is_sorted(held.begin(), held.end(), before)) {
+      std::sort(held.begin(), held.end(), before);
+    }
+    for (const Event& e : held) block.put(e);
+    held.clear();
+  }
+};
+
 EventLog::EventLog(std::size_t per_node_capacity)
     : capacity_(per_node_capacity == 0 ? 1 : per_node_capacity) {}
+
+EventLog::EventLog(std::ostream& out, std::size_t per_node_capacity)
+    : capacity_(per_node_capacity),
+      through_(std::make_unique<WriteThrough>(out)) {}
+
+EventLog::~EventLog() = default;
 
 void EventLog::append(std::size_t node, EventKind kind, std::int64_t ts_ns,
                       std::int32_t link, std::uint64_t a, std::uint64_t b,
                       double value) {
   if (node >= rings_.size()) rings_.resize(node + 1);
   NodeRing& ring = rings_[node];
-  if (ring.slots.empty()) ring.slots.reserve(std::min<std::size_t>(capacity_, 64));
+  if (through_ != nullptr) {
+    if (ts_ns < through_->held_ts) {
+      clock_ran_back("the held", ts_ns, through_->held_ts);
+    }
+  } else if (ts_ns < ring.last_ts) {
+    clock_ran_back("the node's previous", ts_ns, ring.last_ts);
+  }
+  ring.last_ts = ts_ns;
 
   Event e;
   e.ts_ns = ts_ns;
@@ -103,7 +187,12 @@ void EventLog::append(std::size_t node, EventKind kind, std::int64_t ts_ns,
   e.kind = kind;
 
   ++recorded_;
+  if (through_ != nullptr) through_->add(e);
+  if (capacity_ == 0) return;
   if (ring.slots.size() < capacity_) {
+    if (ring.slots.empty()) {
+      ring.slots.reserve(std::min<std::size_t>(capacity_, 64));
+    }
     ring.slots.push_back(e);
   } else {
     ring.slots[static_cast<std::size_t>(e.seq % capacity_)] = e;
@@ -111,19 +200,60 @@ void EventLog::append(std::size_t node, EventKind kind, std::int64_t ts_ns,
   }
 }
 
+void EventLog::finish() {
+  if (through_ == nullptr) return;
+  through_->write_held();
+  through_->block.flush();
+  if (!through_->block.stream().flush()) {
+    throw std::runtime_error("event log: writing the stream failed");
+  }
+}
+
 void EventLog::clear() {
+  assert(through_ == nullptr);
   rings_.clear();
   recorded_ = 0;
   dropped_ = 0;
 }
 
+template <class F>
+void EventLog::for_each_merged(F&& visit) const {
+  struct Head {
+    const std::vector<Event>* slots;
+    std::size_t at;    // the next event's slot
+    std::size_t left;  // events still to visit
+  };
+  // One head per non-empty ring, in node order, each at its oldest slot.
+  std::vector<Head> heads;
+  for (const NodeRing& ring : rings_) {
+    const std::size_t n = ring.slots.size();
+    if (n == 0) continue;
+    heads.push_back(
+        {&ring.slots, n < capacity_ ? 0 : ring.next_seq % capacity_, n});
+  }
+  while (!heads.empty()) {
+    // The earliest head; on a tie the first, i.e. the lowest node.
+    std::size_t best = 0;
+    for (std::size_t h = 1; h < heads.size(); ++h) {
+      if ((*heads[h].slots)[heads[h].at].ts_ns <
+          (*heads[best].slots)[heads[best].at].ts_ns) {
+        best = h;
+      }
+    }
+    Head& head = heads[best];
+    visit((*head.slots)[head.at]);
+    if (--head.left == 0) {
+      heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(best));
+    } else if (++head.at == head.slots->size()) {
+      head.at = 0;
+    }
+  }
+}
+
 std::vector<Event> EventLog::merged() const {
   std::vector<Event> out;
   out.reserve(static_cast<std::size_t>(retained()));
-  for (const NodeRing& ring : rings_) {
-    out.insert(out.end(), ring.slots.begin(), ring.slots.end());
-  }
-  std::sort(out.begin(), out.end(), event_before);
+  for_each_merged([&](const Event& e) { out.push_back(e); });
   return out;
 }
 
@@ -403,10 +533,9 @@ bool decode_event_line(std::string_view line, Event* out, std::string* what) {
 }
 
 void EventLog::write_jsonl(std::ostream& os) const {
-  char line[kEventLineMaxBytes];
-  for (const Event& e : merged()) {
-    os.write(line, static_cast<std::streamsize>(encode_event_line(e, line)));
-  }
+  LineBlock block(os);
+  for_each_merged([&](const Event& e) { block.put(e); });
+  block.flush();
 }
 
 void EventLog::write_chrome_trace(std::ostream& os) const {
@@ -419,7 +548,7 @@ void EventLog::write_chrome_trace(std::ostream& os) const {
   w.key("dropped").value(dropped_);
   w.end_object();
   w.key("traceEvents").begin_array();
-  for (const Event& e : merged()) {
+  for_each_merged([&](const Event& e) {
     w.begin_object();
     w.key("name").value(event_kind_name(e.kind));
     w.key("ph").value("i");
@@ -434,7 +563,7 @@ void EventLog::write_chrome_trace(std::ostream& os) const {
     if (e.link >= 0) w.key("link").value(static_cast<std::int64_t>(e.link));
     w.end_object();
     w.end_object();
-  }
+  });
   w.end_array();
   w.end_object();
   os << '\n';

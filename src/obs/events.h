@@ -9,24 +9,31 @@
 // path, and enabling it never changes simulation results (asserted by
 // `Integration.EventsNeverAffectResults` in tests/obs_test.cc).
 //
-// Storage is a bounded ring per node (oldest events overwritten on
-// overflow; `dropped()` counts the loss) so a runaway run cannot exhaust
-// memory. The log is single-writer by design: it has no internal
-// synchronization, and the Monte-Carlo driver attaches it to run 0 only
-// so the recorded stream is bit-identical for any `--jobs` value.
+// The log keeps events in one of two ways, or both. A ring log keeps a
+// bounded ring per node (oldest events overwritten on overflow;
+// `dropped()` counts the loss) so a runaway run cannot exhaust memory;
+// `--trace-out` renders it. A write-through log (`--events-out`,
+// runner::run_experiment_to_stream) encodes each event's JSONL line once
+// the simulated clock has passed its timestamp and hands the stream a
+// 64 KiB block of lines at a time (the rest at finish()), so it holds
+// only the newest timestamp's events whatever the run's length. The log is
+// single-writer by design: it has no internal synchronization, and the
+// Monte-Carlo driver attaches it to run 0 only so the recorded stream is
+// bit-identical for any `--jobs` value.
 //
 // Export is deterministic JSONL (one strict-JSON object per line, merged
-// across nodes and sorted by (ts_ns, node, seq)); `paai explain` replays
-// an exported log through the stream engine into a conviction audit
-// trail (stream/explain.h). The same merged stream renders as a Chrome
-// trace_event timeline (`--trace-out`; load it in chrome://tracing or
-// https://ui.perfetto.dev).
+// across nodes in (ts_ns, node, seq) order); both ways write the same
+// bytes. `paai explain` replays an exported log through the stream engine
+// into a conviction audit trail (stream/explain.h). The rings' merged
+// stream renders as a Chrome trace_event timeline (`--trace-out`; load it
+// in chrome://tracing or https://ui.perfetto.dev).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -131,35 +138,60 @@ bool decode_event_line(std::string_view line, Event* out, std::string* what);
 
 class EventLog {
  public:
-  /// `per_node_capacity` bounds each node's ring (rounded up to 1).
+  /// A ring log: each node keeps its newest `per_node_capacity` events
+  /// (rounded up to 1).
   explicit EventLog(std::size_t per_node_capacity = 1 << 14);
 
+  /// A write-through log: each event is encoded as its JSONL line once
+  /// an append with a later timestamp shows the clock has passed it, in
+  /// write_jsonl()'s order and bytes, and `out` gets the lines a full
+  /// 64 KiB block at a time. It holds only the events of the newest
+  /// timestamp and one block; finish() writes the rest.
+  /// `per_node_capacity` > 0 also keeps rings of that size (the
+  /// `--trace-out` timeline); 0 keeps none.
+  explicit EventLog(std::ostream& out, std::size_t per_node_capacity = 0);
+
+  ~EventLog();
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
 
   /// Appends one event attributed to path position `node`. Single-writer:
   /// callers must not append from two threads concurrently (the
   /// Monte-Carlo driver guarantees this by attaching the log to run 0
-  /// only).
+  /// only). Timestamps must not fall: a write-through log throws
+  /// std::logic_error on an append below its held timestamp, a ring log
+  /// on one below the node's previous append (merged() relies on both).
   void append(std::size_t node, EventKind kind, std::int64_t ts_ns,
               std::int32_t link = -1, std::uint64_t a = 0,
               std::uint64_t b = 0, double value = 0.0);
 
+  /// Write-through: writes the held events and the last block, flushes
+  /// the stream, and throws std::runtime_error if any write failed. Call
+  /// once, after the run. No-op for a ring log.
+  void finish();
+
   std::uint64_t recorded() const { return recorded_; }
+  /// Ring overwrites (a write-through line is never lost).
   std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t retained() const { return recorded_ - dropped_; }
+  /// Events held in the rings.
+  std::uint64_t retained() const {
+    return capacity_ == 0 ? 0 : recorded_ - dropped_;
+  }
+  /// 0 for a write-through log that keeps no rings.
   std::size_t per_node_capacity() const { return capacity_; }
   /// Highest node index appended to + 1 (0 when empty).
   std::size_t nodes() const { return rings_.size(); }
 
+  /// Ring log only (asserted): forgets every event. A write-through
+  /// log's written lines cannot be taken back.
   void clear();
 
-  /// All retained events merged across nodes, sorted by (ts_ns, node,
-  /// seq) — a deterministic total order.
+  /// All retained events merged across nodes in (ts_ns, node, seq) order
+  /// — a deterministic total order.
   std::vector<Event> merged() const;
 
   /// Writes merged() as JSONL: one canonical event line per event (see
-  /// encode_event_line()), one os.write() per line.
+  /// encode_event_line()), written a block at a time.
   void write_jsonl(std::ostream& os) const;
 
   /// Writes merged() as a Chrome trace_event document: one instant per
@@ -178,10 +210,17 @@ class EventLog {
   struct NodeRing {
     std::vector<Event> slots;  // allocated lazily on first append
     std::uint64_t next_seq = 0;
+    std::int64_t last_ts = INT64_MIN;
   };
+  struct WriteThrough;
+
+  /// Calls `visit` on every retained event in merged() order.
+  template <class F>
+  void for_each_merged(F&& visit) const;
 
   std::vector<NodeRing> rings_;
   std::size_t capacity_;
+  std::unique_ptr<WriteThrough> through_;
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
 };

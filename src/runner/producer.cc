@@ -17,19 +17,14 @@ std::size_t drop_free_events_cap(std::uint64_t total_packets) {
 }
 
 StreamProduceResult run_experiment_to_stream(ExperimentConfig config,
-                                             std::ostream& os,
-                                             std::size_t events_cap) {
-  if (events_cap == 0) {
-    events_cap = drop_free_events_cap(config.params.total_packets);
-  }
-  obs::EventLog log(events_cap);
+                                             std::ostream& os) {
+  obs::EventLog log(os);
   config.path.events = &log;
 
   StreamProduceResult out;
   out.result = run_experiment(config);
+  log.finish();
   out.events_recorded = log.recorded();
-  out.events_dropped = log.dropped();
-  log.write_jsonl(os);
   return out;
 }
 

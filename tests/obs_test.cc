@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "runner/montecarlo.h"
+#include "util/rng.h"
 
 namespace paai::obs {
 namespace {
@@ -395,6 +397,114 @@ TEST(Events, ReadJsonlReportsMalformedInput) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(Events, MergedRingsMatchASortedCopy) {
+  // Several nodes on one nondecreasing clock, with rings small enough to
+  // wrap: the k-way merge of the rings must equal the retained events
+  // sorted by (ts_ns, node, seq).
+  EventLog log(/*per_node_capacity=*/16);
+  std::vector<std::vector<Event>> by_node(5);
+  Rng rng(3);
+  std::int64_t ts = 0;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    ts += static_cast<std::int64_t>(rng.next_below(3));  // ties are common
+    const std::size_t node = static_cast<std::size_t>(rng.next_below(5));
+    log.append(node, EventKind::kPacketRecv, ts, -1, i, node, 0.0);
+    Event e;
+    e.ts_ns = ts;
+    e.seq = by_node[node].size();
+    e.a = i;
+    e.b = node;
+    e.node = static_cast<std::uint16_t>(node);
+    e.kind = EventKind::kPacketRecv;
+    by_node[node].push_back(e);
+  }
+  std::vector<Event> expected;
+  for (const auto& events : by_node) {
+    const std::size_t keep = std::min<std::size_t>(events.size(), 16);
+    expected.insert(expected.end(), events.end() - keep, events.end());
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Event& x, const Event& y) {
+              if (x.ts_ns != y.ts_ns) return x.ts_ns < y.ts_ns;
+              if (x.node != y.node) return x.node < y.node;
+              return x.seq < y.seq;
+            });
+  EXPECT_GT(log.dropped(), 0u);
+  EXPECT_EQ(log.merged(), expected);
+}
+
+TEST(Events, WriteThroughOrdersEachTimestampByNode) {
+  std::ostringstream os;
+  EventLog log(os);
+  EventLog ring;
+  const auto both = [&](std::size_t node, std::int64_t ts, std::uint64_t a) {
+    log.append(node, EventKind::kPacketRecv, ts, -1, a);
+    ring.append(node, EventKind::kPacketRecv, ts, -1, a);
+  };
+  both(0, 0, 1);
+  both(3, 5, 2);
+  both(1, 5, 3);
+  both(3, 5, 4);
+  both(0, 5, 5);
+  both(2, 9, 6);
+  both(2, 9, 7);
+  log.finish();
+  EXPECT_EQ(log.recorded(), 7u);
+  EXPECT_EQ(log.dropped(), 0u);
+  EXPECT_EQ(log.retained(), 0u);  // it keeps no ring
+  std::ostringstream expected;
+  ring.write_jsonl(expected);
+  EXPECT_EQ(os.str(), expected.str());
+  std::istringstream in(os.str());
+  std::vector<std::uint64_t> order;
+  for (const Event& e : EventLog::read_jsonl(in)) order.push_back(e.a);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 5, 3, 2, 4, 6, 7}));
+}
+
+TEST(Events, WriteThroughKeepsRingsForTheTimeline) {
+  std::ostringstream os;
+  EventLog log(os, /*per_node_capacity=*/4);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    log.append(i % 2, EventKind::kDataSend, static_cast<std::int64_t>(i));
+  }
+  log.finish();
+  // Every event is written; the rings keep each node's newest four.
+  EXPECT_EQ(log.recorded(), 10u);
+  EXPECT_EQ(log.dropped(), 2u);
+  EXPECT_EQ(log.retained(), 8u);
+  std::istringstream in(os.str());
+  EXPECT_EQ(EventLog::read_jsonl(in).size(), 10u);
+  EXPECT_EQ(log.merged().front().ts_ns, 2);
+}
+
+TEST(Events, AppendRejectsAClockThatRunsBack) {
+  std::ostringstream os;
+  EventLog through(os);
+  through.append(0, EventKind::kRunStart, 0);
+  through.append(2, EventKind::kPacketForward, 700);
+  try {
+    through.append(1, EventKind::kPacketRecv, 650);
+    ADD_FAILURE() << "a write-through append below the held ts was taken";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("650"), std::string::npos) << what;
+    EXPECT_NE(what.find("700"), std::string::npos) << what;
+  }
+  // A ring log allows other nodes to lag, not a node to run back.
+  EventLog ring;
+  ring.append(2, EventKind::kPacketForward, 700);
+  ring.append(1, EventKind::kPacketRecv, 650);
+  EXPECT_THROW(ring.append(2, EventKind::kPacketRecv, 699), std::logic_error);
+}
+
+TEST(Events, FinishReportsAFailedWrite) {
+  std::ostringstream os;
+  os.setstate(std::ios::badbit);
+  EventLog log(os);
+  log.append(0, EventKind::kRunStart, 0);
+  EXPECT_THROW(log.finish(), std::runtime_error);
+}
+
 // ------------------------------------------------------- event-line codec
 
 Event codec_event(EventKind kind, std::int64_t ts, std::uint16_t node,
@@ -666,6 +776,37 @@ TEST(Integration, EventsNeverAffectResults) {
   log_a.write_jsonl(os_a);
   log_b.write_jsonl(os_b);
   EXPECT_EQ(os_a.str(), os_b.str());
+}
+
+TEST(Integration, WriteThroughRunZeroLogIsJobsInvariant) {
+  // `paai curve --events-out`: run 0 writes through, on whichever worker
+  // runs it; its bytes are the same at any jobs value and equal the ring
+  // export of the same run.
+  auto run_once = [](EventLog* log, std::size_t jobs) {
+    runner::MonteCarloConfig mc;
+    mc.base = runner::paper_config(protocols::ProtocolKind::kPaai2, 600, 0);
+    mc.base.checkpoints = {300, 600};
+    mc.runs = 4;
+    mc.seed0 = 11;
+    mc.jobs = jobs;
+    mc.events = log;
+    runner::run_monte_carlo(mc);
+  };
+  std::ostringstream serial;
+  std::ostringstream parallel;
+  EventLog log_serial(serial);
+  EventLog log_parallel(parallel);
+  EventLog ring(1 << 16);
+  run_once(&log_serial, 1);
+  run_once(&log_parallel, 3);
+  run_once(&ring, 2);
+  log_serial.finish();
+  log_parallel.finish();
+  std::ostringstream ring_os;
+  ring.write_jsonl(ring_os);
+  EXPECT_FALSE(serial.str().empty());
+  EXPECT_TRUE(serial.str() == parallel.str());
+  EXPECT_TRUE(serial.str() == ring_os.str());
 }
 
 }  // namespace

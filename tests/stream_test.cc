@@ -1521,6 +1521,62 @@ TEST(Producer, StreamsADropFreeLog) {
   expect_equivalent(produced.result, engine, "producer stream");
 }
 
+/// `cfg`'s log as the ring export writes it: a drop-free ring log, then
+/// write_jsonl().
+std::string ring_export(runner::ExperimentConfig cfg) {
+  obs::EventLog log(runner::drop_free_events_cap(cfg.params.total_packets));
+  cfg.path.events = &log;
+  runner::run_experiment(cfg);
+  EXPECT_EQ(log.dropped(), 0u);
+  std::ostringstream os;
+  log.write_jsonl(os);
+  return os.str();
+}
+
+// The write-through producer writes the ring export's bytes — the same
+// lines in the same (ts_ns, node, seq) order — for every protocol on the
+// reference scenario, under the benign burst plan, against a colluding
+// adversary inside it, and across a node crash and restart.
+TEST(Producer, WriteThroughEqualsTheRingExport) {
+  const auto collude = adversary::AdversaryPlan::parse("collude@4:rate=1");
+  for (const auto protocol : kAllProtocols) {
+    const runner::ExperimentConfig reference =
+        runner::paper_config(protocol, 2000, 43);
+    runner::ExperimentConfig benign = reference;
+    benign.faults = faults::FaultPlan::parse(kBenignPlan);
+    runner::ExperimentConfig adversary = benign;
+    adversary.link_faults.clear();
+    adversary.adversaries.assign(collude.specs.begin(), collude.specs.end());
+    runner::ExperimentConfig crash = reference;
+    crash.faults = faults::FaultPlan::parse("outage@3:t=5,dur=2");
+    const struct {
+      const char* name;
+      const runner::ExperimentConfig& cfg;
+    } cases[] = {{"reference", reference},
+                 {"benign", benign},
+                 {"collude", adversary},
+                 {"crash", crash}};
+    for (const auto& c : cases) {
+      SCOPED_TRACE(std::string(protocols::protocol_name(protocol)) + " / " +
+                   c.name);
+      const std::string ring = ring_export(c.cfg);
+      std::ostringstream os;
+      const runner::StreamProduceResult produced =
+          runner::run_experiment_to_stream(c.cfg, os);
+      EXPECT_EQ(produced.events_dropped, 0u);
+      EXPECT_EQ(produced.events_recorded,
+                static_cast<std::uint64_t>(
+                    std::count(ring.begin(), ring.end(), '\n')));
+      EXPECT_EQ(os.str().size(), ring.size());
+      EXPECT_TRUE(os.str() == ring);
+      if (&c.cfg == &crash) {
+        EXPECT_NE(ring.find("\"node-crash\""), std::string::npos);
+        EXPECT_NE(ring.find("\"node-restart\""), std::string::npos);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ the audit trail
 
 /// `events` read back as `paai explain` reads a file: JSONL, line by line.

@@ -68,11 +68,14 @@
 #      rendering of the same event log) must be strict JSON with exactly
 #      one trace event per --events-out line. On every event log legs 4-6
 #      write (a `paai curve` log with checkpoint convictions among them,
-#      and PAAI-1/PAAI-2 logs at 60000 packets with the default, drop-free
-#      --events-cap), explain's CONVICTED set must equal `paai replay
-#      --verify`'s verdict and, for a `paai run` log, the run's own verdict
-#      table. A log whose ring was too small (--events-cap=4096) lost its
-#      run-config: explain and replay --verify must both exit 2 on it.
+#      and PAAI-1/PAAI-2 logs at 60000 packets), explain's CONVICTED set
+#      must equal `paai replay --verify`'s verdict and, for a `paai run`
+#      log, the run's own verdict table. --events-out writes through and keeps no ring, so
+#      --events-cap=4096 (which bounds only the --trace-out rings) must
+#      give the default's bytes, and a 60000-packet PAAI-2 log must peak
+#      within 8 MiB of the same run without one (leg-0 Release build). A
+#      complete log cut below its head (run-start, run-config) must make
+#      explain and replay --verify both exit 2.
 #
 #   5. colluder forensics smoke — a full-ack run against the adaptive
 #      fault colluder (collude@4:rate=1 hiding inside the calibrated
@@ -84,7 +87,10 @@
 #
 #   6. serve-mode smoke — stream engine replay + snapshot/restore; a
 #      snapshot with a member the loader does not read must be rejected
-#      (exit 2), never restored with the member ignored.
+#      (exit 2), never restored with the member ignored. A run writing
+#      --events-out into a FIFO that `paai serve` tails (both under
+#      timeout) must leave serve with replay --verify's verdict table for
+#      the same log.
 #
 #   7. mesh smoke — a compromised fat-tree core straddling ~100 paths per
 #      out-link; the aggregated cross-path score store (paai mesh) must
@@ -256,10 +262,10 @@ check_verdicts 4 "$SMOKE_DIR/events.jsonl" "$SMOKE_DIR/run.stdout"
 # latest run-end-count record of each link is the verdict.
 "$ASAN_DIR/tools/paai" curve --protocol=paai1 --packets=30000 --runs=1 \
     --jobs=1 --fault=4:0.02 --events-out="$SMOKE_DIR/curve.jsonl" \
-    --events-cap=3000000 > "$SMOKE_DIR/curve.stdout"
+    > "$SMOKE_DIR/curve.stdout"
 check_verdicts 4 "$SMOKE_DIR/curve.jsonl"
-# With no --events-cap the ring is drop-free, so a paper-horizon log
-# replays and explains to the run's own verdict.
+# A paper-horizon log is complete, so it replays and explains to the
+# run's own verdict.
 for proto in paai1 paai2; do
   "$ASAN_DIR/tools/paai" run --protocol=$proto --packets=60000 \
       --fault=4:0.05 --events-out="$SMOKE_DIR/default_$proto.jsonl" \
@@ -267,17 +273,49 @@ for proto in paai1 paai2; do
   check_verdicts 4 "$SMOKE_DIR/default_$proto.jsonl" \
       "$SMOKE_DIR/default_$proto.stdout"
 done
-# A ring too small for the run keeps only the newest events and loses the
-# run-config: explain and replay --verify both refuse the log (exit 2).
+# --events-out keeps no ring: --events-cap bounds only the --trace-out
+# timeline, so a cap far below the run's events changes no byte.
 "$ASAN_DIR/tools/paai" run --protocol=paai1 --packets=60000 \
-    --fault=4:0.05 --events-out="$SMOKE_DIR/truncated.jsonl" \
+    --fault=4:0.05 --events-out="$SMOKE_DIR/capped.jsonl" \
     --events-cap=4096 > /dev/null
+cmp "$SMOKE_DIR/capped.jsonl" "$SMOKE_DIR/default_paai1.jsonl" || {
+  echo "leg 4 FAILED: --events-cap=4096 changed the --events-out bytes" >&2
+  exit 1
+}
+# The log is written through, in constant memory: its peak RSS stays
+# within 8 MiB of the same run without one (it was ~150 MiB above it when
+# the whole log was buffered for a sort). Release build: ASan's shadow
+# memory would blur the comparison.
+peak_rss_kib() {
+  python3 - "$@" <<'PY'
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=False)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+PY
+}
+rss_log="$(peak_rss_kib "$WERROR_DIR/tools/paai" run --protocol=paai2 \
+    --packets=60000 --fault=4:0.05 --events-out="$SMOKE_DIR/rss.jsonl")"
+rss_none="$(peak_rss_kib "$WERROR_DIR/tools/paai" run --protocol=paai2 \
+    --packets=60000 --fault=4:0.05)"
+[[ -s "$SMOKE_DIR/rss.jsonl" && $((rss_log - rss_none)) -le 8192 ]] || {
+  echo "leg 4 FAILED: --events-out peaks at $rss_log KiB vs $rss_none KiB" \
+       "without a log (bound: +8192 KiB)" >&2
+  exit 1
+}
+# A log that lost its head (run-start, run-config) is refused by explain
+# and replay --verify alike (exit 2), not read as a run of its own.
+head -n 2 "$SMOKE_DIR/default_paai1.jsonl" | grep -c 'run-start\|run-config' |
+    grep -qx 2 || {
+  echo "leg 4 FAILED: a log does not open with run-start, run-config" >&2
+  exit 1
+}
+tail -n +3 "$SMOKE_DIR/default_paai1.jsonl" > "$SMOKE_DIR/headless.jsonl"
 for cmd in explain "replay --verify"; do
   rc=0
-  "$ASAN_DIR/tools/paai" $cmd "$SMOKE_DIR/truncated.jsonl" \
+  "$ASAN_DIR/tools/paai" $cmd "$SMOKE_DIR/headless.jsonl" \
       > /dev/null 2>&1 || rc=$?
   [[ $rc -eq 2 ]] || {
-    echo "leg 4 FAILED: $cmd exited $rc, not 2, on a truncated log" >&2
+    echo "leg 4 FAILED: $cmd exited $rc, not 2, on a headless log" >&2
     exit 1
   }
 done
@@ -305,8 +343,7 @@ echo "== leg 5: colluder forensics smoke (fault-colluding adversary) =="
 "$ASAN_DIR/tools/paai" run --protocol=fullack --packets=20000 --seed=1 \
     --adversary='collude@4:rate=1' \
     --faults='ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15' \
-    --events-out="$SMOKE_DIR/collude.jsonl" --events-cap=200000 \
-    > "$SMOKE_DIR/collude.stdout"
+    --events-out="$SMOKE_DIR/collude.jsonl" > "$SMOKE_DIR/collude.stdout"
 "$ASAN_DIR/tools/paai" explain "$SMOKE_DIR/collude.jsonl" \
     > "$SMOKE_DIR/collude_explain.stdout"
 grep -q "CONVICTED l_4" "$SMOKE_DIR/collude_explain.stdout" || {
@@ -329,7 +366,7 @@ echo "== leg 6: serve-mode smoke (stream engine replay + snapshot/restore) =="
 # half and the engine round-trips through a paai.state.v1 snapshot.
 "$ASAN_DIR/tools/paai" run --protocol=paai1 --packets=8000 --seed=1 \
     --fault=4:0.02 --events-out="$SMOKE_DIR/stream.jsonl" \
-    --events-cap=200000 > "$SMOKE_DIR/stream_run.stdout"
+    > "$SMOKE_DIR/stream_run.stdout"
 "$ASAN_DIR/tools/paai" replay "$SMOKE_DIR/stream.jsonl" --verify \
     > "$SMOKE_DIR/replay.stdout" || {
   echo "leg 6 FAILED: replay --verify diverged from the batch run:" >&2
@@ -365,6 +402,41 @@ rc=0
 grep -q "unknown member bogus" "$SMOKE_DIR/replay_bogus.stderr" || {
   echo "leg 6 FAILED: snapshot with an unknown member not rejected (rc=$rc):" >&2
   cat "$SMOKE_DIR/replay_bogus.stderr" >&2
+  exit 1
+}
+
+# A running log tailed through a FIFO: the producer writes 64 KiB blocks
+# of lines during the run, serve applies them as they come, and serve's
+# final state holds the same verdict table as replay --verify of that
+# run's log (the same run as stream.jsonl). Opening a FIFO blocks until
+# the other end opens it, so both ends run under timeout: an end that
+# dies first makes the other exit 124 and fail the leg instead of
+# hanging it.
+mkfifo "$SMOKE_DIR/live.fifo"
+timeout 300 "$ASAN_DIR/tools/paai" serve --in="$SMOKE_DIR/live.fifo" \
+    --state-out="$SMOKE_DIR/live_state.json" > /dev/null 2>&1 &
+serve_pid=$!
+rc=0
+timeout 300 "$ASAN_DIR/tools/paai" run --protocol=paai1 --packets=8000 \
+    --seed=1 --fault=4:0.02 --events-out="$SMOKE_DIR/live.fifo" \
+    > /dev/null || rc=$?
+serve_rc=0
+wait "$serve_pid" || serve_rc=$?
+[[ $rc -le 1 && $serve_rc -eq 0 ]] || {
+  echo "leg 6 FAILED: live FIFO run exited $rc, serve $serve_rc" \
+       "(124: timed out, the other end never opened the FIFO)" >&2
+  exit 1
+}
+: > "$SMOKE_DIR/empty.jsonl"
+"$ASAN_DIR/tools/paai" replay "$SMOKE_DIR/empty.jsonl" \
+    --state-in="$SMOKE_DIR/live_state.json" --csv 2>/dev/null |
+    grep '^l_' > "$SMOKE_DIR/live_verdict.csv"
+"$ASAN_DIR/tools/paai" replay "$SMOKE_DIR/stream.jsonl" --verify --csv \
+    2>/dev/null | grep '^l_' > "$SMOKE_DIR/replay_verdict.csv"
+[[ -s "$SMOKE_DIR/live_verdict.csv" ]] &&
+cmp "$SMOKE_DIR/live_verdict.csv" "$SMOKE_DIR/replay_verdict.csv" || {
+  echo "leg 6 FAILED: serve on a live FIFO disagrees with replay --verify:" >&2
+  diff "$SMOKE_DIR/live_verdict.csv" "$SMOKE_DIR/replay_verdict.csv" >&2 || true
   exit 1
 }
 

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -70,10 +71,10 @@ experiment (run, curve):
                      merged into one plan
   --faults=SPEC      scripted benign faults (docs/FAULTS.md)
   --events-out=F     forensic JSONL event log (curve: run 0)
-  --events-cap=N     per-node event-ring capacity (also the --trace-out
-                     log's); default drop-free, 16 x --packets. Rings
-                     grow with what the run records: at 60000 packets a
-                     log costs ~75-170 MiB of peak RSS (14 without one)
+  --events-cap=N     per-node ring capacity of the --trace-out timeline;
+                     default drop-free, 16 x --packets. --events-out
+                     keeps no ring: it writes during the run, 64 KiB of
+                     lines at a time, in constant memory
   --alpha=X --sigma=X  (bounds) detection parameters (0.03)
 mesh (docs/MESH.md): --topo=SPEC (fattree@8) --paths=N (10000)
   --units=N (2000) --rounds=N (8) --engine=stat|packet (packet: per-path
@@ -243,41 +244,49 @@ std::string file_operand(int argc, char** argv, const char* usage) {
   return argv[2];
 }
 
-/// The session's event log for a run of `packets` packets (curve: run 0),
-/// sized by --events-cap, else drop-free: --events-out and --trace-out
-/// render the same log. nullptr when neither flag is given.
+/// The session's event log for a run of `packets` packets (curve: run 0):
+/// it writes --events-out through to `out` (opened here) as the run goes,
+/// and keeps rings of --events-cap (default drop-free) events per node for
+/// --trace-out only. nullptr when neither flag is given.
 obs::EventLog* take_event_log(int argc, char** argv,
                               bench::BenchSession& session,
-                              std::uint64_t packets) {
+                              std::uint64_t packets, std::ofstream& out) {
+  const auto path = flag_str(argc, argv, "--events-out");
+  if (path) {
+    out.open(*path);
+    if (!out) throw CliError{"cannot open '" + *path + "' for writing"};
+  }
   return session.take_events(
       count_flag(argc, argv, "--events-cap", drop_free_events_cap(packets)),
-      flag_str(argc, argv, "--events-out").has_value());
+      path ? &out : nullptr);
 }
 
-void write_event_log(int argc, char** argv, const obs::EventLog& log) {
+/// Writes the rest of the --events-out log after the run.
+void finish_event_log(int argc, char** argv, obs::EventLog& log) {
   const auto path = flag_str(argc, argv, "--events-out");
   if (!path) return;
-  std::ofstream out(*path);
-  if (!out) throw CliError{"cannot open '" + *path + "' for writing"};
-  log.write_jsonl(out);
-  std::fprintf(stderr,
-               "events: %llu recorded, %llu dropped (ring cap %zu) -> %s\n",
+  try {
+    log.finish();
+  } catch (const std::runtime_error& e) {
+    throw CliError{"'" + *path + "': " + e.what()};
+  }
+  std::fprintf(stderr, "events: %llu written -> %s\n",
                static_cast<unsigned long long>(log.recorded()),
-               static_cast<unsigned long long>(log.dropped()),
-               log.per_node_capacity(), path->c_str());
+               path->c_str());
 }
 
 int cmd_run(int argc, char** argv) {
   bench::BenchSession session("paai.run", argc, argv);
   ExperimentConfig cfg = config_from_args(argc, argv, session.args);
   cfg.telemetry = session.telemetry();
-  cfg.path.events =
-      take_event_log(argc, argv, session, cfg.params.total_packets);
+  std::ofstream events_out;
+  cfg.path.events = take_event_log(argc, argv, session,
+                                   cfg.params.total_packets, events_out);
   std::fprintf(stderr, "running %s on a %zu-hop path, %llu packets...\n",
                protocols::protocol_name(cfg.protocol), cfg.path.length,
                static_cast<unsigned long long>(cfg.params.total_packets));
   const ExperimentResult r = run_experiment(cfg);
-  if (cfg.path.events) write_event_log(argc, argv, *cfg.path.events);
+  if (cfg.path.events) finish_event_log(argc, argv, *cfg.path.events);
   session.info("protocol", protocols::protocol_name(cfg.protocol));
   if (!cfg.faults.empty()) session.info("faults", cfg.faults.to_string());
   session.metric("convicted_links",
@@ -306,8 +315,9 @@ int cmd_curve(int argc, char** argv) {
   MonteCarloConfig mc;
   mc.base = config_from_args(argc, argv, session.args);
   mc.telemetry = session.telemetry();
-  mc.events =
-      take_event_log(argc, argv, session, mc.base.params.total_packets);
+  std::ofstream events_out;
+  mc.events = take_event_log(argc, argv, session,
+                             mc.base.params.total_packets, events_out);
   mc.runs = session.args.runs_or(50);
   mc.jobs = session.args.jobs;
   if (mc.base.link_faults.empty() && mc.base.adversaries.empty()) {
@@ -327,7 +337,7 @@ int cmd_curve(int argc, char** argv) {
                static_cast<unsigned long long>(mc.base.params.total_packets),
                protocols::protocol_name(mc.base.protocol));
   const MonteCarloResult r = run_monte_carlo(mc);
-  if (mc.events) write_event_log(argc, argv, *mc.events);
+  if (mc.events) finish_event_log(argc, argv, *mc.events);
   session.exec(r.exec);
   session.info("protocol", protocols::protocol_name(mc.base.protocol));
   if (!mc.base.faults.empty()) {
