@@ -10,12 +10,7 @@ namespace {
 
 constexpr std::size_t kBlock = 64;
 
-/// A key's inner and outer midstates: SHA-256's state after the one
-/// block K ^ ipad, resp. K ^ opad.
-struct Pads {
-  Sha256State inner;
-  Sha256State outer;
-};
+using detail::HmacPads;
 
 /// The pad table: per thread, 8 sets of 4 ways, each way a key block K
 /// (the key zero-padded to 64 bytes, or its digest when longer) and its
@@ -31,7 +26,7 @@ constexpr std::size_t kWays = 4;
 struct PadSet {
   std::array<std::uint64_t, kWays> tag{};  // 0 = empty way
   std::array<std::array<std::uint8_t, kBlock>, kWays> key{};
-  std::array<Pads, kWays> pads{};
+  std::array<HmacPads, kWays> pads{};
   std::size_t next = 0;
 };
 
@@ -49,21 +44,21 @@ std::uint64_t tag_of(const std::uint8_t* k) {
   return h | 1;
 }
 
-Pads compute_pads(const std::uint8_t* k) {
+HmacPads compute_pads(const std::uint8_t* k) {
   std::uint8_t ipad[kBlock] = {}, opad[kBlock] = {};
   for (std::size_t i = 0; i < kBlock; ++i) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
-  Pads p{Sha256::kInitialState, Sha256::kInitialState};
+  HmacPads p{Sha256::kInitialState, Sha256::kInitialState};
   detail::sha256_blocks(p.inner.data(), ipad, 1);
   detail::sha256_blocks(p.outer.data(), opad, 1);
   return p;
 }
 
-/// The key's pads from this thread's table, computed on a miss. The
-/// reference holds until the next call on this thread.
-const Pads& pads_of(ByteView key) {
+}  // namespace
+
+const HmacPads& detail::hmac_pads(ByteView key) {
   std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
     const Digest32 kd = Sha256::digest(key);
@@ -84,10 +79,8 @@ const Pads& pads_of(ByteView key) {
   return set.pads[w];
 }
 
-}  // namespace
-
 Digest32 hmac_sha256(ByteView key, ByteView message) {
-  const Pads& pads = pads_of(key);
+  const HmacPads& pads = detail::hmac_pads(key);
   const Digest32 inner = Sha256::finish_from(pads.inner, kBlock, message);
   return Sha256::finish_from(pads.outer, kBlock,
                              ByteView(inner.data(), inner.size()));

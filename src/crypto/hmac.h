@@ -26,4 +26,20 @@ Digest32 hmac_sha256(ByteView key, ByteView message);
 /// sampling decisions.
 std::uint64_t hmac_prf_u64(ByteView key, ByteView message);
 
+namespace detail {
+
+/// A key's inner and outer midstates: SHA-256's state after the one
+/// block K ^ ipad, resp. K ^ opad (internal to src/crypto: W-OTS hashes
+/// its chain heads from them in lanes).
+struct HmacPads {
+  Sha256State inner;
+  Sha256State outer;
+};
+
+/// The key's pads from this thread's table, computed on a miss. The
+/// reference holds until the next HMAC call on this thread.
+const HmacPads& hmac_pads(ByteView key);
+
+}  // namespace detail
+
 }  // namespace paai::crypto

@@ -199,6 +199,160 @@ bool sha256_x86_sha_supported() {
   return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
 }
 
+namespace {
+
+// The 16-lane body: every __m512i lives in a target("avx512f") function,
+// and all but the entry point are inlined into it, so no vector crosses a
+// call boundary (GCC's -Wpsabi would flag one).
+#define PAAI_AVX512_TARGET __attribute__((target("avx512f")))
+#define PAAI_AVX512_INLINE \
+  PAAI_AVX512_TARGET inline __attribute__((always_inline))
+
+PAAI_AVX512_INLINE __m512i add(__m512i x, __m512i y) {
+  return _mm512_add_epi32(x, y);
+}
+
+// The shifts, rotates and the widening load go through their zero-masking
+// forms with a full mask: the same instructions, but GCC 12 reports the
+// plain forms' undefined pass-through operand as -Wuninitialized.
+constexpr __mmask16 kAllLanes = 0xffff;
+
+template <int n>
+PAAI_AVX512_INLINE __m512i ror(__m512i x) {
+  return _mm512_maskz_ror_epi32(kAllLanes, x, n);
+}
+
+template <int n>
+PAAI_AVX512_INLINE __m512i shr(__m512i x) {
+  return _mm512_maskz_srli_epi32(kAllLanes, x, n);
+}
+
+/// x ^ y ^ z in one vpternlogd.
+PAAI_AVX512_INLINE __m512i xor3(__m512i x, __m512i y, __m512i z) {
+  return _mm512_ternarylogic_epi32(x, y, z, 0x96);
+}
+
+/// Reverses the bytes of each 32-bit lane: bytes 3 and 1 of the result
+/// come from x rotated right by 8, bytes 2 and 0 from x rotated by 24.
+PAAI_AVX512_INLINE __m512i bswap32x16(__m512i x) {
+  return _mm512_ternarylogic_epi32(
+      _mm512_set1_epi32(static_cast<int>(0xff00ff00u)), ror<8>(x),
+      ror<24>(x), 0xca);
+}
+
+/// Round i of a 16-round pass (the caller rotates the roles of a..h):
+/// on passes after the first, W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) +
+/// W[t-16] replaces W[t-16] in the 16-word ring first.
+template <int i, bool kSchedule>
+PAAI_AVX512_INLINE void round1(__m512i a, __m512i b, __m512i c, __m512i& d,
+                               __m512i e, __m512i f, __m512i g, __m512i& h,
+                               __m512i w[16], const std::uint32_t* k) {
+  if (kSchedule) {
+    const __m512i w15 = w[(i + 1) & 15];
+    const __m512i w2 = w[(i + 14) & 15];
+    const __m512i s0 = xor3(ror<7>(w15), ror<18>(w15), shr<3>(w15));
+    const __m512i s1 = xor3(ror<17>(w2), ror<19>(w2), shr<10>(w2));
+    w[i] = add(add(w[i], s0), add(w[(i + 9) & 15], s1));
+  }
+  const __m512i big_s1 = xor3(ror<6>(e), ror<11>(e), ror<25>(e));
+  const __m512i ch = _mm512_ternarylogic_epi32(e, f, g, 0xca);  // e ? f : g
+  const __m512i t1 = add(add(h, big_s1),
+                         add(ch, add(w[i], _mm512_set1_epi32(
+                                               static_cast<int>(k[i])))));
+  const __m512i big_s0 = xor3(ror<2>(a), ror<13>(a), ror<22>(a));
+  const __m512i maj = _mm512_ternarylogic_epi32(a, b, c, 0xe8);
+  d = add(d, t1);
+  h = add(t1, add(big_s0, maj));
+}
+
+/// Rounds 16p .. 16p + 15, with k = K + 16p.
+template <bool kSchedule>
+PAAI_AVX512_INLINE void rounds16(__m512i s[8], __m512i w[16],
+                                 const std::uint32_t* k) {
+  __m512i &a = s[0], &b = s[1], &c = s[2], &d = s[3];
+  __m512i &e = s[4], &f = s[5], &g = s[6], &h = s[7];
+  round1<0, kSchedule>(a, b, c, d, e, f, g, h, w, k);
+  round1<1, kSchedule>(h, a, b, c, d, e, f, g, w, k);
+  round1<2, kSchedule>(g, h, a, b, c, d, e, f, w, k);
+  round1<3, kSchedule>(f, g, h, a, b, c, d, e, w, k);
+  round1<4, kSchedule>(e, f, g, h, a, b, c, d, w, k);
+  round1<5, kSchedule>(d, e, f, g, h, a, b, c, w, k);
+  round1<6, kSchedule>(c, d, e, f, g, h, a, b, w, k);
+  round1<7, kSchedule>(b, c, d, e, f, g, h, a, w, k);
+  round1<8, kSchedule>(a, b, c, d, e, f, g, h, w, k);
+  round1<9, kSchedule>(h, a, b, c, d, e, f, g, w, k);
+  round1<10, kSchedule>(g, h, a, b, c, d, e, f, w, k);
+  round1<11, kSchedule>(f, g, h, a, b, c, d, e, w, k);
+  round1<12, kSchedule>(e, f, g, h, a, b, c, d, w, k);
+  round1<13, kSchedule>(d, e, f, g, h, a, b, c, w, k);
+  round1<14, kSchedule>(c, d, e, f, g, h, a, b, w, k);
+  round1<15, kSchedule>(b, c, d, e, f, g, h, a, w, k);
+}
+
+/// One block per lane: out = init + the 64 rounds over `block`'s words.
+PAAI_AVX512_INLINE void compress16(const __m512i init[8],
+                                   const __m512i block[16], __m512i out[8]) {
+  __m512i s[8], w[16];
+  for (int j = 0; j < 8; ++j) s[j] = init[j];
+  for (int j = 0; j < 16; ++j) w[j] = block[j];
+  rounds16<false>(s, w, kK.data());
+  rounds16<true>(s, w, kK.data() + 16);
+  rounds16<true>(s, w, kK.data() + 32);
+  rounds16<true>(s, w, kK.data() + 48);
+  for (int j = 0; j < 8; ++j) out[j] = add(s[j], init[j]);
+}
+
+}  // namespace
+
+PAAI_AVX512_TARGET void sha256_lanes_avx512(const std::uint32_t state[8],
+                                            std::uint8_t* blocks,
+                                            const std::uint8_t* steps,
+                                            std::size_t lanes) {
+  std::uint8_t lane_steps[kSha256Lanes] = {};
+  std::memcpy(lane_steps, steps, lanes);
+  const std::uint8_t rounds =
+      *std::max_element(lane_steps, lane_steps + kSha256Lanes);
+  const __m512i steps_v = _mm512_maskz_cvtepu8_epi32(
+      kAllLanes,
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(lane_steps)));
+  const __mmask16 stepped =
+      _mm512_cmpgt_epu32_mask(steps_v, _mm512_setzero_si512());
+  // Word j of lane i sits at byte 4 * (16 i + j) of `blocks`.
+  const __m512i lane_words = _mm512_setr_epi32(
+      0, 16, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240);
+
+  __m512i w[16];
+  for (int j = 0; j < 16; ++j) {
+    w[j] = bswap32x16(_mm512_mask_i32gather_epi32(
+        _mm512_setzero_si512(), stepped, lane_words, blocks + 4 * j, 4));
+  }
+  __m512i init[8];
+  for (int j = 0; j < 8; ++j) {
+    init[j] = _mm512_set1_epi32(static_cast<int>(state[j]));
+  }
+  for (std::uint8_t r = 0; r < rounds; ++r) {
+    const __mmask16 active =
+        _mm512_cmpgt_epu32_mask(steps_v, _mm512_set1_epi32(r));
+    __m512i digest[8];
+    compress16(init, w, digest);
+    for (int j = 0; j < 8; ++j) {
+      w[j] = _mm512_mask_mov_epi32(w[j], active, digest[j]);
+    }
+  }
+  for (int j = 0; j < 8; ++j) {
+    _mm512_mask_i32scatter_epi32(blocks + 4 * j, stepped, lane_words,
+                                 bswap32x16(w[j]), 4);
+  }
+}
+
+#undef PAAI_AVX512_INLINE
+#undef PAAI_AVX512_TARGET
+
+bool sha256_x86_avx512_supported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+}
+
 #endif  // x86
 
 void sha256_block_digest_portable(const std::uint32_t state[8],
@@ -215,23 +369,50 @@ void sha256_block_digest_portable(const std::uint32_t state[8],
   }
 }
 
+void pad_last_block(std::uint8_t block[64], std::size_t len,
+                    std::uint64_t total_bytes) {
+  block[len] = 0x80;
+  std::memset(block + len + 1, 0, 55 - len);
+  const std::uint64_t bit_len = total_bytes * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+}
+
+void sha256_lanes_reference(const std::uint32_t state[8],
+                            std::uint8_t* blocks, const std::uint8_t* steps,
+                            std::size_t lanes) {
+  for (std::size_t i = 0; i < lanes; ++i) {
+    std::uint8_t* block = blocks + 64 * i;
+    for (std::uint8_t s = 0; s < steps[i]; ++s) {
+      sha256_block_digest(state, block, block);
+    }
+  }
+}
+
 namespace {
 
-/// The block functions for this CPU, picked once from CPUID.
+/// The block and lane functions for this CPU, picked once from CPUID.
 struct BlockFns {
   void (*blocks)(std::uint32_t*, const std::uint8_t*, std::size_t);
   void (*block_digest)(const std::uint32_t*, const std::uint8_t*,
                        std::uint8_t*);
+  void (*lanes)(const std::uint32_t*, std::uint8_t*, const std::uint8_t*,
+                std::size_t);
 };
 
 const BlockFns& chosen() {
   static const BlockFns fns = [] {
+    BlockFns f{&sha256_blocks_portable, &sha256_block_digest_portable,
+               &sha256_lanes_reference};
 #if defined(__x86_64__) || defined(__i386__)
     if (sha256_x86_sha_supported()) {
-      return BlockFns{&sha256_blocks_x86_sha, &sha256_block_digest_x86_sha};
+      f.blocks = &sha256_blocks_x86_sha;
+      f.block_digest = &sha256_block_digest_x86_sha;
     }
+    if (sha256_x86_avx512_supported()) f.lanes = &sha256_lanes_avx512;
 #endif
-    return BlockFns{&sha256_blocks_portable, &sha256_block_digest_portable};
+    return f;
   }();
   return fns;
 }
@@ -248,6 +429,11 @@ void sha256_block_digest(const std::uint32_t state[8],
   chosen().block_digest(state, block, out);
 }
 
+void sha256_lanes(const std::uint32_t state[8], std::uint8_t* blocks,
+                  const std::uint8_t* steps, std::size_t lanes) {
+  chosen().lanes(state, blocks, steps, lanes);
+}
+
 }  // namespace detail
 
 namespace {
@@ -255,19 +441,6 @@ namespace {
 /// Longest message tail one last block holds: 55 bytes, 0x80, 8 length
 /// bytes.
 constexpr std::size_t kMaxShortTail = 55;
-
-/// Pads a last block holding its `len` <= kMaxShortTail message bytes in
-/// block[0, len): 0x80, zeros up to byte 56, then the big-endian bit
-/// length of the whole `total_bytes`-byte message.
-void pad_last_block(std::uint8_t block[64], std::size_t len,
-                    std::uint64_t total_bytes) {
-  block[len] = 0x80;
-  std::memset(block + len + 1, 0, 55 - len);
-  const std::uint64_t bit_len = total_bytes * 8;
-  for (int i = 0; i < 8; ++i) {
-    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-}
 
 }  // namespace
 
@@ -339,7 +512,7 @@ Digest32 Sha256::finish_from(const Sha256State& midstate,
   }
   std::uint8_t block[64];
   if (!rest.empty()) std::memcpy(block, rest.data(), rest.size());
-  pad_last_block(block, rest.size(), absorbed + rest.size());
+  detail::pad_last_block(block, rest.size(), absorbed + rest.size());
   Digest32 out;
   detail::sha256_block_digest(midstate.data(), block, out.data());
   return out;
@@ -348,7 +521,7 @@ Digest32 Sha256::finish_from(const Sha256State& midstate,
 Digest32 Sha256::iterate(const Digest32& value, std::size_t steps) {
   std::uint8_t block[64];
   std::memcpy(block, value.data(), value.size());
-  pad_last_block(block, value.size(), value.size());
+  detail::pad_last_block(block, value.size(), value.size());
   for (std::size_t s = 0; s < steps; ++s) {
     detail::sha256_block_digest(kInitialState.data(), block, block);
   }

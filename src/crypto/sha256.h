@@ -5,7 +5,11 @@
 // PRF the protocols rely on. Verified against NIST test vectors in
 // tests/crypto_test.cc. The compression runs on the x86 SHA extensions
 // when CPUID reports them and on the portable C++ function otherwise
-// (crypto/sha256_blocks.h); both give the same digests.
+// (crypto/sha256_blocks.h); both give the same digests. W-OTS
+// (crypto/wots.cc) hashes its chains through the same header's lane
+// batch: 16 one-block compressions per AVX-512F vector when CPUID
+// reports it, one lane at a time on the block function otherwise; every
+// chain value is the one iterate() gives.
 //
 // The short-message paths — digest() of at most 55 bytes, finish_from() on
 // a midstate (HMAC's keyed pads, crypto/hmac.cc) and iterate() (W-OTS

@@ -15,6 +15,11 @@
 // sequence number and the verifier can reconstruct the expected public
 // key (standing in for the Merkle-tree key registration a deployment
 // would use — which would only add more overhead).
+//
+// The 67 chains are independent, so keygen, sign and verify hash them up
+// to 16 at a time in the SHA-256 lane batch (crypto/sha256_blocks.h),
+// chains with similar step counts together; keys and signatures are the
+// bytes of hashing each chain on its own.
 #pragma once
 
 #include <array>

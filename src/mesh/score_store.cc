@@ -74,8 +74,8 @@ void ScoreShard::add(std::size_t link, std::uint64_t units,
 
 void ScoreShard::add_window(std::size_t link, std::size_t round,
                             std::uint64_t units, std::uint64_t blames) {
-  win_units_[round * num_links() + link] += units;
-  win_blames_[round * num_links() + link] += blames;
+  win_units_[link * rounds_ + round] += units;
+  win_blames_[link * rounds_ + round] += blames;
 }
 
 std::size_t ScoreShard::bytes_for(std::size_t num_links, std::size_t rounds) {

@@ -101,8 +101,8 @@ class ScoreShard {
   std::vector<std::uint64_t> paths_;
   std::vector<std::uint64_t> solo_;
   std::vector<std::uint32_t> witness_;   // num_links x kWitnessCap, sorted
-  std::vector<std::uint64_t> win_units_;   // round-major, round * L + l
-  std::vector<std::uint64_t> win_blames_;  // round-major, round * L + l
+  std::vector<std::uint64_t> win_units_;   // link-major, l * rounds + r
+  std::vector<std::uint64_t> win_blames_;  // link-major, l * rounds + r
 };
 
 class GlobalScoreStore {
@@ -122,12 +122,13 @@ class GlobalScoreStore {
     return solo_[link];
   }
 
-  /// Per-round window cells (round-major u64 sums over absorbed shards).
+  /// Per-round window cells (u64 sums over absorbed shards), link-major
+  /// like the shard's, so a link's round scan reads adjacent cells.
   std::uint64_t round_units(std::size_t link, std::size_t round) const {
-    return win_units_[round * num_links() + link];
+    return win_units_[link * rounds_ + round];
   }
   std::uint64_t round_blames(std::size_t link, std::size_t round) const {
-    return win_blames_[round * num_links() + link];
+    return win_blames_[link * rounds_ + round];
   }
 
   /// Witness path ids for a link (ascending, at most kWitnessCap).

@@ -23,9 +23,9 @@ std::optional<std::size_t> sigack_verify(const ProtocolContext& ctx,
   WireReader r(report);
   std::uint8_t index = 0;
   std::uint64_t seq = 0;
-  Bytes sig;
+  ByteView sig;
   if (!r.u8(index) || !r.u64(seq) ||
-      !r.raw(crypto::kWotsSignatureSize, sig) || !r.done()) {
+      !r.view(crypto::kWotsSignatureSize, sig) || !r.done()) {
     return std::nullopt;
   }
   if (index < 1 || index > ctx.d()) return std::nullopt;
@@ -35,7 +35,7 @@ std::optional<std::size_t> sigack_verify(const ProtocolContext& ctx,
       crypto::wots_public_key(ctx.keys().node_key(index), seq);
   const Bytes content = paai1_local_report(index, id);
   if (!crypto::wots_verify(pk, ByteView(content.data(), content.size()),
-                           ByteView(sig.data(), sig.size()))) {
+                           sig)) {
     return std::nullopt;
   }
   return index;

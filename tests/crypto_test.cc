@@ -1,8 +1,9 @@
 // Crypto substrate tests: official test vectors for SHA-256 (FIPS 180-4 /
 // NIST CAVS), HMAC-SHA256 (RFC 4231), ChaCha20 (RFC 8439), and SipHash-2-4
-// (reference vectors from the SipHash paper), the one-block SHA-256 paths
-// and HMAC pad table against plain Sha256 references, plus behavioural
-// tests for the provider seam, key store, and keyed samplers.
+// (reference vectors from the SipHash paper), the one-block SHA-256 paths,
+// HMAC pad table and W-OTS lane batch against plain Sha256 references,
+// plus behavioural tests for the provider seam, key store, and keyed
+// samplers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "crypto/sha256_blocks.h"
 #include "crypto/siphash.h"
 #include "util/bytes.h"
+#include "util/wire.h"
 
 namespace paai::crypto {
 namespace {
@@ -169,6 +171,110 @@ TEST(Sha256Blocks, X86ShaMatchesPortable) {
   }
 #else
   GTEST_SKIP() << "not an x86 build; only the portable block function exists";
+#endif
+}
+
+using LaneFn = void (*)(const std::uint32_t*, std::uint8_t*,
+                        const std::uint8_t*, std::size_t);
+
+/// Lane blocks plus one spare block past the last lane, which no call
+/// may touch.
+using LaneBlocks = std::array<std::uint8_t, (detail::kSha256Lanes + 1) * 64>;
+
+// A lane function against Sha256::iterate (random 32-byte values, every
+// step count 0..15 in every lane, 1..16 lanes: W-OTS's 67 = 4 x 16 + 3
+// chains make partial batches) and against hmac_sha256 (W-OTS chain heads
+// from a random seed's pads and index). Results land in place, in each
+// block's first 32 bytes; the rest of each block and every block past
+// the last lane stay as they were.
+void expect_lanes_match_iterate_and_hmac(LaneFn lanes) {
+  std::mt19937_64 rng(20081209);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + trial % detail::kSha256Lanes;
+    LaneBlocks blocks;
+    for (auto& b : blocks) b = static_cast<std::uint8_t>(rng());
+    std::array<Digest32, detail::kSha256Lanes> start;
+    std::uint8_t steps[detail::kSha256Lanes];
+    for (std::size_t i = 0; i < n; ++i) {
+      std::memcpy(start[i].data(), blocks.data() + 64 * i, 32);
+      detail::pad_last_block(blocks.data() + 64 * i, 32, 32);
+      steps[i] = static_cast<std::uint8_t>((trial / 16 + i) % 16);
+    }
+    const LaneBlocks before = blocks;
+    lanes(Sha256::kInitialState.data(), blocks.data(), steps, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Digest32 want = Sha256::iterate(start[i], steps[i]);
+      ASSERT_EQ(0, std::memcmp(blocks.data() + 64 * i, want.data(), 32))
+          << "trial " << trial << ", lane " << i << " of " << n << ", "
+          << int{steps[i]} << " steps";
+    }
+    for (std::size_t k = 0; k < blocks.size(); ++k) {
+      if (k % 64 < 32 && k / 64 < n) continue;
+      ASSERT_EQ(before[k], blocks[k]) << "trial " << trial << ", byte " << k;
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + trial % detail::kSha256Lanes;
+    Key seed;
+    for (auto& b : seed) b = static_cast<std::uint8_t>(rng());
+    const std::uint64_t index = rng();
+    const detail::HmacPads pads =
+        detail::hmac_pads(ByteView(seed.data(), seed.size()));
+    LaneBlocks blocks{};
+    std::uint8_t once[detail::kSha256Lanes];
+    std::memset(once, 1, sizeof(once));
+    for (std::size_t i = 0; i < n; ++i) {
+      store_be(blocks.data() + 64 * i, index);
+      blocks[64 * i + 8] = static_cast<std::uint8_t>(i);
+      detail::pad_last_block(blocks.data() + 64 * i, 9, 64 + 9);
+    }
+    lanes(pads.inner.data(), blocks.data(), once, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      detail::pad_last_block(blocks.data() + 64 * i, 32, 64 + 32);
+    }
+    lanes(pads.outer.data(), blocks.data(), once, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint8_t input[9];
+      store_be(input, index);
+      input[8] = static_cast<std::uint8_t>(i);
+      const Digest32 want = hmac_sha256(ByteView(seed.data(), seed.size()),
+                                        ByteView(input, sizeof(input)));
+      ASSERT_EQ(0, std::memcmp(blocks.data() + 64 * i, want.data(), 32))
+          << "trial " << trial << ", head " << i << " of " << n;
+    }
+  }
+}
+
+TEST(Sha256Lanes, ReferenceMatchesIterateAndHmac) {
+  expect_lanes_match_iterate_and_hmac(&detail::sha256_lanes_reference);
+}
+
+// The AVX-512 body against the iterate/HMAC references, and against the
+// reference body on random chaining states, random whole blocks and
+// random step counts.
+TEST(Sha256Lanes, Avx512MatchesReference) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!detail::sha256_x86_avx512_supported()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F; only the reference lane body "
+                    "runs here";
+  }
+  expect_lanes_match_iterate_and_hmac(&detail::sha256_lanes_avx512);
+  std::mt19937_64 rng(20260101);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::uint32_t state[8];
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng());
+    const std::size_t n = 1 + rng() % detail::kSha256Lanes;
+    std::uint8_t steps[detail::kSha256Lanes];
+    for (auto& s : steps) s = static_cast<std::uint8_t>(rng() % 16);
+    LaneBlocks want;
+    for (auto& b : want) b = static_cast<std::uint8_t>(rng());
+    LaneBlocks got = want;
+    detail::sha256_lanes_reference(state, want.data(), steps, n);
+    detail::sha256_lanes_avx512(state, got.data(), steps, n);
+    ASSERT_EQ(want, got) << "trial " << trial << ", " << n << " lanes";
+  }
+#else
+  GTEST_SKIP() << "not an x86 build; only the reference lane body exists";
 #endif
 }
 

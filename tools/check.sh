@@ -37,8 +37,11 @@
 #      through the slab, codecs and pending tables of three protocols),
 #      crypto (SipHash's word loads on unaligned input, the FastCrypto
 #      golden vectors, SHA-256's in-place padding at the block-boundary
-#      lengths and both block functions — the SHA-extension one checked
-#      against the portable one on random states where the CPU has it),
+#      lengths, both block functions — the SHA-extension one checked
+#      against the portable one on random states where the CPU has it —
+#      and the W-OTS lane kernel, its AVX-512 and reference bodies checked
+#      against Sha256::iterate, hmac_sha256 and each other, the AVX-512
+#      one where the CPU has AVX-512F),
 #      mesh (topology parser, sharded score store),
 #      runner, fleet (the mesh packet engine on linear@P against the
 #      serial fleet reference) and telemetry (sampler, serve lag, the
